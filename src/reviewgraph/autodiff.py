@@ -123,21 +123,30 @@ def _op(value: np.ndarray, parents: tuple[Tensor, ...],
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a vector or (..., k) array a and a (k, m) matrix b, or a
+    batch of products (B, n, k) @ (B, k, m)."""
     a, b = _tensor(a), _tensor(b)
-    if a.value.ndim not in (1, 2) or b.value.ndim != 2:
-        raise ShapeMismatch(f"matmul expects (vector|matrix) @ matrix, got {a.shape} @ {b.shape}")
-    if a.value.shape[-1] != b.value.shape[0]:
+    batched = b.value.ndim == 3
+    if (a.value.ndim < 1 or b.value.ndim not in (2, 3)
+            or batched and (a.value.ndim != 3 or a.value.shape[0] != b.value.shape[0])):
+        raise ShapeMismatch(
+            f"matmul expects (...) @ matrix or batch @ batch, got {a.shape} @ {b.shape}"
+        )
+    if a.value.shape[-1] != b.value.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.value @ b.value
 
     def backward(g: np.ndarray) -> None:
         if a._needs:
-            a.accumulate(g @ b.value.T)
+            a.accumulate(g @ np.swapaxes(b.value, -1, -2))
         if b._needs:
-            if a.value.ndim == 1:
+            if batched:
+                b.accumulate(np.swapaxes(a.value, -1, -2) @ g)
+            elif a.value.ndim == 1:
                 b.accumulate(np.outer(a.value, g))
             else:
-                b.accumulate(a.value.T @ g)
+                k, m = b.value.shape
+                b.accumulate(a.value.reshape(-1, k).T @ g.reshape(-1, m))
 
     return _op(out, (a, b), backward)
 
@@ -223,6 +232,31 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _op(out, tuple(xs), backward)
 
 
+def stack(xs: Sequence[Tensor]) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis."""
+    xs = [_tensor(x) for x in xs]
+    if not xs:
+        raise ShapeMismatch("stack of zero tensors")
+    out = np.stack([x.value for x in xs])
+
+    def backward(g: np.ndarray) -> None:
+        for x, gx in zip(xs, g):
+            if x._needs:
+                x.accumulate(gx)
+
+    return _op(out, tuple(xs), backward)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    x = _tensor(x)
+    out = x.value.reshape(shape)
+
+    def backward(g: np.ndarray) -> None:
+        x.accumulate(g.reshape(x.value.shape))
+
+    return _op(out, (x,), backward)
+
+
 def mean_rows(x: Tensor) -> Tensor:
     x = _tensor(x)
     if x.value.ndim != 2 or x.value.shape[0] == 0:
@@ -277,72 +311,79 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def rowdot(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row dot product of two equal-shape matrices -> vector."""
+    """Dot product over the last axis of two equal-shape arrays: (..., k) -> (...)."""
     a, b = _tensor(a), _tensor(b)
     if a.value.shape != b.value.shape:
         raise ShapeMismatch(f"rowdot shapes differ: {a.shape} vs {b.shape}")
-    out = np.einsum("ij,ij->i", a.value, b.value)
+    out = np.einsum("...i,...i->...", a.value, b.value)
 
     def backward(g: np.ndarray) -> None:
         if a._needs:
-            a.accumulate(g[:, None] * b.value)
+            a.accumulate(g[..., None] * b.value)
         if b._needs:
-            b.accumulate(g[:, None] * a.value)
+            b.accumulate(g[..., None] * a.value)
 
     return _op(out, (a, b), backward)
 
 
 def colscale(x: Tensor, w: Tensor) -> Tensor:
-    """Scale each row of x by the matching entry of vector w."""
+    """Scale each last-axis vector of x (..., k) by the matching entry of w (...)."""
     x, w = _tensor(x), _tensor(w)
-    if x.value.shape[0] != w.value.shape[0] or w.value.ndim != 1:
+    if x.value.shape[:-1] != w.value.shape:
         raise ShapeMismatch(f"colscale shapes incompatible: {x.shape} vs {w.shape}")
-    out = x.value * w.value[:, None]
+    out = x.value * w.value[..., None]
 
     def backward(g: np.ndarray) -> None:
         if x._needs:
-            x.accumulate(g * w.value[:, None])
+            x.accumulate(g * w.value[..., None])
         if w._needs:
-            w.accumulate(np.einsum("ij,ij->i", g, x.value))
+            w.accumulate(np.einsum("...i,...i->...", g, x.value))
 
     return _op(out, (x, w), backward)
 
 
+def _segment_layout(segments: Sequence[tuple[int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and lengths of segments that tile [0, n) in order."""
+    bounds = np.asarray(segments, dtype=np.intp).reshape(-1, 2)
+    ends = np.concatenate(([0], bounds[:, 1]))
+    lengths = np.diff(ends)
+    if not (np.array_equal(bounds[:, 0], ends[:-1]) and ends[-1] == n and np.all(lengths > 0)):
+        raise ShapeMismatch(f"segments must tile [0, {n}) in order with none empty")
+    return bounds[:, 0], lengths
+
+
 def segment_softmax(scores: Tensor, segments: Sequence[tuple[int, int]]) -> Tensor:
-    """Stable softmax within each contiguous [start, stop) segment of a vector."""
+    """Stable softmax along axis 0 within each contiguous [start, stop) segment.
+
+    The segments must tile axis 0 in order; each column is normalized separately.
+    """
     scores = _tensor(scores)
     v = scores.value
-    out = np.empty_like(v)
-    for start, stop in segments:
-        seg = v[start:stop]
-        e = np.exp(seg - seg.max())
-        out[start:stop] = e / e.sum()
+    starts, lengths = _segment_layout(segments, v.shape[0])
+    e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts, axis=0), lengths, axis=0))
+    out = e / np.repeat(np.add.reduceat(e, starts, axis=0), lengths, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        gx = np.empty_like(v)
-        for start, stop in segments:
-            w = out[start:stop]
-            gs = g[start:stop]
-            gx[start:stop] = w * (gs - np.dot(gs, w))
-        scores.accumulate(gx)
+        dot = np.repeat(np.add.reduceat(g * out, starts, axis=0), lengths, axis=0)
+        scores.accumulate(out * (g - dot))
 
     return _op(out, (scores,), backward)
 
 
 def segment_sum(x: Tensor, segments: Sequence[tuple[int, int]],
                 target_rows: np.ndarray, n_rows: int) -> Tensor:
-    """Sum contiguous row segments of x into rows of an (n_rows, d) zero matrix."""
+    """Sum contiguous axis-0 segments of x into rows of an (n_rows, ...) zero array.
+
+    The segments must tile axis 0 in order; segment i lands in ``target_rows[i]``.
+    """
     x = _tensor(x)
     target_rows = np.asarray(target_rows, dtype=np.intp)
-    out = np.zeros((n_rows, x.value.shape[1]), dtype=np.float64)
-    for (start, stop), row in zip(segments, target_rows):
-        out[row] = x.value[start:stop].sum(axis=0)
+    starts, lengths = _segment_layout(segments, x.value.shape[0])
+    out = np.zeros((n_rows,) + x.value.shape[1:], dtype=np.float64)
+    out[target_rows] = np.add.reduceat(x.value, starts, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.value)
-        for (start, stop), row in zip(segments, target_rows):
-            gx[start:stop] = g[row]
-        x.accumulate(gx)
+        x.accumulate(np.repeat(g[target_rows], lengths, axis=0))
 
     return _op(out, (x,), backward)
 

@@ -551,8 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     except (orch.EndpointError, orch.EmptyCompletion) as exc:
         click.echo(f"endpoint error: {exc}", err=True)
         return EXIT_ENDPOINT
-    except (training.NonFiniteLoss, training.NonFiniteGradient,
-            autodiff.NumericsError) as exc:
+    except (training.NonFiniteGradient, autodiff.NumericsError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return EXIT_NUMERIC
     except (DataFailure, graphmod.GraphError, extraction.ExtractionError,

@@ -92,7 +92,8 @@ REVIEWER_AUTHOR_RELATIONS = (
 #: All forward relations of the heterogeneous schema, in a fixed order.
 FORWARD_RELATIONS = STRUCTURAL_RELATIONS + INTER_REVIEWER_RELATIONS + REVIEWER_AUTHOR_RELATIONS
 
-_REL_ORDINAL = {r: i for i, r in enumerate(RelationType)}
+#: Position of each relation in ``RelationType``; orders incoming edges.
+REL_ORDINAL = {r: i for i, r in enumerate(RelationType)}
 
 REVIEWER_SPEAKERS = ("reviewer_1", "reviewer_2", "reviewer_3")
 AUTHOR_SPEAKER = "author"
@@ -158,7 +159,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class DebateGraph:
-    """Immutable typed debate graph with a precomputed incoming-edge index."""
+    """Immutable typed debate graph."""
 
     graph_id: str
     nodes: tuple[Node, ...]
@@ -166,16 +167,6 @@ class DebateGraph:
     label: str | None = None
     #: old id -> new id mapping recorded by apply_ablation; not serialized.
     id_map: Mapping[int, int] | None = field(default=None, compare=False, repr=False)
-    _incoming: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        index: dict[int, list[tuple[int, RelationType, bool]]] = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            if e.dst in index:
-                index[e.dst].append((e.src, e.relation, e.inverse))
-        for entries in index.values():
-            entries.sort(key=lambda t: (t[0], _REL_ORDINAL[t[1]], t[2]))
-        object.__setattr__(self, "_incoming", {k: tuple(v) for k, v in index.items()})
 
     @property
     def num_nodes(self) -> int:
@@ -196,16 +187,18 @@ def incoming(g: DebateGraph, t: int) -> tuple[tuple[int, RelationType, bool], ..
 
     Deterministic order: sorted by (source id, relation ordinal, inverse flag).
     """
-    try:
-        return g._incoming[t]
-    except KeyError:
-        raise UnknownNodeId(f"no node with id {t}") from None
+    g.node(t)
+    entries = [(e.src, e.relation, e.inverse) for e in g.edges if e.dst == t]
+    return tuple(sorted(entries, key=lambda x: (x[0], REL_ORDINAL[x[1]], x[2])))
 
 
 def edge_meta(g: DebateGraph, e: Edge) -> tuple[NodeType, RelationType, NodeType, bool]:
     """The meta-relation of an edge, with source/target in forward orientation."""
-    src_t = g.node(e.src).node_type
-    dst_t = g.node(e.dst).node_type
+    return _oriented(g.node(e.src).node_type, g.node(e.dst).node_type, e)
+
+
+def _oriented(src_t: NodeType, dst_t: NodeType,
+              e: Edge) -> tuple[NodeType, RelationType, NodeType, bool]:
     if e.inverse:
         return (dst_t, e.relation, src_t, True)
     return (src_t, e.relation, dst_t, False)
@@ -252,13 +245,11 @@ def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> Va
 
     dims = g.nodes_of_type(NodeType.EVALUATION_DIMENSION)
     if mode not in (AblationMode.NO_EVAL, AblationMode.HOMOGENEOUS):
-        variants = [n.dimension for n in dims]
         # dimension identity of these nodes is carried by their text
         texts = sorted(n.text for n in dims)
         expected = sorted(DIMENSION_LABELS.values())
         if len(dims) != 4 or texts != expected:
             violations.append("expected exactly four dimension nodes, one per variant")
-        del variants
     if mode == AblationMode.NO_EVAL and dims:
         violations.append("dimension nodes present after no_eval ablation")
 
@@ -280,7 +271,7 @@ def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> Va
         if e.relation == RelationType.CONNECTED:
             violations.append(f"edge ({e.src}, {e.dst}): connected outside homogenized graph")
             continue
-        src_t, rel, dst_t, _ = edge_meta(g, e)
+        src_t, rel, dst_t, _ = _oriented(by_id[e.src].node_type, by_id[e.dst].node_type, e)
         if (src_t, rel, dst_t) not in _LEGAL_FORWARD:
             violations.append(
                 "illegal meta-relation "

@@ -1,11 +1,22 @@
 """Heterogeneous graph transformer: featurization, attention, message passing,
 target-specific aggregation, type-wise pooling, and the classification head.
 
-All parameters are typed: key/query/message projections per node type,
-attention and message matrices per relation, a learnable prior per
-meta-relation, and a rescale scalar plus aggregation matrix per node type.
-The homogeneous configuration collapses everything to one node type and the
-single ``connected`` relation.
+All parameters are typed and stored one tensor per name: key/query/message,
+input and aggregation projections plus a rescale scalar per node type;
+attention and message matrices per relation key; a learnable prior ``mu``
+per meta-relation. The homogeneous configuration collapses everything to
+one node type and the single ``connected`` relation.
+
+The forward pass is the same fixed sequence of ops whatever the number of
+heads, node types or relations. A ``GraphIndex`` numbers each node by its
+type and each edge by its relation key, counting only those the graph
+contains. A typed projection multiplies all node rows by the present
+types' weights laid side by side, then gathers each node's own block.
+Per-relation matrices and priors are stacked over the present keys and
+gathered once per edge, so attention scores and messages are batched
+matmuls over (edges, heads, head_dim). Softmax and aggregation run over
+each target's contiguous segment of incoming edges. Parameters of types and
+relations the graph lacks never enter the tape and keep ``grad is None``.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graph import (
     FORWARD_RELATIONS,
+    REL_ORDINAL,
     DebateGraph,
     Edge,
     NodeType,
@@ -51,7 +63,6 @@ HOMOGENEOUS_TYPE_KEY = "node"
 CONNECTED_KEY = RelationType.CONNECTED.value
 
 _REL_ENDPOINTS = {rel: (src, dst) for src, rel, dst in legal_meta_relations()}
-_REL_ORDINAL = {r: i for i, r in enumerate(RelationType)}
 
 
 @dataclass(frozen=True)
@@ -126,69 +137,66 @@ def _edge_rel_key(e: Edge, config: ModelConfig) -> str:
 
 @dataclass
 class GraphIndex:
-    """Precomputed gather/scatter structure for one graph under one config."""
+    """Gather/scatter arrays for one graph under one config.
+
+    Edges are sorted by (target, source, relation ordinal, inverse), so each
+    target's incoming edges form one contiguous segment. Node types and
+    relation keys are numbered by their position in ``type_keys`` and
+    ``rel_keys``, which hold only those the graph contains.
+    """
 
     n_nodes: int
-    type_rows: dict[str, np.ndarray]
-    type_of: list[str]
+    type_keys: list[str]
+    node_type: np.ndarray
+    pool: np.ndarray
     ordered_edges: list[Edge]
+    src: np.ndarray
+    dst: np.ndarray
+    rel_keys: list[str]
+    edge_rel: np.ndarray
     segments: list[tuple[int, int]]
     seg_targets: np.ndarray
-    rel_groups: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def n_edges(self) -> int:
         return len(self.ordered_edges)
 
 
+def _ids(keys: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys, sorted, and each key's position among them."""
+    distinct = sorted(set(keys))
+    pos = {k: i for i, k in enumerate(distinct)}
+    return distinct, np.array([pos[k] for k in keys], dtype=np.intp)
+
+
 def build_graph_index(g: DebateGraph, config: ModelConfig) -> GraphIndex:
-    keys = node_type_keys(config)
-    if config.homogeneous:
-        type_of = [HOMOGENEOUS_TYPE_KEY] * len(g.nodes)
-    else:
-        type_of = [n.node_type.value for n in sorted(g.nodes, key=lambda n: n.id)]
-    type_rows = {
-        k: np.array([i for i, t in enumerate(type_of) if t == k], dtype=np.intp) for k in keys
-    }
+    nodes = sorted(g.nodes, key=lambda n: n.id)
+    node_keys = [HOMOGENEOUS_TYPE_KEY if config.homogeneous else n.node_type.value
+                 for n in nodes]
+    type_keys, node_type = _ids(node_keys)
+    # pool[t] @ h is the mean over the nodes of type t, zero when t is absent
+    members = np.array(node_type_keys(config))[:, None] == np.array(node_keys)[None, :]
+    pool = members / np.maximum(members.sum(axis=1, keepdims=True), 1)
 
     edges = [e for e in g.edges if config.use_inverse_edges or not e.inverse]
-    edges.sort(key=lambda e: (e.dst, e.src, _REL_ORDINAL[e.relation], e.inverse))
-
-    segments: list[tuple[int, int]] = []
-    seg_targets: list[int] = []
-    start = 0
-    for i, e in enumerate(edges):
-        if i > 0 and e.dst != edges[i - 1].dst:
-            segments.append((start, i))
-            seg_targets.append(edges[i - 1].dst)
-            start = i
-    if edges:
-        segments.append((start, len(edges)))
-        seg_targets.append(edges[-1].dst)
-
-    rel_groups: dict[str, tuple[list[int], list[int], list[int]]] = {}
-    for pos, e in enumerate(edges):
-        key = _edge_rel_key(e, config)
-        srcs, dsts, positions = rel_groups.setdefault(key, ([], [], []))
-        srcs.append(e.src)
-        dsts.append(e.dst)
-        positions.append(pos)
+    edges.sort(key=lambda e: (e.dst, e.src, REL_ORDINAL[e.relation], e.inverse))
+    rel_keys, edge_rel = _ids([_edge_rel_key(e, config) for e in edges])
+    dst = np.array([e.dst for e in edges], dtype=np.intp)
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    stops = np.append(starts[1:], len(edges))
 
     return GraphIndex(
-        n_nodes=len(g.nodes),
-        type_rows=type_rows,
-        type_of=type_of,
+        n_nodes=len(nodes),
+        type_keys=type_keys,
+        node_type=node_type,
+        pool=pool,
         ordered_edges=edges,
-        segments=segments,
-        seg_targets=np.array(seg_targets, dtype=np.intp),
-        rel_groups={
-            k: (
-                np.array(s, dtype=np.intp),
-                np.array(d, dtype=np.intp),
-                np.array(p, dtype=np.intp),
-            )
-            for k, (s, d, p) in rel_groups.items()
-        },
+        src=np.array([e.src for e in edges], dtype=np.intp),
+        dst=dst,
+        rel_keys=rel_keys,
+        edge_rel=edge_rel,
+        segments=list(zip(starts.tolist(), stops.tolist())),
+        seg_targets=dst[starts],
     )
 
 
@@ -226,19 +234,21 @@ def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
     return params
 
 
-def _assemble_projection(
-    h: Tensor, params: ParamStore, prefix: str, index: GraphIndex
-) -> Tensor:
-    """Per-type projection of node representations, scattered back to (N, d)."""
-    pieces = []
-    all_rows = []
-    for t, idx in index.type_rows.items():
-        if idx.size == 0:
-            continue
-        pieces.append(ad.matmul(ad.rows(h, idx), params[f"{prefix}/{t}"]))
-        all_rows.append(idx)
-    stacked = ad.concat(pieces, axis=0)
-    return ad.place_rows(stacked, np.concatenate(all_rows), index.n_nodes)
+def _typed(x: Tensor, params: ParamStore, prefix: str, index: GraphIndex) -> Tensor:
+    """Row i of x times the weight of node i's type.
+
+    One matmul against the present types' weights side by side, viewed as
+    (N * types, d) rows, then one gather of row i * types + type(i).
+    """
+    n_types = len(index.type_keys)
+    w = ad.concat([params[f"{prefix}/{t}"] for t in index.type_keys], axis=1)
+    y = ad.reshape(ad.matmul(x, w), (index.n_nodes * n_types, -1))
+    return ad.rows(y, np.arange(index.n_nodes) * n_types + index.node_type)
+
+
+def _stacked(params: ParamStore, prefix: str, keys: Sequence[str], ids: np.ndarray) -> Tensor:
+    """The parameters ``prefix/key`` stacked over keys, one per edge (or node) by key id."""
+    return ad.rows(ad.stack([params[f"{prefix}/{k}"] for k in keys]), ids)
 
 
 def featurize(
@@ -260,55 +270,35 @@ def featurize(
                 f"embedding of node {n.id} has shape {row.shape}, expected ({config.input_dim},)"
             )
         emb[n.id] = row
-    return _assemble_projection(Tensor(emb), params, "w_in", index)
+    return _typed(Tensor(emb), params, "w_in", index)
 
 
-def _attention_weights(
-    h_prev: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
-) -> list[Tensor]:
-    """Per-head attention weights over the global edge order (softmax per target)."""
-    dh = config.head_dim
-    k_all = _assemble_projection(h_prev, params, f"layer{layer}/key", index)
-    q_all = _assemble_projection(h_prev, params, f"layer{layer}/query", index)
+def _layer(
+    h: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
+) -> tuple[Tensor, np.ndarray]:
+    """One HGT layer: the next (N, d) node states and the (E, heads) attention."""
+    if index.n_edges == 0:
+        return h, np.zeros((0, config.num_heads))
+    p = f"layer{layer}"
+    heads = (index.n_edges, config.num_heads, config.head_dim)
+    k_src = ad.reshape(ad.rows(_typed(h, params, f"{p}/key", index), index.src), heads)
+    q_dst = ad.reshape(ad.rows(_typed(h, params, f"{p}/query", index), index.dst), heads)
+    m_src = ad.reshape(ad.rows(_typed(h, params, f"{p}/msg", index), index.src), heads)
 
-    weights: list[Tensor] = []
-    for head in range(config.num_heads):
-        lo, hi = head * dh, (head + 1) * dh
-        parts: list[Tensor] = []
-        positions: list[np.ndarray] = []
-        for rk, (srcs, dsts, pos) in index.rel_groups.items():
-            k_src = ad.slice_cols(ad.rows(k_all, srcs), lo, hi)
-            q_dst = ad.slice_cols(ad.rows(q_all, dsts), lo, hi)
-            scores = ad.rowdot(ad.matmul(k_src, params[f"layer{layer}/w_attn/{rk}"]), q_dst)
-            scores = ad.scale(scores, params[f"layer{layer}/mu/{meta_key(config, rk)}"])
-            scores = ad.scale(scores, 1.0 / config.scale_divisor)
-            parts.append(scores)
-            positions.append(pos)
-        global_scores = ad.place_rows(
-            ad.concat(parts, axis=0), np.concatenate(positions), index.n_edges
-        )
-        weights.append(ad.segment_softmax(global_scores, index.segments))
-    return weights
+    mu_keys = [meta_key(config, rk) for rk in index.rel_keys]
+    w_attn = _stacked(params, f"{p}/w_attn", index.rel_keys, index.edge_rel)
+    scores = ad.rowdot(ad.matmul(k_src, w_attn), q_dst)
+    scores = ad.colscale(scores, _stacked(params, f"{p}/mu", mu_keys, index.edge_rel))
+    scores = ad.scale(scores, 1.0 / config.scale_divisor)
+    attn = ad.segment_softmax(scores, index.segments)
 
-
-def _messages(
-    h_prev: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
-) -> list[Tensor]:
-    """Per-head (E, head_dim) message matrices in global edge order."""
-    dh = config.head_dim
-    m_all = _assemble_projection(h_prev, params, f"layer{layer}/msg", index)
-    messages: list[Tensor] = []
-    for head in range(config.num_heads):
-        lo, hi = head * dh, (head + 1) * dh
-        parts: list[Tensor] = []
-        positions: list[np.ndarray] = []
-        for rk, (srcs, _dsts, pos) in index.rel_groups.items():
-            m_src = ad.slice_cols(ad.rows(m_all, srcs), lo, hi)
-            parts.append(ad.matmul(m_src, params[f"layer{layer}/w_msg/{rk}"]))
-            positions.append(pos)
-        stacked = ad.concat(parts, axis=0)
-        messages.append(ad.place_rows(stacked, np.concatenate(positions), index.n_edges))
-    return messages
+    messages = ad.matmul(m_src, _stacked(params, f"{p}/w_msg", index.rel_keys, index.edge_rel))
+    h_tilde = ad.segment_sum(ad.colscale(messages, attn), index.segments, index.seg_targets,
+                             index.n_nodes)
+    h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
+    rescale = _stacked(params, f"{p}/rescale", index.type_keys, index.node_type)
+    update = _typed(ad.colscale(h_tilde, rescale), params, f"{p}/agg", index)
+    return ad.add(update, h), attn.value
 
 
 def hgt_attention(
@@ -322,27 +312,7 @@ def hgt_attention(
     """Attention weights as an (E, num_heads) array over the index's edge order."""
     index = index or build_graph_index(g, config)
     h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-    if index.n_edges == 0:
-        return np.zeros((0, config.num_heads)), index
-    weights = _attention_weights(h_prev, params, layer, config, index)
-    return np.stack([w.value for w in weights], axis=1), index
-
-
-def hgt_message(
-    h_prev: Tensor | np.ndarray,
-    g: DebateGraph,
-    params: ParamStore,
-    layer: int,
-    config: ModelConfig,
-    index: GraphIndex | None = None,
-) -> tuple[np.ndarray, GraphIndex]:
-    """Per-edge messages as an (E, hidden_dim) array (heads concatenated)."""
-    index = index or build_graph_index(g, config)
-    h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-    if index.n_edges == 0:
-        return np.zeros((0, config.hidden_dim)), index
-    messages = _messages(h_prev, params, layer, config, index)
-    return np.concatenate([m.value for m in messages], axis=1), index
+    return _layer(h_prev, params, layer, config, index)[1], index
 
 
 def hgt_layer(
@@ -353,40 +323,7 @@ def hgt_layer(
     config: ModelConfig,
     index: GraphIndex | None = None,
 ) -> Tensor:
-    h_l, _ = _hgt_layer_traced(h_prev, params, layer, config,
-                               index or build_graph_index(g, config))
-    return h_l
-
-
-def _hgt_layer_traced(
-    h_prev: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
-) -> tuple[Tensor, np.ndarray]:
-    if index.n_edges == 0:
-        return h_prev, np.zeros((0, config.num_heads))
-
-    weights = _attention_weights(h_prev, params, layer, config, index)
-    messages = _messages(h_prev, params, layer, config, index)
-
-    head_sums = []
-    for w, m in zip(weights, messages):
-        weighted = ad.colscale(m, w)
-        head_sums.append(
-            ad.segment_sum(weighted, index.segments, index.seg_targets, index.n_nodes)
-        )
-    h_tilde = ad.concat(head_sums, axis=1)
-
-    pieces = []
-    all_rows = []
-    for t, idx in index.type_rows.items():
-        if idx.size == 0:
-            continue
-        upd = ad.scale(ad.rows(h_tilde, idx), params[f"layer{layer}/rescale/{t}"])
-        pieces.append(ad.matmul(upd, params[f"layer{layer}/agg/{t}"]))
-        all_rows.append(idx)
-    update = ad.place_rows(ad.concat(pieces, axis=0), np.concatenate(all_rows), index.n_nodes)
-    h_l = ad.add(update, h_prev)
-    attn = np.stack([w.value for w in weights], axis=1)
-    return h_l, attn
+    return _layer(h_prev, params, layer, config, index or build_graph_index(g, config))[0]
 
 
 @dataclass
@@ -395,7 +332,6 @@ class ForwardTrace:
     attention: list[np.ndarray] = field(default_factory=list)
     edge_order: list[Edge] = field(default_factory=list)
     pooled: dict[str, np.ndarray] = field(default_factory=dict)
-    h_concat: np.ndarray | None = None
     probs: np.ndarray | None = None
 
 
@@ -405,34 +341,29 @@ def _forward(
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
-) -> tuple[Tensor, ForwardTrace]:
+    trace: ForwardTrace | None = None,
+) -> Tensor:
+    """Class probabilities; fills ``trace`` when one is given."""
     index = index or build_graph_index(g, config)
-    trace = ForwardTrace(edge_order=list(index.ordered_edges))
-
     h = featurize(g, embeddings, params, config, index)
-    trace.layer_outputs.append(h.value.copy())
+    layer_outputs, attention = [h.value], []
     for layer in range(config.num_layers):
-        h, attn = _hgt_layer_traced(h, params, layer, config, index)
-        trace.layer_outputs.append(h.value.copy())
-        trace.attention.append(attn)
+        h, attn = _layer(h, params, layer, config, index)
+        layer_outputs.append(h.value)
+        attention.append(attn)
 
-    pooled: list[Tensor] = []
-    for t in node_type_keys(config):
-        idx = index.type_rows[t]
-        if idx.size == 0:
-            h_a = Tensor(np.zeros(config.hidden_dim))
-        else:
-            h_a = ad.mean_rows(ad.rows(h, idx))
-        trace.pooled[t] = h_a.value.copy()
-        pooled.append(h_a)
-    h_concat = ad.concat(pooled, axis=0)
-    trace.h_concat = h_concat.value.copy()
-
+    pooled = ad.matmul(Tensor(index.pool), h)
+    h_concat = ad.reshape(pooled, (config.pool_width,))
     z = ad.relu(ad.add(ad.matmul(h_concat, params["head/w1"]), params["head/b1"]))
     logits = ad.add(ad.matmul(z, params["head/w2"]), params["head/b2"])
     probs = ad.softmax(logits)
-    trace.probs = probs.value.copy()
-    return probs, trace
+    if trace is not None:
+        trace.layer_outputs = layer_outputs
+        trace.attention = attention
+        trace.edge_order = list(index.ordered_edges)
+        trace.pooled = dict(zip(node_type_keys(config), pooled.value))
+        trace.probs = probs.value
+    return probs
 
 
 def predict(
@@ -443,8 +374,9 @@ def predict(
     index: GraphIndex | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Class probabilities and the forward trace; pure given its inputs."""
+    trace = ForwardTrace()
     with ad.no_grad():
-        probs, trace = _forward(g, embeddings, params, config, index)
+        probs = _forward(g, embeddings, params, config, index, trace)
     return probs.value.copy(), trace
 
 
@@ -457,5 +389,4 @@ def forward_loss(
     index: GraphIndex | None = None,
 ) -> Tensor:
     """Cross-entropy loss tensor for one graph (differentiable)."""
-    probs, _ = _forward(g, embeddings, params, config, index)
-    return ad.cross_entropy(probs, label_index)
+    return ad.cross_entropy(_forward(g, embeddings, params, config, index), label_index)

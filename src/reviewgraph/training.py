@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import ParamStore, scale as ad_scale
+from .autodiff import NonFiniteLoss, ParamStore, scale as ad_scale
 from .graph import DECISION_LABELS, DebateGraph
 from .model import GraphIndex, ModelConfig, build_graph_index, forward_loss, predict
 
@@ -22,10 +22,6 @@ class TrainingError(Exception):
 
 
 class EmptySplit(TrainingError):
-    pass
-
-
-class NonFiniteLoss(TrainingError):
     pass
 
 
@@ -405,25 +401,30 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptPayload(f"unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptPayload("manifest is not a JSON object")
     if manifest.get("version") != _CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {manifest.get('version')}")
     payload = blob[8 + mlen:]
 
-    params = ParamStore()
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        offset, length = entry["offset"], entry["length"]
-        expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if length != expected or offset + length > len(payload):
-            raise CorruptPayload(f"tensor {entry['name']!r} payload length/offset mismatch")
-        arr = np.frombuffer(payload[offset:offset + length], dtype="<f4").reshape(shape)
-        params.add(entry["name"], arr.astype(np.float64))
+    try:
+        params = ParamStore()
+        for entry in manifest["tensors"]:
+            shape = tuple(entry["shape"])
+            offset, length = entry["offset"], entry["length"]
+            expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+            if length != expected or offset + length > len(payload):
+                raise CorruptPayload(f"tensor {entry['name']!r} payload length/offset mismatch")
+            arr = np.frombuffer(payload[offset:offset + length], dtype="<f4").reshape(shape)
+            params.add(entry["name"], arr.astype(np.float64))
 
-    return Checkpoint(
-        version=manifest["version"],
-        model_config=ModelConfig(**manifest["model_config"]),
-        train_config=TrainConfig(**manifest["train_config"]),
-        epoch=manifest["epoch"],
-        best_val_macro_f1=manifest["best_val_macro_f1"],
-        params=params,
-    )
+        return Checkpoint(
+            version=manifest["version"],
+            model_config=ModelConfig(**manifest["model_config"]),
+            train_config=TrainConfig(**manifest["train_config"]),
+            epoch=manifest["epoch"],
+            best_val_macro_f1=manifest["best_val_macro_f1"],
+            params=params,
+        )
+    except (KeyError, TypeError) as exc:
+        raise CorruptPayload(f"malformed manifest: {type(exc).__name__}: {exc}") from exc

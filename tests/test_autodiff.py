@@ -71,6 +71,60 @@ def test_matmul_gradient(shape, seed):
                         r.standard_normal((n, k)))
 
 
+def as_matrix(t):
+    """Reshape a tensor of any rank to a matrix for reduce_to_scalar."""
+    return ad.reshape(t, (t.value.shape[0], -1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_matmul_3d_gradient_shared_right_operand(seed):
+    r = np.random.default_rng(seed)
+    a0 = r.standard_normal((4, 2, 3))
+    b0 = r.standard_normal((3, 5))
+    scalar_loss_through(lambda x: reduce_to_scalar(as_matrix(ad.matmul(x, Tensor(b0)))), a0)
+    scalar_loss_through(lambda w: reduce_to_scalar(as_matrix(ad.matmul(Tensor(a0), w))), b0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_matmul_3d_gradient_batched_right_operand(seed):
+    r = np.random.default_rng(seed)
+    a0 = r.standard_normal((4, 2, 3))
+    b0 = r.standard_normal((4, 3, 5))
+    scalar_loss_through(lambda x: reduce_to_scalar(as_matrix(ad.matmul(x, Tensor(b0)))), a0)
+    scalar_loss_through(lambda w: reduce_to_scalar(as_matrix(ad.matmul(Tensor(a0), w))), b0)
+
+
+def test_matmul_batched_requires_matching_batch():
+    with pytest.raises(ShapeMismatch):
+        ad.matmul(Tensor(np.ones((3, 2, 4))), Tensor(np.ones((2, 4, 5))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_reshape_gradient(seed):
+    r = np.random.default_rng(seed)
+    weights = Tensor(r.standard_normal((6, 4)))
+    scalar_loss_through(
+        lambda x: reduce_to_scalar(ad.colscale(weights, ad.reshape(x, (6,)))),
+        r.standard_normal((2, 3)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_stack_gradient(seed):
+    r = np.random.default_rng(seed)
+    other = Tensor(r.standard_normal((2, 3)))
+    w = Tensor(r.standard_normal((3, 2)))
+    # x is stacked twice, so its gradient accumulates from both slots
+    scalar_loss_through(
+        lambda x: reduce_to_scalar(as_matrix(ad.colscale(ad.stack([x, other, x]), w))),
+        r.standard_normal((2, 3)),
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(shapes, st.integers(0, 10**6))
 def test_add_gradient_with_broadcast(shape, seed):
@@ -169,6 +223,27 @@ def test_colscale_gradient_both_sides(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
+def test_rowdot_3d_gradient(seed):
+    r = np.random.default_rng(seed)
+    b = Tensor(r.standard_normal((4, 2, 3)))
+    scalar_loss_through(lambda x: reduce_to_scalar(ad.rowdot(x, b)),
+                        r.standard_normal((4, 2, 3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_colscale_3d_gradient_both_sides(seed):
+    r = np.random.default_rng(seed)
+    w = Tensor(r.standard_normal((4, 2)))
+    scalar_loss_through(lambda x: reduce_to_scalar(as_matrix(ad.colscale(x, w))),
+                        r.standard_normal((4, 2, 3)))
+    x = Tensor(r.standard_normal((4, 2, 3)))
+    scalar_loss_through(lambda v: reduce_to_scalar(as_matrix(ad.colscale(x, v))),
+                        r.standard_normal((4, 2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
 def test_segment_softmax_gradient(seed):
     r = np.random.default_rng(seed)
     segments = [(0, 3), (3, 4), (4, 7)]
@@ -176,6 +251,30 @@ def test_segment_softmax_gradient(seed):
         lambda x: reduce_to_scalar(ad.segment_softmax(x, segments)),
         r.standard_normal(7),
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_segment_softmax_gradient_per_column(seed):
+    r = np.random.default_rng(seed)
+    segments = [(0, 3), (3, 4), (4, 7)]
+    weights = Tensor(r.standard_normal((7, 2)))
+    x0 = r.standard_normal((7, 2))
+    # weight the outputs: a plain sum is constant per segment and column
+    scalar_loss_through(
+        lambda x: reduce_to_scalar(ad.rowdot(ad.segment_softmax(x, segments), weights)),
+        x0,
+    )
+    out = ad.segment_softmax(Tensor(x0), segments).value
+    for start, stop in segments:
+        np.testing.assert_allclose(out[start:stop].sum(axis=0), 1.0, atol=1e-12)
+
+
+def test_segments_must_tile_the_input():
+    x = Tensor(np.zeros(5))
+    for segments in ([(0, 2), (3, 5)], [(0, 2), (2, 4)], [(0, 0), (0, 5)]):
+        with pytest.raises(ShapeMismatch):
+            ad.segment_softmax(x, segments)
 
 
 def test_segment_softmax_sums_to_one():

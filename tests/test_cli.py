@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -155,6 +156,16 @@ def test_evaluate_missing_graphs_exits_3(tmp_path):
     code = run(tmp_path, "evaluate", str(manifest),
                "--checkpoint", str(tmp_path / "c.rvgc"), "--split", "test")
     assert code == 3
+
+
+def test_evaluate_malformed_checkpoint_manifest_exits_3(tmp_path, capsys):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    body = json.dumps({"version": 1}).encode()
+    (tmp_path / "c.rvgc").write_bytes(b"RVGC" + struct.pack("<I", len(body)) + body)
+    code = run(tmp_path, "evaluate", str(manifest),
+               "--checkpoint", str(tmp_path / "c.rvgc"), "--split", "test")
+    assert code == 3
+    assert "malformed manifest" in capsys.readouterr().err
 
 
 def test_ablate_emits_six_rows(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_forward, permute_graph
-from reviewgraph.graph import AblationMode, apply_ablation
+from reviewgraph.graph import AblationMode, apply_ablation, build_minimal_graph
 from reviewgraph.model import (
     DimMismatch,
     MissingEmbedding,
@@ -12,6 +12,7 @@ from reviewgraph.model import (
     ModelError,
     build_graph_index,
     featurize,
+    forward_loss,
     hgt_attention,
     hgt_layer,
     init_params,
@@ -171,3 +172,42 @@ def test_attention_scale_variant_changes_output():
     p1, _ = predict(g, emb, params, SMALL)
     p2, _ = predict(g, emb, params, alt)
     assert not np.allclose(p1, p2)
+
+
+def test_tape_size_is_independent_of_heads_and_relations():
+    def tape_ops(loss):
+        seen, stack, ops = set(), [loss], 0
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                ops += t._backward_fn is not None
+                stack.extend(t._parents)
+        return ops
+
+    few = build_minimal_graph("few", "A title")
+    many = random_debate_graph(1, "many", n_reviewer_opinions=(8, 9), n_author_opinions=(3, 4))
+    counts = set()
+    for heads in (1, 4):
+        config = dataclasses.replace(SMALL, num_heads=heads)
+        params = init_params(config, 0)
+        for g in (few, many):
+            n_rel = len(build_graph_index(g, config).rel_keys)
+            assert n_rel == 2 if g is few else n_rel >= 8
+            emb = embeddings_for(g, config.input_dim, 0)
+            counts.add(tape_ops(forward_loss(g, emb, params, config, 0)))
+    assert len(counts) == 1, counts
+
+
+def test_parameters_a_graph_lacks_get_no_gradient():
+    g = build_minimal_graph("few", "A title")
+    params = init_params(SMALL, 0)
+    emb = embeddings_for(g, SMALL.input_dim, 0)
+    forward_loss(g, emb, params, SMALL, 0).backward()
+    assert params["w_in/title"].grad is not None
+    assert params["layer0/w_attn/has_aspect__inv"].grad is not None
+    # adam_step skips a None gradient; a zero one would still move the weight
+    assert params["w_in/reviewer_opinion"].grad is None
+    assert params["layer0/w_attn/agree"].grad is None
+    assert params[f"layer0/mu/{meta_key(SMALL, 'agree')}"].grad is None
+    assert params["layer1/rescale/author_opinion"].grad is None

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -250,6 +252,25 @@ def test_checkpoint_header_layout(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "m.rvgc"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
+    with pytest.raises(CorruptPayload):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("epoch"),
+    lambda m: m.pop("tensors"),
+    lambda m: m.pop("model_config"),
+    lambda m: m["model_config"].update(unknown_field=1),
+], ids=["no-epoch", "no-tensors", "no-model-config", "unknown-model-config-key"])
+def test_checkpoint_rejects_malformed_manifest(tmp_path, edit):
+    path = tmp_path / "m.rvgc"
+    save_checkpoint(make_checkpoint(), path)
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack("<I", blob[4:8])
+    manifest = json.loads(blob[8:8 + mlen])
+    edit(manifest)
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(mbytes)) + mbytes + blob[8 + mlen:])
     with pytest.raises(CorruptPayload):
         load_checkpoint(path)
 
