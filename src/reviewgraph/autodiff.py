@@ -58,9 +58,8 @@ class Tensor:
         return self.value.shape
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        # Never in place: g may be shared with another node's grad.
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -69,6 +68,13 @@ class Tensor:
         return float(self.value)
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf's ``grad``.
+
+        ``backward()`` consumes the tape: once an interior node's closure has
+        run, its ``grad``, closure and parent links are freed, so the tape's
+        intermediate arrays can be reclaimed during the pass. Leaf (parameter)
+        grads stay.
+        """
         if self.value.size != 1:
             raise NumericsError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -87,9 +93,15 @@ class Tensor:
                 if p._needs and id(p) not in seen:
                     stack.append((p, False))
         self.accumulate(np.ones_like(self.value))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                continue
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = None
+            node._parents = ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -270,18 +282,96 @@ def mean_rows(x: Tensor) -> Tensor:
     return _op(out, (x,), backward)
 
 
+def _scatter_add(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated indices sum."""
+    out = np.zeros((n_rows,) + g.shape[1:])
+    if idx.size:
+        order = np.argsort(idx, kind="stable")
+        sorted_idx = idx[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
+        out[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
 def rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows (axis 0); backward scatter-adds, so repeated indices are fine."""
+    """Gather rows (axis 0); backward sums the gradient of repeated indices."""
     x = _tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
     out = x.value[idx]
 
     def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, idx, g)
-        x.accumulate(gx)
+        x.accumulate(_scatter_add(g, idx, x.value.shape[0]))
 
     return _op(out, (x,), backward)
+
+
+class RowGroups:
+    """The rows of an id array grouped by id, for ``matmul_by``.
+
+    ``order`` lists the row positions sorted stably by id; the rows with
+    id j are ``order[bounds[j]:bounds[j + 1]]``.
+    """
+
+    __slots__ = ("order", "bounds")
+
+    def __init__(self, ids: np.ndarray, n_ids: int) -> None:
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.ndim != 1 or ids.size and (ids.min() < 0 or ids.max() >= n_ids):
+            raise ShapeMismatch(f"row ids must be a vector of ids in [0, {n_ids})")
+        self.order = np.argsort(ids, kind="stable")
+        self.bounds = np.searchsorted(ids[self.order], np.arange(n_ids + 1)).tolist()
+
+
+def matmul_by(x: Tensor, ws: Sequence[Tensor], groups: RowGroups,
+              take: np.ndarray | None = None) -> Tensor:
+    """Each row times the matrix its id selects: ``out[i] = x[i] @ ws[ids[i]]``.
+
+    x is (n, ..., k) and every ws[j] is (k, m); ``groups``, built once per
+    id array, sorts the n rows by id, so each matrix multiplies one
+    contiguous block, and backward accumulates straight into each ws[j].
+    A matrix no row selects gets no gradient. With ``take``, the result is
+    the product's rows ``take`` (``out[i] = x[take[i]] @ ws[ids[take[i]]]``),
+    and the full product is never kept on the tape.
+    """
+    x, ws = _tensor(x), [_tensor(w) for w in ws]
+    if not ws or any(w.value.ndim != 2 or w.value.shape != ws[0].value.shape for w in ws):
+        raise ShapeMismatch("matmul_by expects one or more equal-shape matrices")
+    k, m = ws[0].value.shape
+    if (x.value.ndim < 2 or x.value.shape[-1] != k or len(groups.order) != x.value.shape[0]
+            or len(groups.bounds) != len(ws) + 1):
+        raise ShapeMismatch(
+            f"matmul_by: x {x.shape}, {len(ws)} matrices of {(k, m)}, "
+            f"{len(groups.order)} grouped rows"
+        )
+    order = groups.order
+    per_row = math.prod(x.value.shape[1:-1])
+    spans = [(a * per_row, b * per_row) for a, b in zip(groups.bounds[:-1], groups.bounds[1:])]
+    xs = x.value[order].reshape(-1, k)
+    out_sorted = np.empty((xs.shape[0], m))
+    for w, (a, b) in zip(ws, spans):
+        np.matmul(xs[a:b], w.value, out=out_sorted[a:b])
+    out = np.empty(x.value.shape[:-1] + (m,))
+    out[order] = out_sorted.reshape(out.shape)
+    if take is not None:
+        take = np.asarray(take, dtype=np.intp)
+        out = out[take]
+
+    def backward(g: np.ndarray) -> None:
+        if take is not None:
+            g = _scatter_add(g, take, x.value.shape[0])
+        xs = x.value[order].reshape(-1, k)  # gathered again, so the tape holds no sorted copy
+        gs = g[order].reshape(-1, m)
+        for w, (a, b) in zip(ws, spans):
+            if a < b and w._needs:
+                w.accumulate(xs[a:b].T @ gs[a:b])
+        if x._needs:
+            for w, (a, b) in zip(ws, spans):  # xs becomes the sorted gradient of x
+                np.matmul(gs[a:b], w.value.T, out=xs[a:b])
+            gx = np.empty_like(x.value)
+            gx[order] = xs.reshape(x.value.shape)
+            x.accumulate(gx)
+
+    return _op(out, (x, *ws), backward)
 
 
 def place_rows(x: Tensor, positions: np.ndarray, n_rows: int) -> Tensor:
@@ -389,31 +479,39 @@ def segment_sum(x: Tensor, segments: Sequence[tuple[int, int]],
 
 
 def softmax(v: Tensor) -> Tensor:
-    """Stable softmax of a vector (max-subtracted)."""
+    """Stable softmax of a vector, or of each row of a matrix (max-subtracted)."""
     v = _tensor(v)
-    if v.value.ndim != 1 or v.value.size == 0:
-        raise EmptyVector(f"softmax expects a non-empty vector, got shape {v.shape}")
-    e = np.exp(v.value - v.value.max())
-    out = e / e.sum()
+    if v.value.ndim not in (1, 2) or v.value.size == 0:
+        raise EmptyVector(f"softmax expects a non-empty vector or matrix, got shape {v.shape}")
+    e = np.exp(v.value - v.value.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        v.accumulate(out * (g - np.dot(g, out)))
+        v.accumulate(out * (g - np.sum(g * out, axis=-1, keepdims=True)))
 
     return _op(out, (v,), backward)
 
 
-def cross_entropy(probs: Tensor, label: int) -> Tensor:
-    """Negative log probability of the label class, clamped at 1e-12."""
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """Mean negative log probability of each row's label class, clamped at 1e-12.
+
+    ``probs`` is one probability vector with an int label, or a (B, classes)
+    matrix with B labels.
+    """
     probs = _tensor(probs)
-    if not (0 <= label < probs.value.shape[0]):
-        raise BadLabel(f"label {label} out of range for {probs.value.shape[0]} classes")
-    p = max(float(probs.value[label]), 1e-12)
-    out = np.asarray(-math.log(p))
+    n_classes = probs.value.shape[-1]
+    p_rows = probs.value.reshape(-1, n_classes)
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
+    if labels.shape != (p_rows.shape[0],) or labels.min() < 0 or labels.max() >= n_classes:
+        raise BadLabel(f"labels {labels.tolist()} out of range for {n_classes} classes")
+    batch = np.arange(labels.size)
+    p = np.maximum(p_rows[batch, labels], 1e-12)
+    out = np.asarray(-np.log(p).mean())
 
     def backward(g: np.ndarray) -> None:
-        gp = np.zeros_like(probs.value)
-        gp[label] = -float(g) / p
-        probs.accumulate(gp)
+        gp = np.zeros_like(p_rows)
+        gp[batch, labels] = -float(g) / (labels.size * p)
+        probs.accumulate(gp.reshape(probs.value.shape))
 
     return _op(out, (probs,), backward)
 

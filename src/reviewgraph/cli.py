@@ -520,7 +520,7 @@ def gradcheck(obj, eps, threshold, samples) -> int:
     index = modelmod.build_graph_index(g, config)
 
     def loss_fn(p: autodiff.ParamStore) -> autodiff.Tensor:
-        return modelmod.forward_loss(g, embeddings, p, config, 0, index)
+        return modelmod.forward_loss([g], [embeddings], p, config, [0], index)
 
     report = autodiff.grad_check(
         loss_fn, params, eps=eps,

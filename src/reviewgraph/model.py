@@ -7,20 +7,28 @@ attention and message matrices per relation key; a learnable prior ``mu``
 per meta-relation. The homogeneous configuration collapses everything to
 one node type and the single ``connected`` relation.
 
-The forward pass is the same fixed sequence of ops whatever the number of
-heads, node types or relations. A ``GraphIndex`` numbers each node by its
-type and each edge by its relation key, counting only those the graph
-contains. A typed projection multiplies all node rows by the present
-types' weights laid side by side, then gathers each node's own block.
-Per-relation matrices and priors are stacked over the present keys and
-gathered once per edge, so attention scores and messages are batched
-matmuls over (edges, heads, head_dim). Softmax and aggregation run over
-each target's contiguous segment of incoming edges. Parameters of types and
-relations the graph lacks never enter the tape and keep ``grad is None``.
+The forward pass runs on a batch of graphs packed into their disjoint
+union: ``pack`` concatenates the graphs' ``GraphIndex`` arrays with node and
+edge offsets, and numbers node types and relation keys over the union of
+those the batch contains. One graph is a batch of one, so ``predict`` and
+training share one forward, and its sequence of ops is fixed whatever the
+batch size, heads, node types or relations. A typed projection is one
+``matmul_by``: rows are grouped by type once per index, each present type's
+weight multiplies its contiguous block of rows, and the key, query and
+message projections are gathered straight to the edges' sources or targets.
+The relation matrices ``w_attn`` and ``w_msg`` are applied the same way over
+edges grouped by relation key, so attention scores and messages stay
+(edges, heads, head_dim) arrays and no per-edge weight copy is made.
+Softmax and aggregation run over each target's contiguous segment of
+incoming edges. Pooling is a segment mean per (graph, node type), zero for a
+type the graph lacks, and the loss is the batch's mean cross-entropy.
+Parameters of types and relations no graph of the batch has never enter the
+tape and keep ``grad is None``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -129,74 +137,172 @@ def meta_key(config: ModelConfig, rel_key: str) -> str:
     return name + ("__inv" if suffix == "inv" else "")
 
 
-def _edge_rel_key(e: Edge, config: ModelConfig) -> str:
-    if config.homogeneous:
-        return CONNECTED_KEY
-    return e.relation.value + ("__inv" if e.inverse else "")
+#: Every heterogeneous node-type and relation key, by integer code: a node
+#: type's code is its position in ``NodeType``, an edge's is
+#: ``2 * REL_ORDINAL[relation] + inverse``. The homogeneous config has the
+#: single keys ``node`` and ``connected`` instead.
+_TYPE_NAMES = [t.value for t in NodeType]
+_REL_NAMES = [r.value + suffix for r in RelationType for suffix in ("", "__inv")]
+# Keyed by the members' ``_name_``: hashing a member, or reading ``.name``, runs Python code.
+_TYPE_CODE = {t._name_: i for i, t in enumerate(NodeType)}
+_REL_CODE = {r._name_: 2 * i for r, i in REL_ORDINAL.items()}
+#: Pooling slot (position in ``node_type_keys``) of each heterogeneous type code.
+_POOL_SLOT = np.array([NODE_TYPE_ORDER.index(t) for t in NodeType], dtype=np.intp)
 
 
 @dataclass
 class GraphIndex:
-    """Gather/scatter arrays for one graph under one config.
+    """Gather/scatter arrays for one graph, or for a batch of graphs packed
+    into their disjoint union, under one config.
 
-    Edges are sorted by (target, source, relation ordinal, inverse), so each
-    target's incoming edges form one contiguous segment. Node types and
-    relation keys are numbered by their position in ``type_keys`` and
-    ``rel_keys``, which hold only those the graph contains.
+    Node i of the batch's graph b is row ``node_offsets[b] + i``. Within
+    each graph, edges are sorted by (target, source, relation ordinal,
+    inverse), so each target's incoming edges form one contiguous segment.
+    Node types and relation keys are numbered by their position in
+    ``type_keys`` and ``rel_keys``, which hold only those the batch contains;
+    ``type_groups`` and ``rel_groups`` group rows by those numbers for
+    ``matmul_by``. Pooling gathers the rows ``pool_rows`` so that each
+    (graph, type) present is one contiguous segment of ``pool_segments``,
+    summed into row ``pool_targets`` (graph * types + type) of the pooled
+    matrix and scaled by ``pool_scale``, the inverse member count (a type a
+    graph lacks pools to zero).
     """
 
     n_nodes: int
+    node_offsets: np.ndarray
     type_keys: list[str]
     node_type: np.ndarray
-    pool: np.ndarray
+    pool_rows: np.ndarray
+    pool_segments: np.ndarray
+    pool_targets: np.ndarray
+    pool_scale: np.ndarray
     ordered_edges: list[Edge]
     src: np.ndarray
     dst: np.ndarray
     rel_keys: list[str]
     edge_rel: np.ndarray
-    segments: list[tuple[int, int]]
+    segments: np.ndarray
     seg_targets: np.ndarray
+
+    @functools.cached_property
+    def type_groups(self) -> ad.RowGroups:
+        return ad.RowGroups(self.node_type, len(self.type_keys))
+
+    @functools.cached_property
+    def rel_groups(self) -> ad.RowGroups:
+        return ad.RowGroups(self.edge_rel, len(self.rel_keys))
+
+    @property
+    def n_graphs(self) -> int:
+        return len(self.node_offsets) - 1
 
     @property
     def n_edges(self) -> int:
-        return len(self.ordered_edges)
+        return len(self.src)
 
 
-def _ids(keys: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys, sorted, and each key's position among them."""
-    distinct = sorted(set(keys))
-    pos = {k: i for i, k in enumerate(distinct)}
-    return distinct, np.array([pos[k] for k in keys], dtype=np.intp)
+def _present(codes: np.ndarray, names: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct keys among the codes, sorted by name, and each code's position among them."""
+    present = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    keys = sorted(names[c] for c in present)
+    lookup = np.zeros(len(names), dtype=np.intp)
+    lookup[present] = [keys.index(names[c]) for c in present]
+    return keys, lookup[codes]
+
+
+def _segments(sorted_ids: np.ndarray) -> np.ndarray:
+    """(start, stop) rows of each run of equal ids in a sorted id array."""
+    ends = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+    bounds = np.concatenate(([0], ends, [len(sorted_ids)])) if len(sorted_ids) else ends
+    return np.stack([bounds[:-1], bounds[1:]], axis=1)
 
 
 def build_graph_index(g: DebateGraph, config: ModelConfig) -> GraphIndex:
-    nodes = sorted(g.nodes, key=lambda n: n.id)
-    node_keys = [HOMOGENEOUS_TYPE_KEY if config.homogeneous else n.node_type.value
-                 for n in nodes]
-    type_keys, node_type = _ids(node_keys)
-    # pool[t] @ h is the mean over the nodes of type t, zero when t is absent
-    members = np.array(node_type_keys(config))[:, None] == np.array(node_keys)[None, :]
-    pool = members / np.maximum(members.sum(axis=1, keepdims=True), 1)
+    nodes = np.array([(n.id, _TYPE_CODE[n.node_type._name_]) for n in g.nodes],
+                     dtype=np.intp).reshape(-1, 2)
+    type_code = nodes[np.argsort(nodes[:, 0]), 1]
+    if config.homogeneous:
+        type_keys, node_type = [HOMOGENEOUS_TYPE_KEY], np.zeros(len(nodes), dtype=np.intp)
+        pool_slot = node_type
+    else:
+        type_keys, node_type = _present(type_code, _TYPE_NAMES)
+        pool_slot = _POOL_SLOT[type_code]
+    n_slots = len(node_type_keys(config))
+    pool_rows = np.argsort(pool_slot, kind="stable")
+    pool_segments = _segments(pool_slot[pool_rows])
 
-    edges = [e for e in g.edges if config.use_inverse_edges or not e.inverse]
-    edges.sort(key=lambda e: (e.dst, e.src, REL_ORDINAL[e.relation], e.inverse))
-    rel_keys, edge_rel = _ids([_edge_rel_key(e, config) for e in edges])
-    dst = np.array([e.dst for e in edges], dtype=np.intp)
-    starts = np.flatnonzero(np.diff(dst, prepend=-1))
-    stops = np.append(starts[1:], len(edges))
+    cols = np.array([(e.dst, e.src, _REL_CODE[e.relation._name_] + e.inverse) for e in g.edges],
+                    dtype=np.intp).reshape(-1, 3)
+    kept = np.arange(len(cols)) if config.use_inverse_edges \
+        else np.flatnonzero(cols[:, 2] % 2 == 0)
+    # (dst, src, 2 * relation ordinal + inverse) orders like (dst, src, ordinal, inverse)
+    order = kept[np.lexsort(cols[kept].T[::-1])]
+    dst, src, rel_code = cols[order].T.copy()
+    if config.homogeneous:
+        rel_keys, edge_rel = [CONNECTED_KEY], np.zeros(len(order), dtype=np.intp)
+    else:
+        rel_keys, edge_rel = _present(rel_code, _REL_NAMES)
+    segments = _segments(dst)
 
     return GraphIndex(
         n_nodes=len(nodes),
+        node_offsets=np.array([0, len(nodes)]),
         type_keys=type_keys,
         node_type=node_type,
-        pool=pool,
-        ordered_edges=edges,
-        src=np.array([e.src for e in edges], dtype=np.intp),
+        pool_rows=pool_rows,
+        pool_segments=pool_segments,
+        pool_targets=pool_slot[pool_rows[pool_segments[:, 0]]],
+        pool_scale=1.0 / np.maximum(np.bincount(pool_slot, minlength=n_slots), 1),
+        ordered_edges=[g.edges[i] for i in order.tolist()],
+        src=src,
         dst=dst,
         rel_keys=rel_keys,
         edge_rel=edge_rel,
-        segments=list(zip(starts.tolist(), stops.tolist())),
-        seg_targets=dst[starts],
+        segments=segments,
+        seg_targets=dst[segments[:, 0]],
+    )
+
+
+def _union(key_lists: Sequence[list[str]]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted union of the key lists, and per list each key's position in it."""
+    union = sorted(set().union(*key_lists))
+    pos = {k: i for i, k in enumerate(union)}
+    return union, [np.array([pos[k] for k in keys], dtype=np.intp) for keys in key_lists]
+
+
+def pack(indexes: Sequence[GraphIndex]) -> GraphIndex:
+    """The index of the graphs' disjoint union, in order: node, edge and pool
+    arrays are concatenated with per-graph offsets, and the present type and
+    relation keys are the union over the batch. One index is its own pack."""
+    if len(indexes) == 1:
+        return indexes[0]
+    node_off = np.cumsum([0] + [ix.n_nodes for ix in indexes])
+    edge_off = np.cumsum([0] + [ix.n_edges for ix in indexes])
+    n_slots = len(indexes[0].pool_scale)
+    type_keys, type_pos = _union([ix.type_keys for ix in indexes])
+    rel_keys, rel_pos = _union([ix.rel_keys for ix in indexes])
+    node_type = np.concatenate([pos[ix.node_type] for ix, pos in zip(indexes, type_pos)])
+    edge_rel = np.concatenate([pos[ix.edge_rel] for ix, pos in zip(indexes, rel_pos)])
+
+    def cat(field: str, offsets) -> np.ndarray:
+        return np.concatenate([getattr(ix, field) + off for ix, off in zip(indexes, offsets)])
+
+    return GraphIndex(
+        n_nodes=int(node_off[-1]),
+        node_offsets=node_off,
+        type_keys=type_keys,
+        node_type=node_type,
+        pool_rows=cat("pool_rows", node_off),
+        pool_segments=cat("pool_segments", node_off),
+        pool_targets=cat("pool_targets", n_slots * np.arange(len(indexes))),
+        pool_scale=np.concatenate([ix.pool_scale for ix in indexes]),
+        ordered_edges=[e for ix in indexes for e in ix.ordered_edges],
+        src=cat("src", node_off),
+        dst=cat("dst", node_off),
+        rel_keys=rel_keys,
+        edge_rel=edge_rel,
+        segments=cat("segments", edge_off),
+        seg_targets=cat("seg_targets", node_off),
     )
 
 
@@ -234,21 +340,39 @@ def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
     return params
 
 
-def _typed(x: Tensor, params: ParamStore, prefix: str, index: GraphIndex) -> Tensor:
-    """Row i of x times the weight of node i's type.
-
-    One matmul against the present types' weights side by side, viewed as
-    (N * types, d) rows, then one gather of row i * types + type(i).
-    """
-    n_types = len(index.type_keys)
-    w = ad.concat([params[f"{prefix}/{t}"] for t in index.type_keys], axis=1)
-    y = ad.reshape(ad.matmul(x, w), (index.n_nodes * n_types, -1))
-    return ad.rows(y, np.arange(index.n_nodes) * n_types + index.node_type)
+def _typed(x: Tensor, params: ParamStore, prefix: str, index: GraphIndex,
+           take: np.ndarray | None = None) -> Tensor:
+    """Row i of x times the weight ``prefix/<type of node i>``; the rows ``take`` if given."""
+    ws = [params[f"{prefix}/{t}"] for t in index.type_keys]
+    return ad.matmul_by(x, ws, index.type_groups, take)
 
 
 def _stacked(params: ParamStore, prefix: str, keys: Sequence[str], ids: np.ndarray) -> Tensor:
-    """The parameters ``prefix/key`` stacked over keys, one per edge (or node) by key id."""
+    """The scalar parameters ``prefix/key`` stacked over keys, one per edge (or node) by key id."""
     return ad.rows(ad.stack([params[f"{prefix}/{k}"] for k in keys]), ids)
+
+
+def _embed(
+    graphs: Sequence[DebateGraph],
+    embeddings: Sequence[Mapping[int, np.ndarray]],
+    params: ParamStore,
+    config: ModelConfig,
+    index: GraphIndex,
+) -> Tensor:
+    """Initial node states of a packed batch: each embedding row times its type's projection."""
+    emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
+    for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
+        for n in g.nodes:
+            if n.id not in rows:
+                raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
+            row = np.asarray(rows[n.id], dtype=np.float64)
+            if row.shape != (config.input_dim,):
+                raise DimMismatch(
+                    f"embedding of node {n.id} has shape {row.shape}, "
+                    f"expected ({config.input_dim},)"
+                )
+            emb[offset + n.id] = row
+    return _typed(Tensor(emb), params, "w_in", index)
 
 
 def featurize(
@@ -259,18 +383,7 @@ def featurize(
     index: GraphIndex | None = None,
 ) -> Tensor:
     """Initial node representations: embedding row times the type's input projection."""
-    index = index or build_graph_index(g, config)
-    emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
-    for n in g.nodes:
-        if n.id not in embeddings:
-            raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
-        row = np.asarray(embeddings[n.id], dtype=np.float64)
-        if row.shape != (config.input_dim,):
-            raise DimMismatch(
-                f"embedding of node {n.id} has shape {row.shape}, expected ({config.input_dim},)"
-            )
-        emb[n.id] = row
-    return _typed(Tensor(emb), params, "w_in", index)
+    return _embed([g], [embeddings], params, config, index or build_graph_index(g, config))
 
 
 def _layer(
@@ -281,18 +394,21 @@ def _layer(
         return h, np.zeros((0, config.num_heads))
     p = f"layer{layer}"
     heads = (index.n_edges, config.num_heads, config.head_dim)
-    k_src = ad.reshape(ad.rows(_typed(h, params, f"{p}/key", index), index.src), heads)
-    q_dst = ad.reshape(ad.rows(_typed(h, params, f"{p}/query", index), index.dst), heads)
-    m_src = ad.reshape(ad.rows(_typed(h, params, f"{p}/msg", index), index.src), heads)
+    k_src = ad.reshape(_typed(h, params, f"{p}/key", index, index.src), heads)
+    q_dst = ad.reshape(_typed(h, params, f"{p}/query", index, index.dst), heads)
+    m_src = ad.reshape(_typed(h, params, f"{p}/msg", index, index.src), heads)
+
+    def by_relation(x: Tensor, name: str) -> Tensor:
+        ws = [params[f"{p}/{name}/{rk}"] for rk in index.rel_keys]
+        return ad.matmul_by(x, ws, index.rel_groups)
 
     mu_keys = [meta_key(config, rk) for rk in index.rel_keys]
-    w_attn = _stacked(params, f"{p}/w_attn", index.rel_keys, index.edge_rel)
-    scores = ad.rowdot(ad.matmul(k_src, w_attn), q_dst)
+    scores = ad.rowdot(by_relation(k_src, "w_attn"), q_dst)
     scores = ad.colscale(scores, _stacked(params, f"{p}/mu", mu_keys, index.edge_rel))
     scores = ad.scale(scores, 1.0 / config.scale_divisor)
     attn = ad.segment_softmax(scores, index.segments)
 
-    messages = ad.matmul(m_src, _stacked(params, f"{p}/w_msg", index.rel_keys, index.edge_rel))
+    messages = by_relation(m_src, "w_msg")
     h_tilde = ad.segment_sum(ad.colscale(messages, attn), index.segments, index.seg_targets,
                              index.n_nodes)
     h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
@@ -336,24 +452,26 @@ class ForwardTrace:
 
 
 def _forward(
-    g: DebateGraph,
-    embeddings: Mapping[int, np.ndarray],
+    graphs: Sequence[DebateGraph],
+    embeddings: Sequence[Mapping[int, np.ndarray]],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
     trace: ForwardTrace | None = None,
 ) -> Tensor:
-    """Class probabilities; fills ``trace`` when one is given."""
-    index = index or build_graph_index(g, config)
-    h = featurize(g, embeddings, params, config, index)
+    """(graphs, classes) probabilities of a batch; fills ``trace`` for a one-graph batch."""
+    index = index or pack([build_graph_index(g, config) for g in graphs])
+    h = _embed(graphs, embeddings, params, config, index)
     layer_outputs, attention = [h.value], []
     for layer in range(config.num_layers):
         h, attn = _layer(h, params, layer, config, index)
         layer_outputs.append(h.value)
         attention.append(attn)
 
-    pooled = ad.matmul(Tensor(index.pool), h)
-    h_concat = ad.reshape(pooled, (config.pool_width,))
+    pooled = ad.segment_sum(ad.rows(h, index.pool_rows), index.pool_segments,
+                            index.pool_targets, len(index.pool_scale))
+    pooled = ad.colscale(pooled, Tensor(index.pool_scale))
+    h_concat = ad.reshape(pooled, (index.n_graphs, config.pool_width))
     z = ad.relu(ad.add(ad.matmul(h_concat, params["head/w1"]), params["head/b1"]))
     logits = ad.add(ad.matmul(z, params["head/w2"]), params["head/b2"])
     probs = ad.softmax(logits)
@@ -362,7 +480,7 @@ def _forward(
         trace.attention = attention
         trace.edge_order = list(index.ordered_edges)
         trace.pooled = dict(zip(node_type_keys(config), pooled.value))
-        trace.probs = probs.value
+        trace.probs = probs.value[0]
     return probs
 
 
@@ -376,17 +494,30 @@ def predict(
     """Class probabilities and the forward trace; pure given its inputs."""
     trace = ForwardTrace()
     with ad.no_grad():
-        probs = _forward(g, embeddings, params, config, index, trace)
-    return probs.value.copy(), trace
+        probs = _forward([g], [embeddings], params, config, index, trace)
+    return probs.value[0].copy(), trace
+
+
+def predict_batch(
+    graphs: Sequence[DebateGraph],
+    embeddings: Sequence[Mapping[int, np.ndarray]],
+    params: ParamStore,
+    config: ModelConfig,
+    index: GraphIndex | None = None,
+) -> np.ndarray:
+    """(graphs, classes) probabilities of a batch, from one packed forward."""
+    with ad.no_grad():
+        return _forward(graphs, embeddings, params, config, index).value
 
 
 def forward_loss(
-    g: DebateGraph,
-    embeddings: Mapping[int, np.ndarray],
+    graphs: Sequence[DebateGraph],
+    embeddings: Sequence[Mapping[int, np.ndarray]],
     params: ParamStore,
     config: ModelConfig,
-    label_index: int,
+    labels: Sequence[int],
     index: GraphIndex | None = None,
 ) -> Tensor:
-    """Cross-entropy loss tensor for one graph (differentiable)."""
-    return ad.cross_entropy(_forward(g, embeddings, params, config, index), label_index)
+    """Mean cross-entropy over a batch of graphs (differentiable); ``index``
+    is the batch's packed index."""
+    return ad.cross_entropy(_forward(graphs, embeddings, params, config, index), labels)

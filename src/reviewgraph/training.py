@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -12,9 +13,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import NonFiniteLoss, ParamStore, scale as ad_scale
+from .autodiff import NonFiniteLoss, ParamStore
+from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
 from .graph import DECISION_LABELS, DebateGraph
-from .model import GraphIndex, ModelConfig, build_graph_index, forward_loss, predict
+from .model import (
+    GraphIndex,
+    ModelConfig,
+    build_graph_index,
+    forward_loss,
+    pack,
+    predict,
+    predict_batch,
+)
 
 
 class TrainingError(Exception):
@@ -180,8 +190,11 @@ def train(
 ) -> tuple[Checkpoint, list[dict]]:
     """Adam training with seeded shuffling and early stopping on validation macro-F1.
 
-    Loss per batch is the mean cross-entropy over the batch's graphs. The best
-    (earliest, on ties) validation epoch's parameters are returned.
+    Each minibatch is packed into one disjoint-union graph and makes one
+    forward and one backward pass; its loss is the mean cross-entropy over
+    its graphs. Validation predictions run through the same forward, in
+    chunks of ``batch_size`` graphs. The best (earliest, on ties) validation
+    epoch's parameters are returned.
     """
     if not train_set:
         raise EmptySplit("empty training split")
@@ -195,8 +208,13 @@ def train(
     adam_state: dict = {}
     t = 0
 
-    train_indexed = [(ex, build_graph_index(ex.graph, model_config)) for ex in train_set]
-    val_indexed = [(ex, build_graph_index(ex.graph, model_config)) for ex in val_set]
+    size = train_config.batch_size
+    train_indexes = [build_graph_index(ex.graph, model_config) for ex in train_set]
+    val_chunks = []
+    for start in range(0, len(val_set), size):
+        chunk = val_set[start:start + size]
+        index = pack([build_graph_index(ex.graph, model_config) for ex in chunk])
+        val_chunks.append(([ex.graph for ex in chunk], [ex.embeddings for ex in chunk], index))
     val_golds = [ex.label_index for ex in val_set]
 
     history: list[dict] = []
@@ -206,34 +224,35 @@ def train(
     no_improve = 0
 
     for epoch in range(1, train_config.max_epochs + 1):
-        order = np.arange(len(train_indexed))
+        order = np.arange(len(train_set))
         if train_config.shuffle:
             rng.shuffle(order)
 
         epoch_loss = 0.0
-        for start in range(0, len(order), train_config.batch_size):
-            batch = order[start:start + train_config.batch_size]
+        for start in range(0, len(order), size):
+            members = order[start:start + size]
+            batch = [train_set[i] for i in members]
             params.zero_grad()
-            batch_loss = 0.0
-            for i in batch:
-                ex, index = train_indexed[i]
-                loss = forward_loss(
-                    ex.graph, ex.embeddings, params, model_config, ex.label_index, index
-                )
-                value = float(loss.value)
-                if not math.isfinite(value):
-                    raise NonFiniteLoss(
-                        f"non-finite loss at epoch {epoch}, graph {ex.graph.graph_id}"
-                    )
-                ad_scale(loss, 1.0 / len(batch)).backward()
-                batch_loss += value
+            loss = forward_loss(
+                [ex.graph for ex in batch], [ex.embeddings for ex in batch], params,
+                model_config, [ex.label_index for ex in batch],
+                pack([train_indexes[i] for i in members]),
+            )
+            value = float(loss.value)
+            if not math.isfinite(value):
+                names = ", ".join(ex.graph.graph_id for ex in batch)
+                raise NonFiniteLoss(f"non-finite loss at epoch {epoch} in the batch of {names}")
+            loss.backward()
             t += 1
             adam_step(params, adam_state, t, train_config)
-            epoch_loss += batch_loss
+            epoch_loss += value * len(batch)
 
-        train_loss = epoch_loss / len(train_indexed)
+        train_loss = epoch_loss / len(train_set)
         val_preds = [
-            predict_label_index(ex, params, model_config, index) for ex, index in val_indexed
+            int(c)
+            for graphs, embeddings, index in val_chunks
+            for c in np.argmax(predict_batch(graphs, embeddings, params, model_config, index),
+                               axis=1)
         ]
         report = evaluate(val_preds, val_golds)
         history.append(
@@ -354,7 +373,11 @@ _CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
-    """Binary format: magic, u32 manifest length, JSON manifest, fp32 LE payload."""
+    """Binary format: magic, u32 manifest length, JSON manifest, fp32 LE payload.
+
+    The bytes go to ``<path>.tmp`` first, which then replaces ``path``, so a
+    crash mid-write leaves any earlier checkpoint at ``path`` intact.
+    """
     tensors = []
     payload = bytearray()
     for name, tensor in cp.params.items():
@@ -377,14 +400,20 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    tmp = Path(f"{path}.tmp")
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(mbytes)))
             fh.write(mbytes)
             fh.write(bytes(payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write checkpoint to {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

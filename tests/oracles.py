@@ -8,7 +8,7 @@ only shared surface is the parameter naming scheme of the ParamStore.
 import numpy as np
 
 from reviewgraph.model import NODE_TYPE_ORDER, meta_key
-from reviewgraph.graph import DebateGraph, Edge, Node
+from reviewgraph.graph import DebateGraph, Edge, Node, RelationType
 
 
 def _tkey(node, config):
@@ -85,6 +85,47 @@ def dense_forward(g, embeddings, params, config):
     logits = z @ params["head/w2"].value + params["head/b2"].value
     exp = np.exp(logits - logits.max())
     return exp / exp.sum()
+
+
+def reference_graph_index(g, config):
+    """The graph index fields as the per-edge loop version computed them.
+
+    Edges sorted by (target, source, relation ordinal, inverse); node types
+    and relation keys numbered by their position among the sorted keys the
+    graph contains; ``pool`` is the (types, nodes) averaging matrix.
+    """
+    nodes = sorted(g.nodes, key=lambda n: n.id)
+    node_keys = [_tkey(n, config) for n in nodes]
+    type_keys = sorted(set(node_keys))
+    all_types = ["node"] if config.homogeneous else [t.value for t in NODE_TYPE_ORDER]
+    pool = np.zeros((len(all_types), len(nodes)))
+    for t, key in enumerate(all_types):
+        members = [i for i, k in enumerate(node_keys) if k == key]
+        pool[t, members] = 1.0 / max(len(members), 1)
+
+    ordinal = {r: i for i, r in enumerate(RelationType)}
+    edges = [e for e in g.edges if config.use_inverse_edges or not e.inverse]
+    edges.sort(key=lambda e: (e.dst, e.src, ordinal[e.relation], e.inverse))
+    edge_keys = [_rkey(e, config) for e in edges]
+    rel_keys = sorted(set(edge_keys))
+    segments = []
+    for i, e in enumerate(edges):
+        if i == 0 or edges[i - 1].dst != e.dst:
+            segments.append([i, i])
+        segments[-1][1] = i + 1
+    return {
+        "n_nodes": len(nodes),
+        "type_keys": type_keys,
+        "node_type": [type_keys.index(k) for k in node_keys],
+        "pool": pool,
+        "ordered_edges": edges,
+        "src": [e.src for e in edges],
+        "dst": [e.dst for e in edges],
+        "rel_keys": rel_keys,
+        "edge_rel": [rel_keys.index(k) for k in edge_keys],
+        "segments": np.array(segments, dtype=int).reshape(-1, 2),
+        "seg_targets": [edges[start].dst for start, _ in segments],
+    }
 
 
 def permute_graph(g, embeddings, perm):

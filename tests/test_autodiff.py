@@ -397,3 +397,103 @@ def test_grad_check_flags_corrupted_backward(monkeypatch):
     report = grad_check(f, store)
     monkeypatch.setattr(ad, "relu", original)
     assert report.max_rel_error > 1e-3
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10**6))
+def test_softmax_cross_entropy_gradient_over_rows(seed):
+    r = np.random.default_rng(seed)
+    scalar_loss_through(
+        lambda x: ad.cross_entropy(ad.softmax(x), [0, 2, 1]),
+        r.standard_normal((3, 4)),
+    )
+
+
+@pytest.mark.parametrize("take", [None, np.array([4, 0, 4, 6, 2])], ids=["all-rows", "take"])
+@pytest.mark.parametrize("lead", [(7,), (7, 3)], ids=["2d", "edges-heads"])
+def test_matmul_by_gradient(lead, take):
+    """Ids repeat, and matrix 2 is selected by no row."""
+    r = np.random.default_rng(len(lead))
+    ids = np.array([0, 3, 0, 1, 3, 3, 0])
+    store = ParamStore()
+    store.add("x", r.standard_normal(lead + (4,)))
+    for j in range(4):
+        store.add(f"w{j}", r.standard_normal((4, 5)))
+    groups = ad.RowGroups(ids, 4)
+    rows = np.arange(len(ids)) if take is None else take
+    weights = Tensor(r.standard_normal((len(rows),) + lead[1:] + (5,)))
+
+    def out(p):
+        return ad.matmul_by(p["x"], [p[f"w{j}"] for j in range(4)], groups, take)
+
+    expected = np.stack([store["x"].value[i] @ store[f"w{ids[i]}"].value for i in rows])
+    np.testing.assert_allclose(out(store).value, expected, rtol=0, atol=1e-12)
+
+    def f(p):
+        flat = ad.reshape(ad.rowdot(out(p), weights), (-1,))
+        return ad.reshape(ad.matmul(flat, np.ones((flat.value.shape[0], 1))), ())
+
+    report = grad_check(f, store)
+    assert report.max_rel_error < 1e-6, report.worst_param
+    store.zero_grad()
+    f(store).backward()
+    assert store["w2"].grad is None
+
+
+def test_matmul_by_rejects_out_of_range_ids():
+    with pytest.raises(ShapeMismatch):
+        ad.RowGroups(np.array([0, 2]), 2)
+
+
+def _tape(loss):
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+def _backward_keeping_tape(loss):
+    """The reverse pass in the same order as Tensor.backward, freeing nothing."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p._needs and id(p) not in seen)
+    loss.accumulate(np.ones_like(loss.value))
+    for node in reversed(topo):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+def test_backward_consumes_the_tape_and_keeps_leaf_grads():
+    r = np.random.default_rng(5)
+    store = ParamStore()
+    for name, shape in (("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 4)), ("w3", (4, 3))):
+        store.add(name, r.standard_normal(shape))
+    x = Tensor(r.standard_normal((5, 3)))
+
+    def loss_of(p):
+        h = ad.relu(ad.add(ad.matmul(x, p["w1"]), p["b1"]))
+        h = ad.add(h, ad.matmul(ad.rows(h, [4, 0, 0, 2, 1]), p["w2"]))  # h is used twice
+        return ad.cross_entropy(ad.softmax(ad.matmul(h, p["w3"])), [0, 2, 1, 1, 0])
+
+    _backward_keeping_tape(loss_of(store))
+    kept = {name: t.grad for name, t in store.items()}
+    store.zero_grad()
+    loss = loss_of(store)
+    interior = [t for t in _tape(loss) if t._backward_fn is not None]
+    loss.backward()
+    for name, t in store.items():
+        np.testing.assert_array_equal(t.grad, kept[name], err_msg=name)
+    assert interior and all(
+        t.grad is None and t._backward_fn is None and t._parents == () for t in interior)

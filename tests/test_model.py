@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import dense_forward, permute_graph
+from oracles import dense_forward, permute_graph, reference_graph_index
 from reviewgraph.graph import AblationMode, apply_ablation, build_minimal_graph
 from reviewgraph.model import (
     DimMismatch,
@@ -18,10 +18,12 @@ from reviewgraph.model import (
     init_params,
     meta_key,
     node_type_keys,
+    pack,
     predict,
+    predict_batch,
     relation_keys,
 )
-from reviewgraph.synth import embeddings_for, random_debate_graph
+from reviewgraph.synth import embeddings_for, generate_rule_dataset, random_debate_graph
 
 SMALL = ModelConfig(input_dim=6, hidden_dim=8, num_heads=2, num_layers=2,
                     ffn_hidden=8, seed=0)
@@ -175,16 +177,6 @@ def test_attention_scale_variant_changes_output():
 
 
 def test_tape_size_is_independent_of_heads_and_relations():
-    def tape_ops(loss):
-        seen, stack, ops = set(), [loss], 0
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                ops += t._backward_fn is not None
-                stack.extend(t._parents)
-        return ops
-
     few = build_minimal_graph("few", "A title")
     many = random_debate_graph(1, "many", n_reviewer_opinions=(8, 9), n_author_opinions=(3, 4))
     counts = set()
@@ -195,7 +187,7 @@ def test_tape_size_is_independent_of_heads_and_relations():
             n_rel = len(build_graph_index(g, config).rel_keys)
             assert n_rel == 2 if g is few else n_rel >= 8
             emb = embeddings_for(g, config.input_dim, 0)
-            counts.add(tape_ops(forward_loss(g, emb, params, config, 0)))
+            counts.add(tape_ops(forward_loss([g], [emb], params, config, [0])))
     assert len(counts) == 1, counts
 
 
@@ -203,7 +195,7 @@ def test_parameters_a_graph_lacks_get_no_gradient():
     g = build_minimal_graph("few", "A title")
     params = init_params(SMALL, 0)
     emb = embeddings_for(g, SMALL.input_dim, 0)
-    forward_loss(g, emb, params, SMALL, 0).backward()
+    forward_loss([g], [emb], params, SMALL, [0]).backward()
     assert params["w_in/title"].grad is not None
     assert params["layer0/w_attn/has_aspect__inv"].grad is not None
     # adam_step skips a None gradient; a zero one would still move the weight
@@ -211,3 +203,107 @@ def test_parameters_a_graph_lacks_get_no_gradient():
     assert params["layer0/w_attn/agree"].grad is None
     assert params[f"layer0/mu/{meta_key(SMALL, 'agree')}"].grad is None
     assert params["layer1/rescale/author_opinion"].grad is None
+
+
+def tape_ops(loss):
+    """Tensors with a backward closure reachable from the loss."""
+    seen, stack, ops = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            ops += t._backward_fn is not None
+            stack.extend(t._parents)
+    return ops
+
+
+HOMOGENEOUS = dataclasses.replace(SMALL, homogeneous=True)
+NO_INVERSE = dataclasses.replace(SMALL, use_inverse_edges=False)
+
+
+def index_cases():
+    """(graph, config) pairs: rule graphs under every ablation mode, the
+    homogeneous config and no inverse edges."""
+    graphs = [ex.graph for ex in generate_rule_dataset(4, seed=2, input_dim=4)]
+    graphs.append(build_minimal_graph("minimal", "A title"))
+    for g in graphs:
+        for mode in AblationMode:
+            config = HOMOGENEOUS if mode == AblationMode.HOMOGENEOUS else SMALL
+            yield apply_ablation(g, mode), config
+        yield g, HOMOGENEOUS
+        yield g, NO_INVERSE
+
+
+def test_graph_index_matches_loop_reference():
+    for g, config in index_cases():
+        index = build_graph_index(g, config)
+        want = reference_graph_index(g, config)
+        assert index.n_nodes == want["n_nodes"]
+        assert index.type_keys == want["type_keys"]
+        assert index.rel_keys == want["rel_keys"]
+        assert index.ordered_edges == want["ordered_edges"]
+        for name in ("node_type", "src", "dst", "edge_rel", "segments", "seg_targets"):
+            np.testing.assert_array_equal(getattr(index, name), want[name], err_msg=name)
+        pool = np.zeros_like(want["pool"])
+        for (start, stop), target in zip(index.pool_segments, index.pool_targets):
+            pool[target, index.pool_rows[start:stop]] = index.pool_scale[target]
+        np.testing.assert_array_equal(pool, want["pool"])
+
+
+def mixed_batch(config, seed):
+    """Graphs of different sizes, some lacking the title or dimension nodes."""
+    graphs = [
+        random_debate_graph(seed, "a", n_reviewer_opinions=(2, 3), n_author_opinions=(1, 2)),
+        apply_ablation(random_debate_graph(seed + 1, "b"), AblationMode.NO_TITLE),
+        random_debate_graph(seed + 2, "c", n_reviewer_opinions=(6, 8), n_author_opinions=(3, 4)),
+        apply_ablation(random_debate_graph(seed + 3, "d"), AblationMode.NO_EVAL),
+        build_minimal_graph("e", "A title"),
+    ]
+    if config.homogeneous:
+        graphs = [apply_ablation(g, AblationMode.HOMOGENEOUS) for g in graphs]
+    return graphs, [embeddings_for(g, config.input_dim, seed + i) for i, g in enumerate(graphs)]
+
+
+def test_batched_forward_matches_dense_oracle_per_graph():
+    for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
+        for seed in range(3):
+            graphs, embs = mixed_batch(config, 10 * seed)
+            params = init_params(config, seed)
+            probs = predict_batch(graphs, embs, params, config)
+            for g, emb, p in zip(graphs, embs, probs):
+                np.testing.assert_allclose(p, dense_forward(g, emb, params, config),
+                                           rtol=0, atol=1e-10)
+
+
+def test_batch_gradient_is_mean_of_graph_gradients_with_same_none_set():
+    graphs, embs = mixed_batch(SMALL, 3)
+    labels = [i % 2 for i in range(len(graphs))]
+    params = init_params(SMALL, 3)
+    per_graph, none_sets = [], []
+    for g, emb, label in zip(graphs, embs, labels):
+        params.zero_grad()
+        forward_loss([g], [emb], params, SMALL, [label]).backward()
+        per_graph.append({name: t.grad for name, t in params.items() if t.grad is not None})
+        none_sets.append({name for name, t in params.items() if t.grad is None})
+    params.zero_grad()
+    forward_loss(graphs, embs, params, SMALL, labels).backward()
+    # adam_step skips exactly the parameters no graph of the batch uses
+    assert {name for name, t in params.items() if t.grad is None} == set.intersection(*none_sets)
+    for name, t in params.items():
+        if t.grad is not None:
+            mean = sum(grads.get(name, 0.0) for grads in per_graph) / len(graphs)
+            np.testing.assert_allclose(t.grad, mean, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_tape_ops_per_step_do_not_depend_on_batch_size():
+    examples = generate_rule_dataset(32, seed=4, input_dim=SMALL.input_dim)
+    params = init_params(SMALL, 0)
+    counts = set()
+    for size in (1, 8, 32):
+        batch = examples[:size]
+        index = pack([build_graph_index(ex.graph, SMALL) for ex in batch])
+        assert index.n_graphs == size
+        loss = forward_loss([ex.graph for ex in batch], [ex.embeddings for ex in batch],
+                            params, SMALL, [ex.label_index for ex in batch], index)
+        counts.add(tape_ops(loss))
+    assert len(counts) == 1, counts

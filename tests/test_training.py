@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import struct
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import confusion_metrics
+from reviewgraph import training
 from reviewgraph.autodiff import ParamStore
 from reviewgraph.model import ModelConfig, init_params
 from reviewgraph.synth import generate_rule_dataset
@@ -281,6 +283,41 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CorruptPayload):
         load_checkpoint(path)
+
+
+def test_interrupted_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.rvgc"
+    save_checkpoint(make_checkpoint(seed=0), path)
+    before = path.read_bytes()
+
+    class Crash(Exception):
+        pass
+
+    class CrashAfterHeader:
+        """A file object whose second write raises."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise Crash("interrupted mid-write")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(training, "open", lambda p, mode: CrashAfterHeader(io.open(p, mode)),
+                        raising=False)
+    with pytest.raises(Crash):
+        save_checkpoint(make_checkpoint(seed=1), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rvgc"]
 
 
 def test_checkpoint_missing_file():
