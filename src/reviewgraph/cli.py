@@ -310,11 +310,9 @@ def embed(obj, manifest) -> None:
         if not _fresh(out, obj["force"]):
             n_skipped += 1
             continue
-        if out.exists():
-            out.unlink()
         out.parent.mkdir(parents=True, exist_ok=True)
-        cache = orch.EmbeddingCache(out)
-        orch.embed_texts(_node_texts(rec), client, cache)
+        with graphmod.replacing(out) as tmp:
+            orch.embed_texts(_node_texts(rec), client, orch.EmbeddingCache(tmp))
         n_done += 1
     click.echo(f"embed: {n_done} written, {n_skipped} skipped "
                f"({client.embed_requests} requests)")
@@ -323,7 +321,10 @@ def embed(obj, manifest) -> None:
 def _load_embeddings_for_graph(
     rec: ManifestRecord, g: graphmod.DebateGraph
 ) -> dict[int, np.ndarray]:
-    cache = orch.EmbeddingCache(rec.path("embeddings"))
+    try:
+        cache = orch.EmbeddingCache(rec.path("embeddings"))
+    except orch.CorruptCache as exc:
+        raise DataFailure(f"{rec.paper_id}: {exc}") from exc
     out: dict[int, np.ndarray] = {}
     for n in g.nodes:
         v = cache.get(n.text)
@@ -378,7 +379,10 @@ def _load_examples(records: list[ManifestRecord], split: str,
         path = rec.path("graph")
         if not path.exists():
             raise DataFailure(f"{rec.paper_id}: graph file missing: {path}")
-        g = graphmod.load_graph(path)
+        try:
+            g = graphmod.load_graph(path)
+        except graphmod.CorruptGraph as exc:
+            raise DataFailure(f"{rec.paper_id}: {exc}") from exc
         if ablation is not None:
             g = graphmod.apply_ablation(g, ablation)
         examples.append(

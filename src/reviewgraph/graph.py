@@ -10,10 +10,12 @@ explicitly with an ``inverse`` flag so that every node can receive messages.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphError(Exception):
@@ -26,6 +28,14 @@ class UnknownNodeId(GraphError):
 
 class EmptyAblationResult(GraphError):
     pass
+
+
+class CorruptGraph(GraphError):
+    """A graph file that does not parse into a graph."""
+
+    def __init__(self, path: str | Path, reason: str) -> None:
+        super().__init__(f"{path}: corrupt graph file: {reason}")
+        self.path = Path(path)
 
 
 class NodeType(Enum):
@@ -363,30 +373,56 @@ def graph_to_dict(g: DebateGraph) -> dict:
     }
 
 
+_NODE_TYPES = {t.value: t for t in NodeType}
+_DIMENSIONS = {d.value: d for d in Dimension}
+_RELATIONS = {r.value: r for r in RelationType}
+
+
 def graph_from_dict(d: dict) -> DebateGraph:
+    """Inverse of ``graph_to_dict``; an unknown enum value raises ``KeyError``."""
     nodes = tuple(
         Node(
             id=nd["id"],
-            node_type=NodeType(nd["type"]),
+            node_type=_NODE_TYPES[nd["type"]],
             text=nd["text"],
             speaker=nd.get("speaker"),
-            dimension=Dimension(nd["dimension"]) if nd.get("dimension") else None,
+            dimension=_DIMENSIONS[nd["dimension"]] if nd.get("dimension") else None,
         )
         for nd in d["nodes"]
     )
     edges = tuple(
-        Edge(ed["src"], ed["dst"], RelationType(ed["relation"]), bool(ed.get("inverse", False)))
+        Edge(ed["src"], ed["dst"], _RELATIONS[ed["relation"]], bool(ed.get("inverse", False)))
         for ed in d["edges"]
     )
     return DebateGraph(graph_id=d["graph_id"], nodes=nodes, edges=edges, label=d.get("label"))
 
 
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield a fresh ``<path>.tmp`` to write; it replaces ``path`` when the
+    block succeeds and is removed when it fails, so ``path`` is only ever
+    absent, the old file, or the complete new one."""
+    tmp = Path(f"{path}.tmp")
+    tmp.unlink(missing_ok=True)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_graph(g: DebateGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
+    with replacing(path) as tmp, open(tmp, "w") as fh:
+        fh.write(text)
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    return graph_from_dict(json.loads(Path(path).read_text()))
+    """Read a graph file; a file that does not parse raises ``CorruptGraph``."""
+    try:
+        return graph_from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
 
 
 def edge_counts_by_group(g: DebateGraph) -> dict[str, int]:

@@ -8,6 +8,7 @@ the network, so the whole pipeline runs offline and reproducibly.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import requests
@@ -61,6 +62,10 @@ class ClassificationFailed(OrchestrationError):
 
 class InconsistentDimension(OrchestrationError):
     pass
+
+
+class CorruptCache(OrchestrationError):
+    """An embedding-cache line that does not decode; the message is ``path:line: reason``."""
 
 
 class TransportError(OrchestrationError):
@@ -813,17 +818,34 @@ def classify_dimensions(
 
 
 class EmbeddingCache:
-    """Content-hash-keyed JSONL store; reruns issue no duplicate requests."""
+    """Content-hash-keyed JSONL store; reruns issue no duplicate requests.
+
+    One line per vector: ``{"sha256", "dim", "f64le"}``, where ``f64le`` is the
+    base64 of the vector's little-endian float64 bytes, so a vector loads back
+    bit-identical without parsing decimal text. Lines in the older
+    ``{"sha256", "dim", "vector": [floats]}`` form still load. A line that does
+    not decode, including a torn last line, raises ``CorruptCache``.
+    """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._store: dict[str, np.ndarray] = {}
+        self._pending: list[str] | None = None
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._store[rec["sha256"]] = np.asarray(rec["vector"], dtype=np.float64)
+            data = self.path.read_bytes()
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = data.count(b"\n", 0, exc.start) + 1
+                raise CorruptCache(f"{self.path}:{lineno}: not UTF-8 text") from None
+            lines = text.split("\n")
+            for lineno, line in enumerate(lines, start=1):
+                if line.strip():
+                    key, vector = _decode_cache_line(line, self.path, lineno)
+                    self._store[key] = vector
+            if text and not text.endswith("\n"):
+                raise CorruptCache(f"{self.path}:{len(lines)}: last line has no newline "
+                                   "(torn write)")
 
     @staticmethod
     def key(text: str) -> str:
@@ -833,22 +855,65 @@ class EmbeddingCache:
         return self._store.get(self.key(text))
 
     def put(self, text: str, vector: np.ndarray) -> None:
+        """Store a vector unless its text is cached; its line is appended now,
+        or at the end of the enclosing ``put_many``."""
         k = self.key(text)
         if k in self._store:
             return
-        self._store[k] = np.asarray(vector, dtype=np.float64)
-        if self.path is not None:
+        v = np.asarray(vector, dtype=np.float64)
+        self._store[k] = v
+        if self.path is None:
+            return
+        line = json.dumps({
+            "sha256": k, "dim": int(v.shape[0]),
+            "f64le": base64.b64encode(v.astype("<f8").tobytes()).decode("ascii"),
+        }) + "\n"
+        if self._pending is not None:
+            self._pending.append(line)
+        else:
+            self._append([line])
+
+    def put_many(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
+        """``put`` each (text, vector) pair; their lines go out in one write."""
+        self._pending = []
+        try:
+            for text, vector in items:
+                self.put(text, vector)
+        finally:
+            lines, self._pending = self._pending, None
+            self._append(lines)
+
+    def _append(self, lines: list[str]) -> None:
+        if lines:
             with open(self.path, "a") as fh:
-                fh.write(
-                    json.dumps(
-                        {"sha256": k, "dim": int(vector.shape[0]),
-                         "vector": [float(x) for x in vector]}
-                    )
-                    + "\n"
-                )
+                fh.write("".join(lines))
 
     def __len__(self) -> int:
         return len(self._store)
+
+
+def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[str, np.ndarray]:
+    """(sha256, vector) of one cache line; errors name ``path:lineno``."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptCache(f"{path}:{lineno}: not valid JSON ({exc})") from None
+    if not isinstance(rec, dict) or not isinstance(rec.get("sha256"), str):
+        raise CorruptCache(f"{path}:{lineno}: missing 'sha256'")
+    if "f64le" not in rec and "vector" not in rec:
+        raise CorruptCache(f"{path}:{lineno}: missing 'f64le' (and no 'vector')")
+    try:
+        if "f64le" in rec:
+            raw = base64.b64decode(rec["f64le"], validate=True)
+            vector = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        else:
+            vector = np.array(rec["vector"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CorruptCache(f"{path}:{lineno}: vector does not decode ({exc})") from None
+    if vector.shape != (rec.get("dim"),):
+        raise CorruptCache(
+            f"{path}:{lineno}: decoded {vector.size} values but 'dim' is {rec.get('dim')!r}")
+    return rec["sha256"], vector
 
 
 def embed_texts(
@@ -870,8 +935,7 @@ def embed_texts(
         dims = {v.shape[0] for v in vectors}
         if len(dims) > 1:
             raise InconsistentDimension(f"embedding dimensions differ: {sorted(dims)}")
-        for t, v in zip(missing, vectors):
-            cache.put(t, v)
+        cache.put_many(zip(missing, vectors))
     out = []
     for t in texts:
         v = cache.get(t)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
-from .graph import DECISION_LABELS, DebateGraph
+from .graph import DECISION_LABELS, DebateGraph, replacing
 from .model import (
     GraphIndex,
     ModelConfig,
@@ -400,20 +400,16 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with replacing(path) as tmp, open(tmp, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(mbytes)))
             fh.write(mbytes)
             fh.write(bytes(payload))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write checkpoint to {path}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -5,6 +5,7 @@ import pytest
 
 from pipeline_utils import make_workspace, run, run_stage_pipeline
 from reviewgraph import autodiff as ad
+from reviewgraph import orchestration as orch
 from reviewgraph.cli import main
 from reviewgraph.graph import NodeType, load_graph
 
@@ -166,6 +167,57 @@ def test_evaluate_malformed_checkpoint_manifest_exits_3(tmp_path, capsys):
                "--checkpoint", str(tmp_path / "c.rvgc"), "--split", "test")
     assert code == 3
     assert "malformed manifest" in capsys.readouterr().err
+
+
+def _trained_workspace(root):
+    manifest = make_workspace(root, THREE_PAPERS)
+    run_stage_pipeline(root, manifest)
+    assert run(root, "train", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+               "--history", str(root / "h.jsonl")) == 0
+    return manifest
+
+
+def _tear(path):
+    """Cut a file mid-way through its last line, as an interrupted write would."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - 40])
+
+
+@pytest.mark.parametrize("command, paper, artifact", [
+    ("evaluate", "p2", "emb.jsonl"),
+    ("train", "p0", "emb.jsonl"),
+    ("evaluate", "p2", "graph.json"),
+    ("train", "p1", "graph.json"),
+])
+def test_torn_artifact_exits_3_naming_the_paper(tmp_path, capsys, command, paper, artifact):
+    manifest = _trained_workspace(tmp_path)
+    _tear(tmp_path / "work" / f"{paper}.{artifact}")
+    capsys.readouterr()
+    extra = (["--checkpoint", str(tmp_path / "c2.rvgc"), "--history", str(tmp_path / "h2.jsonl")]
+             if command == "train" else ["--checkpoint", str(tmp_path / "c.rvgc")])
+    code = run(tmp_path, command, str(manifest), *extra)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{paper}: " in err and f"{paper}.{artifact}" in err
+    assert "Traceback" not in err
+
+
+def test_failed_embed_keeps_the_old_cache(tmp_path, monkeypatch):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    run_stage_pipeline(tmp_path, manifest)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb.jsonl")}
+    real_embed_texts = orch.embed_texts
+
+    def embed_then_fail(texts, client, cache):
+        real_embed_texts(texts[:2], client, cache)
+        raise orch.EndpointError("endpoint went away")
+
+    monkeypatch.setattr(orch, "embed_texts", embed_then_fail)
+    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7", "--force",
+                 "embed", str(manifest)])
+    assert code == 2
+    after = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb.jsonl*")}
+    assert after == before
 
 
 def test_ablate_emits_six_rows(tmp_path, capsys):

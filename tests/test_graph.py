@@ -1,9 +1,12 @@
+import io
 import json
 
 import pytest
 
+from reviewgraph import graph as graphmod
 from reviewgraph.graph import (
     AblationMode,
+    CorruptGraph,
     DebateGraph,
     Dimension,
     Edge,
@@ -162,6 +165,62 @@ def test_graph_dict_shape():
     assert d["nodes"][5]["speaker"] == "reviewer_1"
     assert d["nodes"][5]["dimension"] == "experimental_completeness"
     assert graph_from_dict(json.loads(json.dumps(d))) == tiny_graph()
+
+
+@pytest.mark.parametrize("mode", list(AblationMode))
+def test_dict_round_trip_under_every_ablation(mode):
+    g = apply_ablation(random_debate_graph(5, "rt", label="accept"), mode)
+    assert graph_from_dict(graph_to_dict(g)) == g
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    '{"graph_id": "g", "label": null, "nodes": [{"id": 0, "type": "tit',
+    '{"graph_id": "g", "nodes": [], "edges": [{"src": 0, "dst": 1, "relation": "nope"}]}',
+    '{"graph_id": "g", "nodes": [{"id": 0, "type": "title"}], "edges": []}',
+    '{"graph_id": "g", "nodes": {"id": 0}, "edges": []}',
+    '[1, 2, 3]',
+], ids=["empty", "torn", "unknown-relation", "missing-text", "nodes-not-list", "not-object"])
+def test_load_graph_rejects_corrupt_file(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+        load_graph(path)
+    assert info.value.path == path
+    assert str(path) in str(info.value)
+
+
+def test_interrupted_graph_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    save_graph(random_debate_graph(1, "old"), path)
+    before = path.read_bytes()
+
+    class Crash(Exception):
+        pass
+
+    class HalfWriter:
+        """A file object that writes half its data, then raises."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise Crash("interrupted mid-write")
+
+    monkeypatch.setattr(graphmod, "open", lambda p, mode: HalfWriter(io.open(p, mode)),
+                        raising=False)
+    with pytest.raises(Crash):
+        save_graph(random_debate_graph(2, "new"), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
 def test_random_graphs_validate():

@@ -1,3 +1,5 @@
+import base64
+import io
 import json
 import threading
 
@@ -5,10 +7,12 @@ import numpy as np
 import pytest
 
 from reviewgraph.extraction import build_graph
+from reviewgraph import orchestration
 from reviewgraph.graph import validate_graph
 from reviewgraph.orchestration import (
     AgentRole,
     ClassificationFailed,
+    CorruptCache,
     DebateStage,
     EmbeddingCache,
     EndpointConfig,
@@ -243,10 +247,105 @@ def test_embedding_cache_round_trip(tmp_path):
 
 def test_embedding_cache_file_format(tmp_path):
     path = tmp_path / "emb.jsonl"
-    embed_texts(["one text"], MockClient(seed=0), EmbeddingCache(path))
+    vec = embed_texts(["one text"], MockClient(seed=0), EmbeddingCache(path))[0]
     rec = json.loads(path.read_text().splitlines()[0])
-    assert set(rec) == {"sha256", "dim", "vector"}
-    assert rec["dim"] == len(rec["vector"]) == 64
+    assert set(rec) == {"sha256", "dim", "f64le"}
+    raw = base64.b64decode(rec["f64le"], validate=True)
+    assert rec["dim"] == len(raw) // 8 == 64
+    assert raw == vec.astype("<f8").tobytes()
+
+
+def _parent_line(text, vector):
+    """A cache line in the older decimal ``vector`` form, as it used to be written."""
+    return json.dumps({"sha256": EmbeddingCache.key(text), "dim": int(vector.shape[0]),
+                       "vector": [float(x) for x in vector]}) + "\n"
+
+
+def test_embedding_cache_reads_decimal_vector_lines(tmp_path):
+    vecs = MockClient(seed=2).embed(["old one", "old two"])
+    path = tmp_path / "emb.jsonl"
+    path.write_text(_parent_line("old one", vecs[0]) + _parent_line("old two", vecs[1]))
+    cache = EmbeddingCache(path)
+    assert len(cache) == 2
+    for text, v in zip(["old one", "old two"], vecs):
+        assert cache.get(text).tobytes() == v.tobytes()
+
+
+def test_embedding_cache_reads_mixed_old_and_new_lines(tmp_path):
+    client = MockClient(seed=3)
+    old, new = client.embed(["old text", "new text"])
+    path = tmp_path / "emb.jsonl"
+    path.write_text(_parent_line("old text", old))
+    EmbeddingCache(path).put("new text", new)
+    lines = path.read_text().splitlines()
+    assert "vector" in json.loads(lines[0]) and "f64le" in json.loads(lines[1])
+    cache = EmbeddingCache(path)
+    assert cache.get("old text").tobytes() == old.tobytes()
+    assert cache.get("new text").tobytes() == new.tobytes()
+
+
+def test_embedding_cache_round_trip_is_bit_exact(tmp_path):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
+                        1.0 / 3.0, -1.7976931348623157e308])
+    path = tmp_path / "emb.jsonl"
+    EmbeddingCache(path).put("special", special)
+    loaded = EmbeddingCache(path).get("special")
+    assert loaded.dtype == np.float64 and loaded.flags.writeable
+    assert loaded.view(np.uint64).tolist() == special.view(np.uint64).tolist()
+
+
+def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
+    class RecordingClient(MockClient):
+        def _embed_once(self, texts):
+            self.seen.append(list(texts))
+            return super()._embed_once(texts)
+
+    client = RecordingClient(seed=1)
+    client.seen = []
+    path = tmp_path / "emb.jsonl"
+    embed_texts(["a", "b"], client, EmbeddingCache(path))
+
+    opens = []
+    real_open = io.open
+    monkeypatch.setattr(orchestration, "open",
+                        lambda p, mode="r": opens.append(mode) or real_open(p, mode),
+                        raising=False)
+    embed_texts(["a", "c", "b", "d", "e", "c"], client, EmbeddingCache(path))
+    monkeypatch.undo()
+    assert client.seen == [["a", "b"], ["c", "d", "e"]]
+    assert opens == ["a"]
+    assert len(path.read_text().splitlines()) == 5
+
+
+def _valid_line(text="t"):
+    vec = np.arange(4, dtype=np.float64)
+    return json.dumps({"sha256": EmbeddingCache.key(text), "dim": 4,
+                       "f64le": base64.b64encode(vec.tobytes()).decode()})
+
+
+@pytest.mark.parametrize("body, lineno", [
+    (_valid_line("a") + "\n" + _valid_line("b")[:40], 2),
+    (_valid_line("a")[:-1] + "\n" + _valid_line("b") + "\n", 1),
+    (_valid_line("a") + "\n" + _valid_line("b"), 2),
+    ("[1, 2]\n", 1),
+    (json.dumps({"dim": 4, "f64le": "AAAAAAAAAAA="}) + "\n", 1),
+    (json.dumps({"sha256": "ab", "dim": 4}) + "\n", 1),
+    (_valid_line("a") + "\n" + json.dumps({"sha256": "ab", "dim": 1, "f64le": "!!!!"}) + "\n",
+     2),
+    (json.dumps({"sha256": "ab", "dim": 1, "f64le": "AAAA"}) + "\n", 1),
+    (json.dumps({"sha256": "ab", "dim": 3,
+                 "f64le": base64.b64encode(bytes(32)).decode()}) + "\n", 1),
+    (json.dumps({"sha256": "ab", "dim": 2, "vector": [1.0, 2.0, 3.0]}) + "\n", 1),
+    (json.dumps({"sha256": "ab", "dim": 1, "vector": ["x"]}) + "\n", 1),
+    ((_valid_line("a") + "\n").encode() + b'{"sha256": "\xff"}\n', 2),
+], ids=["torn-tail", "torn-middle", "no-final-newline", "not-object", "no-sha256",
+        "no-vector", "bad-base64", "partial-float", "dim-mismatch", "decimal-dim-mismatch",
+        "decimal-not-numbers", "not-utf8"])
+def test_corrupt_cache_line_names_path_and_line(tmp_path, body, lineno):
+    path = tmp_path / "emb.jsonl"
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+    with pytest.raises(CorruptCache, match=f"{path}:{lineno}: "):
+        EmbeddingCache(path)
 
 
 def test_embeddings_are_unit_norm_and_deterministic():
