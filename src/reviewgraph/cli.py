@@ -14,6 +14,7 @@ import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import click
 import numpy as np
@@ -141,13 +142,76 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         raise UsageFailure(f"bad configuration: {exc}") from exc
 
 
-def _fresh(path: Path, force: bool) -> bool:
-    return force or not path.exists()
+def _json(obj: dict | list) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_json(path: Path, obj: dict | list) -> None:
+    """Write ``obj`` as JSON; ``path`` appears only once it is complete."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with graphmod.replacing(path) as tmp:
+        tmp.write_text(_json(obj))
+
+
+T = TypeVar("T")
+
+
+def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
+    """``parse`` the paper's ``kind`` file; a missing file or one that does not
+    parse is a ``DataFailure`` naming the paper and the file."""
+    path = rec.path(kind)
+    if not path.exists():
+        raise DataFailure(f"{rec.paper_id}: {kind} file missing: {path}")
+    try:
+        return parse(path)
+    except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
+        raise DataFailure(f"{rec.paper_id}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, extraction.ExtractionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise DataFailure(f"{rec.paper_id}: corrupt {kind} file {path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def _read_triples(rec: ManifestRecord) -> extraction.TripleBatch:
+    return _read(rec, "triples",
+                 lambda path: extraction.parse_triple_batch(path.read_text(), rec.paper_id))
+
+
+def _parse_dims(path: Path) -> list[extraction.DimensionAssignment]:
+    return [
+        extraction.DimensionAssignment(entry["speaker"], entry["text"],
+                                       graphmod.Dimension(entry["dimension"]))
+        for entry in json.loads(path.read_text())
+    ]
+
+
+#: What a stage's own work raises on bad input; it exits 3 naming the paper.
+_STAGE_DATA_ERRORS = (orch.ExtractionFailed, orch.ClassificationFailed,
+                      orch.InconsistentDimension, extraction.ExtractionError,
+                      graphmod.GraphError)
+
+
+def _run_stage(obj: dict, manifest: str, name: str, kind: str,
+               write: Callable[[ManifestRecord, Path], None],
+               client: orch.BaseClient | None = None) -> None:
+    """Call ``write(rec, tmp)`` for every paper whose ``kind`` output is absent
+    (every paper under ``--force``). ``tmp`` replaces the output only when
+    ``write`` returns, so an output that a rerun skips is never a partial one."""
+    n_done = n_skipped = 0
+    for rec in load_manifest(manifest):
+        out = rec.path(kind)
+        if out.exists() and not obj["force"]:
+            n_skipped += 1
+            continue
+        out.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with graphmod.replacing(out) as tmp:
+                write(rec, tmp)
+        except _STAGE_DATA_ERRORS as exc:
+            raise DataFailure(f"{rec.paper_id}: {exc}") from exc
+        n_done += 1
+    requests = client.chat_requests + client.embed_requests if client else 0
+    click.echo(f"{name}: {n_done} written, {n_skipped} skipped ({requests} requests)")
 
 
 @click.group()
@@ -180,24 +244,13 @@ def cli(ctx: click.Context, config_path, seed, jobs, force, ablation, verbose) -
 @click.pass_obj
 def simulate(obj, manifest) -> None:
     """Run the reviewer-author debate for each paper in MANIFEST."""
-    cfg: RunConfig = obj["config"]
-    client = orch.make_client(cfg.endpoint)
-    n_done = n_skipped = 0
-    for rec in load_manifest(manifest):
-        out = rec.path("transcript")
-        if not _fresh(out, obj["force"]):
-            n_skipped += 1
-            continue
-        paper_path = rec.path("paper")
-        if not paper_path.exists():
-            raise DataFailure(f"{rec.paper_id}: paper file missing: {paper_path}")
-        paper = orch.load_paper(paper_path)
-        transcript = orch.simulate_debate(paper, client)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        orch.save_transcript(transcript, out)
-        n_done += 1
-    click.echo(f"simulate: {n_done} written, {n_skipped} skipped "
-               f"({client.chat_requests} requests)")
+    client = orch.make_client(obj["config"].endpoint)
+
+    def write(rec: ManifestRecord, tmp: Path) -> None:
+        paper = _read(rec, "paper", orch.load_paper)
+        orch.save_transcript(orch.simulate_debate(paper, client), tmp)
+
+    _run_stage(obj, manifest, "simulate", "transcript", write, client)
 
 
 @cli.command()
@@ -205,55 +258,13 @@ def simulate(obj, manifest) -> None:
 @click.pass_obj
 def extract(obj, manifest) -> None:
     """Extract opinion triples from each transcript."""
-    cfg: RunConfig = obj["config"]
-    client = orch.make_client(cfg.endpoint)
-    n_done = n_skipped = 0
-    for rec in load_manifest(manifest):
-        out = rec.path("triples")
-        if not _fresh(out, obj["force"]):
-            n_skipped += 1
-            continue
-        transcript = _load_transcript(rec)
-        try:
-            batch = orch.extract_triples(transcript, client)
-        except orch.ExtractionFailed as exc:
-            raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-        doc = {"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}
-        _write_json(out, doc)
-        n_done += 1
-    click.echo(f"extract: {n_done} written, {n_skipped} skipped")
+    client = orch.make_client(obj["config"].endpoint)
 
+    def write(rec: ManifestRecord, tmp: Path) -> None:
+        batch = orch.extract_triples(_read(rec, "transcript", orch.load_transcript), client)
+        tmp.write_text(_json({"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}))
 
-def _load_transcript(rec: ManifestRecord) -> orch.Transcript:
-    path = rec.path("transcript")
-    if not path.exists():
-        raise DataFailure(f"{rec.paper_id}: transcript missing: {path}")
-    return orch.load_transcript(path)
-
-
-def _load_triples(rec: ManifestRecord) -> extraction.TripleBatch:
-    path = rec.path("triples")
-    if not path.exists():
-        raise DataFailure(f"{rec.paper_id}: triples file missing: {path}")
-    try:
-        return extraction.parse_triple_batch(path.read_text(), rec.paper_id)
-    except extraction.ExtractionError as exc:
-        raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-
-
-def _load_dims(rec: ManifestRecord) -> list[extraction.DimensionAssignment]:
-    path = rec.path("dims")
-    if not path.exists():
-        raise DataFailure(f"{rec.paper_id}: dimension file missing: {path}")
-    out = []
-    for entry in json.loads(path.read_text()):
-        out.append(
-            extraction.DimensionAssignment(
-                speaker=entry["speaker"], text=entry["text"],
-                dimension=graphmod.Dimension(entry["dimension"]),
-            )
-        )
-    return out
+    _run_stage(obj, manifest, "extract", "triples", write, client)
 
 
 @cli.command()
@@ -261,40 +272,16 @@ def _load_dims(rec: ManifestRecord) -> list[extraction.DimensionAssignment]:
 @click.pass_obj
 def classify(obj, manifest) -> None:
     """Assign an evaluation dimension to every distinct reviewer opinion."""
-    cfg: RunConfig = obj["config"]
-    client = orch.make_client(cfg.endpoint)
-    n_done = n_skipped = 0
-    for rec in load_manifest(manifest):
-        out = rec.path("dims")
-        if not _fresh(out, obj["force"]):
-            n_skipped += 1
-            continue
-        batch = _load_triples(rec)
-        try:
-            dims = orch.classify_dimensions(batch, client, jobs=obj["jobs"])
-        except orch.ClassificationFailed as exc:
-            raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-        _write_json(out, [
+    client = orch.make_client(obj["config"].endpoint)
+
+    def write(rec: ManifestRecord, tmp: Path) -> None:
+        dims = orch.classify_dimensions(_read_triples(rec), client, jobs=obj["jobs"])
+        tmp.write_text(_json([
             {"speaker": d.speaker, "text": d.text, "dimension": d.dimension.value}
             for d in dims
-        ])
-        n_done += 1
-    click.echo(f"classify: {n_done} written, {n_skipped} skipped")
+        ]))
 
-
-def _node_texts(rec: ManifestRecord) -> list[str]:
-    """All node texts a graph built from this record will carry."""
-    transcript = _load_transcript(rec)
-    batch = _load_triples(rec)
-    texts = [extraction.normalize_text(transcript.title)]
-    texts += list(graphmod.DIMENSION_LABELS.values())
-    seen = set(texts)
-    for t in batch.triplets:
-        for text in (t.text_a, t.text_b):
-            if text not in seen:
-                seen.add(text)
-                texts.append(text)
-    return texts
+    _run_stage(obj, manifest, "classify", "dims", write, client)
 
 
 @cli.command()
@@ -302,38 +289,16 @@ def _node_texts(rec: ManifestRecord) -> list[str]:
 @click.pass_obj
 def embed(obj, manifest) -> None:
     """Embed every node text into the per-paper embedding cache."""
-    cfg: RunConfig = obj["config"]
-    client = orch.make_client(cfg.endpoint)
-    n_done = n_skipped = 0
-    for rec in load_manifest(manifest):
-        out = rec.path("embeddings")
-        if not _fresh(out, obj["force"]):
-            n_skipped += 1
-            continue
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with graphmod.replacing(out) as tmp:
-            orch.embed_texts(_node_texts(rec), client, orch.EmbeddingCache(tmp))
-        n_done += 1
-    click.echo(f"embed: {n_done} written, {n_skipped} skipped "
-               f"({client.embed_requests} requests)")
+    client = orch.make_client(obj["config"].endpoint)
 
+    def write(rec: ManifestRecord, tmp: Path) -> None:
+        # the texts of every node a graph built from this paper will carry
+        title = _read(rec, "transcript", orch.load_transcript).title
+        texts = [extraction.normalize_text(title), *graphmod.DIMENSION_LABELS.values()]
+        texts += [text for t in _read_triples(rec).triplets for text in (t.text_a, t.text_b)]
+        orch.embed_texts(list(dict.fromkeys(texts)), client, orch.EmbeddingCache(tmp))
 
-def _load_embeddings_for_graph(
-    rec: ManifestRecord, g: graphmod.DebateGraph
-) -> dict[int, np.ndarray]:
-    try:
-        cache = orch.EmbeddingCache(rec.path("embeddings"))
-    except orch.CorruptCache as exc:
-        raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-    out: dict[int, np.ndarray] = {}
-    for n in g.nodes:
-        v = cache.get(n.text)
-        if v is None:
-            raise DataFailure(
-                f"{rec.paper_id}: no cached embedding for node {n.id} text {n.text[:50]!r}"
-            )
-        out[n.id] = v
-    return out
+    _run_stage(obj, manifest, "embed", "embeddings", write, client)
 
 
 @cli.command("build-graph")
@@ -342,32 +307,22 @@ def _load_embeddings_for_graph(
 def build_graph_cmd(obj, manifest) -> None:
     """Instantiate, ablate, validate, and write the debate graphs."""
     cfg: RunConfig = obj["config"]
-    n_done = n_skipped = 0
-    for rec in load_manifest(manifest):
-        out = rec.path("graph")
-        if not _fresh(out, obj["force"]):
-            n_skipped += 1
-            continue
-        transcript = _load_transcript(rec)
-        batch = _load_triples(rec)
-        dims = _load_dims(rec)
-        try:
-            g = extraction.build_graph(
-                transcript.title, batch, dims,
-                add_inverse_edges=cfg.model.use_inverse_edges,
-                label=rec.label, graph_id=rec.paper_id,
-            )
-            g = graphmod.apply_ablation(g, cfg.ablation)
-        except (extraction.ExtractionError, graphmod.GraphError) as exc:
-            raise DataFailure(f"{rec.paper_id}: {exc}") from exc
+
+    def write(rec: ManifestRecord, tmp: Path) -> None:
+        g = extraction.build_graph(
+            _read(rec, "transcript", orch.load_transcript).title,
+            _read_triples(rec), _read(rec, "dims", _parse_dims),
+            add_inverse_edges=cfg.model.use_inverse_edges,
+            label=rec.label, graph_id=rec.paper_id,
+        )
+        g = graphmod.apply_ablation(g, cfg.ablation)
         report = graphmod.validate_graph(g, cfg.ablation)
         if not report.ok:
-            raise DataFailure(f"{rec.paper_id}: graph validation failed: "
-                              f"{'; '.join(report.violations)}")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        graphmod.save_graph(g, out)
-        n_done += 1
-    click.echo(f"build-graph: {n_done} written, {n_skipped} skipped")
+            raise graphmod.GraphError(
+                f"graph validation failed: {'; '.join(report.violations)}")
+        graphmod.save_graph(g, tmp)
+
+    _run_stage(obj, manifest, "build-graph", "graph", write)
 
 
 def _load_examples(records: list[ManifestRecord], split: str,
@@ -376,20 +331,17 @@ def _load_examples(records: list[ManifestRecord], split: str,
     for rec in records:
         if rec.split != split:
             continue
-        path = rec.path("graph")
-        if not path.exists():
-            raise DataFailure(f"{rec.paper_id}: graph file missing: {path}")
-        try:
-            g = graphmod.load_graph(path)
-        except graphmod.CorruptGraph as exc:
-            raise DataFailure(f"{rec.paper_id}: {exc}") from exc
+        g = _read(rec, "graph", graphmod.load_graph)
         if ablation is not None:
             g = graphmod.apply_ablation(g, ablation)
-        examples.append(
-            training.GraphExample(
-                graph=g, embeddings=_load_embeddings_for_graph(rec, g), label=rec.label
-            )
-        )
+        cache = _read(rec, "embeddings", orch.EmbeddingCache)
+        embeddings: dict[int, np.ndarray] = {}
+        for n in g.nodes:
+            if (v := cache.get(n.text)) is None:
+                raise DataFailure(f"{rec.paper_id}: no cached embedding for node {n.id} "
+                                  f"text {n.text[:50]!r}")
+            embeddings[n.id] = v
+        examples.append(training.GraphExample(graph=g, embeddings=embeddings, label=rec.label))
     return examples
 
 
@@ -411,9 +363,8 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
 
     checkpoint, history = training.train(train_set, val_set, cfg.model, cfg.train)
     training.save_checkpoint(checkpoint, checkpoint_path)
-    with open(history_path, "w") as fh:
-        for row in history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    with graphmod.replacing(history_path) as tmp:
+        tmp.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in history))
 
     train_preds = [
         training.predict_label_index(ex, checkpoint.params, cfg.model) for ex in train_set
@@ -424,6 +375,17 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
         f"best val macro-F1 {checkpoint.best_val_macro_f1:.4f}, "
         f"train accuracy {train_report.accuracy:.4f}"
     )
+
+
+def _read_compare(path: str) -> list[float]:
+    """Another run's per-paper correctness indicators: a JSON list of numbers."""
+    try:
+        raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, list):
+            raise TypeError(f"expected a JSON list, found {type(raw).__name__}")
+        return [float(x) for x in raw]
+    except (OSError, TypeError, ValueError) as exc:
+        raise DataFailure(f"--compare file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _table2_row(report: training.EvalReport) -> dict[str, float]:
@@ -447,6 +409,7 @@ def _table2_row(report: training.EvalReport) -> dict[str, float]:
 @click.pass_obj
 def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> None:
     """Evaluate a checkpoint on one split and write the report."""
+    theirs = _read_compare(compare_path) if compare_path is not None else None
     checkpoint = training.load_checkpoint(checkpoint_path)
     records = load_manifest(manifest)
     examples = _load_examples(records, split)
@@ -461,9 +424,8 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
     report = training.evaluate(preds, golds)
 
     doc: dict = {**_table2_row(report), "n": report.n, "split": split}
-    if compare_path is not None:
+    if theirs is not None:
         ours = [1.0 if p == y else 0.0 for p, y in zip(preds, golds)]
-        theirs = [float(x) for x in json.loads(Path(compare_path).read_text())]
         t, df, p = training.welch_t_test(ours, theirs)
         doc["welch"] = {"t": t, "df": df, "p": p}
     _write_json(Path(output), doc)

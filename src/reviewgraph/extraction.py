@@ -17,7 +17,7 @@ from enum import Enum
 
 from .graph import (
     AUTHOR_SPEAKER,
-    DIMENSION_LABELS,
+    DIMENSION_NODE_IDS,
     INTER_REVIEWER_RELATIONS,
     REVIEWER_AUTHOR_RELATIONS,
     REVIEWER_SPEAKERS,
@@ -27,6 +27,8 @@ from .graph import (
     Node,
     NodeType,
     RelationType,
+    assemble,
+    skeleton,
     validate_graph,
 )
 
@@ -307,13 +309,7 @@ def build_graph(
     distinct reviewer opinion lacks a dimension.
     """
     dim_lookup = {(d.speaker, normalize_text(d.text)): d.dimension for d in dims}
-
-    nodes: list[Node] = [Node(0, NodeType.TITLE, normalize_text(title))]
-    dim_node_id: dict[Dimension, int] = {}
-    for dim in Dimension:
-        dim_node_id[dim] = len(nodes)
-        nodes.append(Node(len(nodes), NodeType.EVALUATION_DIMENSION, DIMENSION_LABELS[dim]))
-
+    nodes, edges = skeleton(normalize_text(title))
     opinion_id: dict[tuple[str, str], int] = {}
     orphans: list[tuple[str, str]] = []
 
@@ -334,41 +330,22 @@ def build_graph(
         opinion_id[key] = node_id
         return node_id
 
-    edge_set: set[tuple[int, int, RelationType]] = set()
-    edges: list[Edge] = []
-
-    def add_edge(src: int, dst: int, rel: RelationType) -> None:
-        if (src, dst, rel) not in edge_set:
-            edge_set.add((src, dst, rel))
-            edges.append(Edge(src, dst, rel))
-
-    for dim in Dimension:
-        add_edge(0, dim_node_id[dim], RelationType.HAS_ASPECT)
-
     for t in batch.triplets:
         rel = canonical_relation(t.relation_label, t.group)
         src = opinion_node(t.speaker_a, t.text_a)
         dst = opinion_node(t.speaker_b, t.text_b)
-        add_edge(src, dst, rel)
+        edges.append(Edge(src, dst, rel))
 
     if orphans:
         raise MissingDimensionAssignment(orphans)
 
-    for (speaker, text), node_id in opinion_id.items():
+    for node_id in opinion_id.values():
         node = nodes[node_id]
         if node.node_type == NodeType.REVIEWER_OPINION:
-            add_edge(node_id, dim_node_id[node.dimension], RelationType.REVIEWED_BY)
+            edges.append(Edge(node_id, DIMENSION_NODE_IDS[node.dimension],
+                              RelationType.REVIEWED_BY))
 
-    if add_inverse_edges:
-        for e in list(edges):
-            edges.append(Edge(e.dst, e.src, e.relation, inverse=True))
-
-    g = DebateGraph(
-        graph_id=graph_id or batch.graph_id,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        label=label,
-    )
+    g = assemble(graph_id or batch.graph_id, nodes, edges, label, add_inverse_edges)
     report = validate_graph(g)
     if not report.ok:
         raise ExtractionError(f"built graph failed validation: {report.violations}")

@@ -442,13 +442,33 @@ def edge_counts_by_group(g: DebateGraph) -> dict[str, int]:
     return counts
 
 
+#: Node id of each dimension node; every built graph starts with the title
+#: node 0 and these four.
+DIMENSION_NODE_IDS: dict[Dimension, int] = {d: i for i, d in enumerate(Dimension, start=1)}
+
+
+def skeleton(title: str) -> tuple[list[Node], list[Edge]]:
+    """The title node, the four dimension nodes, and the title's
+    ``has_aspect`` edge to each of them: what every debate graph starts with."""
+    nodes = [Node(0, NodeType.TITLE, title)]
+    nodes += [Node(i, NodeType.EVALUATION_DIMENSION, DIMENSION_LABELS[d])
+              for d, i in DIMENSION_NODE_IDS.items()]
+    edges = [Edge(0, i, RelationType.HAS_ASPECT) for i in DIMENSION_NODE_IDS.values()]
+    return nodes, edges
+
+
+def assemble(graph_id: str, nodes: Iterable[Node], edges: Iterable[Edge],
+             label: str | None = None, add_inverse_edges: bool = True) -> DebateGraph:
+    """The graph over ``nodes`` and the forward ``edges`` in order, a repeated
+    edge kept once; with ``add_inverse_edges`` the inverse of every kept edge
+    follows them, in the same order."""
+    edges = tuple(dict.fromkeys(edges))
+    if add_inverse_edges:
+        edges += tuple(Edge(e.dst, e.src, e.relation, inverse=True) for e in edges)
+    return DebateGraph(graph_id=graph_id, nodes=tuple(nodes), edges=edges, label=label)
+
+
 def build_minimal_graph(graph_id: str, title: str, label: str | None = None,
                         add_inverse_edges: bool = True) -> DebateGraph:
     """Smallest schema-complete graph: one title, four dimensions, has-aspect edges."""
-    nodes = [Node(0, NodeType.TITLE, title)]
-    for i, dim in enumerate(Dimension, start=1):
-        nodes.append(Node(i, NodeType.EVALUATION_DIMENSION, DIMENSION_LABELS[dim]))
-    edges = [Edge(0, i, RelationType.HAS_ASPECT) for i in range(1, 5)]
-    if add_inverse_edges:
-        edges.extend(Edge(i, 0, RelationType.HAS_ASPECT, inverse=True) for i in range(1, 5))
-    return DebateGraph(graph_id=graph_id, nodes=tuple(nodes), edges=tuple(edges), label=label)
+    return assemble(graph_id, *skeleton(title), label, add_inverse_edges)

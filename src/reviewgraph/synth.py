@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import (
     AUTHOR_SPEAKER,
-    DIMENSION_LABELS,
+    DIMENSION_NODE_IDS,
     INTER_REVIEWER_RELATIONS,
     LABEL_ACCEPT,
     LABEL_REJECT,
@@ -26,6 +26,8 @@ from .graph import (
     Node,
     NodeType,
     RelationType,
+    assemble,
+    skeleton,
 )
 from .training import GraphExample
 
@@ -52,12 +54,7 @@ def random_debate_graph(
 ) -> DebateGraph:
     """A random schema-valid graph exercising all relation groups."""
     rng = np.random.default_rng(seed)
-    nodes: list[Node] = [Node(0, NodeType.TITLE, f"Synthetic paper {graph_id}")]
-    dim_ids: dict[Dimension, int] = {}
-    for d in Dimension:
-        dim_ids[d] = len(nodes)
-        nodes.append(Node(len(nodes), NodeType.EVALUATION_DIMENSION, DIMENSION_LABELS[d]))
-
+    nodes, edges = skeleton(f"Synthetic paper {graph_id}")
     n_rev = int(rng.integers(n_reviewer_opinions[0], n_reviewer_opinions[1] + 1))
     n_auth = int(rng.integers(n_author_opinions[0], n_author_opinions[1] + 1))
     rev_ids: list[int] = []
@@ -86,35 +83,21 @@ def random_debate_graph(
             )
         )
 
-    edge_set: set[tuple[int, int, RelationType]] = set()
-    edges: list[Edge] = []
-
-    def add(src: int, dst: int, rel: RelationType) -> None:
-        if (src, dst, rel) not in edge_set:
-            edge_set.add((src, dst, rel))
-            edges.append(Edge(src, dst, rel))
-
-    for d in Dimension:
-        add(0, dim_ids[d], RelationType.HAS_ASPECT)
     for rid in rev_ids:
-        add(rid, dim_ids[nodes[rid].dimension], RelationType.REVIEWED_BY)
+        edges.append(Edge(rid, DIMENSION_NODE_IDS[nodes[rid].dimension], RelationType.REVIEWED_BY))
     for aid in auth_ids:
         rid = rev_ids[int(rng.integers(0, len(rev_ids)))]
         rel = REVIEWER_AUTHOR_RELATIONS[int(rng.integers(0, len(REVIEWER_AUTHOR_RELATIONS)))]
-        add(rid, aid, rel)
+        edges.append(Edge(rid, aid, rel))
     n_irr = int(rng.integers(0, max(1, n_rev)))
     for _ in range(n_irr):
         a, b = rng.choice(len(rev_ids), size=2, replace=False) if len(rev_ids) > 1 else (0, 0)
         if rev_ids[int(a)] == rev_ids[int(b)]:
             continue
         rel = INTER_REVIEWER_RELATIONS[int(rng.integers(0, len(INTER_REVIEWER_RELATIONS)))]
-        add(rev_ids[int(a)], rev_ids[int(b)], rel)
+        edges.append(Edge(rev_ids[int(a)], rev_ids[int(b)], rel))
 
-    if add_inverse_edges:
-        for e in list(edges):
-            edges.append(Edge(e.dst, e.src, e.relation, inverse=True))
-
-    return DebateGraph(graph_id=graph_id, nodes=tuple(nodes), edges=tuple(edges), label=label)
+    return assemble(graph_id, nodes, edges, label, add_inverse_edges)
 
 
 def rule_labeled_graph(
@@ -129,16 +112,10 @@ def rule_labeled_graph(
     own author reply; inter-reviewer edges carry no label information.
     """
     rng = np.random.default_rng(seed)
-    nodes: list[Node] = [Node(0, NodeType.TITLE, f"Rule paper {graph_id}")]
-    dim_ids: dict[Dimension, int] = {}
-    for d in Dimension:
-        dim_ids[d] = len(nodes)
-        nodes.append(Node(len(nodes), NodeType.EVALUATION_DIMENSION, DIMENSION_LABELS[d]))
-
+    nodes, edges = skeleton(f"Rule paper {graph_id}")
     n_ops = int(rng.integers(n_opinions[0], n_opinions[1] + 1))
     if n_ops % 2 == 0:
         n_ops += 1  # avoid accept/reject ties
-    edges: list[Edge] = [Edge(0, dim_ids[d], RelationType.HAS_ASPECT) for d in Dimension]
 
     n_accept = 0
     rev_ids: list[int] = []
@@ -151,7 +128,7 @@ def rule_labeled_graph(
             Node(rid, NodeType.REVIEWER_OPINION, f"Reviewer point {i} of {graph_id}",
                  speaker=speaker, dimension=dim)
         )
-        edges.append(Edge(rid, dim_ids[dim], RelationType.REVIEWED_BY))
+        edges.append(Edge(rid, DIMENSION_NODE_IDS[dim], RelationType.REVIEWED_BY))
         aid = len(nodes)
         nodes.append(
             Node(aid, NodeType.AUTHOR_OPINION, f"Author answer {i} of {graph_id}",
@@ -168,12 +145,8 @@ def rule_labeled_graph(
         rel = INTER_REVIEWER_RELATIONS[int(rng.integers(0, len(INTER_REVIEWER_RELATIONS)))]
         edges.append(Edge(rev_ids[i - 1], rev_ids[i], rel))
 
-    if add_inverse_edges:
-        for e in list(edges):
-            edges.append(Edge(e.dst, e.src, e.relation, inverse=True))
-
     label = LABEL_ACCEPT if n_accept * 2 > n_ops else LABEL_REJECT
-    return DebateGraph(graph_id=graph_id, nodes=tuple(nodes), edges=tuple(edges), label=label)
+    return assemble(graph_id, nodes, edges, label, add_inverse_edges)
 
 
 def generate_rule_dataset(

@@ -1,7 +1,12 @@
+import builtins
+import contextlib
+import io
 import json
 import struct
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pipeline_utils import make_workspace, run, run_stage_pipeline
 from reviewgraph import autodiff as ad
@@ -286,3 +291,120 @@ def test_duplicate_paper_id_is_data_error(tmp_path):
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join(lines + [lines[0]]) + "\n")
     assert run(tmp_path, "simulate", str(manifest)) == 3
+
+
+@pytest.mark.parametrize("content", [None, "[1.0, 0.", '{"a": 1.0}', '"1010"', '[1.0, "x"]',
+                                     "[1.0, null]"],
+                         ids=["missing", "torn", "object", "string", "text-entry", "null-entry"])
+def test_evaluate_bad_compare_file_exits_3_naming_it(tmp_path, capsys, content):
+    manifest = _trained_workspace(tmp_path)
+    compare = tmp_path / "other.json"
+    if content is not None:
+        compare.write_text(content)
+    capsys.readouterr()
+    code = run(tmp_path, "evaluate", str(manifest), "--checkpoint", str(tmp_path / "c.rvgc"),
+               "--output", str(tmp_path / "ev.json"), "--compare", str(compare))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert str(compare) in err and "Traceback" not in err
+    assert not (tmp_path / "ev.json").exists()
+
+
+STAGE_OUTPUTS = {"simulate": "transcript.json", "extract": "triples.json",
+                 "classify": "dims.json", "build-graph": "graph.json"}
+STAGE_ORDER = ("simulate", "extract", "classify", "embed", "build-graph")
+
+
+@pytest.mark.parametrize("stage", list(STAGE_OUTPUTS))
+def test_stage_interrupted_mid_write_leaves_no_partial_output(tmp_path, capsys, monkeypatch,
+                                                              stage):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    for earlier in STAGE_ORDER[:STAGE_ORDER.index(stage)]:
+        assert run(tmp_path, earlier, str(manifest)) == 0
+    real_open = io.open
+
+    class HalfWriter:
+        """A file object that writes half its data, then is interrupted."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith("p1."):
+            return HalfWriter(fh)
+        return fh
+
+    monkeypatch.setattr(io, "open", open_)
+    monkeypatch.setattr(builtins, "open", open_)
+    code = run(tmp_path, stage, str(manifest))
+    monkeypatch.undo()
+    assert code == 1  # an interrupt is click.Abort
+    out = tmp_path / "work" / f"p1.{STAGE_OUTPUTS[stage]}"
+    assert (tmp_path / "work" / f"p0.{STAGE_OUTPUTS[stage]}").exists()
+    assert not out.exists()
+    assert not list((tmp_path / "work").glob("*.tmp"))
+    capsys.readouterr()
+    assert run(tmp_path, stage, str(manifest)) == 0
+    assert out.exists()
+    assert "2 written, 1 skipped" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def trained_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    manifest = _trained_workspace(root)
+    files = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    return root, manifest, files
+
+
+# artifact -> (file, the command that reads it); evaluate reads the paper's split.
+ARTIFACTS = {
+    "paper": ("papers/{}.json", "simulate"),
+    "transcript": ("work/{}.transcript.json", "extract"),
+    "triples": ("work/{}.triples.json", "classify"),
+    "dims": ("work/{}.dims.json", "build-graph"),
+    "embeddings": ("work/{}.emb.jsonl", "evaluate"),
+    "graph": ("work/{}.graph.json", "evaluate"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(artifact=st.sampled_from(sorted(ARTIFACTS)), paper=st.sampled_from(THREE_PAPERS),
+       data=st.data())
+def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact, paper, data):
+    root, manifest, files = trained_workspace
+    paper_id, split, _label = paper
+    pattern, command = ARTIFACTS[artifact]
+    path = root / pattern.format(paper_id)
+    whole = files[path]
+    # a JSON document cut before its last closing bracket never parses; a cache
+    # cut anywhere loses at least one vector
+    limit = len(whole) if artifact == "embeddings" else len(whole.rstrip())
+    path.write_bytes(whole[: data.draw(st.integers(0, limit - 1), label="offset")])
+    extra = (["--checkpoint", str(root / "c.rvgc"), "--split", split,
+              "--output", str(root / "ev.json")] if command == "evaluate" else [])
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(root, "--force", command, str(manifest), *extra)
+    finally:
+        for p in root.rglob("*"):
+            if p.is_file() and (p not in files or p.read_bytes() != files[p]):
+                p.unlink()
+        for p, content in files.items():
+            if not p.exists():
+                p.write_bytes(content)
+    assert code == 3
+    assert f"{paper_id}: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,17 @@
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from reviewgraph import graph as graphmod
+from reviewgraph.extraction import (
+    DimensionAssignment,
+    build_graph,
+    parse_triple_batch,
+    reviewer_opinion_keys,
+)
 from reviewgraph.graph import (
     AblationMode,
     CorruptGraph,
@@ -25,7 +33,9 @@ from reviewgraph.graph import (
     save_graph,
     validate_graph,
 )
-from reviewgraph.synth import random_debate_graph
+from reviewgraph.synth import random_debate_graph, rule_labeled_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_graph(add_inverse=True):
@@ -228,3 +238,38 @@ def test_random_graphs_validate():
         g = random_debate_graph(seed)
         report = validate_graph(g)
         assert report.ok, (seed, report.violations)
+
+
+def _digest(graphs):
+    docs = [graph_to_dict(g) for g in graphs]
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def _sample_graphs():
+    graphs = []
+    for name in ("accepted", "rejected"):
+        batch = parse_triple_batch((DATA / f"triples_{name}_sample.json").read_text(), name)
+        dims = [DimensionAssignment(s, t, list(Dimension)[i % 4])
+                for i, (s, t) in enumerate(reviewer_opinion_keys(batch))]
+        graphs += [build_graph("  A  title ", batch, dims, label=name),
+                   build_graph("T", batch, dims, add_inverse_edges=False)]
+    return graphs
+
+
+# sha256 of the graph_to_dict documents: same-seed graphs, and so graph files,
+# must keep their node and edge order byte for byte.
+@pytest.mark.parametrize("make, digest", [
+    (lambda: [random_debate_graph(s, f"g{s}") for s in range(5)]
+     + [random_debate_graph(s, "small", (2, 3), (1, 2), add_inverse_edges=False,
+                            label="accept") for s in range(5)],
+     "09617ad7bf9806138ceeb8c91924b1e416b946cb2a456ce40f68d5ad99f22ccd"),
+    (lambda: [rule_labeled_graph(s, f"r{s}") for s in range(5)]
+     + [rule_labeled_graph(s, "r", (2, 5), add_inverse_edges=False) for s in range(5)],
+     "1a02d4c28f4ccfbbec23d9d2a7f829d2f1a99f0d0eeb335bb969b62487720145"),
+    (lambda: [build_minimal_graph("m", "Title"),
+              build_minimal_graph("m", "T", "reject", False)],
+     "a3f8f735472dae0110601178ad2ef6390423241ed07ac05a19b82fa00a33c3e1"),
+    (_sample_graphs, "1166d4fb0fbad59dd27fe913d0353992f79fecc97abe0542c8ab3c854e92bcf9"),
+], ids=["random_debate_graph", "rule_labeled_graph", "build_minimal_graph", "build_graph"])
+def test_graph_builders_keep_node_and_edge_order(make, digest):
+    assert _digest(make()) == digest
