@@ -186,9 +186,9 @@ def _parse_dims(path: Path) -> list[extraction.DimensionAssignment]:
 
 
 #: What a stage's own work raises on bad input; it exits 3 naming the paper.
-_STAGE_DATA_ERRORS = (orch.ExtractionFailed, orch.ClassificationFailed,
-                      orch.InconsistentDimension, extraction.ExtractionError,
-                      graphmod.GraphError)
+_STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.IncompleteTranscript, orch.ExtractionFailed,
+                      orch.ClassificationFailed, orch.InconsistentDimension,
+                      extraction.ExtractionError, graphmod.GraphError)
 
 
 def _run_stage(obj: dict, manifest: str, name: str, kind: str,
@@ -325,23 +325,34 @@ def build_graph_cmd(obj, manifest) -> None:
     _run_stage(obj, manifest, "build-graph", "graph", write)
 
 
-def _load_examples(records: list[ManifestRecord], split: str,
-                   ablation: graphmod.AblationMode | None = None) -> list[training.GraphExample]:
-    examples = []
+def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...]
+                 ) -> list[tuple[ManifestRecord, graphmod.DebateGraph, dict[str, np.ndarray]]]:
+    """Each ``splits`` paper's graph and its node texts' embeddings; every file is read once."""
+    papers = []
     for rec in records:
-        if rec.split != split:
+        if rec.split not in splits:
             continue
         g = _read(rec, "graph", graphmod.load_graph)
-        if ablation is not None:
-            g = graphmod.apply_ablation(g, ablation)
         cache = _read(rec, "embeddings", orch.EmbeddingCache)
-        embeddings: dict[int, np.ndarray] = {}
+        vectors: dict[str, np.ndarray] = {}
         for n in g.nodes:
             if (v := cache.get(n.text)) is None:
                 raise DataFailure(f"{rec.paper_id}: no cached embedding for node {n.id} "
                                   f"text {n.text[:50]!r}")
-            embeddings[n.id] = v
-        examples.append(training.GraphExample(graph=g, embeddings=embeddings, label=rec.label))
+            vectors[n.text] = v
+        papers.append((rec, g, vectors))
+    return papers
+
+
+def _examples(papers: list[tuple], split: str,
+              ablation: graphmod.AblationMode | None = None) -> list[training.GraphExample]:
+    """The ``split``'s papers as examples, each graph ablated in memory if ``ablation`` is set."""
+    examples = []
+    for rec, g, vectors in papers:
+        if rec.split == split:
+            g = g if ablation is None else graphmod.apply_ablation(g, ablation)
+            examples.append(training.GraphExample(
+                graph=g, embeddings={n.id: vectors[n.text] for n in g.nodes}, label=rec.label))
     return examples
 
 
@@ -355,9 +366,9 @@ def _load_examples(records: list[ManifestRecord], split: str,
 def train(obj, manifest, checkpoint_path, history_path) -> None:
     """Train the classifier on the manifest's train/val splits."""
     cfg: RunConfig = obj["config"]
-    records = load_manifest(manifest)
-    train_set = _load_examples(records, "train")
-    val_set = _load_examples(records, "val")
+    papers = _load_papers(load_manifest(manifest), ("train", "val"))
+    train_set = _examples(papers, "train")
+    val_set = _examples(papers, "val")
     if not train_set or not val_set:
         raise UsageFailure("manifest needs non-empty train and val splits")
 
@@ -411,8 +422,7 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
     """Evaluate a checkpoint on one split and write the report."""
     theirs = _read_compare(compare_path) if compare_path is not None else None
     checkpoint = training.load_checkpoint(checkpoint_path)
-    records = load_manifest(manifest)
-    examples = _load_examples(records, split)
+    examples = _examples(_load_papers(load_manifest(manifest), (split,)), split)
     if not examples:
         raise DataFailure(f"no graphs in split {split!r}")
 
@@ -439,14 +449,14 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
 def ablate(obj, manifest, output) -> None:
     """Train and evaluate every ablation mode with the shared seed."""
     cfg: RunConfig = obj["config"]
-    records = load_manifest(manifest)
+    papers = _load_papers(load_manifest(manifest), ("train", "val", "test"))
     rows: list[dict] = []
     for mode in graphmod.AblationMode:
         model_config = dataclasses.replace(cfg.model, homogeneous=(
             mode == graphmod.AblationMode.HOMOGENEOUS))
-        train_set = _load_examples(records, "train", ablation=mode)
-        val_set = _load_examples(records, "val", ablation=mode)
-        test_set = _load_examples(records, "test", ablation=mode)
+        train_set = _examples(papers, "train", ablation=mode)
+        val_set = _examples(papers, "val", ablation=mode)
+        test_set = _examples(papers, "test", ablation=mode)
         if not train_set or not val_set or not test_set:
             raise UsageFailure("ablate needs non-empty train, val, and test splits")
         checkpoint, _history = training.train(train_set, val_set, model_config, cfg.train)
@@ -483,7 +493,7 @@ def gradcheck(obj, eps, threshold, samples) -> int:
     )
     embeddings = synth.embeddings_for(g, config.input_dim, seed)
     params = modelmod.init_params(config, seed)
-    index = modelmod.build_graph_index(g, config)
+    index = modelmod.build_graph_index([g], config)
 
     def loss_fn(p: autodiff.ParamStore) -> autodiff.Tensor:
         return modelmod.forward_loss([g], [embeddings], p, config, [0], index)

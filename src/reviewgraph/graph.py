@@ -9,6 +9,7 @@ explicitly with an ``inverse`` flag so that every node can receive messages.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import contextmanager
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 
 class GraphError(Exception):
@@ -105,6 +108,11 @@ FORWARD_RELATIONS = STRUCTURAL_RELATIONS + INTER_REVIEWER_RELATIONS + REVIEWER_A
 #: Position of each relation in ``RelationType``; orders incoming edges.
 REL_ORDINAL = {r: i for i, r in enumerate(RelationType)}
 
+#: Codes of ``DebateGraph.codes``, keyed by ``_name_`` (hashing a member runs
+#: Python code). An edge's code ``REL_CODE + inverse`` orders like (ordinal, inverse).
+TYPE_CODE = {t._name_: i for i, t in enumerate(NodeType)}
+REL_CODE = {r._name_: 2 * i for r, i in REL_ORDINAL.items()}
+
 REVIEWER_SPEAKERS = ("reviewer_1", "reviewer_2", "reviewer_3")
 AUTHOR_SPEAKER = "author"
 ALL_SPEAKERS = REVIEWER_SPEAKERS + (AUTHOR_SPEAKER,)
@@ -190,6 +198,21 @@ class DebateGraph:
 
     def nodes_of_type(self, node_type: NodeType) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.node_type == node_type)
+
+    @functools.cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(type_code, edge_rows)``, computed once per graph and read-only:
+        each node's ``TYPE_CODE`` in node-id order, and one
+        ``(dst, src, REL_CODE + inverse)`` row per edge in ``edges`` order."""
+        # flat lists: NumPy converts them faster than lists of tuples
+        order = np.argsort(np.array([n.id for n in self.nodes], dtype=np.intp))
+        type_code = np.array([TYPE_CODE[n.node_type._name_] for n in self.nodes],
+                             dtype=np.intp)[order]
+        edge_rows = np.array([v for e in self.edges
+                              for v in (e.dst, e.src, REL_CODE[e.relation._name_] + e.inverse)],
+                             dtype=np.intp).reshape(-1, 3)
+        type_code.flags.writeable = edge_rows.flags.writeable = False
+        return type_code, edge_rows
 
 
 def incoming(g: DebateGraph, t: int) -> tuple[tuple[int, RelationType, bool], ...]:

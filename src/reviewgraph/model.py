@@ -7,15 +7,18 @@ attention and message matrices per relation key; a learnable prior ``mu``
 per meta-relation. The homogeneous configuration collapses everything to
 one node type and the single ``connected`` relation.
 
-The forward pass runs on a batch of graphs packed into their disjoint
-union: ``pack`` concatenates the graphs' ``GraphIndex`` arrays with node and
-edge offsets, and numbers node types and relation keys over the union of
-those the batch contains. One graph is a batch of one, so ``predict`` and
-training share one forward, and its sequence of ops is fixed whatever the
-batch size, heads, node types or relations. A typed projection is one
-``matmul_by``: rows are grouped by type once per index, each present type's
-weight multiplies its contiguous block of rows, and the key, query and
-message projections are gathered straight to the edges' sources or targets.
+The forward pass runs on a batch of graphs as their disjoint union, indexed
+by ``build_graph_index`` in one pass over the integer codes each graph
+caches (``DebateGraph.codes``): they are concatenated with node offsets, one
+``lexsort`` led by the offset target orders the edges, and the node types
+and relation keys the batch contains are numbered once. PyG's
+``Batch.from_data_list`` and DGL's ``dgl.batch`` batch graphs the same way.
+One graph is a batch of one, so ``predict`` and training share one forward,
+and its sequence of ops is fixed whatever the batch size, heads, node types
+or relations. A typed projection is one ``matmul_by``: rows are grouped by
+type once per index, each present type's weight multiplies its contiguous
+block of rows, and the key, query and message projections are gathered
+straight to the edges' sources or targets.
 The relation matrices ``w_attn`` and ``w_msg`` are applied the same way over
 edges grouped by relation key, so attention scores and messages stay
 (edges, heads, head_dim) arrays and no per-edge weight copy is made.
@@ -39,7 +42,6 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graph import (
     FORWARD_RELATIONS,
-    REL_ORDINAL,
     DebateGraph,
     Edge,
     NodeType,
@@ -137,29 +139,25 @@ def meta_key(config: ModelConfig, rel_key: str) -> str:
     return name + ("__inv" if suffix == "inv" else "")
 
 
-#: Every heterogeneous node-type and relation key, by integer code: a node
-#: type's code is its position in ``NodeType``, an edge's is
-#: ``2 * REL_ORDINAL[relation] + inverse``. The homogeneous config has the
-#: single keys ``node`` and ``connected`` instead.
+#: Every heterogeneous node-type and relation key, by its ``graph.TYPE_CODE``
+#: or ``graph.REL_CODE + inverse`` code. The homogeneous config has the single
+#: keys ``node`` and ``connected`` instead.
 _TYPE_NAMES = [t.value for t in NodeType]
 _REL_NAMES = [r.value + suffix for r in RelationType for suffix in ("", "__inv")]
-# Keyed by the members' ``_name_``: hashing a member, or reading ``.name``, runs Python code.
-_TYPE_CODE = {t._name_: i for i, t in enumerate(NodeType)}
-_REL_CODE = {r._name_: 2 * i for r, i in REL_ORDINAL.items()}
 #: Pooling slot (position in ``node_type_keys``) of each heterogeneous type code.
 _POOL_SLOT = np.array([NODE_TYPE_ORDER.index(t) for t in NodeType], dtype=np.intp)
 
 
 @dataclass
 class GraphIndex:
-    """Gather/scatter arrays for one graph, or for a batch of graphs packed
-    into their disjoint union, under one config.
+    """Gather/scatter arrays for a batch of graphs as their disjoint union,
+    under one config.
 
-    Node i of the batch's graph b is row ``node_offsets[b] + i``. Within
-    each graph, edges are sorted by (target, source, relation ordinal,
-    inverse), so each target's incoming edges form one contiguous segment.
-    Node types and relation keys are numbered by their position in
-    ``type_keys`` and ``rel_keys``, which hold only those the batch contains;
+    Node i of the batch's graph b is row ``node_offsets[b] + i``. Edges are
+    sorted by (graph, target, source, relation ordinal, inverse), so each
+    target's incoming edges form one contiguous segment. Node types and
+    relation keys are numbered by their position in ``type_keys`` and
+    ``rel_keys``, which hold only those the batch contains, sorted by name;
     ``type_groups`` and ``rel_groups`` group rows by those numbers for
     ``matmul_by``. Pooling gathers the rows ``pool_rows`` so that each
     (graph, type) present is one contiguous segment of ``pool_segments``,
@@ -217,92 +215,54 @@ def _segments(sorted_ids: np.ndarray) -> np.ndarray:
     return np.stack([bounds[:-1], bounds[1:]], axis=1)
 
 
-def build_graph_index(g: DebateGraph, config: ModelConfig) -> GraphIndex:
-    nodes = np.array([(n.id, _TYPE_CODE[n.node_type._name_]) for n in g.nodes],
-                     dtype=np.intp).reshape(-1, 2)
-    type_code = nodes[np.argsort(nodes[:, 0]), 1]
+def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> GraphIndex:
+    """The index of the graphs' disjoint union, in order, built from their codes."""
+    codes = [g.codes for g in graphs]
+    counts = [len(type_code) for type_code, _ in codes]
+    node_offsets = np.cumsum([0] + counts)
+    n_nodes, n_slots = int(node_offsets[-1]), len(node_type_keys(config))
+    type_code = np.concatenate([type_code for type_code, _ in codes])
     if config.homogeneous:
-        type_keys, node_type = [HOMOGENEOUS_TYPE_KEY], np.zeros(len(nodes), dtype=np.intp)
-        pool_slot = node_type
+        type_keys, node_type = [HOMOGENEOUS_TYPE_KEY], np.zeros(n_nodes, dtype=np.intp)
+        slot = node_type
     else:
         type_keys, node_type = _present(type_code, _TYPE_NAMES)
-        pool_slot = _POOL_SLOT[type_code]
-    n_slots = len(node_type_keys(config))
-    pool_rows = np.argsort(pool_slot, kind="stable")
-    pool_segments = _segments(pool_slot[pool_rows])
+        slot = _POOL_SLOT[type_code]
+    pool_key = np.repeat(n_slots * np.arange(len(graphs)), counts) + slot
+    pool_rows = np.argsort(pool_key, kind="stable")
+    pool_segments = _segments(pool_key[pool_rows])
 
-    cols = np.array([(e.dst, e.src, _REL_CODE[e.relation._name_] + e.inverse) for e in g.edges],
-                    dtype=np.intp).reshape(-1, 3)
-    kept = np.arange(len(cols)) if config.use_inverse_edges \
-        else np.flatnonzero(cols[:, 2] % 2 == 0)
-    # (dst, src, 2 * relation ordinal + inverse) orders like (dst, src, ordinal, inverse)
-    order = kept[np.lexsort(cols[kept].T[::-1])]
-    dst, src, rel_code = cols[order].T.copy()
+    rows = np.concatenate([edge_rows + (off, off, 0)
+                           for (_, edge_rows), off in zip(codes, node_offsets.tolist())])
+    kept = np.arange(len(rows)) if config.use_inverse_edges \
+        else np.flatnonzero(rows[:, 2] % 2 == 0)
+    # (dst, src, 2 * relation ordinal + inverse) orders like (dst, src, ordinal,
+    # inverse), and the offset dst keeps the graphs in order
+    order = kept[np.lexsort(rows[kept].T[::-1])]
+    dst, src, rel_code = rows[order].T.copy()
     if config.homogeneous:
         rel_keys, edge_rel = [CONNECTED_KEY], np.zeros(len(order), dtype=np.intp)
     else:
         rel_keys, edge_rel = _present(rel_code, _REL_NAMES)
     segments = _segments(dst)
+    edges = [e for g in graphs for e in g.edges]
 
     return GraphIndex(
-        n_nodes=len(nodes),
-        node_offsets=np.array([0, len(nodes)]),
+        n_nodes=n_nodes,
+        node_offsets=node_offsets,
         type_keys=type_keys,
         node_type=node_type,
         pool_rows=pool_rows,
         pool_segments=pool_segments,
-        pool_targets=pool_slot[pool_rows[pool_segments[:, 0]]],
-        pool_scale=1.0 / np.maximum(np.bincount(pool_slot, minlength=n_slots), 1),
-        ordered_edges=[g.edges[i] for i in order.tolist()],
+        pool_targets=pool_key[pool_rows[pool_segments[:, 0]]],
+        pool_scale=1.0 / np.maximum(np.bincount(pool_key, minlength=n_slots * len(graphs)), 1),
+        ordered_edges=[edges[i] for i in order.tolist()],
         src=src,
         dst=dst,
         rel_keys=rel_keys,
         edge_rel=edge_rel,
         segments=segments,
         seg_targets=dst[segments[:, 0]],
-    )
-
-
-def _union(key_lists: Sequence[list[str]]) -> tuple[list[str], list[np.ndarray]]:
-    """The sorted union of the key lists, and per list each key's position in it."""
-    union = sorted(set().union(*key_lists))
-    pos = {k: i for i, k in enumerate(union)}
-    return union, [np.array([pos[k] for k in keys], dtype=np.intp) for keys in key_lists]
-
-
-def pack(indexes: Sequence[GraphIndex]) -> GraphIndex:
-    """The index of the graphs' disjoint union, in order: node, edge and pool
-    arrays are concatenated with per-graph offsets, and the present type and
-    relation keys are the union over the batch. One index is its own pack."""
-    if len(indexes) == 1:
-        return indexes[0]
-    node_off = np.cumsum([0] + [ix.n_nodes for ix in indexes])
-    edge_off = np.cumsum([0] + [ix.n_edges for ix in indexes])
-    n_slots = len(indexes[0].pool_scale)
-    type_keys, type_pos = _union([ix.type_keys for ix in indexes])
-    rel_keys, rel_pos = _union([ix.rel_keys for ix in indexes])
-    node_type = np.concatenate([pos[ix.node_type] for ix, pos in zip(indexes, type_pos)])
-    edge_rel = np.concatenate([pos[ix.edge_rel] for ix, pos in zip(indexes, rel_pos)])
-
-    def cat(field: str, offsets) -> np.ndarray:
-        return np.concatenate([getattr(ix, field) + off for ix, off in zip(indexes, offsets)])
-
-    return GraphIndex(
-        n_nodes=int(node_off[-1]),
-        node_offsets=node_off,
-        type_keys=type_keys,
-        node_type=node_type,
-        pool_rows=cat("pool_rows", node_off),
-        pool_segments=cat("pool_segments", node_off),
-        pool_targets=cat("pool_targets", n_slots * np.arange(len(indexes))),
-        pool_scale=np.concatenate([ix.pool_scale for ix in indexes]),
-        ordered_edges=[e for ix in indexes for e in ix.ordered_edges],
-        src=cat("src", node_off),
-        dst=cat("dst", node_off),
-        rel_keys=rel_keys,
-        edge_rel=edge_rel,
-        segments=cat("segments", edge_off),
-        seg_targets=cat("seg_targets", node_off),
     )
 
 
@@ -359,7 +319,7 @@ def _embed(
     config: ModelConfig,
     index: GraphIndex,
 ) -> Tensor:
-    """Initial node states of a packed batch: each embedding row times its type's projection."""
+    """Initial node states of a batch: each embedding row times its type's projection."""
     emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
     for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
         for n in g.nodes:
@@ -383,7 +343,7 @@ def featurize(
     index: GraphIndex | None = None,
 ) -> Tensor:
     """Initial node representations: embedding row times the type's input projection."""
-    return _embed([g], [embeddings], params, config, index or build_graph_index(g, config))
+    return _embed([g], [embeddings], params, config, index or build_graph_index([g], config))
 
 
 def _layer(
@@ -426,7 +386,7 @@ def hgt_attention(
     index: GraphIndex | None = None,
 ) -> tuple[np.ndarray, GraphIndex]:
     """Attention weights as an (E, num_heads) array over the index's edge order."""
-    index = index or build_graph_index(g, config)
+    index = index or build_graph_index([g], config)
     h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
     return _layer(h_prev, params, layer, config, index)[1], index
 
@@ -439,7 +399,7 @@ def hgt_layer(
     config: ModelConfig,
     index: GraphIndex | None = None,
 ) -> Tensor:
-    return _layer(h_prev, params, layer, config, index or build_graph_index(g, config))[0]
+    return _layer(h_prev, params, layer, config, index or build_graph_index([g], config))[0]
 
 
 @dataclass
@@ -460,7 +420,7 @@ def _forward(
     trace: ForwardTrace | None = None,
 ) -> Tensor:
     """(graphs, classes) probabilities of a batch; fills ``trace`` for a one-graph batch."""
-    index = index or pack([build_graph_index(g, config) for g in graphs])
+    index = index or build_graph_index(graphs, config)
     h = _embed(graphs, embeddings, params, config, index)
     layer_outputs, attention = [h.value], []
     for layer in range(config.num_layers):
@@ -489,12 +449,11 @@ def predict(
     embeddings: Mapping[int, np.ndarray],
     params: ParamStore,
     config: ModelConfig,
-    index: GraphIndex | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Class probabilities and the forward trace; pure given its inputs."""
     trace = ForwardTrace()
     with ad.no_grad():
-        probs = _forward([g], [embeddings], params, config, index, trace)
+        probs = _forward([g], [embeddings], params, config, trace=trace)
     return probs.value[0].copy(), trace
 
 
@@ -505,7 +464,7 @@ def predict_batch(
     config: ModelConfig,
     index: GraphIndex | None = None,
 ) -> np.ndarray:
-    """(graphs, classes) probabilities of a batch, from one packed forward."""
+    """(graphs, classes) probabilities of a batch, from one forward."""
     with ad.no_grad():
         return _forward(graphs, embeddings, params, config, index).value
 
@@ -519,5 +478,5 @@ def forward_loss(
     index: GraphIndex | None = None,
 ) -> Tensor:
     """Mean cross-entropy over a batch of graphs (differentiable); ``index``
-    is the batch's packed index."""
+    is the batch's index."""
     return ad.cross_entropy(_forward(graphs, embeddings, params, config, index), labels)

@@ -64,6 +64,14 @@ class InconsistentDimension(OrchestrationError):
     pass
 
 
+class EmptyPaper(OrchestrationError):
+    """A paper whose body is blank, so there is nothing to debate."""
+
+
+class IncompleteTranscript(OrchestrationError):
+    """A transcript that lacks one of the debate stages extraction reads."""
+
+
 class CorruptCache(OrchestrationError):
     """An embedding-cache line that does not decode; the message is ``path:line: reason``."""
 
@@ -644,7 +652,7 @@ def simulate_debate(
     and (optionally) a senior-reviewer meta-review; 8 chat requests total.
     """
     if not paper.body.strip():
-        raise OrchestrationError("paper body is empty")
+        raise EmptyPaper("paper body is empty")
 
     history: list[dict[str, str]] = [
         {"role": "system", "content": SIMULATION_SYSTEM},
@@ -707,7 +715,7 @@ def render_review_file(transcript: Transcript) -> str:
     rebuttal = transcript.stage(DebateStage.AUTHOR_REBUTTAL)
     reeval = transcript.stage(DebateStage.RE_EVALUATION)
     if initial is None or rebuttal is None or reeval is None:
-        raise OrchestrationError("transcript is missing a mandatory stage")
+        raise IncompleteTranscript("transcript is missing a mandatory stage")
 
     parts = ["### Initial Review Comments:", ""]
     for k, m in enumerate(initial.messages, start=1):

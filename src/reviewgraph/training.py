@@ -17,11 +17,9 @@ from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
 from .graph import DECISION_LABELS, DebateGraph, replacing
 from .model import (
-    GraphIndex,
     ModelConfig,
     build_graph_index,
     forward_loss,
-    pack,
     predict,
     predict_batch,
 )
@@ -177,8 +175,8 @@ class Checkpoint:
 
 
 def predict_label_index(example: GraphExample, params: ParamStore,
-                        model_config: ModelConfig, index: GraphIndex | None = None) -> int:
-    probs, _ = predict(example.graph, example.embeddings, params, model_config, index)
+                        model_config: ModelConfig) -> int:
+    probs, _ = predict(example.graph, example.embeddings, params, model_config)
     return int(np.argmax(probs))
 
 
@@ -190,10 +188,11 @@ def train(
 ) -> tuple[Checkpoint, list[dict]]:
     """Adam training with seeded shuffling and early stopping on validation macro-F1.
 
-    Each minibatch is packed into one disjoint-union graph and makes one
-    forward and one backward pass; its loss is the mean cross-entropy over
-    its graphs. Validation predictions run through the same forward, in
-    chunks of ``batch_size`` graphs. The best (earliest, on ties) validation
+    Each minibatch is one disjoint-union graph, indexed once per step from
+    its graphs' cached codes, and makes one forward and one backward pass;
+    its loss is the mean cross-entropy over its graphs. Validation
+    predictions run through the same forward, in chunks of ``batch_size``
+    graphs, each indexed once. The best (earliest, on ties) validation
     epoch's parameters are returned.
     """
     if not train_set:
@@ -209,12 +208,12 @@ def train(
     t = 0
 
     size = train_config.batch_size
-    train_indexes = [build_graph_index(ex.graph, model_config) for ex in train_set]
     val_chunks = []
     for start in range(0, len(val_set), size):
         chunk = val_set[start:start + size]
-        index = pack([build_graph_index(ex.graph, model_config) for ex in chunk])
-        val_chunks.append(([ex.graph for ex in chunk], [ex.embeddings for ex in chunk], index))
+        graphs = [ex.graph for ex in chunk]
+        val_chunks.append((graphs, [ex.embeddings for ex in chunk],
+                           build_graph_index(graphs, model_config)))
     val_golds = [ex.label_index for ex in val_set]
 
     history: list[dict] = []
@@ -232,11 +231,11 @@ def train(
         for start in range(0, len(order), size):
             members = order[start:start + size]
             batch = [train_set[i] for i in members]
+            graphs = [ex.graph for ex in batch]
             params.zero_grad()
             loss = forward_loss(
-                [ex.graph for ex in batch], [ex.embeddings for ex in batch], params,
-                model_config, [ex.label_index for ex in batch],
-                pack([train_indexes[i] for i in members]),
+                graphs, [ex.embeddings for ex in batch], params, model_config,
+                [ex.label_index for ex in batch], build_graph_index(graphs, model_config),
             )
             value = float(loss.value)
             if not math.isfinite(value):

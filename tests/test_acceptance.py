@@ -94,7 +94,7 @@ def test_criterion_03_attention_normalization_and_residual():
         if key not in params_cache:
             params_cache[key] = init_params(SMALL, key)
         params = params_cache[key]
-        index = build_graph_index(g, SMALL)
+        index = build_graph_index([g], SMALL)
         h0 = featurize(g, emb, params, SMALL, index)
         attn, index = hgt_attention(h0, g, params, 0, SMALL, index)
         for start, stop in index.segments:
@@ -106,7 +106,7 @@ def test_criterion_03_attention_normalization_and_residual():
         g = random_debate_graph(seed, f"resid-{seed}")
         emb = embeddings_for(g, config.input_dim, seed)
         params = init_params(config, seed)
-        index = build_graph_index(g, config)
+        index = build_graph_index([g], config)
         h0 = featurize(g, emb, params, config, index)
         h1 = hgt_layer(h0, g, params, 0, config, index)
         targets = {e.dst for e in index.ordered_edges}

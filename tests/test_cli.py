@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pipeline_utils import make_workspace, run, run_stage_pipeline
 from reviewgraph import autodiff as ad
+from reviewgraph import graph as graphmod
 from reviewgraph import orchestration as orch
 from reviewgraph.cli import main
 from reviewgraph.graph import NodeType, load_graph
@@ -95,6 +96,31 @@ def test_malformed_triples_file_exits_3_with_paper_id(tmp_path, capsys):
     capsys.readouterr()
     assert run(tmp_path, "classify", str(manifest)) == 3
     assert "p1" in capsys.readouterr().err
+
+
+def test_blank_paper_body_exits_3_naming_the_paper(tmp_path, capsys):
+    manifest = make_workspace(tmp_path, [("p0", "train", "accept")])
+    paper = tmp_path / "papers" / "p0.json"
+    paper.write_text(json.dumps({**json.loads(paper.read_text()), "body": "  "}))
+    capsys.readouterr()
+    assert run(tmp_path, "simulate", str(manifest)) == 3
+    err = capsys.readouterr().err
+    assert "p0: paper body is empty" in err
+    assert not (tmp_path / "work" / "p0.transcript.json").exists()
+
+
+def test_transcript_without_rebuttal_exits_3_naming_the_paper(tmp_path, capsys):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    assert run(tmp_path, "simulate", str(manifest)) == 0
+    path = tmp_path / "work" / "p1.transcript.json"
+    doc = json.loads(path.read_text())
+    doc["stages"] = [s for s in doc["stages"] if s["stage"] != "author_rebuttal"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "extract", str(manifest)) == 3
+    err = capsys.readouterr().err
+    assert "p1: transcript is missing a mandatory stage" in err
+    assert not (tmp_path / "work" / "p1.triples.json").exists()
 
 
 def test_train_requires_val_split(tmp_path):
@@ -239,6 +265,27 @@ def test_ablate_emits_six_rows(tmp_path, capsys):
     ]
     table = capsys.readouterr().out
     assert table.count("\n") >= 8  # header + separator + six rows
+
+
+def test_ablate_loads_each_paper_once(tmp_path, monkeypatch):
+    six = [p for p in TRAINABLE if p[0] not in ("t2", "t3")]
+    manifest = make_workspace(tmp_path, six)
+    run_stage_pipeline(tmp_path, manifest)
+    loads = {"graph": 0, "cache": 0}
+    real_load_graph, real_cache = graphmod.load_graph, orch.EmbeddingCache
+
+    def load_graph_counted(path):
+        loads["graph"] += 1
+        return real_load_graph(path)
+
+    def cache_counted(path):
+        loads["cache"] += 1
+        return real_cache(path)
+
+    monkeypatch.setattr(graphmod, "load_graph", load_graph_counted)
+    monkeypatch.setattr(orch, "EmbeddingCache", cache_counted)
+    assert run(tmp_path, "ablate", str(manifest), "--output", str(tmp_path / "abl.json")) == 0
+    assert loads == {"graph": 6, "cache": 6}
 
 
 def test_gradcheck_passes_by_default(tmp_path, capsys):

@@ -18,7 +18,6 @@ from reviewgraph.model import (
     init_params,
     meta_key,
     node_type_keys,
-    pack,
     predict,
     predict_batch,
     relation_keys,
@@ -118,7 +117,7 @@ def test_predict_matches_dense_oracle_without_inverse_edges():
 
 def test_attention_rows_normalize_per_target_and_head():
     g, emb, params = make_case(3)
-    index = build_graph_index(g, SMALL)
+    index = build_graph_index([g], SMALL)
     h0 = featurize(g, emb, params, SMALL, index)
     attn, index = hgt_attention(h0, g, params, 0, SMALL, index)
     assert attn.shape == (index.n_edges, SMALL.num_heads)
@@ -131,7 +130,7 @@ def test_isolated_node_passes_through_residual():
     config = dataclasses.replace(SMALL, use_inverse_edges=False)
     g, emb, _ = make_case(4, config)
     params = init_params(config, 4)
-    index = build_graph_index(g, config)
+    index = build_graph_index([g], config)
     h0 = featurize(g, emb, params, config, index)
     h1 = hgt_layer(h0, g, params, 0, config, index)
     # without inverse edges the title node receives no messages
@@ -184,7 +183,7 @@ def test_tape_size_is_independent_of_heads_and_relations():
         config = dataclasses.replace(SMALL, num_heads=heads)
         params = init_params(config, 0)
         for g in (few, many):
-            n_rel = len(build_graph_index(g, config).rel_keys)
+            n_rel = len(build_graph_index([g], config).rel_keys)
             assert n_rel == 2 if g is few else n_rel >= 8
             emb = embeddings_for(g, config.input_dim, 0)
             counts.add(tape_ops(forward_loss([g], [emb], params, config, [0])))
@@ -236,7 +235,7 @@ def index_cases():
 
 def test_graph_index_matches_loop_reference():
     for g, config in index_cases():
-        index = build_graph_index(g, config)
+        index = build_graph_index([g], config)
         want = reference_graph_index(g, config)
         assert index.n_nodes == want["n_nodes"]
         assert index.type_keys == want["type_keys"]
@@ -301,9 +300,61 @@ def test_tape_ops_per_step_do_not_depend_on_batch_size():
     counts = set()
     for size in (1, 8, 32):
         batch = examples[:size]
-        index = pack([build_graph_index(ex.graph, SMALL) for ex in batch])
+        index = build_graph_index([ex.graph for ex in batch], SMALL)
         assert index.n_graphs == size
         loss = forward_loss([ex.graph for ex in batch], [ex.embeddings for ex in batch],
                             params, SMALL, [ex.label_index for ex in batch], index)
         counts.add(tape_ops(loss))
     assert len(counts) == 1, counts
+
+
+def index_batches():
+    """(graphs, config) batches: the index cases of each config, and mixed
+    batches, each with an edgeless graph at a different position."""
+    edgeless = apply_ablation(build_minimal_graph("edgeless", "A title"), AblationMode.NO_TITLE)
+    for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
+        cases = [g for g, c in index_cases() if c == config]
+        yield cases[:7] + [edgeless] + cases[7:], config
+        for seed in range(3):
+            graphs, _ = mixed_batch(config, 10 * seed)
+            graphs.insert(2 * seed, edgeless)
+            yield graphs, config
+
+
+def test_batch_index_matches_per_graph_reference_with_offsets():
+    for graphs, config in index_batches():
+        index = build_graph_index(graphs, config)
+        wants = [reference_graph_index(g, config) for g in graphs]
+        node_off = np.cumsum([0] + [w["n_nodes"] for w in wants])
+        edge_off = np.cumsum([0] + [len(w["src"]) for w in wants])
+        type_keys = sorted(set().union(*(w["type_keys"] for w in wants)))
+        rel_keys = sorted(set().union(*(w["rel_keys"] for w in wants)))
+        assert index.n_nodes == node_off[-1]
+        np.testing.assert_array_equal(index.node_offsets, node_off)
+        assert index.type_keys == type_keys
+        assert index.rel_keys == rel_keys
+        assert index.ordered_edges == [e for w in wants for e in w["ordered_edges"]]
+
+        def shifted(name, offsets=node_off):
+            return np.concatenate([np.asarray(w[name], dtype=int) + off
+                                   for w, off in zip(wants, offsets)])
+
+        def renumbered(name, own_keys, keys):
+            return np.array([keys.index(w[own_keys][v]) for w in wants for v in w[name]],
+                            dtype=int)
+
+        np.testing.assert_array_equal(index.node_type,
+                                      renumbered("node_type", "type_keys", type_keys))
+        np.testing.assert_array_equal(index.edge_rel, renumbered("edge_rel", "rel_keys", rel_keys))
+        for name in ("src", "dst", "seg_targets"):
+            np.testing.assert_array_equal(getattr(index, name), shifted(name), err_msg=name)
+        np.testing.assert_array_equal(index.segments, shifted("segments", edge_off))
+
+        n_slots = len(node_type_keys(config))
+        want_pool = np.zeros((n_slots * len(graphs), index.n_nodes))
+        for b, w in enumerate(wants):
+            want_pool[b * n_slots:(b + 1) * n_slots, node_off[b]:node_off[b + 1]] = w["pool"]
+        pool = np.zeros_like(want_pool)
+        for (start, stop), target in zip(index.pool_segments, index.pool_targets):
+            pool[target, index.pool_rows[start:stop]] = index.pool_scale[target]
+        np.testing.assert_array_equal(pool, want_pool)
