@@ -327,9 +327,11 @@ def matmul_by(x: Tensor, ws: Sequence[Tensor], groups: RowGroups,
     """Each row times the matrix its id selects: ``out[i] = x[i] @ ws[ids[i]]``.
 
     x is (n, ..., k) and every ws[j] is (k, m); ``groups``, built once per
-    id array, sorts the n rows by id, so each matrix multiplies one
-    contiguous block, and backward accumulates straight into each ws[j].
-    A matrix no row selects gets no gradient. With ``take``, the result is
+    id array, groups the n rows by id, so each matrix multiplies one block:
+    the forward gathers each group's rows, multiplies them and writes the
+    product straight to those rows of the result, making no sorted copy of
+    x or of the product. Backward accumulates straight into each ws[j]; a
+    matrix no row selects gets no gradient. With ``take``, the result is
     the product's rows ``take`` (``out[i] = x[take[i]] @ ws[ids[take[i]]]``),
     and the full product is never kept on the tape.
     """
@@ -344,14 +346,12 @@ def matmul_by(x: Tensor, ws: Sequence[Tensor], groups: RowGroups,
             f"{len(groups.order)} grouped rows"
         )
     order = groups.order
-    per_row = math.prod(x.value.shape[1:-1])
-    spans = [(a * per_row, b * per_row) for a, b in zip(groups.bounds[:-1], groups.bounds[1:])]
-    xs = x.value[order].reshape(-1, k)
-    out_sorted = np.empty((xs.shape[0], m))
-    for w, (a, b) in zip(ws, spans):
-        np.matmul(xs[a:b], w.value, out=out_sorted[a:b])
     out = np.empty(x.value.shape[:-1] + (m,))
-    out[order] = out_sorted.reshape(out.shape)
+    for w, a, b in zip(ws, groups.bounds[:-1], groups.bounds[1:]):
+        if a < b:
+            rows_j = order[a:b]
+            out[rows_j] = (x.value[rows_j].reshape(-1, k) @ w.value).reshape(
+                (b - a,) + out.shape[1:])
     if take is not None:
         take = np.asarray(take, dtype=np.intp)
         out = out[take]
@@ -359,6 +359,9 @@ def matmul_by(x: Tensor, ws: Sequence[Tensor], groups: RowGroups,
     def backward(g: np.ndarray) -> None:
         if take is not None:
             g = _scatter_add(g, take, x.value.shape[0])
+        per_row = math.prod(x.value.shape[1:-1])
+        spans = [(a * per_row, b * per_row)
+                 for a, b in zip(groups.bounds[:-1], groups.bounds[1:])]
         xs = x.value[order].reshape(-1, k)  # gathered again, so the tape holds no sorted copy
         gs = g[order].reshape(-1, m)
         for w, (a, b) in zip(ws, spans):

@@ -377,9 +377,7 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
     with graphmod.replacing(history_path) as tmp:
         tmp.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in history))
 
-    train_preds = [
-        training.predict_label_index(ex, checkpoint.params, cfg.model) for ex in train_set
-    ]
+    train_preds = training.predict_label_indices(train_set, checkpoint.params, cfg.model)
     train_report = training.evaluate(train_preds, [ex.label_index for ex in train_set])
     click.echo(
         f"train: best epoch {checkpoint.epoch}, "
@@ -426,10 +424,7 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
     if not examples:
         raise DataFailure(f"no graphs in split {split!r}")
 
-    preds = [
-        training.predict_label_index(ex, checkpoint.params, checkpoint.model_config)
-        for ex in examples
-    ]
+    preds = training.predict_label_indices(examples, checkpoint.params, checkpoint.model_config)
     golds = [ex.label_index for ex in examples]
     report = training.evaluate(preds, golds)
 
@@ -460,10 +455,7 @@ def ablate(obj, manifest, output) -> None:
         if not train_set or not val_set or not test_set:
             raise UsageFailure("ablate needs non-empty train, val, and test splits")
         checkpoint, _history = training.train(train_set, val_set, model_config, cfg.train)
-        preds = [
-            training.predict_label_index(ex, checkpoint.params, model_config)
-            for ex in test_set
-        ]
+        preds = training.predict_label_indices(test_set, checkpoint.params, model_config)
         report = training.evaluate(preds, [ex.label_index for ex in test_set])
         rows.append({"mode": mode.value, **_table2_row(report)})
         log.info("ablate %s: macro-F1 %.2f", mode.value, rows[-1]["macro_f1"])

@@ -15,7 +15,9 @@ and relation keys the batch contains are numbered once. PyG's
 ``Batch.from_data_list`` and DGL's ``dgl.batch`` batch graphs the same way.
 One graph is a batch of one, so ``predict`` and training share one forward,
 and its sequence of ops is fixed whatever the batch size, heads, node types
-or relations. A typed projection is one ``matmul_by``: rows are grouped by
+or relations. Predictions outside training steps run that forward under
+``no_grad`` on runs of graphs cut by ``edge_chunks`` to at most
+``PREDICT_EDGE_BUDGET`` edges, which bounds its peak memory. A typed projection is one ``matmul_by``: rows are grouped by
 type once per index, each present type's weight multiplies its contiguous
 block of rows, and the key, query and message projections are gathered
 straight to the edges' sources or targets.
@@ -128,8 +130,7 @@ def relation_keys(config: ModelConfig) -> list[str]:
     return keys
 
 
-def meta_key(config: ModelConfig, rel_key: str) -> str:
-    """Meta-relation name for the attention prior of a relation key."""
+def _meta_name(rel_key: str) -> str:
     if rel_key == CONNECTED_KEY:
         return f"{HOMOGENEOUS_TYPE_KEY}__{CONNECTED_KEY}__{HOMOGENEOUS_TYPE_KEY}"
     base, _, suffix = rel_key.partition("__")
@@ -137,6 +138,16 @@ def meta_key(config: ModelConfig, rel_key: str) -> str:
     src, dst = _REL_ENDPOINTS[rel]
     name = f"{src.value}__{rel.value}__{dst.value}"
     return name + ("__inv" if suffix == "inv" else "")
+
+
+#: The attention prior's meta-relation name of every relation key, derived once.
+_MU_NAMES = {rk: _meta_name(rk) for rk in
+             [CONNECTED_KEY] + [r.value + s for r in FORWARD_RELATIONS for s in ("", "__inv")]}
+
+
+def meta_key(config: ModelConfig, rel_key: str) -> str:
+    """Meta-relation name for the attention prior of a relation key."""
+    return _MU_NAMES[rel_key]
 
 
 #: Every heterogeneous node-type and relation key, by its ``graph.TYPE_CODE``
@@ -163,7 +174,9 @@ class GraphIndex:
     (graph, type) present is one contiguous segment of ``pool_segments``,
     summed into row ``pool_targets`` (graph * types + type) of the pooled
     matrix and scaled by ``pool_scale``, the inverse member count (a type a
-    graph lacks pools to zero).
+    graph lacks pools to zero). ``edge_positions`` holds each sorted edge's
+    position in the graphs' concatenated ``edges``; ``ordered_edges`` lists
+    those edges on first use.
     """
 
     n_nodes: int
@@ -174,13 +187,19 @@ class GraphIndex:
     pool_segments: np.ndarray
     pool_targets: np.ndarray
     pool_scale: np.ndarray
-    ordered_edges: list[Edge]
+    graphs: Sequence[DebateGraph]
+    edge_positions: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     rel_keys: list[str]
     edge_rel: np.ndarray
     segments: np.ndarray
     seg_targets: np.ndarray
+
+    @functools.cached_property
+    def ordered_edges(self) -> list[Edge]:
+        edges = [e for g in self.graphs for e in g.edges]
+        return [edges[i] for i in self.edge_positions.tolist()]
 
     @functools.cached_property
     def type_groups(self) -> ad.RowGroups:
@@ -245,7 +264,6 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
     else:
         rel_keys, edge_rel = _present(rel_code, _REL_NAMES)
     segments = _segments(dst)
-    edges = [e for g in graphs for e in g.edges]
 
     return GraphIndex(
         n_nodes=n_nodes,
@@ -256,7 +274,8 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         pool_segments=pool_segments,
         pool_targets=pool_key[pool_rows[pool_segments[:, 0]]],
         pool_scale=1.0 / np.maximum(np.bincount(pool_key, minlength=n_slots * len(graphs)), 1),
-        ordered_edges=[edges[i] for i in order.tolist()],
+        graphs=tuple(graphs),
+        edge_positions=order,
         src=src,
         dst=dst,
         rel_keys=rel_keys,
@@ -349,28 +368,34 @@ def featurize(
 def _layer(
     h: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
 ) -> tuple[Tensor, np.ndarray]:
-    """One HGT layer: the next (N, d) node states and the (E, heads) attention."""
+    """One HGT layer: the next (N, d) node states and the (E, heads) attention.
+
+    Each (E, d) product goes straight into the op that consumes it, and the
+    messages are projected only once the attention is done. Under
+    ``no_grad``, where no tape keeps them, the forward then holds at most
+    two (E, d) arrays at a time: its peak memory per edge is under half
+    that of making the key, query and message projections first.
+    """
     if index.n_edges == 0:
         return h, np.zeros((0, config.num_heads))
     p = f"layer{layer}"
     heads = (index.n_edges, config.num_heads, config.head_dim)
-    k_src = ad.reshape(_typed(h, params, f"{p}/key", index, index.src), heads)
-    q_dst = ad.reshape(_typed(h, params, f"{p}/query", index, index.dst), heads)
-    m_src = ad.reshape(_typed(h, params, f"{p}/msg", index, index.src), heads)
+
+    def projected(name: str, rows: np.ndarray) -> Tensor:
+        return ad.reshape(_typed(h, params, f"{p}/{name}", index, rows), heads)
 
     def by_relation(x: Tensor, name: str) -> Tensor:
         ws = [params[f"{p}/{name}/{rk}"] for rk in index.rel_keys]
         return ad.matmul_by(x, ws, index.rel_groups)
 
-    mu_keys = [meta_key(config, rk) for rk in index.rel_keys]
-    scores = ad.rowdot(by_relation(k_src, "w_attn"), q_dst)
-    scores = ad.colscale(scores, _stacked(params, f"{p}/mu", mu_keys, index.edge_rel))
-    scores = ad.scale(scores, 1.0 / config.scale_divisor)
+    scores = ad.rowdot(by_relation(projected("key", index.src), "w_attn"),
+                       projected("query", index.dst))
+    mu = _stacked(params, f"{p}/mu", [_MU_NAMES[rk] for rk in index.rel_keys], index.edge_rel)
+    scores = ad.scale(ad.colscale(scores, mu), 1.0 / config.scale_divisor)
     attn = ad.segment_softmax(scores, index.segments)
 
-    messages = by_relation(m_src, "w_msg")
-    h_tilde = ad.segment_sum(ad.colscale(messages, attn), index.segments, index.seg_targets,
-                             index.n_nodes)
+    messages = ad.colscale(by_relation(projected("msg", index.src), "w_msg"), attn)
+    h_tilde = ad.segment_sum(messages, index.segments, index.seg_targets, index.n_nodes)
     h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
     rescale = _stacked(params, f"{p}/rescale", index.type_keys, index.node_type)
     update = _typed(ad.colscale(h_tilde, rescale), params, f"{p}/agg", index)
@@ -422,11 +447,13 @@ def _forward(
     """(graphs, classes) probabilities of a batch; fills ``trace`` for a one-graph batch."""
     index = index or build_graph_index(graphs, config)
     h = _embed(graphs, embeddings, params, config, index)
-    layer_outputs, attention = [h.value], []
+    if trace is not None:
+        trace.layer_outputs, trace.attention = [h.value], []
     for layer in range(config.num_layers):
         h, attn = _layer(h, params, layer, config, index)
-        layer_outputs.append(h.value)
-        attention.append(attn)
+        if trace is not None:
+            trace.layer_outputs.append(h.value)
+            trace.attention.append(attn)
 
     pooled = ad.segment_sum(ad.rows(h, index.pool_rows), index.pool_segments,
                             index.pool_targets, len(index.pool_scale))
@@ -436,8 +463,6 @@ def _forward(
     logits = ad.add(ad.matmul(z, params["head/w2"]), params["head/b2"])
     probs = ad.softmax(logits)
     if trace is not None:
-        trace.layer_outputs = layer_outputs
-        trace.attention = attention
         trace.edge_order = list(index.ordered_edges)
         trace.pooled = dict(zip(node_type_keys(config), pooled.value))
         trace.probs = probs.value[0]
@@ -455,6 +480,27 @@ def predict(
     with ad.no_grad():
         probs = _forward([g], [embeddings], params, config, trace=trace)
     return probs.value[0].copy(), trace
+
+
+#: Most edges that one prediction forward takes at once (``edge_chunks``).
+#: The forward's kernels are bound by memory bytes, not FLOPs, and its peak
+#: memory grows with the edges it holds (about 1.7 KB per edge at hidden size
+#: 64), so a larger chunk gains little speed and costs peak memory.
+PREDICT_EDGE_BUDGET = 1024
+
+
+def edge_chunks(graphs: Sequence[DebateGraph]) -> list[slice]:
+    """The graphs cut, in order, into runs of at most ``PREDICT_EDGE_BUDGET``
+    edges in all; a graph with more edges than that is a run by itself."""
+    chunks, start, edges = [], 0, 0
+    for i, g in enumerate(graphs):
+        if i > start and edges + len(g.edges) > PREDICT_EDGE_BUDGET:
+            chunks.append(slice(start, i))
+            start, edges = i, 0
+        edges += len(g.edges)
+    if start < len(graphs):
+        chunks.append(slice(start, len(graphs)))
+    return chunks
 
 
 def predict_batch(

@@ -9,7 +9,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .graph import DECISION_LABELS, DebateGraph, replacing
 from .model import (
     ModelConfig,
     build_graph_index,
+    edge_chunks,
     forward_loss,
     predict,
     predict_batch,
@@ -180,6 +181,28 @@ def predict_label_index(example: GraphExample, params: ParamStore,
     return int(np.argmax(probs))
 
 
+def _chunks(examples: Sequence[GraphExample], model_config: ModelConfig) -> Iterator[tuple]:
+    """The examples' (graphs, embeddings, index) in ``edge_chunks``, each indexed once."""
+    graphs = [ex.graph for ex in examples]
+    for chunk in edge_chunks(graphs):
+        yield (graphs[chunk], [ex.embeddings for ex in examples[chunk]],
+               build_graph_index(graphs[chunk], model_config))
+
+
+def _predicted(chunks: Iterable[tuple], params: ParamStore,
+               model_config: ModelConfig) -> list[int]:
+    return [int(c) for graphs, embeddings, index in chunks
+            for c in np.argmax(predict_batch(graphs, embeddings, params, model_config, index),
+                               axis=1)]
+
+
+def predict_label_indices(examples: Sequence[GraphExample], params: ParamStore,
+                          model_config: ModelConfig) -> list[int]:
+    """Each example's predicted class index, in order, from one no-grad
+    forward per chunk of at most ``model.PREDICT_EDGE_BUDGET`` edges."""
+    return _predicted(_chunks(examples, model_config), params, model_config)
+
+
 def train(
     train_set: Sequence[GraphExample],
     val_set: Sequence[GraphExample],
@@ -191,9 +214,9 @@ def train(
     Each minibatch is one disjoint-union graph, indexed once per step from
     its graphs' cached codes, and makes one forward and one backward pass;
     its loss is the mean cross-entropy over its graphs. Validation
-    predictions run through the same forward, in chunks of ``batch_size``
-    graphs, each indexed once. The best (earliest, on ties) validation
-    epoch's parameters are returned.
+    predictions run through the same forward under ``no_grad``, in the
+    edge-budgeted chunks of ``predict_label_indices``, each indexed once.
+    The best (earliest, on ties) validation epoch's parameters are returned.
     """
     if not train_set:
         raise EmptySplit("empty training split")
@@ -208,12 +231,7 @@ def train(
     t = 0
 
     size = train_config.batch_size
-    val_chunks = []
-    for start in range(0, len(val_set), size):
-        chunk = val_set[start:start + size]
-        graphs = [ex.graph for ex in chunk]
-        val_chunks.append((graphs, [ex.embeddings for ex in chunk],
-                           build_graph_index(graphs, model_config)))
+    val_chunks = list(_chunks(val_set, model_config))
     val_golds = [ex.label_index for ex in val_set]
 
     history: list[dict] = []
@@ -247,13 +265,7 @@ def train(
             epoch_loss += value * len(batch)
 
         train_loss = epoch_loss / len(train_set)
-        val_preds = [
-            int(c)
-            for graphs, embeddings, index in val_chunks
-            for c in np.argmax(predict_batch(graphs, embeddings, params, model_config, index),
-                               axis=1)
-        ]
-        report = evaluate(val_preds, val_golds)
+        report = evaluate(_predicted(val_chunks, params, model_config), val_golds)
         history.append(
             {
                 "epoch": epoch,

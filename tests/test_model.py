@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from oracles import dense_forward, permute_graph, reference_graph_index
 from reviewgraph.graph import AblationMode, apply_ablation, build_minimal_graph
 from reviewgraph.model import (
+    PREDICT_EDGE_BUDGET,
     DimMismatch,
     MissingEmbedding,
     ModelConfig,
     ModelError,
     build_graph_index,
+    edge_chunks,
     featurize,
     forward_loss,
     hgt_attention,
@@ -23,6 +26,7 @@ from reviewgraph.model import (
     relation_keys,
 )
 from reviewgraph.synth import embeddings_for, generate_rule_dataset, random_debate_graph
+from reviewgraph.training import GraphExample, predict_label_indices
 
 SMALL = ModelConfig(input_dim=6, hidden_dim=8, num_heads=2, num_layers=2,
                     ffn_hidden=8, seed=0)
@@ -358,3 +362,57 @@ def test_batch_index_matches_per_graph_reference_with_offsets():
         for (start, stop), target in zip(index.pool_segments, index.pool_targets):
             pool[target, index.pool_rows[start:stop]] = index.pool_scale[target]
         np.testing.assert_array_equal(pool, want_pool)
+
+
+def test_chunked_prediction_matches_per_graph_predict():
+    big = random_debate_graph(99, "big", n_reviewer_opinions=(300, 300),
+                              n_author_opinions=(200, 200))
+    assert len(big.edges) > PREDICT_EDGE_BUDGET
+    for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
+        graphs, _ = mixed_batch(config, 5)
+        graphs += [random_debate_graph(100 + i, f"r{i}", n_reviewer_opinions=(6, 12),
+                                       n_author_opinions=(3, 6)) for i in range(40)]
+        graphs.insert(20, big)
+        if config.homogeneous:
+            graphs = [apply_ablation(g, AblationMode.HOMOGENEOUS) for g in graphs]
+        embs = [embeddings_for(g, config.input_dim, i) for i, g in enumerate(graphs)]
+        params = init_params(config, 5)
+
+        chunks = edge_chunks(graphs)
+        assert [i for c in chunks for i in range(len(graphs))[c]] == list(range(len(graphs)))
+        assert len(chunks) >= 4 and any(c.stop - c.start > 1 for c in chunks)
+        for c in chunks:
+            assert c.stop - c.start == 1 or sum(len(g.edges) for g in graphs[c]) \
+                <= PREDICT_EDGE_BUDGET
+        assert slice(20, 21) in chunks  # the big graph, alone
+
+        probs = np.concatenate([predict_batch(graphs[c], embs[c], params, config)
+                                for c in chunks])
+        examples = [GraphExample(g, emb, "accept") for g, emb in zip(graphs, embs)]
+        labels = predict_label_indices(examples, params, config)
+        for g, emb, p, label in zip(graphs, embs, probs, labels):
+            alone, _ = predict(g, emb, params, config)
+            assert label == int(np.argmax(alone)) == int(np.argmax(p))
+            np.testing.assert_allclose(p, alone, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p, dense_forward(g, emb, params, config),
+                                       rtol=0, atol=1e-10)
+
+
+def test_no_grad_forward_peak_memory_per_edge():
+    config = ModelConfig(input_dim=64, hidden_dim=64, num_heads=4, num_layers=2,
+                         ffn_hidden=64, seed=0)
+    examples = generate_rule_dataset(6, seed=8, input_dim=64, n_opinions=(36, 36))
+    graphs, embs = [ex.graph for ex in examples], [ex.embeddings for ex in examples]
+    n_edges = sum(len(g.edges) for g in graphs)
+    assert n_edges >= 1000
+    params = init_params(config, 0)
+    index = build_graph_index(graphs, config)
+    predict_batch(graphs, embs, params, config, index)  # builds the index's cached groups
+    tracemalloc.start()
+    try:
+        predict_batch(graphs, embs, params, config, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # making all (E, d) projections before consuming them held about 3.7 KB
+    assert peak / n_edges < 2500, f"{peak / n_edges:.0f} bytes per edge"
