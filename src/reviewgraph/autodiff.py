@@ -520,18 +520,49 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
 
 
 class ParamStore:
-    """Ordered, uniquely-named collection of learnable tensors."""
+    """Ordered, uniquely-named collection of learnable tensors.
 
-    def __init__(self) -> None:
+    Every tensor's value is a view into ``flat``, one contiguous float64
+    vector holding the tensors in order (``sizes[i]`` elements for the i-th),
+    so work on the whole store, such as an Adam step, a copy or a checkpoint
+    payload, is one array operation. ``ParamStore(shapes)`` allocates the
+    vector once, zero-filled, or adopts a given ``flat``; ``add`` appends a
+    tensor by reallocating the vector and re-pointing every earlier value.
+    """
+
+    def __init__(self, shapes: Sequence[tuple[str, Sequence[int]]] = (),
+                 flat: np.ndarray | None = None) -> None:
         self._items: dict[str, Tensor] = {}
+        names, shapes = zip(*shapes) if shapes else ((), ())
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        elif flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            raise ShapeMismatch(f"a {flat.dtype} vector of shape {flat.shape} cannot hold "
+                                f"{sum(sizes)} float64 parameters")
+        start = 0
+        for name, shape, size in zip(names, shapes, sizes):
+            self._insert(name, Tensor(flat[start:start + size].reshape(shape)), True)
+            start += size
+        self.flat = flat
+        self.sizes = np.array(sizes, dtype=np.intp)
 
-    def add(self, name: str, value, requires_grad: bool = True) -> Tensor:
+    def _insert(self, name: str, t: Tensor, requires_grad: bool) -> Tensor:
         if name in self._items:
             raise NumericsError(f"duplicate parameter name {name!r}")
-        t = value if isinstance(value, Tensor) else Tensor(value, requires_grad=requires_grad)
         t.requires_grad = requires_grad
         t._needs = True
         self._items[name] = t
+        return t
+
+    def add(self, name: str, value, requires_grad: bool = True) -> Tensor:
+        t = self._insert(name, value if isinstance(value, Tensor) else Tensor(value),
+                         requires_grad)
+        grown = ParamStore([(n, u.value.shape) for n, u in self._items.items()],
+                           np.concatenate([self.flat, t.value.ravel()]))
+        for tensor, view in zip(self._items.values(), grown._items.values()):
+            tensor.value = view.value
+        self.flat, self.sizes = grown.flat, grown.sizes
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -554,13 +585,11 @@ class ParamStore:
             t.zero_grad()
 
     def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, t in self._items.items():
-            out.add(name, t.value.copy())
-        return out
+        return ParamStore([(name, t.value.shape) for name, t in self._items.items()],
+                          self.flat.copy())
 
     def n_params(self) -> int:
-        return sum(t.value.size for t in self._items.values())
+        return self.flat.size
 
 
 class GradCheckReport:

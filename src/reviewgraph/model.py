@@ -4,8 +4,9 @@ target-specific aggregation, type-wise pooling, and the classification head.
 All parameters are typed and stored one tensor per name: key/query/message,
 input and aggregation projections plus a rescale scalar per node type;
 attention and message matrices per relation key; a learnable prior ``mu``
-per meta-relation. The homogeneous configuration collapses everything to
-one node type and the single ``connected`` relation.
+per meta-relation. ``param_layout`` lists them in order, and each is a view
+into the store's one parameter vector. The homogeneous configuration
+collapses everything to one node type and the single ``connected`` relation.
 
 The forward pass runs on a batch of graphs as their disjoint union, indexed
 by ``build_graph_index`` in one pass over the integer codes each graph
@@ -290,32 +291,44 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
-    """Xavier-uniform weights, zero biases, unit priors and rescales."""
-    rng = np.random.default_rng(config.seed if rng_seed is None else rng_seed)
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Every parameter's (name, shape, init) in ``init_params`` order, with no
+    random draws. ``init`` is "xavier" (uniform, fans from the matrix shape),
+    "zeros" or "ones"."""
     d, dh = config.hidden_dim, config.head_dim
-    params = ParamStore()
     types = node_type_keys(config)
     rels = relation_keys(config)
-
-    for t in types:
-        params.add(f"w_in/{t}", _xavier(rng, config.input_dim, d))
+    layout = [(f"w_in/{t}", (config.input_dim, d), "xavier") for t in types]
     for layer in range(config.num_layers):
         for t in types:
-            params.add(f"layer{layer}/key/{t}", _xavier(rng, d, d))
-            params.add(f"layer{layer}/query/{t}", _xavier(rng, d, d))
-            params.add(f"layer{layer}/msg/{t}", _xavier(rng, d, d))
+            layout += [(f"layer{layer}/{kind}/{t}", (d, d), "xavier")
+                       for kind in ("key", "query", "msg")]
         for rk in rels:
-            params.add(f"layer{layer}/w_attn/{rk}", _xavier(rng, dh, dh))
-            params.add(f"layer{layer}/w_msg/{rk}", _xavier(rng, dh, dh))
-            params.add(f"layer{layer}/mu/{meta_key(config, rk)}", np.asarray(1.0))
+            layout += [(f"layer{layer}/w_attn/{rk}", (dh, dh), "xavier"),
+                       (f"layer{layer}/w_msg/{rk}", (dh, dh), "xavier"),
+                       (f"layer{layer}/mu/{meta_key(config, rk)}", (), "ones")]
         for t in types:
-            params.add(f"layer{layer}/agg/{t}", _xavier(rng, d, d))
-            params.add(f"layer{layer}/rescale/{t}", np.asarray(1.0))
-    params.add("head/w1", _xavier(rng, config.pool_width, config.ffn_hidden))
-    params.add("head/b1", np.zeros(config.ffn_hidden))
-    params.add("head/w2", _xavier(rng, config.ffn_hidden, config.num_classes))
-    params.add("head/b2", np.zeros(config.num_classes))
+            layout += [(f"layer{layer}/agg/{t}", (d, d), "xavier"),
+                       (f"layer{layer}/rescale/{t}", (), "ones")]
+    return layout + [
+        ("head/w1", (config.pool_width, config.ffn_hidden), "xavier"),
+        ("head/b1", (config.ffn_hidden,), "zeros"),
+        ("head/w2", (config.ffn_hidden, config.num_classes), "xavier"),
+        ("head/b2", (config.num_classes,), "zeros"),
+    ]
+
+
+def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
+    """Xavier-uniform weights, zero biases, unit priors and rescales, drawn in
+    ``param_layout`` order into one parameter vector."""
+    rng = np.random.default_rng(config.seed if rng_seed is None else rng_seed)
+    layout = param_layout(config)
+    params = ParamStore([(name, shape) for name, shape, _init in layout])
+    for (_name, shape, init), (_, tensor) in zip(layout, params.items()):
+        if init == "xavier":
+            tensor.value[...] = _xavier(rng, *shape)
+        elif init == "ones":
+            tensor.value[...] = 1.0
     return params
 
 

@@ -21,6 +21,8 @@ from .model import (
     build_graph_index,
     edge_chunks,
     forward_loss,
+    init_params,
+    param_layout,
     predict,
     predict_batch,
 )
@@ -146,23 +148,36 @@ def evaluate(preds: Sequence[int], golds: Sequence[int]) -> EvalReport:
 
 
 def adam_step(params: ParamStore, state: dict, t: int, config: TrainConfig) -> None:
-    """One in-place Adam update with bias correction; grads read from the store."""
+    """One in-place Adam update with bias correction over the whole parameter
+    vector; grads are read from the store and moments kept in ``state``.
+
+    A tensor whose ``grad`` is None keeps its value and its moments. Every
+    gradient is checked before anything is written, so a non-finite one
+    raises ``NonFiniteGradient`` with the store and ``state`` untouched.
+    """
     if t < 1:
         raise TrainingError("Adam step counter must start at 1")
-    for name, tensor in params.items():
-        g = tensor.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient in {name}")
-        if name not in state:
-            state[name] = {"m": np.zeros_like(tensor.value), "v": np.zeros_like(tensor.value)}
-        s = state[name]
-        s["m"] = config.beta1 * s["m"] + (1 - config.beta1) * g
-        s["v"] = config.beta2 * s["v"] + (1 - config.beta2) * g * g
-        m_hat = s["m"] / (1 - config.beta1**t)
-        v_hat = s["v"] / (1 - config.beta2**t)
-        tensor.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    grads = [tensor.grad for _, tensor in params.items()]
+    present = [g is not None for g in grads]
+    if not any(present):
+        return
+    g = np.concatenate([np.zeros(size) if grad is None else grad.ravel()
+                        for grad, size in zip(grads, params.sizes.tolist())])
+    if not np.isfinite(g).all():
+        name = next(name for name, tensor in params.items()
+                    if tensor.grad is not None and not np.isfinite(tensor.grad).all())
+        raise NonFiniteGradient(f"non-finite gradient in {name}")
+    if "m" not in state:
+        state["m"], state["v"] = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    where = True if all(present) else np.repeat(present, params.sizes)
+    m = config.beta1 * state["m"] + (1 - config.beta1) * g
+    v = config.beta2 * state["v"] + (1 - config.beta2) * g * g
+    m_hat = m / (1 - config.beta1**t)
+    v_hat = v / (1 - config.beta2**t)
+    step = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    np.copyto(state["m"], m, where=where)
+    np.copyto(state["v"], v, where=where)
+    np.subtract(params.flat, step, out=params.flat, where=where)
 
 
 @dataclass
@@ -222,8 +237,6 @@ def train(
         raise EmptySplit("empty training split")
     if not val_set:
         raise EmptySplit("empty validation split")
-
-    from .model import init_params
 
     params = init_params(model_config, model_config.seed)
     rng = np.random.default_rng(train_config.seed)
@@ -386,22 +399,18 @@ _CHECKPOINT_VERSION = 1
 def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
     """Binary format: magic, u32 manifest length, JSON manifest, fp32 LE payload.
 
-    The bytes go to ``<path>.tmp`` first, which then replaces ``path``, so a
-    crash mid-write leaves any earlier checkpoint at ``path`` intact.
+    The payload is the parameter vector as fp32, so each tensor's bytes sit at
+    its offset in store order. The bytes go to ``<path>.tmp`` first, which
+    then replaces ``path``, so a crash mid-write leaves any earlier checkpoint
+    at ``path`` intact.
     """
     tensors = []
-    payload = bytearray()
+    offset = 0
     for name, tensor in cp.params.items():
-        data = tensor.value.astype("<f4").tobytes()
-        tensors.append(
-            {
-                "name": name,
-                "shape": list(tensor.value.shape),
-                "offset": len(payload),
-                "length": len(data),
-            }
-        )
-        payload.extend(data)
+        length = tensor.value.size * 4
+        tensors.append({"name": name, "shape": list(tensor.value.shape),
+                        "offset": offset, "length": length})
+        offset += length
     manifest = {
         "version": cp.version,
         "model_config": asdict(cp.model_config),
@@ -416,7 +425,7 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(mbytes)))
             fh.write(mbytes)
-            fh.write(bytes(payload))
+            fh.write(cp.params.flat.astype("<f4"))
             fh.flush()
             os.fsync(fh.fileno())
     except OSError as exc:
@@ -441,26 +450,51 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CorruptPayload("manifest is not a JSON object")
     if manifest.get("version") != _CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {manifest.get('version')}")
-    payload = blob[8 + mlen:]
 
     try:
-        params = ParamStore()
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            offset, length = entry["offset"], entry["length"]
-            expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-            if length != expected or offset + length > len(payload):
-                raise CorruptPayload(f"tensor {entry['name']!r} payload length/offset mismatch")
-            arr = np.frombuffer(payload[offset:offset + length], dtype="<f4").reshape(shape)
-            params.add(entry["name"], arr.astype(np.float64))
-
+        model_config = ModelConfig(**manifest["model_config"])
         return Checkpoint(
             version=manifest["version"],
-            model_config=ModelConfig(**manifest["model_config"]),
+            model_config=model_config,
             train_config=TrainConfig(**manifest["train_config"]),
             epoch=manifest["epoch"],
             best_val_macro_f1=manifest["best_val_macro_f1"],
-            params=params,
+            params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:],
+                                model_config),
         )
     except (KeyError, TypeError) as exc:
         raise CorruptPayload(f"malformed manifest: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_params(entries: list, payload: memoryview, model_config: ModelConfig) -> ParamStore:
+    """The manifest's tensors read from the payload into one vector in
+    ``param_layout`` order; an entry that is duplicated, missing, not in the
+    layout, misshaped or outside the payload raises ``CorruptPayload``."""
+    if not isinstance(entries, list):
+        raise CorruptPayload("manifest 'tensors' is not a list")
+    found: dict[str, dict] = {}
+    for entry in entries:
+        name = entry["name"]
+        if name in found:
+            raise CorruptPayload(f"tensor {name!r} appears twice in the manifest")
+        found[name] = entry
+    layout = [(name, shape) for name, shape, _init in param_layout(model_config)]
+    known = {name for name, _shape in layout}
+    for name in found:
+        if name not in known:
+            raise CorruptPayload(f"tensor {name!r} is not a parameter of the model config")
+    params = ParamStore(layout)
+    for name, shape in layout:
+        if name not in found:
+            raise CorruptPayload(f"tensor {name!r} is missing from the manifest")
+        entry = found[name]
+        if entry["shape"] != list(shape):
+            raise CorruptPayload(f"tensor {name!r} has shape {entry['shape']!r}, "
+                                 f"the model config gives {list(shape)}")
+        size = params[name].value.size
+        offset, length = entry["offset"], entry["length"]
+        if type(offset) is not int or length != size * 4 \
+                or not 0 <= offset <= len(payload) - length:
+            raise CorruptPayload(f"tensor {name!r} payload length/offset mismatch")
+        params[name].value[...] = np.frombuffer(payload, "<f4", size, offset).reshape(shape)
+    return params

@@ -354,6 +354,58 @@ def test_param_store_copy_is_deep():
     assert store["w"].value[0] == 1.0
 
 
+def test_param_store_values_are_views_of_one_vector():
+    store = ParamStore([("w", (2, 3)), ("s", ()), ("b", (4,))])
+    store.flat[:] = np.arange(11.0)
+    assert [t.value.shape for _, t in store.items()] == [(2, 3), (), (4,)]
+    assert all(np.shares_memory(t.value, store.flat) for _, t in store.items())
+    assert store.sizes.tolist() == [6, 1, 4] and store.n_params() == 11
+    np.testing.assert_array_equal(store["b"].value, [7.0, 8.0, 9.0, 10.0])
+    store["s"].value[...] = -1.0
+    assert store.flat[6] == -1.0
+
+
+def test_param_store_add_keeps_earlier_tensors_and_their_values():
+    store = ParamStore()
+    w = store.add("w", np.ones((2, 2)))
+    b = store.add("b", np.array([3.0, 4.0]))
+    assert store["w"] is w and store["b"] is b
+    np.testing.assert_array_equal(store.flat, [1.0, 1.0, 1.0, 1.0, 3.0, 4.0])
+    assert np.shares_memory(w.value, store.flat) and np.shares_memory(b.value, store.flat)
+
+
+def test_param_store_copy_is_one_deep_vector():
+    store = ParamStore([("w", (2, 3)), ("b", (3,))])
+    store.flat[:] = np.arange(9.0)
+    clone = store.copy()
+    assert clone.names() == store.names()
+    assert not np.shares_memory(clone.flat, store.flat)
+    assert all(np.shares_memory(t.value, clone.flat) for _, t in clone.items())
+    clone.flat[:] = 0.0
+    np.testing.assert_array_equal(store.flat, np.arange(9.0))
+
+
+def test_param_store_rejects_a_vector_of_the_wrong_size():
+    with pytest.raises(ShapeMismatch):
+        ParamStore([("w", (2, 3))], np.zeros(5))
+
+
+def test_grad_check_leaves_values_unchanged_through_the_views():
+    r = np.random.default_rng(3)
+    store = ParamStore([("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 2))])
+    store.flat[:] = r.standard_normal(store.flat.size)
+    before = store.flat.copy()
+    x = r.standard_normal(3)
+
+    def f(p):
+        h = ad.relu(ad.add(ad.matmul(Tensor(x), p["w1"]), p["b1"]))
+        return ad.cross_entropy(ad.softmax(ad.matmul(h, p["w2"])), 0)
+
+    grad_check(f, store)
+    assert store.flat.tobytes() == before.tobytes()
+    assert all(np.shares_memory(t.value, store.flat) for _, t in store.items())
+
+
 def test_grad_check_passes_on_small_mlp():
     store = ParamStore()
     r = np.random.default_rng(0)

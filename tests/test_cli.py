@@ -455,3 +455,40 @@ def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact,
     assert code == 3
     assert f"{paper_id}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+
+def _edit_entry(tensors, **fields):
+    next(t for t in tensors if t["name"] == "layer0/query/title").update(fields)
+
+
+#: Malformed checkpoint-manifest edits, each to the entry of ``layer0/query/title``.
+BAD_CHECKPOINTS = {
+    "negative-offset": lambda tensors: _edit_entry(tensors, offset=-4),
+    "negative-shape": lambda tensors: _edit_entry(tensors, shape=[-8, -8]),
+    "string-shape": lambda tensors: _edit_entry(tensors, shape="88"),
+    "duplicate-name": lambda tensors: tensors.append(
+        next(dict(t) for t in tensors if t["name"] == "layer0/query/title")),
+    "missing-tensor": lambda tensors: tensors.remove(
+        next(t for t in tensors if t["name"] == "layer0/query/title")),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
+def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
+        trained_workspace, tmp_path, capsys, edit):
+    root, manifest, files = trained_workspace
+    blob = files[root / "c.rvgc"]
+    (mlen,) = struct.unpack("<I", blob[4:8])
+    doc = json.loads(blob[8:8 + mlen])
+    edit(doc["tensors"])
+    mbytes = json.dumps(doc).encode()
+    bad = tmp_path / "bad.rvgc"
+    bad.write_bytes(blob[:4] + struct.pack("<I", len(mbytes)) + mbytes + blob[8 + mlen:])
+    capsys.readouterr()
+    code = run(root, "evaluate", str(manifest), "--checkpoint", str(bad), "--split", "test",
+               "--output", str(tmp_path / "ev.json"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error: tensor 'layer0/query/title'" in err
+    assert "Traceback" not in err

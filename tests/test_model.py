@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from reviewgraph.model import (
     init_params,
     meta_key,
     node_type_keys,
+    param_layout,
     predict,
     predict_batch,
     relation_keys,
@@ -73,6 +75,51 @@ def test_param_count_homogeneous_vs_heterogeneous():
     per_layer_hom = 5 * 1 + 3 * 1
     assert len(het) == 4 + 2 * per_layer_het + 4
     assert len(homog) == 1 + 2 * per_layer_hom + 4
+
+
+def reference_init_params(config, seed):
+    """The per-tensor initialisation that ``init_params`` replaced, kept as
+    its reference: each tensor drawn on its own, in insertion order."""
+    rng = np.random.default_rng(seed)
+
+    def xavier(fan_in, fan_out):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    d, dh = config.hidden_dim, config.head_dim
+    types, rels = node_type_keys(config), relation_keys(config)
+    out = {f"w_in/{t}": xavier(config.input_dim, d) for t in types}
+    for layer in range(config.num_layers):
+        for t in types:
+            out[f"layer{layer}/key/{t}"] = xavier(d, d)
+            out[f"layer{layer}/query/{t}"] = xavier(d, d)
+            out[f"layer{layer}/msg/{t}"] = xavier(d, d)
+        for rk in rels:
+            out[f"layer{layer}/w_attn/{rk}"] = xavier(dh, dh)
+            out[f"layer{layer}/w_msg/{rk}"] = xavier(dh, dh)
+            out[f"layer{layer}/mu/{meta_key(config, rk)}"] = np.asarray(1.0)
+        for t in types:
+            out[f"layer{layer}/agg/{t}"] = xavier(d, d)
+            out[f"layer{layer}/rescale/{t}"] = np.asarray(1.0)
+    out["head/w1"] = xavier(config.pool_width, config.ffn_hidden)
+    out["head/b1"] = np.zeros(config.ffn_hidden)
+    out["head/w2"] = xavier(config.ffn_hidden, config.num_classes)
+    out["head/b2"] = np.zeros(config.num_classes)
+    return out
+
+
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["typed", "homogeneous"])
+def test_init_params_fills_one_vector_in_layout_order(homogeneous):
+    config = dataclasses.replace(SMALL, homogeneous=homogeneous)
+    params = init_params(config, 7)
+    layout = param_layout(config)
+    assert [(name, t.value.shape) for name, t in params.items()] == \
+        [(name, shape) for name, shape, _init in layout]
+    assert all(np.shares_memory(t.value, params.flat) for _, t in params.items())
+    reference = reference_init_params(config, 7)
+    assert params.names() == list(reference)
+    assert params.flat.tobytes() == np.concatenate(
+        [value.ravel() for value in reference.values()]).tobytes()
 
 
 def test_featurize_checks_embeddings():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -114,6 +115,69 @@ def test_adam_matches_reference_trajectory():
         x_ref -= config.learning_rate * m_hat / (math.sqrt(v_hat) + config.epsilon)
         t.grad = None
         assert t.value[0] == pytest.approx(x_ref, abs=1e-12)
+
+
+def reference_adam_step(values, grads, state, t, config):
+    """The per-tensor Adam loop the whole-vector step replaced, kept as its reference."""
+    for name, g in grads.items():
+        if g is None:
+            continue
+        if name not in state:
+            state[name] = {"m": np.zeros_like(values[name]), "v": np.zeros_like(values[name])}
+        s = state[name]
+        s["m"] = config.beta1 * s["m"] + (1 - config.beta1) * g
+        s["v"] = config.beta2 * s["v"] + (1 - config.beta2) * g * g
+        m_hat = s["m"] / (1 - config.beta1**t)
+        v_hat = s["v"] / (1 - config.beta2**t)
+        values[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+
+
+ADAM_SHAPES = [("a", (3, 4)), ("late", (5,)), ("s", ()), ("b", (2, 2, 3)), ("c", (7,))]
+
+
+def test_flat_adam_matches_per_tensor_loop_bit_for_bit():
+    """Five steps with random gradient presence; "late" first has a gradient at step 3."""
+    r = np.random.default_rng(11)
+    store = ParamStore(ADAM_SHAPES)
+    store.flat[:] = r.standard_normal(store.flat.size)
+    values = {name: t.value.copy() for name, t in store.items()}
+    config = TrainConfig(learning_rate=0.05)
+    state, ref_state = {}, {}
+    for step in range(1, 6):
+        present = r.random(len(ADAM_SHAPES)) < 0.6
+        present[1] = step >= 3
+        grads = {name: (r.standard_normal(shape) if keep else None)
+                 for (name, shape), keep in zip(ADAM_SHAPES, present)}
+        for name, g in grads.items():
+            store[name].grad = g
+        adam_step(store, state, step, config)
+        reference_adam_step(values, grads, ref_state, step, config)
+        start = 0
+        for name, t in store.items():
+            np.testing.assert_array_equal(t.value, values[name])
+            want = ref_state.get(name, {"m": np.zeros(t.shape), "v": np.zeros(t.shape)})
+            for key in ("m", "v"):
+                got = state[key][start:start + t.value.size].reshape(t.shape)
+                np.testing.assert_array_equal(got, want[key])
+            start += t.value.size
+    assert "late" in ref_state
+
+
+def test_failed_adam_step_names_first_bad_tensor_and_changes_nothing():
+    r = np.random.default_rng(12)
+    store = ParamStore(ADAM_SHAPES)
+    store.flat[:] = r.standard_normal(store.flat.size)
+    for name, t in store.items():
+        t.grad = r.standard_normal(t.shape)
+    state: dict = {}
+    adam_step(store, state, 1, TrainConfig())
+    before = store.flat.copy(), state["m"].copy(), state["v"].copy()
+    store["s"].grad = np.array(np.nan)
+    store["c"].grad = np.full(7, np.inf)
+    with pytest.raises(training.NonFiniteGradient, match="in s$"):
+        adam_step(store, state, 2, TrainConfig())
+    for got, want in zip((store.flat, state["m"], state["v"]), before):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- training loop ---------------------------------------------------------
@@ -239,6 +303,76 @@ def test_checkpoint_round_trip_is_fp32_exact(tmp_path):
     # a second save of the loaded checkpoint is byte-identical
     save_checkpoint(loaded, tmp_path / "again.rvgc")
     assert (tmp_path / "model.rvgc").read_bytes() == (tmp_path / "again.rvgc").read_bytes()
+
+
+def reference_checkpoint_bytes(cp):
+    """The per-tensor writer the one-vector payload replaced, kept as its reference."""
+    tensors, payload = [], bytearray()
+    for name, tensor in cp.params.items():
+        data = tensor.value.astype("<f4").tobytes()
+        tensors.append({"name": name, "shape": list(tensor.value.shape),
+                        "offset": len(payload), "length": len(data)})
+        payload.extend(data)
+    manifest = {
+        "version": cp.version,
+        "model_config": dataclasses.asdict(cp.model_config),
+        "train_config": dataclasses.asdict(cp.train_config),
+        "epoch": cp.epoch,
+        "best_val_macro_f1": cp.best_val_macro_f1,
+        "tensors": tensors,
+    }
+    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return b"RVGC" + struct.pack("<I", len(mbytes)) + mbytes + bytes(payload)
+
+
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["typed", "homogeneous"])
+def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, homogeneous):
+    cp = make_checkpoint(seed=4)
+    cp.model_config = dataclasses.replace(MC, homogeneous=homogeneous)
+    cp.params = init_params(cp.model_config, 4)
+    cp.params.flat[:] += np.random.default_rng(4).standard_normal(cp.params.flat.size) * 1e-3
+    path = tmp_path / "m.rvgc"
+    save_checkpoint(cp, path)
+    assert path.read_bytes() == reference_checkpoint_bytes(cp)
+    loaded = load_checkpoint(path)
+    assert loaded.params.names() == cp.params.names()
+    np.testing.assert_array_equal(loaded.params.flat,
+                                  cp.params.flat.astype("<f4").astype(np.float64))
+    assert all(np.shares_memory(t.value, loaded.params.flat) for _, t in loaded.params.items())
+
+
+def rewrite_manifest(path, edit):
+    blob = path.read_bytes()
+    (mlen,) = struct.unpack("<I", blob[4:8])
+    manifest = json.loads(blob[8:8 + mlen])
+    edit({t["name"]: t for t in manifest["tensors"]}, manifest["tensors"])
+    mbytes = json.dumps(manifest).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(mbytes)) + mbytes + blob[8 + mlen:])
+
+
+#: Manifest edits, each making one tensor entry malformed; the error names it.
+BAD_ENTRIES = {
+    "negative-offset": lambda by, _: by["layer0/query/title"].update(offset=-4),
+    "offset-past-end": lambda by, _: by["head/b2"].update(offset=10**6),
+    "float-offset": lambda by, _: by["head/b2"].update(offset=0.0),
+    "negative-shape": lambda by, _: by["layer0/query/title"].update(shape=[-8, -8]),
+    "string-shape": lambda by, _: by["layer0/query/title"].update(shape="88"),
+    "misshaped": lambda by, _: by["layer0/query/title"].update(shape=[4, 16]),
+    "wrong-length": lambda by, _: by["layer0/query/title"].update(length=4),
+    "duplicate": lambda by, tensors: tensors.append(dict(by["layer0/query/title"])),
+    "missing": lambda by, tensors: tensors.remove(by["layer0/query/title"]),
+    "extra": lambda by, tensors: tensors.append({**by["head/b2"], "name": "layer0/query/other"}),
+}
+
+
+@pytest.mark.parametrize("edit", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_checkpoint_rejects_malformed_tensor_entry_naming_it(tmp_path, edit):
+    path = tmp_path / "m.rvgc"
+    save_checkpoint(make_checkpoint(), path)
+    rewrite_manifest(path, edit)
+    with pytest.raises(CorruptPayload, match="tensor '(layer0/query/title|head/b2|layer0/query/"
+                                             "other)'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_header_layout(tmp_path):
