@@ -142,15 +142,11 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         raise UsageFailure(f"bad configuration: {exc}") from exc
 
 
-def _json(obj: dict | list) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _write_json(path: Path, obj: dict | list) -> None:
-    """Write ``obj`` as JSON; ``path`` appears only once it is complete."""
+def _write_report(path: Path, obj: dict | list) -> None:
+    """Write the report ``obj`` as indented JSON; ``path`` appears only once it is complete."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with graphmod.replacing(path) as tmp:
-        tmp.write_text(_json(obj))
+        tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 T = TypeVar("T")
@@ -262,7 +258,8 @@ def extract(obj, manifest) -> None:
 
     def write(rec: ManifestRecord, tmp: Path) -> None:
         batch = orch.extract_triples(_read(rec, "transcript", orch.load_transcript), client)
-        tmp.write_text(_json({"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}))
+        tmp.write_text(graphmod.compact_json(
+            {"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}))
 
     _run_stage(obj, manifest, "extract", "triples", write, client)
 
@@ -276,7 +273,7 @@ def classify(obj, manifest) -> None:
 
     def write(rec: ManifestRecord, tmp: Path) -> None:
         dims = orch.classify_dimensions(_read_triples(rec), client, jobs=obj["jobs"])
-        tmp.write_text(_json([
+        tmp.write_text(graphmod.compact_json([
             {"speaker": d.speaker, "text": d.text, "dimension": d.dimension.value}
             for d in dims
         ]))
@@ -309,17 +306,18 @@ def build_graph_cmd(obj, manifest) -> None:
     cfg: RunConfig = obj["config"]
 
     def write(rec: ManifestRecord, tmp: Path) -> None:
-        g = extraction.build_graph(
+        full = extraction.build_graph(  # validates the full graph
             _read(rec, "transcript", orch.load_transcript).title,
             _read_triples(rec), _read(rec, "dims", _parse_dims),
             add_inverse_edges=cfg.model.use_inverse_edges,
             label=rec.label, graph_id=rec.paper_id,
         )
-        g = graphmod.apply_ablation(g, cfg.ablation)
-        report = graphmod.validate_graph(g, cfg.ablation)
-        if not report.ok:
-            raise graphmod.GraphError(
-                f"graph validation failed: {'; '.join(report.violations)}")
+        g = graphmod.apply_ablation(full, cfg.ablation)
+        if g is not full:
+            report = graphmod.validate_graph(g, cfg.ablation)
+            if not report.ok:
+                raise graphmod.GraphError(
+                    f"graph validation failed: {'; '.join(report.violations)}")
         graphmod.save_graph(g, tmp)
 
     _run_stage(obj, manifest, "build-graph", "graph", write)
@@ -433,7 +431,7 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
         ours = [1.0 if p == y else 0.0 for p, y in zip(preds, golds)]
         t, df, p = training.welch_t_test(ours, theirs)
         doc["welch"] = {"t": t, "df": df, "p": p}
-    _write_json(Path(output), doc)
+    _write_report(Path(output), doc)
     click.echo(json.dumps(doc, sort_keys=True))
 
 
@@ -460,7 +458,7 @@ def ablate(obj, manifest, output) -> None:
         rows.append({"mode": mode.value, **_table2_row(report)})
         log.info("ablate %s: macro-F1 %.2f", mode.value, rows[-1]["macro_f1"])
 
-    _write_json(Path(output), rows)
+    _write_report(Path(output), rows)
     header = ["mode", "accuracy", "macro_precision", "macro_recall", "macro_f1"]
     click.echo("| " + " | ".join(header) + " |")
     click.echo("|" + "|".join("---" for _ in header) + "|")

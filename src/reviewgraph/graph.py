@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -152,8 +152,7 @@ def legal_meta_relations() -> frozenset[tuple[NodeType, RelationType, NodeType]]
 _LEGAL_FORWARD = legal_meta_relations()
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     node_type: NodeType
     text: str
@@ -161,8 +160,7 @@ class Node:
     dimension: Dimension | None = None
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     relation: RelationType
@@ -201,9 +199,10 @@ class DebateGraph:
 
     @functools.cached_property
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(type_code, edge_rows)``, computed once per graph and read-only:
-        each node's ``TYPE_CODE`` in node-id order, and one
-        ``(dst, src, REL_CODE + inverse)`` row per edge in ``edges`` order."""
+        """``(type_code, edge_rows)``, computed once per graph (``graph_from_dict``
+        fills them at load) and read-only: each node's ``TYPE_CODE`` in node-id
+        order, and one ``(dst, src, REL_CODE + inverse)`` row per edge in
+        ``edges`` order."""
         # flat lists: NumPy converts them faster than lists of tuples
         order = np.argsort(np.array([n.id for n in self.nodes], dtype=np.intp))
         type_code = np.array([TYPE_CODE[n.node_type._name_] for n in self.nodes],
@@ -400,24 +399,54 @@ _NODE_TYPES = {t.value: t for t in NodeType}
 _DIMENSIONS = {d.value: d for d in Dimension}
 _RELATIONS = {r.value: r for r in RelationType}
 
+# builds a Node or Edge from a tuple of its fields, without the keyword handling of its __new__
+_new = tuple.__new__
+
 
 def graph_from_dict(d: dict) -> DebateGraph:
-    """Inverse of ``graph_to_dict``; an unknown enum value raises ``KeyError``."""
-    nodes = tuple(
-        Node(
-            id=nd["id"],
-            node_type=_NODE_TYPES[nd["type"]],
-            text=nd["text"],
-            speaker=nd.get("speaker"),
-            dimension=_DIMENSIONS[nd["dimension"]] if nd.get("dimension") else None,
-        )
+    """Inverse of ``graph_to_dict``, with ``codes`` filled from the parsed lists.
+
+    A document that does not describe a graph raises ``KeyError``,
+    ``TypeError`` or ``ValueError``: an unknown enum value, a node id that is
+    not an int (bools included), ids that are not 0..N-1 each once, an edge
+    endpoint that is not a node id, a non-bool ``inverse`` or a non-string
+    ``text``. Whether the edges fit the schema is ``validate_graph``'s job.
+    """
+    nodes = tuple([
+        _new(Node, (nd["id"], _NODE_TYPES[nd["type"]], nd["text"], nd.get("speaker"),
+                    _DIMENSIONS[dim] if (dim := nd.get("dimension")) else None))
         for nd in d["nodes"]
-    )
-    edges = tuple(
-        Edge(ed["src"], ed["dst"], _RELATIONS[ed["relation"]], bool(ed.get("inverse", False)))
+    ])
+    edges = tuple([
+        _new(Edge, (ed["src"], ed["dst"], _RELATIONS[ed["relation"]], ed.get("inverse", False)))
         for ed in d["edges"]
-    )
-    return DebateGraph(graph_id=d["graph_id"], nodes=nodes, edges=edges, label=d.get("label"))
+    ])
+    ids, node_types, texts = list(zip(*nodes))[:3] or ((), (), ())
+    src, dst, relations, inverse = list(zip(*edges)) or ((), (), (), ())
+    if not set(map(type, ids + src + dst)) <= {int}:
+        raise TypeError("node ids and edge endpoints must be integers")
+    if not set(map(type, texts)) <= {str}:
+        raise TypeError("node text must be a string")
+    if not set(map(type, inverse)) <= {bool}:
+        raise TypeError("edge 'inverse' must be true or false")
+
+    n = len(nodes)
+    id_arr = np.array(ids, dtype=np.intp)
+    if n and (id_arr.min() != 0 or id_arr.max() != n - 1):
+        raise ValueError("node ids are not dense 0..N-1")
+    type_code = np.full(n, -1, dtype=np.intp)
+    type_code[id_arr] = [TYPE_CODE[t._name_] for t in node_types]
+    if n and type_code.min() < 0:  # n ids in 0..n-1 leave a slot empty only if one repeats
+        raise ValueError("duplicate node id")
+    edge_rows = np.array([dst, src, [REL_CODE[r._name_] + i for r, i in zip(relations, inverse)]],
+                         dtype=np.intp).T
+    if len(edges) and (edge_rows[:, :2].min() < 0 or edge_rows[:, :2].max() >= n):
+        raise ValueError("edge endpoint is not a node id")
+
+    g = DebateGraph(graph_id=d["graph_id"], nodes=nodes, edges=edges, label=d.get("label"))
+    type_code.flags.writeable = edge_rows.flags.writeable = False
+    vars(g)["codes"] = (type_code, edge_rows)  # what the cached property would compute
+    return g
 
 
 @contextmanager
@@ -434,17 +463,25 @@ def replacing(path: str | Path) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
 
 
+def compact_json(obj: dict | list) -> str:
+    """``obj`` as one line of compact sorted-key JSON, the form of every
+    pipeline artifact: CPython encodes it in C, which it does not with ``indent``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_graph(g: DebateGraph, path: str | Path) -> None:
-    text = json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
+    text = compact_json(graph_to_dict(g))
     with replacing(path) as tmp, open(tmp, "w") as fh:
         fh.write(text)
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    """Read a graph file; a file that does not parse raises ``CorruptGraph``."""
+    """Read a graph file, compact or indented; a file that does not parse into
+    a graph (see ``graph_from_dict``) raises ``CorruptGraph``."""
     try:
         return graph_from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers JSONDecodeError; OverflowError an id beyond the index range
         raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
 
 

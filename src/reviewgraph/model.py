@@ -351,19 +351,31 @@ def _embed(
     config: ModelConfig,
     index: GraphIndex,
 ) -> Tensor:
-    """Initial node states of a batch: each embedding row times its type's projection."""
-    emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
-    for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
-        for n in g.nodes:
-            if n.id not in rows:
-                raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
-            row = np.asarray(rows[n.id], dtype=np.float64)
-            if row.shape != (config.input_dim,):
-                raise DimMismatch(
-                    f"embedding of node {n.id} has shape {row.shape}, "
-                    f"expected ({config.input_dim},)"
-                )
-            emb[offset + n.id] = row
+    """Initial node states of a batch: each embedding row times its type's projection.
+
+    Row ``offset + i`` is node i's embedding. All rows go in as one block;
+    only when that fails does a loop over the nodes find the one at fault.
+    """
+    counts = np.diff(index.node_offsets).tolist()
+    try:
+        emb = np.array([rows[i] for rows, n in zip(embeddings, counts) for i in range(n)],
+                       dtype=np.float64)
+        ok = emb.shape == (index.n_nodes, config.input_dim)
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
+        for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
+            for n in g.nodes:
+                if n.id not in rows:
+                    raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
+                row = np.asarray(rows[n.id], dtype=np.float64)
+                if row.shape != (config.input_dim,):
+                    raise DimMismatch(
+                        f"embedding of node {n.id} has shape {row.shape}, "
+                        f"expected ({config.input_dim},)"
+                    )
+                emb[offset + n.id] = row
     return _typed(Tensor(emb), params, "w_in", index)
 
 

@@ -32,7 +32,7 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension
+from .graph import DIMENSION_LABELS, Dimension, compact_json
 
 
 class OrchestrationError(Exception):
@@ -167,7 +167,7 @@ def transcript_from_dict(d: dict) -> Transcript:
 
 
 def save_transcript(t: Transcript, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(transcript_to_dict(t), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(compact_json(transcript_to_dict(t)))
 
 
 def load_transcript(path: str | Path) -> Transcript:
@@ -847,10 +847,14 @@ class EmbeddingCache:
                 lineno = data.count(b"\n", 0, exc.start) + 1
                 raise CorruptCache(f"{self.path}:{lineno}: not UTF-8 text") from None
             lines = text.split("\n")
-            for lineno, line in enumerate(lines, start=1):
-                if line.strip():
-                    key, vector = _decode_cache_line(line, self.path, lineno)
-                    self._store[key] = vector
+            store = _decode_cache_lines(text, [line for line in lines if line.strip()])
+            if store is not None:
+                self._store = store
+            else:
+                for lineno, line in enumerate(lines, start=1):
+                    if line.strip():
+                        key, vector = _decode_cache_line(line, self.path, lineno)
+                        self._store[key] = vector
             if text and not text.endswith("\n"):
                 raise CorruptCache(f"{self.path}:{len(lines)}: last line has no newline "
                                    "(torn write)")
@@ -898,6 +902,33 @@ class EmbeddingCache:
 
     def __len__(self) -> int:
         return len(self._store)
+
+
+def _decode_cache_lines(text: str, lines: list[str]) -> dict[str, np.ndarray] | None:
+    """The store of a cache file ``text`` from its non-blank ``lines`` at once:
+    one ``json.loads`` over all of them and one array over all their vector
+    bytes, each vector a row of it. ``None`` unless every line is a
+    ``{"sha256", "dim", "f64le"}`` record, with one ``dim`` for all, whose
+    vector decodes: ``_decode_cache_line`` then reads the file line by line,
+    so what loads, and every error, is what the per-line reader gives."""
+    n = len(lines)
+    # Joined with commas, lines may merge into fewer or more records than
+    # lines. Not so if every line starts with "{" and the text has no other
+    # "{": the i-th record then opens at the start of line i and closes in it.
+    if {line[0] for line in lines} != {"{"} or text.count("{") != n:
+        return None
+    try:
+        recs = json.loads("[" + ",".join(lines) + "]")
+        keys = [rec["sha256"] for rec in recs]
+        dims = [rec["dim"] for rec in recs]
+        raw = [base64.b64decode(rec["f64le"], validate=True) for rec in recs]
+    except (KeyError, TypeError, ValueError):  # binascii.Error is a ValueError
+        return None
+    if (len(recs) != n or not set(map(type, keys)) <= {str} or set(map(type, dims)) != {int}
+            or len(set(dims)) != 1 or set(map(len, raw)) != {8 * dims[0]}):
+        return None
+    vectors = np.frombuffer(b"".join(raw), dtype="<f8").astype(np.float64)
+    return dict(zip(keys, vectors.reshape(n, dims[0])))
 
 
 def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[str, np.ndarray]:

@@ -75,6 +75,9 @@ def test_full_stage_pipeline_and_graph_contents(tmp_path):
     assert g.label == "accept"
     assert len(g.nodes_of_type(NodeType.TITLE)) == 1
     assert len(g.nodes_of_type(NodeType.EVALUATION_DIMENSION)) == 4
+    for kind in ("transcript", "triples", "dims", "graph"):  # one line of compact sorted JSON
+        text = (tmp_path / "work" / f"p0.{kind}.json").read_text()
+        assert text == graphmod.compact_json(json.loads(text))
 
 
 def test_build_graph_with_no_title_ablation(tmp_path):
@@ -455,6 +458,46 @@ def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact,
     assert code == 3
     assert f"{paper_id}: " in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _set(items, index, key, value):
+    items[index][key] = value
+
+
+#: Edits that leave a graph file valid JSON but no graph; evaluate trusts
+#: graph files, so each used to end in a traceback or a wrong report.
+BROKEN_GRAPHS = {
+    "edge-to-node-999": lambda d: _set(d["edges"], 0, "dst", 999),
+    "string-node-id": lambda d: _set(d["nodes"], 0, "id", "0"),
+    "float-node-id": lambda d: _set(d["nodes"], 0, "id", 0.0),
+    "bool-node-id": lambda d: _set(d["nodes"], 1, "id", True),
+    "ids-not-dense": lambda d: _set(d["nodes"], -1, "id", 500),
+    "null-text": lambda d: _set(d["nodes"], 0, "text", None),
+    "duplicate-node-id": lambda d: _set(d["nodes"], 1, "id", 2),
+    "negative-edge-src": lambda d: _set(d["edges"], 0, "src", -1),
+    "string-inverse": lambda d: _set(d["edges"], 0, "inverse", "no"),
+}
+
+
+@pytest.mark.parametrize("edit", BROKEN_GRAPHS.values(), ids=BROKEN_GRAPHS.keys())
+def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
+        trained_workspace, tmp_path, capsys, edit):
+    root, manifest, files = trained_workspace
+    path = root / "work" / "p2.graph.json"
+    doc = json.loads(files[path])
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    try:
+        code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+                   "--split", "test", "--output", str(tmp_path / "ev.json"))
+    finally:
+        path.write_bytes(files[path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev.json").exists()
 
 
 

@@ -162,6 +162,8 @@ def test_json_round_trip(tmp_path):
     g = random_debate_graph(11, "rt", label="reject")
     path = tmp_path / "g.json"
     save_graph(g, path)
+    assert path.read_text() == json.dumps(graph_to_dict(g), sort_keys=True,
+                                          separators=(",", ":")) + "\n"
     g2 = load_graph(path)
     assert g2 == g
     # and the on-disk form is stable
@@ -198,6 +200,84 @@ def test_load_graph_rejects_corrupt_file(tmp_path, text):
         load_graph(path)
     assert info.value.path == path
     assert str(path) in str(info.value)
+
+
+def _set(items, index, key, value):
+    items[index][key] = value
+
+
+#: Edits that keep a graph document valid JSON but make it no graph.
+BROKEN_GRAPH_EDITS = {
+    "edge-to-unknown-node": (lambda d: _set(d["edges"], 0, "dst", 999), "not a node id"),
+    "negative-edge-src": (lambda d: _set(d["edges"], 0, "src", -1), "not a node id"),
+    "string-edge-src": (lambda d: _set(d["edges"], 0, "src", "0"), "must be integers"),
+    "string-node-id": (lambda d: _set(d["nodes"], 0, "id", "0"), "must be integers"),
+    "float-node-id": (lambda d: _set(d["nodes"], 0, "id", 0.0), "must be integers"),
+    "bool-node-id": (lambda d: _set(d["nodes"], 1, "id", True), "must be integers"),
+    "huge-node-id": (lambda d: _set(d["nodes"], -1, "id", 2 ** 80), "OverflowError"),
+    "ids-not-dense": (lambda d: _set(d["nodes"], -1, "id", 500), "not dense"),
+    "negative-node-id": (lambda d: _set(d["nodes"], 0, "id", -1), "not dense"),
+    "duplicate-node-id": (lambda d: _set(d["nodes"], 1, "id", 2), "duplicate node id"),
+    "null-text": (lambda d: _set(d["nodes"], 0, "text", None), "text must be a string"),
+    "string-inverse": (lambda d: _set(d["edges"], 0, "inverse", "no"), "'inverse'"),
+    "integer-inverse": (lambda d: _set(d["edges"], 0, "inverse", 1), "'inverse'"),
+}
+
+
+@pytest.mark.parametrize("edit, reason", BROKEN_GRAPH_EDITS.values(),
+                         ids=BROKEN_GRAPH_EDITS.keys())
+def test_load_graph_rejects_structurally_broken_graph(tmp_path, edit, reason):
+    doc = graph_to_dict(random_debate_graph(3, "broken"))
+    edit(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+        load_graph(path)
+    assert reason in str(info.value) and str(path) in str(info.value)
+
+
+def test_node_and_edge_are_immutable_value_tuples():
+    assert Node._fields == ("id", "node_type", "text", "speaker", "dimension")
+    assert Node._field_defaults == {"speaker": None, "dimension": None}
+    assert Edge._fields == ("src", "dst", "relation", "inverse")
+    assert Edge._field_defaults == {"inverse": False}
+    n = Node(id=5, node_type=NodeType.REVIEWER_OPINION, text="t", speaker="reviewer_1")
+    assert n == Node(5, NodeType.REVIEWER_OPINION, "t", "reviewer_1", None)
+    assert hash(n) == hash(Node(5, NodeType.REVIEWER_OPINION, "t", "reviewer_1"))
+    assert n != Node(5, NodeType.REVIEWER_OPINION, "u", "reviewer_1")
+    e = Edge(0, 1, RelationType.HAS_ASPECT)
+    assert e.inverse is False and e == Edge(src=0, dst=1, relation=RelationType.HAS_ASPECT)
+    assert len({e, Edge(0, 1, RelationType.HAS_ASPECT), e._replace(inverse=True)}) == 2
+    for obj, name in ((n, "text"), (e, "dst")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+
+
+def _graphs_under_test():
+    graphs = [random_debate_graph(s, f"g{s}", label="accept") for s in range(3)]
+    graphs += [rule_labeled_graph(1, "r", (2, 5), add_inverse_edges=False),
+               build_minimal_graph("m", "T")]
+    return graphs + [apply_ablation(graphs[0], mode) for mode in AblationMode]
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+def test_loaded_graph_equals_saved_one_and_carries_its_codes(tmp_path, indent):
+    """Files of the older ``indent=2`` form still load to an equal graph; the
+    codes filled at load equal the ones computed from the nodes and edges,
+    also when the file lists the nodes out of id order."""
+    path = tmp_path / "g.json"
+    for g in _graphs_under_test():
+        for reverse in (False, True):
+            doc = graph_to_dict(g)
+            if reverse:
+                doc["nodes"].reverse()
+            path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+            loaded = load_graph(path)
+            assert reverse or loaded == g
+            computed = DebateGraph.codes.func(loaded)
+            for got, expected in zip(loaded.codes, computed):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert (got == expected).all() and not got.flags.writeable
 
 
 def test_interrupted_graph_write_keeps_the_old_file(tmp_path, monkeypatch):

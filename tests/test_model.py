@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import dense_forward, permute_graph, reference_graph_index
+from reviewgraph import autodiff as ad
+from reviewgraph import model as modelmod
 from reviewgraph.graph import AblationMode, apply_ablation, build_minimal_graph
 from reviewgraph.model import (
     PREDICT_EDGE_BUDGET,
@@ -132,6 +134,65 @@ def test_featurize_checks_embeddings():
     bad[0] = np.zeros(3)
     with pytest.raises(DimMismatch):
         featurize(g, bad, params, SMALL)
+
+
+def _embed_node_by_node(graphs, embeddings, config, index):
+    """The input rows as the per-node loop filled them, with its errors."""
+    emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
+    for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
+        for n in g.nodes:
+            if n.id not in rows:
+                raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
+            row = np.asarray(rows[n.id], dtype=np.float64)
+            if row.shape != (config.input_dim,):
+                raise DimMismatch(f"embedding of node {n.id} has shape {row.shape}, "
+                                  f"expected ({config.input_dim},)")
+            emb[offset + n.id] = row
+    return emb
+
+
+def _with(rows, node_id, value):
+    return {**rows, node_id: value} if value is not None else \
+        {k: v for k, v in rows.items() if k != node_id}
+
+
+#: Edits of a graph's embedding rows: a missing row, rows of wrong shape
+#: (one-wide and scalar rows of every graph a block assignment would
+#: broadcast), rows of other types; and, last, edits both readers accept.
+EMBEDDING_EDITS = {
+    "missing": lambda rows, d: _with(rows, 3, None),
+    "short": lambda rows, d: _with(rows, 3, np.zeros(d - 1)),
+    "one-wide": lambda rows, d: {k: np.zeros(1) for k in rows},
+    "scalar": lambda rows, d: {k: 0.5 for k in rows},
+    "column": lambda rows, d: _with(rows, 0, np.zeros((d, 1))),
+    "row-matrix": lambda rows, d: {k: v[None, :] for k, v in rows.items()},
+    "text": lambda rows, d: _with(rows, 2, ["x"] * d),
+    "lists": lambda rows, d: {k: list(v) for k, v in rows.items()},
+    "ints": lambda rows, d: {k: np.arange(d) + k for k in rows},
+    "float32": lambda rows, d: {k: v.astype(np.float32) for k, v in rows.items()},
+    "extra-keys": lambda rows, d: {**rows, 999: np.zeros(d)},
+}
+
+
+@pytest.mark.parametrize("edited", [[1], [0, 1, 2]], ids=["second-graph", "every-graph"])
+@pytest.mark.parametrize("edit", EMBEDDING_EDITS.values(), ids=EMBEDDING_EDITS.keys())
+def test_block_embed_gives_the_rows_and_errors_of_the_node_loop(edit, edited):
+    graphs, embeddings = [], []
+    for seed in range(3):
+        g, emb, params = make_case(seed)
+        graphs.append(g)
+        embeddings.append(edit(emb, SMALL.input_dim) if seed in edited else emb)
+    index = build_graph_index(graphs, SMALL)
+    try:
+        want = _embed_node_by_node(graphs, embeddings, SMALL, index)
+    except Exception as exc:  # noqa: BLE001 - whatever the loop raised, the block must too
+        with pytest.raises(type(exc)) as info:
+            modelmod._embed(graphs, embeddings, params, SMALL, index)
+        assert str(info.value) == str(exc)
+        return
+    got = modelmod._embed(graphs, embeddings, params, SMALL, index)
+    expected = modelmod._typed(ad.Tensor(want), params, "w_in", index)
+    assert got.value.tobytes() == expected.value.tobytes()
 
 
 def test_predict_matches_dense_oracle():

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reviewgraph.extraction import build_graph
 from reviewgraph import orchestration
@@ -317,10 +318,9 @@ def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
     assert len(path.read_text().splitlines()) == 5
 
 
-def _valid_line(text="t"):
-    vec = np.arange(4, dtype=np.float64)
-    return json.dumps({"sha256": EmbeddingCache.key(text), "dim": 4,
-                       "f64le": base64.b64encode(vec.tobytes()).decode()})
+def _valid_line(text="t", vector=np.arange(4, dtype=np.float64)):
+    return json.dumps({"sha256": EmbeddingCache.key(text), "dim": int(vector.shape[0]),
+                       "f64le": base64.b64encode(vector.astype("<f8").tobytes()).decode()})
 
 
 @pytest.mark.parametrize("body, lineno", [
@@ -345,6 +345,113 @@ def test_corrupt_cache_line_names_path_and_line(tmp_path, body, lineno):
     path = tmp_path / "emb.jsonl"
     path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(CorruptCache, match=f"{path}:{lineno}: "):
+        EmbeddingCache(path)
+
+
+def _store_or_error(path, per_line=False):
+    """What a cache file loads as: each (key, dtype, shape, bytes) of the store, or
+    the ``CorruptCache`` message; ``per_line`` forces the line-by-line reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        if per_line:
+            mp.setattr(orchestration, "_decode_cache_lines", lambda text, lines: None)
+        try:
+            store = EmbeddingCache(path)._store
+        except CorruptCache as exc:
+            return str(exc)
+    assert all(v.flags.writeable for v in store.values())
+    return [(k, v.dtype.str, v.shape, v.tobytes()) for k, v in store.items()]
+
+
+def _split(lines, i, at):
+    line = lines[i]
+    lines[i:i + 1] = [line[:at], line[at:]]
+
+
+def _join(lines, i, sep):
+    lines[i:i + 2] = [sep.join(lines[i:i + 2])]
+
+
+def _replace_char(lines, i, at, char):
+    line = lines[i]
+    lines[i] = line[:at] + char + line[at + 1:]
+
+
+def _set_dim(lines, i, dim):
+    """Give the record a new ``dim`` and keep the old one under another key."""
+    lines[i] = lines[i].replace('"dim": ', f'"dim": {dim}, "was": ', 1)
+
+
+#: Text mutations of a cache file, by name: each edits the list of lines at a
+#: line index, a position in that line and one more drawn number.
+CACHE_MUTATIONS = {
+    "blank-line": lambda lines, i, at, x: lines.insert(i, ["", " ", "\t", "\x0c"][x % 4]),
+    "split": lambda lines, i, at, x: _split(lines, i, at),
+    "join": lambda lines, i, at, x: _join(lines, i, ["", " ", ","][x % 3]),
+    "bad-base64": lambda lines, i, at, x: _replace_char(lines, i, lines[i].rfind('"') - 1 - at,
+                                                        "!=A*"[x % 4]),
+    "structural-char": lambda lines, i, at, x: _replace_char(lines, i, at, '{}[],:" '[x % 8]),
+    "wrong-dim": lambda lines, i, at, x: _set_dim(lines, i, [x % 7, "true", "4.0", '"4"'][x % 4]),
+}
+
+
+@st.composite
+def cache_texts(draw):
+    """A cache file of new and old (decimal ``vector``) lines, then mutated,
+    maybe torn; with the vectors its clean form must load as."""
+    dim = draw(st.integers(0, 4))
+    records = draw(st.lists(st.tuples(st.sampled_from("abcdef"),
+                                      st.lists(st.floats(width=64), min_size=dim, max_size=dim),
+                                      st.booleans()), max_size=6))
+    lines, expected = [], {}
+    for text, values, old in records:
+        vector = np.array(values, dtype=np.float64)
+        key = EmbeddingCache.key(text)
+        line = (_parent_line(text, vector) if old else _valid_line(text, vector)).rstrip()
+        # a decimal line keeps a NaN but not its sign or payload
+        expected[key] = np.array(json.loads(line)["vector"]) if old else vector
+        lines.append(line)
+    clean = "".join(line + "\n" for line in lines)
+    for name in draw(st.lists(st.sampled_from(sorted(CACHE_MUTATIONS)), max_size=3)):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            at = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+            CACHE_MUTATIONS[name](lines, min(i, len(lines) - 2) if name == "join" else i, at,
+                                  draw(st.integers(0, 20)))
+    text = "".join(line + "\n" for line in lines)
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return clean, text, expected, all(not old for *_, old in records)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cache_texts())
+def test_bulk_and_per_line_cache_readers_agree(tmp_path, case):
+    clean, text, expected, all_new = case
+    path = tmp_path / "emb.jsonl"
+    path.write_text(clean)
+    loaded = _store_or_error(path)
+    assert loaded == [(k, "<f8", v.shape, v.tobytes()) for k, v in expected.items()]
+    assert loaded == _store_or_error(path, per_line=True)
+    lines = [line for line in clean.split("\n") if line.strip()]
+    # the bulk reader does read every clean file of new lines
+    assert (orchestration._decode_cache_lines(clean, lines) is not None) == (all_new and bool(lines))
+
+    path.write_text(text)
+    assert _store_or_error(path) == _store_or_error(path, per_line=True)
+
+
+def test_bulk_cache_reader_refuses_lines_that_merge_when_joined(tmp_path):
+    """Two records on one line, and one record split over two lines, join
+    into as many records as lines; the per-line reader rejects the file."""
+    a, b, c = (_valid_line(t, np.zeros(1)) for t in "abc")
+    lines = [a + ", " + b, c[:-1] + ', "x": [{}', "{}]}"]
+    text = "".join(line + "\n" for line in lines)
+    assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
+    assert orchestration._decode_cache_lines(text, lines) is None
+    path = tmp_path / "emb.jsonl"
+    path.write_text(text)
+    with pytest.raises(CorruptCache, match=f"{path}:1: not valid JSON"):
         EmbeddingCache(path)
 
 
