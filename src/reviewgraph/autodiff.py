@@ -64,9 +64,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.value)
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every leaf's ``grad``.
 

@@ -17,6 +17,7 @@ from enum import Enum
 
 from .graph import (
     AUTHOR_SPEAKER,
+    DIMENSION_LABELS,
     DIMENSION_NODE_IDS,
     INTER_REVIEWER_RELATIONS,
     REVIEWER_AUTHOR_RELATIONS,
@@ -121,12 +122,7 @@ _IR_LABELS = {r.value: r for r in INTER_REVIEWER_RELATIONS}
 RA_ARRAY_KEY = "Reviewer_Author_Relations"
 IR_ARRAY_KEY = "Inter_Reviewer_Relations"
 
-_CATEGORY_BY_NORM = {
-    "methodological novelty": Dimension.METHODOLOGICAL_NOVELTY,
-    "experimental completeness": Dimension.EXPERIMENTAL_COMPLETENESS,
-    "motivation clarity": Dimension.MOTIVATION_CLARITY,
-    "writing fluency": Dimension.WRITING_FLUENCY,
-}
+_CATEGORY_BY_NORM = {label.lower(): dim for dim, label in DIMENSION_LABELS.items()}
 
 
 def normalize_text(s: str) -> str:

@@ -65,12 +65,9 @@ class DimMismatch(ModelError):
     pass
 
 
-NODE_TYPE_ORDER = (
-    NodeType.TITLE,
-    NodeType.EVALUATION_DIMENSION,
-    NodeType.REVIEWER_OPINION,
-    NodeType.AUTHOR_OPINION,
-)
+#: Node types in pooling and parameter order: ``NodeType``'s own, so a type's
+#: ``graph.TYPE_CODE`` is its position in ``node_type_keys``.
+NODE_TYPE_ORDER = tuple(NodeType)
 
 HOMOGENEOUS_TYPE_KEY = "node"
 CONNECTED_KEY = RelationType.CONNECTED.value
@@ -151,13 +148,9 @@ def meta_key(config: ModelConfig, rel_key: str) -> str:
     return _MU_NAMES[rel_key]
 
 
-#: Every heterogeneous node-type and relation key, by its ``graph.TYPE_CODE``
-#: or ``graph.REL_CODE + inverse`` code. The homogeneous config has the single
-#: keys ``node`` and ``connected`` instead.
-_TYPE_NAMES = [t.value for t in NodeType]
+#: Every heterogeneous relation key, by its ``graph.REL_CODE + inverse`` code.
+#: The homogeneous config has the single key ``connected`` instead.
 _REL_NAMES = [r.value + suffix for r in RelationType for suffix in ("", "__inv")]
-#: Pooling slot (position in ``node_type_keys``) of each heterogeneous type code.
-_POOL_SLOT = np.array([NODE_TYPE_ORDER.index(t) for t in NodeType], dtype=np.intp)
 
 
 @dataclass
@@ -246,8 +239,8 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         type_keys, node_type = [HOMOGENEOUS_TYPE_KEY], np.zeros(n_nodes, dtype=np.intp)
         slot = node_type
     else:
-        type_keys, node_type = _present(type_code, _TYPE_NAMES)
-        slot = _POOL_SLOT[type_code]
+        type_keys, node_type = _present(type_code, node_type_keys(config))
+        slot = type_code
     pool_key = np.repeat(n_slots * np.arange(len(graphs)), counts) + slot
     pool_rows = np.argsort(pool_key, kind="stable")
     pool_segments = _segments(pool_key[pool_rows])
@@ -456,7 +449,6 @@ def hgt_layer(
 class ForwardTrace:
     layer_outputs: list[np.ndarray] = field(default_factory=list)
     attention: list[np.ndarray] = field(default_factory=list)
-    edge_order: list[Edge] = field(default_factory=list)
     pooled: dict[str, np.ndarray] = field(default_factory=dict)
     probs: np.ndarray | None = None
 
@@ -488,7 +480,6 @@ def _forward(
     logits = ad.add(ad.matmul(z, params["head/w2"]), params["head/b2"])
     probs = ad.softmax(logits)
     if trace is not None:
-        trace.edge_order = list(index.ordered_edges)
         trace.pooled = dict(zip(node_type_keys(config), pooled.value))
         trace.probs = probs.value[0]
     return probs

@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -27,7 +27,6 @@ from .extraction import (
     DimensionAssignment,
     ExtractionError,
     TripleBatch,
-    normalize_text,
     parse_dimension_reply,
     parse_triple_batch,
     reviewer_opinion_keys,
@@ -48,7 +47,11 @@ class EmptyCompletion(OrchestrationError):
 
 
 class ExtractionFailed(OrchestrationError):
-    pass
+    """Neither the reply to a prompt nor the one after the correction parsed."""
+
+    def __init__(self, errors: list[str]) -> None:
+        super().__init__(f"both attempts unparseable: {errors}")
+        self.errors = errors
 
 
 class ClassificationFailed(OrchestrationError):
@@ -211,7 +214,8 @@ class EndpointConfig:
 
 
 class BaseClient:
-    """Shared retry/backoff and concurrency bookkeeping for all clients."""
+    """Shared retry/backoff and concurrency bookkeeping for all clients, and
+    the reply contract every client's completions and embeddings must meet."""
 
     def __init__(self, config: EndpointConfig,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -225,14 +229,21 @@ class BaseClient:
         self.embed_requests = 0
         self.retry_delays: list[float] = []
 
-    def _track_enter(self) -> None:
+    def _request(self, fn: Callable[[], object], counter: str) -> object:
+        """``fn()`` within the concurrency limit and with retries; a success
+        adds one to the request counter named ``counter``."""
+        with self._semaphore:
+            with self._lock:
+                self._in_flight += 1
+                self.max_in_flight = max(self.max_in_flight, self._in_flight)
+            try:
+                out = self._with_retries(fn)
+            finally:
+                with self._lock:
+                    self._in_flight -= 1
         with self._lock:
-            self._in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self._in_flight)
-
-    def _track_exit(self) -> None:
-        with self._lock:
-            self._in_flight -= 1
+            setattr(self, counter, getattr(self, counter) + 1)
+        return out
 
     def _with_retries(self, fn: Callable[[], object]) -> object:
         last: Exception | None = None
@@ -248,28 +259,25 @@ class BaseClient:
         raise EndpointError(f"endpoint failed after {self.config.retry_limit + 1} attempts: {last}")
 
     def complete(self, messages: list[dict[str, str]]) -> str:
-        with self._semaphore:
-            self._track_enter()
-            try:
-                out = self._with_retries(lambda: self._complete_once(messages))
-            finally:
-                self._track_exit()
-        with self._lock:
-            self.chat_requests += 1
-        if not str(out).strip():
+        out = self._request(lambda: self._complete_once(messages), "chat_requests")
+        if not isinstance(out, str):
+            raise EndpointError(f"completion is {type(out).__name__}, not a string")
+        if not out.strip():
             raise EmptyCompletion("endpoint returned an empty completion")
-        return str(out)
+        return out
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        with self._semaphore:
-            self._track_enter()
-            try:
-                out = self._with_retries(lambda: self._embed_once(list(texts)))
-            finally:
-                self._track_exit()
-        with self._lock:
-            self.embed_requests += 1
-        return [np.asarray(v, dtype=np.float64) for v in out]
+        texts = list(texts)
+        out = self._request(lambda: self._embed_once(texts), "embed_requests")
+        try:
+            vectors = [np.asarray(v) for v in out]
+        except (TypeError, ValueError) as exc:  # not iterable, or a ragged vector
+            raise EndpointError(f"malformed embeddings: {exc}") from None
+        if len(vectors) != len(texts) or not all(v.ndim == 1 and v.dtype.kind in "iuf"
+                                                 for v in vectors):
+            raise EndpointError(f"embeddings reply is not one 1-D vector of numbers per "
+                                f"text ({len(vectors)} for {len(texts)} texts)")
+        return [np.asarray(v, dtype=np.float64) for v in vectors]
 
     def _complete_once(self, messages: list[dict[str, str]]) -> str:
         raise NotImplementedError
@@ -288,11 +296,14 @@ class HttpChatClient(BaseClient):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _complete_once(self, messages: list[dict[str, str]]) -> str:
+    def _post(self, route: str, payload: dict, pick: Callable[[object], object]) -> object:
+        """``pick`` of the JSON body that POSTing ``payload`` to ``route`` returns.
+        A 5xx status or a failed connection raises ``TransportError`` (retried);
+        another status but 200, or a body ``pick`` cannot read, ``EndpointError``."""
         try:
             resp = requests.post(
-                f"{self.config.base_url.rstrip('/')}/chat/completions",
-                json={"model": self.config.model, "messages": messages},
+                f"{self.config.base_url.rstrip('/')}/{route}",
+                json={"model": self.config.model, **payload},
                 headers=self._headers(),
                 timeout=self.config.timeout,
             )
@@ -303,29 +314,18 @@ class HttpChatClient(BaseClient):
         if resp.status_code != 200:
             raise EndpointError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
-            raise EndpointError(f"malformed completion payload: {exc}") from exc
+            return pick(resp.json())
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise EndpointError(f"malformed {route} reply: "
+                                f"{type(exc).__name__}: {exc}") from exc
+
+    def _complete_once(self, messages: list[dict[str, str]]) -> str:
+        return self._post("chat/completions", {"messages": messages},
+                          lambda body: body["choices"][0]["message"]["content"])
 
     def _embed_once(self, texts: list[str]) -> list[list[float]]:
-        try:
-            resp = requests.post(
-                f"{self.config.base_url.rstrip('/')}/embeddings",
-                json={"model": self.config.model, "input": texts},
-                headers=self._headers(),
-                timeout=self.config.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"server error {resp.status_code}")
-        if resp.status_code != 200:
-            raise EndpointError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
-        try:
-            data = resp.json()["data"]
-            return [row["embedding"] for row in data]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EndpointError(f"malformed embedding payload: {exc}") from exc
+        return self._post("embeddings", {"input": texts},
+                          lambda body: [row["embedding"] for row in body["data"]])
 
 
 # deterministic opinion banks for the mock reviewers; every sentence carries a
@@ -642,9 +642,6 @@ def simulate_debate(
     client: BaseClient,
     *,
     include_meta_review: bool = True,
-    review_guidelines: str = DEFAULT_REVIEW_GUIDELINES,
-    author_guidelines: str = DEFAULT_AUTHOR_GUIDELINES,
-    chair_guidelines: str = DEFAULT_CHAIR_GUIDELINES,
 ) -> Transcript:
     """Run the staged reviewer-author conversation and record it verbatim.
 
@@ -666,27 +663,20 @@ def simulate_debate(
         history.append({"role": "user", "content": ref})
         history.append({"role": "assistant", "content": "Received the figure or table."})
 
-    initial: list[AgentMessage] = []
-    for k, role in enumerate(REVIEWER_ROLES, start=1):
-        history.append(
-            {"role": "user",
-             "content": REVIEWER_PROMPT.format(guidelines=review_guidelines, k=k)}
-        )
-        review = client.complete(history)
-        history.append({"role": "assistant", "content": review})
-        initial.append(AgentMessage(role=role, content=review, attachments=paper.attachments
-                                    if k == 1 else ()))
+    def turn(prompt: str) -> str:
+        """Ask ``prompt`` after the whole conversation so far; the reply joins it."""
+        history.append({"role": "user", "content": prompt})
+        reply = client.complete(history)
+        history.append({"role": "assistant", "content": reply})
+        return reply
 
-    history.append({"role": "user", "content": AUTHOR_PROMPT.format(guidelines=author_guidelines)})
-    rebuttal = client.complete(history)
-    history.append({"role": "assistant", "content": rebuttal})
-
-    reeval: list[AgentMessage] = []
+    initial = []
     for k, role in enumerate(REVIEWER_ROLES, start=1):
-        history.append({"role": "user", "content": REEVALUATION_PROMPT.format(k=k)})
-        response = client.complete(history)
-        history.append({"role": "assistant", "content": response})
-        reeval.append(AgentMessage(role=role, content=response))
+        review = turn(REVIEWER_PROMPT.format(guidelines=DEFAULT_REVIEW_GUIDELINES, k=k))
+        initial.append(AgentMessage(role, review, paper.attachments if k == 1 else ()))
+    rebuttal = turn(AUTHOR_PROMPT.format(guidelines=DEFAULT_AUTHOR_GUIDELINES))
+    reeval = [AgentMessage(role=role, content=turn(REEVALUATION_PROMPT.format(k=k)))
+              for k, role in enumerate(REVIEWER_ROLES, start=1)]
 
     stages = [
         StageRecord(DebateStage.INITIAL_REVIEW, tuple(initial)),
@@ -695,10 +685,7 @@ def simulate_debate(
         StageRecord(DebateStage.RE_EVALUATION, tuple(reeval)),
     ]
     if include_meta_review:
-        history.append(
-            {"role": "user", "content": SENIOR_PROMPT.format(guidelines=chair_guidelines)}
-        )
-        meta = client.complete(history)
+        meta = turn(SENIOR_PROMPT.format(guidelines=DEFAULT_CHAIR_GUIDELINES))
         stages.append(
             StageRecord(DebateStage.META_REVIEW,
                         (AgentMessage(AgentRole.SENIOR_REVIEWER, meta),))
@@ -749,34 +736,41 @@ def find_json_object(text: str) -> str | None:
     return text[best[0]:best[1]]
 
 
+def _ask(client: BaseClient, messages: list[dict[str, str]],
+         parse: Callable[[str], object], correction: str) -> object:
+    """``parse`` of the completion of ``messages``. If ``parse`` raises
+    ``ExtractionError``, ask once more with that reply and ``correction``
+    appended; if the second reply fails too, raise ``ExtractionFailed``
+    listing both errors."""
+    errors: list[str] = []
+    for _attempt in range(2):
+        reply = client.complete(messages)
+        try:
+            return parse(reply)
+        except ExtractionError as exc:
+            errors.append(str(exc))
+        messages = messages + [{"role": "assistant", "content": reply},
+                               {"role": "user", "content": correction}]
+    raise ExtractionFailed(errors)
+
+
 def extract_triples(transcript: Transcript, client: BaseClient) -> TripleBatch:
     """Prompt for opinion triples over the transcript and parse the reply."""
-    review_file = render_review_file(transcript)
     messages = [
         {"role": "system", "content": EXTRACTION_SYSTEM},
-        {"role": "user", "content": review_file},
+        {"role": "user", "content": render_review_file(transcript)},
         {"role": "assistant", "content": "Received the review contents."},
         {"role": "user", "content": EXTRACTION_TASK},
     ]
-    errors = []
-    for attempt in range(2):
-        reply = client.complete(messages)
+
+    def parse(reply: str) -> TripleBatch:
         span = find_json_object(reply)
-        if span is not None:
-            try:
-                return parse_triple_batch(span, transcript.paper_id)
-            except ExtractionError as exc:
-                errors.append(str(exc))
-        else:
-            errors.append("no JSON object in reply")
-        if attempt == 0:
-            messages = messages + [
-                {"role": "assistant", "content": reply},
-                {"role": "user",
-                 "content": "Your previous reply could not be parsed. "
-                            "Return only the JSON object."},
-            ]
-    raise ExtractionFailed(f"both attempts unparseable: {errors}")
+        if span is None:
+            raise ExtractionError("no JSON object in reply")
+        return parse_triple_batch(span, transcript.paper_id)
+
+    return _ask(client, messages, parse, "Your previous reply could not be parsed. "
+                                         "Return only the JSON object.")
 
 
 def classify_dimensions(
@@ -786,25 +780,16 @@ def classify_dimensions(
     keys = reviewer_opinion_keys(batch)
 
     def classify(key: tuple[str, str]) -> tuple[tuple[str, str], Dimension | str]:
-        speaker, text = key
         messages = [
             {"role": "system", "content": CLASSIFY_SYSTEM},
-            {"role": "user", "content": f"Comment to classify: {text}"},
+            {"role": "user", "content": f"Comment to classify: {key[1]}"},
         ]
-        last_err = ""
-        for attempt in range(2):
-            reply = client.complete(messages)
-            span = find_json_object(reply) or reply
-            try:
-                return key, parse_dimension_reply(span)
-            except ExtractionError as exc:
-                last_err = str(exc)
-                messages = messages + [
-                    {"role": "assistant", "content": reply},
-                    {"role": "user",
-                     "content": "Return only JSON with one of the four listed categories."},
-                ]
-        return key, last_err
+        try:
+            return key, _ask(client, messages,
+                             lambda reply: parse_dimension_reply(find_json_object(reply) or reply),
+                             "Return only JSON with one of the four listed categories.")
+        except ExtractionFailed as exc:
+            return key, exc.errors[-1]
 
     if jobs > 1 and len(keys) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -812,17 +797,12 @@ def classify_dimensions(
     else:
         results = [classify(k) for k in keys]
 
-    assignments: list[DimensionAssignment] = []
-    failures: list[tuple[str, str, str]] = []
-    for (speaker, text), outcome in results:
-        if isinstance(outcome, Dimension):
-            assignments.append(DimensionAssignment(speaker=speaker, text=text,
-                                                   dimension=outcome))
-        else:
-            failures.append((speaker, text, outcome))
+    failures = [(speaker, text, outcome) for (speaker, text), outcome in results
+                if not isinstance(outcome, Dimension)]
     if failures:
         raise ClassificationFailed(failures)
-    return assignments
+    return [DimensionAssignment(speaker=speaker, text=text, dimension=outcome)
+            for (speaker, text), outcome in results]
 
 
 class EmbeddingCache:
@@ -866,10 +846,11 @@ class EmbeddingCache:
     def get(self, text: str) -> np.ndarray | None:
         return self._store.get(self.key(text))
 
-    def put(self, text: str, vector: np.ndarray) -> None:
+    def put(self, text: str, vector: np.ndarray, key: str | None = None) -> None:
         """Store a vector unless its text is cached; its line is appended now,
-        or at the end of the enclosing ``put_many``."""
-        k = self.key(text)
+        or at the end of the enclosing ``put_many``. A caller that has hashed
+        the text already passes its ``key``."""
+        k = self.key(text) if key is None else key
         if k in self._store:
             return
         v = np.asarray(vector, dtype=np.float64)
@@ -885,12 +866,12 @@ class EmbeddingCache:
         else:
             self._append([line])
 
-    def put_many(self, items: Iterable[tuple[str, np.ndarray]]) -> None:
-        """``put`` each (text, vector) pair; their lines go out in one write."""
+    def put_many(self, items: Iterable[tuple[str, np.ndarray, str]]) -> None:
+        """``put`` each (text, vector, key); their lines go out in one write."""
         self._pending = []
         try:
-            for text, vector in items:
-                self.put(text, vector)
+            for text, vector, key in items:
+                self.put(text, vector, key)
         finally:
             lines, self._pending = self._pending, None
             self._append(lines)
@@ -960,27 +941,16 @@ def embed_texts(
     client: BaseClient,
     cache: EmbeddingCache | None = None,
 ) -> list[np.ndarray]:
-    """One vector per input text; cached texts are not re-requested."""
+    """One vector per input text; cached texts are not re-requested. The new
+    vectors are cached only if every text's vector has the same dimension."""
     if cache is None:
         cache = EmbeddingCache()
-    missing: list[str] = []
-    seen: set[str] = set()
-    for t in texts:
-        if cache.get(t) is None and t not in seen:
-            seen.add(t)
-            missing.append(t)
-    if missing:
-        vectors = client.embed(missing)
-        dims = {v.shape[0] for v in vectors}
-        if len(dims) > 1:
-            raise InconsistentDimension(f"embedding dimensions differ: {sorted(dims)}")
-        cache.put_many(zip(missing, vectors))
-    out = []
-    for t in texts:
-        v = cache.get(t)
-        assert v is not None
-        out.append(v)
+    keys = [cache.key(t) for t in texts]
+    missing = {k: t for k, t in zip(keys, texts) if k not in cache._store}
+    fetched = dict(zip(missing, client.embed(list(missing.values())))) if missing else {}
+    out = [fetched[k] if k in fetched else cache._store[k] for k in keys]
     dims = {v.shape[0] for v in out}
     if len(dims) > 1:
         raise InconsistentDimension(f"embedding dimensions differ: {sorted(dims)}")
+    cache.put_many((missing[k], v, k) for k, v in fetched.items())
     return out

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -102,16 +102,6 @@ class EvalReport:
     macro_f1: float
     per_class: dict[str, dict[str, int]]
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "n": self.n,
-        }
 
 
 def evaluate(preds: Sequence[int], golds: Sequence[int]) -> EvalReport:
@@ -400,17 +390,14 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
     """Binary format: magic, u32 manifest length, JSON manifest, fp32 LE payload.
 
     The payload is the parameter vector as fp32, so each tensor's bytes sit at
-    its offset in store order. The bytes go to ``<path>.tmp`` first, which
+    its ``_tensor_table`` offset. The bytes go to ``<path>.tmp`` first, which
     then replaces ``path``, so a crash mid-write leaves any earlier checkpoint
     at ``path`` intact.
     """
-    tensors = []
-    offset = 0
-    for name, tensor in cp.params.items():
-        length = tensor.value.size * 4
-        tensors.append({"name": name, "shape": list(tensor.value.shape),
-                        "offset": offset, "length": length})
-        offset += length
+    tensors = _tensor_table(cp.model_config)
+    if [(t["name"], t["shape"]) for t in tensors] != \
+            [(name, list(t.value.shape)) for name, t in cp.params.items()]:
+        raise CheckpointError("the parameters do not follow the model config's layout")
     manifest = {
         "version": cp.version,
         "model_config": asdict(cp.model_config),
@@ -466,35 +453,38 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CorruptPayload(f"malformed manifest: {type(exc).__name__}: {exc}") from exc
 
 
+def _tensor_table(config: ModelConfig) -> list[dict]:
+    """The manifest's tensor entries: the name, shape, and fp32 payload byte
+    offset and length of each ``param_layout`` tensor, in that order."""
+    table, offset = [], 0
+    for name, shape, _init in param_layout(config):
+        length = 4 * math.prod(shape)
+        table.append({"name": name, "shape": list(shape), "offset": offset, "length": length})
+        offset += length
+    return table
+
+
 def _read_params(entries: list, payload: memoryview, model_config: ModelConfig) -> ParamStore:
-    """The manifest's tensors read from the payload into one vector in
-    ``param_layout`` order; an entry that is duplicated, missing, not in the
-    layout, misshaped or outside the payload raises ``CorruptPayload``."""
+    """The payload as one parameter vector. The manifest's tensor entries must
+    equal ``_tensor_table(model_config)``, else ``CorruptPayload`` names the
+    first tensor that differs, is missing or is extra; a payload of another
+    size is a ``CorruptPayload`` too."""
     if not isinstance(entries, list):
         raise CorruptPayload("manifest 'tensors' is not a list")
-    found: dict[str, dict] = {}
-    for entry in entries:
-        name = entry["name"]
-        if name in found:
-            raise CorruptPayload(f"tensor {name!r} appears twice in the manifest")
-        found[name] = entry
-    layout = [(name, shape) for name, shape, _init in param_layout(model_config)]
-    known = {name for name, _shape in layout}
-    for name in found:
-        if name not in known:
-            raise CorruptPayload(f"tensor {name!r} is not a parameter of the model config")
-    params = ParamStore(layout)
-    for name, shape in layout:
-        if name not in found:
-            raise CorruptPayload(f"tensor {name!r} is missing from the manifest")
-        entry = found[name]
-        if entry["shape"] != list(shape):
-            raise CorruptPayload(f"tensor {name!r} has shape {entry['shape']!r}, "
-                                 f"the model config gives {list(shape)}")
-        size = params[name].value.size
-        offset, length = entry["offset"], entry["length"]
-        if type(offset) is not int or length != size * 4 \
-                or not 0 <= offset <= len(payload) - length:
-            raise CorruptPayload(f"tensor {name!r} payload length/offset mismatch")
-        params[name].value[...] = np.frombuffer(payload, "<f4", size, offset).reshape(shape)
-    return params
+    table = _tensor_table(model_config)
+    for i, want in enumerate(table):
+        if i == len(entries):
+            raise CorruptPayload(f"tensor {want['name']!r} is missing from the manifest")
+        if entries[i] != want:
+            raise CorruptPayload(f"tensor {want['name']!r}: the manifest lists {entries[i]!r} "
+                                 f"where the model config gives {want!r}")
+    if len(entries) > len(table):
+        extra = entries[len(table)]
+        name = extra.get("name") if isinstance(extra, dict) else extra
+        raise CorruptPayload(f"tensor {name!r} is an extra entry after the model config's "
+                             f"{len(table)} tensors")
+    size = sum(entry["length"] for entry in table)
+    if len(payload) != size:
+        raise CorruptPayload(f"payload holds {len(payload)} bytes, the manifest gives {size}")
+    flat = np.frombuffer(payload, "<f4").astype(np.float64)
+    return ParamStore([(entry["name"], entry["shape"]) for entry in table], flat)

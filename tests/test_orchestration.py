@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from pipeline_utils import make_workspace, run
 from reviewgraph.extraction import build_graph
 from reviewgraph import orchestration
 from reviewgraph.graph import validate_graph
@@ -491,6 +492,126 @@ def test_http_client_maps_transport_errors(monkeypatch):
         client.complete([{"role": "user", "content": "hi"}])
     with pytest.raises(TransportError):
         client._complete_once([{"role": "user", "content": "hi"}])
+
+
+class FakeResponse:
+    """The part of ``requests.Response`` the HTTP client reads."""
+
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self.text = body if isinstance(body, str) else json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def fake_endpoint(monkeypatch, reply):
+    """Route ``requests.post`` to ``reply(payload) -> (status, body)``; the
+    returned list collects each posted URL's last path segment."""
+    import requests
+
+    posted = []
+
+    def post(url, **kwargs):
+        posted.append(url.rsplit("/", 1)[-1])
+        return FakeResponse(*reply(kwargs["json"]))
+
+    monkeypatch.setattr(requests, "post", post)
+    return posted
+
+
+def http_client():
+    config = EndpointConfig(base_url="https://example.invalid/v1", model="m",
+                            retry_limit=2, backoff_base=0.5)
+    return HttpChatClient(config, sleep=lambda _t: None)
+
+
+CALLS = {
+    "completions": lambda client: client.complete([{"role": "user", "content": "hi"}]),
+    "embeddings": lambda client: client.embed(["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("route", CALLS)
+def test_http_server_error_is_retried_then_raises(monkeypatch, route):
+    posted = fake_endpoint(monkeypatch, lambda _payload: (503, "busy"))
+    client = http_client()
+    with pytest.raises(EndpointError, match="after 3 attempts: server error 503"):
+        CALLS[route](client)
+    assert posted == [route] * 3
+    assert client.retry_delays == [0.5, 1.0]
+    assert client.chat_requests == client.embed_requests == 0
+
+
+@pytest.mark.parametrize("route", CALLS)
+def test_http_client_error_is_raised_without_retry(monkeypatch, route):
+    posted = fake_endpoint(monkeypatch, lambda _payload: (404, "no such model"))
+    client = http_client()
+    with pytest.raises(EndpointError, match="404: no such model"):
+        CALLS[route](client)
+    assert posted == [route]
+    assert client.retry_delays == []
+
+
+def _vectors(embedding, drop=0):
+    """An embeddings reply giving each input text ``embedding``, less ``drop`` rows."""
+    return lambda payload: {"data": [{"embedding": embedding}] * (len(payload["input"]) - drop)}
+
+
+#: Replies that break the endpoint contract, by route; each is an EndpointError.
+BAD_REPLIES = {
+    "choices-null": ("completions", lambda _p: {"choices": None}),
+    "list-body": ("completions", lambda _p: [{"choices": []}]),
+    "content-null": ("completions", lambda _p: {"choices": [{"message": {"content": None}}]}),
+    "not-json": ("completions", lambda _p: "<html>busy</html>"),
+    "fewer-vectors": ("embeddings", _vectors([0.5, 0.5], drop=1)),
+    "non-numeric": ("embeddings", _vectors(["x", "y"])),
+    "nested-vector": ("embeddings", _vectors([[0.5], [0.5]])),
+    "no-data": ("embeddings", lambda _p: {"object": "list"}),
+}
+
+
+@pytest.mark.parametrize("route, body", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
+def test_http_malformed_reply_is_an_endpoint_error(monkeypatch, route, body):
+    posted = fake_endpoint(monkeypatch, lambda payload: (200, body(payload)))
+    client = http_client()
+    with pytest.raises(EndpointError):
+        CALLS[route](client)
+    assert posted == [route]
+    assert client.retry_delays == []
+
+
+def test_http_well_formed_replies_pass_the_contract(monkeypatch):
+    fake_endpoint(monkeypatch, lambda payload: (200, {
+        "choices": [{"message": {"content": "fine"}}],
+        "data": [{"embedding": [1, 0.5]}] * len(payload.get("input", ())),
+    }))
+    client = http_client()
+    assert CALLS["completions"](client) == "fine"
+    vectors = CALLS["embeddings"](client)
+    assert [v.tolist() for v in vectors] == [[1.0, 0.5]] * 2
+    assert all(v.dtype == np.float64 for v in vectors)
+    assert (client.chat_requests, client.embed_requests) == (1, 1)
+
+
+@pytest.mark.parametrize("stage, defect", [
+    ("extract", "choices-null"), ("extract", "list-body"), ("extract", "content-null"),
+    ("embed", "fewer-vectors"), ("embed", "non-numeric"),
+])
+def test_cli_stage_exits_2_on_malformed_reply(tmp_path, monkeypatch, capsys, stage, defect):
+    manifest = make_workspace(tmp_path, [("p0", "train", "accept")])
+    assert run(tmp_path, "simulate", str(manifest)) == 0
+    assert run(tmp_path, "extract", str(manifest)) == 0
+    config = json.loads((tmp_path / "run.json").read_text())
+    config["endpoint"] = {"base_url": "https://example.invalid/v1", "model": "m",
+                          "retry_limit": 0, "embedding_dim": 16}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    body = BAD_REPLIES[defect][1]
+    fake_endpoint(monkeypatch, lambda payload: (200, body(payload)))
+    capsys.readouterr()
+    assert run(tmp_path, "--force", stage, str(manifest)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("endpoint error: ") and "Traceback" not in err
 
 
 def test_api_key_comes_from_environment(monkeypatch):
