@@ -318,27 +318,33 @@ def build_graph_cmd(obj, manifest) -> None:
             if not report.ok:
                 raise graphmod.GraphError(
                     f"graph validation failed: {'; '.join(report.violations)}")
-        graphmod.save_graph(g, tmp)
+        graphmod.save_graph(g, tmp, atomic=False)  # the runner renames tmp
 
     _run_stage(obj, manifest, "build-graph", "graph", write)
 
 
 def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...]
                  ) -> list[tuple[ManifestRecord, graphmod.DebateGraph, dict[str, np.ndarray]]]:
-    """Each ``splits`` paper's graph and its node texts' embeddings; every file is read once."""
+    """Each ``splits`` paper's graph and its node texts' embeddings; every file
+    is read once, and every node text hashed once."""
     papers = []
     for rec in records:
         if rec.split not in splits:
             continue
         g = _read(rec, "graph", graphmod.load_graph)
         cache = _read(rec, "embeddings", orch.EmbeddingCache)
-        vectors: dict[str, np.ndarray] = {}
-        for n in g.nodes:
-            if (v := cache.get(n.text)) is None:
-                raise DataFailure(f"{rec.paper_id}: no cached embedding for node {n.id} "
-                                  f"text {n.text[:50]!r}")
-            vectors[n.text] = v
-        papers.append((rec, g, vectors))
+        texts = [n.text for n in g.nodes]
+        try:
+            vectors = cache.vectors([cache.digest(text) for text in texts])
+        except KeyError as exc:
+            n = g.nodes[exc.args[0]]
+            raise DataFailure(f"{rec.paper_id}: no cached embedding for node {n.id} "
+                              f"text {n.text[:50]!r} in {cache.path}") from None
+        if not np.isfinite(vectors).all():
+            n = g.nodes[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
+            raise DataFailure(f"{rec.paper_id}: non-finite cached embedding for node {n.id} "
+                              f"text {n.text[:50]!r} in {cache.path}")
+        papers.append((rec, g, dict(zip(texts, vectors))))
     return papers
 
 

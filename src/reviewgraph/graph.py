@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -469,9 +469,11 @@ def compact_json(obj: dict | list) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def save_graph(g: DebateGraph, path: str | Path) -> None:
+def save_graph(g: DebateGraph, path: str | Path, atomic: bool = True) -> None:
+    """Write ``g`` as compact JSON; through ``replacing`` unless ``atomic`` is
+    False, for a ``path`` that is itself a temporary file its caller renames."""
     text = compact_json(graph_to_dict(g))
-    with replacing(path) as tmp, open(tmp, "w") as fh:
+    with replacing(path) if atomic else nullcontext(path) as out, open(out, "w") as fh:
         fh.write(text)
 
 

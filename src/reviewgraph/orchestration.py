@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 import os
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension, compact_json
+from .graph import DIMENSION_LABELS, Dimension, compact_json, replacing
 
 
 class OrchestrationError(Exception):
@@ -76,7 +77,8 @@ class IncompleteTranscript(OrchestrationError):
 
 
 class CorruptCache(OrchestrationError):
-    """An embedding-cache line that does not decode; the message is ``path:line: reason``."""
+    """An embedding-cache file that does not decode; the message starts with its
+    path, and with ``path:line`` for a line of a JSON-lines cache."""
 
 
 class TransportError(OrchestrationError):
@@ -277,7 +279,13 @@ class BaseClient:
                                                  for v in vectors):
             raise EndpointError(f"embeddings reply is not one 1-D vector of numbers per "
                                 f"text ({len(vectors)} for {len(texts)} texts)")
-        return [np.asarray(v, dtype=np.float64) for v in vectors]
+        vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+        # JSON parsers accept a bare NaN or Infinity; no embedding has one
+        bad = next((i for i, v in enumerate(vectors) if not np.isfinite(v).all()), None)
+        if bad is not None:
+            raise EndpointError(f"embeddings reply has a non-finite value in the vector "
+                                f"of text {bad}")
+        return vectors
 
     def _complete_once(self, messages: list[dict[str, str]]) -> str:
         raise NotImplementedError
@@ -805,115 +813,177 @@ def classify_dimensions(
             for (speaker, text), outcome in results]
 
 
-class EmbeddingCache:
-    """Content-hash-keyed JSONL store; reruns issue no duplicate requests.
+#: A binary cache file starts with the magic and the vectors' ``dim``.
+_CACHE_MAGIC = b"\x89RGEMB1\n"
+_CACHE_HEADER = struct.Struct("<8sI")
 
-    One line per vector: ``{"sha256", "dim", "f64le"}``, where ``f64le`` is the
-    base64 of the vector's little-endian float64 bytes, so a vector loads back
-    bit-identical without parsing decimal text. Lines in the older
-    ``{"sha256", "dim", "vector": [floats]}`` form still load. A line that does
-    not decode, including a torn last line, raises ``CorruptCache``.
+
+class EmbeddingCache:
+    """Content-hash-keyed store of text embeddings; reruns issue no duplicate requests.
+
+    A cache file is an 8-byte magic and a little-endian uint32 ``dim``,
+    followed by one fixed-size record per text: the 32-byte SHA-256 digest of
+    its UTF-8 bytes, then ``dim`` little-endian float64 values, so a vector
+    loads back bit-identical. The whole file loads with one read and one
+    ``np.frombuffer``. A file that starts like the magic but has no whole
+    header, or whose body is not a whole number of records (a torn write),
+    raises ``CorruptCache`` naming the path.
+
+    A file without the magic is a cache of the older JSON-lines form, one
+    ``{"sha256", "dim", "f64le"}`` or ``{"sha256", "dim", "vector"}`` record per
+    line; it loads line by line (see ``_decode_cache_line``), and the first
+    ``put`` rewrites it in the binary form, so no file mixes the two.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._store: dict[str, np.ndarray] = {}
-        self._pending: list[str] | None = None
+        self.dim: int | None = None  # every vector's length, fixed by the first one
+        self._rows: dict[bytes, int] = {}  # digest -> row of the vector block
+        self._block = np.empty((0, 0))
+        self._added: list[np.ndarray] = []  # rows put since the block was last built
+        self._pending: list[bytes] | None = None
+        self._has_header = False
+        self._legacy = False  # loaded from a JSON-lines file; the next write rewrites it
         if self.path is not None and self.path.exists():
             data = self.path.read_bytes()
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                lineno = data.count(b"\n", 0, exc.start) + 1
-                raise CorruptCache(f"{self.path}:{lineno}: not UTF-8 text") from None
-            lines = text.split("\n")
-            store = _decode_cache_lines(text, [line for line in lines if line.strip()])
-            if store is not None:
-                self._store = store
-            else:
-                for lineno, line in enumerate(lines, start=1):
-                    if line.strip():
-                        key, vector = _decode_cache_line(line, self.path, lineno)
-                        self._store[key] = vector
-            if text and not text.endswith("\n"):
-                raise CorruptCache(f"{self.path}:{len(lines)}: last line has no newline "
-                                   "(torn write)")
+            if data[:1] == _CACHE_MAGIC[:1]:  # a byte that never starts UTF-8 text
+                self._load_binary(data)
+            elif data:
+                self._load_lines(data)
+
+    def _load_binary(self, data: bytes) -> None:
+        if len(data) < _CACHE_HEADER.size or not data.startswith(_CACHE_MAGIC):
+            raise CorruptCache(f"{self.path}: damaged or partial embedding-cache header")
+        _magic, self.dim = _CACHE_HEADER.unpack_from(data)
+        n, torn = divmod(len(data) - _CACHE_HEADER.size, 32 + 8 * self.dim)
+        if torn:
+            raise CorruptCache(f"{self.path}: {torn} bytes after {n} whole records of dim "
+                               f"{self.dim} (torn write)")
+        self._has_header = True
+        if n:
+            # "V32", not "S32": a bytes field would drop a digest's trailing NUL bytes
+            records = np.frombuffer(data, offset=_CACHE_HEADER.size, dtype=[
+                ("digest", "V32"), ("vector", "<f8", (self.dim,))])
+            self._rows = dict(zip(records["digest"].tolist(), range(n)))
+            self._block = records["vector"].astype(np.float64)
+
+    def _load_lines(self, data: bytes) -> None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise CorruptCache(f"{self.path}:{lineno}: not UTF-8 text") from None
+        lines = text.split("\n")
+        store: dict[bytes, np.ndarray] = {}
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                digest, vector = _decode_cache_line(line, self.path, lineno)
+                if self.dim is None:
+                    self.dim = vector.shape[0]
+                elif vector.shape != (self.dim,):
+                    raise CorruptCache(f"{self.path}:{lineno}: 'dim' {vector.shape[0]} differs "
+                                       f"from the first line's {self.dim}")
+                store[digest] = vector
+        if text and not text.endswith("\n"):
+            raise CorruptCache(f"{self.path}:{len(lines)}: last line has no newline "
+                               "(torn write)")
+        self._rows = dict(zip(store, range(len(store))))
+        self._block = np.array(list(store.values())).reshape(len(store), self.dim or 0)
+        self._legacy = True
+
+    @staticmethod
+    def digest(text: str) -> bytes:
+        return hashlib.sha256(text.encode("utf-8")).digest()
 
     @staticmethod
     def key(text: str) -> str:
+        """The hex digest that names ``text`` in a JSON-lines cache."""
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def get(self, text: str) -> np.ndarray | None:
-        return self._store.get(self.key(text))
+    def __contains__(self, digest: bytes) -> bool:
+        return digest in self._rows
 
-    def put(self, text: str, vector: np.ndarray, key: str | None = None) -> None:
-        """Store a vector unless its text is cached; its line is appended now,
+    def _vectors(self) -> np.ndarray:
+        """The vector block: row ``self._rows[d]`` is digest ``d``'s vector."""
+        if self._added:
+            self._block = np.concatenate([self._block.reshape(-1, self.dim), self._added])
+            self._added = []
+        return self._block
+
+    def vectors(self, digests: Sequence[bytes]) -> np.ndarray:
+        """The vectors of ``digests``, one row each, taken from the block by one
+        index; a digest that is not cached raises ``KeyError`` with its position."""
+        rows = self._rows
+        try:
+            return self._vectors()[[rows[d] for d in digests]]
+        except KeyError as exc:
+            raise KeyError(list(digests).index(exc.args[0])) from None
+
+    def get(self, text: str) -> np.ndarray | None:
+        row = self._rows.get(self.digest(text))
+        return None if row is None else self._vectors()[row]
+
+    def put(self, text: str, vector: np.ndarray, key: bytes | None = None) -> None:
+        """Store a vector unless its text is cached; its record is appended now,
         or at the end of the enclosing ``put_many``. A caller that has hashed
-        the text already passes its ``key``."""
-        k = self.key(text) if key is None else key
-        if k in self._store:
+        the text already passes its digest as ``key``. A vector whose length is
+        not the cache's ``dim`` raises ``InconsistentDimension``."""
+        d = self.digest(text) if key is None else key
+        if d in self._rows:
             return
         v = np.asarray(vector, dtype=np.float64)
-        self._store[k] = v
+        if v.ndim != 1 or self.dim not in (None, v.shape[0]):
+            raise InconsistentDimension(f"vector of shape {v.shape} for a cache of dim {self.dim}")
+        self.dim = v.shape[0]
+        self._rows[d] = len(self._block) + len(self._added)
+        self._added.append(v)
         if self.path is None:
             return
-        line = json.dumps({
-            "sha256": k, "dim": int(v.shape[0]),
-            "f64le": base64.b64encode(v.astype("<f8").tobytes()).decode("ascii"),
-        }) + "\n"
+        record = d + v.astype("<f8").tobytes()
         if self._pending is not None:
-            self._pending.append(line)
+            self._pending.append(record)
         else:
-            self._append([line])
+            self._write([record])
 
-    def put_many(self, items: Iterable[tuple[str, np.ndarray, str]]) -> None:
-        """``put`` each (text, vector, key); their lines go out in one write."""
+    def put_many(self, items: Iterable[tuple[str, np.ndarray, bytes]]) -> None:
+        """``put`` each (text, vector, digest); their records go out in one
+        write. If one raises, the cache is left as it was and nothing is written."""
+        rows, n_added, dim = dict(self._rows), len(self._added), self.dim
         self._pending = []
         try:
             for text, vector, key in items:
                 self.put(text, vector, key)
+            records = self._pending
+        except BaseException:
+            self._rows, self.dim = rows, dim
+            del self._added[n_added:]
+            raise
         finally:
-            lines, self._pending = self._pending, None
-            self._append(lines)
+            self._pending = None
+        self._write(records)
 
-    def _append(self, lines: list[str]) -> None:
-        if lines:
-            with open(self.path, "a") as fh:
-                fh.write("".join(lines))
+    def _write(self, records: list[bytes]) -> None:
+        if not records:
+            return
+        if self._legacy:
+            # a JSON-lines file is rewritten whole, so no file mixes the two forms
+            block = self._vectors()[list(self._rows.values())].astype("<f8")
+            with replacing(self.path) as tmp:
+                tmp.write_bytes(_CACHE_HEADER.pack(_CACHE_MAGIC, self.dim) + b"".join(
+                    d + v.tobytes() for d, v in zip(self._rows, block)))
+            self._legacy, self._has_header = False, True
+            return
+        head = b"" if self._has_header else _CACHE_HEADER.pack(_CACHE_MAGIC, self.dim)
+        with open(self.path, "ab") as fh:
+            fh.write(head + b"".join(records))
+        self._has_header = True
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._rows)
 
 
-def _decode_cache_lines(text: str, lines: list[str]) -> dict[str, np.ndarray] | None:
-    """The store of a cache file ``text`` from its non-blank ``lines`` at once:
-    one ``json.loads`` over all of them and one array over all their vector
-    bytes, each vector a row of it. ``None`` unless every line is a
-    ``{"sha256", "dim", "f64le"}`` record, with one ``dim`` for all, whose
-    vector decodes: ``_decode_cache_line`` then reads the file line by line,
-    so what loads, and every error, is what the per-line reader gives."""
-    n = len(lines)
-    # Joined with commas, lines may merge into fewer or more records than
-    # lines. Not so if every line starts with "{" and the text has no other
-    # "{": the i-th record then opens at the start of line i and closes in it.
-    if {line[0] for line in lines} != {"{"} or text.count("{") != n:
-        return None
-    try:
-        recs = json.loads("[" + ",".join(lines) + "]")
-        keys = [rec["sha256"] for rec in recs]
-        dims = [rec["dim"] for rec in recs]
-        raw = [base64.b64decode(rec["f64le"], validate=True) for rec in recs]
-    except (KeyError, TypeError, ValueError):  # binascii.Error is a ValueError
-        return None
-    if (len(recs) != n or not set(map(type, keys)) <= {str} or set(map(type, dims)) != {int}
-            or len(set(dims)) != 1 or set(map(len, raw)) != {8 * dims[0]}):
-        return None
-    vectors = np.frombuffer(b"".join(raw), dtype="<f8").astype(np.float64)
-    return dict(zip(keys, vectors.reshape(n, dims[0])))
-
-
-def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[str, np.ndarray]:
-    """(sha256, vector) of one cache line; errors name ``path:lineno``."""
+def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[bytes, np.ndarray]:
+    """(SHA-256 digest, vector) of one JSON-lines cache line; errors name ``path:lineno``."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -933,7 +1003,13 @@ def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[str, np.ndar
     if vector.shape != (rec.get("dim"),):
         raise CorruptCache(
             f"{path}:{lineno}: decoded {vector.size} values but 'dim' is {rec.get('dim')!r}")
-    return rec["sha256"], vector
+    try:
+        digest = bytes.fromhex(rec["sha256"]) if len(rec["sha256"]) == 64 else b""
+    except ValueError:
+        digest = b""
+    if len(digest) != 32:
+        raise CorruptCache(f"{path}:{lineno}: 'sha256' is not 64 hex digits")
+    return digest, vector
 
 
 def embed_texts(
@@ -945,12 +1021,13 @@ def embed_texts(
     vectors are cached only if every text's vector has the same dimension."""
     if cache is None:
         cache = EmbeddingCache()
-    keys = [cache.key(t) for t in texts]
-    missing = {k: t for k, t in zip(keys, texts) if k not in cache._store}
+    digests = [cache.digest(t) for t in texts]
+    missing = {d: t for d, t in zip(digests, texts) if d not in cache}
     fetched = dict(zip(missing, client.embed(list(missing.values())))) if missing else {}
-    out = [fetched[k] if k in fetched else cache._store[k] for k in keys]
+    hits = iter(cache.vectors([d for d in digests if d not in fetched]))
+    out = [fetched[d] if d in fetched else next(hits) for d in digests]
     dims = {v.shape[0] for v in out}
     if len(dims) > 1:
         raise InconsistentDimension(f"embedding dimensions differ: {sorted(dims)}")
-    cache.put_many((missing[k], v, k) for k, v in fetched.items())
+    cache.put_many((missing[d], v, d) for d, v in fetched.items())
     return out

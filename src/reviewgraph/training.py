@@ -259,12 +259,15 @@ def train(
                 [ex.label_index for ex in batch], build_graph_index(graphs, model_config),
             )
             value = float(loss.value)
+            where = f"at epoch {epoch} in the batch of {', '.join(g.graph_id for g in graphs)}"
             if not math.isfinite(value):
-                names = ", ".join(ex.graph.graph_id for ex in batch)
-                raise NonFiniteLoss(f"non-finite loss at epoch {epoch} in the batch of {names}")
+                raise NonFiniteLoss(f"non-finite loss {where}")
             loss.backward()
             t += 1
-            adam_step(params, adam_state, t, train_config)
+            try:
+                adam_step(params, adam_state, t, train_config)
+            except NonFiniteGradient as exc:
+                raise NonFiniteGradient(f"{exc} {where}") from None
             epoch_loss += value * len(batch)
 
         train_loss = epoch_loss / len(train_set)

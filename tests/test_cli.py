@@ -1,10 +1,14 @@
+import base64
 import builtins
 import contextlib
 import io
 import json
+import os
+import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +16,7 @@ from pipeline_utils import make_workspace, run, run_stage_pipeline
 from reviewgraph import autodiff as ad
 from reviewgraph import graph as graphmod
 from reviewgraph import orchestration as orch
+from reviewgraph import training
 from reviewgraph.cli import main
 from reviewgraph.graph import NodeType, load_graph
 
@@ -252,6 +257,114 @@ def test_failed_embed_keeps_the_old_cache(tmp_path, monkeypatch):
     assert code == 2
     after = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb.jsonl*")}
     assert after == before
+
+
+def _evaluate_args(root):
+    return ["--checkpoint", str(root / "c.rvgc"), "--output", str(root / "ev.json")]
+
+
+def test_cache_cut_at_a_record_boundary_exits_3_naming_the_file(tmp_path, capsys):
+    """A binary cache cut between two records loads, one vector short."""
+    manifest = _trained_workspace(tmp_path)
+    path = tmp_path / "work" / "p2.emb.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - (32 + 8 * 16)])
+    capsys.readouterr()
+    assert run(tmp_path, "evaluate", str(manifest), *_evaluate_args(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "p2: no cached embedding for node" in err and "p2.emb.jsonl" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, paper", [("train", "p0"), ("evaluate", "p2"), ("ablate", "p1")])
+def test_non_finite_cached_embedding_exits_3_naming_paper_and_file(tmp_path, capsys,
+                                                                   command, paper):
+    manifest = _trained_workspace(tmp_path)
+    path = tmp_path / "work" / f"{paper}.emb.jsonl"
+    data = bytearray(path.read_bytes())
+    data[12 + 32:12 + 40] = struct.pack("<d", float("nan"))  # the first record's first value
+    path.write_bytes(bytes(data))
+    extra = {"train": ["--checkpoint", str(tmp_path / "c2.rvgc"),
+                       "--history", str(tmp_path / "h2.jsonl")],
+             "evaluate": _evaluate_args(tmp_path),
+             "ablate": ["--output", str(tmp_path / "abl.json")]}[command]
+    capsys.readouterr()
+    assert run(tmp_path, command, str(manifest), *extra) == 3
+    err = capsys.readouterr().err
+    assert f"{paper}: non-finite cached embedding for node 0" in err
+    assert f"{paper}.emb.jsonl" in err and "Traceback" not in err
+
+
+def test_non_finite_gradient_exits_4_naming_the_batch(tmp_path, capsys, monkeypatch):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    run_stage_pipeline(tmp_path, manifest)
+    real_adam_step = training.adam_step
+
+    def poisoned(params, state, t, config):
+        for _name, tensor in params.items():
+            tensor.grad = np.full(tensor.shape, np.nan)
+        return real_adam_step(params, state, t, config)
+
+    monkeypatch.setattr(training, "adam_step", poisoned)
+    capsys.readouterr()
+    assert run(tmp_path, "train", str(manifest), "--checkpoint", str(tmp_path / "c.rvgc"),
+               "--history", str(tmp_path / "h.jsonl")) == 4
+    assert re.fullmatch(r"numeric failure: non-finite gradient in \S+ "
+                        r"at epoch 1 in the batch of p0\n", capsys.readouterr().err)
+
+
+def _rewrite_as_json_lines(path):
+    """Rewrite a binary cache in the older JSON-lines form, alternating
+    ``f64le`` and decimal ``vector`` lines."""
+    cache = orch.EmbeddingCache(path)
+    digests = list(cache._rows)
+    lines = []
+    for i, (d, v) in enumerate(zip(digests, cache.vectors(digests))):
+        rec = {"sha256": d.hex(), "dim": int(v.size)}
+        if i % 2:
+            rec["vector"] = v.tolist()
+        else:
+            rec["f64le"] = base64.b64encode(v.astype("<f8").tobytes()).decode("ascii")
+        lines.append(json.dumps(rec) + "\n")
+    path.write_text("".join(lines))
+
+
+def test_evaluate_reads_json_lines_and_binary_caches_alike(tmp_path, capsys):
+    """The same report from binary caches, from their JSON-lines rewrite, and
+    from the caches that ``embed --force`` writes over those."""
+    manifest = _trained_workspace(tmp_path)
+    caches = sorted((tmp_path / "work").glob("*.emb.jsonl"))
+    reports = []
+    for step in ("binary", "json-lines", "embed --force"):
+        if step == "json-lines":
+            for path in caches:
+                _rewrite_as_json_lines(path)
+            legacy = [path.read_bytes() for path in caches]
+        elif step == "embed --force":
+            assert run(tmp_path, "--force", "embed", str(manifest)) == 0
+            assert all(path.read_bytes().startswith(b"\x89RGEMB1\n") for path in caches)
+        capsys.readouterr()
+        assert run(tmp_path, "evaluate", str(manifest), *_evaluate_args(tmp_path)) == 0
+        reports.append((capsys.readouterr().out, (tmp_path / "ev.json").read_bytes()))
+        if step == "json-lines":
+            assert [path.read_bytes() for path in caches] == legacy  # reading rewrites nothing
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_build_graph_renames_each_graph_once(tmp_path, monkeypatch):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    for stage in ("simulate", "extract", "classify", "embed"):
+        assert run(tmp_path, stage, str(manifest)) == 0
+    renames = []
+    real_replace = os.replace
+
+    def recording(src, dst):
+        renames.append((Path(src).name, Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert run(tmp_path, "build-graph", str(manifest)) == 0
+    assert renames == [(f"{p}.graph.json.tmp", f"{p}.graph.json") for p, _, _ in THREE_PAPERS]
 
 
 def test_ablate_emits_six_rows(tmp_path, capsys):

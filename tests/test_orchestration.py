@@ -1,6 +1,10 @@
 import base64
+import hashlib
 import io
+import itertools
 import json
+import re
+import struct
 import threading
 
 import numpy as np
@@ -248,13 +252,20 @@ def test_embedding_cache_round_trip(tmp_path):
 
 
 def test_embedding_cache_file_format(tmp_path):
+    """Header: magic and little-endian uint32 dim; then per text its raw
+    SHA-256 digest and its vector's little-endian float64 bytes."""
     path = tmp_path / "emb.jsonl"
-    vec = embed_texts(["one text"], MockClient(seed=0), EmbeddingCache(path))[0]
-    rec = json.loads(path.read_text().splitlines()[0])
-    assert set(rec) == {"sha256", "dim", "f64le"}
-    raw = base64.b64decode(rec["f64le"], validate=True)
-    assert rec["dim"] == len(raw) // 8 == 64
-    assert raw == vec.astype("<f8").tobytes()
+    texts = ["one text", "two"]
+    vecs = embed_texts(texts, MockClient(seed=0), EmbeddingCache(path))
+    data = path.read_bytes()
+    assert data[:8] == b"\x89RGEMB1\n"
+    assert struct.unpack_from("<I", data, 8) == (64,)
+    size = 32 + 8 * 64
+    assert len(data) == 12 + len(texts) * size
+    for i, (text, vec) in enumerate(zip(texts, vecs)):
+        record = data[12 + i * size:12 + (i + 1) * size]
+        assert record[:32] == hashlib.sha256(text.encode("utf-8")).digest()
+        assert record[32:] == vec.astype("<f8").tobytes()
 
 
 def _parent_line(text, vector):
@@ -274,13 +285,16 @@ def test_embedding_cache_reads_decimal_vector_lines(tmp_path):
 
 
 def test_embedding_cache_reads_mixed_old_and_new_lines(tmp_path):
+    """The first put to a JSON-lines cache rewrites it whole in the binary
+    form, so a file never mixes the two; old and new vectors both load."""
     client = MockClient(seed=3)
     old, new = client.embed(["old text", "new text"])
     path = tmp_path / "emb.jsonl"
     path.write_text(_parent_line("old text", old))
     EmbeddingCache(path).put("new text", new)
-    lines = path.read_text().splitlines()
-    assert "vector" in json.loads(lines[0]) and "f64le" in json.loads(lines[1])
+    data = path.read_bytes()
+    assert data.startswith(b"\x89RGEMB1\n") and len(data) == 12 + 2 * (32 + 8 * old.size)
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.jsonl"]
     cache = EmbeddingCache(path)
     assert cache.get("old text").tobytes() == old.tobytes()
     assert cache.get("new text").tobytes() == new.tobytes()
@@ -315,8 +329,8 @@ def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
     embed_texts(["a", "c", "b", "d", "e", "c"], client, EmbeddingCache(path))
     monkeypatch.undo()
     assert client.seen == [["a", "b"], ["c", "d", "e"]]
-    assert opens == ["a"]
-    assert len(path.read_text().splitlines()) == 5
+    assert opens == ["ab"]
+    assert (path.stat().st_size - 12) / (32 + 8 * 64) == 5
 
 
 def _valid_line(text="t", vector=np.arange(4, dtype=np.float64)):
@@ -349,18 +363,45 @@ def test_corrupt_cache_line_names_path_and_line(tmp_path, body, lineno):
         EmbeddingCache(path)
 
 
-def _store_or_error(path, per_line=False):
-    """What a cache file loads as: each (key, dtype, shape, bytes) of the store, or
-    the ``CorruptCache`` message; ``per_line`` forces the line-by-line reader."""
-    with pytest.MonkeyPatch.context() as mp:
-        if per_line:
-            mp.setattr(orchestration, "_decode_cache_lines", lambda text, lines: None)
+def _store_or_error(path):
+    """What a cache file loads as: each (hex digest, dtype, shape, bytes) of
+    the store, or the ``CorruptCache`` message."""
+    try:
+        cache = EmbeddingCache(path)
+    except CorruptCache as exc:
+        return str(exc)
+    assert cache._vectors().flags.writeable
+    digests = list(cache._rows)
+    return [(d.hex(), v.dtype.str, v.shape, v.tobytes())
+            for d, v in zip(digests, cache.vectors(digests))]
+
+
+def _reference_reader(path):
+    """Reference: what a JSON-lines cache loaded as before the binary form,
+    read line by line: {hex key: vector}, or the number of the line refused."""
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    store = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
         try:
-            store = EmbeddingCache(path)._store
-        except CorruptCache as exc:
-            return str(exc)
-    assert all(v.flags.writeable for v in store.values())
-    return [(k, v.dtype.str, v.shape, v.tobytes()) for k, v in store.items()]
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or not isinstance(rec.get("sha256"), str):
+                return lineno
+            if "f64le" in rec:
+                vector = np.frombuffer(base64.b64decode(rec["f64le"], validate=True), "<f8")
+            else:
+                vector = np.array(rec["vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            return lineno
+        if vector.shape != (rec.get("dim"),):
+            return lineno
+        store[rec["sha256"]] = vector
+    return len(lines) if lines[-1] else store
 
 
 def _split(lines, i, at):
@@ -397,8 +438,8 @@ CACHE_MUTATIONS = {
 
 @st.composite
 def cache_texts(draw):
-    """A cache file of new and old (decimal ``vector``) lines, then mutated,
-    maybe torn; with the vectors its clean form must load as."""
+    """A JSON-lines cache file of new and old (decimal ``vector``) lines, then
+    mutated, maybe torn; with the vectors its clean form must load as."""
     dim = draw(st.integers(0, 4))
     records = draw(st.lists(st.tuples(st.sampled_from("abcdef"),
                                       st.lists(st.floats(width=64), min_size=dim, max_size=dim),
@@ -421,39 +462,120 @@ def cache_texts(draw):
     text = "".join(line + "\n" for line in lines)
     if draw(st.booleans()):
         text = text[:draw(st.integers(0, len(text)))]
-    return clean, text, expected, all(not old for *_, old in records)
+    return clean, text, expected
+
+
+#: What the JSON-lines reader refuses that the reference reader loads: a key
+#: that is no SHA-256 digest, which no text could match, and lines of two
+#: dimensions, which no binary file can hold.
+STRICTER = ("'sha256' is not 64 hex digits", "differs from the first line's")
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=cache_texts())
-def test_bulk_and_per_line_cache_readers_agree(tmp_path, case):
-    clean, text, expected, all_new = case
+def test_legacy_cache_files_load_as_before(tmp_path, case):
+    clean, text, expected = case
     path = tmp_path / "emb.jsonl"
     path.write_text(clean)
-    loaded = _store_or_error(path)
-    assert loaded == [(k, "<f8", v.shape, v.tobytes()) for k, v in expected.items()]
-    assert loaded == _store_or_error(path, per_line=True)
-    lines = [line for line in clean.split("\n") if line.strip()]
-    # the bulk reader does read every clean file of new lines
-    assert (orchestration._decode_cache_lines(clean, lines) is not None) == (all_new and bool(lines))
+    assert _store_or_error(path) == [(k, "<f8", v.shape, v.tobytes())
+                                     for k, v in expected.items()]
 
     path.write_text(text)
-    assert _store_or_error(path) == _store_or_error(path, per_line=True)
+    want, got = _reference_reader(path), _store_or_error(path)
+    if isinstance(want, int):
+        assert isinstance(got, str)
+        assert got.startswith(f"{path}:{want}: ") or any(m in got for m in STRICTER)
+    elif (all(re.fullmatch("[0-9a-f]{64}", k) for k in want)
+          and len({v.shape for v in want.values()}) <= 1):
+        assert got == [(k, "<f8", v.shape, v.tobytes()) for k, v in want.items()]
+    else:
+        assert isinstance(got, str) and any(m in got for m in STRICTER)
 
 
-def test_bulk_cache_reader_refuses_lines_that_merge_when_joined(tmp_path):
-    """Two records on one line, and one record split over two lines, join
-    into as many records as lines; the per-line reader rejects the file."""
-    a, b, c = (_valid_line(t, np.zeros(1)) for t in "abc")
-    lines = [a + ", " + b, c[:-1] + ', "x": [{}', "{}]}"]
-    text = "".join(line + "\n" for line in lines)
-    assert len(json.loads("[" + ",".join(lines) + "]")) == len(lines)
-    assert orchestration._decode_cache_lines(text, lines) is None
+def test_legacy_cache_lines_of_two_dimensions_are_refused(tmp_path):
     path = tmp_path / "emb.jsonl"
-    path.write_text(text)
-    with pytest.raises(CorruptCache, match=f"{path}:1: not valid JSON"):
+    path.write_text(_valid_line("a", np.zeros(2)) + "\n" + _valid_line("b", np.zeros(3)) + "\n")
+    with pytest.raises(CorruptCache, match=f"{path}:2: 'dim' 3 differs from the first line's 2"):
         EmbeddingCache(path)
+
+
+def test_a_digest_ending_in_a_nul_byte_round_trips(tmp_path):
+    """A NumPy ``S32`` field would drop the digest's trailing NUL and miss it."""
+    text = next(str(i) for i in itertools.count() if EmbeddingCache.digest(str(i))[-1] == 0)
+    vector = np.array([1.5, -2.0, 0.25])
+    path = tmp_path / "emb.jsonl"
+    EmbeddingCache(path).put(text, vector)
+    cache = EmbeddingCache(path)
+    assert len(cache) == 1
+    assert cache.get(text).tobytes() == vector.tobytes()
+
+
+def test_put_of_another_dimension_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    EmbeddingCache(path).put("a", np.zeros(4))
+    before = path.read_bytes()
+    cache = EmbeddingCache(path)
+    with pytest.raises(InconsistentDimension):
+        cache.put("b", np.zeros(3))
+    with pytest.raises(InconsistentDimension):
+        cache.put_many([("c", np.zeros(4), EmbeddingCache.digest("c")),
+                        ("d", np.zeros(5), EmbeddingCache.digest("d"))])
+    assert path.read_bytes() == before
+    assert len(cache) == 1 and cache.get("c") is None  # the failed batch left no trace
+    cache.put("c", np.ones(4))
+    assert EmbeddingCache(path).get("c").tolist() == [1.0] * 4
+
+
+def test_puts_write_the_header_once(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.touch()
+    cache = EmbeddingCache(path)
+    for text in "abc":
+        cache.put(text, np.full(2, ord(text), dtype=np.float64))
+    EmbeddingCache(path).put("d", np.zeros(2))
+    assert len(path.read_bytes()) == 12 + 4 * (32 + 16)
+    assert [EmbeddingCache(path).get(t)[0] for t in "abc"] == [97.0, 98.0, 99.0]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(0, 3), n=st.integers(1, 4), data=st.data())
+def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, data):
+    """A binary cache cut anywhere, or with a header byte changed, either
+    raises ``CorruptCache`` naming its path or loads whole records only."""
+    path = tmp_path / "emb.jsonl"
+    path.unlink(missing_ok=True)
+    vectors = np.arange(n * dim, dtype=np.float64).reshape(n, dim) - 0.5
+    EmbeddingCache(path).put_many((str(i), v, EmbeddingCache.digest(str(i)))
+                                  for i, v in enumerate(vectors))
+    whole = path.read_bytes()
+    size, body = 32 + 8 * dim, len(whole) - 12
+    if data.draw(st.booleans(), label="cut"):
+        cut = data.draw(st.integers(0, len(whole) - 1), label="length")
+        path.write_bytes(whole[:cut])
+        # an empty file is an empty cache; one cut at a record boundary
+        # holds the records before the cut
+        loads = cut == 0 or (cut >= 12 and (cut - 12) % size == 0)
+        n_loaded = max(cut - 12, 0) // size
+    else:
+        at = data.draw(st.integers(0, 11), label="header byte")
+        value = data.draw(st.integers(0, 255).filter(lambda b: b != whole[at]), label="value")
+        path.write_bytes(whole[:at] + bytes([value]) + whole[at + 1:])
+        # a changed dim whose records still tile the body cannot be told
+        # from a whole file of that dim
+        new_size = 32 + 8 * struct.unpack_from("<I", path.read_bytes(), 8)[0]
+        loads = at >= 8 and body % new_size == 0
+        n_loaded = body // new_size
+    if not loads:
+        with pytest.raises(CorruptCache, match=f"^{re.escape(str(path))}"):
+            EmbeddingCache(path)
+        return
+    cache = EmbeddingCache(path)
+    assert len(cache) == n_loaded
+    if dim == cache.dim:
+        for i in range(n_loaded):
+            assert cache.get(str(i)).tobytes() == vectors[i].tobytes()
 
 
 def test_embeddings_are_unit_norm_and_deterministic():
@@ -567,6 +689,7 @@ BAD_REPLIES = {
     "fewer-vectors": ("embeddings", _vectors([0.5, 0.5], drop=1)),
     "non-numeric": ("embeddings", _vectors(["x", "y"])),
     "nested-vector": ("embeddings", _vectors([[0.5], [0.5]])),
+    "non-finite": ("embeddings", _vectors([0.5, float("nan")])),
     "no-data": ("embeddings", lambda _p: {"object": "list"}),
 }
 
@@ -596,7 +719,7 @@ def test_http_well_formed_replies_pass_the_contract(monkeypatch):
 
 @pytest.mark.parametrize("stage, defect", [
     ("extract", "choices-null"), ("extract", "list-body"), ("extract", "content-null"),
-    ("embed", "fewer-vectors"), ("embed", "non-numeric"),
+    ("embed", "fewer-vectors"), ("embed", "non-numeric"), ("embed", "non-finite"),
 ])
 def test_cli_stage_exits_2_on_malformed_reply(tmp_path, monkeypatch, capsys, stage, defect):
     manifest = make_workspace(tmp_path, [("p0", "train", "accept")])
@@ -612,6 +735,7 @@ def test_cli_stage_exits_2_on_malformed_reply(tmp_path, monkeypatch, capsys, sta
     assert run(tmp_path, "--force", stage, str(manifest)) == 2
     err = capsys.readouterr().err
     assert err.startswith("endpoint error: ") and "Traceback" not in err
+    assert not list((tmp_path / "work").glob("*.emb.jsonl*"))  # nothing is cached
 
 
 def test_api_key_comes_from_environment(monkeypatch):
