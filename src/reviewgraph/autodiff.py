@@ -132,26 +132,19 @@ def _op(value: np.ndarray, parents: tuple[Tensor, ...],
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a vector or (..., k) array a and a (k, m) matrix b, or a
-    batch of products (B, n, k) @ (B, k, m)."""
+    """``a @ b`` for a vector or (..., k) array a and a (k, m) matrix b."""
     a, b = _tensor(a), _tensor(b)
-    batched = b.value.ndim == 3
-    if (a.value.ndim < 1 or b.value.ndim not in (2, 3)
-            or batched and (a.value.ndim != 3 or a.value.shape[0] != b.value.shape[0])):
-        raise ShapeMismatch(
-            f"matmul expects (...) @ matrix or batch @ batch, got {a.shape} @ {b.shape}"
-        )
-    if a.value.shape[-1] != b.value.shape[-2]:
+    if a.value.ndim < 1 or b.value.ndim != 2:
+        raise ShapeMismatch(f"matmul expects (...) @ matrix, got {a.shape} @ {b.shape}")
+    if a.value.shape[-1] != b.value.shape[0]:
         raise ShapeMismatch(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.value @ b.value
 
     def backward(g: np.ndarray) -> None:
         if a._needs:
-            a.accumulate(g @ np.swapaxes(b.value, -1, -2))
+            a.accumulate(g @ b.value.T)
         if b._needs:
-            if batched:
-                b.accumulate(np.swapaxes(a.value, -1, -2) @ g)
-            elif a.value.ndim == 1:
+            if a.value.ndim == 1:
                 b.accumulate(np.outer(a.value, g))
             else:
                 k, m = b.value.shape
@@ -185,31 +178,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(out, (a, b), backward)
 
 
-def scale(x: Tensor, c) -> Tensor:
-    """Multiply by a python scalar or a size-1 tensor (learnable scalar)."""
+def scale(x: Tensor, c: float) -> Tensor:
+    """Multiply by a python scalar."""
     x = _tensor(x)
-    if isinstance(c, Tensor):
-        if c.value.size != 1:
-            raise ShapeMismatch(f"scale factor must be scalar, got shape {c.shape}")
-        cv = float(c.value)
-        out = x.value * cv
-
-        def backward(g: np.ndarray) -> None:
-            if x._needs:
-                x.accumulate(g * cv)
-            if c._needs:
-                c.accumulate(np.full_like(c.value, np.sum(g * x.value)))
-
-        return _op(out, (x, c), backward)
-
     cv = float(c)
     out = x.value * cv
 
-    def backward_const(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> None:
         if x._needs:
             x.accumulate(g * cv)
 
-    return _op(out, (x,), backward_const)
+    return _op(out, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -539,22 +518,20 @@ class ParamStore:
                                 f"{sum(sizes)} float64 parameters")
         start = 0
         for name, shape, size in zip(names, shapes, sizes):
-            self._insert(name, Tensor(flat[start:start + size].reshape(shape)), True)
+            self._insert(name, Tensor(flat[start:start + size].reshape(shape)))
             start += size
         self.flat = flat
         self.sizes = np.array(sizes, dtype=np.intp)
 
-    def _insert(self, name: str, t: Tensor, requires_grad: bool) -> Tensor:
+    def _insert(self, name: str, t: Tensor) -> Tensor:
         if name in self._items:
             raise NumericsError(f"duplicate parameter name {name!r}")
-        t.requires_grad = requires_grad
-        t._needs = True
+        t.requires_grad = t._needs = True
         self._items[name] = t
         return t
 
-    def add(self, name: str, value, requires_grad: bool = True) -> Tensor:
-        t = self._insert(name, value if isinstance(value, Tensor) else Tensor(value),
-                         requires_grad)
+    def add(self, name: str, value) -> Tensor:
+        t = self._insert(name, value if isinstance(value, Tensor) else Tensor(value))
         grown = ParamStore([(n, u.value.shape) for n, u in self._items.items()],
                            np.concatenate([self.flat, t.value.ravel()]))
         for tensor, view in zip(self._items.values(), grown._items.values()):
@@ -564,9 +541,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
 
     def __len__(self) -> int:
         return len(self._items)

@@ -71,9 +71,16 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataFailure(f"{path}:{lineno}: not a JSON object")
         for key in ("paper_id", "split", "label"):
             if key not in raw:
                 raise DataFailure(f"{path}:{lineno}: missing {key!r}")
+        paths = raw.get("paths", {})
+        if not isinstance(raw["paper_id"], str) or not isinstance(paths, dict) \
+                or not set(map(type, paths.values())) <= {str}:
+            raise DataFailure(f"{path}:{lineno}: 'paper_id' must be a string and 'paths' "
+                              "an object of strings")
         if raw["paper_id"] in seen:
             raise DataFailure(f"{path}:{lineno}: duplicate paper_id {raw['paper_id']!r}")
         seen.add(raw["paper_id"])
@@ -81,10 +88,9 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             raise DataFailure(f"{path}:{lineno}: unknown split {raw['split']!r}")
         if raw["label"] not in graphmod.DECISION_LABELS:
             raise DataFailure(f"{path}:{lineno}: unknown label {raw['label']!r}")
-        paths = {k: str(base / v) for k, v in raw.get("paths", {}).items()}
         records.append(
-            ManifestRecord(paper_id=raw["paper_id"], split=raw["split"],
-                           label=raw["label"], paths=paths)
+            ManifestRecord(paper_id=raw["paper_id"], split=raw["split"], label=raw["label"],
+                           paths={k: str(base / v) for k, v in paths.items()})
         )
     if not records:
         raise DataFailure(f"manifest is empty: {path}")
@@ -101,7 +107,8 @@ class RunConfig:
 
 def load_run_config(path: str | Path | None, seed: int | None = None,
                     ablation: str | None = None) -> RunConfig:
-    """One JSON document with optional model/train/endpoint/ablation sections.
+    """One JSON object with optional model/train/endpoint object sections and
+    an ablation mode, which decides ``model.homogeneous`` (``_ablation_model``).
 
     --seed overrides every seed field; --ablation overrides the mode.
     """
@@ -114,6 +121,10 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
             raw = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise UsageFailure(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not all(isinstance(raw.get(section, {}), dict)
+                                            for section in ("endpoint", "model", "train")):
+        raise UsageFailure(f"bad configuration in {path}: the document and its endpoint, "
+                           "model and train sections must be JSON objects")
 
     endpoint_raw = dict(raw.get("endpoint", {}))
     if "mock" not in endpoint_raw and not endpoint_raw.get("base_url"):
@@ -131,15 +142,26 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
     except ValueError:
         raise UsageFailure(f"unknown ablation mode {mode_name!r}") from None
     try:
-        return RunConfig(
-            model=modelmod.ModelConfig(**model_raw),
+        config = RunConfig(
+            model=_ablation_model(modelmod.ModelConfig(**model_raw), mode),
             train=training.TrainConfig(**train_raw),
             endpoint=orch.EndpointConfig(**endpoint_raw),
             ablation=mode,
         )
     except (TypeError, modelmod.ModelError, training.TrainingError,
             orch.OrchestrationError) as exc:
-        raise UsageFailure(f"bad configuration: {exc}") from exc
+        raise UsageFailure(f"bad configuration in {path}: {exc}") from exc
+    if model_raw.get("homogeneous", config.model.homogeneous) != config.model.homogeneous:
+        raise UsageFailure(f"bad configuration in {path}: the {mode.value} ablation sets the "
+                           f"model's 'homogeneous' to {config.model.homogeneous}")
+    return config
+
+
+def _ablation_model(model: modelmod.ModelConfig,
+                   mode: graphmod.AblationMode) -> modelmod.ModelConfig:
+    """The model an ablation trains: the homogeneous ablation needs the
+    homogeneous model, which reads its ``connected`` relation; the others the typed one."""
+    return dataclasses.replace(model, homogeneous=mode == graphmod.AblationMode.HOMOGENEOUS)
 
 
 def _write_report(path: Path, obj: dict | list) -> None:
@@ -174,11 +196,13 @@ def _read_triples(rec: ManifestRecord) -> extraction.TripleBatch:
 
 
 def _parse_dims(path: Path) -> list[extraction.DimensionAssignment]:
-    return [
+    dims = [
         extraction.DimensionAssignment(entry["speaker"], entry["text"],
                                        graphmod.Dimension(entry["dimension"]))
         for entry in json.loads(path.read_text())
     ]
+    graphmod.require_str("each speaker and text", *(v for d in dims for v in (d.speaker, d.text)))
+    return dims
 
 
 #: What a stage's own work raises on bad input; it exits 3 naming the paper.
@@ -323,16 +347,19 @@ def build_graph_cmd(obj, manifest) -> None:
     _run_stage(obj, manifest, "build-graph", "graph", write)
 
 
-def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...]
+def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_dim: int
                  ) -> list[tuple[ManifestRecord, graphmod.DebateGraph, dict[str, np.ndarray]]]:
-    """Each ``splits`` paper's graph and its node texts' embeddings; every file
-    is read once, and every node text hashed once."""
+    """Each ``splits`` paper's graph and its node texts' embeddings, of the model's
+    ``input_dim``; every file is read once, and every node text hashed once."""
     papers = []
     for rec in records:
         if rec.split not in splits:
             continue
         g = _read(rec, "graph", graphmod.load_graph)
         cache = _read(rec, "embeddings", orch.EmbeddingCache)
+        if cache.dim not in (None, input_dim):
+            raise DataFailure(f"{rec.paper_id}: embedding cache {cache.path} holds vectors of "
+                              f"dim {cache.dim}, but the model's input_dim is {input_dim}")
         texts = [n.text for n in g.nodes]
         try:
             vectors = cache.vectors([cache.digest(text) for text in texts])
@@ -370,7 +397,7 @@ def _examples(papers: list[tuple], split: str,
 def train(obj, manifest, checkpoint_path, history_path) -> None:
     """Train the classifier on the manifest's train/val splits."""
     cfg: RunConfig = obj["config"]
-    papers = _load_papers(load_manifest(manifest), ("train", "val"))
+    papers = _load_papers(load_manifest(manifest), ("train", "val"), cfg.model.input_dim)
     train_set = _examples(papers, "train")
     val_set = _examples(papers, "val")
     if not train_set or not val_set:
@@ -424,7 +451,8 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
     """Evaluate a checkpoint on one split and write the report."""
     theirs = _read_compare(compare_path) if compare_path is not None else None
     checkpoint = training.load_checkpoint(checkpoint_path)
-    examples = _examples(_load_papers(load_manifest(manifest), (split,)), split)
+    examples = _examples(_load_papers(load_manifest(manifest), (split,),
+                                      checkpoint.model_config.input_dim), split)
     if not examples:
         raise DataFailure(f"no graphs in split {split!r}")
 
@@ -448,11 +476,10 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
 def ablate(obj, manifest, output) -> None:
     """Train and evaluate every ablation mode with the shared seed."""
     cfg: RunConfig = obj["config"]
-    papers = _load_papers(load_manifest(manifest), ("train", "val", "test"))
+    papers = _load_papers(load_manifest(manifest), ("train", "val", "test"), cfg.model.input_dim)
     rows: list[dict] = []
     for mode in graphmod.AblationMode:
-        model_config = dataclasses.replace(cfg.model, homogeneous=(
-            mode == graphmod.AblationMode.HOMOGENEOUS))
+        model_config = _ablation_model(cfg.model, mode)
         train_set = _examples(papers, "train", ablation=mode)
         val_set = _examples(papers, "val", ablation=mode)
         test_set = _examples(papers, "test", ablation=mode)

@@ -200,14 +200,12 @@ def canonical_relation(label: str, group: RelationGroup) -> RelationType:
     return rel
 
 
-def parse_triple_batch(data: bytes | str, graph_id: str) -> TripleBatch:
+def parse_triple_batch(data: str, graph_id: str) -> TripleBatch:
     """Parse the extractor's two-array JSON object.
 
     Malformed elements are skipped and reported in ``batch.malformed``; the
     batch fails hard only if more than half of all elements are malformed.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -259,10 +257,8 @@ def batch_to_dict(batch: TripleBatch) -> dict:
     }
 
 
-def parse_dimension_reply(data: bytes | str) -> Dimension:
+def parse_dimension_reply(data: str) -> Dimension:
     """Parse a ``{"category": "..."}`` classification reply."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -13,20 +13,16 @@ import functools
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 
 class GraphError(Exception):
     """Base class for debate-graph errors."""
-
-
-class UnknownNodeId(GraphError):
-    pass
 
 
 class EmptyAblationResult(GraphError):
@@ -105,13 +101,11 @@ REVIEWER_AUTHOR_RELATIONS = (
 #: All forward relations of the heterogeneous schema, in a fixed order.
 FORWARD_RELATIONS = STRUCTURAL_RELATIONS + INTER_REVIEWER_RELATIONS + REVIEWER_AUTHOR_RELATIONS
 
-#: Position of each relation in ``RelationType``; orders incoming edges.
-REL_ORDINAL = {r: i for i, r in enumerate(RelationType)}
-
 #: Codes of ``DebateGraph.codes``, keyed by ``_name_`` (hashing a member runs
-#: Python code). An edge's code ``REL_CODE + inverse`` orders like (ordinal, inverse).
+#: Python code). An edge's code ``REL_CODE + inverse`` orders like (position of
+#: the relation in ``RelationType``, inverse).
 TYPE_CODE = {t._name_: i for i, t in enumerate(NodeType)}
-REL_CODE = {r._name_: 2 * i for r, i in REL_ORDINAL.items()}
+REL_CODE = {r._name_: 2 * i for i, r in enumerate(RelationType)}
 
 REVIEWER_SPEAKERS = ("reviewer_1", "reviewer_2", "reviewer_3")
 AUTHOR_SPEAKER = "author"
@@ -131,6 +125,17 @@ class AblationMode(Enum):
     NO_RAR = "no_rar"
     NO_IRR = "no_irr"
     HOMOGENEOUS = "homogeneous"
+
+
+#: What each ablation removes: its name for the removed part in validation
+#: messages, the node types it drops with their edges, and the relations it
+#: drops. ``FULL`` removes nothing; ``HOMOGENEOUS`` relabels every relation.
+ABLATION_DROPS: dict[AblationMode, tuple[str, tuple[NodeType, ...], tuple[RelationType, ...]]] = {
+    AblationMode.NO_TITLE: ("title node", (NodeType.TITLE,), ()),
+    AblationMode.NO_EVAL: ("dimension nodes", (NodeType.EVALUATION_DIMENSION,), ()),
+    AblationMode.NO_RAR: ("reviewer-author edge", (), REVIEWER_AUTHOR_RELATIONS),
+    AblationMode.NO_IRR: ("inter-reviewer edge", (), INTER_REVIEWER_RELATIONS),
+}
 
 
 def legal_meta_relations() -> frozenset[tuple[NodeType, RelationType, NodeType]]:
@@ -181,59 +186,42 @@ class DebateGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
     label: str | None = None
-    #: old id -> new id mapping recorded by apply_ablation; not serialized.
-    id_map: Mapping[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def node(self, node_id: int) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise UnknownNodeId(f"no node with id {node_id}")
 
     def nodes_of_type(self, node_type: NodeType) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.node_type == node_type)
 
     @functools.cached_property
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(type_code, edge_rows)``, computed once per graph (``graph_from_dict``
-        fills them at load) and read-only: each node's ``TYPE_CODE`` in node-id
-        order, and one ``(dst, src, REL_CODE + inverse)`` row per edge in
-        ``edges`` order."""
-        # flat lists: NumPy converts them faster than lists of tuples
-        order = np.argsort(np.array([n.id for n in self.nodes], dtype=np.intp))
-        type_code = np.array([TYPE_CODE[n.node_type._name_] for n in self.nodes],
-                             dtype=np.intp)[order]
-        edge_rows = np.array([v for e in self.edges
-                              for v in (e.dst, e.src, REL_CODE[e.relation._name_] + e.inverse)],
-                             dtype=np.intp).reshape(-1, 3)
-        type_code.flags.writeable = edge_rows.flags.writeable = False
-        return type_code, edge_rows
+        """``_encode``'s codes of this graph, computed once per graph
+        (``graph_from_dict`` fills them at load)."""
+        ids, node_types = list(zip(*self.nodes))[:2] or ((), ())
+        return _encode(ids, node_types, *(list(zip(*self.edges)) or ((), (), (), ())))
 
 
-def incoming(g: DebateGraph, t: int) -> tuple[tuple[int, RelationType, bool], ...]:
-    """Incoming (source id, relation, inverse) entries of node ``t``.
-
-    Deterministic order: sorted by (source id, relation ordinal, inverse flag).
-    """
-    g.node(t)
-    entries = [(e.src, e.relation, e.inverse) for e in g.edges if e.dst == t]
-    return tuple(sorted(entries, key=lambda x: (x[0], REL_ORDINAL[x[1]], x[2])))
-
-
-def edge_meta(g: DebateGraph, e: Edge) -> tuple[NodeType, RelationType, NodeType, bool]:
-    """The meta-relation of an edge, with source/target in forward orientation."""
-    return _oriented(g.node(e.src).node_type, g.node(e.dst).node_type, e)
-
-
-def _oriented(src_t: NodeType, dst_t: NodeType,
-              e: Edge) -> tuple[NodeType, RelationType, NodeType, bool]:
-    if e.inverse:
-        return (dst_t, e.relation, src_t, True)
-    return (src_t, e.relation, dst_t, False)
+def _encode(ids: tuple, node_types: tuple, src: tuple, dst: tuple, relations: tuple,
+            inverse: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``(type_code, edge_rows)`` of the node and edge columns, read-only: each
+    node's ``TYPE_CODE`` in node-id order, and one ``(dst, src, REL_CODE +
+    inverse)`` row per edge in edge order. Ids that are not 0..N-1 each once,
+    or an edge endpoint that is not one of them, raise ``ValueError``."""
+    n = len(ids)
+    id_arr = np.array(ids, dtype=np.intp)
+    if n and (id_arr.min() != 0 or id_arr.max() != n - 1):
+        raise ValueError("node ids are not dense 0..N-1")
+    type_code = np.full(n, -1, dtype=np.intp)
+    type_code[id_arr] = [TYPE_CODE[t._name_] for t in node_types]
+    if n and type_code.min() < 0:  # n ids in 0..n-1 leave a slot empty only if one repeats
+        raise ValueError("duplicate node id")
+    edge_rows = np.array([dst, src, [REL_CODE[r._name_] + i for r, i in zip(relations, inverse)]],
+                         dtype=np.intp).T
+    if len(edge_rows) and (edge_rows[:, :2].min() < 0 or edge_rows[:, :2].max() >= n):
+        raise ValueError("edge endpoint is not a node id")
+    type_code.flags.writeable = edge_rows.flags.writeable = False
+    return type_code, edge_rows
 
 
 def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> ValidationReport:
@@ -272,8 +260,6 @@ def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> Va
     titles = g.nodes_of_type(NodeType.TITLE)
     if mode not in (AblationMode.NO_TITLE, AblationMode.HOMOGENEOUS) and len(titles) != 1:
         violations.append(f"expected exactly one title node, found {len(titles)}")
-    if mode == AblationMode.NO_TITLE and titles:
-        violations.append("title node present after no_title ablation")
 
     dims = g.nodes_of_type(NodeType.EVALUATION_DIMENSION)
     if mode not in (AblationMode.NO_EVAL, AblationMode.HOMOGENEOUS):
@@ -282,8 +268,9 @@ def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> Va
         expected = sorted(DIMENSION_LABELS.values())
         if len(dims) != 4 or texts != expected:
             violations.append("expected exactly four dimension nodes, one per variant")
-    if mode == AblationMode.NO_EVAL and dims:
-        violations.append("dimension nodes present after no_eval ablation")
+    dropped, drop_types, drop_relations = ABLATION_DROPS.get(mode, ("", (), ()))
+    if any(n.node_type in drop_types for n in g.nodes):
+        violations.append(f"{dropped} present after {mode.value} ablation")
 
     seen: set[tuple[int, int, RelationType, bool]] = set()
     for e in g.edges:
@@ -303,26 +290,23 @@ def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> Va
         if e.relation == RelationType.CONNECTED:
             violations.append(f"edge ({e.src}, {e.dst}): connected outside homogenized graph")
             continue
-        src_t, rel, dst_t, _ = _oriented(by_id[e.src].node_type, by_id[e.dst].node_type, e)
-        if (src_t, rel, dst_t) not in _LEGAL_FORWARD:
+        src_t, dst_t = by_id[e.src].node_type, by_id[e.dst].node_type
+        if e.inverse:  # the meta-relation in forward orientation
+            src_t, dst_t = dst_t, src_t
+        if (src_t, e.relation, dst_t) not in _LEGAL_FORWARD:
             violations.append(
                 "illegal meta-relation "
-                f"({src_t.value}, {rel.value}, {dst_t.value}, inverse={e.inverse})"
+                f"({src_t.value}, {e.relation.value}, {dst_t.value}, inverse={e.inverse})"
             )
-        if mode == AblationMode.NO_RAR and rel in REVIEWER_AUTHOR_RELATIONS:
-            violations.append(f"reviewer-author edge present after no_rar ablation: {key}")
-        if mode == AblationMode.NO_IRR and rel in INTER_REVIEWER_RELATIONS:
-            violations.append(f"inter-reviewer edge present after no_irr ablation: {key}")
+        if e.relation in drop_relations:
+            violations.append(f"{dropped} present after {mode.value} ablation: {key}")
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def apply_ablation(g: DebateGraph, mode: AblationMode) -> DebateGraph:
-    """Return the ablated graph; node ids are re-densified.
-
-    The old id -> new id mapping is recorded on the result's ``id_map`` field.
-    ``FULL`` is the identity and returns ``g`` itself.
-    """
+    """Return the ablated graph, with node ids re-densified; ``FULL`` is the
+    identity and returns ``g`` itself."""
     if mode == AblationMode.FULL:
         return g
 
@@ -335,29 +319,10 @@ def apply_ablation(g: DebateGraph, mode: AblationMode) -> DebateGraph:
                 continue
             seen.add(key)
             edges.append(Edge(e.src, e.dst, RelationType.CONNECTED, e.inverse))
-        return DebateGraph(
-            graph_id=g.graph_id,
-            nodes=g.nodes,
-            edges=tuple(edges),
-            label=g.label,
-            id_map={n.id: n.id for n in g.nodes},
-        )
+        return DebateGraph(graph_id=g.graph_id, nodes=g.nodes, edges=tuple(edges), label=g.label)
 
-    if mode == AblationMode.NO_RAR:
-        drop_rel = set(REVIEWER_AUTHOR_RELATIONS)
-    elif mode == AblationMode.NO_IRR:
-        drop_rel = set(INTER_REVIEWER_RELATIONS)
-    else:
-        drop_rel = set()
-
-    if mode == AblationMode.NO_TITLE:
-        drop_type = {NodeType.TITLE}
-    elif mode == AblationMode.NO_EVAL:
-        drop_type = {NodeType.EVALUATION_DIMENSION}
-    else:
-        drop_type = set()
-
-    kept_nodes = [n for n in g.nodes if n.node_type not in drop_type]
+    _, drop_types, drop_relations = ABLATION_DROPS[mode]
+    kept_nodes = [n for n in g.nodes if n.node_type not in drop_types]
     if not kept_nodes:
         raise EmptyAblationResult(f"{mode.value} ablation removed every node of {g.graph_id}")
     id_map = {n.id: new_id for new_id, n in enumerate(kept_nodes)}
@@ -367,11 +332,9 @@ def apply_ablation(g: DebateGraph, mode: AblationMode) -> DebateGraph:
     edges = tuple(
         Edge(id_map[e.src], id_map[e.dst], e.relation, e.inverse)
         for e in g.edges
-        if e.relation not in drop_rel and e.src in id_map and e.dst in id_map
+        if e.relation not in drop_relations and e.src in id_map and e.dst in id_map
     )
-    return DebateGraph(
-        graph_id=g.graph_id, nodes=nodes, edges=edges, label=g.label, id_map=id_map
-    )
+    return DebateGraph(graph_id=g.graph_id, nodes=nodes, edges=edges, label=g.label)
 
 
 def graph_to_dict(g: DebateGraph) -> dict:
@@ -422,31 +385,24 @@ def graph_from_dict(d: dict) -> DebateGraph:
         for ed in d["edges"]
     ])
     ids, node_types, texts = list(zip(*nodes))[:3] or ((), (), ())
-    src, dst, relations, inverse = list(zip(*edges)) or ((), (), (), ())
+    columns = list(zip(*edges)) or ((), (), (), ())
+    src, dst, _relations, inverse = columns
     if not set(map(type, ids + src + dst)) <= {int}:
         raise TypeError("node ids and edge endpoints must be integers")
-    if not set(map(type, texts)) <= {str}:
-        raise TypeError("node text must be a string")
+    require_str("node text", *texts)
     if not set(map(type, inverse)) <= {bool}:
         raise TypeError("edge 'inverse' must be true or false")
-
-    n = len(nodes)
-    id_arr = np.array(ids, dtype=np.intp)
-    if n and (id_arr.min() != 0 or id_arr.max() != n - 1):
-        raise ValueError("node ids are not dense 0..N-1")
-    type_code = np.full(n, -1, dtype=np.intp)
-    type_code[id_arr] = [TYPE_CODE[t._name_] for t in node_types]
-    if n and type_code.min() < 0:  # n ids in 0..n-1 leave a slot empty only if one repeats
-        raise ValueError("duplicate node id")
-    edge_rows = np.array([dst, src, [REL_CODE[r._name_] + i for r, i in zip(relations, inverse)]],
-                         dtype=np.intp).T
-    if len(edges) and (edge_rows[:, :2].min() < 0 or edge_rows[:, :2].max() >= n):
-        raise ValueError("edge endpoint is not a node id")
-
+    codes = _encode(ids, node_types, *columns)
     g = DebateGraph(graph_id=d["graph_id"], nodes=nodes, edges=edges, label=d.get("label"))
-    type_code.flags.writeable = edge_rows.flags.writeable = False
-    vars(g)["codes"] = (type_code, edge_rows)  # what the cached property would compute
+    vars(g)["codes"] = codes  # what the cached property would compute
     return g
+
+
+def require_str(what: str, *values: object) -> None:
+    """Raise ``TypeError`` unless every value is a ``str``: the check a decoder
+    makes of a document's text fields before anything uses them."""
+    if not set(map(type, values)) <= {str}:
+        raise TypeError(f"{what} must be a string")
 
 
 @contextmanager

@@ -257,6 +257,10 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         rel_keys, edge_rel = [CONNECTED_KEY], np.zeros(len(order), dtype=np.intp)
     else:
         rel_keys, edge_rel = _present(rel_code, _REL_NAMES)
+        if any(k.startswith(CONNECTED_KEY) for k in rel_keys):
+            g = next(g for g in graphs if RelationType.CONNECTED in {e.relation for e in g.edges})
+            raise ModelError(f"{g.graph_id}: the connected relation of a homogenized graph "
+                             "needs the homogeneous model (the homogeneous ablation)")
     segments = _segments(dst)
 
     return GraphIndex(

@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 import time
@@ -32,7 +33,7 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension, compact_json, replacing
+from .graph import DIMENSION_LABELS, Dimension, compact_json, replacing, require_str
 
 
 class OrchestrationError(Exception):
@@ -151,7 +152,7 @@ def transcript_to_dict(t: Transcript) -> dict:
 
 
 def transcript_from_dict(d: dict) -> Transcript:
-    return Transcript(
+    t = Transcript(
         paper_id=d["paper_id"],
         title=d["title"],
         stages=tuple(
@@ -169,6 +170,9 @@ def transcript_from_dict(d: dict) -> Transcript:
             for s in d["stages"]
         ),
     )
+    require_str("each of paper_id, title, message content and attachments", t.paper_id, t.title,
+                *(v for s in t.stages for m in s.messages for v in (m.content, *m.attachments)))
+    return t
 
 
 def save_transcript(t: Transcript, path: str | Path) -> None:
@@ -189,6 +193,8 @@ class PaperInput:
 
 def load_paper(path: str | Path) -> PaperInput:
     d = json.loads(Path(path).read_text())
+    require_str("each of paper_id, title, body and attachments", d["paper_id"], d["title"],
+                d["body"], *d.get("attachments", ()))
     return PaperInput(
         paper_id=d["paper_id"],
         title=d["title"],
@@ -1003,13 +1009,10 @@ def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[bytes, np.nd
     if vector.shape != (rec.get("dim"),):
         raise CorruptCache(
             f"{path}:{lineno}: decoded {vector.size} values but 'dim' is {rec.get('dim')!r}")
-    try:
-        digest = bytes.fromhex(rec["sha256"]) if len(rec["sha256"]) == 64 else b""
-    except ValueError:
-        digest = b""
-    if len(digest) != 32:
+    # lowercase only, as hexdigest writes it: a line with an uppercase digit named no text
+    if not re.fullmatch("[0-9a-f]{64}", rec["sha256"]):
         raise CorruptCache(f"{path}:{lineno}: 'sha256' is not 64 hex digits")
-    return digest, vector
+    return bytes.fromhex(rec["sha256"]), vector
 
 
 def embed_texts(

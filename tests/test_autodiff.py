@@ -88,21 +88,6 @@ def test_matmul_3d_gradient_shared_right_operand(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
-def test_matmul_3d_gradient_batched_right_operand(seed):
-    r = np.random.default_rng(seed)
-    a0 = r.standard_normal((4, 2, 3))
-    b0 = r.standard_normal((4, 3, 5))
-    scalar_loss_through(lambda x: reduce_to_scalar(as_matrix(ad.matmul(x, Tensor(b0)))), a0)
-    scalar_loss_through(lambda w: reduce_to_scalar(as_matrix(ad.matmul(Tensor(a0), w))), b0)
-
-
-def test_matmul_batched_requires_matching_batch():
-    with pytest.raises(ShapeMismatch):
-        ad.matmul(Tensor(np.ones((3, 2, 4))), Tensor(np.ones((2, 4, 5))))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
 def test_reshape_gradient(seed):
     r = np.random.default_rng(seed)
     weights = Tensor(r.standard_normal((6, 4)))
@@ -152,15 +137,6 @@ def test_relu_gradient(seed):
     x0 = r.standard_normal((4, 4))
     x0[np.abs(x0) < 1e-3] = 0.5
     scalar_loss_through(lambda x: reduce_to_scalar(ad.relu(x)), x0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_scale_by_learnable_scalar(seed):
-    r = np.random.default_rng(seed)
-    x = r.standard_normal((3, 3))
-    scalar_loss_through(lambda c: reduce_to_scalar(ad.scale(Tensor(x), c)),
-                        np.asarray(r.standard_normal()))
 
 
 @settings(max_examples=25, deadline=None)

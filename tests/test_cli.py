@@ -648,3 +648,180 @@ def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
     assert code == 3
     assert "data error: tensor 'layer0/query/title'" in err
     assert "Traceback" not in err
+
+
+def _first_message(doc, value):
+    doc["stages"][0]["messages"][0]["content"] = value
+    return doc
+
+
+#: Documents that parse as JSON but hold a value of the wrong type: (file,
+#: command, edit of the decoded document, exit code). A manifest's edit is of
+#: its first line.
+MALFORMED_DOCUMENTS = {
+    "manifest-line-number": ("manifest.jsonl", "simulate", lambda d: 5, 3),
+    "manifest-line-null": ("manifest.jsonl", "simulate", lambda d: None, 3),
+    "manifest-paths-list": ("manifest.jsonl", "simulate", lambda d: {**d, "paths": [1]}, 3),
+    "manifest-path-number": ("manifest.jsonl", "simulate",
+                             lambda d: {**d, "paths": {"paper": 5}}, 3),
+    "manifest-paper-id-list": ("manifest.jsonl", "simulate",
+                               lambda d: {**d, "paper_id": [1]}, 3),
+    "config-list": ("run.json", "simulate", lambda d: [1], 1),
+    "config-endpoint-number": ("run.json", "simulate", lambda d: {**d, "endpoint": 5}, 1),
+    "config-model-list": ("run.json", "simulate", lambda d: {**d, "model": [1]}, 1),
+    "paper-body-number": ("papers/p0.json", "simulate", lambda d: {**d, "body": 5}, 3),
+    "message-content-number": ("work/p0.transcript.json", "extract",
+                               lambda d: _first_message(d, 5), 3),
+    "transcript-title-number-embed": ("work/p0.transcript.json", "embed",
+                                      lambda d: {**d, "title": 5}, 3),
+    "transcript-title-number-build-graph": ("work/p0.transcript.json", "build-graph",
+                                            lambda d: {**d, "title": 5}, 3),
+    "dims-text-number": ("work/p0.dims.json", "build-graph",
+                         lambda d: [{**d[0], "text": 5}, *d[1:]], 3),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DOCUMENTS)
+def test_malformed_document_exits_with_its_code_naming_the_file(trained_workspace, capsys, name):
+    root, manifest, files = trained_workspace
+    file, command, edit, code = MALFORMED_DOCUMENTS[name]
+    path = root / file
+    text = files[path].decode()
+    if path == manifest:
+        first, rest = text.split("\n", 1)
+        text = json.dumps(edit(json.loads(first))) + "\n" + rest
+    else:
+        text = json.dumps(edit(json.loads(text)))
+    path.write_text(text)
+    capsys.readouterr()
+    try:
+        got = run(root, "--force", command, str(manifest))
+    finally:
+        for p in root.rglob("*"):
+            if p.is_file() and (p not in files or p.read_bytes() != files[p]):
+                p.unlink()
+        for p, content in files.items():
+            if not p.exists():
+                p.write_bytes(content)
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    if path == manifest:
+        assert f"data error: {path}:1: " in err
+    elif code == 1:
+        assert f"error: bad configuration in {path}: " in err
+    else:
+        assert err.startswith("data error: p0: corrupt ") and f" file {path}: TypeError: " in err
+
+
+def _homogeneous_workspace(root):
+    """A trained typed checkpoint ``c.rvgc``, then graphs rebuilt under the
+    homogeneous ablation."""
+    manifest = _trained_workspace(root)
+    assert run(root, "--force", "--ablation", "homogeneous", "build-graph", str(manifest)) == 0
+    assert all(e.relation == graphmod.RelationType.CONNECTED
+               for e in load_graph(root / "work" / "p0.graph.json").edges)
+    return manifest
+
+
+def test_homogeneous_ablation_trains_and_evaluates_the_homogeneous_model(tmp_path, capsys):
+    manifest = _homogeneous_workspace(tmp_path)
+    assert run(tmp_path, "--ablation", "homogeneous", "train", str(manifest),
+               "--checkpoint", str(tmp_path / "h.rvgc"),
+               "--history", str(tmp_path / "h.jsonl")) == 0
+    assert training.load_checkpoint(tmp_path / "h.rvgc").model_config.homogeneous
+    assert run(tmp_path, "evaluate", str(manifest), "--checkpoint", str(tmp_path / "h.rvgc"),
+               "--output", str(tmp_path / "ev.json")) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_typed_model_on_homogenized_graphs_exits_3_naming_the_paper(tmp_path, capsys, command):
+    manifest = _homogeneous_workspace(tmp_path)
+    extra = (["--checkpoint", str(tmp_path / "t.rvgc"), "--history", str(tmp_path / "t.jsonl")]
+             if command == "train" else _evaluate_args(tmp_path))
+    capsys.readouterr()
+    assert run(tmp_path, command, str(manifest), *extra) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"data error: p[012]: the connected relation of a homogenized graph "
+                        r"needs the homogeneous model \(the homogeneous ablation\)\n", err)
+    assert command == "train" or err.startswith("data error: p2: ")
+
+
+def test_config_homogeneous_that_contradicts_the_ablation_is_a_usage_error(tmp_path, capsys):
+    manifest = make_workspace(tmp_path, THREE_PAPERS, {"model": {"homogeneous": True}})
+    assert run(tmp_path, "simulate", str(manifest)) == 1
+    assert "the full ablation sets the model's 'homogeneous' to False" in capsys.readouterr().err
+    assert run(tmp_path, "--ablation", "homogeneous", "simulate", str(manifest)) == 0
+
+
+def test_cache_of_another_dim_than_the_model_names_paper_and_cache(tmp_path, capsys):
+    manifest = _trained_workspace(tmp_path)  # 16-dim caches and model
+    capsys.readouterr()
+    config = json.loads((tmp_path / "run.json").read_text())
+    config["model"]["input_dim"] = 32
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert run(tmp_path, "train", str(manifest), "--checkpoint", str(tmp_path / "c2.rvgc"),
+               "--history", str(tmp_path / "h2.jsonl")) == 3
+    assert capsys.readouterr().err == (
+        f"data error: p0: embedding cache {tmp_path / 'work' / 'p0.emb.jsonl'} holds vectors "
+        "of dim 16, but the model's input_dim is 32\n")
+
+    path = tmp_path / "work" / "p2.emb.jsonl"
+    path.unlink()
+    orch.EmbeddingCache(path).put("some text", np.zeros(8))
+    assert run(tmp_path, "evaluate", str(manifest), *_evaluate_args(tmp_path)) == 3
+    assert capsys.readouterr().err == (
+        f"data error: p2: embedding cache {path} holds vectors of dim 8, but the model's "
+        "input_dim is 16\n")
+
+
+def _cut_manifest(blob, mlen):
+    return blob[:8 + mlen - 10]
+
+
+def _with_manifest(manifest_bytes):
+    def edit(blob, mlen):
+        return (blob[:4] + struct.pack("<I", len(manifest_bytes)) + manifest_bytes
+                + blob[8 + mlen:])
+    return edit
+
+
+def _with_doc(change):
+    def edit(blob, mlen):
+        doc = json.loads(blob[8:8 + mlen])
+        change(doc)
+        return _with_manifest(json.dumps(doc).encode())(blob, mlen)
+    return edit
+
+
+#: Checkpoint faults that ``load_checkpoint`` reports by name: (edit of the
+#: file's bytes and its manifest length, message).
+BROKEN_CHECKPOINT_FILES = {
+    "truncated-manifest": (_cut_manifest, "truncated manifest"),
+    "unreadable-manifest": (_with_manifest(b"\xff{not json"), "unreadable manifest"),
+    "list-manifest": (_with_manifest(b"[1, 2]"), "manifest is not a JSON object"),
+    "wrong-version": (_with_doc(lambda d: d.update(version=99)),
+                      "unsupported checkpoint version 99"),
+    "tensors-object": (_with_doc(lambda d: d.update(tensors={})),
+                       "manifest 'tensors' is not a list"),
+    "last-tensor-missing": (_with_doc(lambda d: d["tensors"].pop()),
+                            "tensor 'head/b2' is missing from the manifest"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BROKEN_CHECKPOINT_FILES.values(),
+                         ids=BROKEN_CHECKPOINT_FILES.keys())
+def test_evaluate_broken_checkpoint_exits_3_with_its_fault(trained_workspace, tmp_path, capsys,
+                                                           edit, message):
+    root, manifest, files = trained_workspace
+    blob = files[root / "c.rvgc"]
+    (mlen,) = struct.unpack("<I", blob[4:8])
+    bad = tmp_path / "bad.rvgc"
+    bad.write_bytes(edit(blob, mlen))
+    capsys.readouterr()
+    code = run(root, "evaluate", str(manifest), "--checkpoint", str(bad),
+               "--output", str(tmp_path / "ev.json"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"data error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "ev.json").exists()

@@ -24,10 +24,8 @@ from reviewgraph.graph import (
     apply_ablation,
     build_minimal_graph,
     edge_counts_by_group,
-    edge_meta,
     graph_from_dict,
     graph_to_dict,
-    incoming,
     legal_meta_relations,
     load_graph,
     save_graph,
@@ -107,21 +105,91 @@ def test_validate_connected_only_in_homogeneous_mode():
     assert validate_graph(homog, AblationMode.HOMOGENEOUS).ok
 
 
-def test_incoming_is_sorted_and_complete():
-    g = tiny_graph()
-    inc = incoming(g, 6)
-    assert (5, RelationType.ACCEPT, False) in inc
-    assert list(inc) == sorted(inc, key=lambda t: (t[0], list(RelationType).index(t[1]), t[2]))
+def _edit_node(node_id, **fields):
+    """An edit of ``tiny_graph`` that replaces fields of one node."""
+    def edit(nodes, edges):
+        nodes[node_id] = nodes[node_id]._replace(**fields)
+    return edit
 
 
-def test_edge_meta_swaps_inverse():
-    g = tiny_graph()
-    fwd = Edge(5, 6, RelationType.ACCEPT)
-    inv = Edge(6, 5, RelationType.ACCEPT, inverse=True)
-    assert edge_meta(g, fwd) == (NodeType.REVIEWER_OPINION, RelationType.ACCEPT,
-                                 NodeType.AUTHOR_OPINION, False)
-    assert edge_meta(g, inv) == (NodeType.REVIEWER_OPINION, RelationType.ACCEPT,
-                                 NodeType.AUTHOR_OPINION, True)
+def _add(node=None, edge=None):
+    """An edit of ``tiny_graph`` that appends a node or an edge."""
+    def edit(nodes, edges):
+        nodes.extend([node] if node else [])
+        edges.extend([edge] if edge else [])
+    return edit
+
+
+ACCEPT = RelationType.ACCEPT
+TYPED = AblationMode.FULL
+
+#: One edit of ``tiny_graph`` per violation: (edit, inverse edges, mode, every
+#: violation it gives). A few edits cannot break one rule alone.
+BROKEN_SCHEMA = {
+    "duplicate-node-id": (_add(Node(6, NodeType.AUTHOR_OPINION, "Again.", "author")), True, TYPED,
+                          ("duplicate node ids", "node ids are not dense 0..N-1")),
+    "ids-not-dense": (_add(Node(8, NodeType.AUTHOR_OPINION, "Later.", "author")), True, TYPED,
+                      ("node ids are not dense 0..N-1",)),
+    "blank-text": (_edit_node(6, text=" \t"), True, TYPED, ("node 6: empty text",)),
+    "opinion-without-speaker": (_edit_node(5, speaker=None), True, TYPED, (
+        "node 5: opinion node without speaker", "node 5: reviewer opinion with speaker None")),
+    "title-with-speaker": (_edit_node(0, speaker="author"), True, TYPED,
+                           ("node 0: non-opinion node with speaker",)),
+    "unknown-speaker": (_edit_node(6, speaker="editor"), True, TYPED, (
+        "node 6: unknown speaker 'editor'", "node 6: author opinion with speaker 'editor'")),
+    "reviewer-opinion-by-author": (_edit_node(5, speaker="author"), True, TYPED,
+                                   ("node 5: reviewer opinion with speaker 'author'",)),
+    "reviewer-opinion-without-dimension": (_edit_node(5, dimension=None), True, TYPED,
+                                           ("node 5: reviewer opinion without dimension",)),
+    "author-opinion-with-dimension": (
+        _edit_node(6, dimension=Dimension.WRITING_FLUENCY), True, TYPED,
+        ("node 6: dimension set on author_opinion node",)),
+    "author-opinion-by-reviewer": (_edit_node(6, speaker="reviewer_2"), True, TYPED,
+                                   ("node 6: author opinion with speaker 'reviewer_2'",)),
+    "two-titles": (_add(Node(7, NodeType.TITLE, "Another Title")), True, TYPED,
+                   ("expected exactly one title node, found 2",)),
+    "title-after-no-title": (_add(), True, AblationMode.NO_TITLE,
+                             ("title node present after no_title ablation",)),
+    "renamed-dimension": (_edit_node(4, text="Writing Style"), True, TYPED,
+                          ("expected exactly four dimension nodes, one per variant",)),
+    "dimensions-after-no-eval": (_add(), True, AblationMode.NO_EVAL,
+                                 ("dimension nodes present after no_eval ablation",)),
+    "duplicate-edge": (_add(edge=Edge(5, 6, ACCEPT)), True, TYPED,
+                       ("duplicate edge (5, 6, <RelationType.ACCEPT: 'accept'>, False)",)),
+    "unknown-endpoint": (_add(edge=Edge(5, 9, ACCEPT)), True, TYPED,
+                         ("edge (5, 9, accept): unknown endpoint",)),
+    "connected-in-typed-graph": (_add(edge=Edge(6, 0, RelationType.CONNECTED)), True, TYPED,
+                                 ("edge (6, 0): connected outside homogenized graph",)),
+    "illegal-meta-relation": (_add(edge=Edge(6, 5, ACCEPT)), True, TYPED,
+                              ("illegal meta-relation "
+                               "(author_opinion, accept, reviewer_opinion, inverse=False)",)),
+    "reviewer-author-after-no-rar": (
+        _add(), False, AblationMode.NO_RAR,
+        ("reviewer-author edge present after no_rar ablation: "
+         "(5, 6, <RelationType.ACCEPT: 'accept'>, False)",)),
+    "inter-reviewer-after-no-irr": (
+        _add(edge=Edge(5, 5, RelationType.AGREE)), True, AblationMode.NO_IRR,
+        ("inter-reviewer edge present after no_irr ablation: "
+         "(5, 5, <RelationType.AGREE: 'agree'>, False)",)),
+}
+
+
+@pytest.mark.parametrize("edit, add_inverse, mode, violations", BROKEN_SCHEMA.values(),
+                         ids=BROKEN_SCHEMA.keys())
+def test_each_broken_rule_gives_exactly_its_violations(edit, add_inverse, mode, violations):
+    g = tiny_graph(add_inverse)
+    nodes, edges = list(g.nodes), list(g.edges)
+    edit(nodes, edges)
+    report = validate_graph(DebateGraph("broken", tuple(nodes), tuple(edges)), mode)
+    assert report.violations == violations
+    assert not report.ok
+
+
+def test_typed_relation_in_homogenized_graph_is_its_only_violation():
+    homog = apply_ablation(tiny_graph(), AblationMode.HOMOGENEOUS)
+    bad = DebateGraph("h", homog.nodes, homog.edges + (Edge(5, 6, ACCEPT),))
+    assert validate_graph(bad, AblationMode.HOMOGENEOUS).violations == (
+        "edge (5, 6): relation accept in homogenized graph",)
 
 
 @pytest.mark.parametrize("mode", [AblationMode.NO_TITLE, AblationMode.NO_EVAL])
@@ -132,7 +200,6 @@ def test_node_ablations_densify_ids(mode):
     assert validate_graph(out, mode).ok, validate_graph(out, mode).violations
     dropped = NodeType.TITLE if mode == AblationMode.NO_TITLE else NodeType.EVALUATION_DIMENSION
     assert not out.nodes_of_type(dropped)
-    assert out.id_map is not None
 
 
 def test_relation_ablations_drop_edge_groups():

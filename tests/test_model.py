@@ -386,6 +386,25 @@ def test_batched_forward_matches_dense_oracle_per_graph():
                                            rtol=0, atol=1e-10)
 
 
+def test_edgeless_graph_matches_dense_oracle_alone_and_batched():
+    """The minimal graph under no_title has four nodes and no edges; alone,
+    every layer passes its states through unchanged."""
+    edgeless = apply_ablation(build_minimal_graph("edgeless", "A title"), AblationMode.NO_TITLE)
+    assert (edgeless.num_nodes, len(edgeless.edges)) == (4, 0)
+    for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
+        graphs, embs = mixed_batch(config, 7)
+        emb = embeddings_for(edgeless, config.input_dim, 7)
+        params = init_params(config, 7)
+        want = dense_forward(edgeless, emb, params, config)
+        alone, _ = predict(edgeless, emb, params, config)
+        np.testing.assert_allclose(alone, want, rtol=0, atol=1e-10)
+        for p in predict_batch([edgeless, edgeless], [emb, emb], params, config):
+            np.testing.assert_allclose(p, want, rtol=0, atol=1e-10)
+        probs = predict_batch(graphs[:2] + [edgeless] + graphs[2:],
+                              embs[:2] + [emb] + embs[2:], params, config)
+        np.testing.assert_allclose(probs[2], want, rtol=0, atol=1e-10)
+
+
 def test_batch_gradient_is_mean_of_graph_gradients_with_same_none_set():
     graphs, embs = mixed_batch(SMALL, 3)
     labels = [i % 2 for i in range(len(graphs))]

@@ -738,6 +738,19 @@ def test_cli_stage_exits_2_on_malformed_reply(tmp_path, monkeypatch, capsys, sta
     assert not list((tmp_path / "work").glob("*.emb.jsonl*"))  # nothing is cached
 
 
+def test_cli_stage_exits_2_on_blank_completion(tmp_path, monkeypatch, capsys):
+    manifest = make_workspace(tmp_path, [("p0", "train", "accept")])
+    config = json.loads((tmp_path / "run.json").read_text())
+    config["endpoint"] = {"base_url": "https://example.invalid/v1", "model": "m",
+                          "retry_limit": 0}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    fake_endpoint(monkeypatch, lambda _p: (200, {"choices": [{"message": {"content": " \n"}}]}))
+    capsys.readouterr()
+    assert run(tmp_path, "simulate", str(manifest)) == 2
+    assert capsys.readouterr().err == "endpoint error: endpoint returned an empty completion\n"
+    assert not list((tmp_path / "work").iterdir())
+
+
 def test_api_key_comes_from_environment(monkeypatch):
     config = EndpointConfig(base_url="https://example.invalid", model="m",
                             api_key_env="RVG_TEST_KEY")
