@@ -4,6 +4,11 @@ Tape-style autodiff: each op records its parents and a backward closure;
 ``Tensor.backward()`` runs the closures in reverse topological order and
 accumulates gradients additively. A central-difference harness
 (``grad_check``) verifies the analytic gradients.
+
+Typed weights apply to rows sorted by type: ``block_matmul`` multiplies
+each contiguous block of rows by its own matrix. Row gathers, in ``rows``
+and fused into ``block_matmul``, take a ``Gather``, which keeps the
+grouping that their gradient's scatter-add needs across calls.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ class Tensor:
         self._parents = parents
         self._backward_fn = backward_fn
         self._needs = requires_grad or any(p._needs for p in parents)
+
+    @classmethod
+    def leaf(cls, value: np.ndarray) -> "Tensor":
+        """A learnable tensor over a float64 array, which it keeps as given."""
+        t = cls.__new__(cls)
+        t.value, t.grad, t._parents, t._backward_fn = value, None, (), None
+        t.requires_grad = t._needs = True
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -258,96 +271,104 @@ def mean_rows(x: Tensor) -> Tensor:
     return _op(out, (x,), backward)
 
 
-def _scatter_add(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
-    """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated indices sum."""
-    out = np.zeros((n_rows,) + g.shape[1:])
-    if idx.size:
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
-        out[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
-    return out
+class Gather:
+    """Row indices for a gather, with the grouping its gradient needs.
+
+    The gradient of gathering ``x[idx]`` adds each row of g to row ``idx[i]``
+    of an (n_rows, ...) zero array. ``scatter`` groups the rows by index on
+    its first call and keeps the grouping, so indices that many gathers
+    share, such as a graph index's edge sources, are sorted once. ``order``
+    lists the rows with equal indices adjacent, each group in the order its
+    rows are summed; by default it is the stable sort of idx. Indices that
+    are all distinct, such as a permutation, scatter with one assignment.
+    """
+
+    __slots__ = ("idx", "n_rows", "_order", "_groups")
+
+    def __init__(self, idx: Sequence[int] | np.ndarray, n_rows: int,
+                 order: np.ndarray | None = None) -> None:
+        self.idx = np.asarray(idx, dtype=np.intp)
+        self.n_rows = n_rows
+        self._order = order
+        self._groups: tuple[np.ndarray, np.ndarray, np.ndarray] | tuple[()] | None = None
+
+    def scatter(self, g: np.ndarray) -> np.ndarray:
+        """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated indices sum."""
+        if self._groups is None:
+            self._groups = ()
+            if self.idx.size:
+                order = np.argsort(self.idx, kind="stable") if self._order is None \
+                    else self._order
+                sorted_idx = self.idx[order]
+                starts = np.flatnonzero(
+                    np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
+                if len(starts) < len(order):
+                    self._groups = (order, starts, sorted_idx[starts])
+        out = np.zeros((self.n_rows,) + g.shape[1:])
+        if self._groups:
+            order, starts, targets = self._groups
+            out[targets] = np.add.reduceat(g.take(order, axis=0), starts, axis=0)
+        else:
+            out[self.idx] = g
+        return out
 
 
-def rows(x: Tensor, idx: np.ndarray) -> Tensor:
+def rows(x: Tensor, idx: np.ndarray | Gather) -> Tensor:
     """Gather rows (axis 0); backward sums the gradient of repeated indices."""
     x = _tensor(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = x.value[idx]
+    gather = idx if isinstance(idx, Gather) else Gather(idx, x.value.shape[0])
+    if gather.n_rows != x.value.shape[0]:
+        raise ShapeMismatch(f"a gather from {gather.n_rows} rows applied to {x.shape}")
+    out = x.value.take(gather.idx, axis=0)  # several times faster than x.value[idx]
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate(_scatter_add(g, idx, x.value.shape[0]))
+        x.accumulate(gather.scatter(g))
 
     return _op(out, (x,), backward)
 
 
-class RowGroups:
-    """The rows of an id array grouped by id, for ``matmul_by``.
+def block_matmul(x: Tensor, ws: Sequence[Tensor], bounds: Sequence[int],
+                 take: Gather | None = None) -> Tensor:
+    """Rows ``bounds[j]:bounds[j + 1]`` of x times ``ws[j]``: one product per block.
 
-    ``order`` lists the row positions sorted stably by id; the rows with
-    id j are ``order[bounds[j]:bounds[j + 1]]``.
-    """
-
-    __slots__ = ("order", "bounds")
-
-    def __init__(self, ids: np.ndarray, n_ids: int) -> None:
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.ndim != 1 or ids.size and (ids.min() < 0 or ids.max() >= n_ids):
-            raise ShapeMismatch(f"row ids must be a vector of ids in [0, {n_ids})")
-        self.order = np.argsort(ids, kind="stable")
-        self.bounds = np.searchsorted(ids[self.order], np.arange(n_ids + 1)).tolist()
-
-
-def matmul_by(x: Tensor, ws: Sequence[Tensor], groups: RowGroups,
-              take: np.ndarray | None = None) -> Tensor:
-    """Each row times the matrix its id selects: ``out[i] = x[i] @ ws[ids[i]]``.
-
-    x is (n, ..., k) and every ws[j] is (k, m); ``groups``, built once per
-    id array, groups the n rows by id, so each matrix multiplies one block:
-    the forward gathers each group's rows, multiplies them and writes the
-    product straight to those rows of the result, making no sorted copy of
-    x or of the product. Backward accumulates straight into each ws[j]; a
-    matrix no row selects gets no gradient. With ``take``, the result is
-    the product's rows ``take`` (``out[i] = x[take[i]] @ ws[ids[take[i]]]``),
-    and the full product is never kept on the tape.
+    x is (n, ..., k), every ws[j] is (k, m), and the blocks tile x's n rows
+    in order, so each product is written straight into its contiguous slice
+    of the result, and backward takes each block's gradients from slices
+    too; rows sorted by type or relation make every typed projection one
+    block product per type. A matrix whose block is empty gets no gradient.
+    With ``take``, the result is the product's rows ``take.idx``, and the
+    full product is never kept on the tape.
     """
     x, ws = _tensor(x), [_tensor(w) for w in ws]
     if not ws or any(w.value.ndim != 2 or w.value.shape != ws[0].value.shape for w in ws):
-        raise ShapeMismatch("matmul_by expects one or more equal-shape matrices")
+        raise ShapeMismatch("block_matmul expects one or more equal-shape matrices")
     k, m = ws[0].value.shape
-    if (x.value.ndim < 2 or x.value.shape[-1] != k or len(groups.order) != x.value.shape[0]
-            or len(groups.bounds) != len(ws) + 1):
-        raise ShapeMismatch(
-            f"matmul_by: x {x.shape}, {len(ws)} matrices of {(k, m)}, "
-            f"{len(groups.order)} grouped rows"
-        )
-    order = groups.order
+    bounds = list(bounds)
+    if (x.value.ndim < 2 or x.value.shape[-1] != k or len(bounds) != len(ws) + 1
+            or bounds[0] != 0 or bounds[-1] != x.value.shape[0]
+            or any(a > b for a, b in zip(bounds, bounds[1:]))):
+        raise ShapeMismatch(f"block_matmul: x {x.shape}, {len(ws)} matrices of {(k, m)}, "
+                            f"block bounds {bounds}")
+    per_row = math.prod(x.value.shape[1:-1])
+    blocks = [(w, a * per_row, b * per_row) for w, a, b in zip(ws, bounds, bounds[1:]) if a < b]
+    xs = x.value.reshape(-1, k)
     out = np.empty(x.value.shape[:-1] + (m,))
-    for w, a, b in zip(ws, groups.bounds[:-1], groups.bounds[1:]):
-        if a < b:
-            rows_j = order[a:b]
-            out[rows_j] = (x.value[rows_j].reshape(-1, k) @ w.value).reshape(
-                (b - a,) + out.shape[1:])
+    products = out.reshape(-1, m)
+    for w, a, b in blocks:
+        np.matmul(xs[a:b], w.value, out=products[a:b])
     if take is not None:
-        take = np.asarray(take, dtype=np.intp)
-        out = out[take]
+        out = out.take(take.idx, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        if take is not None:
-            g = _scatter_add(g, take, x.value.shape[0])
-        per_row = math.prod(x.value.shape[1:-1])
-        spans = [(a * per_row, b * per_row)
-                 for a, b in zip(groups.bounds[:-1], groups.bounds[1:])]
-        xs = x.value[order].reshape(-1, k)  # gathered again, so the tape holds no sorted copy
-        gs = g[order].reshape(-1, m)
-        for w, (a, b) in zip(ws, spans):
-            if a < b and w._needs:
+        gs = (g if take is None else take.scatter(g)).reshape(-1, m)
+        for w, a, b in blocks:
+            if w._needs:
                 w.accumulate(xs[a:b].T @ gs[a:b])
         if x._needs:
-            for w, (a, b) in zip(ws, spans):  # xs becomes the sorted gradient of x
-                np.matmul(gs[a:b], w.value.T, out=xs[a:b])
-            gx = np.empty_like(x.value)
-            gx[order] = xs.reshape(x.value.shape)
+            gx = np.empty(x.value.shape)
+            gxs = gx.reshape(-1, k)
+            for w, a, b in blocks:
+                np.matmul(gs[a:b], w.value.T, out=gxs[a:b])
             x.accumulate(gx)
 
     return _op(out, (x, *ws), backward)
@@ -452,7 +473,7 @@ def segment_sum(x: Tensor, segments: Sequence[tuple[int, int]],
     out[target_rows] = np.add.reduceat(x.value, starts, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate(np.repeat(g[target_rows], lengths, axis=0))
+        x.accumulate(np.repeat(g.take(target_rows, axis=0), lengths, axis=0))
 
     return _op(out, (x,), backward)
 
@@ -518,7 +539,7 @@ class ParamStore:
                                 f"{sum(sizes)} float64 parameters")
         start = 0
         for name, shape, size in zip(names, shapes, sizes):
-            self._insert(name, Tensor(flat[start:start + size].reshape(shape)))
+            self._insert(name, Tensor.leaf(flat[start:start + size].reshape(shape)))
             start += size
         self.flat = flat
         self.sizes = np.array(sizes, dtype=np.intp)

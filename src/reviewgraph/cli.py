@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -126,6 +127,9 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         raise UsageFailure(f"bad configuration in {path}: the document and its endpoint, "
                            "model and train sections must be JSON objects")
 
+    for section, cls in (("endpoint", orch.EndpointConfig), ("model", modelmod.ModelConfig),
+                         ("train", training.TrainConfig)):
+        _check_field_types(path, section, cls, raw.get(section, {}))
     endpoint_raw = dict(raw.get("endpoint", {}))
     if "mock" not in endpoint_raw and not endpoint_raw.get("base_url"):
         endpoint_raw["mock"] = True
@@ -155,6 +159,27 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         raise UsageFailure(f"bad configuration in {path}: the {mode.value} ablation sets the "
                            f"model's 'homogeneous' to {config.model.homogeneous}")
     return config
+
+
+#: What each annotated field type is called and the JSON values it takes: a
+#: float field also takes an integer, and no number field takes true or false.
+_FIELD_VALUES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
+                 float: ("a number", (int, float)), str: ("a string", (str,))}
+
+
+def _check_field_types(path: str | Path | None, section: str, cls: type, values: dict) -> None:
+    """Raise ``UsageFailure`` naming the first field of ``values`` whose
+    value is not of its ``cls`` field's annotated type; unknown fields are
+    left to the constructor."""
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        kind = hints.get(name)
+        if kind not in _FIELD_VALUES:
+            continue
+        wanted, types = _FIELD_VALUES[kind]
+        if not isinstance(value, types) or kind is not bool and isinstance(value, bool):
+            raise UsageFailure(f"bad configuration in {path}: {section}.{name} must be "
+                               f"{wanted}, not {json.dumps(value)}")
 
 
 def _ablation_model(model: modelmod.ModelConfig,

@@ -11,25 +11,32 @@ collapses everything to one node type and the single ``connected`` relation.
 The forward pass runs on a batch of graphs as their disjoint union, indexed
 by ``build_graph_index`` in one pass over the integer codes each graph
 caches (``DebateGraph.codes``): they are concatenated with node offsets, one
-``lexsort`` led by the offset target orders the edges, and the node types
+stable sort led by the offset target orders the edges, and the node types
 and relation keys the batch contains are numbered once. PyG's
 ``Batch.from_data_list`` and DGL's ``dgl.batch`` batch graphs the same way.
 One graph is a batch of one, so ``predict`` and training share one forward,
 and its sequence of ops is fixed whatever the batch size, heads, node types
 or relations. Predictions outside training steps run that forward under
 ``no_grad`` on runs of graphs cut by ``edge_chunks`` to at most
-``PREDICT_EDGE_BUDGET`` edges, which bounds its peak memory. A typed projection is one ``matmul_by``: rows are grouped by
-type once per index, each present type's weight multiplies its contiguous
-block of rows, and the key, query and message projections are gathered
-straight to the edges' sources or targets.
-The relation matrices ``w_attn`` and ``w_msg`` are applied the same way over
-edges grouped by relation key, so attention scores and messages stay
-(edges, heads, head_dim) arrays and no per-edge weight copy is made.
-Softmax and aggregation run over each target's contiguous segment of
-incoming edges. Pooling is a segment mean per (graph, node type), zero for a
-type the graph lacks, and the loss is the batch's mean cross-entropy.
-Parameters of types and relations no graph of the batch has never enter the
-tape and keep ``grad is None``.
+``PREDICT_EDGE_BUDGET`` edges, which bounds its peak memory.
+
+The forward keeps node states type-major, in (type, graph, id) order, so a
+typed projection is one ``block_matmul``: each present type's weight
+multiplies its contiguous block of rows, in forward and backward, and the
+key, query and message projections are gathered straight to the edges'
+sources or targets. The relation matrices ``w_attn`` and ``w_msg`` are
+applied the same way to the edges in relation-major order, each relation's
+contiguous block at once, and their products are gathered straight back to
+target order, so attention scores and messages stay (edges, heads,
+head_dim) arrays and no per-edge weight copy is made. PyG's
+``HeteroLinear(is_sorted=True)`` and ``pyg_lib.ops.segment_matmul`` multiply
+type-sorted rows the same way. Softmax and aggregation run over each
+target's contiguous segment of incoming edges. Pooling is a segment mean per
+(node type, graph), each a contiguous run of the layout, zero for a type the
+graph lacks, and the loss is the batch's mean cross-entropy. ``featurize``,
+``hgt_layer``, ``hgt_attention`` and ``ForwardTrace`` answer in node-id order
+and the index's target-sorted edge order. Parameters of types and relations
+no graph of the batch has never enter the tape and keep ``grad is None``.
 """
 
 from __future__ import annotations
@@ -162,15 +169,25 @@ class GraphIndex:
     sorted by (graph, target, source, relation ordinal, inverse), so each
     target's incoming edges form one contiguous segment. Node types and
     relation keys are numbered by their position in ``type_keys`` and
-    ``rel_keys``, which hold only those the batch contains, sorted by name;
-    ``type_groups`` and ``rel_groups`` group rows by those numbers for
-    ``matmul_by``. Pooling gathers the rows ``pool_rows`` so that each
-    (graph, type) present is one contiguous segment of ``pool_segments``,
-    summed into row ``pool_targets`` (graph * types + type) of the pooled
-    matrix and scaled by ``pool_scale``, the inverse member count (a type a
-    graph lacks pools to zero). ``edge_positions`` holds each sorted edge's
-    position in the graphs' concatenated ``edges``; ``ordered_edges`` lists
-    those edges on first use.
+    ``rel_keys``, which hold only those the batch contains, sorted by name.
+    Pooling gathers the rows ``pool_rows`` so that each (graph, type) present
+    is one contiguous segment of ``pool_segments``, summed into row
+    ``pool_targets`` (graph * types + type) of the pooled matrix and scaled
+    by ``pool_scale``, the inverse member count (a type a graph lacks pools
+    to zero). ``edge_positions`` holds each sorted edge's position in the
+    graphs' concatenated ``edges``; ``ordered_edges`` lists those edges on
+    first use.
+
+    The forward keeps node states in the type-major layout: ``node_order``
+    lists the node rows in (type, graph, id) order, the rows of type j are
+    layout rows ``type_bounds[j]:type_bounds[j + 1]``, and ``node_pos`` is
+    each node row's layout row. Each (type, graph) pooling segment is a
+    contiguous run of the layout, ``layout_pool_segments``, summed into row
+    ``layout_pool_targets``. Likewise ``edge_order`` lists the sorted edges
+    in (relation, target, source) order, the relation-major order, and the
+    edges of relation j are its rows ``rel_bounds[j]:rel_bounds[j + 1]``.
+    The gathers the forward makes through these orders, with the grouping
+    each one's gradient needs, are built once per index, on first use.
     """
 
     n_nodes: int
@@ -189,6 +206,13 @@ class GraphIndex:
     edge_rel: np.ndarray
     segments: np.ndarray
     seg_targets: np.ndarray
+    node_order: np.ndarray
+    node_pos: np.ndarray
+    type_bounds: list[int]
+    layout_pool_segments: np.ndarray
+    layout_pool_targets: np.ndarray
+    edge_order: np.ndarray
+    rel_bounds: list[int]
 
     @functools.cached_property
     def ordered_edges(self) -> list[Edge]:
@@ -196,12 +220,40 @@ class GraphIndex:
         return [edges[i] for i in self.edge_positions.tolist()]
 
     @functools.cached_property
-    def type_groups(self) -> ad.RowGroups:
-        return ad.RowGroups(self.node_type, len(self.type_keys))
+    def src_rows(self) -> ad.Gather:
+        """The layout rows of the edges' sources, in relation-major order.
+
+        Each source's gradient sums its edges in target order, as a gather
+        over the target-sorted edges would.
+        """
+        by_source = np.argsort(self.src, kind="stable")
+        return ad.Gather(self.node_pos[self.src[self.edge_order]], self.n_nodes,
+                         order=self.to_target.idx[by_source])
 
     @functools.cached_property
-    def rel_groups(self) -> ad.RowGroups:
-        return ad.RowGroups(self.edge_rel, len(self.rel_keys))
+    def dst_rows(self) -> ad.Gather:
+        """The layout rows of the edges' targets, in target order."""
+        return ad.Gather(self.node_pos[self.dst], self.n_nodes)
+
+    @functools.cached_property
+    def to_target(self) -> ad.Gather:
+        """The relation-major rows in target order: a permutation."""
+        return ad.Gather(_inverse(self.edge_order), self.n_edges)
+
+    @functools.cached_property
+    def rel_ids(self) -> ad.Gather:
+        """Each edge's relation number, in target order."""
+        return ad.Gather(self.edge_rel, len(self.rel_keys))
+
+    @functools.cached_property
+    def type_ids(self) -> ad.Gather:
+        """Each layout row's type number."""
+        return ad.Gather(self.node_type[self.node_order], len(self.type_keys))
+
+    @functools.cached_property
+    def seg_rows(self) -> np.ndarray:
+        """The layout row of each target segment's node."""
+        return self.node_pos[self.seg_targets]
 
     @property
     def n_graphs(self) -> int:
@@ -221,11 +273,24 @@ def _present(codes: np.ndarray, names: Sequence[str]) -> tuple[list[str], np.nda
     return keys, lookup[codes]
 
 
-def _segments(sorted_ids: np.ndarray) -> np.ndarray:
-    """(start, stop) rows of each run of equal ids in a sorted id array."""
-    ends = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-    bounds = np.concatenate(([0], ends, [len(sorted_ids)])) if len(sorted_ids) else ends
+def _segments(ids: np.ndarray) -> np.ndarray:
+    """(start, stop) rows of each run of equal ids, in an id array whose equal ids are adjacent."""
+    ends = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    bounds = np.concatenate(([0], ends, [len(ids)])) if len(ids) else ends
     return np.stack([bounds[:-1], bounds[1:]], axis=1)
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation: ``_inverse(p)[p[i]] == i``."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return inv
+
+
+def _blocks(ids: np.ndarray, n_ids: int) -> tuple[np.ndarray, list[int]]:
+    """The stable order that sorts ids in [0, n_ids), and each id's bounds in it."""
+    order = np.argsort(ids, kind="stable")
+    return order, np.searchsorted(ids[order], np.arange(n_ids + 1)).tolist()
 
 
 def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> GraphIndex:
@@ -244,14 +309,20 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
     pool_key = np.repeat(n_slots * np.arange(len(graphs)), counts) + slot
     pool_rows = np.argsort(pool_key, kind="stable")
     pool_segments = _segments(pool_key[pool_rows])
+    node_order, type_bounds = _blocks(node_type, len(type_keys))
+    layout_key = pool_key[node_order]
+    layout_pool_segments = _segments(layout_key)
 
-    rows = np.concatenate([edge_rows + (off, off, 0)
-                           for (_, edge_rows), off in zip(codes, node_offsets.tolist())])
+    rows = np.concatenate([edge_rows for _, edge_rows in codes])
+    rows[:, :2] += np.repeat(node_offsets[:-1], [len(e) for _, e in codes])[:, None]
     kept = np.arange(len(rows)) if config.use_inverse_edges \
         else np.flatnonzero(rows[:, 2] % 2 == 0)
     # (dst, src, 2 * relation ordinal + inverse) orders like (dst, src, ordinal,
-    # inverse), and the offset dst keeps the graphs in order
-    order = kept[np.lexsort(rows[kept].T[::-1])]
+    # inverse), and the offset dst keeps the graphs in order; one integer key
+    # sorts faster than a lexsort of the three
+    dst, src, rel_code = rows[kept].T
+    key = (dst * n_nodes + src) * len(_REL_NAMES) + rel_code
+    order = kept[np.argsort(key, kind="stable")]
     dst, src, rel_code = rows[order].T.copy()
     if config.homogeneous:
         rel_keys, edge_rel = [CONNECTED_KEY], np.zeros(len(order), dtype=np.intp)
@@ -262,6 +333,7 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
             raise ModelError(f"{g.graph_id}: the connected relation of a homogenized graph "
                              "needs the homogeneous model (the homogeneous ablation)")
     segments = _segments(dst)
+    edge_order, rel_bounds = _blocks(edge_rel, len(rel_keys))
 
     return GraphIndex(
         n_nodes=n_nodes,
@@ -280,6 +352,13 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         edge_rel=edge_rel,
         segments=segments,
         seg_targets=dst[segments[:, 0]],
+        node_order=node_order,
+        node_pos=_inverse(node_order),
+        type_bounds=type_bounds,
+        layout_pool_segments=layout_pool_segments,
+        layout_pool_targets=layout_key[layout_pool_segments[:, 0]],
+        edge_order=edge_order,
+        rel_bounds=rel_bounds,
     )
 
 
@@ -330,13 +409,14 @@ def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
 
 
 def _typed(x: Tensor, params: ParamStore, prefix: str, index: GraphIndex,
-           take: np.ndarray | None = None) -> Tensor:
-    """Row i of x times the weight ``prefix/<type of node i>``; the rows ``take`` if given."""
+           take: ad.Gather | None = None) -> Tensor:
+    """Each type-major row of x times the weight ``prefix/<its type>``; the
+    rows ``take`` if given."""
     ws = [params[f"{prefix}/{t}"] for t in index.type_keys]
-    return ad.matmul_by(x, ws, index.type_groups, take)
+    return ad.block_matmul(x, ws, index.type_bounds, take)
 
 
-def _stacked(params: ParamStore, prefix: str, keys: Sequence[str], ids: np.ndarray) -> Tensor:
+def _stacked(params: ParamStore, prefix: str, keys: Sequence[str], ids: ad.Gather) -> Tensor:
     """The scalar parameters ``prefix/key`` stacked over keys, one per edge (or node) by key id."""
     return ad.rows(ad.stack([params[f"{prefix}/{k}"] for k in keys]), ids)
 
@@ -348,7 +428,8 @@ def _embed(
     config: ModelConfig,
     index: GraphIndex,
 ) -> Tensor:
-    """Initial node states of a batch: each embedding row times its type's projection.
+    """Initial node states of a batch, type-major: each embedding row times
+    its type's projection.
 
     Row ``offset + i`` is node i's embedding. All rows go in as one block;
     only when that fails does a loop over the nodes find the one at fault.
@@ -373,7 +454,7 @@ def _embed(
                         f"expected ({config.input_dim},)"
                     )
                 emb[offset + n.id] = row
-    return _typed(Tensor(emb), params, "w_in", index)
+    return _typed(Tensor(emb.take(index.node_order, axis=0)), params, "w_in", index)
 
 
 def featurize(
@@ -383,43 +464,52 @@ def featurize(
     config: ModelConfig,
     index: GraphIndex | None = None,
 ) -> Tensor:
-    """Initial node representations: embedding row times the type's input projection."""
-    return _embed([g], [embeddings], params, config, index or build_graph_index([g], config))
+    """Initial node representations, in node-id order: embedding row times
+    the type's input projection."""
+    index = index or build_graph_index([g], config)
+    return ad.rows(_embed([g], [embeddings], params, config, index), index.node_pos)
 
 
 def _layer(
     h: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
 ) -> tuple[Tensor, np.ndarray]:
-    """One HGT layer: the next (N, d) node states and the (E, heads) attention.
+    """One HGT layer on type-major node states: the next (N, d) states, in
+    the same layout, and the (E, heads) attention in target order.
+
+    Each type's key, query and message weight multiplies its contiguous
+    block of node rows, and the product's rows are gathered straight to the
+    edges: sources in relation-major order, targets in target order. Each
+    relation's ``w_attn`` and ``w_msg`` then multiplies its contiguous block
+    of edges, and the product's rows are gathered to target order, where
+    the softmax and the sum run over each target's segment of edges.
 
     Each (E, d) product goes straight into the op that consumes it, and the
-    messages are projected only once the attention is done. Under
-    ``no_grad``, where no tape keeps them, the forward then holds at most
-    two (E, d) arrays at a time: its peak memory per edge is under half
-    that of making the key, query and message projections first.
+    messages are projected only once the attention is done, so under
+    ``no_grad``, where no tape keeps them, the forward holds few (E, d)
+    arrays at a time.
     """
     if index.n_edges == 0:
         return h, np.zeros((0, config.num_heads))
     p = f"layer{layer}"
     heads = (index.n_edges, config.num_heads, config.head_dim)
 
-    def projected(name: str, rows: np.ndarray) -> Tensor:
+    def projected(name: str, rows: ad.Gather) -> Tensor:
         return ad.reshape(_typed(h, params, f"{p}/{name}", index, rows), heads)
 
     def by_relation(x: Tensor, name: str) -> Tensor:
         ws = [params[f"{p}/{name}/{rk}"] for rk in index.rel_keys]
-        return ad.matmul_by(x, ws, index.rel_groups)
+        return ad.block_matmul(x, ws, index.rel_bounds, index.to_target)
 
-    scores = ad.rowdot(by_relation(projected("key", index.src), "w_attn"),
-                       projected("query", index.dst))
-    mu = _stacked(params, f"{p}/mu", [_MU_NAMES[rk] for rk in index.rel_keys], index.edge_rel)
+    scores = ad.rowdot(by_relation(projected("key", index.src_rows), "w_attn"),
+                       projected("query", index.dst_rows))
+    mu = _stacked(params, f"{p}/mu", [_MU_NAMES[rk] for rk in index.rel_keys], index.rel_ids)
     scores = ad.scale(ad.colscale(scores, mu), 1.0 / config.scale_divisor)
     attn = ad.segment_softmax(scores, index.segments)
 
-    messages = ad.colscale(by_relation(projected("msg", index.src), "w_msg"), attn)
-    h_tilde = ad.segment_sum(messages, index.segments, index.seg_targets, index.n_nodes)
+    messages = ad.colscale(by_relation(projected("msg", index.src_rows), "w_msg"), attn)
+    h_tilde = ad.segment_sum(messages, index.segments, index.seg_rows, index.n_nodes)
     h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
-    rescale = _stacked(params, f"{p}/rescale", index.type_keys, index.node_type)
+    rescale = _stacked(params, f"{p}/rescale", index.type_keys, index.type_ids)
     update = _typed(ad.colscale(h_tilde, rescale), params, f"{p}/agg", index)
     return ad.add(update, h), attn.value
 
@@ -432,10 +522,10 @@ def hgt_attention(
     config: ModelConfig,
     index: GraphIndex | None = None,
 ) -> tuple[np.ndarray, GraphIndex]:
-    """Attention weights as an (E, num_heads) array over the index's edge order."""
+    """Attention weights as an (E, num_heads) array over the index's edge
+    order, from node states in node-id order."""
     index = index or build_graph_index([g], config)
-    h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-    return _layer(h_prev, params, layer, config, index)[1], index
+    return _layer(ad.rows(h_prev, index.node_order), params, layer, config, index)[1], index
 
 
 def hgt_layer(
@@ -446,11 +536,17 @@ def hgt_layer(
     config: ModelConfig,
     index: GraphIndex | None = None,
 ) -> Tensor:
-    return _layer(h_prev, params, layer, config, index or build_graph_index([g], config))[0]
+    """The next node states, in node-id order, from node states in node-id order."""
+    index = index or build_graph_index([g], config)
+    h = _layer(ad.rows(h_prev, index.node_order), params, layer, config, index)[0]
+    return ad.rows(h, index.node_pos)
 
 
 @dataclass
 class ForwardTrace:
+    """Node states per layer in node-id order, attention per layer in the
+    index's edge order, each node type's pooled vector, and the probabilities."""
+
     layer_outputs: list[np.ndarray] = field(default_factory=list)
     attention: list[np.ndarray] = field(default_factory=list)
     pooled: dict[str, np.ndarray] = field(default_factory=dict)
@@ -469,15 +565,15 @@ def _forward(
     index = index or build_graph_index(graphs, config)
     h = _embed(graphs, embeddings, params, config, index)
     if trace is not None:
-        trace.layer_outputs, trace.attention = [h.value], []
+        trace.layer_outputs, trace.attention = [h.value[index.node_pos]], []
     for layer in range(config.num_layers):
         h, attn = _layer(h, params, layer, config, index)
         if trace is not None:
-            trace.layer_outputs.append(h.value)
+            trace.layer_outputs.append(h.value[index.node_pos])
             trace.attention.append(attn)
 
-    pooled = ad.segment_sum(ad.rows(h, index.pool_rows), index.pool_segments,
-                            index.pool_targets, len(index.pool_scale))
+    pooled = ad.segment_sum(h, index.layout_pool_segments, index.layout_pool_targets,
+                            len(index.pool_scale))
     pooled = ad.colscale(pooled, Tensor(index.pool_scale))
     h_concat = ad.reshape(pooled, (index.n_graphs, config.pool_width))
     z = ad.relu(ad.add(ad.matmul(h_concat, params["head/w1"]), params["head/b1"]))
@@ -504,7 +600,7 @@ def predict(
 
 #: Most edges that one prediction forward takes at once (``edge_chunks``).
 #: The forward's kernels are bound by memory bytes, not FLOPs, and its peak
-#: memory grows with the edges it holds (about 1.7 KB per edge at hidden size
+#: memory grows with the edges it holds (about 1.9 KB per edge at hidden size
 #: 64), so a larger chunk gains little speed and costs peak memory.
 PREDICT_EDGE_BUDGET = 1024
 

@@ -23,6 +23,15 @@ def _rkey(edge, config):
 
 def dense_forward(g, embeddings, params, config):
     """Reference forward pass: returns the class probability vector."""
+    return dense_trace(g, embeddings, params, config)["probs"]
+
+
+def dense_trace(g, embeddings, params, config):
+    """Reference forward pass with its intermediates: ``layers`` holds the
+    (nodes, d) states in node-id order before and after each layer,
+    ``attention`` per layer a dict from each (target, head) to the target's
+    incoming edges and their weights, ``pooled`` each node type's pooled
+    vector, and ``probs`` the class probabilities."""
     n_nodes = len(g.nodes)
     d, dh = config.hidden_dim, config.head_dim
     nodes = sorted(g.nodes, key=lambda n: n.id)
@@ -32,6 +41,7 @@ def dense_forward(g, embeddings, params, config):
         h[n.id] = np.asarray(embeddings[n.id]) @ params[f"w_in/{_tkey(n, config)}"].value
 
     edges = [e for e in g.edges if config.use_inverse_edges or not e.inverse]
+    layers, attention = [h], []
 
     for layer in range(config.num_layers):
         k_proj = np.zeros((n_nodes, d))
@@ -44,6 +54,7 @@ def dense_forward(g, embeddings, params, config):
             m_proj[n.id] = h[n.id] @ params[f"layer{layer}/msg/{t}"].value
 
         h_tilde = np.zeros((n_nodes, d))
+        weights = {}
         for n in nodes:
             inc = [e for e in edges if e.dst == n.id]
             if not inc:
@@ -64,6 +75,7 @@ def dense_forward(g, embeddings, params, config):
                 s = np.asarray(scores)
                 e_s = np.exp(s - s.max())
                 attn = e_s / e_s.sum()
+                weights[n.id, head] = (inc, attn)
                 h_tilde[n.id, lo:hi] = sum(a * m for a, m in zip(attn, msgs))
 
         h_next = np.zeros_like(h)
@@ -73,6 +85,8 @@ def dense_forward(g, embeddings, params, config):
             update = (rescale * h_tilde[n.id]) @ params[f"layer{layer}/agg/{t}"].value
             h_next[n.id] = update + h[n.id]
         h = h_next
+        layers.append(h)
+        attention.append(weights)
 
     type_keys = ["node"] if config.homogeneous else [t.value for t in NODE_TYPE_ORDER]
     pooled = []
@@ -84,7 +98,8 @@ def dense_forward(g, embeddings, params, config):
     z = np.maximum(h_concat @ params["head/w1"].value + params["head/b1"].value, 0.0)
     logits = z @ params["head/w2"].value + params["head/b2"].value
     exp = np.exp(logits - logits.max())
-    return exp / exp.sum()
+    return {"layers": layers, "attention": attention, "pooled": dict(zip(type_keys, pooled)),
+            "probs": exp / exp.sum()}
 
 
 def reference_graph_index(g, config):

@@ -355,8 +355,11 @@ def test_param_store_copy_is_one_deep_vector():
     store.flat[:] = np.arange(9.0)
     clone = store.copy()
     assert clone.names() == store.names()
+    assert clone.flat.tobytes() == store.flat.tobytes()
     assert not np.shares_memory(clone.flat, store.flat)
     assert all(np.shares_memory(t.value, clone.flat) for _, t in clone.items())
+    assert all(t.requires_grad and t._needs and t.grad is None and t._parents == ()
+               and t._backward_fn is None for _, t in clone.items())
     clone.flat[:] = 0.0
     np.testing.assert_array_equal(store.flat, np.arange(9.0))
 
@@ -439,20 +442,21 @@ def test_softmax_cross_entropy_gradient_over_rows(seed):
 
 @pytest.mark.parametrize("take", [None, np.array([4, 0, 4, 6, 2])], ids=["all-rows", "take"])
 @pytest.mark.parametrize("lead", [(7,), (7, 3)], ids=["2d", "edges-heads"])
-def test_matmul_by_gradient(lead, take):
-    """Ids repeat, and matrix 2 is selected by no row."""
+def test_block_matmul_gradient(lead, take):
+    """Blocks of 3, 1, 0 and 3 rows: matrix 2's block is empty; take repeats row 4."""
     r = np.random.default_rng(len(lead))
-    ids = np.array([0, 3, 0, 1, 3, 3, 0])
+    bounds = [0, 3, 4, 4, 7]
+    ids = np.repeat(np.arange(4), np.diff(bounds))
     store = ParamStore()
     store.add("x", r.standard_normal(lead + (4,)))
     for j in range(4):
         store.add(f"w{j}", r.standard_normal((4, 5)))
-    groups = ad.RowGroups(ids, 4)
     rows = np.arange(len(ids)) if take is None else take
+    gather = None if take is None else ad.Gather(take, len(ids))
     weights = Tensor(r.standard_normal((len(rows),) + lead[1:] + (5,)))
 
     def out(p):
-        return ad.matmul_by(p["x"], [p[f"w{j}"] for j in range(4)], groups, take)
+        return ad.block_matmul(p["x"], [p[f"w{j}"] for j in range(4)], bounds, gather)
 
     expected = np.stack([store["x"].value[i] @ store[f"w{ids[i]}"].value for i in rows])
     np.testing.assert_allclose(out(store).value, expected, rtol=0, atol=1e-12)
@@ -468,9 +472,65 @@ def test_matmul_by_gradient(lead, take):
     assert store["w2"].grad is None
 
 
-def test_matmul_by_rejects_out_of_range_ids():
+@pytest.mark.parametrize("bounds", [[0, 3, 7], [0, 3, 4, 6], [1, 3, 4, 7], [0, 4, 3, 7]],
+                         ids=["too-few", "short", "late-start", "decreasing"])
+def test_block_matmul_rejects_bounds_that_do_not_tile(bounds):
+    ws = [Tensor(np.ones((4, 2))) for _ in range(3)]
     with pytest.raises(ShapeMismatch):
-        ad.RowGroups(np.array([0, 2]), 2)
+        ad.block_matmul(Tensor(np.ones((7, 4))), ws, bounds)
+
+
+def scatter_add_reference(g, idx, n_rows):
+    """The scatter-add that each ``rows`` backward made before gathers kept
+    their grouping: sort the indices, then one ``reduceat`` per call."""
+    out = np.zeros((n_rows,) + g.shape[1:])
+    if idx.size:
+        order = np.argsort(idx, kind="stable")
+        sorted_idx = idx[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
+        out[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return out
+
+
+GATHER_INDICES = {
+    "repeated": [3, 1, 3, 0, 3, 1],
+    "unsorted": [4, 0, 2, 1],
+    "permutation": [2, 4, 0, 1, 3],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("idx", GATHER_INDICES.values(), ids=GATHER_INDICES.keys())
+@pytest.mark.parametrize("grouped", [False, True], ids=["per-call", "shared"])
+def test_rows_backward_scatters_like_the_reference_bit_for_bit(idx, grouped):
+    r = np.random.default_rng(len(idx))
+    idx = np.array(idx, dtype=np.intp)
+    x = Tensor(r.standard_normal((5, 2, 3)), requires_grad=True)
+    gather = ad.Gather(idx, 5)
+    for g in (r.standard_normal((len(idx), 2, 3)), r.standard_normal((len(idx), 2, 3))):
+        x.zero_grad()
+        out = ad.rows(x, gather if grouped else idx)
+        np.testing.assert_array_equal(out.value, x.value[idx])
+        out._backward_fn(g)
+        assert x.grad.tobytes() == scatter_add_reference(g, idx, 5).tobytes()
+        added = np.zeros_like(x.value)
+        np.add.at(added, idx, g)
+        np.testing.assert_allclose(x.grad, added, rtol=1e-15, atol=0)
+
+
+def test_gather_sums_each_group_in_the_given_order():
+    r = np.random.default_rng(3)
+    idx = np.array([2, 0, 2, 2, 0])
+    order = np.array([3, 0, 2, 4, 1])  # index 2's rows summed as 3, 0, 2
+    g = r.standard_normal((5, 64))
+    want = scatter_add_reference(g[order], idx[order], 3)
+    assert ad.Gather(idx, 3, order=order).scatter(g).tobytes() == want.tobytes()
+    assert want.tobytes() != scatter_add_reference(g, idx, 3).tobytes()
+
+
+def test_rows_rejects_a_gather_from_another_row_count():
+    with pytest.raises(ShapeMismatch):
+        ad.rows(Tensor(np.ones((4, 2))), ad.Gather([0, 1], 3))
 
 
 def _tape(loss):

@@ -754,6 +754,41 @@ def test_config_homogeneous_that_contradicts_the_ablation_is_a_usage_error(tmp_p
     assert run(tmp_path, "--ablation", "homogeneous", "simulate", str(manifest)) == 0
 
 
+#: Config values whose JSON type is not the field's: each exits 1 naming the field.
+WRONGLY_TYPED = {
+    "fractional-batch-size": ("train", "batch_size", 2.5),
+    "string-embedding-dim": ("endpoint", "embedding_dim", "16"),
+    "string-use-inverse-edges": ("model", "use_inverse_edges", "no"),
+    "string-shuffle": ("train", "shuffle", "false"),
+    "string-timeout": ("endpoint", "timeout", "5"),
+    "fractional-max-concurrent": ("endpoint", "max_concurrent", 2.5),
+    "bool-hidden-dim": ("model", "hidden_dim", True),
+    "bool-learning-rate": ("train", "learning_rate", False),
+    "integer-shuffle": ("train", "shuffle", 1),
+    "number-attention-scale": ("model", "attention_scale", 2),
+    "list-seed": ("model", "seed", [1]),
+}
+
+
+@pytest.mark.parametrize("section, field, value", WRONGLY_TYPED.values(), ids=WRONGLY_TYPED)
+def test_config_value_of_the_wrong_type_exits_1_naming_the_field(tmp_path, capsys, section,
+                                                                  field, value):
+    manifest = make_workspace(tmp_path, THREE_PAPERS, {section: {field: value}})
+    capsys.readouterr()
+    assert run(tmp_path, "simulate", str(manifest)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad configuration in {tmp_path / 'run.json'}: "
+                          f"{section}.{field} must be "), err
+    assert err.rstrip().endswith(f", not {json.dumps(value)}")
+    assert not (tmp_path / "work" / "p0.transcript.json").exists()
+
+
+def test_config_float_fields_take_integers(tmp_path):
+    manifest = make_workspace(tmp_path, THREE_PAPERS, {"endpoint": {"timeout": 5},
+                                                      "train": {"learning_rate": 1}})
+    assert run(tmp_path, "simulate", str(manifest)) == 0
+
+
 def test_cache_of_another_dim_than_the_model_names_paper_and_cache(tmp_path, capsys):
     manifest = _trained_workspace(tmp_path)  # 16-dim caches and model
     capsys.readouterr()

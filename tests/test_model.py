@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_forward, permute_graph, reference_graph_index
+from oracles import dense_forward, dense_trace, permute_graph, reference_graph_index
 from reviewgraph import autodiff as ad
 from reviewgraph import model as modelmod
 from reviewgraph.graph import AblationMode, apply_ablation, build_minimal_graph
@@ -191,7 +191,8 @@ def test_block_embed_gives_the_rows_and_errors_of_the_node_loop(edit, edited):
         assert str(info.value) == str(exc)
         return
     got = modelmod._embed(graphs, embeddings, params, SMALL, index)
-    expected = modelmod._typed(ad.Tensor(want), params, "w_in", index)
+    # _embed returns the type-major layout; the loop fills node-id order
+    expected = modelmod._typed(ad.Tensor(want[index.node_order]), params, "w_in", index)
     assert got.value.tobytes() == expected.value.tobytes()
 
 
@@ -489,6 +490,137 @@ def test_batch_index_matches_per_graph_reference_with_offsets():
         for (start, stop), target in zip(index.pool_segments, index.pool_targets):
             pool[target, index.pool_rows[start:stop]] = index.pool_scale[target]
         np.testing.assert_array_equal(pool, want_pool)
+
+
+def reference_layout(graphs, config):
+    """The type-major node layout and the relation-major edge order of a
+    batch, by per-node and per-edge loops over the per-graph references."""
+    wants = [reference_graph_index(g, config) for g in graphs]
+    type_keys = sorted(set().union(*(w["type_keys"] for w in wants)))
+    # the homogeneous model has its one relation even in a batch without edges
+    rel_keys = relation_keys(config) if config.homogeneous \
+        else sorted(set().union(*(w["rel_keys"] for w in wants)))
+    slots = node_type_keys(config)
+    nodes, edges, offset = [], [], 0  # (type, graph, id, row, pool slot); (relation, edge)
+    for b, w in enumerate(wants):
+        for i, t in enumerate(w["node_type"]):
+            key = w["type_keys"][t]
+            slot = b * len(slots) + slots.index(key)
+            nodes.append((type_keys.index(key), b, i, offset + i, slot))
+        for r in w["edge_rel"]:
+            edges.append((rel_keys.index(w["rel_keys"][r]), len(edges)))
+        offset += w["n_nodes"]
+    nodes.sort()
+    edges.sort()
+    node_order = [row for _t, _b, _i, row, _slot in nodes]
+    pool_segments, pool_targets = [], []
+    for pos, (_t, _b, _i, _row, slot) in enumerate(nodes):
+        if pos and slot == pool_targets[-1]:
+            pool_segments[-1][1] = pos + 1
+        else:
+            pool_segments.append([pos, pos + 1])
+            pool_targets.append(slot)
+    return {
+        "node_order": node_order,
+        "node_pos": [node_order.index(row) for row in range(offset)],
+        "type_bounds": [sum(t < j for t, *_ in nodes) for j in range(len(type_keys) + 1)],
+        "layout_pool_segments": np.array(pool_segments, dtype=int).reshape(-1, 2),
+        "layout_pool_targets": pool_targets,
+        "edge_order": [e for _r, e in edges],
+        "rel_bounds": [sum(r < j for r, _e in edges) for j in range(len(rel_keys) + 1)],
+        "type_ids": [t for t, *_ in nodes],
+    }
+
+
+def layout_batches():
+    """Single graphs of every index case, the mixed batches, and an
+    edgeless graph alone, under the typed, homogeneous and no-inverse configs."""
+    edgeless = apply_ablation(build_minimal_graph("edgeless", "A title"), AblationMode.NO_TITLE)
+    for g, config in index_cases():
+        yield [g], config
+    for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
+        yield [edgeless], config
+    yield from index_batches()
+
+
+def test_layout_fields_match_loop_reference():
+    for graphs, config in layout_batches():
+        index = build_graph_index(graphs, config)
+        want = reference_layout(graphs, config)
+        for name in ("node_order", "node_pos", "layout_pool_segments", "layout_pool_targets",
+                     "edge_order"):
+            np.testing.assert_array_equal(getattr(index, name), want[name], err_msg=name)
+        assert index.type_bounds == want["type_bounds"]
+        assert index.rel_bounds == want["rel_bounds"]
+        np.testing.assert_array_equal(index.type_ids.idx, want["type_ids"])
+        if index.n_edges == 0:
+            continue
+        node_pos, edge_order = want["node_pos"], want["edge_order"]
+        np.testing.assert_array_equal(index.rel_ids.idx, index.edge_rel)
+        np.testing.assert_array_equal(index.src_rows.idx,
+                                      [node_pos[index.src[e]] for e in edge_order])
+        np.testing.assert_array_equal(index.dst_rows.idx, [node_pos[v] for v in index.dst])
+        np.testing.assert_array_equal(index.to_target.idx,
+                                      [edge_order.index(e) for e in range(index.n_edges)])
+        np.testing.assert_array_equal(index.seg_rows, [node_pos[v] for v in index.seg_targets])
+
+        # each source's gradient sums its edges in target order, whatever the layout
+        g = np.random.default_rng(index.n_edges).standard_normal((index.n_edges, 3))
+        by_target = ad.Gather([node_pos[v] for v in index.src], index.n_nodes).scatter(g)
+        assert index.src_rows.scatter(g[edge_order]).tobytes() == by_target.tobytes()
+
+
+def oracle_attention(weights, edges, heads):
+    """The (E, heads) attention of one ``dense_trace`` layer, in the order of edges."""
+    position = {e: i for i, e in enumerate(edges)}  # a repeated edge gets the same weights
+    out = np.full((len(edges), heads), np.nan)
+    for (_target, head), (incoming, attn) in weights.items():
+        for e, a in zip(incoming, attn):
+            out[position[e], head] = a
+    return out
+
+
+def test_interleaved_node_ids_match_the_dense_oracle_at_every_boundary():
+    """Relabelled node ids interleave the types, so node-id order is not the
+    type-major layout: every boundary must still answer in node-id order and
+    the index's edge order."""
+    rng = np.random.default_rng(11)
+    for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
+        for seed in range(3):
+            g, emb, _ = make_case(seed, config)
+            if config.homogeneous:
+                g = apply_ablation(g, AblationMode.HOMOGENEOUS)
+            g, emb = permute_graph(g, emb, rng.permutation(g.num_nodes))
+            types = [n.node_type for n in sorted(g.nodes, key=lambda n: n.id)]
+            assert sum(a != b for a, b in zip(types, types[1:])) > len(set(types))
+            params = init_params(config, seed)
+            want = dense_trace(g, emb, params, config)
+            index = build_graph_index([g], config)
+            assert not np.array_equal(index.node_order, np.arange(index.n_nodes)) \
+                or config.homogeneous
+
+            h = featurize(g, emb, params, config, index)
+            np.testing.assert_allclose(h.value, want["layers"][0], rtol=0, atol=1e-12)
+            for layer in range(config.num_layers):
+                attn, _ = hgt_attention(h, g, params, layer, config, index)
+                np.testing.assert_allclose(
+                    attn, oracle_attention(want["attention"][layer], index.ordered_edges,
+                                           config.num_heads), rtol=0, atol=1e-12)
+                h = hgt_layer(h, g, params, layer, config, index)
+                np.testing.assert_allclose(h.value, want["layers"][layer + 1],
+                                           rtol=0, atol=1e-10)
+
+            probs, trace = predict(g, emb, params, config)
+            for got, layer_want in zip(trace.layer_outputs, want["layers"], strict=True):
+                np.testing.assert_allclose(got, layer_want, rtol=0, atol=1e-10)
+            for got, attn_want in zip(trace.attention, want["attention"], strict=True):
+                np.testing.assert_allclose(
+                    got, oracle_attention(attn_want, index.ordered_edges, config.num_heads),
+                    rtol=0, atol=1e-12)
+            assert set(trace.pooled) == set(want["pooled"])
+            for key, vector in want["pooled"].items():
+                np.testing.assert_allclose(trace.pooled[key], vector, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(probs, want["probs"], rtol=0, atol=1e-10)
 
 
 def test_chunked_prediction_matches_per_graph_predict():
