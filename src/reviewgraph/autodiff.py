@@ -7,8 +7,10 @@ accumulates gradients additively. A central-difference harness
 
 Typed weights apply to rows sorted by type: ``block_matmul`` multiplies
 each contiguous block of rows by its own matrix. Row gathers, in ``rows``
-and fused into ``block_matmul``, take a ``Gather``, which keeps the
-grouping that their gradient's scatter-add needs across calls.
+and fused into ``block_matmul``, and their transpose ``segment_sum`` take a
+``Gather``: row indices plus the grouping of equal indices, found once and
+kept across calls. ``segment_softmax`` normalizes within the runs of a
+``Gather`` whose equal indices are adjacent.
 """
 
 from __future__ import annotations
@@ -272,45 +274,69 @@ def mean_rows(x: Tensor) -> Tensor:
 
 
 class Gather:
-    """Row indices for a gather, with the grouping its gradient needs.
+    """Row indices ``idx`` into ``n_rows`` rows, with the grouping of equal indices.
 
-    The gradient of gathering ``x[idx]`` adds each row of g to row ``idx[i]``
-    of an (n_rows, ...) zero array. ``scatter`` groups the rows by index on
-    its first call and keeps the grouping, so indices that many gathers
-    share, such as a graph index's edge sources, are sorted once. ``order``
-    lists the rows with equal indices adjacent, each group in the order its
-    rows are summed; by default it is the stable sort of idx. Indices that
-    are all distinct, such as a permutation, scatter with one assignment.
+    Gathering ``x[idx]`` and summing rows into ``idx`` are transposes of each
+    other: ``scatter`` adds row i of its argument into row ``idx[i]`` of an
+    (n_rows, ...) zero array, the gradient of ``rows`` and the forward of
+    ``segment_sum``. The grouping is found in one pass on first use and
+    kept, so indices that many ops share, such as a graph index's edge
+    targets, are grouped once. Equal indices that are already adjacent, such
+    as each target's incoming edges, form runs in row order and sum with no
+    permuting take. Otherwise ``order`` lists the rows with equal indices
+    adjacent, each run in the order its rows are summed; by default it is
+    the stable sort of idx. Indices that are all distinct, such as a
+    permutation, scatter with one assignment.
     """
 
-    __slots__ = ("idx", "n_rows", "_order", "_groups")
+    __slots__ = ("idx", "n_rows", "_order", "_runs")
 
     def __init__(self, idx: Sequence[int] | np.ndarray, n_rows: int,
                  order: np.ndarray | None = None) -> None:
         self.idx = np.asarray(idx, dtype=np.intp)
         self.n_rows = n_rows
         self._order = order
-        self._groups: tuple[np.ndarray, np.ndarray, np.ndarray] | tuple[()] | None = None
+        self._runs: tuple[np.ndarray | None, np.ndarray, np.ndarray] | None = None
+
+    def _grouping(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """(order, starts, targets): the order that puts equal indices in
+        runs, None when idx already has them adjacent; where each run starts
+        in that order; and each run's index."""
+        if self._runs is None:
+            order, idx = self._order, self.idx
+            if order is None:
+                starts = _run_starts(idx)
+                if len(starts) != np.count_nonzero(np.bincount(idx, minlength=self.n_rows)):
+                    order = np.argsort(idx, kind="stable")
+            if order is not None:
+                idx = idx[order]
+                starts = _run_starts(idx)
+            self._runs = (order, starts, idx[starts])
+        return self._runs
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row and the length of each run of equal indices, in row
+        order; equal indices must be adjacent, with no given order."""
+        order, starts, _ = self._grouping()
+        if order is not None:
+            raise ShapeMismatch("equal indices of a segment gather must be adjacent")
+        return starts, np.diff(starts, append=len(self.idx))
 
     def scatter(self, g: np.ndarray) -> np.ndarray:
         """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated indices sum."""
-        if self._groups is None:
-            self._groups = ()
-            if self.idx.size:
-                order = np.argsort(self.idx, kind="stable") if self._order is None \
-                    else self._order
-                sorted_idx = self.idx[order]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
-                if len(starts) < len(order):
-                    self._groups = (order, starts, sorted_idx[starts])
+        order, starts, targets = self._grouping()
         out = np.zeros((self.n_rows,) + g.shape[1:])
-        if self._groups:
-            order, starts, targets = self._groups
-            out[targets] = np.add.reduceat(g.take(order, axis=0), starts, axis=0)
-        else:
+        if len(starts) == len(self.idx):
             out[self.idx] = g
+        else:
+            out[targets] = np.add.reduceat(g if order is None else g.take(order, axis=0),
+                                           starts, axis=0)
         return out
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in an array of non-negative ids."""
+    return np.flatnonzero(np.diff(ids, prepend=-1))
 
 
 def rows(x: Tensor, idx: np.ndarray | Gather) -> Tensor:
@@ -432,24 +458,17 @@ def colscale(x: Tensor, w: Tensor) -> Tensor:
     return _op(out, (x, w), backward)
 
 
-def _segment_layout(segments: Sequence[tuple[int, int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and lengths of segments that tile [0, n) in order."""
-    bounds = np.asarray(segments, dtype=np.intp).reshape(-1, 2)
-    ends = np.concatenate(([0], bounds[:, 1]))
-    lengths = np.diff(ends)
-    if not (np.array_equal(bounds[:, 0], ends[:-1]) and ends[-1] == n and np.all(lengths > 0)):
-        raise ShapeMismatch(f"segments must tile [0, {n}) in order with none empty")
-    return bounds[:, 0], lengths
+def segment_softmax(scores: Tensor, by: Gather) -> Tensor:
+    """Stable softmax along axis 0 within each run of equal ``by.idx``.
 
-
-def segment_softmax(scores: Tensor, segments: Sequence[tuple[int, int]]) -> Tensor:
-    """Stable softmax along axis 0 within each contiguous [start, stop) segment.
-
-    The segments must tile axis 0 in order; each column is normalized separately.
+    Rows with equal indices must be adjacent; each column is normalized
+    separately.
     """
     scores = _tensor(scores)
     v = scores.value
-    starts, lengths = _segment_layout(segments, v.shape[0])
+    starts, lengths = by.runs()
+    if len(by.idx) != v.shape[0]:
+        raise ShapeMismatch(f"a grouping of {len(by.idx)} rows applied to {scores.shape}")
     e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts, axis=0), lengths, axis=0))
     out = e / np.repeat(np.add.reduceat(e, starts, axis=0), lengths, axis=0)
 
@@ -460,20 +479,16 @@ def segment_softmax(scores: Tensor, segments: Sequence[tuple[int, int]]) -> Tens
     return _op(out, (scores,), backward)
 
 
-def segment_sum(x: Tensor, segments: Sequence[tuple[int, int]],
-                target_rows: np.ndarray, n_rows: int) -> Tensor:
-    """Sum contiguous axis-0 segments of x into rows of an (n_rows, ...) zero array.
-
-    The segments must tile axis 0 in order; segment i lands in ``target_rows[i]``.
-    """
+def segment_sum(x: Tensor, into: Gather) -> Tensor:
+    """Row i of x added into row ``into.idx[i]`` of an (into.n_rows, ...) zero
+    array: the transpose of ``rows(·, into)``."""
     x = _tensor(x)
-    target_rows = np.asarray(target_rows, dtype=np.intp)
-    starts, lengths = _segment_layout(segments, x.value.shape[0])
-    out = np.zeros((n_rows,) + x.value.shape[1:], dtype=np.float64)
-    out[target_rows] = np.add.reduceat(x.value, starts, axis=0)
+    if len(into.idx) != x.value.shape[0]:
+        raise ShapeMismatch(f"a sum of {len(into.idx)} rows applied to {x.shape}")
+    out = into.scatter(x.value)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate(np.repeat(g.take(target_rows, axis=0), lengths, axis=0))
+        x.accumulate(g.take(into.idx, axis=0))
 
     return _op(out, (x,), backward)
 
@@ -523,8 +538,7 @@ class ParamStore:
     vector holding the tensors in order (``sizes[i]`` elements for the i-th),
     so work on the whole store, such as an Adam step, a copy or a checkpoint
     payload, is one array operation. ``ParamStore(shapes)`` allocates the
-    vector once, zero-filled, or adopts a given ``flat``; ``add`` appends a
-    tensor by reallocating the vector and re-pointing every earlier value.
+    vector once, zero-filled, or adopts a given ``flat``.
     """
 
     def __init__(self, shapes: Sequence[tuple[str, Sequence[int]]] = (),
@@ -539,35 +553,18 @@ class ParamStore:
                                 f"{sum(sizes)} float64 parameters")
         start = 0
         for name, shape, size in zip(names, shapes, sizes):
-            self._insert(name, Tensor.leaf(flat[start:start + size].reshape(shape)))
+            if name in self._items:
+                raise NumericsError(f"duplicate parameter name {name!r}")
+            self._items[name] = Tensor.leaf(flat[start:start + size].reshape(shape))
             start += size
         self.flat = flat
         self.sizes = np.array(sizes, dtype=np.intp)
-
-    def _insert(self, name: str, t: Tensor) -> Tensor:
-        if name in self._items:
-            raise NumericsError(f"duplicate parameter name {name!r}")
-        t.requires_grad = t._needs = True
-        self._items[name] = t
-        return t
-
-    def add(self, name: str, value) -> Tensor:
-        t = self._insert(name, value if isinstance(value, Tensor) else Tensor(value))
-        grown = ParamStore([(n, u.value.shape) for n, u in self._items.items()],
-                           np.concatenate([self.flat, t.value.ravel()]))
-        for tensor, view in zip(self._items.values(), grown._items.values()):
-            tensor.value = view.value
-        self.flat, self.sizes = grown.flat, grown.sizes
-        return t
 
     def __getitem__(self, name: str) -> Tensor:
         return self._items[name]
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def names(self) -> list[str]:
-        return list(self._items)
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._items.items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -443,11 +444,15 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
 
 
 def _read_compare(path: str) -> list[float]:
-    """Another run's per-paper correctness indicators: a JSON list of numbers."""
+    """Another run's per-paper correctness indicators: a JSON list of finite numbers."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_int=float)  # a huge integer reads as inf
         if not isinstance(raw, list):
             raise TypeError(f"expected a JSON list, found {type(raw).__name__}")
+        bad = next((i for i, x in enumerate(raw)
+                    if not (isinstance(x, (int, float)) and math.isfinite(x))), None)
+        if bad is not None:
+            raise ValueError(f"entry {bad} is {json.dumps(raw[bad])}, not a finite number")
         return [float(x) for x in raw]
     except (OSError, TypeError, ValueError) as exc:
         raise DataFailure(f"--compare file {path}: {type(exc).__name__}: {exc}") from exc

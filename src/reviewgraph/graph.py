@@ -484,9 +484,3 @@ def assemble(graph_id: str, nodes: Iterable[Node], edges: Iterable[Edge],
     if add_inverse_edges:
         edges += tuple(Edge(e.dst, e.src, e.relation, inverse=True) for e in edges)
     return DebateGraph(graph_id=graph_id, nodes=tuple(nodes), edges=edges, label=label)
-
-
-def build_minimal_graph(graph_id: str, title: str, label: str | None = None,
-                        add_inverse_edges: bool = True) -> DebateGraph:
-    """Smallest schema-complete graph: one title, four dimensions, has-aspect edges."""
-    return assemble(graph_id, *skeleton(title), label, add_inverse_edges)

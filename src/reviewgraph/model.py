@@ -30,13 +30,16 @@ contiguous block at once, and their products are gathered straight back to
 target order, so attention scores and messages stay (edges, heads,
 head_dim) arrays and no per-edge weight copy is made. PyG's
 ``HeteroLinear(is_sorted=True)`` and ``pyg_lib.ops.segment_matmul`` multiply
-type-sorted rows the same way. Softmax and aggregation run over each
-target's contiguous segment of incoming edges. Pooling is a segment mean per
-(node type, graph), each a contiguous run of the layout, zero for a type the
-graph lacks, and the loss is the batch's mean cross-entropy. ``featurize``,
-``hgt_layer``, ``hgt_attention`` and ``ForwardTrace`` answer in node-id order
-and the index's target-sorted edge order. Parameters of types and relations
-no graph of the batch has never enter the tape and keep ``grad is None``.
+type-sorted rows the same way. The index's gathers also say which rows sum
+into which: the gather that picks each edge's target query groups the
+attention softmax and the message sum, whose runs are each target's
+incoming edges, and the gather from each layout row to its (graph, type)
+slot groups pooling. Pooling is a mean per (node type, graph), each a
+contiguous run of the layout, zero for a type the graph lacks, and the loss
+is the batch's mean cross-entropy. ``featurize``, ``hgt_layer``,
+``hgt_attention`` and ``ForwardTrace`` answer in node-id order and the
+index's target-sorted edge order. Parameters of types and relations no
+graph of the batch has never enter the tape and keep ``grad is None``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graph import (
+    DECISION_LABELS,
     FORWARD_RELATIONS,
     DebateGraph,
     Edge,
@@ -96,6 +100,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if min(self.num_heads, self.hidden_dim, self.ffn_hidden) < 1:
+            raise ModelError("num_heads, hidden_dim and ffn_hidden must be positive")
+        if self.num_classes < len(DECISION_LABELS):
+            raise ModelError(f"num_classes {self.num_classes} is fewer than the "
+                             f"{len(DECISION_LABELS)} decision labels")
         if self.hidden_dim % self.num_heads != 0:
             raise ModelError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -167,36 +176,33 @@ class GraphIndex:
 
     Node i of the batch's graph b is row ``node_offsets[b] + i``. Edges are
     sorted by (graph, target, source, relation ordinal, inverse), so each
-    target's incoming edges form one contiguous segment. Node types and
-    relation keys are numbered by their position in ``type_keys`` and
-    ``rel_keys``, which hold only those the batch contains, sorted by name.
-    Pooling gathers the rows ``pool_rows`` so that each (graph, type) present
-    is one contiguous segment of ``pool_segments``, summed into row
-    ``pool_targets`` (graph * types + type) of the pooled matrix and scaled
-    by ``pool_scale``, the inverse member count (a type a graph lacks pools
-    to zero). ``edge_positions`` holds each sorted edge's position in the
+    target's incoming edges form one contiguous segment, ``segments``. Node
+    types and relation keys are numbered by their position in ``type_keys``
+    and ``rel_keys``, which hold only those the batch contains, sorted by
+    name. ``edge_positions`` holds each sorted edge's position in the
     graphs' concatenated ``edges``; ``ordered_edges`` lists those edges on
     first use.
 
     The forward keeps node states in the type-major layout: ``node_order``
     lists the node rows in (type, graph, id) order, the rows of type j are
     layout rows ``type_bounds[j]:type_bounds[j + 1]``, and ``node_pos`` is
-    each node row's layout row. Each (type, graph) pooling segment is a
-    contiguous run of the layout, ``layout_pool_segments``, summed into row
-    ``layout_pool_targets``. Likewise ``edge_order`` lists the sorted edges
-    in (relation, target, source) order, the relation-major order, and the
-    edges of relation j are its rows ``rel_bounds[j]:rel_bounds[j + 1]``.
-    The gathers the forward makes through these orders, with the grouping
-    each one's gradient needs, are built once per index, on first use.
+    each node row's layout row. Pooling sums each layout row into its row
+    ``pool_slots`` (graph * types + type) of the pooled matrix, where each
+    (type, graph) is a contiguous run, and scales by ``pool_scale``, the
+    inverse member count (a type a graph lacks pools to zero). Likewise
+    ``edge_order`` lists the sorted edges in (relation, target, source)
+    order, the relation-major order, and the edges of relation j are its
+    rows ``rel_bounds[j]:rel_bounds[j + 1]``. The other gathers the forward
+    makes through these orders are built once per index, on first use; each
+    ``Gather`` keeps its grouping, so ``dst_rows`` groups the query
+    gradient, the attention softmax and the message sum alike.
     """
 
     n_nodes: int
     node_offsets: np.ndarray
     type_keys: list[str]
     node_type: np.ndarray
-    pool_rows: np.ndarray
-    pool_segments: np.ndarray
-    pool_targets: np.ndarray
+    pool_slots: ad.Gather
     pool_scale: np.ndarray
     graphs: Sequence[DebateGraph]
     edge_positions: np.ndarray
@@ -204,13 +210,9 @@ class GraphIndex:
     dst: np.ndarray
     rel_keys: list[str]
     edge_rel: np.ndarray
-    segments: np.ndarray
-    seg_targets: np.ndarray
     node_order: np.ndarray
     node_pos: np.ndarray
     type_bounds: list[int]
-    layout_pool_segments: np.ndarray
-    layout_pool_targets: np.ndarray
     edge_order: np.ndarray
     rel_bounds: list[int]
 
@@ -232,8 +234,15 @@ class GraphIndex:
 
     @functools.cached_property
     def dst_rows(self) -> ad.Gather:
-        """The layout rows of the edges' targets, in target order."""
+        """The layout rows of the edges' targets, in target order: each
+        target's incoming edges are one run of it."""
         return ad.Gather(self.node_pos[self.dst], self.n_nodes)
+
+    @functools.cached_property
+    def segments(self) -> np.ndarray:
+        """(start, stop) of each target's run of incoming edges, in target order."""
+        starts, lengths = self.dst_rows.runs()
+        return np.stack([starts, starts + lengths], axis=1)
 
     @functools.cached_property
     def to_target(self) -> ad.Gather:
@@ -249,11 +258,6 @@ class GraphIndex:
     def type_ids(self) -> ad.Gather:
         """Each layout row's type number."""
         return ad.Gather(self.node_type[self.node_order], len(self.type_keys))
-
-    @functools.cached_property
-    def seg_rows(self) -> np.ndarray:
-        """The layout row of each target segment's node."""
-        return self.node_pos[self.seg_targets]
 
     @property
     def n_graphs(self) -> int:
@@ -271,13 +275,6 @@ def _present(codes: np.ndarray, names: Sequence[str]) -> tuple[list[str], np.nda
     lookup = np.zeros(len(names), dtype=np.intp)
     lookup[present] = [keys.index(names[c]) for c in present]
     return keys, lookup[codes]
-
-
-def _segments(ids: np.ndarray) -> np.ndarray:
-    """(start, stop) rows of each run of equal ids, in an id array whose equal ids are adjacent."""
-    ends = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    bounds = np.concatenate(([0], ends, [len(ids)])) if len(ids) else ends
-    return np.stack([bounds[:-1], bounds[1:]], axis=1)
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -307,11 +304,7 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         type_keys, node_type = _present(type_code, node_type_keys(config))
         slot = type_code
     pool_key = np.repeat(n_slots * np.arange(len(graphs)), counts) + slot
-    pool_rows = np.argsort(pool_key, kind="stable")
-    pool_segments = _segments(pool_key[pool_rows])
     node_order, type_bounds = _blocks(node_type, len(type_keys))
-    layout_key = pool_key[node_order]
-    layout_pool_segments = _segments(layout_key)
 
     rows = np.concatenate([edge_rows for _, edge_rows in codes])
     rows[:, :2] += np.repeat(node_offsets[:-1], [len(e) for _, e in codes])[:, None]
@@ -332,7 +325,6 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
             g = next(g for g in graphs if RelationType.CONNECTED in {e.relation for e in g.edges})
             raise ModelError(f"{g.graph_id}: the connected relation of a homogenized graph "
                              "needs the homogeneous model (the homogeneous ablation)")
-    segments = _segments(dst)
     edge_order, rel_bounds = _blocks(edge_rel, len(rel_keys))
 
     return GraphIndex(
@@ -340,9 +332,7 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         node_offsets=node_offsets,
         type_keys=type_keys,
         node_type=node_type,
-        pool_rows=pool_rows,
-        pool_segments=pool_segments,
-        pool_targets=pool_key[pool_rows[pool_segments[:, 0]]],
+        pool_slots=ad.Gather(pool_key[node_order], n_slots * len(graphs)),
         pool_scale=1.0 / np.maximum(np.bincount(pool_key, minlength=n_slots * len(graphs)), 1),
         graphs=tuple(graphs),
         edge_positions=order,
@@ -350,13 +340,9 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
         dst=dst,
         rel_keys=rel_keys,
         edge_rel=edge_rel,
-        segments=segments,
-        seg_targets=dst[segments[:, 0]],
         node_order=node_order,
         node_pos=_inverse(node_order),
         type_bounds=type_bounds,
-        layout_pool_segments=layout_pool_segments,
-        layout_pool_targets=layout_key[layout_pool_segments[:, 0]],
         edge_order=edge_order,
         rel_bounds=rel_bounds,
     )
@@ -481,7 +467,8 @@ def _layer(
     edges: sources in relation-major order, targets in target order. Each
     relation's ``w_attn`` and ``w_msg`` then multiplies its contiguous block
     of edges, and the product's rows are gathered to target order, where
-    the softmax and the sum run over each target's segment of edges.
+    the softmax and the sum run over each target's run of ``dst_rows``, the
+    gather that picked the targets' queries.
 
     Each (E, d) product goes straight into the op that consumes it, and the
     messages are projected only once the attention is done, so under
@@ -504,10 +491,10 @@ def _layer(
                        projected("query", index.dst_rows))
     mu = _stacked(params, f"{p}/mu", [_MU_NAMES[rk] for rk in index.rel_keys], index.rel_ids)
     scores = ad.scale(ad.colscale(scores, mu), 1.0 / config.scale_divisor)
-    attn = ad.segment_softmax(scores, index.segments)
+    attn = ad.segment_softmax(scores, index.dst_rows)
 
     messages = ad.colscale(by_relation(projected("msg", index.src_rows), "w_msg"), attn)
-    h_tilde = ad.segment_sum(messages, index.segments, index.seg_rows, index.n_nodes)
+    h_tilde = ad.segment_sum(messages, index.dst_rows)
     h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
     rescale = _stacked(params, f"{p}/rescale", index.type_keys, index.type_ids)
     update = _typed(ad.colscale(h_tilde, rescale), params, f"{p}/agg", index)
@@ -572,8 +559,7 @@ def _forward(
             trace.layer_outputs.append(h.value[index.node_pos])
             trace.attention.append(attn)
 
-    pooled = ad.segment_sum(h, index.layout_pool_segments, index.layout_pool_targets,
-                            len(index.pool_scale))
+    pooled = ad.segment_sum(h, index.pool_slots)
     pooled = ad.colscale(pooled, Tensor(index.pool_scale))
     h_concat = ad.reshape(pooled, (index.n_graphs, config.pool_width))
     z = ad.relu(ad.add(ad.matmul(h_concat, params["head/w1"]), params["head/b1"]))

@@ -217,8 +217,9 @@ class EndpointConfig:
     mock_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_concurrent < 1 or self.retry_limit < 0:
-            raise OrchestrationError("need max_concurrent >= 1 and retry_limit >= 0")
+        if self.max_concurrent < 1 or self.retry_limit < 0 or self.embedding_dim < 1:
+            raise OrchestrationError(
+                "need max_concurrent >= 1, retry_limit >= 0 and embedding_dim >= 1")
 
 
 class BaseClient:
@@ -900,11 +901,6 @@ class EmbeddingCache:
     @staticmethod
     def digest(text: str) -> bytes:
         return hashlib.sha256(text.encode("utf-8")).digest()
-
-    @staticmethod
-    def key(text: str) -> str:
-        """The hex digest that names ``text`` in a JSON-lines cache."""
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def __contains__(self, digest: bytes) -> bool:
         return digest in self._rows

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,13 +220,23 @@ def test_colscale_3d_gradient_both_sides(seed):
                         r.standard_normal((4, 2)))
 
 
+#: Runs of 3, 1 and 3 rows, adjacent but not sorted by index.
+SOFTMAX_RUNS = [2, 2, 2, 0, 1, 1, 1]
+
+
+def run_slices(idx):
+    """The (start, stop) rows of each run of equal values in idx."""
+    bounds = [i for i in range(len(idx) + 1) if i in (0, len(idx)) or idx[i] != idx[i - 1]]
+    return list(zip(bounds, bounds[1:]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_segment_softmax_gradient(seed):
     r = np.random.default_rng(seed)
-    segments = [(0, 3), (3, 4), (4, 7)]
+    by = ad.Gather(SOFTMAX_RUNS, 3)
     scalar_loss_through(
-        lambda x: reduce_to_scalar(ad.segment_softmax(x, segments)),
+        lambda x: reduce_to_scalar(ad.segment_softmax(x, by)),
         r.standard_normal(7),
     )
 
@@ -233,44 +245,54 @@ def test_segment_softmax_gradient(seed):
 @given(st.integers(0, 10**6))
 def test_segment_softmax_gradient_per_column(seed):
     r = np.random.default_rng(seed)
-    segments = [(0, 3), (3, 4), (4, 7)]
+    by = ad.Gather(SOFTMAX_RUNS, 3)
     weights = Tensor(r.standard_normal((7, 2)))
     x0 = r.standard_normal((7, 2))
-    # weight the outputs: a plain sum is constant per segment and column
+    # weight the outputs: a plain sum is constant per run and column
     scalar_loss_through(
-        lambda x: reduce_to_scalar(ad.rowdot(ad.segment_softmax(x, segments), weights)),
+        lambda x: reduce_to_scalar(ad.rowdot(ad.segment_softmax(x, by), weights)),
         x0,
     )
-    out = ad.segment_softmax(Tensor(x0), segments).value
-    for start, stop in segments:
+    out = ad.segment_softmax(Tensor(x0), by).value
+    for start, stop in run_slices(SOFTMAX_RUNS):
         np.testing.assert_allclose(out[start:stop].sum(axis=0), 1.0, atol=1e-12)
 
 
-def test_segments_must_tile_the_input():
+def test_segment_softmax_refuses_equal_indices_that_are_not_adjacent():
     x = Tensor(np.zeros(5))
-    for segments in ([(0, 2), (3, 5)], [(0, 2), (2, 4)], [(0, 0), (0, 5)]):
+    for by in (ad.Gather([0, 1, 0, 2, 2], 3), ad.Gather([1, 1, 0, 0, 1], 2),
+               ad.Gather([0, 0, 1, 1, 1], 2, order=np.arange(5)), ad.Gather([0, 0, 1, 1], 2)):
         with pytest.raises(ShapeMismatch):
-            ad.segment_softmax(x, segments)
+            ad.segment_softmax(x, by)
+
+
+def test_segment_softmax_groups_once_per_gather(monkeypatch):
+    by = ad.Gather(SOFTMAX_RUNS, 3)
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    first = ad.segment_softmax(Tensor(rng.standard_normal((7, 2))), by)
+    second = ad.segment_softmax(Tensor(first.value), by)
+    assert len(calls) == 1 and second.shape == (7, 2)
 
 
 def test_segment_softmax_sums_to_one():
     x = Tensor(rng.standard_normal(9))
-    segments = [(0, 4), (4, 6), (6, 9)]
-    out = ad.segment_softmax(x, segments).value
-    for start, stop in segments:
+    idx = [5, 5, 5, 5, 0, 0, 3, 3, 3]
+    out = ad.segment_softmax(x, ad.Gather(idx, 6)).value
+    for start, stop in run_slices(idx):
         assert abs(out[start:stop].sum() - 1.0) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10**6))
 def test_segment_sum_gradient(seed):
+    """Distinct, adjacent-run, repeated, permutation and empty indices."""
     r = np.random.default_rng(seed)
-    segments = [(0, 2), (2, 5)]
-    targets = np.array([3, 1])
-    scalar_loss_through(
-        lambda x: reduce_to_scalar(ad.segment_sum(x, segments, targets, 4)),
-        r.standard_normal((5, 3)),
-    )
+    for idx in ([3, 1], [3, 3, 1, 1, 1], [1, 3, 3, 0, 1], [2, 0, 3, 1], []):
+        into = ad.Gather(idx, 4)
+        scalar_loss_through(lambda x: reduce_to_scalar(ad.segment_sum(x, into)),
+                            r.standard_normal((len(idx), 3)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -316,15 +338,12 @@ def test_no_grad_skips_tape():
 
 
 def test_param_store_rejects_duplicates():
-    store = ParamStore()
-    store.add("w", np.ones(2))
     with pytest.raises(NumericsError):
-        store.add("w", np.ones(2))
+        ParamStore([("w", (2,)), ("b", ()), ("w", (2,))])
 
 
 def test_param_store_copy_is_deep():
-    store = ParamStore()
-    store.add("w", np.ones(2))
+    store = ParamStore([("w", (2,))], np.ones(2))
     clone = store.copy()
     clone["w"].value[0] = 5.0
     assert store["w"].value[0] == 1.0
@@ -341,20 +360,11 @@ def test_param_store_values_are_views_of_one_vector():
     assert store.flat[6] == -1.0
 
 
-def test_param_store_add_keeps_earlier_tensors_and_their_values():
-    store = ParamStore()
-    w = store.add("w", np.ones((2, 2)))
-    b = store.add("b", np.array([3.0, 4.0]))
-    assert store["w"] is w and store["b"] is b
-    np.testing.assert_array_equal(store.flat, [1.0, 1.0, 1.0, 1.0, 3.0, 4.0])
-    assert np.shares_memory(w.value, store.flat) and np.shares_memory(b.value, store.flat)
-
-
 def test_param_store_copy_is_one_deep_vector():
     store = ParamStore([("w", (2, 3)), ("b", (3,))])
     store.flat[:] = np.arange(9.0)
     clone = store.copy()
-    assert clone.names() == store.names()
+    assert [name for name, _ in clone.items()] == [name for name, _ in store.items()]
     assert clone.flat.tobytes() == store.flat.tobytes()
     assert not np.shares_memory(clone.flat, store.flat)
     assert all(np.shares_memory(t.value, clone.flat) for _, t in clone.items())
@@ -386,11 +396,8 @@ def test_grad_check_leaves_values_unchanged_through_the_views():
 
 
 def test_grad_check_passes_on_small_mlp():
-    store = ParamStore()
     r = np.random.default_rng(0)
-    store.add("w1", r.standard_normal((3, 4)))
-    store.add("b1", r.standard_normal(4))
-    store.add("w2", r.standard_normal((4, 2)))
+    store = ParamStore([("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 2))], r.standard_normal(24))
     x = r.standard_normal(3)
 
     def f(p):
@@ -403,8 +410,7 @@ def test_grad_check_passes_on_small_mlp():
 
 def test_grad_check_flags_corrupted_backward(monkeypatch):
     """Negative control: breaking one backward rule must be detected."""
-    store = ParamStore()
-    store.add("w", np.random.default_rng(1).standard_normal((3, 3)))
+    store = ParamStore([("w", (3, 3))], np.random.default_rng(1).standard_normal(9))
     x = np.random.default_rng(2).standard_normal(3)
 
     original = ad.relu
@@ -447,10 +453,8 @@ def test_block_matmul_gradient(lead, take):
     r = np.random.default_rng(len(lead))
     bounds = [0, 3, 4, 4, 7]
     ids = np.repeat(np.arange(4), np.diff(bounds))
-    store = ParamStore()
-    store.add("x", r.standard_normal(lead + (4,)))
-    for j in range(4):
-        store.add(f"w{j}", r.standard_normal((4, 5)))
+    shapes = [("x", lead + (4,))] + [(f"w{j}", (4, 5)) for j in range(4)]
+    store = ParamStore(shapes, r.standard_normal(math.prod(lead) * 4 + 4 * 20))
     rows = np.arange(len(ids)) if take is None else take
     gather = None if take is None else ad.Gather(take, len(ids))
     weights = Tensor(r.standard_normal((len(rows),) + lead[1:] + (5,)))
@@ -495,6 +499,7 @@ def scatter_add_reference(g, idx, n_rows):
 GATHER_INDICES = {
     "repeated": [3, 1, 3, 0, 3, 1],
     "unsorted": [4, 0, 2, 1],
+    "adjacent-runs": [4, 4, 4, 1, 0, 0],
     "permutation": [2, 4, 0, 1, 3],
     "empty": [],
 }
@@ -516,6 +521,31 @@ def test_rows_backward_scatters_like_the_reference_bit_for_bit(idx, grouped):
         added = np.zeros_like(x.value)
         np.add.at(added, idx, g)
         np.testing.assert_allclose(x.grad, added, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("idx", GATHER_INDICES.values(), ids=GATHER_INDICES.keys())
+def test_segment_sum_is_the_transpose_of_rows(idx):
+    """segment_sum adds row i into row idx[i], as np.add.at on zeros does; it
+    sums each run with ``reduceat`` like the reference scatter, whose bits
+    training keeps. Its input gradient is the gather ``rows`` makes."""
+    r = np.random.default_rng(len(idx))
+    idx = np.array(idx, dtype=np.intp)
+    into = ad.Gather(idx, 5)
+    for shape in ((len(idx),), (len(idx), 3), (len(idx), 2, 3)):
+        x = Tensor(r.standard_normal(shape), requires_grad=True)
+        out = ad.segment_sum(x, into)
+        added = np.zeros((5,) + shape[1:])
+        np.add.at(added, idx, x.value)
+        np.testing.assert_allclose(out.value, added, rtol=0, atol=1e-14)
+        assert out.value.tobytes() == scatter_add_reference(x.value, idx, 5).tobytes()
+        g = r.standard_normal(out.shape)
+        out._backward_fn(g)
+        assert x.grad.tobytes() == ad.rows(Tensor(g), into).value.tobytes()
+
+
+def test_segment_sum_rejects_a_gather_of_another_length():
+    with pytest.raises(ShapeMismatch):
+        ad.segment_sum(Tensor(np.ones((4, 2))), ad.Gather([0, 1, 1], 3))
 
 
 def test_gather_sums_each_group_in_the_given_order():
@@ -565,9 +595,8 @@ def _backward_keeping_tape(loss):
 
 def test_backward_consumes_the_tape_and_keeps_leaf_grads():
     r = np.random.default_rng(5)
-    store = ParamStore()
-    for name, shape in (("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 4)), ("w3", (4, 3))):
-        store.add(name, r.standard_normal(shape))
+    store = ParamStore([("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 4)), ("w3", (4, 3))])
+    store.flat[:] = r.standard_normal(store.flat.size)
     x = Tensor(r.standard_normal((5, 3)))
 
     def loss_of(p):

@@ -456,10 +456,24 @@ def test_duplicate_paper_id_is_data_error(tmp_path):
     assert run(tmp_path, "simulate", str(manifest)) == 3
 
 
-@pytest.mark.parametrize("content", [None, "[1.0, 0.", '{"a": 1.0}', '"1010"', '[1.0, "x"]',
-                                     "[1.0, null]"],
-                         ids=["missing", "torn", "object", "string", "text-entry", "null-entry"])
-def test_evaluate_bad_compare_file_exits_3_naming_it(tmp_path, capsys, content):
+#: Compare files that exit 3, and what the message says of a bad entry.
+BAD_COMPARE = {
+    "missing": (None, ""),
+    "torn": ("[1.0, 0.", ""),
+    "object": ('{"a": 1.0}', ""),
+    "string": ('"1010"', ""),
+    "text-entry": ('[1.0, "x"]', 'entry 1 is "x", not a finite number'),
+    "null-entry": ("[1.0, null]", "entry 1 is null, not a finite number"),
+    "nan-entry": ("[1, 0, NaN, 1]", "entry 2 is NaN, not a finite number"),
+    "infinity-entry": ("[1, 0, Infinity, 0]", "entry 2 is Infinity, not a finite number"),
+    "nan-text-entry": ('[1, 0, "nan", 1]', 'entry 2 is "nan", not a finite number'),
+    "first-of-two-bad": ("[1, -Infinity, NaN]", "entry 1 is -Infinity, not a finite number"),
+    "overflowing-entry": ("[1, 1e999]", "entry 1 is Infinity, not a finite number"),
+}
+
+
+@pytest.mark.parametrize("content, message", BAD_COMPARE.values(), ids=BAD_COMPARE)
+def test_evaluate_bad_compare_file_exits_3_naming_it(tmp_path, capsys, content, message):
     manifest = _trained_workspace(tmp_path)
     compare = tmp_path / "other.json"
     if content is not None:
@@ -469,7 +483,7 @@ def test_evaluate_bad_compare_file_exits_3_naming_it(tmp_path, capsys, content):
                "--output", str(tmp_path / "ev.json"), "--compare", str(compare))
     err = capsys.readouterr().err
     assert code == 3
-    assert str(compare) in err and "Traceback" not in err
+    assert f"--compare file {compare}: " in err and message in err and "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
 
 
@@ -780,6 +794,32 @@ def test_config_value_of_the_wrong_type_exits_1_naming_the_field(tmp_path, capsy
     assert err.startswith(f"error: bad configuration in {tmp_path / 'run.json'}: "
                           f"{section}.{field} must be "), err
     assert err.rstrip().endswith(f", not {json.dumps(value)}")
+    assert not (tmp_path / "work" / "p0.transcript.json").exists()
+
+
+#: Config sizes out of range: each exits 1 at load, before any stage runs.
+BAD_SIZES = {
+    "zero-heads": {"model": {"num_heads": 0}},
+    "negative-heads": {"model": {"num_heads": -2}},
+    "zero-hidden-dim": {"model": {"hidden_dim": 0, "num_heads": 1}},
+    "zero-ffn-hidden": {"model": {"ffn_hidden": 0}},
+    "zero-classes": {"model": {"num_classes": 0}},
+    "one-class": {"model": {"num_classes": 1}},
+    "negative-embedding-dim": {"endpoint": {"embedding_dim": -1}, "model": {"input_dim": 16}},
+    "zero-embedding-dim": {"endpoint": {"embedding_dim": 0}, "model": {"input_dim": 16}},
+}
+
+
+@pytest.mark.parametrize("config", BAD_SIZES.values(), ids=BAD_SIZES)
+@pytest.mark.parametrize("command", ["simulate", "gradcheck"])
+def test_config_size_out_of_range_exits_1(tmp_path, capsys, config, command):
+    manifest = make_workspace(tmp_path, THREE_PAPERS, config)
+    capsys.readouterr()
+    args = [str(manifest)] if command == "simulate" else []
+    assert run(tmp_path, command, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad configuration in {tmp_path / 'run.json'}: "), err
+    assert "Traceback" not in err
     assert not (tmp_path / "work" / "p0.transcript.json").exists()
 
 

@@ -22,13 +22,14 @@ from reviewgraph.graph import (
     NodeType,
     RelationType,
     apply_ablation,
-    build_minimal_graph,
+    assemble,
     edge_counts_by_group,
     graph_from_dict,
     graph_to_dict,
     legal_meta_relations,
     load_graph,
     save_graph,
+    skeleton,
     validate_graph,
 )
 from reviewgraph.synth import random_debate_graph, rule_labeled_graph
@@ -66,7 +67,7 @@ def test_legal_meta_relations_count():
 
 
 def test_validate_minimal_graph():
-    g = build_minimal_graph("m", "Some Title")
+    g = assemble("m", *skeleton("Some Title"))
     assert validate_graph(g).ok
 
 
@@ -323,7 +324,7 @@ def test_node_and_edge_are_immutable_value_tuples():
 def _graphs_under_test():
     graphs = [random_debate_graph(s, f"g{s}", label="accept") for s in range(3)]
     graphs += [rule_labeled_graph(1, "r", (2, 5), add_inverse_edges=False),
-               build_minimal_graph("m", "T")]
+               assemble("m", *skeleton("T"))]
     return graphs + [apply_ablation(graphs[0], mode) for mode in AblationMode]
 
 
@@ -413,10 +414,10 @@ def _sample_graphs():
     (lambda: [rule_labeled_graph(s, f"r{s}") for s in range(5)]
      + [rule_labeled_graph(s, "r", (2, 5), add_inverse_edges=False) for s in range(5)],
      "1a02d4c28f4ccfbbec23d9d2a7f829d2f1a99f0d0eeb335bb969b62487720145"),
-    (lambda: [build_minimal_graph("m", "Title"),
-              build_minimal_graph("m", "T", "reject", False)],
+    (lambda: [assemble("m", *skeleton("Title")),
+              assemble("m", *skeleton("T"), "reject", False)],
      "a3f8f735472dae0110601178ad2ef6390423241ed07ac05a19b82fa00a33c3e1"),
     (_sample_graphs, "1166d4fb0fbad59dd27fe913d0353992f79fecc97abe0542c8ab3c854e92bcf9"),
-], ids=["random_debate_graph", "rule_labeled_graph", "build_minimal_graph", "build_graph"])
+], ids=["random_debate_graph", "rule_labeled_graph", "skeleton", "build_graph"])
 def test_graph_builders_keep_node_and_edge_order(make, digest):
     assert _digest(make()) == digest

@@ -8,7 +8,7 @@ import pytest
 from oracles import dense_forward, dense_trace, permute_graph, reference_graph_index
 from reviewgraph import autodiff as ad
 from reviewgraph import model as modelmod
-from reviewgraph.graph import AblationMode, apply_ablation, build_minimal_graph
+from reviewgraph.graph import AblationMode, apply_ablation, assemble, skeleton
 from reviewgraph.model import (
     PREDICT_EDGE_BUDGET,
     DimMismatch,
@@ -119,7 +119,7 @@ def test_init_params_fills_one_vector_in_layout_order(homogeneous):
         [(name, shape) for name, shape, _init in layout]
     assert all(np.shares_memory(t.value, params.flat) for _, t in params.items())
     reference = reference_init_params(config, 7)
-    assert params.names() == list(reference)
+    assert [name for name, _ in params.items()] == list(reference)
     assert params.flat.tobytes() == np.concatenate(
         [value.ravel() for value in reference.values()]).tobytes()
 
@@ -289,7 +289,7 @@ def test_attention_scale_variant_changes_output():
 
 
 def test_tape_size_is_independent_of_heads_and_relations():
-    few = build_minimal_graph("few", "A title")
+    few = assemble("few", *skeleton("A title"))
     many = random_debate_graph(1, "many", n_reviewer_opinions=(8, 9), n_author_opinions=(3, 4))
     counts = set()
     for heads in (1, 4):
@@ -304,7 +304,7 @@ def test_tape_size_is_independent_of_heads_and_relations():
 
 
 def test_parameters_a_graph_lacks_get_no_gradient():
-    g = build_minimal_graph("few", "A title")
+    g = assemble("few", *skeleton("A title"))
     params = init_params(SMALL, 0)
     emb = embeddings_for(g, SMALL.input_dim, 0)
     forward_loss([g], [emb], params, SMALL, [0]).backward()
@@ -337,13 +337,22 @@ def index_cases():
     """(graph, config) pairs: rule graphs under every ablation mode, the
     homogeneous config and no inverse edges."""
     graphs = [ex.graph for ex in generate_rule_dataset(4, seed=2, input_dim=4)]
-    graphs.append(build_minimal_graph("minimal", "A title"))
+    graphs.append(assemble("minimal", *skeleton("A title")))
     for g in graphs:
         for mode in AblationMode:
             config = HOMOGENEOUS if mode == AblationMode.HOMOGENEOUS else SMALL
             yield apply_ablation(g, mode), config
         yield g, HOMOGENEOUS
         yield g, NO_INVERSE
+
+
+def pool_matrix(index):
+    """The (graph * types + type, node row) averaging matrix that the
+    index's pooling gather and scales make."""
+    pool = np.zeros((len(index.pool_scale), index.n_nodes))
+    slots = index.pool_slots.idx
+    pool[slots, index.node_order] = index.pool_scale[slots]
+    return pool
 
 
 def test_graph_index_matches_loop_reference():
@@ -354,12 +363,10 @@ def test_graph_index_matches_loop_reference():
         assert index.type_keys == want["type_keys"]
         assert index.rel_keys == want["rel_keys"]
         assert index.ordered_edges == want["ordered_edges"]
-        for name in ("node_type", "src", "dst", "edge_rel", "segments", "seg_targets"):
+        for name in ("node_type", "src", "dst", "edge_rel", "segments"):
             np.testing.assert_array_equal(getattr(index, name), want[name], err_msg=name)
-        pool = np.zeros_like(want["pool"])
-        for (start, stop), target in zip(index.pool_segments, index.pool_targets):
-            pool[target, index.pool_rows[start:stop]] = index.pool_scale[target]
-        np.testing.assert_array_equal(pool, want["pool"])
+        np.testing.assert_array_equal(index.dst[index.segments[:, 0]], want["seg_targets"])
+        np.testing.assert_array_equal(pool_matrix(index), want["pool"])
 
 
 def mixed_batch(config, seed):
@@ -369,7 +376,7 @@ def mixed_batch(config, seed):
         apply_ablation(random_debate_graph(seed + 1, "b"), AblationMode.NO_TITLE),
         random_debate_graph(seed + 2, "c", n_reviewer_opinions=(6, 8), n_author_opinions=(3, 4)),
         apply_ablation(random_debate_graph(seed + 3, "d"), AblationMode.NO_EVAL),
-        build_minimal_graph("e", "A title"),
+        assemble("e", *skeleton("A title")),
     ]
     if config.homogeneous:
         graphs = [apply_ablation(g, AblationMode.HOMOGENEOUS) for g in graphs]
@@ -390,7 +397,7 @@ def test_batched_forward_matches_dense_oracle_per_graph():
 def test_edgeless_graph_matches_dense_oracle_alone_and_batched():
     """The minimal graph under no_title has four nodes and no edges; alone,
     every layer passes its states through unchanged."""
-    edgeless = apply_ablation(build_minimal_graph("edgeless", "A title"), AblationMode.NO_TITLE)
+    edgeless = apply_ablation(assemble("edgeless", *skeleton("A title")), AblationMode.NO_TITLE)
     assert (edgeless.num_nodes, len(edgeless.edges)) == (4, 0)
     for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
         graphs, embs = mixed_batch(config, 7)
@@ -443,7 +450,7 @@ def test_tape_ops_per_step_do_not_depend_on_batch_size():
 def index_batches():
     """(graphs, config) batches: the index cases of each config, and mixed
     batches, each with an edgeless graph at a different position."""
-    edgeless = apply_ablation(build_minimal_graph("edgeless", "A title"), AblationMode.NO_TITLE)
+    edgeless = apply_ablation(assemble("edgeless", *skeleton("A title")), AblationMode.NO_TITLE)
     for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
         cases = [g for g, c in index_cases() if c == config]
         yield cases[:7] + [edgeless] + cases[7:], config
@@ -478,18 +485,16 @@ def test_batch_index_matches_per_graph_reference_with_offsets():
         np.testing.assert_array_equal(index.node_type,
                                       renumbered("node_type", "type_keys", type_keys))
         np.testing.assert_array_equal(index.edge_rel, renumbered("edge_rel", "rel_keys", rel_keys))
-        for name in ("src", "dst", "seg_targets"):
+        for name in ("src", "dst"):
             np.testing.assert_array_equal(getattr(index, name), shifted(name), err_msg=name)
         np.testing.assert_array_equal(index.segments, shifted("segments", edge_off))
+        np.testing.assert_array_equal(index.dst[index.segments[:, 0]], shifted("seg_targets"))
 
         n_slots = len(node_type_keys(config))
         want_pool = np.zeros((n_slots * len(graphs), index.n_nodes))
         for b, w in enumerate(wants):
             want_pool[b * n_slots:(b + 1) * n_slots, node_off[b]:node_off[b + 1]] = w["pool"]
-        pool = np.zeros_like(want_pool)
-        for (start, stop), target in zip(index.pool_segments, index.pool_targets):
-            pool[target, index.pool_rows[start:stop]] = index.pool_scale[target]
-        np.testing.assert_array_equal(pool, want_pool)
+        np.testing.assert_array_equal(pool_matrix(index), want_pool)
 
 
 def reference_layout(graphs, config):
@@ -524,8 +529,8 @@ def reference_layout(graphs, config):
         "node_order": node_order,
         "node_pos": [node_order.index(row) for row in range(offset)],
         "type_bounds": [sum(t < j for t, *_ in nodes) for j in range(len(type_keys) + 1)],
-        "layout_pool_segments": np.array(pool_segments, dtype=int).reshape(-1, 2),
-        "layout_pool_targets": pool_targets,
+        "pool_slots": [slot for *_, slot in nodes],
+        "pool_runs": np.array(pool_segments, dtype=int).reshape(-1, 2),
         "edge_order": [e for _r, e in edges],
         "rel_bounds": [sum(r < j for r, _e in edges) for j in range(len(rel_keys) + 1)],
         "type_ids": [t for t, *_ in nodes],
@@ -535,7 +540,7 @@ def reference_layout(graphs, config):
 def layout_batches():
     """Single graphs of every index case, the mixed batches, and an
     edgeless graph alone, under the typed, homogeneous and no-inverse configs."""
-    edgeless = apply_ablation(build_minimal_graph("edgeless", "A title"), AblationMode.NO_TITLE)
+    edgeless = apply_ablation(assemble("edgeless", *skeleton("A title")), AblationMode.NO_TITLE)
     for g, config in index_cases():
         yield [g], config
     for config in (SMALL, HOMOGENEOUS, NO_INVERSE):
@@ -547,9 +552,13 @@ def test_layout_fields_match_loop_reference():
     for graphs, config in layout_batches():
         index = build_graph_index(graphs, config)
         want = reference_layout(graphs, config)
-        for name in ("node_order", "node_pos", "layout_pool_segments", "layout_pool_targets",
-                     "edge_order"):
+        for name in ("node_order", "node_pos", "edge_order"):
             np.testing.assert_array_equal(getattr(index, name), want[name], err_msg=name)
+        # each (type, graph) pooling slot is one run of the layout, summed in row order
+        np.testing.assert_array_equal(index.pool_slots.idx, want["pool_slots"])
+        starts, lengths = index.pool_slots.runs()
+        np.testing.assert_array_equal(np.stack([starts, starts + lengths], axis=1),
+                                      want["pool_runs"])
         assert index.type_bounds == want["type_bounds"]
         assert index.rel_bounds == want["rel_bounds"]
         np.testing.assert_array_equal(index.type_ids.idx, want["type_ids"])
@@ -562,7 +571,6 @@ def test_layout_fields_match_loop_reference():
         np.testing.assert_array_equal(index.dst_rows.idx, [node_pos[v] for v in index.dst])
         np.testing.assert_array_equal(index.to_target.idx,
                                       [edge_order.index(e) for e in range(index.n_edges)])
-        np.testing.assert_array_equal(index.seg_rows, [node_pos[v] for v in index.seg_targets])
 
         # each source's gradient sums its edges in target order, whatever the layout
         g = np.random.default_rng(index.n_edges).standard_normal((index.n_edges, 3))

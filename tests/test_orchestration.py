@@ -270,7 +270,8 @@ def test_embedding_cache_file_format(tmp_path):
 
 def _parent_line(text, vector):
     """A cache line in the older decimal ``vector`` form, as it used to be written."""
-    return json.dumps({"sha256": EmbeddingCache.key(text), "dim": int(vector.shape[0]),
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return json.dumps({"sha256": digest, "dim": int(vector.shape[0]),
                        "vector": [float(x) for x in vector]}) + "\n"
 
 
@@ -334,7 +335,8 @@ def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
 
 
 def _valid_line(text="t", vector=np.arange(4, dtype=np.float64)):
-    return json.dumps({"sha256": EmbeddingCache.key(text), "dim": int(vector.shape[0]),
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return json.dumps({"sha256": digest, "dim": int(vector.shape[0]),
                        "f64le": base64.b64encode(vector.astype("<f8").tobytes()).decode()})
 
 
@@ -447,7 +449,7 @@ def cache_texts(draw):
     lines, expected = [], {}
     for text, values, old in records:
         vector = np.array(values, dtype=np.float64)
-        key = EmbeddingCache.key(text)
+        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
         line = (_parent_line(text, vector) if old else _valid_line(text, vector)).rstrip()
         # a decimal line keeps a NaN but not its sign or payload
         expected[key] = np.array(json.loads(line)["vector"]) if old else vector

@@ -80,8 +80,8 @@ def test_evaluate_rejects_length_mismatch_and_empty():
 
 def test_adam_first_step_size_is_learning_rate():
     """With bias correction, the first step has magnitude ~lr per coordinate."""
-    store = ParamStore()
-    t = store.add("w", np.array([1.0, -2.0]))
+    store = ParamStore([("w", (2,))], np.array([1.0, -2.0]))
+    t = store["w"]
     t.grad = np.array([0.5, -0.1])
     config = TrainConfig(learning_rate=0.01, epsilon=1e-12)
     adam_step(store, {}, 1, config)
@@ -89,8 +89,8 @@ def test_adam_first_step_size_is_learning_rate():
 
 
 def test_adam_skips_parameters_without_gradient():
-    store = ParamStore()
-    t = store.add("w", np.ones(2))
+    store = ParamStore([("w", (2,))], np.ones(2))
+    t = store["w"]
     adam_step(store, {}, 1, TrainConfig())
     np.testing.assert_array_equal(t.value, np.ones(2))
 
@@ -98,8 +98,8 @@ def test_adam_skips_parameters_without_gradient():
 def test_adam_matches_reference_trajectory():
     """Three steps on a quadratic against a hand-rolled Adam loop."""
     config = TrainConfig(learning_rate=0.1)
-    store = ParamStore()
-    t = store.add("x", np.array([2.0]))
+    store = ParamStore([("x", (1,))], np.array([2.0]))
+    t = store["x"]
     state: dict = {}
     m = v = 0.0
     x_ref = 2.0
@@ -335,7 +335,7 @@ def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, homog
     save_checkpoint(cp, path)
     assert path.read_bytes() == reference_checkpoint_bytes(cp)
     loaded = load_checkpoint(path)
-    assert loaded.params.names() == cp.params.names()
+    assert [name for name, _ in loaded.params.items()] == [name for name, _ in cp.params.items()]
     np.testing.assert_array_equal(loaded.params.flat,
                                   cp.params.flat.astype("<f4").astype(np.float64))
     assert all(np.shares_memory(t.value, loaded.params.flat) for _, t in loaded.params.items())
