@@ -61,12 +61,14 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """JSON-lines manifest, one record per paper; paths resolved relative
     to the manifest file's directory."""
     path = Path(path)
-    if not path.exists():
-        raise DataFailure(f"manifest not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFailure(f"cannot read manifest {path}: {type(exc).__name__}: {exc}") from exc
     base = path.parent
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -117,12 +119,10 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
     raw: dict = {}
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise UsageFailure(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageFailure(f"config file is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+            raise UsageFailure(f"bad configuration in {p}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict) or not all(isinstance(raw.get(section, {}), dict)
                                             for section in ("endpoint", "model", "train")):
         raise UsageFailure(f"bad configuration in {path}: the document and its endpoint, "
@@ -210,8 +210,8 @@ def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
         return parse(path)
     except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
         raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, extraction.ExtractionError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (KeyError, OSError, TypeError, ValueError, extraction.ExtractionError) as exc:
+        # OSError covers a directory; ValueError JSONDecodeError and UnicodeDecodeError
         raise DataFailure(f"{rec.paper_id}: corrupt {kind} file {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
 
@@ -374,9 +374,10 @@ def build_graph_cmd(obj, manifest) -> None:
 
 
 def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_dim: int
-                 ) -> list[tuple[ManifestRecord, graphmod.DebateGraph, dict[str, np.ndarray]]]:
-    """Each ``splits`` paper's graph and its node texts' embeddings, of the model's
-    ``input_dim``; every file is read once, and every node text hashed once."""
+                 ) -> list[tuple[ManifestRecord, graphmod.DebateGraph, np.ndarray]]:
+    """Each ``splits`` paper's graph and its nodes' embeddings, of the model's
+    ``input_dim``, as one matrix in node-id order; every file is read once,
+    and every node text hashed once."""
     papers = []
     for rec in records:
         if rec.split not in splits:
@@ -386,18 +387,18 @@ def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_d
         if cache.dim not in (None, input_dim):
             raise DataFailure(f"{rec.paper_id}: embedding cache {cache.path} holds vectors of "
                               f"dim {cache.dim}, but the model's input_dim is {input_dim}")
-        texts = [n.text for n in g.nodes]
+        nodes = sorted(g.nodes)  # by id, as a file need not list them
         try:
-            vectors = cache.vectors([cache.digest(text) for text in texts])
+            vectors = cache.vectors([cache.digest(n.text) for n in nodes])
         except KeyError as exc:
-            n = g.nodes[exc.args[0]]
+            n = nodes[exc.args[0]]
             raise DataFailure(f"{rec.paper_id}: no cached embedding for node {n.id} "
                               f"text {n.text[:50]!r} in {cache.path}") from None
         if not np.isfinite(vectors).all():
-            n = g.nodes[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
+            n = nodes[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
             raise DataFailure(f"{rec.paper_id}: non-finite cached embedding for node {n.id} "
                               f"text {n.text[:50]!r} in {cache.path}")
-        papers.append((rec, g, dict(zip(texts, vectors))))
+        papers.append((rec, g, vectors))
     return papers
 
 
@@ -407,9 +408,11 @@ def _examples(papers: list[tuple], split: str,
     examples = []
     for rec, g, vectors in papers:
         if rec.split == split:
-            g = g if ablation is None else graphmod.apply_ablation(g, ablation)
-            examples.append(training.GraphExample(
-                graph=g, embeddings={n.id: vectors[n.text] for n in g.nodes}, label=rec.label))
+            kept = g if ablation is None else graphmod.apply_ablation(g, ablation)
+            if kept.nodes != g.nodes:  # text keys the cache: equal texts, equal rows
+                row_of = {n.text: n.id for n in g.nodes}
+                vectors = vectors[[row_of[n.text] for n in kept.nodes]]
+            examples.append(training.GraphExample(graph=kept, embeddings=vectors, label=rec.label))
     return examples
 
 

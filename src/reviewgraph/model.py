@@ -14,6 +14,8 @@ caches (``DebateGraph.codes``): they are concatenated with node offsets, one
 stable sort led by the offset target orders the edges, and the node types
 and relation keys the batch contains are numbered once. PyG's
 ``Batch.from_data_list`` and DGL's ``dgl.batch`` batch graphs the same way.
+Each graph's input rows are one matrix in node-id order (``node_features``),
+and a batch's are their concatenation, as PyG batches each graph's ``Data.x``.
 One graph is a batch of one, so ``predict`` and training share one forward,
 and its sequence of ops is fixed whatever the batch size, heads, node types
 or relations. Predictions outside training steps run that forward under
@@ -84,6 +86,9 @@ HOMOGENEOUS_TYPE_KEY = "node"
 CONNECTED_KEY = RelationType.CONNECTED.value
 
 _REL_ENDPOINTS = {rel: (src, dst) for src, rel, dst in legal_meta_relations()}
+
+#: A graph's input rows: a node id -> row mapping, or a ``node_features`` matrix.
+NodeRows = Mapping[int, np.ndarray] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -407,45 +412,41 @@ def _stacked(params: ParamStore, prefix: str, keys: Sequence[str], ids: ad.Gathe
     return ad.rows(ad.stack([params[f"{prefix}/{k}"] for k in keys]), ids)
 
 
+def node_features(g: DebateGraph, rows: NodeRows, input_dim: int) -> np.ndarray:
+    """The graph's input rows as one (nodes, input_dim) float64 matrix in node-id
+    order: a matrix of that form as it is, or a mapping's rows once each is checked."""
+    if isinstance(rows, Mapping):
+        for n in g.nodes:
+            if n.id not in rows:
+                raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
+            if np.shape(rows[n.id]) != (input_dim,):
+                raise DimMismatch(f"embedding of node {n.id} has shape {np.shape(rows[n.id])}, "
+                                  f"expected ({input_dim},)")
+        rows = [rows[i] for i in range(g.num_nodes)]
+    matrix = np.asarray(rows, dtype=np.float64)
+    if matrix.shape != (g.num_nodes, input_dim):
+        raise DimMismatch(f"embedding matrix of {g.graph_id} has shape {matrix.shape}, "
+                          f"expected ({g.num_nodes}, {input_dim})")
+    return matrix
+
+
 def _embed(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[Mapping[int, np.ndarray]],
+    embeddings: Sequence[NodeRows],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex,
 ) -> Tensor:
     """Initial node states of a batch, type-major: each embedding row times
-    its type's projection.
-
-    Row ``offset + i`` is node i's embedding. All rows go in as one block;
-    only when that fails does a loop over the nodes find the one at fault.
-    """
-    counts = np.diff(index.node_offsets).tolist()
-    try:
-        emb = np.array([rows[i] for rows, n in zip(embeddings, counts) for i in range(n)],
-                       dtype=np.float64)
-        ok = emb.shape == (index.n_nodes, config.input_dim)
-    except (KeyError, TypeError, ValueError):
-        ok = False
-    if not ok:
-        emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
-        for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
-            for n in g.nodes:
-                if n.id not in rows:
-                    raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
-                row = np.asarray(rows[n.id], dtype=np.float64)
-                if row.shape != (config.input_dim,):
-                    raise DimMismatch(
-                        f"embedding of node {n.id} has shape {row.shape}, "
-                        f"expected ({config.input_dim},)"
-                    )
-                emb[offset + n.id] = row
-    return _typed(Tensor(emb.take(index.node_order, axis=0)), params, "w_in", index)
+    its type's projection; row ``offset + i`` of the batch is node i's."""
+    x = np.concatenate([node_features(g, rows, config.input_dim)
+                        for g, rows in zip(graphs, embeddings)])
+    return _typed(Tensor(x.take(index.node_order, axis=0)), params, "w_in", index)
 
 
 def featurize(
     g: DebateGraph,
-    embeddings: Mapping[int, np.ndarray],
+    embeddings: NodeRows,
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
@@ -542,7 +543,7 @@ class ForwardTrace:
 
 def _forward(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[Mapping[int, np.ndarray]],
+    embeddings: Sequence[NodeRows],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
@@ -573,7 +574,7 @@ def _forward(
 
 def predict(
     g: DebateGraph,
-    embeddings: Mapping[int, np.ndarray],
+    embeddings: NodeRows,
     params: ParamStore,
     config: ModelConfig,
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -607,7 +608,7 @@ def edge_chunks(graphs: Sequence[DebateGraph]) -> list[slice]:
 
 def predict_batch(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[Mapping[int, np.ndarray]],
+    embeddings: Sequence[NodeRows],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
@@ -619,7 +620,7 @@ def predict_batch(
 
 def forward_loss(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[Mapping[int, np.ndarray]],
+    embeddings: Sequence[NodeRows],
     params: ParamStore,
     config: ModelConfig,
     labels: Sequence[int],

@@ -162,7 +162,7 @@ def transcript_from_dict(d: dict) -> Transcript:
                     AgentMessage(
                         role=AgentRole(m["role"]),
                         content=m["content"],
-                        attachments=tuple(m.get("attachments", ())),
+                        attachments=_attachments(m),
                     )
                     for m in s["messages"]
                 ),
@@ -170,8 +170,8 @@ def transcript_from_dict(d: dict) -> Transcript:
             for s in d["stages"]
         ),
     )
-    require_str("each of paper_id, title, message content and attachments", t.paper_id, t.title,
-                *(v for s in t.stages for m in s.messages for v in (m.content, *m.attachments)))
+    require_str("each of paper_id, title and message content", t.paper_id, t.title,
+                *(m.content for s in t.stages for m in s.messages))
     return t
 
 
@@ -193,14 +193,16 @@ class PaperInput:
 
 def load_paper(path: str | Path) -> PaperInput:
     d = json.loads(Path(path).read_text())
-    require_str("each of paper_id, title, body and attachments", d["paper_id"], d["title"],
-                d["body"], *d.get("attachments", ()))
-    return PaperInput(
-        paper_id=d["paper_id"],
-        title=d["title"],
-        body=d["body"],
-        attachments=tuple(d.get("attachments", ())),
-    )
+    require_str("each of paper_id, title and body", d["paper_id"], d["title"], d["body"])
+    return PaperInput(d["paper_id"], d["title"], d["body"], _attachments(d))
+
+
+def _attachments(d: dict) -> tuple[str, ...]:
+    """A paper's or message's ``attachments``: a list of strings, none if absent."""
+    attachments = d.get("attachments", [])
+    if not isinstance(attachments, list) or not set(map(type, attachments)) <= {str}:
+        raise TypeError(f"attachments must be a list of strings, not {json.dumps(attachments)}")
+    return tuple(attachments)
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,6 @@ def generate_rule_dataset(
     for i in range(n):
         g = rule_labeled_graph(seed * 100003 + i, f"rule-{seed}-{i}", n_opinions,
                                add_inverse_edges)
-        examples.append(
-            GraphExample(graph=g, embeddings=embeddings_for(g, input_dim, seed), label=g.label)
-        )
+        rows = np.stack([unit_embedding(n.text, input_dim, seed) for n in g.nodes])
+        examples.append(GraphExample(graph=g, embeddings=rows, label=g.label))
     return examples

@@ -9,7 +9,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,10 +18,12 @@ from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wrap
 from .graph import DECISION_LABELS, DebateGraph, replacing
 from .model import (
     ModelConfig,
+    NodeRows,
     build_graph_index,
     edge_chunks,
     forward_loss,
     init_params,
+    node_features,
     param_layout,
     predict,
     predict_batch,
@@ -86,7 +88,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class GraphExample:
     graph: DebateGraph
-    embeddings: Mapping[int, np.ndarray]
+    embeddings: NodeRows
     label: str
 
     @property
@@ -187,11 +189,11 @@ def predict_label_index(example: GraphExample, params: ParamStore,
 
 
 def _chunks(examples: Sequence[GraphExample], model_config: ModelConfig) -> Iterator[tuple]:
-    """The examples' (graphs, embeddings, index) in ``edge_chunks``, each indexed once."""
+    """The examples' (graphs, feature matrices, index) in ``edge_chunks``, each indexed once."""
     graphs = [ex.graph for ex in examples]
+    features = [node_features(ex.graph, ex.embeddings, model_config.input_dim) for ex in examples]
     for chunk in edge_chunks(graphs):
-        yield (graphs[chunk], [ex.embeddings for ex in examples[chunk]],
-               build_graph_index(graphs[chunk], model_config))
+        yield graphs[chunk], features[chunk], build_graph_index(graphs[chunk], model_config)
 
 
 def _predicted(chunks: Iterable[tuple], params: ParamStore,
@@ -216,6 +218,7 @@ def train(
 ) -> tuple[Checkpoint, list[dict]]:
     """Adam training with seeded shuffling and early stopping on validation macro-F1.
 
+    Each example's input rows become its node-ordered matrix once per call.
     Each minibatch is one disjoint-union graph, indexed once per step from
     its graphs' cached codes, and makes one forward and one backward pass;
     its loss is the mean cross-entropy over its graphs. Validation
@@ -234,6 +237,7 @@ def train(
     t = 0
 
     size = train_config.batch_size
+    features = [node_features(ex.graph, ex.embeddings, model_config.input_dim) for ex in train_set]
     val_chunks = list(_chunks(val_set, model_config))
     val_golds = [ex.label_index for ex in val_set]
 
@@ -255,7 +259,7 @@ def train(
             graphs = [ex.graph for ex in batch]
             params.zero_grad()
             loss = forward_loss(
-                graphs, [ex.embeddings for ex in batch], params, model_config,
+                graphs, [features[i] for i in members], params, model_config,
                 [ex.label_index for ex in batch], build_graph_index(graphs, model_config),
             )
             value = float(loss.value)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import struct
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from pipeline_utils import make_workspace, run, run_stage_pipeline
 from reviewgraph import autodiff as ad
+from reviewgraph import cli
 from reviewgraph import graph as graphmod
 from reviewgraph import orchestration as orch
 from reviewgraph import training
@@ -404,6 +406,27 @@ def test_ablate_loads_each_paper_once(tmp_path, monkeypatch):
     assert loads == {"graph": 6, "cache": 6}
 
 
+@pytest.mark.parametrize("listed", ["in-id-order", "reversed"])
+@pytest.mark.parametrize("mode", list(graphmod.AblationMode), ids=lambda m: m.value)
+def test_ablated_examples_get_each_kept_node_text_its_cached_vector(trained_workspace, tmp_path,
+                                                                    mode, listed):
+    root = tmp_path / "ws"
+    shutil.copytree(trained_workspace[0], root)
+    if listed == "reversed":  # a graph file may list its nodes in any order
+        for path in (root / "work").glob("*.graph.json"):
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps({**doc, "nodes": doc["nodes"][::-1]}))
+    records = cli.load_manifest(root / "manifest.jsonl")
+    papers = cli._load_papers(records, ("train", "val", "test"), 16)
+    for rec in records:
+        (ex,) = cli._examples(papers, rec.split, mode)
+        cache = orch.EmbeddingCache(rec.path("embeddings"))
+        vector_of = {n.text: cache.get(n.text) for n in load_graph(rec.path("graph")).nodes}
+        want = {n.id: vector_of[n.text] for n in ex.graph.nodes}
+        assert ex.graph.nodes == graphmod.apply_ablation(load_graph(rec.path("graph")), mode).nodes
+        assert ex.embeddings.tobytes() == np.stack([want[i] for i in range(len(want))]).tobytes()
+
+
 def test_gradcheck_passes_by_default(tmp_path, capsys):
     assert main(["--seed", "0", "gradcheck"]) == 0
     assert "max rel error" in capsys.readouterr().out
@@ -664,9 +687,40 @@ def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
     assert "Traceback" not in err
 
 
-def _first_message(doc, value):
-    doc["stages"][0]["messages"][0]["content"] = value
+def _first_message(doc, value, key="content"):
+    doc["stages"][0]["messages"][0][key] = value
     return doc
+
+
+#: Files that cannot be read as text: (file, exit code, start of the message).
+UNREADABLE = {
+    "config": ("run.json", 1, "error: bad configuration in {path}: "),
+    "manifest": ("manifest.jsonl", 3, "data error: cannot read manifest {path}: "),
+    "graph": ("work/p2.graph.json", 3, "data error: p2: "),
+    "embeddings": ("work/p2.emb.jsonl", 3, "data error: p2: "),
+}
+
+
+@pytest.mark.parametrize("content", ["directory", "not-utf8"])
+@pytest.mark.parametrize("reader", UNREADABLE)
+def test_unreadable_input_exits_with_its_code_naming_it(trained_workspace, tmp_path, capsys,
+                                                         reader, content):
+    root = tmp_path / "ws"
+    shutil.copytree(trained_workspace[0], root)
+    file, code, message = UNREADABLE[reader]
+    path = root / file
+    path.unlink()
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe not UTF-8 \x80\n")
+    capsys.readouterr()
+    got = run(root, "evaluate", str(root / "manifest.jsonl"), "--checkpoint",
+              str(root / "c.rvgc"), "--output", str(root / "ev.json"))
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith(message.format(path=path)) and str(path) in err
+    assert "Traceback" not in err
 
 
 #: Documents that parse as JSON but hold a value of the wrong type: (file,
@@ -684,8 +738,15 @@ MALFORMED_DOCUMENTS = {
     "config-endpoint-number": ("run.json", "simulate", lambda d: {**d, "endpoint": 5}, 1),
     "config-model-list": ("run.json", "simulate", lambda d: {**d, "model": [1]}, 1),
     "paper-body-number": ("papers/p0.json", "simulate", lambda d: {**d, "body": 5}, 3),
+    # a string of attachments would be sent one character at a time
+    "paper-attachments-string": ("papers/p0.json", "simulate",
+                                 lambda d: {**d, "attachments": "fig1"}, 3),
+    "paper-attachment-number": ("papers/p0.json", "simulate",
+                                lambda d: {**d, "attachments": ["fig1", 5]}, 3),
     "message-content-number": ("work/p0.transcript.json", "extract",
                                lambda d: _first_message(d, 5), 3),
+    "message-attachments-string": ("work/p0.transcript.json", "extract",
+                                   lambda d: _first_message(d, "fig1", "attachments"), 3),
     "transcript-title-number-embed": ("work/p0.transcript.json", "embed",
                                       lambda d: {**d, "title": 5}, 3),
     "transcript-title-number-build-graph": ("work/p0.transcript.json", "build-graph",

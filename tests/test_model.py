@@ -23,6 +23,7 @@ from reviewgraph.model import (
     hgt_layer,
     init_params,
     meta_key,
+    node_features,
     node_type_keys,
     param_layout,
     predict,
@@ -137,9 +138,16 @@ def test_featurize_checks_embeddings():
 
 
 def _embed_node_by_node(graphs, embeddings, config, index):
-    """The input rows as the per-node loop filled them, with its errors."""
+    """The input rows as the per-node loop filled them, with its errors; a
+    matrix gives row i to node i, once its shape is checked."""
     emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
     for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
+        if not isinstance(rows, dict):
+            matrix = np.asarray(rows, dtype=np.float64)
+            if matrix.shape != (g.num_nodes, config.input_dim):
+                raise DimMismatch(f"embedding matrix of {g.graph_id} has shape {matrix.shape}, "
+                                  f"expected ({g.num_nodes}, {config.input_dim})")
+            rows = dict(enumerate(matrix))
         for n in g.nodes:
             if n.id not in rows:
                 raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
@@ -156,10 +164,22 @@ def _with(rows, node_id, value):
         {k: v for k, v in rows.items() if k != node_id}
 
 
+def _matrix(rows, extra=0):
+    """The rows of a node id -> row mapping as a matrix, with ``extra`` rows
+    more (or, if negative, fewer)."""
+    matrix = np.stack([rows[i] for i in range(len(rows))])
+    return np.concatenate([matrix, matrix[:extra]]) if extra > 0 else matrix[:len(matrix) + extra]
+
+
 #: Edits of a graph's embedding rows: a missing row, rows of wrong shape
 #: (one-wide and scalar rows of every graph a block assignment would
-#: broadcast), rows of other types; and, last, edits both readers accept.
+#: broadcast), rows of other types, matrices of the wrong shape; and, last,
+#: edits both readers accept.
 EMBEDDING_EDITS = {
+    "matrix-extra-row": lambda rows, d: _matrix(rows, 1),
+    "matrix-missing-row": lambda rows, d: _matrix(rows, -1),
+    "matrix-wide": lambda rows, d: np.pad(_matrix(rows), ((0, 0), (0, 1))),
+    "matrix-flat": lambda rows, d: _matrix(rows).ravel(),
     "missing": lambda rows, d: _with(rows, 3, None),
     "short": lambda rows, d: _with(rows, 3, np.zeros(d - 1)),
     "one-wide": lambda rows, d: {k: np.zeros(1) for k in rows},
@@ -171,6 +191,9 @@ EMBEDDING_EDITS = {
     "ints": lambda rows, d: {k: np.arange(d) + k for k in rows},
     "float32": lambda rows, d: {k: v.astype(np.float32) for k, v in rows.items()},
     "extra-keys": lambda rows, d: {**rows, 999: np.zeros(d)},
+    "matrix": lambda rows, d: _matrix(rows),
+    "matrix-float32": lambda rows, d: _matrix(rows).astype(np.float32),
+    "nested-lists": lambda rows, d: _matrix(rows).tolist(),
 }
 
 
@@ -194,6 +217,16 @@ def test_block_embed_gives_the_rows_and_errors_of_the_node_loop(edit, edited):
     # _embed returns the type-major layout; the loop fills node-id order
     expected = modelmod._typed(ad.Tensor(want[index.node_order]), params, "w_in", index)
     assert got.value.tobytes() == expected.value.tobytes()
+
+
+def test_node_features_passes_a_matrix_through_and_names_the_graph_of_a_wrong_one():
+    g, emb, _params = make_case(0)
+    matrix = _matrix(emb)
+    assert node_features(g, matrix, SMALL.input_dim) is matrix
+    assert node_features(g, emb, SMALL.input_dim).tobytes() == matrix.tobytes()
+    for extra in (1, -1):
+        with pytest.raises(DimMismatch, match=f"embedding matrix of {g.graph_id} has shape"):
+            node_features(g, _matrix(emb, extra), SMALL.input_dim)
 
 
 def test_predict_matches_dense_oracle():
