@@ -6,7 +6,10 @@ accumulates gradients additively. A central-difference harness
 (``grad_check``) verifies the analytic gradients.
 
 Typed weights apply to rows sorted by type: ``block_matmul`` multiplies
-each contiguous block of rows by its own matrix. Row gathers, in ``rows``
+each contiguous block of rows by its own matrix of a (blocks, k, m) family.
+Learnable tensors are ``Param`` views of a ``ParamStore``'s one parameter
+vector, each a named tensor or a family of them, and their gradients land
+in the same views of one gradient vector. Row gathers, in ``rows``
 and fused into ``block_matmul``, and their transpose ``segment_sum`` take a
 ``Gather``: row indices plus the grouping of equal indices, found once and
 kept across calls. ``segment_softmax`` normalizes within the runs of a
@@ -15,8 +18,10 @@ kept across calls. ``segment_softmax`` normalizes within the runs of a
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Iterable, Sequence
+import weakref
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,19 +65,13 @@ class Tensor:
         self._backward_fn = backward_fn
         self._needs = requires_grad or any(p._needs for p in parents)
 
-    @classmethod
-    def leaf(cls, value: np.ndarray) -> "Tensor":
-        """A learnable tensor over a float64 array, which it keeps as given."""
-        t = cls.__new__(cls)
-        t.value, t.grad, t._parents, t._backward_fn = value, None, (), None
-        t.requires_grad = t._needs = True
-        return t
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, rows: Sequence[int] | None = None) -> None:
+        """Add g to ``grad``. g is zero outside the leading-axis ``rows``, which
+        tell a ``Param`` family which members got a gradient."""
         # Never in place: g may be shared with another node's grad.
         self.grad = g if self.grad is None else self.grad + g
 
@@ -114,9 +113,6 @@ class Tensor:
             node.grad = None
             node._backward_fn = None
             node._parents = ()
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _tensor(x) -> Tensor:
@@ -235,21 +231,6 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _op(out, tuple(xs), backward)
 
 
-def stack(xs: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    xs = [_tensor(x) for x in xs]
-    if not xs:
-        raise ShapeMismatch("stack of zero tensors")
-    out = np.stack([x.value for x in xs])
-
-    def backward(g: np.ndarray) -> None:
-        for x, gx in zip(xs, g):
-            if x._needs:
-                x.accumulate(gx)
-
-    return _op(out, tuple(xs), backward)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _tensor(x)
     out = x.value.reshape(shape)
@@ -348,56 +329,57 @@ def rows(x: Tensor, idx: np.ndarray | Gather) -> Tensor:
     out = x.value.take(gather.idx, axis=0)  # several times faster than x.value[idx]
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate(gather.scatter(g))
+        x.accumulate(gather.scatter(g), gather._grouping()[2])  # the rows g reaches
 
     return _op(out, (x,), backward)
 
 
-def block_matmul(x: Tensor, ws: Sequence[Tensor], bounds: Sequence[int],
+def block_matmul(x: Tensor, w: Tensor, bounds: Sequence[int],
                  take: Gather | None = None) -> Tensor:
-    """Rows ``bounds[j]:bounds[j + 1]`` of x times ``ws[j]``: one product per block.
+    """Rows ``bounds[j]:bounds[j + 1]`` of x times ``w[j]``: one product per block.
 
-    x is (n, ..., k), every ws[j] is (k, m), and the blocks tile x's n rows
-    in order, so each product is written straight into its contiguous slice
-    of the result, and backward takes each block's gradients from slices
-    too; rows sorted by type or relation make every typed projection one
-    block product per type. A matrix whose block is empty gets no gradient.
-    With ``take``, the result is the product's rows ``take.idx``, and the
-    full product is never kept on the tape.
+    x is (n, ..., k), w is a (blocks, k, m) family of matrices, and the
+    blocks tile x's n rows in order, so each product is written straight
+    into its contiguous slice of the result, and backward takes each block's
+    gradients from slices too; rows sorted by type or relation make every
+    typed projection one block product per type. A matrix whose block is
+    empty gets no gradient. With ``take``, the result is the product's rows
+    ``take.idx``, and the full product is never kept on the tape.
     """
-    x, ws = _tensor(x), [_tensor(w) for w in ws]
-    if not ws or any(w.value.ndim != 2 or w.value.shape != ws[0].value.shape for w in ws):
-        raise ShapeMismatch("block_matmul expects one or more equal-shape matrices")
-    k, m = ws[0].value.shape
+    x, w = _tensor(x), _tensor(w)
     bounds = list(bounds)
-    if (x.value.ndim < 2 or x.value.shape[-1] != k or len(bounds) != len(ws) + 1
-            or bounds[0] != 0 or bounds[-1] != x.value.shape[0]
-            or any(a > b for a, b in zip(bounds, bounds[1:]))):
-        raise ShapeMismatch(f"block_matmul: x {x.shape}, {len(ws)} matrices of {(k, m)}, "
+    if (w.value.ndim != 3 or x.value.ndim < 2 or x.value.shape[-1] != w.value.shape[1]
+            or len(bounds) != len(w.value) + 1 or bounds[0] != 0
+            or bounds[-1] != x.value.shape[0] or any(a > b for a, b in zip(bounds, bounds[1:]))):
+        raise ShapeMismatch(f"block_matmul: x {x.shape}, matrices {w.shape}, "
                             f"block bounds {bounds}")
+    k, m = w.value.shape[1:]
     per_row = math.prod(x.value.shape[1:-1])
-    blocks = [(w, a * per_row, b * per_row) for w, a, b in zip(ws, bounds, bounds[1:]) if a < b]
+    blocks = [(j, a * per_row, b * per_row)
+              for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
     xs = x.value.reshape(-1, k)
     out = np.empty(x.value.shape[:-1] + (m,))
     products = out.reshape(-1, m)
-    for w, a, b in blocks:
-        np.matmul(xs[a:b], w.value, out=products[a:b])
+    for j, a, b in blocks:
+        np.matmul(xs[a:b], w.value[j], out=products[a:b])
     if take is not None:
         out = out.take(take.idx, axis=0)
 
     def backward(g: np.ndarray) -> None:
         gs = (g if take is None else take.scatter(g)).reshape(-1, m)
-        for w, a, b in blocks:
-            if w._needs:
-                w.accumulate(xs[a:b].T @ gs[a:b])
+        if w._needs:
+            gw = np.zeros(w.value.shape)
+            for j, a, b in blocks:
+                np.matmul(xs[a:b].T, gs[a:b], out=gw[j])
+            w.accumulate(gw, [j for j, _, _ in blocks])
         if x._needs:
             gx = np.empty(x.value.shape)
             gxs = gx.reshape(-1, k)
-            for w, a, b in blocks:
-                np.matmul(gs[a:b], w.value.T, out=gxs[a:b])
+            for j, a, b in blocks:
+                np.matmul(gs[a:b], w.value[j].T, out=gxs[a:b])
             x.accumulate(gx)
 
-    return _op(out, (x, *ws), backward)
+    return _op(out, (x, w), backward)
 
 
 def place_rows(x: Tensor, positions: np.ndarray, n_rows: int) -> Tensor:
@@ -531,6 +513,79 @@ def cross_entropy(probs: Tensor, labels) -> Tensor:
     return _op(out, (probs,), backward)
 
 
+@functools.lru_cache(maxsize=32)
+class _Layout:
+    """Where each tensor of a (name, shape) list sits in a store's vector, and
+    the families among them, found on first use. The class is cached per
+    list, so every store of the list shares one and derives none of it again."""
+
+    def __init__(self, shapes: tuple[tuple[str, tuple[int, ...]], ...]) -> None:
+        self.key, self.names = shapes, [name for name, _ in shapes]
+        self.shapes = [shape for _, shape in shapes]
+        if len(set(self.names)) != len(self.names):
+            dup = next(name for name in self.names if self.names.count(name) > 1)
+            raise NumericsError(f"duplicate parameter name {dup!r}")
+        self.sizes = np.array([math.prod(shape) for shape in self.shapes], dtype=np.intp)
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.views = {name: (i, int(offset), shape, None) for i, (name, shape, offset)
+                      in enumerate(zip(self.names, self.shapes, self.offsets))}
+
+    def view(self, key: str) -> tuple[int | np.ndarray, int, tuple[int, ...], tuple | None]:
+        """(members, offset, shape, byte strides) of the tensor ``key``, or for
+        ``prefix/*`` of the tensors ``prefix/<member>`` as one (members, ...)
+        array, which needs them equal in shape and equally spaced."""
+        if key not in self.views:
+            members = [i for i, name in enumerate(self.names)
+                       if key.endswith("/*") and name.rpartition("/")[0] == key[:-2]]
+            if not members:
+                raise KeyError(key)
+            shape, offsets = self.shapes[members[0]], self.offsets[members]
+            gaps = np.diff(offsets) if len(members) > 1 else self.sizes[members]
+            if any(self.shapes[i] != shape for i in members) or (gaps != gaps[0]).any():
+                raise ShapeMismatch(f"{key} are not one family: shapes "
+                                    f"{[self.shapes[i] for i in members]} at {offsets.tolist()}")
+            self.views[key] = (np.array(members), int(offsets[0]), (len(members),) + shape,
+                               (8 * int(gaps[0]),) + np.empty(shape).strides)
+        return self.views[key]
+
+
+class Param(Tensor):
+    """A learnable view of a ``ParamStore``'s vector: one named tensor, or a
+    family of tensors along a leading axis of members. Its ``grad`` is the
+    same view of the store's gradient vector, None until a gradient reaches
+    it; assigning ``grad`` writes that view and marks it as reached."""
+
+    __slots__ = ("_store", "_members", "_offset")
+
+    def __init__(self, store: "ParamStore", members: int | np.ndarray, offset: int,
+                 shape: tuple[int, ...], strides: tuple | None) -> None:
+        self.value = np.ndarray(shape, np.float64, store.flat, 8 * offset, strides)
+        self.requires_grad = self._needs = True
+        self._parents, self._backward_fn = (), None
+        # a proxy, so that a store and its params make no reference cycle
+        self._store, self._members, self._offset = weakref.proxy(store), members, 8 * offset
+
+    def _grad_view(self) -> np.ndarray:
+        if self._store.grad is None:
+            self._store.grad = np.zeros_like(self._store.flat)
+        return np.ndarray(self.value.shape, np.float64, self._store.grad, self._offset,
+                          self.value.strides)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad_view() if self._store.present[self._members].any() else None
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._grad_view()[...] = 0.0 if g is None else g
+        self._store.present[self._members] = g is not None
+
+    def accumulate(self, g: np.ndarray, rows: Sequence[int] | None = None) -> None:
+        self._grad_view()[...] += g  # zero outside rows, as the rows of absent tensors are
+        whole = rows is None or isinstance(self._members, int)
+        self._store.present[self._members if whole else self._members[rows]] = True
+
+
 class ParamStore:
     """Ordered, uniquely-named collection of learnable tensors.
 
@@ -539,43 +594,46 @@ class ParamStore:
     so work on the whole store, such as an Adam step, a copy or a checkpoint
     payload, is one array operation. ``ParamStore(shapes)`` allocates the
     vector once, zero-filled, or adopts a given ``flat``.
+
+    ``store[name]`` is one tensor, and ``store.family(prefix)`` the tensors
+    ``prefix/*`` as one strided view. Each is a ``Param`` whose gradient
+    lands in the same view of ``grad``, a vector laid out like ``flat`` and
+    allocated when a gradient first arrives after ``zero_grad``;
+    ``present[i]`` records whether one reached the i-th tensor.
     """
 
     def __init__(self, shapes: Sequence[tuple[str, Sequence[int]]] = (),
                  flat: np.ndarray | None = None) -> None:
-        self._items: dict[str, Tensor] = {}
-        names, shapes = zip(*shapes) if shapes else ((), ())
-        sizes = [math.prod(shape) for shape in shapes]
+        self._layout = _Layout(tuple((name, tuple(shape)) for name, shape in shapes))
+        self.sizes = self._layout.sizes
         if flat is None:
-            flat = np.zeros(sum(sizes))
-        elif flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            flat = np.zeros(self.sizes.sum())
+        elif flat.dtype != np.float64 or flat.shape != (self.sizes.sum(),):
             raise ShapeMismatch(f"a {flat.dtype} vector of shape {flat.shape} cannot hold "
-                                f"{sum(sizes)} float64 parameters")
-        start = 0
-        for name, shape, size in zip(names, shapes, sizes):
-            if name in self._items:
-                raise NumericsError(f"duplicate parameter name {name!r}")
-            self._items[name] = Tensor.leaf(flat[start:start + size].reshape(shape))
-            start += size
-        self.flat = flat
-        self.sizes = np.array(sizes, dtype=np.intp)
+                                f"{self.sizes.sum()} float64 parameters")
+        self.flat, self.grad, self._params = flat, None, {}
+        self.present = np.zeros(len(self.sizes), dtype=bool)
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._items[name]
+    def __getitem__(self, name: str) -> Param:
+        if name not in self._params:
+            self._params[name] = Param(self, *self._layout.view(name))
+        return self._params[name]
+
+    def family(self, prefix: str) -> Param:
+        return self[prefix + "/*"]
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.sizes)
 
-    def items(self) -> Iterable[tuple[str, Tensor]]:
-        return self._items.items()
+    def items(self) -> list[tuple[str, Param]]:
+        return [(name, self[name]) for name in self._layout.names]
 
     def zero_grad(self) -> None:
-        for t in self._items.values():
-            t.zero_grad()
+        self.grad = None
+        self.present[:] = False
 
     def copy(self) -> "ParamStore":
-        return ParamStore([(name, t.value.shape) for name, t in self._items.items()],
-                          self.flat.copy())
+        return ParamStore(self._layout.key, self.flat.copy())
 
     def n_params(self) -> int:
         return self.flat.size
@@ -605,36 +663,31 @@ def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore,
     if not np.isfinite(loss.value):
         raise NonFiniteLoss("loss is not finite at the given parameters")
     loss.backward()
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.value))
-        for name, t in params.items()
-    }
+    # zero where no gradient arrived
+    analytic = np.zeros_like(params.flat) if params.grad is None else params.grad.copy()
 
     sampler = np.random.default_rng(sample_seed)
-    max_rel = 0.0
-    worst = ""
+    flat, max_rel, worst = params.flat, 0.0, ""
     per_param: dict[str, float] = {}
-    for name, t in params.items():
-        flat = t.value.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        if max_per_param is not None and flat.size > max_per_param:
-            indices = sorted(sampler.choice(flat.size, size=max_per_param,
-                                            replace=False).tolist())
+    for (name, _), start, size in zip(params.items(), np.cumsum(params.sizes) - params.sizes,
+                                      params.sizes.tolist()):
+        if max_per_param is not None and size > max_per_param:
+            indices = sorted(sampler.choice(size, size=max_per_param, replace=False).tolist())
         else:
-            indices = range(flat.size)
+            indices = range(size)
         local_max = 0.0
         for i in indices:
-            orig = flat[i]
+            orig = flat[start + i]
             with no_grad():
-                flat[i] = orig + eps
+                flat[start + i] = orig + eps
                 f_plus = float(f(params).value)
-                flat[i] = orig - eps
+                flat[start + i] = orig - eps
                 f_minus = float(f(params).value)
-            flat[i] = orig
+            flat[start + i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NonFiniteLoss(f"non-finite loss while perturbing {name}[{i}]")
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = float(a_flat[i])
+            a = float(analytic[start + i])
             rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             local_max = max(local_max, rel)
         per_param[name] = local_max

@@ -190,11 +190,15 @@ def _ablation_model(model: modelmod.ModelConfig,
     return dataclasses.replace(model, homogeneous=mode == graphmod.AblationMode.HOMOGENEOUS)
 
 
-def _write_report(path: Path, obj: dict | list) -> None:
-    """Write the report ``obj`` as indented JSON; ``path`` appears only once it is complete."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with graphmod.replacing(path) as tmp:
-        tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_output(path: Path, text: str, what: str = "report") -> None:
+    """Write ``text`` to ``path``, which appears only once it is complete; a
+    path that cannot be written, such as a directory, exits 3 naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with graphmod.replacing(path) as tmp:
+            tmp.write_text(text)
+    except OSError as exc:
+        raise DataFailure(f"cannot write {what} to {path}: {type(exc).__name__}: {exc}") from exc
 
 
 T = TypeVar("T")
@@ -240,21 +244,25 @@ _STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.IncompleteTranscript, orch.Extractio
 def _run_stage(obj: dict, manifest: str, name: str, kind: str,
                write: Callable[[ManifestRecord, Path], None],
                client: orch.BaseClient | None = None) -> None:
-    """Call ``write(rec, tmp)`` for every paper whose ``kind`` output is absent
-    (every paper under ``--force``). ``tmp`` replaces the output only when
-    ``write`` returns, so an output that a rerun skips is never a partial one."""
+    """Call ``write(rec, tmp)`` for every paper whose ``kind`` output is not a
+    regular file (every paper under ``--force``). ``tmp`` replaces the output
+    only when ``write`` returns, so an output that a rerun skips is never a
+    partial one, and an output that cannot be replaced exits 3."""
     n_done = n_skipped = 0
     for rec in load_manifest(manifest):
         out = rec.path(kind)
-        if out.exists() and not obj["force"]:
+        if out.is_file() and not obj["force"]:
             n_skipped += 1
             continue
-        out.parent.mkdir(parents=True, exist_ok=True)
         try:
+            out.parent.mkdir(parents=True, exist_ok=True)
             with graphmod.replacing(out) as tmp:
                 write(rec, tmp)
         except _STAGE_DATA_ERRORS as exc:
             raise DataFailure(f"{rec.paper_id}: {exc}") from exc
+        except OSError as exc:
+            raise DataFailure(f"{rec.paper_id}: cannot write {kind} file {out}: "
+                              f"{type(exc).__name__}: {exc}") from exc
         n_done += 1
     requests = client.chat_requests + client.embed_requests if client else 0
     click.echo(f"{name}: {n_done} written, {n_skipped} skipped ({requests} requests)")
@@ -434,8 +442,8 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
 
     checkpoint, history = training.train(train_set, val_set, cfg.model, cfg.train)
     training.save_checkpoint(checkpoint, checkpoint_path)
-    with graphmod.replacing(history_path) as tmp:
-        tmp.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in history))
+    _write_output(Path(history_path),
+                  "".join(json.dumps(row, sort_keys=True) + "\n" for row in history), "history")
 
     train_preds = training.predict_label_indices(train_set, checkpoint.params, cfg.model)
     train_report = training.evaluate(train_preds, [ex.label_index for ex in train_set])
@@ -498,7 +506,7 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
         ours = [1.0 if p == y else 0.0 for p, y in zip(preds, golds)]
         t, df, p = training.welch_t_test(ours, theirs)
         doc["welch"] = {"t": t, "df": df, "p": p}
-    _write_report(Path(output), doc)
+    _write_output(Path(output), json.dumps(doc, indent=2, sort_keys=True) + "\n")
     click.echo(json.dumps(doc, sort_keys=True))
 
 
@@ -524,7 +532,7 @@ def ablate(obj, manifest, output) -> None:
         rows.append({"mode": mode.value, **_table2_row(report)})
         log.info("ablate %s: macro-F1 %.2f", mode.value, rows[-1]["macro_f1"])
 
-    _write_report(Path(output), rows)
+    _write_output(Path(output), json.dumps(rows, indent=2, sort_keys=True) + "\n")
     header = ["mode", "accuracy", "macro_precision", "macro_recall", "macro_f1"]
     click.echo("| " + " | ".join(header) + " |")
     click.echo("|" + "|".join("---" for _ in header) + "|")

@@ -1,18 +1,20 @@
 """Heterogeneous graph transformer: featurization, attention, message passing,
 target-specific aggregation, type-wise pooling, and the classification head.
 
-All parameters are typed and stored one tensor per name: key/query/message,
-input and aggregation projections plus a rescale scalar per node type;
-attention and message matrices per relation key; a learnable prior ``mu``
-per meta-relation. ``param_layout`` lists them in order, and each is a view
-into the store's one parameter vector. The homogeneous configuration
-collapses everything to one node type and the single ``connected`` relation.
+All parameters are typed: key/query/message, input and aggregation
+projections plus a rescale scalar per node type; attention and message
+matrices per relation key; a learnable prior ``mu`` per meta-relation.
+``param_layout`` lists them as named tensors of the store's one vector,
+each kind of a layer at equal spacing, so the forward reads the kind as one
+family (``ParamStore.family("layer0/key")``), one tape leaf with a row per
+node type or relation. The homogeneous configuration collapses everything
+to one node type and the single ``connected`` relation.
 
 The forward pass runs on a batch of graphs as their disjoint union, indexed
 by ``build_graph_index`` in one pass over the integer codes each graph
 caches (``DebateGraph.codes``): they are concatenated with node offsets, one
-stable sort led by the offset target orders the edges, and the node types
-and relation keys the batch contains are numbered once. PyG's
+stable sort led by the offset target orders the edges, and each node type
+and relation is numbered by its row in the parameter families. PyG's
 ``Batch.from_data_list`` and DGL's ``dgl.batch`` batch graphs the same way.
 Each graph's input rows are one matrix in node-id order (``node_features``),
 and a batch's are their concatenation, as PyG batches each graph's ``Data.x``.
@@ -40,8 +42,8 @@ slot groups pooling. Pooling is a mean per (node type, graph), each a
 contiguous run of the layout, zero for a type the graph lacks, and the loss
 is the batch's mean cross-entropy. ``featurize``, ``hgt_layer``,
 ``hgt_attention`` and ``ForwardTrace`` answer in node-id order and the
-index's target-sorted edge order. Parameters of types and relations no
-graph of the batch has never enter the tape and keep ``grad is None``.
+index's target-sorted edge order. Rows of types and relations no graph of
+the batch has get no gradient, so an Adam step leaves them as they are.
 """
 
 from __future__ import annotations
@@ -174,6 +176,17 @@ def meta_key(config: ModelConfig, rel_key: str) -> str:
 _REL_NAMES = [r.value + suffix for r in RelationType for suffix in ("", "__inv")]
 
 
+@functools.lru_cache(maxsize=32)
+def _rel_rows(config: ModelConfig) -> np.ndarray:
+    """Each relation code's row in the relation families, its position in
+    ``relation_keys``: every code is ``connected``'s row 0 in the homogeneous
+    model, and a code with no row in the typed one, ``connected``'s, is -1."""
+    if config.homogeneous:
+        return np.zeros(len(_REL_NAMES), dtype=np.intp)
+    keys = relation_keys(config)
+    return np.array([keys.index(k) if k in keys else -1 for k in _REL_NAMES], dtype=np.intp)
+
+
 @dataclass
 class GraphIndex:
     """Gather/scatter arrays for a batch of graphs as their disjoint union,
@@ -182,9 +195,9 @@ class GraphIndex:
     Node i of the batch's graph b is row ``node_offsets[b] + i``. Edges are
     sorted by (graph, target, source, relation ordinal, inverse), so each
     target's incoming edges form one contiguous segment, ``segments``. Node
-    types and relation keys are numbered by their position in ``type_keys``
-    and ``rel_keys``, which hold only those the batch contains, sorted by
-    name. ``edge_positions`` holds each sorted edge's position in the
+    types and relations are numbered by their row in the parameter families,
+    ``node_type_keys`` and ``relation_keys`` order, whether the batch has
+    them or not. ``edge_positions`` holds each sorted edge's position in the
     graphs' concatenated ``edges``; ``ordered_edges`` lists those edges on
     first use.
 
@@ -197,7 +210,8 @@ class GraphIndex:
     inverse member count (a type a graph lacks pools to zero). Likewise
     ``edge_order`` lists the sorted edges in (relation, target, source)
     order, the relation-major order, and the edges of relation j are its
-    rows ``rel_bounds[j]:rel_bounds[j + 1]``. The other gathers the forward
+    rows ``rel_bounds[j]:rel_bounds[j + 1]``; a type or relation the batch
+    lacks has an empty block. The other gathers the forward
     makes through these orders are built once per index, on first use; each
     ``Gather`` keeps its grouping, so ``dst_rows`` groups the query
     gradient, the attention softmax and the message sum alike.
@@ -205,7 +219,6 @@ class GraphIndex:
 
     n_nodes: int
     node_offsets: np.ndarray
-    type_keys: list[str]
     node_type: np.ndarray
     pool_slots: ad.Gather
     pool_scale: np.ndarray
@@ -213,7 +226,6 @@ class GraphIndex:
     edge_positions: np.ndarray
     src: np.ndarray
     dst: np.ndarray
-    rel_keys: list[str]
     edge_rel: np.ndarray
     node_order: np.ndarray
     node_pos: np.ndarray
@@ -257,12 +269,12 @@ class GraphIndex:
     @functools.cached_property
     def rel_ids(self) -> ad.Gather:
         """Each edge's relation number, in target order."""
-        return ad.Gather(self.edge_rel, len(self.rel_keys))
+        return ad.Gather(self.edge_rel, len(self.rel_bounds) - 1)
 
     @functools.cached_property
     def type_ids(self) -> ad.Gather:
         """Each layout row's type number."""
-        return ad.Gather(self.node_type[self.node_order], len(self.type_keys))
+        return ad.Gather(self.node_type[self.node_order], len(self.type_bounds) - 1)
 
     @property
     def n_graphs(self) -> int:
@@ -271,15 +283,6 @@ class GraphIndex:
     @property
     def n_edges(self) -> int:
         return len(self.src)
-
-
-def _present(codes: np.ndarray, names: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct keys among the codes, sorted by name, and each code's position among them."""
-    present = np.flatnonzero(np.bincount(codes, minlength=len(names)))
-    keys = sorted(names[c] for c in present)
-    lookup = np.zeros(len(names), dtype=np.intp)
-    lookup[present] = [keys.index(names[c]) for c in present]
-    return keys, lookup[codes]
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -300,16 +303,12 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
     codes = [g.codes for g in graphs]
     counts = [len(type_code) for type_code, _ in codes]
     node_offsets = np.cumsum([0] + counts)
-    n_nodes, n_slots = int(node_offsets[-1]), len(node_type_keys(config))
-    type_code = np.concatenate([type_code for type_code, _ in codes])
-    if config.homogeneous:
-        type_keys, node_type = [HOMOGENEOUS_TYPE_KEY], np.zeros(n_nodes, dtype=np.intp)
-        slot = node_type
-    else:
-        type_keys, node_type = _present(type_code, node_type_keys(config))
-        slot = type_code
-    pool_key = np.repeat(n_slots * np.arange(len(graphs)), counts) + slot
-    node_order, type_bounds = _blocks(node_type, len(type_keys))
+    n_nodes, n_types = int(node_offsets[-1]), len(node_type_keys(config))
+    # a node's TYPE_CODE is its row in the typed families; the homogeneous have one
+    node_type = np.zeros(n_nodes, dtype=np.intp) if config.homogeneous \
+        else np.concatenate([type_code for type_code, _ in codes])
+    pool_key = np.repeat(n_types * np.arange(len(graphs)), counts) + node_type
+    node_order, type_bounds = _blocks(node_type, n_types)
 
     rows = np.concatenate([edge_rows for _, edge_rows in codes])
     rows[:, :2] += np.repeat(node_offsets[:-1], [len(e) for _, e in codes])[:, None]
@@ -322,28 +321,23 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
     key = (dst * n_nodes + src) * len(_REL_NAMES) + rel_code
     order = kept[np.argsort(key, kind="stable")]
     dst, src, rel_code = rows[order].T.copy()
-    if config.homogeneous:
-        rel_keys, edge_rel = [CONNECTED_KEY], np.zeros(len(order), dtype=np.intp)
-    else:
-        rel_keys, edge_rel = _present(rel_code, _REL_NAMES)
-        if any(k.startswith(CONNECTED_KEY) for k in rel_keys):
-            g = next(g for g in graphs if RelationType.CONNECTED in {e.relation for e in g.edges})
-            raise ModelError(f"{g.graph_id}: the connected relation of a homogenized graph "
-                             "needs the homogeneous model (the homogeneous ablation)")
-    edge_order, rel_bounds = _blocks(edge_rel, len(rel_keys))
+    edge_rel = _rel_rows(config)[rel_code]
+    if len(edge_rel) and edge_rel.min() < 0:
+        g = next(g for g in graphs if RelationType.CONNECTED in {e.relation for e in g.edges})
+        raise ModelError(f"{g.graph_id}: the connected relation of a homogenized graph "
+                         "needs the homogeneous model (the homogeneous ablation)")
+    edge_order, rel_bounds = _blocks(edge_rel, len(relation_keys(config)))
 
     return GraphIndex(
         n_nodes=n_nodes,
         node_offsets=node_offsets,
-        type_keys=type_keys,
         node_type=node_type,
-        pool_slots=ad.Gather(pool_key[node_order], n_slots * len(graphs)),
-        pool_scale=1.0 / np.maximum(np.bincount(pool_key, minlength=n_slots * len(graphs)), 1),
+        pool_slots=ad.Gather(pool_key[node_order], n_types * len(graphs)),
+        pool_scale=1.0 / np.maximum(np.bincount(pool_key, minlength=n_types * len(graphs)), 1),
         graphs=tuple(graphs),
         edge_positions=order,
         src=src,
         dst=dst,
-        rel_keys=rel_keys,
         edge_rel=edge_rel,
         node_order=node_order,
         node_pos=_inverse(node_order),
@@ -390,26 +384,10 @@ def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
     ``param_layout`` order into one parameter vector."""
     rng = np.random.default_rng(config.seed if rng_seed is None else rng_seed)
     layout = param_layout(config)
-    params = ParamStore([(name, shape) for name, shape, _init in layout])
-    for (_name, shape, init), (_, tensor) in zip(layout, params.items()):
-        if init == "xavier":
-            tensor.value[...] = _xavier(rng, *shape)
-        elif init == "ones":
-            tensor.value[...] = 1.0
-    return params
-
-
-def _typed(x: Tensor, params: ParamStore, prefix: str, index: GraphIndex,
-           take: ad.Gather | None = None) -> Tensor:
-    """Each type-major row of x times the weight ``prefix/<its type>``; the
-    rows ``take`` if given."""
-    ws = [params[f"{prefix}/{t}"] for t in index.type_keys]
-    return ad.block_matmul(x, ws, index.type_bounds, take)
-
-
-def _stacked(params: ParamStore, prefix: str, keys: Sequence[str], ids: ad.Gather) -> Tensor:
-    """The scalar parameters ``prefix/key`` stacked over keys, one per edge (or node) by key id."""
-    return ad.rows(ad.stack([params[f"{prefix}/{k}"] for k in keys]), ids)
+    flat = np.concatenate([_xavier(rng, *shape).ravel() if init == "xavier"
+                           else np.full(math.prod(shape), float(init == "ones"))
+                           for _name, shape, init in layout])
+    return ParamStore([(name, shape) for name, shape, _init in layout], flat)
 
 
 def node_features(g: DebateGraph, rows: NodeRows, input_dim: int) -> np.ndarray:
@@ -441,7 +419,8 @@ def _embed(
     its type's projection; row ``offset + i`` of the batch is node i's."""
     x = np.concatenate([node_features(g, rows, config.input_dim)
                         for g, rows in zip(graphs, embeddings)])
-    return _typed(Tensor(x.take(index.node_order, axis=0)), params, "w_in", index)
+    return ad.block_matmul(Tensor(x.take(index.node_order, axis=0)), params.family("w_in"),
+                           index.type_bounds)
 
 
 def featurize(
@@ -482,23 +461,25 @@ def _layer(
     heads = (index.n_edges, config.num_heads, config.head_dim)
 
     def projected(name: str, rows: ad.Gather) -> Tensor:
-        return ad.reshape(_typed(h, params, f"{p}/{name}", index, rows), heads)
+        typed = ad.block_matmul(h, params.family(f"{p}/{name}"), index.type_bounds, rows)
+        return ad.reshape(typed, heads)
 
     def by_relation(x: Tensor, name: str) -> Tensor:
-        ws = [params[f"{p}/{name}/{rk}"] for rk in index.rel_keys]
-        return ad.block_matmul(x, ws, index.rel_bounds, index.to_target)
+        return ad.block_matmul(x, params.family(f"{p}/{name}"), index.rel_bounds,
+                               index.to_target)
 
     scores = ad.rowdot(by_relation(projected("key", index.src_rows), "w_attn"),
                        projected("query", index.dst_rows))
-    mu = _stacked(params, f"{p}/mu", [_MU_NAMES[rk] for rk in index.rel_keys], index.rel_ids)
+    mu = ad.rows(params.family(f"{p}/mu"), index.rel_ids)
     scores = ad.scale(ad.colscale(scores, mu), 1.0 / config.scale_divisor)
     attn = ad.segment_softmax(scores, index.dst_rows)
 
     messages = ad.colscale(by_relation(projected("msg", index.src_rows), "w_msg"), attn)
     h_tilde = ad.segment_sum(messages, index.dst_rows)
     h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
-    rescale = _stacked(params, f"{p}/rescale", index.type_keys, index.type_ids)
-    update = _typed(ad.colscale(h_tilde, rescale), params, f"{p}/agg", index)
+    rescale = ad.rows(params.family(f"{p}/rescale"), index.type_ids)
+    update = ad.block_matmul(ad.colscale(h_tilde, rescale), params.family(f"{p}/agg"),
+                             index.type_bounds)
     return ad.add(update, h), attn.value
 
 

@@ -143,25 +143,23 @@ def adam_step(params: ParamStore, state: dict, t: int, config: TrainConfig) -> N
     """One in-place Adam update with bias correction over the whole parameter
     vector; grads are read from the store and moments kept in ``state``.
 
-    A tensor whose ``grad`` is None keeps its value and its moments. Every
-    gradient is checked before anything is written, so a non-finite one
-    raises ``NonFiniteGradient`` with the store and ``state`` untouched.
+    A tensor that no gradient reached (``params.present``) keeps its value
+    and its moments. Every gradient is checked before anything is written,
+    so a non-finite one raises ``NonFiniteGradient`` with the store and
+    ``state`` untouched.
     """
     if t < 1:
         raise TrainingError("Adam step counter must start at 1")
-    grads = [tensor.grad for _, tensor in params.items()]
-    present = [g is not None for g in grads]
-    if not any(present):
+    g, present = params.grad, params.present
+    if not present.any():
         return
-    g = np.concatenate([np.zeros(size) if grad is None else grad.ravel()
-                        for grad, size in zip(grads, params.sizes.tolist())])
     if not np.isfinite(g).all():
         name = next(name for name, tensor in params.items()
                     if tensor.grad is not None and not np.isfinite(tensor.grad).all())
         raise NonFiniteGradient(f"non-finite gradient in {name}")
     if "m" not in state:
         state["m"], state["v"] = np.zeros_like(params.flat), np.zeros_like(params.flat)
-    where = True if all(present) else np.repeat(present, params.sizes)
+    where = True if present.all() else np.repeat(present, params.sizes)
     m = config.beta1 * state["m"] + (1 - config.beta1) * g
     v = config.beta2 * state["v"] + (1 - config.beta2) * g * g
     m_hat = m / (1 - config.beta1**t)
@@ -354,36 +352,22 @@ def _betainc_reg(a: float, b: float, x: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 1e-14) -> float:
-    # modified Lentz continued fraction
-    tiny = 1e-300
+    # modified Lentz continued fraction; each step takes an even then an odd term
+    def nonzero(v: float) -> float:
+        return 1e-300 if abs(v) < 1e-300 else v
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / nonzero(1.0 + aa * d)
+            c = nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             break
     return h

@@ -106,15 +106,19 @@ def reference_graph_index(g, config):
     """The graph index fields as the per-edge loop version computed them.
 
     Edges sorted by (target, source, relation ordinal, inverse); node types
-    and relation keys numbered by their position among the sorted keys the
-    graph contains; ``pool`` is the (types, nodes) averaging matrix.
+    and relation keys numbered by their parameter row, their position in
+    ``type_keys`` and ``rel_keys``: every type, then every forward relation
+    and, with inverse edges, every inverse one, each in enum order; ``pool``
+    is the (types, nodes) averaging matrix.
     """
     nodes = sorted(g.nodes, key=lambda n: n.id)
     node_keys = [_tkey(n, config) for n in nodes]
-    type_keys = sorted(set(node_keys))
-    all_types = ["node"] if config.homogeneous else [t.value for t in NODE_TYPE_ORDER]
-    pool = np.zeros((len(all_types), len(nodes)))
-    for t, key in enumerate(all_types):
+    type_keys = ["node"] if config.homogeneous else [t.value for t in NODE_TYPE_ORDER]
+    forward = [r.value for r in RelationType if r is not RelationType.CONNECTED]
+    inverse = [r + "__inv" for r in forward] if config.use_inverse_edges else []
+    rel_keys = ["connected"] if config.homogeneous else forward + inverse
+    pool = np.zeros((len(type_keys), len(nodes)))
+    for t, key in enumerate(type_keys):
         members = [i for i, k in enumerate(node_keys) if k == key]
         pool[t, members] = 1.0 / max(len(members), 1)
 
@@ -122,7 +126,6 @@ def reference_graph_index(g, config):
     edges = [e for e in g.edges if config.use_inverse_edges or not e.inverse]
     edges.sort(key=lambda e: (e.dst, e.src, ordinal[e.relation], e.inverse))
     edge_keys = [_rkey(e, config) for e in edges]
-    rel_keys = sorted(set(edge_keys))
     segments = []
     for i, e in enumerate(edges):
         if i == 0 or edges[i - 1].dst != e.dst:

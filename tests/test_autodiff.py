@@ -100,19 +100,6 @@ def test_reshape_gradient(seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_stack_gradient(seed):
-    r = np.random.default_rng(seed)
-    other = Tensor(r.standard_normal((2, 3)))
-    w = Tensor(r.standard_normal((3, 2)))
-    # x is stacked twice, so its gradient accumulates from both slots
-    scalar_loss_through(
-        lambda x: reduce_to_scalar(as_matrix(ad.colscale(ad.stack([x, other, x]), w))),
-        r.standard_normal((2, 3)),
-    )
-
-
-@settings(max_examples=25, deadline=None)
 @given(shapes, st.integers(0, 10**6))
 def test_add_gradient_with_broadcast(shape, seed):
     r = np.random.default_rng(seed)
@@ -374,6 +361,42 @@ def test_param_store_copy_is_one_deep_vector():
     np.testing.assert_array_equal(store.flat, np.arange(9.0))
 
 
+def test_param_store_family_is_a_strided_view_with_its_gradient_alongside():
+    store = ParamStore([("w/a", (2,)), ("s/a", ()), ("w/b", (2,)), ("s/b", ())])
+    store.flat[:] = np.arange(6.0)
+    w, s = store.family("w"), store.family("s")
+    assert store.family("w") is w
+    np.testing.assert_array_equal(w.value, [[0.0, 1.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(s.value, [2.0, 5.0])
+    assert np.shares_memory(w.value, store.flat)
+    s.value[1] = -1.0
+    assert store["s/b"].value == -1.0
+
+    # a gather of s's row 1 alone: its member s/a gets no gradient
+    ad.matmul(ad.rows(s, ad.Gather([1, 1], 2)), np.ones((2, 1))).backward()
+    w.accumulate(np.array([[0.0, 0.0], [1.0, 1.0]]), [1])  # zero outside its rows
+    assert store.present.tolist() == [False, False, True, True]
+    assert store["w/a"].grad is None and store["s/a"].grad is None
+    np.testing.assert_array_equal(store.grad, [0, 0, 0, 1, 1, 2])
+    np.testing.assert_array_equal(s.grad, [0.0, 2.0])
+    store["s/a"].grad = np.array(7.0)
+    np.testing.assert_array_equal(s.grad, [7.0, 2.0])
+    store["s/b"].grad = None
+    assert store["s/b"].grad is None and store.grad[5] == 0.0
+    store.zero_grad()
+    assert store.grad is None and w.grad is None and not store.present.any()
+
+
+@pytest.mark.parametrize("shapes", [
+    [("w/a", (2, 2)), ("w/b", (2, 3))],
+    [("w/a", (2,)), ("x", (1,)), ("w/b", (2,)), ("w/c", (2,))],
+], ids=["shape", "spacing"])
+def test_param_store_family_rejects_unequal_shapes_or_spacing(shapes):
+    store = ParamStore(shapes)
+    with pytest.raises(ShapeMismatch):
+        store.family("w")
+
+
 def test_param_store_rejects_a_vector_of_the_wrong_size():
     with pytest.raises(ShapeMismatch):
         ParamStore([("w", (2, 3))], np.zeros(5))
@@ -453,16 +476,16 @@ def test_block_matmul_gradient(lead, take):
     r = np.random.default_rng(len(lead))
     bounds = [0, 3, 4, 4, 7]
     ids = np.repeat(np.arange(4), np.diff(bounds))
-    shapes = [("x", lead + (4,))] + [(f"w{j}", (4, 5)) for j in range(4)]
+    shapes = [("x", lead + (4,))] + [(f"w/{j}", (4, 5)) for j in range(4)]
     store = ParamStore(shapes, r.standard_normal(math.prod(lead) * 4 + 4 * 20))
     rows = np.arange(len(ids)) if take is None else take
     gather = None if take is None else ad.Gather(take, len(ids))
     weights = Tensor(r.standard_normal((len(rows),) + lead[1:] + (5,)))
 
     def out(p):
-        return ad.block_matmul(p["x"], [p[f"w{j}"] for j in range(4)], bounds, gather)
+        return ad.block_matmul(p["x"], p.family("w"), bounds, gather)
 
-    expected = np.stack([store["x"].value[i] @ store[f"w{ids[i]}"].value for i in rows])
+    expected = np.stack([store["x"].value[i] @ store[f"w/{ids[i]}"].value for i in rows])
     np.testing.assert_allclose(out(store).value, expected, rtol=0, atol=1e-12)
 
     def f(p):
@@ -473,15 +496,22 @@ def test_block_matmul_gradient(lead, take):
     assert report.max_rel_error < 1e-6, report.worst_param
     store.zero_grad()
     f(store).backward()
-    assert store["w2"].grad is None
+    # the family's gradient reaches the members whose block has rows
+    assert store["w/2"].grad is None
+    assert store.present.tolist() == [True, True, True, False, True]
+    np.testing.assert_array_equal(store.family("w").grad[2], np.zeros((4, 5)))
 
 
 @pytest.mark.parametrize("bounds", [[0, 3, 7], [0, 3, 4, 6], [1, 3, 4, 7], [0, 4, 3, 7]],
                          ids=["too-few", "short", "late-start", "decreasing"])
 def test_block_matmul_rejects_bounds_that_do_not_tile(bounds):
-    ws = [Tensor(np.ones((4, 2))) for _ in range(3)]
     with pytest.raises(ShapeMismatch):
-        ad.block_matmul(Tensor(np.ones((7, 4))), ws, bounds)
+        ad.block_matmul(Tensor(np.ones((7, 4))), Tensor(np.ones((3, 4, 2))), bounds)
+
+
+def test_block_matmul_rejects_a_family_that_is_not_three_dimensional():
+    with pytest.raises(ShapeMismatch):
+        ad.block_matmul(Tensor(np.ones((7, 4))), Tensor(np.ones((4, 2))), [0, 7])
 
 
 def scatter_add_reference(g, idx, n_rows):
@@ -595,22 +625,30 @@ def _backward_keeping_tape(loss):
 
 def test_backward_consumes_the_tape_and_keeps_leaf_grads():
     r = np.random.default_rng(5)
-    store = ParamStore([("w1", (3, 4)), ("b1", (4,)), ("w2", (4, 4)), ("w3", (4, 3))])
+    store = ParamStore([("w1", (3, 4)), ("b1", (4,)), ("w2/a", (4, 4)), ("w2/b", (4, 4)),
+                        ("w3", (4, 3))])
     store.flat[:] = r.standard_normal(store.flat.size)
     x = Tensor(r.standard_normal((5, 3)))
 
     def loss_of(p):
         h = ad.relu(ad.add(ad.matmul(x, p["w1"]), p["b1"]))
-        h = ad.add(h, ad.matmul(ad.rows(h, [4, 0, 0, 2, 1]), p["w2"]))  # h is used twice
+        # h is used twice; rows 0-1 go through w2/a and rows 2-4 through w2/b
+        h = ad.add(h, ad.block_matmul(ad.rows(h, [4, 0, 0, 2, 1]), p.family("w2"), [0, 2, 5]))
         return ad.cross_entropy(ad.softmax(ad.matmul(h, p["w3"])), [0, 2, 1, 1, 0])
 
     _backward_keeping_tape(loss_of(store))
-    kept = {name: t.grad for name, t in store.items()}
+    kept = {name: t.grad.copy() for name, t in store.items()}
     store.zero_grad()
+    assert store.grad is None and all(t.grad is None for _, t in store.items())
     loss = loss_of(store)
-    interior = [t for t in _tape(loss) if t._backward_fn is not None]
+    tape = _tape(loss)
+    interior = [t for t in tape if t._backward_fn is not None]
+    # the two matrices of w2 are one leaf
+    assert sum(t.requires_grad and t._backward_fn is None for t in tape) == 4
     loss.backward()
     for name, t in store.items():
+        assert np.shares_memory(t.grad, store.grad)
         np.testing.assert_array_equal(t.grad, kept[name], err_msg=name)
+    np.testing.assert_array_equal(store.family("w2").grad, [kept["w2/a"], kept["w2/b"]])
     assert interior and all(
         t.grad is None and t._backward_fn is None and t._parents == () for t in interior)

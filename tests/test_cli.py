@@ -961,3 +961,40 @@ def test_evaluate_broken_checkpoint_exits_3_with_its_fault(trained_workspace, tm
     assert code == 3
     assert err.startswith(f"data error: {message}") and "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
+
+
+#: Each command's report or history option and the name its error gives the file.
+REPORT_OPTIONS = {"train": ("--history", "history"), "evaluate": ("--output", "report"),
+                  "ablate": ("--output", "report")}
+
+
+@pytest.mark.parametrize("command", REPORT_OPTIONS)
+def test_directory_at_a_report_or_history_path_exits_3_naming_it(trained_workspace, tmp_path,
+                                                                  capsys, command):
+    root, manifest, _files = trained_workspace
+    target = tmp_path / "out"
+    target.mkdir()
+    option, what = REPORT_OPTIONS[command]
+    extra = {"train": ["--checkpoint", str(tmp_path / "c.rvgc")],
+             "evaluate": ["--checkpoint", str(root / "c.rvgc")], "ablate": []}[command]
+    capsys.readouterr()
+    assert run(root, command, str(manifest), *extra, option, str(target)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {what} to {target}: IsADirectoryError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert target.is_dir() and not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["resume", "force"])
+def test_directory_at_a_stage_output_path_exits_3_naming_paper_and_path(tmp_path, capsys, force):
+    """Resuming trusts only a regular file, so the directory is not a finished
+    transcript; replacing it fails either way."""
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    out = tmp_path / "work" / "p1.transcript.json"
+    out.mkdir()
+    capsys.readouterr()
+    assert run(tmp_path, *(["--force"] if force else []), "simulate", str(manifest)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: p1: cannot write transcript file {out}: ")
+    assert "Traceback" not in captured.err and "skipped" not in captured.out
+    assert out.is_dir() and (tmp_path / "work" / "p0.transcript.json").is_file()

@@ -215,7 +215,8 @@ def test_block_embed_gives_the_rows_and_errors_of_the_node_loop(edit, edited):
         return
     got = modelmod._embed(graphs, embeddings, params, SMALL, index)
     # _embed returns the type-major layout; the loop fills node-id order
-    expected = modelmod._typed(ad.Tensor(want[index.node_order]), params, "w_in", index)
+    expected = ad.block_matmul(ad.Tensor(want[index.node_order]), params.family("w_in"),
+                               index.type_bounds)
     assert got.value.tobytes() == expected.value.tobytes()
 
 
@@ -329,7 +330,7 @@ def test_tape_size_is_independent_of_heads_and_relations():
         config = dataclasses.replace(SMALL, num_heads=heads)
         params = init_params(config, 0)
         for g in (few, many):
-            n_rel = len(build_graph_index([g], config).rel_keys)
+            n_rel = np.count_nonzero(np.diff(build_graph_index([g], config).rel_bounds))
             assert n_rel == 2 if g is few else n_rel >= 8
             emb = embeddings_for(g, config.input_dim, 0)
             counts.add(tape_ops(forward_loss([g], [emb], params, config, [0])))
@@ -348,6 +349,26 @@ def test_parameters_a_graph_lacks_get_no_gradient():
     assert params["layer0/w_attn/agree"].grad is None
     assert params[f"layer0/mu/{meta_key(SMALL, 'agree')}"].grad is None
     assert params["layer1/rescale/author_opinion"].grad is None
+
+
+def test_a_train_step_has_one_tape_leaf_per_weight_family_and_no_stack():
+    """A 32-graph batch: each of two layers reads eight families (key, query,
+    msg, w_attn, w_msg, mu, agg, rescale), and the input projection family
+    and the head's four tensors make 21 leaves."""
+    batch = generate_rule_dataset(32, seed=4, input_dim=SMALL.input_dim)
+    loss = forward_loss([ex.graph for ex in batch], [ex.embeddings for ex in batch],
+                        init_params(SMALL, 0), SMALL, [ex.label_index for ex in batch])
+    seen, stack, leaves, ops = set(), [loss], 0, set()
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            leaves += isinstance(t, ad.Param)
+            if t._backward_fn is not None:
+                ops.add(t._backward_fn.__qualname__.partition(".")[0])
+            stack.extend(t._parents)
+    assert leaves == 21
+    assert "block_matmul" in ops and "stack" not in ops and not hasattr(ad, "stack")
 
 
 def tape_ops(loss):
@@ -393,8 +414,8 @@ def test_graph_index_matches_loop_reference():
         index = build_graph_index([g], config)
         want = reference_graph_index(g, config)
         assert index.n_nodes == want["n_nodes"]
-        assert index.type_keys == want["type_keys"]
-        assert index.rel_keys == want["rel_keys"]
+        assert node_type_keys(config) == want["type_keys"]
+        assert relation_keys(config) == want["rel_keys"]
         assert index.ordered_edges == want["ordered_edges"]
         for name in ("node_type", "src", "dst", "edge_rel", "segments"):
             np.testing.assert_array_equal(getattr(index, name), want[name], err_msg=name)
@@ -499,25 +520,18 @@ def test_batch_index_matches_per_graph_reference_with_offsets():
         wants = [reference_graph_index(g, config) for g in graphs]
         node_off = np.cumsum([0] + [w["n_nodes"] for w in wants])
         edge_off = np.cumsum([0] + [len(w["src"]) for w in wants])
-        type_keys = sorted(set().union(*(w["type_keys"] for w in wants)))
-        rel_keys = sorted(set().union(*(w["rel_keys"] for w in wants)))
         assert index.n_nodes == node_off[-1]
         np.testing.assert_array_equal(index.node_offsets, node_off)
-        assert index.type_keys == type_keys
-        assert index.rel_keys == rel_keys
         assert index.ordered_edges == [e for w in wants for e in w["ordered_edges"]]
 
         def shifted(name, offsets=node_off):
             return np.concatenate([np.asarray(w[name], dtype=int) + off
                                    for w, off in zip(wants, offsets)])
 
-        def renumbered(name, own_keys, keys):
-            return np.array([keys.index(w[own_keys][v]) for w in wants for v in w[name]],
-                            dtype=int)
-
-        np.testing.assert_array_equal(index.node_type,
-                                      renumbered("node_type", "type_keys", type_keys))
-        np.testing.assert_array_equal(index.edge_rel, renumbered("edge_rel", "rel_keys", rel_keys))
+        # a parameter row is the same in every graph, so the batch keeps each graph's numbers
+        for name in ("node_type", "edge_rel"):
+            np.testing.assert_array_equal(getattr(index, name), shifted(name, [0] * len(wants)),
+                                          err_msg=name)
         for name in ("src", "dst"):
             np.testing.assert_array_equal(getattr(index, name), shifted(name), err_msg=name)
         np.testing.assert_array_equal(index.segments, shifted("segments", edge_off))
@@ -534,19 +548,14 @@ def reference_layout(graphs, config):
     """The type-major node layout and the relation-major edge order of a
     batch, by per-node and per-edge loops over the per-graph references."""
     wants = [reference_graph_index(g, config) for g in graphs]
-    type_keys = sorted(set().union(*(w["type_keys"] for w in wants)))
-    # the homogeneous model has its one relation even in a batch without edges
-    rel_keys = relation_keys(config) if config.homogeneous \
-        else sorted(set().union(*(w["rel_keys"] for w in wants)))
-    slots = node_type_keys(config)
+    # every type and relation has its block, empty where the batch lacks it
+    type_keys, rel_keys = wants[0]["type_keys"], wants[0]["rel_keys"]
     nodes, edges, offset = [], [], 0  # (type, graph, id, row, pool slot); (relation, edge)
     for b, w in enumerate(wants):
         for i, t in enumerate(w["node_type"]):
-            key = w["type_keys"][t]
-            slot = b * len(slots) + slots.index(key)
-            nodes.append((type_keys.index(key), b, i, offset + i, slot))
+            nodes.append((t, b, i, offset + i, b * len(type_keys) + t))
         for r in w["edge_rel"]:
-            edges.append((rel_keys.index(w["rel_keys"][r]), len(edges)))
+            edges.append((r, len(edges)))
         offset += w["n_nodes"]
     nodes.sort()
     edges.sort()

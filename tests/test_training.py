@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import confusion_metrics
 from reviewgraph import training
 from reviewgraph.autodiff import ParamStore
-from reviewgraph.model import ModelConfig, init_params
+from reviewgraph.graph import RelationType
+from reviewgraph.model import ModelConfig, forward_loss, init_params, meta_key
 from reviewgraph.synth import generate_rule_dataset
 from reviewgraph.training import (
     Checkpoint,
@@ -179,6 +180,37 @@ def test_failed_adam_step_names_first_bad_tensor_and_changes_nothing():
         adam_step(store, state, 2, TrainConfig())
     for got, want in zip((store.flat, state["m"], state["v"]), before):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_relation_absent_from_a_batch_keeps_its_rows_and_moments():
+    """Three steps: no graph of batches 1 and 3 has an agree edge, and every
+    graph of batch 2 has some. The agree rows of the relation families and
+    their moments move in step 2 alone; in step 3 their moments are nonzero,
+    so a zero gradient there would still move them."""
+    examples = generate_rule_dataset(8, seed=1, input_dim=MC.input_dim)
+    has_agree = [any(e.relation is RelationType.AGREE for e in ex.graph.edges)
+                 for ex in examples]
+    without, with_agree = ([ex for ex, h in zip(examples, has_agree) if h is want]
+                           for want in (False, True))
+    assert without and with_agree
+    params, state = init_params(MC, 0), {}
+    offsets = np.cumsum(params.sizes) - params.sizes
+    spans = {name: slice(start, start + size) for (name, _), start, size
+             in zip(params.items(), offsets, params.sizes)}
+    agree = [spans[name] for name in ("layer0/w_attn/agree", "layer0/w_msg/agree",
+                                      f"layer0/mu/{meta_key(MC, 'agree')}")]
+    for t, batch in enumerate([without, with_agree, without], start=1):
+        before = [a.copy() for a in (params.flat, state.get("m", np.zeros(params.flat.size)),
+                                     state.get("v", np.zeros(params.flat.size)))]
+        params.zero_grad()
+        forward_loss([ex.graph for ex in batch], [ex.embeddings for ex in batch], params, MC,
+                     [ex.label_index for ex in batch]).backward()
+        adam_step(params, state, t, TrainConfig(learning_rate=0.01))
+        head = spans["head/w1"]
+        assert params.flat[head].tobytes() != before[0][head].tobytes()
+        for span in agree:
+            for now, was in zip((params.flat, state["m"], state["v"]), before):
+                assert (now[span].tobytes() != was[span].tobytes()) is (batch is with_agree)
 
 
 # -- training loop ---------------------------------------------------------
