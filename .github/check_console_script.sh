@@ -1,0 +1,33 @@
+#!/bin/sh
+# Checks the installed `reviewgraph` console script: it starts, passes its
+# gradient check, and keeps the exit-code contract for bad inputs, each case
+# ending in an error line and no traceback. Run it from any directory after
+# `pip install .`; it writes its inputs to a fresh temporary directory.
+set -eu
+
+reviewgraph --help
+reviewgraph --seed 0 gradcheck
+
+cd "$(mktemp -d)"
+# a transcript path that is a directory
+printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "d0.transcript"}}' > m.jsonl
+printf '%s\n' '{"paper_id": "d0", "title": "A title", "body": "A body."}' > d0.json
+mkdir -p d0.transcript
+# a graph file cut off inside its node columns, as an interrupted write leaves it
+printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"graph": "d0.graph.json", "embeddings": "d0.emb"}}' > torn.jsonl
+printf '%s' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "d0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, nu' > d0.graph.json
+
+# each case: the exit code it must give, then the arguments
+for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
+            "3 train torn.jsonl"; do
+  set -- $case
+  want=$1
+  shift
+  code=0
+  reviewgraph "$@" 2> stderr.txt || code=$?
+  cat stderr.txt
+  if [ "$code" -ne "$want" ] || grep -q Traceback stderr.txt; then
+    echo "reviewgraph $*: exit $code, expected $want without a traceback"
+    exit 1
+  fi
+done

@@ -395,17 +395,17 @@ def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_d
         if cache.dim not in (None, input_dim):
             raise DataFailure(f"{rec.paper_id}: embedding cache {cache.path} holds vectors of "
                               f"dim {cache.dim}, but the model's input_dim is {input_dim}")
-        nodes = sorted(g.nodes)  # by id, as a file need not list them
+        texts = g.texts  # in node-id order, whatever order the file lists them in
         try:
-            vectors = cache.vectors([cache.digest(n.text) for n in nodes])
+            vectors = cache.vectors([cache.digest(text) for text in texts])
         except KeyError as exc:
-            n = nodes[exc.args[0]]
-            raise DataFailure(f"{rec.paper_id}: no cached embedding for node {n.id} "
-                              f"text {n.text[:50]!r} in {cache.path}") from None
+            i = exc.args[0]
+            raise DataFailure(f"{rec.paper_id}: no cached embedding for node {i} "
+                              f"text {texts[i][:50]!r} in {cache.path}") from None
         if not np.isfinite(vectors).all():
-            n = nodes[int(np.argmin(np.isfinite(vectors).all(axis=1)))]
-            raise DataFailure(f"{rec.paper_id}: non-finite cached embedding for node {n.id} "
-                              f"text {n.text[:50]!r} in {cache.path}")
+            i = int(np.argmin(np.isfinite(vectors).all(axis=1)))
+            raise DataFailure(f"{rec.paper_id}: non-finite cached embedding for node {i} "
+                              f"text {texts[i][:50]!r} in {cache.path}")
         papers.append((rec, g, vectors))
     return papers
 
@@ -417,9 +417,9 @@ def _examples(papers: list[tuple], split: str,
     for rec, g, vectors in papers:
         if rec.split == split:
             kept = g if ablation is None else graphmod.apply_ablation(g, ablation)
-            if kept.nodes != g.nodes:  # text keys the cache: equal texts, equal rows
-                row_of = {n.text: n.id for n in g.nodes}
-                vectors = vectors[[row_of[n.text] for n in kept.nodes]]
+            if kept is not g:  # text keys the cache: equal texts, equal rows
+                row_of = {text: i for i, text in enumerate(g.texts)}
+                vectors = vectors[[row_of[text] for text in kept.texts]]
             examples.append(training.GraphExample(graph=kept, embeddings=vectors, label=rec.label))
     return examples
 

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -178,18 +178,66 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class DebateGraph:
-    """Immutable typed debate graph."""
+    """Immutable typed debate graph.
+
+    A graph built from ``Node`` and ``Edge`` tuples keeps them as given. A
+    graph read from a document (``graph_from_dict``) holds the ``codes`` and
+    ``texts`` decoded from its columns, with the listed ids, speakers and
+    dimensions, and builds its ``nodes`` and ``edges`` from those on first
+    use: the model and the embedding lookup read only ``codes`` and
+    ``texts``. Either way, two graphs are equal when their ids, nodes, edges
+    and labels are.
+    """
 
     graph_id: str
-    nodes: tuple[Node, ...]
-    edges: tuple[Edge, ...]
-    label: str | None = None
+    label: str | None
+
+    def __init__(self, graph_id: str, nodes: tuple[Node, ...], edges: tuple[Edge, ...],
+                 label: str | None = None) -> None:
+        vars(self).update(graph_id=graph_id, nodes=nodes, edges=edges, label=label)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.graph_id, self.nodes, self.edges, self.label
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "DebateGraph(graph_id={!r}, nodes={!r}, edges={!r}, label={!r})".format(
+            *self._key())
+
+    @functools.cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes in listed order; a decoded graph builds them on first use."""
+        ids, speakers, dims = self._listed
+        type_code, texts = self.codes[0].tolist(), self.texts
+        types = [_NODE_TYPE_OF_CODE[type_code[i]] for i in ids]
+        dimensions = [_DIMENSIONS[d] if d else None for d in dims]
+        return tuple(map(Node._make, zip(ids, types, [texts[i] for i in ids], speakers,
+                                         dimensions)))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in listed order; a decoded graph builds them on first use."""
+        dst, src, code = self.codes[1].T.tolist()
+        return tuple(map(Edge._make, zip(src, dst, [_RELATION_OF_CODE[c >> 1] for c in code],
+                                         [bool(c & 1) for c in code])))
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.codes[0])
 
     def nodes_of_type(self, node_type: NodeType) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.node_type == node_type)
@@ -199,25 +247,31 @@ class DebateGraph:
         """``_encode``'s codes of this graph, computed once per graph
         (``graph_from_dict`` fills them at load)."""
         ids, node_types = list(zip(*self.nodes))[:2] or ((), ())
-        return _encode(ids, node_types, *(list(zip(*self.edges)) or ((), (), (), ())))
+        src, dst, relations, inverse = list(zip(*self.edges)) or ((), (), (), ())
+        return _encode(ids, [TYPE_CODE[t._name_] for t in node_types], src, dst,
+                       [REL_CODE[r._name_] + i for r, i in zip(relations, inverse)])
+
+    @functools.cached_property
+    def texts(self) -> tuple[str, ...]:
+        """Each node's text in node-id order (``graph_from_dict`` fills them at load)."""
+        return tuple(n.text for n in sorted(self.nodes, key=lambda n: n.id))
 
 
-def _encode(ids: tuple, node_types: tuple, src: tuple, dst: tuple, relations: tuple,
-            inverse: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _encode(ids, type_codes: list[int], src: list[int], dst: list[int], rel_codes: list[int]
+            ) -> tuple[np.ndarray, np.ndarray]:
     """``(type_code, edge_rows)`` of the node and edge columns, read-only: each
     node's ``TYPE_CODE`` in node-id order, and one ``(dst, src, REL_CODE +
     inverse)`` row per edge in edge order. Ids that are not 0..N-1 each once,
     or an edge endpoint that is not one of them, raise ``ValueError``."""
     n = len(ids)
-    id_arr = np.array(ids, dtype=np.intp)
+    id_arr = np.asarray(ids, dtype=np.intp)
     if n and (id_arr.min() != 0 or id_arr.max() != n - 1):
         raise ValueError("node ids are not dense 0..N-1")
     type_code = np.full(n, -1, dtype=np.intp)
-    type_code[id_arr] = [TYPE_CODE[t._name_] for t in node_types]
+    type_code[id_arr] = type_codes
     if n and type_code.min() < 0:  # n ids in 0..n-1 leave a slot empty only if one repeats
         raise ValueError("duplicate node id")
-    edge_rows = np.array([dst, src, [REL_CODE[r._name_] + i for r, i in zip(relations, inverse)]],
-                         dtype=np.intp).T
+    edge_rows = np.array([dst, src, rel_codes], dtype=np.intp).T
     if len(edge_rows) and (edge_rows[:, :2].min() < 0 or edge_rows[:, :2].max() >= n):
         raise ValueError("edge endpoint is not a node id")
     type_code.flags.writeable = edge_rows.flags.writeable = False
@@ -337,64 +391,93 @@ def apply_ablation(g: DebateGraph, mode: AblationMode) -> DebateGraph:
     return DebateGraph(graph_id=g.graph_id, nodes=nodes, edges=edges, label=g.label)
 
 
+#: The columns of a graph document's ``nodes`` and ``edges``, in field order.
+NODE_COLUMNS = ("id", "type", "text", "speaker", "dimension")
+EDGE_COLUMNS = ("src", "dst", "relation", "inverse")
+
+
 def graph_to_dict(g: DebateGraph) -> dict:
+    """``g`` as a columnar document: one list per node field and one per edge
+    field, each in the order ``g`` lists its nodes and edges."""
+    ids, types, texts, speakers, dims = list(zip(*g.nodes)) or ((),) * 5
+    src, dst, relations, inverse = list(zip(*g.edges)) or ((),) * 4
     return {
         "graph_id": g.graph_id,
         "label": g.label,
-        "nodes": [
-            {
-                "id": n.id,
-                "type": n.node_type.value,
-                "text": n.text,
-                "speaker": n.speaker,
-                "dimension": n.dimension.value if n.dimension else None,
-            }
-            for n in g.nodes
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "relation": e.relation.value, "inverse": e.inverse}
-            for e in g.edges
-        ],
+        "nodes": {"id": list(ids), "type": [t.value for t in types], "text": list(texts),
+                  "speaker": list(speakers), "dimension": [d.value if d else None for d in dims]},
+        "edges": {"src": list(src), "dst": list(dst), "relation": [r.value for r in relations],
+                  "inverse": list(inverse)},
     }
 
 
-_NODE_TYPES = {t.value: t for t in NodeType}
-_DIMENSIONS = {d.value: d for d in Dimension}
-_RELATIONS = {r.value: r for r in RelationType}
+def rows_to_columns(d: dict) -> dict:
+    """A row-form document, with one object per node and per edge (the graph
+    files written before the columnar form), as the columnar document of the
+    same graph. A row may leave out ``speaker`` and ``dimension`` (null) and
+    ``inverse`` (false)."""
+    nodes, edges = d["nodes"], d["edges"]
+    # the required fields come first: indexing them rejects a row that is not an object
+    return {**d,
+            "nodes": {"id": [n["id"] for n in nodes], "type": [n["type"] for n in nodes],
+                      "text": [n["text"] for n in nodes],
+                      "speaker": [n.get("speaker") for n in nodes],
+                      "dimension": [n.get("dimension") for n in nodes]},
+            "edges": {"src": [e["src"] for e in edges], "dst": [e["dst"] for e in edges],
+                      "relation": [e["relation"] for e in edges],
+                      "inverse": [e.get("inverse", False) for e in edges]}}
 
-# builds a Node or Edge from a tuple of its fields, without the keyword handling of its __new__
-_new = tuple.__new__
+
+_DIMENSIONS = {d.value: d for d in Dimension}
+# a document's names to codes, and codes (without the inverse bit) back to members
+_TYPE_CODES = {t.value: TYPE_CODE[t._name_] for t in NodeType}
+_REL_CODES = {r.value: REL_CODE[r._name_] for r in RelationType}
+_NODE_TYPE_OF_CODE = tuple(NodeType)
+_RELATION_OF_CODE = tuple(RelationType)
+
+
+def _table(doc: dict, names: tuple[str, ...]) -> list[list]:
+    """The named columns of one table of a document: lists of one length."""
+    columns = [doc[name] for name in names]
+    if not all(type(c) is list for c in columns):
+        raise TypeError(f"columns {'/'.join(names)} must be lists")
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"columns {'/'.join(names)} differ in length")
+    return columns
 
 
 def graph_from_dict(d: dict) -> DebateGraph:
-    """Inverse of ``graph_to_dict``, with ``codes`` filled from the parsed lists.
+    """Inverse of ``graph_to_dict``: the graph of a columnar document, or of a
+    row-form one (through ``rows_to_columns``), with ``codes`` and ``texts``
+    decoded from the columns and no ``Node`` or ``Edge`` built.
 
     A document that does not describe a graph raises ``KeyError``,
-    ``TypeError`` or ``ValueError``: an unknown enum value, a node id that is
-    not an int (bools included), ids that are not 0..N-1 each once, an edge
-    endpoint that is not a node id, a non-bool ``inverse`` or a non-string
-    ``text``. Whether the edges fit the schema is ``validate_graph``'s job.
+    ``TypeError``, ``ValueError`` or ``OverflowError``: a missing column, a
+    column that is not a list, node columns (or edge columns) of different
+    lengths, an unknown type, relation or dimension, a node id or edge
+    endpoint that is not an int (bools included) or is too large for an
+    index, ids that are not 0..N-1 each once, an edge endpoint that is not a
+    node id, a non-bool ``inverse`` or a non-string ``text``. Whether the
+    edges fit the schema is ``validate_graph``'s job.
     """
-    nodes = tuple([
-        _new(Node, (nd["id"], _NODE_TYPES[nd["type"]], nd["text"], nd.get("speaker"),
-                    _DIMENSIONS[dim] if (dim := nd.get("dimension")) else None))
-        for nd in d["nodes"]
-    ])
-    edges = tuple([
-        _new(Edge, (ed["src"], ed["dst"], _RELATIONS[ed["relation"]], ed.get("inverse", False)))
-        for ed in d["edges"]
-    ])
-    ids, node_types, texts = list(zip(*nodes))[:3] or ((), (), ())
-    columns = list(zip(*edges)) or ((), (), (), ())
-    src, dst, _relations, inverse = columns
+    if isinstance(d["nodes"], list):
+        d = rows_to_columns(d)
+    ids, types, texts, speakers, dims = _table(d["nodes"], NODE_COLUMNS)
+    src, dst, relations, inverse = _table(d["edges"], EDGE_COLUMNS)
     if not set(map(type, ids + src + dst)) <= {int}:
         raise TypeError("node ids and edge endpoints must be integers")
     require_str("node text", *texts)
     if not set(map(type, inverse)) <= {bool}:
         raise TypeError("edge 'inverse' must be true or false")
-    codes = _encode(ids, node_types, *columns)
-    g = DebateGraph(graph_id=d["graph_id"], nodes=nodes, edges=edges, label=d.get("label"))
-    vars(g)["codes"] = codes  # what the cached property would compute
+    if unknown := {dim for dim in dims if dim} - _DIMENSIONS.keys():
+        raise ValueError(f"unknown dimension {unknown.pop()!r}")
+    id_arr = np.array(ids, dtype=np.intp)
+    codes = _encode(id_arr, list(map(_TYPE_CODES.__getitem__, types)), src, dst,
+                    [_REL_CODES[r] + i for r, i in zip(relations, inverse)])
+    g = DebateGraph.__new__(DebateGraph)
+    vars(g).update(graph_id=d["graph_id"], label=d.get("label"), codes=codes,
+                   texts=tuple(map(texts.__getitem__, np.argsort(id_arr).tolist())),
+                   _listed=(ids, speakers, dims))
     return g
 
 
@@ -434,12 +517,14 @@ def save_graph(g: DebateGraph, path: str | Path, atomic: bool = True) -> None:
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    """Read a graph file, compact or indented; a file that does not parse into
-    a graph (see ``graph_from_dict``) raises ``CorruptGraph``."""
+    """Read a graph file, columnar or row form, compact or indented; a file
+    that does not parse into a graph (see ``graph_from_dict``) raises
+    ``CorruptGraph``."""
     try:
         return graph_from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers JSONDecodeError; OverflowError an id beyond the index range
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError; OverflowError an id beyond the index range;
+        # RecursionError JSON nested too deeply to parse
         raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
 
 

@@ -578,10 +578,11 @@ def edge_chunks(graphs: Sequence[DebateGraph]) -> list[slice]:
     edges in all; a graph with more edges than that is a run by itself."""
     chunks, start, edges = [], 0, 0
     for i, g in enumerate(graphs):
-        if i > start and edges + len(g.edges) > PREDICT_EDGE_BUDGET:
+        n_edges = len(g.codes[1])
+        if i > start and edges + n_edges > PREDICT_EDGE_BUDGET:
             chunks.append(slice(start, i))
             start, edges = i, 0
-        edges += len(g.edges)
+        edges += n_edges
     if start < len(graphs):
         chunks.append(slice(start, len(graphs)))
     return chunks

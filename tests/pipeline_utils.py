@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 from reviewgraph.cli import main
+from reviewgraph.graph import EDGE_COLUMNS, NODE_COLUMNS
 
 
 def make_workspace(root: Path, splits, config_extra=None) -> Path:
@@ -33,7 +34,7 @@ def make_workspace(root: Path, splits, config_extra=None) -> Path:
                 "transcript": f"work/{paper_id}.transcript.json",
                 "triples": f"work/{paper_id}.triples.json",
                 "dims": f"work/{paper_id}.dims.json",
-                "embeddings": f"work/{paper_id}.emb.jsonl",
+                "embeddings": f"work/{paper_id}.emb",
                 "graph": f"work/{paper_id}.graph.json",
             },
         }))
@@ -66,3 +67,13 @@ def run_stage_pipeline(root: Path, manifest: Path, seed=7) -> None:
     for cmd in ("simulate", "extract", "classify", "embed", "build-graph"):
         code = run(root, cmd, str(manifest), seed=seed)
         assert code == 0, f"{cmd} exited {code}"
+
+
+def row_form(doc: dict) -> dict:
+    """A columnar graph document in the row form of older graph files: one
+    object per node and per edge."""
+    return {**doc,
+            "nodes": [dict(zip(NODE_COLUMNS, row))
+                      for row in zip(*(doc["nodes"][c] for c in NODE_COLUMNS))],
+            "edges": [dict(zip(EDGE_COLUMNS, row))
+                      for row in zip(*(doc["edges"][c] for c in EDGE_COLUMNS))]}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipeline_utils import make_workspace, run, run_stage_pipeline
+from pipeline_utils import make_workspace, row_form, run, run_stage_pipeline
 from reviewgraph import autodiff as ad
 from reviewgraph import cli
 from reviewgraph import graph as graphmod
@@ -225,8 +225,8 @@ def _tear(path):
 
 
 @pytest.mark.parametrize("command, paper, artifact", [
-    ("evaluate", "p2", "emb.jsonl"),
-    ("train", "p0", "emb.jsonl"),
+    ("evaluate", "p2", "emb"),
+    ("train", "p0", "emb"),
     ("evaluate", "p2", "graph.json"),
     ("train", "p1", "graph.json"),
 ])
@@ -246,7 +246,7 @@ def test_torn_artifact_exits_3_naming_the_paper(tmp_path, capsys, command, paper
 def test_failed_embed_keeps_the_old_cache(tmp_path, monkeypatch):
     manifest = make_workspace(tmp_path, THREE_PAPERS)
     run_stage_pipeline(tmp_path, manifest)
-    before = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb.jsonl")}
+    before = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb")}
     real_embed_texts = orch.embed_texts
 
     def embed_then_fail(texts, client, cache):
@@ -257,7 +257,7 @@ def test_failed_embed_keeps_the_old_cache(tmp_path, monkeypatch):
     code = main(["--config", str(tmp_path / "run.json"), "--seed", "7", "--force",
                  "embed", str(manifest)])
     assert code == 2
-    after = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb.jsonl*")}
+    after = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb*")}
     assert after == before
 
 
@@ -268,13 +268,13 @@ def _evaluate_args(root):
 def test_cache_cut_at_a_record_boundary_exits_3_naming_the_file(tmp_path, capsys):
     """A binary cache cut between two records loads, one vector short."""
     manifest = _trained_workspace(tmp_path)
-    path = tmp_path / "work" / "p2.emb.jsonl"
+    path = tmp_path / "work" / "p2.emb"
     data = path.read_bytes()
     path.write_bytes(data[:len(data) - (32 + 8 * 16)])
     capsys.readouterr()
     assert run(tmp_path, "evaluate", str(manifest), *_evaluate_args(tmp_path)) == 3
     err = capsys.readouterr().err
-    assert "p2: no cached embedding for node" in err and "p2.emb.jsonl" in err
+    assert "p2: no cached embedding for node" in err and "p2.emb" in err
     assert "Traceback" not in err
 
 
@@ -282,7 +282,7 @@ def test_cache_cut_at_a_record_boundary_exits_3_naming_the_file(tmp_path, capsys
 def test_non_finite_cached_embedding_exits_3_naming_paper_and_file(tmp_path, capsys,
                                                                    command, paper):
     manifest = _trained_workspace(tmp_path)
-    path = tmp_path / "work" / f"{paper}.emb.jsonl"
+    path = tmp_path / "work" / f"{paper}.emb"
     data = bytearray(path.read_bytes())
     data[12 + 32:12 + 40] = struct.pack("<d", float("nan"))  # the first record's first value
     path.write_bytes(bytes(data))
@@ -294,7 +294,7 @@ def test_non_finite_cached_embedding_exits_3_naming_paper_and_file(tmp_path, cap
     assert run(tmp_path, command, str(manifest), *extra) == 3
     err = capsys.readouterr().err
     assert f"{paper}: non-finite cached embedding for node 0" in err
-    assert f"{paper}.emb.jsonl" in err and "Traceback" not in err
+    assert f"{paper}.emb" in err and "Traceback" not in err
 
 
 def test_non_finite_gradient_exits_4_naming_the_batch(tmp_path, capsys, monkeypatch):
@@ -335,7 +335,7 @@ def test_evaluate_reads_json_lines_and_binary_caches_alike(tmp_path, capsys):
     """The same report from binary caches, from their JSON-lines rewrite, and
     from the caches that ``embed --force`` writes over those."""
     manifest = _trained_workspace(tmp_path)
-    caches = sorted((tmp_path / "work").glob("*.emb.jsonl"))
+    caches = sorted((tmp_path / "work").glob("*.emb"))
     reports = []
     for step in ("binary", "json-lines", "embed --force"):
         if step == "json-lines":
@@ -412,19 +412,47 @@ def test_ablated_examples_get_each_kept_node_text_its_cached_vector(trained_work
                                                                     mode, listed):
     root = tmp_path / "ws"
     shutil.copytree(trained_workspace[0], root)
+    documents = {path: json.loads(path.read_text())
+                 for path in (root / "work").glob("*.graph.json")}
     if listed == "reversed":  # a graph file may list its nodes in any order
-        for path in (root / "work").glob("*.graph.json"):
-            doc = json.loads(path.read_text())
-            path.write_text(json.dumps({**doc, "nodes": doc["nodes"][::-1]}))
+        for doc in documents.values():
+            for column in doc["nodes"].values():
+                column.reverse()
+    records = cli.load_manifest(root / "manifest.jsonl")
+    for form in ("columns", "rows"):
+        for path, doc in documents.items():
+            path.write_text(json.dumps(doc if form == "columns" else row_form(doc)))
+        papers = cli._load_papers(records, ("train", "val", "test"), 16)
+        for rec in records:
+            (ex,) = cli._examples(papers, rec.split, mode)
+            cache = orch.EmbeddingCache(rec.path("embeddings"))
+            vector_of = {n.text: cache.get(n.text) for n in load_graph(rec.path("graph")).nodes}
+            want = {n.id: vector_of[n.text] for n in ex.graph.nodes}
+            ablated = graphmod.apply_ablation(load_graph(rec.path("graph")), mode)
+            assert ex.graph.nodes == ablated.nodes
+            rows = np.stack([want[i] for i in range(len(want))])
+            assert ex.embeddings.tobytes() == rows.tobytes()
+
+
+def test_evaluate_path_builds_no_node_or_edge_tuples(trained_workspace, tmp_path):
+    """Loading papers and predicting reads only the decoded columns; a
+    row-form file loads to the graph of its columnar form, codes byte for byte."""
+    root = tmp_path / "ws"
+    shutil.copytree(trained_workspace[0], root)
     records = cli.load_manifest(root / "manifest.jsonl")
     papers = cli._load_papers(records, ("train", "val", "test"), 16)
-    for rec in records:
-        (ex,) = cli._examples(papers, rec.split, mode)
-        cache = orch.EmbeddingCache(rec.path("embeddings"))
-        vector_of = {n.text: cache.get(n.text) for n in load_graph(rec.path("graph")).nodes}
-        want = {n.id: vector_of[n.text] for n in ex.graph.nodes}
-        assert ex.graph.nodes == graphmod.apply_ablation(load_graph(rec.path("graph")), mode).nodes
-        assert ex.embeddings.tobytes() == np.stack([want[i] for i in range(len(want))]).tobytes()
+    examples = [ex for split in ("train", "val", "test") for ex in cli._examples(papers, split)]
+    checkpoint = training.load_checkpoint(root / "c.rvgc")
+    training.predict_label_indices(examples, checkpoint.params, checkpoint.model_config)
+    assert all("nodes" not in vars(g) and "edges" not in vars(g) for _rec, g, _v in papers)
+
+    for rec, g, _vectors in papers:
+        path = rec.path("graph")
+        path.write_text(json.dumps(row_form(json.loads(path.read_text()))))
+        from_rows = load_graph(path)
+        assert from_rows == g and from_rows.texts == g.texts
+        for got, want in zip(from_rows.codes, g.codes):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_gradcheck_passes_by_default(tmp_path, capsys):
@@ -574,7 +602,7 @@ ARTIFACTS = {
     "transcript": ("work/{}.transcript.json", "extract"),
     "triples": ("work/{}.triples.json", "classify"),
     "dims": ("work/{}.dims.json", "build-graph"),
-    "embeddings": ("work/{}.emb.jsonl", "evaluate"),
+    "embeddings": ("work/{}.emb", "evaluate"),
     "graph": ("work/{}.graph.json", "evaluate"),
 }
 
@@ -610,44 +638,50 @@ def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact,
     assert "Traceback" not in err.getvalue()
 
 
-def _set(items, index, key, value):
-    items[index][key] = value
+def _set(table, column, index, value):
+    table[column][index] = value
 
 
-#: Edits that leave a graph file valid JSON but no graph; evaluate trusts
-#: graph files, so each used to end in a traceback or a wrong report.
+#: Edits of a columnar graph file that leave it valid JSON but no graph;
+#: evaluate trusts graph files, so each used to end in a traceback or a wrong
+#: report. The last three leave no row form to write.
 BROKEN_GRAPHS = {
-    "edge-to-node-999": lambda d: _set(d["edges"], 0, "dst", 999),
-    "string-node-id": lambda d: _set(d["nodes"], 0, "id", "0"),
-    "float-node-id": lambda d: _set(d["nodes"], 0, "id", 0.0),
-    "bool-node-id": lambda d: _set(d["nodes"], 1, "id", True),
-    "ids-not-dense": lambda d: _set(d["nodes"], -1, "id", 500),
-    "null-text": lambda d: _set(d["nodes"], 0, "text", None),
-    "duplicate-node-id": lambda d: _set(d["nodes"], 1, "id", 2),
-    "negative-edge-src": lambda d: _set(d["edges"], 0, "src", -1),
-    "string-inverse": lambda d: _set(d["edges"], 0, "inverse", "no"),
+    "edge-to-node-999": lambda d: _set(d["edges"], "dst", 0, 999),
+    "string-node-id": lambda d: _set(d["nodes"], "id", 0, "0"),
+    "float-node-id": lambda d: _set(d["nodes"], "id", 0, 0.0),
+    "bool-node-id": lambda d: _set(d["nodes"], "id", 1, True),
+    "ids-not-dense": lambda d: _set(d["nodes"], "id", -1, 500),
+    "null-text": lambda d: _set(d["nodes"], "text", 0, None),
+    "duplicate-node-id": lambda d: _set(d["nodes"], "id", 1, 2),
+    "negative-edge-src": lambda d: _set(d["edges"], "src", 0, -1),
+    "string-inverse": lambda d: _set(d["edges"], "inverse", 0, "no"),
+    "unknown-dimension": lambda d: _set(d["nodes"], "dimension", 0, "clarity"),
+    "ragged-column": lambda d: d["edges"]["src"].pop(),
+    "column-not-a-list": lambda d: d["nodes"].update(type="title"),
 }
+COLUMNAR_ONLY = ("ragged-column", "column-not-a-list")
 
 
-@pytest.mark.parametrize("edit", BROKEN_GRAPHS.values(), ids=BROKEN_GRAPHS.keys())
+@pytest.mark.parametrize("name", BROKEN_GRAPHS)
 def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
-        trained_workspace, tmp_path, capsys, edit):
+        trained_workspace, tmp_path, capsys, name):
     root, manifest, files = trained_workspace
     path = root / "work" / "p2.graph.json"
     doc = json.loads(files[path])
-    edit(doc)
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    try:
-        code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
-                   "--split", "test", "--output", str(tmp_path / "ev.json"))
-    finally:
-        path.write_bytes(files[path])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "ev.json").exists()
+    BROKEN_GRAPHS[name](doc)
+    for form in [doc] if name in COLUMNAR_ONLY else [doc, row_form(doc)]:
+        path.write_text(json.dumps(form))
+        capsys.readouterr()
+        try:
+            code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+                       "--split", "test", "--output", str(tmp_path / "ev.json"))
+        finally:
+            path.write_bytes(files[path])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ev.json").exists()
 
 
 
@@ -697,7 +731,7 @@ UNREADABLE = {
     "config": ("run.json", 1, "error: bad configuration in {path}: "),
     "manifest": ("manifest.jsonl", 3, "data error: cannot read manifest {path}: "),
     "graph": ("work/p2.graph.json", 3, "data error: p2: "),
-    "embeddings": ("work/p2.emb.jsonl", 3, "data error: p2: "),
+    "embeddings": ("work/p2.emb", 3, "data error: p2: "),
 }
 
 
@@ -899,10 +933,10 @@ def test_cache_of_another_dim_than_the_model_names_paper_and_cache(tmp_path, cap
     assert run(tmp_path, "train", str(manifest), "--checkpoint", str(tmp_path / "c2.rvgc"),
                "--history", str(tmp_path / "h2.jsonl")) == 3
     assert capsys.readouterr().err == (
-        f"data error: p0: embedding cache {tmp_path / 'work' / 'p0.emb.jsonl'} holds vectors "
+        f"data error: p0: embedding cache {tmp_path / 'work' / 'p0.emb'} holds vectors "
         "of dim 16, but the model's input_dim is 32\n")
 
-    path = tmp_path / "work" / "p2.emb.jsonl"
+    path = tmp_path / "work" / "p2.emb"
     path.unlink()
     orch.EmbeddingCache(path).put("some text", np.zeros(8))
     assert run(tmp_path, "evaluate", str(manifest), *_evaluate_args(tmp_path)) == 3

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pipeline_utils import row_form
 from reviewgraph import graph as graphmod
 from reviewgraph.extraction import (
     DimensionAssignment,
@@ -28,6 +29,7 @@ from reviewgraph.graph import (
     graph_to_dict,
     legal_meta_relations,
     load_graph,
+    rows_to_columns,
     save_graph,
     skeleton,
     validate_graph,
@@ -240,11 +242,22 @@ def test_json_round_trip(tmp_path):
 
 
 def test_graph_dict_shape():
+    """One list per node field and one per edge field; the row form of the
+    same document decodes to the same graph."""
     d = graph_to_dict(tiny_graph())
     assert set(d) == {"graph_id", "label", "nodes", "edges"}
-    assert d["nodes"][5]["speaker"] == "reviewer_1"
-    assert d["nodes"][5]["dimension"] == "experimental_completeness"
+    assert list(d["nodes"]) == ["id", "type", "text", "speaker", "dimension"]
+    assert list(d["edges"]) == ["src", "dst", "relation", "inverse"]
+    assert {len(column) for column in d["nodes"].values()} == {7}
+    assert {len(column) for column in d["edges"].values()} == {12}
+    assert d["nodes"]["speaker"][5] == "reviewer_1"
+    assert d["nodes"]["dimension"][5] == "experimental_completeness"
+    assert d["edges"]["inverse"][6:] == [True] * 6
     assert graph_from_dict(json.loads(json.dumps(d))) == tiny_graph()
+    rows = row_form(d)
+    assert rows["nodes"][5]["speaker"] == "reviewer_1"
+    assert rows_to_columns(rows) == d
+    assert graph_from_dict(rows) == tiny_graph()
 
 
 @pytest.mark.parametrize("mode", list(AblationMode))
@@ -253,55 +266,87 @@ def test_dict_round_trip_under_every_ablation(mode):
     assert graph_from_dict(graph_to_dict(g)) == g
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    '{"graph_id": "g", "label": null, "nodes": [{"id": 0, "type": "tit',
-    '{"graph_id": "g", "nodes": [], "edges": [{"src": 0, "dst": 1, "relation": "nope"}]}',
-    '{"graph_id": "g", "nodes": [{"id": 0, "type": "title"}], "edges": []}',
-    '{"graph_id": "g", "nodes": {"id": 0}, "edges": []}',
-    '[1, 2, 3]',
-], ids=["empty", "torn", "unknown-relation", "missing-text", "nodes-not-list", "not-object"])
-def test_load_graph_rejects_corrupt_file(tmp_path, text):
-    path = tmp_path / "g.json"
-    path.write_text(text)
-    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
-        load_graph(path)
-    assert info.value.path == path
-    assert str(path) in str(info.value)
+_NO_NODES = '"nodes": {"id": [], "type": [], "text": [], "speaker": [], "dimension": []}'
 
 
-def _set(items, index, key, value):
-    items[index][key] = value
-
-
-#: Edits that keep a graph document valid JSON but make it no graph.
-BROKEN_GRAPH_EDITS = {
-    "edge-to-unknown-node": (lambda d: _set(d["edges"], 0, "dst", 999), "not a node id"),
-    "negative-edge-src": (lambda d: _set(d["edges"], 0, "src", -1), "not a node id"),
-    "string-edge-src": (lambda d: _set(d["edges"], 0, "src", "0"), "must be integers"),
-    "string-node-id": (lambda d: _set(d["nodes"], 0, "id", "0"), "must be integers"),
-    "float-node-id": (lambda d: _set(d["nodes"], 0, "id", 0.0), "must be integers"),
-    "bool-node-id": (lambda d: _set(d["nodes"], 1, "id", True), "must be integers"),
-    "huge-node-id": (lambda d: _set(d["nodes"], -1, "id", 2 ** 80), "OverflowError"),
-    "ids-not-dense": (lambda d: _set(d["nodes"], -1, "id", 500), "not dense"),
-    "negative-node-id": (lambda d: _set(d["nodes"], 0, "id", -1), "not dense"),
-    "duplicate-node-id": (lambda d: _set(d["nodes"], 1, "id", 2), "duplicate node id"),
-    "null-text": (lambda d: _set(d["nodes"], 0, "text", None), "text must be a string"),
-    "string-inverse": (lambda d: _set(d["edges"], 0, "inverse", "no"), "'inverse'"),
-    "integer-inverse": (lambda d: _set(d["edges"], 0, "inverse", 1), "'inverse'"),
+#: Files that are no graph document, each as (row form, columnar form).
+CORRUPT_FILES = {
+    "empty": ("", ""),
+    "torn": ('{"graph_id": "g", "label": null, "nodes": [{"id": 0, "type": "tit',
+             '{"graph_id": "g", "label": null, "nodes": {"id": [0], "type": ["tit'),
+    "unknown-relation": (
+        '{"graph_id": "g", "nodes": [], "edges": [{"src": 0, "dst": 1, "relation": "nope"}]}',
+        '{"graph_id": "g", ' + _NO_NODES + ', "edges": '
+        '{"src": [0], "dst": [1], "relation": ["nope"], "inverse": [false]}}'),
+    "missing-text": (
+        '{"graph_id": "g", "nodes": [{"id": 0, "type": "title"}], "edges": []}',
+        '{"graph_id": "g", "nodes": {"id": [0], "type": ["title"], "speaker": [null], '
+        '"dimension": [null]}, "edges": {"src": [], "dst": [], "relation": [], "inverse": []}}'),
+    "nodes-not-list": ('{"graph_id": "g", "nodes": [0], "edges": []}',
+                       '{"graph_id": "g", "nodes": {"id": 0}, "edges": []}'),
+    "not-object": ("[1, 2, 3]", '{"graph_id": "g", ' + _NO_NODES + ', "edges": [1, 2, 3]}'),
+    "nested-too-deeply": ('{"graph_id": "g", "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                          '{"graph_id": "g", "nodes": {"id": ' + "[" * 100_000 + "]" * 100_000
+                          + "}}"),
 }
 
 
-@pytest.mark.parametrize("edit, reason", BROKEN_GRAPH_EDITS.values(),
-                         ids=BROKEN_GRAPH_EDITS.keys())
-def test_load_graph_rejects_structurally_broken_graph(tmp_path, edit, reason):
+@pytest.mark.parametrize("texts", CORRUPT_FILES.values(), ids=CORRUPT_FILES.keys())
+def test_load_graph_rejects_corrupt_file(tmp_path, texts):
+    path = tmp_path / "g.json"
+    for text in texts:
+        path.write_text(text)
+        with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+            load_graph(path)
+        assert info.value.path == path
+        assert str(path) in str(info.value)
+
+
+def _set(table, column, index, value):
+    table[column][index] = value
+
+
+#: Edits of a columnar document that keep it valid JSON but make it no graph;
+#: those outside ``COLUMNAR_ONLY`` apply to its row form too.
+BROKEN_GRAPH_EDITS = {
+    "edge-to-unknown-node": (lambda d: _set(d["edges"], "dst", 0, 999), "not a node id"),
+    "negative-edge-src": (lambda d: _set(d["edges"], "src", 0, -1), "not a node id"),
+    "string-edge-src": (lambda d: _set(d["edges"], "src", 0, "0"), "must be integers"),
+    "string-node-id": (lambda d: _set(d["nodes"], "id", 0, "0"), "must be integers"),
+    "float-node-id": (lambda d: _set(d["nodes"], "id", 0, 0.0), "must be integers"),
+    "bool-node-id": (lambda d: _set(d["nodes"], "id", 1, True), "must be integers"),
+    "huge-node-id": (lambda d: _set(d["nodes"], "id", -1, 2 ** 80), "OverflowError"),
+    "ids-not-dense": (lambda d: _set(d["nodes"], "id", -1, 500), "not dense"),
+    "negative-node-id": (lambda d: _set(d["nodes"], "id", 0, -1), "not dense"),
+    "duplicate-node-id": (lambda d: _set(d["nodes"], "id", 1, 2), "duplicate node id"),
+    "null-text": (lambda d: _set(d["nodes"], "text", 0, None), "text must be a string"),
+    "string-inverse": (lambda d: _set(d["edges"], "inverse", 0, "no"), "'inverse'"),
+    "integer-inverse": (lambda d: _set(d["edges"], "inverse", 0, 1), "'inverse'"),
+    "unknown-dimension": (lambda d: _set(d["nodes"], "dimension", 0, "clarity"),
+                          "unknown dimension 'clarity'"),
+    "ragged-node-column": (lambda d: d["nodes"]["speaker"].pop(), "differ in length"),
+    "ragged-edge-column": (lambda d: d["edges"]["relation"].append("accept"),
+                           "differ in length"),
+    "column-not-a-list": (lambda d: d["nodes"].update(text="A title"), "must be lists"),
+    "missing-column": (lambda d: d["edges"].pop("inverse"), "KeyError: 'inverse'"),
+}
+
+#: The edits that leave no row form to write.
+COLUMNAR_ONLY = {"ragged-node-column", "ragged-edge-column", "column-not-a-list",
+                 "missing-column"}
+
+
+@pytest.mark.parametrize("name", BROKEN_GRAPH_EDITS)
+def test_load_graph_rejects_structurally_broken_graph(tmp_path, name):
+    edit, reason = BROKEN_GRAPH_EDITS[name]
     doc = graph_to_dict(random_debate_graph(3, "broken"))
     edit(doc)
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
-        load_graph(path)
-    assert reason in str(info.value) and str(path) in str(info.value)
+    for form in [doc] if name in COLUMNAR_ONLY else [doc, row_form(doc)]:
+        path.write_text(json.dumps(form))
+        with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+            load_graph(path)
+        assert reason in str(info.value) and str(path) in str(info.value)
 
 
 def test_node_and_edge_are_immutable_value_tuples():
@@ -330,22 +375,27 @@ def _graphs_under_test():
 
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
 def test_loaded_graph_equals_saved_one_and_carries_its_codes(tmp_path, indent):
-    """Files of the older ``indent=2`` form still load to an equal graph; the
-    codes filled at load equal the ones computed from the nodes and edges,
-    also when the file lists the nodes out of id order."""
+    """Files of the older ``indent=2`` form, and of the older row form, still
+    load to an equal graph; the codes and texts decoded at load equal the ones
+    computed from the nodes and edges, also when the file lists the nodes out
+    of id order."""
     path = tmp_path / "g.json"
     for g in _graphs_under_test():
         for reverse in (False, True):
             doc = graph_to_dict(g)
             if reverse:
-                doc["nodes"].reverse()
-            path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
-            loaded = load_graph(path)
-            assert reverse or loaded == g
-            computed = DebateGraph.codes.func(loaded)
-            for got, expected in zip(loaded.codes, computed):
-                assert got.dtype == expected.dtype and got.shape == expected.shape
-                assert (got == expected).all() and not got.flags.writeable
+                for column in doc["nodes"].values():
+                    column.reverse()
+            for form in (doc, row_form(doc)):
+                path.write_text(json.dumps(form, indent=indent, sort_keys=True) + "\n")
+                loaded = load_graph(path)
+                assert loaded.nodes == (g.nodes[::-1] if reverse else g.nodes)
+                assert loaded == g or reverse
+                assert loaded.texts == DebateGraph.texts.func(g)
+                computed = DebateGraph.codes.func(loaded)
+                for got, expected in zip(loaded.codes, computed):
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert (got == expected).all() and not got.flags.writeable
 
 
 def test_interrupted_graph_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -405,19 +455,20 @@ def _sample_graphs():
 
 
 # sha256 of the graph_to_dict documents: same-seed graphs, and so graph files,
-# must keep their node and edge order byte for byte.
+# must keep their node and edge order byte for byte. The columnar documents
+# equal the row documents of the earlier digests passed through rows_to_columns.
 @pytest.mark.parametrize("make, digest", [
     (lambda: [random_debate_graph(s, f"g{s}") for s in range(5)]
      + [random_debate_graph(s, "small", (2, 3), (1, 2), add_inverse_edges=False,
                             label="accept") for s in range(5)],
-     "09617ad7bf9806138ceeb8c91924b1e416b946cb2a456ce40f68d5ad99f22ccd"),
+     "a5bc157fd5ac74ceaa1664229f9c64c50d1a12917fc1eea713b05222e7e77a46"),
     (lambda: [rule_labeled_graph(s, f"r{s}") for s in range(5)]
      + [rule_labeled_graph(s, "r", (2, 5), add_inverse_edges=False) for s in range(5)],
-     "1a02d4c28f4ccfbbec23d9d2a7f829d2f1a99f0d0eeb335bb969b62487720145"),
+     "7b17f7a50c81427a3a54671499ea2eb484d07261b94c7ef4ded7680234ec9f5e"),
     (lambda: [assemble("m", *skeleton("Title")),
               assemble("m", *skeleton("T"), "reject", False)],
-     "a3f8f735472dae0110601178ad2ef6390423241ed07ac05a19b82fa00a33c3e1"),
-    (_sample_graphs, "1166d4fb0fbad59dd27fe913d0353992f79fecc97abe0542c8ab3c854e92bcf9"),
+     "e13f8848a4a8244c2394022b2845ce0269c1fbd5a52bded9d851bc1786d08575"),
+    (_sample_graphs, "8a69e6d9db1f69c94d5bcce76a818f1271942162728204bb5c2cabb1168bedb5"),
 ], ids=["random_debate_graph", "rule_labeled_graph", "skeleton", "build_graph"])
 def test_graph_builders_keep_node_and_edge_order(make, digest):
     assert _digest(make()) == digest

@@ -737,7 +737,7 @@ def test_cli_stage_exits_2_on_malformed_reply(tmp_path, monkeypatch, capsys, sta
     assert run(tmp_path, "--force", stage, str(manifest)) == 2
     err = capsys.readouterr().err
     assert err.startswith("endpoint error: ") and "Traceback" not in err
-    assert not list((tmp_path / "work").glob("*.emb.jsonl*"))  # nothing is cached
+    assert not list((tmp_path / "work").glob("*.emb*"))  # nothing is cached
 
 
 def test_cli_stage_exits_2_on_blank_completion(tmp_path, monkeypatch, capsys):
