@@ -16,10 +16,13 @@ mkdir -p d0.transcript
 # a graph file cut off inside its node columns, as an interrupted write leaves it
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"graph": "d0.graph.json", "embeddings": "d0.emb"}}' > torn.jsonl
 printf '%s' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "d0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, nu' > d0.graph.json
+# a run config and a manifest nested too deeply to parse
+python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
+cp deep.json deep.jsonl
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
-            "3 train torn.jsonl"; do
+            "3 train torn.jsonl" "1 --config deep.json gradcheck" "3 train deep.jsonl"; do
   set -- $case
   want=$1
   shift

@@ -11,9 +11,12 @@ Learnable tensors are ``Param`` views of a ``ParamStore``'s one parameter
 vector, each a named tensor or a family of them, and their gradients land
 in the same views of one gradient vector. Row gathers, in ``rows``
 and fused into ``block_matmul``, and their transpose ``segment_sum`` take a
-``Gather``: row indices plus the grouping of equal indices, found once and
-kept across calls. ``segment_softmax`` normalizes within the runs of a
-``Gather`` whose equal indices are adjacent.
+``Gather`` of row indices. Every sum into a gather's rows, a segment sum,
+a gather's gradient or a segment softmax's normalizer, runs in one order:
+each output row starts from zero and adds its rows in row order, as
+``np.add.at`` does, all in one ``np.bincount`` over (row, column) bins.
+``segment_softmax`` normalizes within the runs of a ``Gather`` whose equal
+indices are adjacent.
 """
 
 from __future__ import annotations
@@ -255,19 +258,19 @@ def mean_rows(x: Tensor) -> Tensor:
 
 
 class Gather:
-    """Row indices ``idx`` into ``n_rows`` rows, with the grouping of equal indices.
+    """Row indices ``idx`` into ``n_rows`` rows.
 
     Gathering ``x[idx]`` and summing rows into ``idx`` are transposes of each
     other: ``scatter`` adds row i of its argument into row ``idx[i]`` of an
     (n_rows, ...) zero array, the gradient of ``rows`` and the forward of
-    ``segment_sum``. The grouping is found in one pass on first use and
+    ``segment_sum``. Every sum runs in one order: each output row starts
+    from zero and adds its rows in row order, as ``np.add.at`` does, or in
+    ``order`` when one is given, a permutation of the rows listing them in
+    the order they are summed. Indices that are all distinct, such as a
+    permutation, scatter with one assignment. Whether they are, and where
+    each run of equal adjacent indices starts, are found on first use and
     kept, so indices that many ops share, such as a graph index's edge
-    targets, are grouped once. Equal indices that are already adjacent, such
-    as each target's incoming edges, form runs in row order and sum with no
-    permuting take. Otherwise ``order`` lists the rows with equal indices
-    adjacent, each run in the order its rows are summed; by default it is
-    the stable sort of idx. Indices that are all distinct, such as a
-    permutation, scatter with one assignment.
+    targets, are looked at once.
     """
 
     __slots__ = ("idx", "n_rows", "_order", "_runs")
@@ -277,42 +280,41 @@ class Gather:
         self.idx = np.asarray(idx, dtype=np.intp)
         self.n_rows = n_rows
         self._order = order
-        self._runs: tuple[np.ndarray | None, np.ndarray, np.ndarray] | None = None
+        self._runs: tuple[np.ndarray, bool] | None = None
 
-    def _grouping(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """(order, starts, targets): the order that puts equal indices in
-        runs, None when idx already has them adjacent; where each run starts
-        in that order; and each run's index."""
+    def _grouping(self) -> tuple[np.ndarray, bool]:
+        """Where each run of equal adjacent indices starts, and whether equal
+        indices are all adjacent, so that each index has at most one run."""
         if self._runs is None:
-            order, idx = self._order, self.idx
-            if order is None:
-                starts = _run_starts(idx)
-                if len(starts) != np.count_nonzero(np.bincount(idx, minlength=self.n_rows)):
-                    order = np.argsort(idx, kind="stable")
-            if order is not None:
-                idx = idx[order]
-                starts = _run_starts(idx)
-            self._runs = (order, starts, idx[starts])
+            starts = _run_starts(self.idx)
+            distinct = np.count_nonzero(np.bincount(self.idx, minlength=self.n_rows))
+            self._runs = (starts, len(starts) == distinct)
         return self._runs
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The first row and the length of each run of equal indices, in row
         order; equal indices must be adjacent, with no given order."""
-        order, starts, _ = self._grouping()
-        if order is not None:
+        starts, adjacent = self._grouping()
+        if not adjacent or self._order is not None:
             raise ShapeMismatch("equal indices of a segment gather must be adjacent")
         return starts, np.diff(starts, append=len(self.idx))
 
     def scatter(self, g: np.ndarray) -> np.ndarray:
         """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated indices sum."""
-        order, starts, targets = self._grouping()
-        out = np.zeros((self.n_rows,) + g.shape[1:])
-        if len(starts) == len(self.idx):
+        starts, adjacent = self._grouping()
+        shape = (self.n_rows,) + g.shape[1:]
+        if adjacent and len(starts) == len(self.idx):
+            out = np.zeros(shape)
             out[self.idx] = g
-        else:
-            out[targets] = np.add.reduceat(g if order is None else g.take(order, axis=0),
-                                           starts, axis=0)
-        return out
+            return out
+        idx = self.idx
+        if self._order is not None:
+            idx, g = idx[self._order], g.take(self._order, axis=0)
+        # one bin per (row, column): bincount adds each bin's weights in input order
+        width = math.prod(shape[1:])
+        bins = (idx * width)[:, None] + np.arange(width)
+        return np.bincount(bins.ravel(), weights=g.ravel(),
+                           minlength=self.n_rows * width).reshape(shape)
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -329,7 +331,7 @@ def rows(x: Tensor, idx: np.ndarray | Gather) -> Tensor:
     out = x.value.take(gather.idx, axis=0)  # several times faster than x.value[idx]
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate(gather.scatter(g), gather._grouping()[2])  # the rows g reaches
+        x.accumulate(gather.scatter(g), gather.idx)  # the rows g reaches
 
     return _op(out, (x,), backward)
 
@@ -444,7 +446,8 @@ def segment_softmax(scores: Tensor, by: Gather) -> Tensor:
     """Stable softmax along axis 0 within each run of equal ``by.idx``.
 
     Rows with equal indices must be adjacent; each column is normalized
-    separately.
+    separately. The normalizers are ``by.scatter`` sums, broadcast back to
+    the rows by ``by.idx``.
     """
     scores = _tensor(scores)
     v = scores.value
@@ -452,10 +455,10 @@ def segment_softmax(scores: Tensor, by: Gather) -> Tensor:
     if len(by.idx) != v.shape[0]:
         raise ShapeMismatch(f"a grouping of {len(by.idx)} rows applied to {scores.shape}")
     e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts, axis=0), lengths, axis=0))
-    out = e / np.repeat(np.add.reduceat(e, starts, axis=0), lengths, axis=0)
+    out = e / by.scatter(e).take(by.idx, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        dot = np.repeat(np.add.reduceat(g * out, starts, axis=0), lengths, axis=0)
+        dot = by.scatter(g * out).take(by.idx, axis=0)
         scores.accumulate(out * (g - dot))
 
     return _op(out, (scores,), backward)

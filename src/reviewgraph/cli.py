@@ -73,7 +73,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to parse
             raise DataFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataFailure(f"{path}:{lineno}: not a JSON object")
@@ -121,7 +121,8 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         p = Path(path)
         try:
             raw = json.loads(p.read_text())
-        except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers JSON and UTF-8 decoding; RecursionError JSON nested too deeply
             raise UsageFailure(f"bad configuration in {p}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict) or not all(isinstance(raw.get(section, {}), dict)
                                             for section in ("endpoint", "model", "train")):
@@ -214,8 +215,10 @@ def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
         return parse(path)
     except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
         raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-    except (KeyError, OSError, TypeError, ValueError, extraction.ExtractionError) as exc:
-        # OSError covers a directory; ValueError JSONDecodeError and UnicodeDecodeError
+    except (KeyError, OSError, TypeError, ValueError, RecursionError,
+            extraction.ExtractionError) as exc:
+        # OSError covers a directory; ValueError JSONDecodeError and UnicodeDecodeError;
+        # RecursionError JSON nested too deeply to parse
         raise DataFailure(f"{rec.paper_id}: corrupt {kind} file {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
 
@@ -465,7 +468,7 @@ def _read_compare(path: str) -> list[float]:
         if bad is not None:
             raise ValueError(f"entry {bad} is {json.dumps(raw[bad])}, not a finite number")
         return [float(x) for x in raw]
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, RecursionError) as exc:
         raise DataFailure(f"--compare file {path}: {type(exc).__name__}: {exc}") from exc
 
 

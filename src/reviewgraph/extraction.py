@@ -208,7 +208,7 @@ def parse_triple_batch(data: str, graph_id: str) -> TripleBatch:
     """
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to parse
         raise NotJson(f"triple batch is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise NotJson("triple batch JSON must be an object")
@@ -261,7 +261,7 @@ def parse_dimension_reply(data: str) -> Dimension:
     """Parse a ``{"category": "..."}`` classification reply."""
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to parse
         raise NotJson(f"classification reply is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "category" not in obj:
         raise NotJson("classification reply must be an object with a 'category' key")

@@ -38,7 +38,8 @@ type-sorted rows the same way. The index's gathers also say which rows sum
 into which: the gather that picks each edge's target query groups the
 attention softmax and the message sum, whose runs are each target's
 incoming edges, and the gather from each layout row to its (graph, type)
-slot groups pooling. Pooling is a mean per (node type, graph), each a
+slot groups pooling. Each such sum adds its rows from zero in row order,
+as ``np.add.at`` does. Pooling is a mean per (node type, graph), each a
 contiguous run of the layout, zero for a type the graph lacks, and the loss
 is the batch's mean cross-entropy. ``featurize``, ``hgt_layer``,
 ``hgt_attention`` and ``ForwardTrace`` answer in node-id order and the
@@ -212,9 +213,11 @@ class GraphIndex:
     order, the relation-major order, and the edges of relation j are its
     rows ``rel_bounds[j]:rel_bounds[j + 1]``; a type or relation the batch
     lacks has an empty block. The other gathers the forward
-    makes through these orders are built once per index, on first use; each
-    ``Gather`` keeps its grouping, so ``dst_rows`` groups the query
-    gradient, the attention softmax and the message sum alike.
+    makes through these orders are built once per index, on first use. A
+    sum through any of them adds its rows from zero in row order, and
+    through ``src_rows`` each source's edges in target order, so
+    ``dst_rows`` sums the query gradient, the attention softmax's
+    normalizers and the message sum alike.
     """
 
     n_nodes: int
@@ -245,9 +248,8 @@ class GraphIndex:
         Each source's gradient sums its edges in target order, as a gather
         over the target-sorted edges would.
         """
-        by_source = np.argsort(self.src, kind="stable")
         return ad.Gather(self.node_pos[self.src[self.edge_order]], self.n_nodes,
-                         order=self.to_target.idx[by_source])
+                         order=self.to_target.idx)
 
     @functools.cached_property
     def dst_rows(self) -> ad.Gather:
@@ -347,11 +349,6 @@ def build_graph_index(graphs: Sequence[DebateGraph], config: ModelConfig) -> Gra
     )
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """Every parameter's (name, shape, init) in ``init_params`` order, with no
     random draws. ``init`` is "xavier" (uniform, fans from the matrix shape),
@@ -379,15 +376,40 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     ]
 
 
+@functools.lru_cache(maxsize=32)
+def _init_plan(config: ModelConfig) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """The store's (name, shape) list, and each tensor's size, xavier limit
+    (0 for a filled tensor) and whether it is all ones, in ``param_layout``
+    order."""
+    layout = param_layout(config)
+    sizes = np.array([math.prod(shape) for _name, shape, _init in layout], dtype=np.intp)
+    limits = np.array([math.sqrt(6.0 / sum(shape)) if init == "xavier" else 0.0
+                       for _name, shape, init in layout])
+    ones = np.array([init == "ones" for _name, _shape, init in layout])
+    return tuple((name, shape) for name, shape, _init in layout), sizes, limits, ones
+
+
 def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
     """Xavier-uniform weights, zero biases, unit priors and rescales, drawn in
-    ``param_layout`` order into one parameter vector."""
+    ``param_layout`` order into one parameter vector.
+
+    One draw of uniform [0, 1) numbers u covers every xavier entry, each
+    mapped to its tensor's [-limit, limit) as ``Generator.uniform`` maps it,
+    so the vector holds the bytes that one ``uniform`` call per tensor gives.
+    """
     rng = np.random.default_rng(config.seed if rng_seed is None else rng_seed)
-    layout = param_layout(config)
-    flat = np.concatenate([_xavier(rng, *shape).ravel() if init == "xavier"
-                           else np.full(math.prod(shape), float(init == "ones"))
-                           for _name, shape, init in layout])
-    return ParamStore([(name, shape) for name, shape, _init in layout], flat)
+    shapes, sizes, limits, ones = _init_plan(config)
+    xavier = limits > 0
+    flat = np.zeros(sizes.sum())
+    flat[np.repeat(xavier, sizes)] = rng.random(sizes[xavier].sum())
+    # low + (high - low) * u with low = -high, in place: the product is 2 * (high * u)
+    # and adding low subtracts high, both exactly, so no other vector is held
+    high = np.repeat(limits, sizes)
+    flat *= high
+    flat *= 2.0
+    flat -= high
+    flat[np.repeat(ones, sizes)] = 1.0
+    return ParamStore(shapes, flat)
 
 
 def node_features(g: DebateGraph, rows: NodeRows, input_dim: int) -> np.ndarray:

@@ -254,10 +254,12 @@ def test_segment_softmax_refuses_equal_indices_that_are_not_adjacent():
 
 
 def test_segment_softmax_groups_once_per_gather(monkeypatch):
+    """The runs are found on first use and kept; np.bincount, which each
+    call's sums run through, is no probe of the grouping."""
     by = ad.Gather(SOFTMAX_RUNS, 3)
     calls = []
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    run_starts = ad._run_starts
+    monkeypatch.setattr(ad, "_run_starts", lambda *a: calls.append(1) or run_starts(*a))
     first = ad.segment_softmax(Tensor(rng.standard_normal((7, 2))), by)
     second = ad.segment_softmax(Tensor(first.value), by)
     assert len(calls) == 1 and second.shape == (7, 2)
@@ -514,15 +516,13 @@ def test_block_matmul_rejects_a_family_that_is_not_three_dimensional():
         ad.block_matmul(Tensor(np.ones((7, 4))), Tensor(np.ones((4, 2))), [0, 7])
 
 
-def scatter_add_reference(g, idx, n_rows):
-    """The scatter-add that each ``rows`` backward made before gathers kept
-    their grouping: sort the indices, then one ``reduceat`` per call."""
+def scatter_add_reference(g, idx, n_rows, order=None):
+    """The scatter-add that every sum of a gather makes: ``np.add.at`` on
+    zeros, adding the rows in row order, or in ``order`` when one is given."""
     out = np.zeros((n_rows,) + g.shape[1:])
-    if idx.size:
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
-        out[sorted_idx[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    if order is not None:
+        g, idx = g[order], idx[order]
+    np.add.at(out, idx, g)
     return out
 
 
@@ -548,25 +548,18 @@ def test_rows_backward_scatters_like_the_reference_bit_for_bit(idx, grouped):
         np.testing.assert_array_equal(out.value, x.value[idx])
         out._backward_fn(g)
         assert x.grad.tobytes() == scatter_add_reference(g, idx, 5).tobytes()
-        added = np.zeros_like(x.value)
-        np.add.at(added, idx, g)
-        np.testing.assert_allclose(x.grad, added, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("idx", GATHER_INDICES.values(), ids=GATHER_INDICES.keys())
 def test_segment_sum_is_the_transpose_of_rows(idx):
-    """segment_sum adds row i into row idx[i], as np.add.at on zeros does; it
-    sums each run with ``reduceat`` like the reference scatter, whose bits
-    training keeps. Its input gradient is the gather ``rows`` makes."""
+    """segment_sum adds row i into row idx[i] bit for bit as np.add.at on
+    zeros does. Its input gradient is the gather ``rows`` makes."""
     r = np.random.default_rng(len(idx))
     idx = np.array(idx, dtype=np.intp)
     into = ad.Gather(idx, 5)
     for shape in ((len(idx),), (len(idx), 3), (len(idx), 2, 3)):
         x = Tensor(r.standard_normal(shape), requires_grad=True)
         out = ad.segment_sum(x, into)
-        added = np.zeros((5,) + shape[1:])
-        np.add.at(added, idx, x.value)
-        np.testing.assert_allclose(out.value, added, rtol=0, atol=1e-14)
         assert out.value.tobytes() == scatter_add_reference(x.value, idx, 5).tobytes()
         g = r.standard_normal(out.shape)
         out._backward_fn(g)
@@ -583,9 +576,27 @@ def test_gather_sums_each_group_in_the_given_order():
     idx = np.array([2, 0, 2, 2, 0])
     order = np.array([3, 0, 2, 4, 1])  # index 2's rows summed as 3, 0, 2
     g = r.standard_normal((5, 64))
-    want = scatter_add_reference(g[order], idx[order], 3)
+    want = scatter_add_reference(g, idx, 3, order)
     assert ad.Gather(idx, 3, order=order).scatter(g).tobytes() == want.tobytes()
     assert want.tobytes() != scatter_add_reference(g, idx, 3).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_scatter_adds_like_add_at_bit_for_bit(seed):
+    """Random repeated, sorted, permuted and empty indices, with and without
+    a given order, on 1-, 2- and 3-D rows."""
+    r = np.random.default_rng(seed)
+    n_rows, n = int(r.integers(1, 8)), int(r.integers(1, 40))
+    for idx in (r.integers(0, n_rows, n), np.sort(r.integers(0, n_rows, n)),
+                r.permutation(n_rows), np.array([], dtype=np.intp)):
+        for lead in ((), (3,), (2, 3)):
+            # rows of unlike magnitudes, so that another summation order shows in the bits
+            scale = 10.0 ** r.integers(-8, 8, len(idx))
+            g = r.standard_normal((len(idx),) + lead) * scale.reshape((-1,) + (1,) * len(lead))
+            for order in (None, r.permutation(len(idx))):
+                got = ad.Gather(idx, n_rows, order=order).scatter(g)
+                assert got.tobytes() == scatter_add_reference(g, idx, n_rows, order).tobytes()
 
 
 def test_rows_rejects_a_gather_from_another_row_count():

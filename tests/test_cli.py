@@ -520,6 +520,7 @@ BAD_COMPARE = {
     "nan-text-entry": ('[1, 0, "nan", 1]', 'entry 2 is "nan", not a finite number'),
     "first-of-two-bad": ("[1, -Infinity, NaN]", "entry 1 is -Infinity, not a finite number"),
     "overflowing-entry": ("[1, 1e999]", "entry 1 is Infinity, not a finite number"),
+    "nested-too-deeply": ("[" * 200_000, "RecursionError: "),
 }
 
 
@@ -821,6 +822,40 @@ def test_malformed_document_exits_with_its_code_naming_the_file(trained_workspac
         assert f"error: bad configuration in {path}: " in err
     else:
         assert err.startswith("data error: p0: corrupt ") and f" file {path}: TypeError: " in err
+
+
+#: Files that a command parses as JSON: (file, command, exit code, start of
+#: the message). Each nested too deeply to parse used to end in a
+#: RecursionError traceback.
+DEEP_DOCUMENTS = {
+    "config": ("run.json", "simulate", 1, "error: bad configuration in {path}: RecursionError: "),
+    "manifest": ("manifest.jsonl", "train", 3, "data error: {path}:1: not valid JSON: "),
+    "paper": ("papers/p0.json", "simulate", 3, "data error: p0: corrupt paper file {path}: "
+              "RecursionError: "),
+    "transcript": ("work/p0.transcript.json", "extract", 3,
+                   "data error: p0: corrupt transcript file {path}: RecursionError: "),
+    "triples": ("work/p0.triples.json", "classify", 3,
+                "data error: p0: corrupt triples file {path}: NotJson: "),
+    "dims": ("work/p0.dims.json", "build-graph", 3,
+             "data error: p0: corrupt dims file {path}: RecursionError: "),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_DOCUMENTS)
+def test_document_nested_too_deeply_exits_with_its_code_naming_the_file(trained_workspace,
+                                                                        capsys, name):
+    root, manifest, files = trained_workspace
+    file, command, code, message = DEEP_DOCUMENTS[name]
+    path = root / file
+    path.write_text("[" * 200_000)
+    capsys.readouterr()
+    try:
+        got = run(root, "--force", command, str(manifest))
+    finally:
+        path.write_bytes(files[path])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith(message.format(path=path)) and "Traceback" not in err
 
 
 def _homogeneous_workspace(root):

@@ -156,6 +156,13 @@ def test_parse_batch_rejects_non_json():
         parse_triple_batch("not json at all", "x")
 
 
+@pytest.mark.parametrize("parse", [lambda data: parse_triple_batch(data, "x"),
+                                   parse_dimension_reply], ids=["batch", "dimension-reply"])
+def test_json_nested_too_deeply_is_not_json(parse):
+    with pytest.raises(NotJson, match="not valid JSON"):
+        parse("[" * 200_000)
+
+
 def test_batch_round_trip_through_dict():
     batch = parse_triple_batch(load_sample("rejected"), "rejected")
     again = parse_triple_batch(json.dumps(batch_to_dict(batch)), "rejected")
