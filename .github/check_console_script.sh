@@ -19,10 +19,13 @@ printf '%s' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect
 # a run config and a manifest nested too deeply to parse
 python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
 cp deep.json deep.jsonl
+# a run config whose endpoint timeout is outside its domain
+printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
-            "3 train torn.jsonl" "1 --config deep.json gradcheck" "3 train deep.jsonl"; do
+            "3 train torn.jsonl" "1 --config deep.json gradcheck" "3 train deep.jsonl" \
+            "1 --seed -1 gradcheck" "1 --seed 0 gradcheck --eps 0" "1 --config t0.json gradcheck"; do
   set -- $case
   want=$1
   shift

@@ -147,16 +147,20 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         mode = graphmod.AblationMode(mode_name)
     except ValueError:
         raise UsageFailure(f"unknown ablation mode {mode_name!r}") from None
-    try:
-        config = RunConfig(
-            model=_ablation_model(modelmod.ModelConfig(**model_raw), mode),
-            train=training.TrainConfig(**train_raw),
-            endpoint=orch.EndpointConfig(**endpoint_raw),
-            ablation=mode,
-        )
-    except (TypeError, modelmod.ModelError, training.TrainingError,
-            orch.OrchestrationError) as exc:
-        raise UsageFailure(f"bad configuration in {path}: {exc}") from exc
+
+    def build(section: str, cls: type[T], values: dict) -> T:
+        try:
+            return cls(**values)
+        except (TypeError, modelmod.ModelError, training.TrainingError,
+                orch.OrchestrationError) as exc:
+            raise UsageFailure(f"bad configuration in {path}: {section}: {exc}") from exc
+
+    config = RunConfig(
+        model=_ablation_model(build("model", modelmod.ModelConfig, model_raw), mode),
+        train=build("train", training.TrainConfig, train_raw),
+        endpoint=build("endpoint", orch.EndpointConfig, endpoint_raw),
+        ablation=mode,
+    )
     if model_raw.get("homogeneous", config.model.homogeneous) != config.model.homogeneous:
         raise UsageFailure(f"bad configuration in {path}: the {mode.value} ablation sets the "
                            f"model's 'homogeneous' to {config.model.homogeneous}")
@@ -164,9 +168,10 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
 
 
 #: What each annotated field type is called and the JSON values it takes: a
-#: float field also takes an integer, and no number field takes true or false.
+#: float field also takes an integer that a float can hold, and no number
+#: field takes true or false.
 _FIELD_VALUES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
-                 float: ("a number", (int, float)), str: ("a string", (str,))}
+                 float: ("a float64 number", (int, float)), str: ("a string", (str,))}
 
 
 def _check_field_types(path: str | Path | None, section: str, cls: type, values: dict) -> None:
@@ -179,7 +184,8 @@ def _check_field_types(path: str | Path | None, section: str, cls: type, values:
         if kind not in _FIELD_VALUES:
             continue
         wanted, types = _FIELD_VALUES[kind]
-        if not isinstance(value, types) or kind is not bool and isinstance(value, bool):
+        if not isinstance(value, types) or kind is not bool and isinstance(value, bool) \
+                or kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
             raise UsageFailure(f"bad configuration in {path}: {section}.{name} must be "
                                f"{wanted}, not {json.dumps(value)}")
 
@@ -274,7 +280,7 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Run configuration JSON.")
-@click.option("--seed", type=int, default=None, help="Override all seeds.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override all seeds.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Fan-out for per-item requests.")
 @click.option("--force", is_flag=True, help="Rewrite existing outputs.")
@@ -551,6 +557,8 @@ def ablate(obj, manifest, output) -> None:
 @click.pass_obj
 def gradcheck(obj, eps, threshold, samples) -> int:
     """Finite-difference check of the full loss gradient on a small graph."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise UsageFailure(f"--eps must be finite and above 0, not {eps}")
     seed = obj["seed"] if obj["seed"] is not None else 0
     g = synth.random_debate_graph(
         seed, "gradcheck", n_reviewer_opinions=(3, 3), n_author_opinions=(2, 2)

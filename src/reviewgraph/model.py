@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class ModelError(Exception):
     pass
 
 
-class MissingEmbedding(ModelError):
-    pass
-
-
 class DimMismatch(ModelError):
     pass
 
@@ -89,10 +85,6 @@ HOMOGENEOUS_TYPE_KEY = "node"
 CONNECTED_KEY = RelationType.CONNECTED.value
 
 _REL_ENDPOINTS = {rel: (src, dst) for src, rel, dst in legal_meta_relations()}
-
-#: A graph's input rows: a node id -> row mapping, or a ``node_features`` matrix.
-NodeRows = Mapping[int, np.ndarray] | np.ndarray
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -121,6 +113,8 @@ class ModelConfig:
             raise ModelError("num_layers and input_dim must be positive")
         if self.attention_scale not in ("sqrt_d", "sqrt_dh"):
             raise ModelError(f"unknown attention_scale {self.attention_scale!r}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be at least 0, not {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -412,17 +406,9 @@ def init_params(config: ModelConfig, rng_seed: int | None = None) -> ParamStore:
     return ParamStore(shapes, flat)
 
 
-def node_features(g: DebateGraph, rows: NodeRows, input_dim: int) -> np.ndarray:
-    """The graph's input rows as one (nodes, input_dim) float64 matrix in node-id
-    order: a matrix of that form as it is, or a mapping's rows once each is checked."""
-    if isinstance(rows, Mapping):
-        for n in g.nodes:
-            if n.id not in rows:
-                raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
-            if np.shape(rows[n.id]) != (input_dim,):
-                raise DimMismatch(f"embedding of node {n.id} has shape {np.shape(rows[n.id])}, "
-                                  f"expected ({input_dim},)")
-        rows = [rows[i] for i in range(g.num_nodes)]
+def node_features(g: DebateGraph, rows: np.ndarray, input_dim: int) -> np.ndarray:
+    """The graph's input rows as one (nodes, input_dim) float64 matrix in
+    node-id order: ``rows`` as it is, once its shape is checked."""
     matrix = np.asarray(rows, dtype=np.float64)
     if matrix.shape != (g.num_nodes, input_dim):
         raise DimMismatch(f"embedding matrix of {g.graph_id} has shape {matrix.shape}, "
@@ -432,7 +418,7 @@ def node_features(g: DebateGraph, rows: NodeRows, input_dim: int) -> np.ndarray:
 
 def _embed(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[NodeRows],
+    embeddings: Sequence[np.ndarray],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex,
@@ -447,7 +433,7 @@ def _embed(
 
 def featurize(
     g: DebateGraph,
-    embeddings: NodeRows,
+    embeddings: np.ndarray,
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
@@ -546,7 +532,7 @@ class ForwardTrace:
 
 def _forward(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[NodeRows],
+    embeddings: Sequence[np.ndarray],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
@@ -577,7 +563,7 @@ def _forward(
 
 def predict(
     g: DebateGraph,
-    embeddings: NodeRows,
+    embeddings: np.ndarray,
     params: ParamStore,
     config: ModelConfig,
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -612,7 +598,7 @@ def edge_chunks(graphs: Sequence[DebateGraph]) -> list[slice]:
 
 def predict_batch(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[NodeRows],
+    embeddings: Sequence[np.ndarray],
     params: ParamStore,
     config: ModelConfig,
     index: GraphIndex | None = None,
@@ -624,7 +610,7 @@ def predict_batch(
 
 def forward_loss(
     graphs: Sequence[DebateGraph],
-    embeddings: Sequence[NodeRows],
+    embeddings: Sequence[np.ndarray],
     params: ParamStore,
     config: ModelConfig,
     labels: Sequence[int],

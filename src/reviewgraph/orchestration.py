@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -222,6 +223,12 @@ class EndpointConfig:
         if self.max_concurrent < 1 or self.retry_limit < 0 or self.embedding_dim < 1:
             raise OrchestrationError(
                 "need max_concurrent >= 1, retry_limit >= 0 and embedding_dim >= 1")
+        # each test is written so that NaN fails it
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise OrchestrationError(f"timeout must be finite and above 0, not {self.timeout}")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise OrchestrationError(
+                f"backoff_base must be finite and at least 0, not {self.backoff_base}")
 
 
 class BaseClient:

@@ -40,8 +40,10 @@ def unit_embedding(text: str, dim: int, seed: int = 0) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def embeddings_for(g: DebateGraph, dim: int, seed: int = 0) -> dict[int, np.ndarray]:
-    return {n.id: unit_embedding(n.text, dim, seed) for n in g.nodes}
+def embeddings_for(g: DebateGraph, dim: int, seed: int = 0) -> np.ndarray:
+    """The graph's (nodes, dim) input rows in node-id order: each node's
+    ``unit_embedding`` of its text."""
+    return np.stack([unit_embedding(t, dim, seed) for t in g.texts])
 
 
 def random_debate_graph(
@@ -160,6 +162,6 @@ def generate_rule_dataset(
     for i in range(n):
         g = rule_labeled_graph(seed * 100003 + i, f"rule-{seed}-{i}", n_opinions,
                                add_inverse_edges)
-        rows = np.stack([unit_embedding(n.text, input_dim, seed) for n in g.nodes])
-        examples.append(GraphExample(graph=g, embeddings=rows, label=g.label))
+        examples.append(GraphExample(graph=g, embeddings=embeddings_for(g, input_dim, seed),
+                                     label=g.label))
     return examples

@@ -18,7 +18,6 @@ from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wrap
 from .graph import DECISION_LABELS, DebateGraph, replacing
 from .model import (
     ModelConfig,
-    NodeRows,
     build_graph_index,
     edge_chunks,
     forward_loss,
@@ -79,8 +78,20 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
-            raise TrainingError("learning rate, batch size, and max epochs must be positive")
+        if self.batch_size <= 0 or self.max_epochs <= 0:
+            raise TrainingError("batch size and max epochs must be positive")
+        # each test is written so that NaN fails it
+        for name, ok, domain in (
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0,
+             "finite and above 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("epsilon", math.isfinite(self.epsilon) and self.epsilon > 0, "finite and above 0"),
+            ("early_stop_patience", self.early_stop_patience >= 0, "at least 0"),
+            ("seed", self.seed >= 0, "at least 0"),
+        ):
+            if not ok:
+                raise TrainingError(f"{name} must be {domain}, not {getattr(self, name)}")
         if self.early_stop_patience > self.max_epochs:
             raise TrainingError("patience must not exceed max_epochs")
 
@@ -88,7 +99,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class GraphExample:
     graph: DebateGraph
-    embeddings: NodeRows
+    embeddings: np.ndarray
     label: str
 
     @property

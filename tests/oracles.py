@@ -159,7 +159,8 @@ def permute_graph(g, embeddings, perm):
     edges = tuple(
         Edge(mapping[e.src], mapping[e.dst], e.relation, e.inverse) for e in g.edges
     )
-    new_emb = {mapping[k]: v for k, v in embeddings.items()}
+    new_emb = np.empty_like(embeddings)
+    new_emb[[mapping[k] for k in range(len(embeddings))]] = embeddings
     return DebateGraph(g.graph_id, nodes, edges, g.label), new_emb
 
 

@@ -3,6 +3,7 @@ import builtins
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -911,6 +912,7 @@ WRONGLY_TYPED = {
     "integer-shuffle": ("train", "shuffle", 1),
     "number-attention-scale": ("model", "attention_scale", 2),
     "list-seed": ("model", "seed", [1]),
+    "integer-learning-rate-beyond-float": ("train", "learning_rate", 10**400),
 }
 
 
@@ -950,6 +952,57 @@ def test_config_size_out_of_range_exits_1(tmp_path, capsys, config, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad configuration in {tmp_path / 'run.json'}: "), err
     assert "Traceback" not in err
+    assert not (tmp_path / "work" / "p0.transcript.json").exists()
+
+
+#: Values outside their domain, with the command that reads them and the
+#: option or field the error must name: each exits 1 before any stage runs.
+OUT_OF_DOMAIN = {
+    "seed-option-train": (["--seed", "-1"], {}, ["train", "{manifest}"], "'--seed'"),
+    "seed-option-ablate": (["--seed", "-1"], {}, ["ablate", "{manifest}"], "'--seed'"),
+    "seed-option-gradcheck": (["--seed", "-1"], {}, ["gradcheck"], "'--seed'"),
+    "model-seed": ([], {"model": {"seed": -1}}, ["train", "{manifest}"], "model: seed"),
+    "train-seed": ([], {"train": {"seed": -1}}, ["ablate", "{manifest}"], "train: seed"),
+    "zero-timeout": ([], {"endpoint": {"timeout": 0}}, ["simulate", "{manifest}"],
+                     "endpoint: timeout"),
+    "negative-timeout": ([], {"endpoint": {"timeout": -5}}, ["simulate", "{manifest}"],
+                         "endpoint: timeout"),
+    "nan-timeout": ([], {"endpoint": {"timeout": math.nan}}, ["simulate", "{manifest}"],
+                    "endpoint: timeout"),
+    "negative-backoff": ([], {"endpoint": {"backoff_base": -1}}, ["simulate", "{manifest}"],
+                         "endpoint: backoff_base"),
+    "infinite-backoff": ([], {"endpoint": {"backoff_base": math.inf}},
+                         ["simulate", "{manifest}"], "endpoint: backoff_base"),
+    "beta1-one": ([], {"train": {"beta1": 1.0}}, ["train", "{manifest}"], "train: beta1"),
+    "beta2-one": ([], {"train": {"beta2": 1.0}}, ["train", "{manifest}"], "train: beta2"),
+    "negative-beta1": ([], {"train": {"beta1": -0.1}}, ["train", "{manifest}"],
+                       "train: beta1"),
+    "zero-epsilon": ([], {"train": {"epsilon": 0}}, ["train", "{manifest}"], "train: epsilon"),
+    "infinite-learning-rate": ([], {"train": {"learning_rate": math.inf}},
+                               ["train", "{manifest}"], "train: learning_rate"),
+    "nan-learning-rate": ([], {"train": {"learning_rate": math.nan}}, ["train", "{manifest}"],
+                          "train: learning_rate"),
+    "negative-patience": ([], {"train": {"early_stop_patience": -1}}, ["train", "{manifest}"],
+                          "train: early_stop_patience"),
+    "zero-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "0"], "--eps"),
+    "negative-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "-1e-5"], "--eps"),
+    "nan-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "nan"], "--eps"),
+    "infinite-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "inf"], "--eps"),
+}
+
+
+@pytest.mark.parametrize("options, config, command, field", OUT_OF_DOMAIN.values(),
+                         ids=OUT_OF_DOMAIN)
+def test_value_outside_its_domain_exits_1_naming_it(tmp_path, capsys, options, config, command,
+                                                    field):
+    manifest = make_workspace(tmp_path, THREE_PAPERS, config)
+    capsys.readouterr()
+    args = [arg.format(manifest=manifest) for arg in command]
+    assert main(["--config", str(tmp_path / "run.json"), *options, *args]) == 1
+    err = capsys.readouterr().err
+    assert field in err, err
+    assert "Traceback" not in err
+    assert config == {} or err.startswith(f"error: bad configuration in {tmp_path / 'run.json'}: ")
     assert not (tmp_path / "work" / "p0.transcript.json").exists()
 
 

@@ -8,11 +8,10 @@ import pytest
 from oracles import dense_forward, dense_trace, permute_graph, reference_graph_index
 from reviewgraph import autodiff as ad
 from reviewgraph import model as modelmod
-from reviewgraph.graph import AblationMode, apply_ablation, assemble, skeleton
+from reviewgraph.graph import AblationMode, DebateGraph, apply_ablation, assemble, skeleton
 from reviewgraph.model import (
     PREDICT_EDGE_BUDGET,
     DimMismatch,
-    MissingEmbedding,
     ModelConfig,
     ModelError,
     build_graph_index,
@@ -30,7 +29,12 @@ from reviewgraph.model import (
     predict_batch,
     relation_keys,
 )
-from reviewgraph.synth import embeddings_for, generate_rule_dataset, random_debate_graph
+from reviewgraph.synth import (
+    embeddings_for,
+    generate_rule_dataset,
+    random_debate_graph,
+    unit_embedding,
+)
 from reviewgraph.training import GraphExample, predict_label_indices
 
 SMALL = ModelConfig(input_dim=6, hidden_dim=8, num_heads=2, num_layers=2,
@@ -127,73 +131,63 @@ def test_init_params_fills_one_vector_in_layout_order(homogeneous):
 
 def test_featurize_checks_embeddings():
     g, emb, params = make_case(0)
-    missing = dict(emb)
-    missing.pop(0)
-    with pytest.raises(MissingEmbedding):
-        featurize(g, missing, params, SMALL)
-    bad = dict(emb)
-    bad[0] = np.zeros(3)
-    with pytest.raises(DimMismatch):
-        featurize(g, bad, params, SMALL)
+    for bad in (emb[1:], emb[:, 1:], emb.ravel(), emb[None]):
+        with pytest.raises(DimMismatch, match=f"embedding matrix of {g.graph_id} has shape"):
+            featurize(g, bad, params, SMALL)
+
+
+def test_embeddings_for_gives_each_node_its_text_row_in_node_id_order():
+    g = random_debate_graph(4, "case-4")
+    shuffled = DebateGraph(g.graph_id, g.nodes[::-1], g.edges, g.label)
+    want = np.stack([unit_embedding(n.text, 5, 9) for n in sorted(g.nodes, key=lambda n: n.id)])
+    for graph in (g, shuffled):
+        got = embeddings_for(graph, 5, 9)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def _embed_node_by_node(graphs, embeddings, config, index):
-    """The input rows as the per-node loop filled them, with its errors; a
-    matrix gives row i to node i, once its shape is checked."""
+    """The input rows as a per-node loop fills them: row i of a graph's
+    matrix to node i, once the matrix's shape is checked."""
     emb = np.empty((index.n_nodes, config.input_dim), dtype=np.float64)
     for g, rows, offset in zip(graphs, embeddings, index.node_offsets.tolist()):
-        if not isinstance(rows, dict):
-            matrix = np.asarray(rows, dtype=np.float64)
-            if matrix.shape != (g.num_nodes, config.input_dim):
-                raise DimMismatch(f"embedding matrix of {g.graph_id} has shape {matrix.shape}, "
-                                  f"expected ({g.num_nodes}, {config.input_dim})")
-            rows = dict(enumerate(matrix))
+        matrix = np.asarray(rows, dtype=np.float64)
+        if matrix.shape != (g.num_nodes, config.input_dim):
+            raise DimMismatch(f"embedding matrix of {g.graph_id} has shape {matrix.shape}, "
+                              f"expected ({g.num_nodes}, {config.input_dim})")
         for n in g.nodes:
-            if n.id not in rows:
-                raise MissingEmbedding(f"no embedding for node {n.id} of {g.graph_id}")
-            row = np.asarray(rows[n.id], dtype=np.float64)
-            if row.shape != (config.input_dim,):
-                raise DimMismatch(f"embedding of node {n.id} has shape {row.shape}, "
-                                  f"expected ({config.input_dim},)")
-            emb[offset + n.id] = row
+            emb[offset + n.id] = matrix[n.id]
     return emb
 
 
-def _with(rows, node_id, value):
-    return {**rows, node_id: value} if value is not None else \
-        {k: v for k, v in rows.items() if k != node_id}
-
-
-def _matrix(rows, extra=0):
-    """The rows of a node id -> row mapping as a matrix, with ``extra`` rows
-    more (or, if negative, fewer)."""
-    matrix = np.stack([rows[i] for i in range(len(rows))])
+def _resized(matrix, extra):
+    """``matrix`` with ``extra`` rows more (or, if negative, fewer)."""
     return np.concatenate([matrix, matrix[:extra]]) if extra > 0 else matrix[:len(matrix) + extra]
 
 
-#: Edits of a graph's embedding rows: a missing row, rows of wrong shape
-#: (one-wide and scalar rows of every graph a block assignment would
-#: broadcast), rows of other types, matrices of the wrong shape; and, last,
-#: edits both readers accept.
+def _ragged(m, i, row):
+    """The rows of ``m`` as a list, with row ``i`` replaced by ``row``."""
+    return [row if j == i else r for j, r in enumerate(m)]
+
+
+#: Edits of a graph's embedding matrix: matrices of the wrong shape, ragged
+#: rows, a row of text; and, last, edits both readers accept.
 EMBEDDING_EDITS = {
-    "matrix-extra-row": lambda rows, d: _matrix(rows, 1),
-    "matrix-missing-row": lambda rows, d: _matrix(rows, -1),
-    "matrix-wide": lambda rows, d: np.pad(_matrix(rows), ((0, 0), (0, 1))),
-    "matrix-flat": lambda rows, d: _matrix(rows).ravel(),
-    "missing": lambda rows, d: _with(rows, 3, None),
-    "short": lambda rows, d: _with(rows, 3, np.zeros(d - 1)),
-    "one-wide": lambda rows, d: {k: np.zeros(1) for k in rows},
-    "scalar": lambda rows, d: {k: 0.5 for k in rows},
-    "column": lambda rows, d: _with(rows, 0, np.zeros((d, 1))),
-    "row-matrix": lambda rows, d: {k: v[None, :] for k, v in rows.items()},
-    "text": lambda rows, d: _with(rows, 2, ["x"] * d),
-    "lists": lambda rows, d: {k: list(v) for k, v in rows.items()},
-    "ints": lambda rows, d: {k: np.arange(d) + k for k in rows},
-    "float32": lambda rows, d: {k: v.astype(np.float32) for k, v in rows.items()},
-    "extra-keys": lambda rows, d: {**rows, 999: np.zeros(d)},
-    "matrix": lambda rows, d: _matrix(rows),
-    "matrix-float32": lambda rows, d: _matrix(rows).astype(np.float32),
-    "nested-lists": lambda rows, d: _matrix(rows).tolist(),
+    "matrix-extra-row": lambda m, d: _resized(m, 1),
+    "matrix-missing-row": lambda m, d: _resized(m, -1),
+    "missing": lambda m, d: np.delete(m, 3, axis=0),
+    "matrix-wide": lambda m, d: np.pad(m, ((0, 0), (0, 1))),
+    "one-wide": lambda m, d: m[:, :1],
+    "matrix-flat": lambda m, d: m.ravel(),
+    "scalar": lambda m, d: 0.5,
+    "row-matrix": lambda m, d: m[None],
+    "short": lambda m, d: _ragged(m, 3, np.zeros(d - 1)),
+    "column": lambda m, d: _ragged(m, 0, np.zeros((d, 1))),
+    "text": lambda m, d: _ragged(m, 2, ["x"] * d),
+    "ints": lambda m, d: np.arange(m.size).reshape(m.shape),
+    "matrix": lambda m, d: m,
+    "matrix-float32": lambda m, d: m.astype(np.float32),
+    "lists": lambda m, d: list(m),
+    "nested-lists": lambda m, d: m.tolist(),
 }
 
 
@@ -222,12 +216,10 @@ def test_block_embed_gives_the_rows_and_errors_of_the_node_loop(edit, edited):
 
 def test_node_features_passes_a_matrix_through_and_names_the_graph_of_a_wrong_one():
     g, emb, _params = make_case(0)
-    matrix = _matrix(emb)
-    assert node_features(g, matrix, SMALL.input_dim) is matrix
-    assert node_features(g, emb, SMALL.input_dim).tobytes() == matrix.tobytes()
+    assert node_features(g, emb, SMALL.input_dim) is emb
     for extra in (1, -1):
         with pytest.raises(DimMismatch, match=f"embedding matrix of {g.graph_id} has shape"):
-            node_features(g, _matrix(emb, extra), SMALL.input_dim)
+            node_features(g, _resized(emb, extra), SMALL.input_dim)
 
 
 def test_predict_matches_dense_oracle():

@@ -19,7 +19,6 @@ from reviewgraph.training import (
     CorruptPayload,
     DegenerateSample,
     EmptySplit,
-    GraphExample,
     IoError,
     LengthMismatch,
     TrainConfig,
@@ -237,19 +236,6 @@ def test_train_is_deterministic():
     assert hist1 == hist2
     for name, t in cp1.params.items():
         np.testing.assert_array_equal(t.value, cp2.params[name].value)
-
-
-def test_train_on_matrices_and_on_mappings_of_the_same_vectors_is_byte_identical():
-    as_matrices = small_dataset(12, seed=3)
-    assert all(isinstance(ex.embeddings, np.ndarray) for ex in as_matrices)
-    as_mappings = [GraphExample(ex.graph, dict(enumerate(ex.embeddings)), ex.label)
-                   for ex in as_matrices]
-    tc = TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=3, early_stop_patience=3,
-                     seed=2)
-    cp_map, hist_map = train(as_mappings[:8], as_mappings[8:], MC, tc)
-    cp_mat, hist_mat = train(as_matrices[:8], as_matrices[8:], MC, tc)
-    assert json.dumps(hist_map) == json.dumps(hist_mat)
-    assert cp_map.params.flat.tobytes() == cp_mat.params.flat.tobytes()
 
 
 def test_train_history_shape_and_early_stop():
