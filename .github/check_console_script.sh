@@ -25,7 +25,8 @@ printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
             "3 train torn.jsonl" "1 --config deep.json gradcheck" "3 train deep.jsonl" \
-            "1 --seed -1 gradcheck" "1 --seed 0 gradcheck --eps 0" "1 --config t0.json gradcheck"; do
+            "1 --seed -1 gradcheck" "1 --seed 0 gradcheck --eps 0" "1 --config t0.json gradcheck" \
+            "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan"; do
   set -- $case
   want=$1
   shift

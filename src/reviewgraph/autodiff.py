@@ -17,16 +17,50 @@ each output row starts from zero and adds its rows in row order, as
 ``np.add.at`` does, all in one ``np.bincount`` over (row, column) bins.
 ``segment_softmax`` normalizes within the runs of a ``Gather`` whose equal
 indices are adjacent.
+
+Importing the module asks glibc's ``malloc`` to keep freed memory in the
+process (``_keep_freed_memory``): each training step frees its tape and
+builds the next one from the same sizes, which then reuses those pages.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import weakref
 from typing import Callable, Sequence
 
 import numpy as np
+
+# mallopt(3) parameters of glibc's malloc.h. Blocks above the mmap threshold
+# get their own mapping, unmapped on free; the free top of the heap above the
+# trim threshold goes back to the kernel. Either way the next step faults
+# every page in again. Setting either one turns off glibc's dynamic
+# thresholds, so both are set; 32 MiB is the 64-bit ceiling of the first.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 128 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Raise glibc's mmap and trim thresholds, so a step's freed arrays stay
+    in the heap for the next step; a no-op where the C library has no
+    ``mallopt`` (macOS, Windows)."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is None:
+            return
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    except (OSError, AttributeError, TypeError):
+        return
+
+
+_keep_freed_memory()
 
 
 class NumericsError(Exception):

@@ -197,11 +197,21 @@ def _ablation_model(model: modelmod.ModelConfig,
     return dataclasses.replace(model, homogeneous=mode == graphmod.AblationMode.HOMOGENEOUS)
 
 
+def _make_parent(path: Path) -> None:
+    """Create the missing directories above ``path``; one that cannot be
+    created, such as one under a regular file, exits 3 naming ``path``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataFailure(f"cannot create the directory of {path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
 def _write_output(path: Path, text: str, what: str = "report") -> None:
     """Write ``text`` to ``path``, which appears only once it is complete; a
     path that cannot be written, such as a directory, exits 3 naming it."""
+    _make_parent(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with graphmod.replacing(path) as tmp:
             tmp.write_text(text)
     except OSError as exc:
@@ -443,6 +453,8 @@ def _examples(papers: list[tuple], split: str,
 def train(obj, manifest, checkpoint_path, history_path) -> None:
     """Train the classifier on the manifest's train/val splits."""
     cfg: RunConfig = obj["config"]
+    for path in (checkpoint_path, history_path):  # before hours of training, not after
+        _make_parent(Path(path))
     papers = _load_papers(load_manifest(manifest), ("train", "val"), cfg.model.input_dim)
     train_set = _examples(papers, "train")
     val_set = _examples(papers, "val")
@@ -526,6 +538,7 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
 def ablate(obj, manifest, output) -> None:
     """Train and evaluate every ablation mode with the shared seed."""
     cfg: RunConfig = obj["config"]
+    _make_parent(Path(output))  # before six trainings, not after
     papers = _load_papers(load_manifest(manifest), ("train", "val", "test"), cfg.model.input_dim)
     rows: list[dict] = []
     for mode in graphmod.AblationMode:
@@ -552,13 +565,15 @@ def ablate(obj, manifest, output) -> None:
 @cli.command()
 @click.option("--eps", type=float, default=1e-5, show_default=True)
 @click.option("--threshold", type=float, default=1e-4, show_default=True)
-@click.option("--samples", type=int, default=8, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=8, show_default=True,
               help="Entries perturbed per parameter tensor (0 checks all).")
 @click.pass_obj
 def gradcheck(obj, eps, threshold, samples) -> int:
     """Finite-difference check of the full loss gradient on a small graph."""
     if not (math.isfinite(eps) and eps > 0):
         raise UsageFailure(f"--eps must be finite and above 0, not {eps}")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise UsageFailure(f"--threshold must be finite and above 0, not {threshold}")
     seed = obj["seed"] if obj["seed"] is not None else 0
     g = synth.random_debate_graph(
         seed, "gradcheck", n_reviewer_opinions=(3, 3), n_author_opinions=(2, 2)

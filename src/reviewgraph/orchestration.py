@@ -740,24 +740,30 @@ def render_review_file(transcript: Transcript) -> str:
     return "\n".join(parts)
 
 
+_JSON_DECODER = json.JSONDecoder()
+_OBJECT_START = re.compile(r'\{\s*["}]')  # a brace that may open a JSON object
+
+
 def find_json_object(text: str) -> str | None:
-    """Longest balanced {...} span; models often wrap JSON in prose."""
+    """The longest span of ``text`` that decodes as a JSON object; models often
+    wrap JSON in prose. Each ``{`` outside an object already found is tried as
+    the start of one, so a brace inside a string or in the prose is no end.
+    The search stops at a span nested deeper than the decoder can follow."""
     best: tuple[int, int] | None = None
-    depth = 0
-    start = -1
-    for i, ch in enumerate(text):
-        if ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}" and depth > 0:
-            depth -= 1
-            if depth == 0 and start >= 0:
-                if best is None or i - start > best[1] - best[0]:
-                    best = (start, i + 1)
-    if best is None:
-        return None
-    return text[best[0]:best[1]]
+    found = _OBJECT_START.search(text)
+    while found:
+        start = found.start()
+        try:
+            _value, end = _JSON_DECODER.raw_decode(text, start)
+        except ValueError:
+            end = start + 1
+        except RecursionError:
+            break
+        else:
+            if best is None or end - start > best[1] - best[0]:
+                best = (start, end)
+        found = _OBJECT_START.search(text, end)
+    return None if best is None else text[best[0]:best[1]]
 
 
 def _ask(client: BaseClient, messages: list[dict[str, str]],

@@ -988,6 +988,13 @@ OUT_OF_DOMAIN = {
     "negative-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "-1e-5"], "--eps"),
     "nan-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "nan"], "--eps"),
     "infinite-eps": (["--seed", "0"], {}, ["gradcheck", "--eps", "inf"], "--eps"),
+    "negative-samples": (["--seed", "0"], {}, ["gradcheck", "--samples", "-1"], "'--samples'"),
+    "zero-threshold": (["--seed", "0"], {}, ["gradcheck", "--threshold", "0"], "--threshold"),
+    "negative-threshold": (["--seed", "0"], {}, ["gradcheck", "--threshold", "-1e-4"],
+                           "--threshold"),
+    "nan-threshold": (["--seed", "0"], {}, ["gradcheck", "--threshold", "nan"], "--threshold"),
+    "infinite-threshold": (["--seed", "0"], {}, ["gradcheck", "--threshold", "inf"],
+                           "--threshold"),
 }
 
 
@@ -1105,6 +1112,40 @@ def test_directory_at_a_report_or_history_path_exits_3_naming_it(trained_workspa
     assert err.startswith(f"data error: cannot write {what} to {target}: IsADirectoryError")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert target.is_dir() and not list(tmp_path.glob("*.tmp"))
+
+
+def test_train_creates_missing_output_directories(trained_workspace, tmp_path):
+    root, manifest, _files = trained_workspace
+    checkpoint, history = tmp_path / "runs" / "x" / "model.rvgc", tmp_path / "logs" / "h.jsonl"
+    assert run(root, "train", str(manifest), "--checkpoint", str(checkpoint),
+               "--history", str(history)) == 0
+    assert training.load_checkpoint(checkpoint).params.n_params() > 0
+    assert history.read_text().count("\n") >= 1
+
+
+#: The output options of the commands that train, each with the other options they take.
+TRAINED_OUTPUTS = {
+    "train-checkpoint": ("train", "--checkpoint", {"--history": "h.jsonl"}),
+    "train-history": ("train", "--history", {"--checkpoint": "c.rvgc"}),
+    "ablate-output": ("ablate", "--output", {}),
+}
+
+
+@pytest.mark.parametrize("command, option, others", TRAINED_OUTPUTS.values(),
+                         ids=TRAINED_OUTPUTS)
+def test_output_under_a_regular_file_exits_3_before_training(trained_workspace, tmp_path, capsys,
+                                                             monkeypatch, command, option, others):
+    root, manifest, _files = trained_workspace
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "x" / "out"
+    monkeypatch.setattr(training, "train",
+                        lambda *args: pytest.fail("trained before checking the output paths"))
+    capsys.readouterr()
+    others = [arg for other, name in others.items() for arg in (other, str(tmp_path / name))]
+    assert run(root, command, str(manifest), option, str(target), *others) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot create the directory of {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("force", [False, True], ids=["resume", "force"])

@@ -114,6 +114,20 @@ def test_find_json_object_picks_longest_balanced_span():
     assert find_json_object("{unclosed") is None
 
 
+@pytest.mark.parametrize("text, found", [
+    ('{"category": "a}b"}', '{"category": "a}b"}'),
+    ('Sure: {"category": "a{b"} done', '{"category": "a{b"}'),
+    ('{"text": "say \\"}\\" twice"}', '{"text": "say \\"}\\" twice"}'),
+    ('Note {see the remarks on the method below}: {"category": "Soundness"}',
+     '{"category": "Soundness"}'),
+    ("Note {see below}.", None),
+    ('{"a": "}"} ' + '{"a": ' * 100_000, '{"a": "}"}'),
+], ids=["closing-brace-in-string", "opening-brace-in-string", "escaped-quote", "prose-braces",
+        "only-prose-braces", "nested-too-deeply"])
+def test_find_json_object_decodes_strings_and_skips_prose_braces(text, found):
+    assert find_json_object(text) == found
+
+
 def test_extraction_reply_is_wrapped_in_prose_yet_parses():
     client = MockClient(seed=2)
     t = simulate_debate(PAPER, client)

@@ -1,15 +1,21 @@
+import ctypes
 import dataclasses
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import confusion_metrics
-from reviewgraph import training
+from reviewgraph import autodiff, training
 from reviewgraph.autodiff import ParamStore
 from reviewgraph.graph import RelationType
 from reviewgraph.model import ModelConfig, forward_loss, init_params, meta_key
@@ -502,3 +508,60 @@ def test_loaded_checkpoint_predicts_identically(tmp_path):
     for ex in data:
         assert (predict_label_index(ex, loaded.params, MC)
                 == predict_label_index(ex, reloaded.params, MC))
+
+
+# -- freed memory kept in the process ---------------------------------------
+
+def _has_mallopt() -> bool:
+    return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+#: Trains three times at the benchmark's train-rule shape, then prints the
+#: minor page faults of five more calls.
+FAULTS_PER_TRAIN = """
+import resource
+from reviewgraph import model, synth, training
+train_set = synth.generate_rule_dataset(64, 0, 16)
+val_set = synth.generate_rule_dataset(16, 1000, 16)
+model_config = model.ModelConfig(input_dim=16, hidden_dim=16, num_heads=2, num_layers=2,
+                                 ffn_hidden=16, seed=0)
+train_config = training.TrainConfig(batch_size=32, max_epochs=1, early_stop_patience=1, seed=0)
+for _ in range(3):
+    training.train(train_set, val_set, model_config, train_config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    training.train(train_set, val_set, model_config, train_config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_training_steps_reuse_freed_memory_without_page_faults():
+    """Without kept memory each call faults its tape's pages in again: a
+    thousand or more minor faults per call at this shape."""
+    src = str(Path(autodiff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_TRAIN], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    faults_per_call = int(done.stdout) / 5
+    assert faults_per_call < 50
+
+
+def test_keeping_freed_memory_is_skipped_without_mallopt(monkeypatch):
+    def no_library(_name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert autodiff._keep_freed_memory() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda _name: types.SimpleNamespace())
+    assert autodiff._keep_freed_memory() is None
+
+
+def test_keeping_freed_memory_sets_the_mmap_then_the_trim_threshold(monkeypatch):
+    calls = []
+    library = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda _name: library)
+    autodiff._keep_freed_memory()
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
