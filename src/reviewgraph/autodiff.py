@@ -9,14 +9,15 @@ Typed weights apply to rows sorted by type: ``block_matmul`` multiplies
 each contiguous block of rows by its own matrix of a (blocks, k, m) family.
 Learnable tensors are ``Param`` views of a ``ParamStore``'s one parameter
 vector, each a named tensor or a family of them, and their gradients land
-in the same views of one gradient vector. Row gathers, in ``rows``
-and fused into ``block_matmul``, and their transpose ``segment_sum`` take a
-``Gather`` of row indices. Every sum into a gather's rows, a segment sum,
-a gather's gradient or a segment softmax's normalizer, runs in one order:
-each output row starts from zero and adds its rows in row order, as
-``np.add.at`` does, all in one ``np.bincount`` over (row, column) bins.
+in the same views of one gradient vector. Row gathers (``rows``) and their
+transpose ``segment_sum`` take a ``Gather`` of row indices. Every sum into
+a gather's rows, a segment sum, a gather's gradient or a segment softmax's
+normalizer, runs in one order: each output row starts from zero and adds
+its rows in row order, as ``np.add.at`` does, all in one ``np.bincount``
+over (row, column) bins, which a ``BinCache`` lets many sums share.
 ``segment_softmax`` normalizes within the runs of a ``Gather`` whose equal
-indices are adjacent.
+indices are adjacent. An op written outside this module records itself
+with the ``Tensor`` constructor when ``records`` says a tape is recorded.
 
 Importing the module asks glibc's ``malloc`` to keep freed memory in the
 process (``_keep_freed_memory``): each training step frees its tape and
@@ -172,9 +173,15 @@ class no_grad:
         _grad_enabled = self._prev
 
 
+def records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on these parents goes on the tape: outside ``no_grad``,
+    when one of them needs a gradient."""
+    return _grad_enabled and any(p._needs for p in parents)
+
+
 def _op(value: np.ndarray, parents: tuple[Tensor, ...],
         backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    if not _grad_enabled or not any(p._needs for p in parents):
+    if not records(parents):
         return Tensor(value)
     return Tensor(value, parents=parents, backward_fn=backward_fn)
 
@@ -333,22 +340,43 @@ class Gather:
             raise ShapeMismatch("equal indices of a segment gather must be adjacent")
         return starts, np.diff(starts, append=len(self.idx))
 
-    def scatter(self, g: np.ndarray) -> np.ndarray:
-        """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated indices sum."""
+    def bins(self, width: int) -> np.ndarray:
+        """The flat (row, column) bin of each entry of rows ``width`` wide, in
+        the order they are summed."""
+        idx = self.idx if self._order is None else self.idx[self._order]
+        return ((idx * width)[:, None] + np.arange(width)).ravel()
+
+    def scatter(self, g: np.ndarray, cache: "BinCache | None" = None) -> np.ndarray:
+        """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated
+        indices sum. ``cache`` keeps the bins it builds for the next scatter
+        of rows as wide through this gather."""
         starts, adjacent = self._grouping()
         shape = (self.n_rows,) + g.shape[1:]
         if adjacent and len(starts) == len(self.idx):
             out = np.zeros(shape)
             out[self.idx] = g
             return out
-        idx = self.idx
         if self._order is not None:
-            idx, g = idx[self._order], g.take(self._order, axis=0)
+            g = g.take(self._order, axis=0)
         # one bin per (row, column): bincount adds each bin's weights in input order
         width = math.prod(shape[1:])
-        bins = (idx * width)[:, None] + np.arange(width)
-        return np.bincount(bins.ravel(), weights=g.ravel(),
+        bins = self.bins(width) if cache is None else cache[self, width]
+        return np.bincount(bins, weights=g.ravel(),
                            minlength=self.n_rows * width).reshape(shape)
+
+
+class BinCache(dict):
+    """Each (gather, width)'s ``Gather.bins``, built on first use.
+
+    Building the bins costs about as much as the sum they group, so the
+    scatters of one recorded forward and its backward share them. The ops
+    that use a cache keep it alive only as long as their tape.
+    """
+
+    def __missing__(self, key: tuple[Gather, int]) -> np.ndarray:
+        gather, width = key
+        self[key] = bins = gather.bins(width)
+        return bins
 
 
 def _run_starts(ids: np.ndarray) -> np.ndarray:
@@ -370,8 +398,34 @@ def rows(x: Tensor, idx: np.ndarray | Gather) -> Tensor:
     return _op(out, (x,), backward)
 
 
-def block_matmul(x: Tensor, w: Tensor, bounds: Sequence[int],
-                 take: Gather | None = None) -> Tensor:
+def nonempty_blocks(bounds: Sequence[int], per_row: int = 1) -> list[tuple[int, int, int]]:
+    """(j, start, stop) of each non-empty block j, rows ``bounds[j]:bounds[j + 1]``,
+    counted in sub-rows when each row is ``per_row`` of them."""
+    return [(j, a * per_row, b * per_row)
+            for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
+
+
+def block_products(x: np.ndarray, w: np.ndarray, blocks: Sequence[tuple[int, int, int]],
+                   out: np.ndarray) -> np.ndarray:
+    """Rows ``a:b`` of x (..., rows, k) times ``w[j]`` (..., k, m), written into
+    the same rows of out, for each block (j, a, b); returns out."""
+    for j, a, b in blocks:
+        np.matmul(x[..., a:b, :], w[j], out=out[..., a:b, :])
+    return out
+
+
+def block_weight_grads(x: np.ndarray, g: np.ndarray, blocks: Sequence[tuple[int, int, int]],
+                       shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of ``block_products``' matrices, an array of the given
+    shape, from its output's gradient g: zero for a matrix whose block is
+    empty."""
+    gw = np.zeros(shape)
+    for j, a, b in blocks:
+        np.matmul(x[..., a:b, :].swapaxes(-1, -2), g[..., a:b, :], out=gw[j])
+    return gw
+
+
+def block_matmul(x: Tensor, w: Tensor, bounds: Sequence[int]) -> Tensor:
     """Rows ``bounds[j]:bounds[j + 1]`` of x times ``w[j]``: one product per block.
 
     x is (n, ..., k), w is a (blocks, k, m) family of matrices, and the
@@ -379,8 +433,7 @@ def block_matmul(x: Tensor, w: Tensor, bounds: Sequence[int],
     into its contiguous slice of the result, and backward takes each block's
     gradients from slices too; rows sorted by type or relation make every
     typed projection one block product per type. A matrix whose block is
-    empty gets no gradient. With ``take``, the result is the product's rows
-    ``take.idx``, and the full product is never kept on the tape.
+    empty gets no gradient.
     """
     x, w = _tensor(x), _tensor(w)
     bounds = list(bounds)
@@ -390,29 +443,19 @@ def block_matmul(x: Tensor, w: Tensor, bounds: Sequence[int],
         raise ShapeMismatch(f"block_matmul: x {x.shape}, matrices {w.shape}, "
                             f"block bounds {bounds}")
     k, m = w.value.shape[1:]
-    per_row = math.prod(x.value.shape[1:-1])
-    blocks = [(j, a * per_row, b * per_row)
-              for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
+    blocks = nonempty_blocks(bounds, math.prod(x.value.shape[1:-1]))
     xs = x.value.reshape(-1, k)
     out = np.empty(x.value.shape[:-1] + (m,))
-    products = out.reshape(-1, m)
-    for j, a, b in blocks:
-        np.matmul(xs[a:b], w.value[j], out=products[a:b])
-    if take is not None:
-        out = out.take(take.idx, axis=0)
+    block_products(xs, w.value, blocks, out.reshape(-1, m))
 
     def backward(g: np.ndarray) -> None:
-        gs = (g if take is None else take.scatter(g)).reshape(-1, m)
+        gs = g.reshape(-1, m)
         if w._needs:
-            gw = np.zeros(w.value.shape)
-            for j, a, b in blocks:
-                np.matmul(xs[a:b].T, gs[a:b], out=gw[j])
-            w.accumulate(gw, [j for j, _, _ in blocks])
+            w.accumulate(block_weight_grads(xs, gs, blocks, w.value.shape),
+                         [j for j, _, _ in blocks])
         if x._needs:
             gx = np.empty(x.value.shape)
-            gxs = gx.reshape(-1, k)
-            for j, a, b in blocks:
-                np.matmul(gs[a:b], w.value[j].T, out=gxs[a:b])
+            block_products(gs, w.value.swapaxes(1, 2), blocks, gx.reshape(-1, k))
             x.accumulate(gx)
 
     return _op(out, (x, w), backward)
@@ -616,6 +659,14 @@ class Param(Tensor):
     def grad(self, g: np.ndarray | None) -> None:
         self._grad_view()[...] = 0.0 if g is None else g
         self._store.present[self._members] = g is not None
+
+    def interleaved(self, count: int) -> np.ndarray:
+        """This family and the ``count - 1`` tensors that follow each of its
+        members in the store, as one (members, count, ...) view: families
+        laid out member by member side by side read as one array."""
+        v = self.value
+        return np.ndarray(v.shape[:1] + (count,) + v.shape[1:], np.float64, self._store.flat,
+                          self._offset, v.strides[:1] + (v[0].nbytes,) + v.strides[1:])
 
     def accumulate(self, g: np.ndarray, rows: Sequence[int] | None = None) -> None:
         self._grad_view()[...] += g  # zero outside rows, as the rows of absent tensors are

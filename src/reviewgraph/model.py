@@ -25,26 +25,32 @@ or relations. Predictions outside training steps run that forward under
 ``PREDICT_EDGE_BUDGET`` edges, which bounds its peak memory.
 
 The forward keeps node states type-major, in (type, graph, id) order, so a
-typed projection is one ``block_matmul``: each present type's weight
-multiplies its contiguous block of rows, in forward and backward, and the
-key, query and message projections are gathered straight to the edges'
-sources or targets. The relation matrices ``w_attn`` and ``w_msg`` are
-applied the same way to the edges in relation-major order, each relation's
-contiguous block at once, and their products are gathered straight back to
-target order, so attention scores and messages stay (edges, heads,
-head_dim) arrays and no per-edge weight copy is made. PyG's
+typed projection is one matrix product per present type on its contiguous
+block of rows, and the key, query and message products are gathered
+straight to the edges' sources or targets. The relation matrices ``w_attn``
+and ``w_msg`` are applied the same way to the edges in relation-major
+order, each relation's contiguous block at once, and their products are
+taken back to target order, so attention scores and messages stay (edges,
+heads, head_dim) arrays and no per-edge weight copy is made. PyG's
 ``HeteroLinear(is_sorted=True)`` and ``pyg_lib.ops.segment_matmul`` multiply
 type-sorted rows the same way. The index's gathers also say which rows sum
 into which: the gather that picks each edge's target query groups the
 attention softmax and the message sum, whose runs are each target's
 incoming edges, and the gather from each layout row to its (graph, type)
-slot groups pooling. Each such sum adds its rows from zero in row order,
-as ``np.add.at`` does. Pooling is a mean per (node type, graph), each a
+slot groups pooling. Each such sum adds its rows from zero in row order, as
+``np.add.at`` does. Pooling is a mean per (node type, graph), each a
 contiguous run of the layout, zero for a type the graph lacks, and the loss
-is the batch's mean cross-entropy. ``featurize``, ``hgt_layer``,
-``hgt_attention`` and ``ForwardTrace`` answer in node-id order and the
-index's target-sorted edge order. Rows of types and relations no graph of
-the batch has get no gradient, so an Adam step leaves them as they are.
+is the batch's mean cross-entropy.
+
+Each HGT layer is one tape op (``_layer``) whose parents are its input
+states and its eight weight families, with a backward written out in NumPy;
+with the input projection, pooling, the head and the loss, a two-layer step
+records 13 ops. Its results and gradients are the bytes that a chain of one
+op per step gives.
+``featurize``, ``hgt_layer``, ``hgt_attention`` and ``ForwardTrace`` answer
+in node-id order and the index's target-sorted edge order. Rows of types
+and relations no graph of the batch has get no gradient, so an Adam step
+leaves them as they are.
 """
 
 from __future__ import annotations
@@ -206,11 +212,11 @@ class GraphIndex:
     ``edge_order`` lists the sorted edges in (relation, target, source)
     order, the relation-major order, and the edges of relation j are its
     rows ``rel_bounds[j]:rel_bounds[j + 1]``; a type or relation the batch
-    lacks has an empty block. The other gathers the forward
-    makes through these orders are built once per index, on first use. A
-    sum through any of them adds its rows from zero in row order, and
-    through ``src_rows`` each source's edges in target order, so
-    ``dst_rows`` sums the query gradient, the attention softmax's
+    lacks has an empty block. The gathers the forward makes through these
+    orders, and each layout row's type (``type_ids``), are built once per
+    index, on first use. A sum through a gather adds its rows from zero in
+    row order, and through ``src_rows`` each source's edges in target
+    order, so ``dst_rows`` sums the query gradient, the attention softmax's
     normalizers and the message sum alike.
     """
 
@@ -243,7 +249,7 @@ class GraphIndex:
         over the target-sorted edges would.
         """
         return ad.Gather(self.node_pos[self.src[self.edge_order]], self.n_nodes,
-                         order=self.to_target.idx)
+                         order=self.to_target)
 
     @functools.cached_property
     def dst_rows(self) -> ad.Gather:
@@ -258,19 +264,14 @@ class GraphIndex:
         return np.stack([starts, starts + lengths], axis=1)
 
     @functools.cached_property
-    def to_target(self) -> ad.Gather:
+    def to_target(self) -> np.ndarray:
         """The relation-major rows in target order: a permutation."""
-        return ad.Gather(_inverse(self.edge_order), self.n_edges)
+        return _inverse(self.edge_order)
 
     @functools.cached_property
-    def rel_ids(self) -> ad.Gather:
-        """Each edge's relation number, in target order."""
-        return ad.Gather(self.edge_rel, len(self.rel_bounds) - 1)
-
-    @functools.cached_property
-    def type_ids(self) -> ad.Gather:
+    def type_ids(self) -> np.ndarray:
         """Each layout row's type number."""
-        return ad.Gather(self.node_type[self.node_order], len(self.type_bounds) - 1)
+        return self.node_type[self.node_order]
 
     @property
     def n_graphs(self) -> int:
@@ -444,51 +445,160 @@ def featurize(
     return ad.rows(_embed([g], [embeddings], params, config, index), index.node_pos)
 
 
+#: The weight families of one layer, the parents of its tape op after its input.
+_LAYER_KINDS = ("key", "query", "msg", "w_attn", "w_msg", "mu", "agg", "rescale")
+
+
 def _layer(
-    h: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex
+    h: Tensor, params: ParamStore, layer: int, config: ModelConfig, index: GraphIndex,
+    cache: ad.BinCache | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """One HGT layer on type-major node states: the next (N, d) states, in
-    the same layout, and the (E, heads) attention in target order.
+    """One HGT layer on type-major node states as one tape op: the next
+    (N, d) states, in the same layout, and the (E, heads) attention in
+    target order. The op's parents are h and the layer's eight weight
+    families.
 
     Each type's key, query and message weight multiplies its contiguous
-    block of node rows, and the product's rows are gathered straight to the
-    edges: sources in relation-major order, targets in target order. Each
+    block of node rows, and the product's rows are gathered to the edges:
+    sources in relation-major order, targets in target order. Each
     relation's ``w_attn`` and ``w_msg`` then multiplies its contiguous block
-    of edges, and the product's rows are gathered to target order, where
-    the softmax and the sum run over each target's run of ``dst_rows``, the
-    gather that picked the targets' queries.
+    of edges, and the product's rows are taken to target order, where the
+    ``segment_softmax`` and the message sum run over each target's run of
+    ``dst_rows``, the gather that picked the targets' queries.
 
-    Each (E, d) product goes straight into the op that consumes it, and the
-    messages are projected only once the attention is done, so under
-    ``no_grad``, where no tape keeps them, the forward holds few (E, d)
-    arrays at a time.
+    The forward drops each (E, d) array once it is consumed, unless the
+    backward needs it, and projects the messages only once the attention
+    is done, so under ``no_grad`` it holds few (E, d) arrays at a time. The
+    backward, written out here, takes the key, query and message weights'
+    gradients in one matmul per type against the (3, d, d) slice of the
+    three, and the relation blocks' in one per relation against its
+    (2, dh, dh) ``w_attn``/``w_msg`` slice; every sum adds its rows in the
+    order the op-by-op tape added them, so both give the same bytes. Its
+    scatters share ``cache``'s bins while the tape is recorded.
     """
     if index.n_edges == 0:
         return h, np.zeros((0, config.num_heads))
-    p = f"layer{layer}"
-    heads = (index.n_edges, config.num_heads, config.head_dim)
+    weights = [params.family(f"layer{layer}/{kind}") for kind in _LAYER_KINDS]
+    key, query, msg, w_attn, w_msg, mu, agg, rescale = weights
+    parents = (h, *weights)
+    recording = ad.records(parents)
+    cache = cache if recording else None
+    saved: dict[str, np.ndarray] = {}
 
-    def projected(name: str, rows: ad.Gather) -> Tensor:
-        typed = ad.block_matmul(h, params.family(f"{p}/{name}"), index.type_bounds, rows)
-        return ad.reshape(typed, heads)
+    def keep(**arrays: np.ndarray) -> None:
+        if recording:
+            saved.update(arrays)
 
-    def by_relation(x: Tensor, name: str) -> Tensor:
-        return ad.block_matmul(x, params.family(f"{p}/{name}"), index.rel_bounds,
-                               index.to_target)
+    n, e, d, heads, dh = (index.n_nodes, index.n_edges, config.hidden_dim, config.num_heads,
+                          config.head_dim)
+    types = ad.nonempty_blocks(index.type_bounds)
+    rels = ad.nonempty_blocks(index.rel_bounds, heads)
+    projections, relations = key.interleaved(3), w_attn.interleaved(2)
+    src, dst, to_target = index.src_rows.idx, index.dst_rows.idx, index.to_target
+    cv = float(1.0 / config.scale_divisor)
+    hv = h.value
 
-    scores = ad.rowdot(by_relation(projected("key", index.src_rows), "w_attn"),
-                       projected("query", index.dst_rows))
-    mu = ad.rows(params.family(f"{p}/mu"), index.rel_ids)
-    scores = ad.scale(ad.colscale(scores, mu), 1.0 / config.scale_divisor)
-    attn = ad.segment_softmax(scores, index.dst_rows)
+    def projected(kind: int) -> np.ndarray:
+        """The node rows times their type's key (0), query (1) or message (2) weight."""
+        return ad.block_products(hv, projections[:, kind], types, np.empty((n, d)))
 
-    messages = ad.colscale(by_relation(projected("msg", index.src_rows), "w_msg"), attn)
-    h_tilde = ad.segment_sum(messages, index.dst_rows)
-    h_tilde = ad.reshape(h_tilde, (index.n_nodes, config.hidden_dim))
-    rescale = ad.rows(params.family(f"{p}/rescale"), index.type_ids)
-    update = ad.block_matmul(ad.colscale(h_tilde, rescale), params.family(f"{p}/agg"),
-                             index.type_bounds)
-    return ad.add(update, h), attn.value
+    def by_relation(x: np.ndarray, kind: int) -> np.ndarray:
+        """Relation-major (E, d) rows times their relation's ``w_attn`` (0) or
+        ``w_msg`` (1), in target order."""
+        out = ad.block_products(x.reshape(-1, dh), relations[:, kind], rels,
+                                np.empty((e * heads, dh)))
+        return out.reshape(e, heads, dh).take(to_target, axis=0)
+
+    # under a tape, the sources' key and message rows share one array, so
+    # that the backward multiplies both relation blocks at once
+    sources = np.empty((2, e, d)) if recording else (None, None)
+    k_src = np.take(projected(0), src, axis=0, out=sources[0], mode="clip")
+    k = by_relation(k_src, 0)
+    del k_src
+    q = projected(1).take(dst, axis=0).reshape(e, heads, dh)
+    raw = np.einsum("...i,...i->...", k, q)
+    keep(k=k, q=q, raw=raw)
+    del k, q
+    mu_e = mu.value.take(index.edge_rel)
+    attn = ad.segment_softmax(Tensor(raw * mu_e[:, None] * cv), index.dst_rows).value
+    del raw
+
+    m_src = np.take(projected(2), src, axis=0, out=sources[1], mode="clip")
+    m = by_relation(m_src, 1)
+    del m_src
+    keep(m=m, sources=sources)
+    del sources
+    messages = m * attn[..., None]
+    del m
+    h_tilde = index.dst_rows.scatter(messages, cache).reshape(n, d)
+    del messages
+    rescale_n = rescale.value.take(index.type_ids)
+    hs = h_tilde * rescale_n[:, None]
+    out = ad.block_products(hs, agg.value, types, np.empty((n, d)))
+    out += hv
+    if not recording:
+        return Tensor(out), attn
+
+    present_types = [j for j, _, _ in types]
+    present_rels = [j for j, _, _ in rels]
+
+    def backward(g: np.ndarray) -> None:
+        # aggregation, rescale and the message sum
+        g_hs = ad.block_products(g, agg.value.swapaxes(1, 2), types, np.empty((n, d)))
+        agg.accumulate(ad.block_weight_grads(hs, g, types, agg.shape), present_types)
+        g_rescale = np.einsum("...i,...i->...", g_hs, h_tilde)
+        rescale.accumulate(np.bincount(index.type_ids, g_rescale, len(rescale.value)),
+                           present_types)
+        g_sum = (g_hs * rescale_n[:, None]).reshape(n, heads, dh)
+        del g_hs
+        g_attn = np.einsum("...i,...i->...", g_sum.take(dst, axis=0), saved.pop("m"))
+        # the relation-major gradients of the key and message relation
+        # products, each formed in place from its factors taken to that
+        # order, which holds no other (E, d) array
+        edge_order = index.edge_order
+        g_rel = np.empty((2, e, heads, dh))
+        np.take(g_sum, dst[edge_order], axis=0, out=g_rel[1], mode="clip")
+        g_rel[1] *= attn.take(edge_order, axis=0)[..., None]
+        del g_sum
+
+        # attention: softmax, scale, mu and the scores' dot products
+        dot = index.dst_rows.scatter(g_attn * attn, cache).take(dst, axis=0)
+        g_scores = attn * (g_attn - dot) * cv
+        del g_attn, dot
+        g_mu = np.einsum("...i,...i->...", g_scores, saved.pop("raw"))
+        mu.accumulate(np.bincount(index.edge_rel, g_mu, len(mu.value)), present_rels)
+        g_raw = (g_scores * mu_e[:, None])[..., None]
+        del g_scores
+        np.take(saved.pop("q"), edge_order, axis=0, out=g_rel[0], mode="clip")
+        g_rel[0] *= g_raw.take(edge_order, axis=0)
+
+        # the relation blocks, one matmul per relation for both
+        gs = g_rel.reshape(2, -1, dh)
+        g_w = ad.block_weight_grads(saved.pop("sources").reshape(2, -1, dh), gs, rels,
+                                    w_attn.shape[:1] + (2, dh, dh))
+        w_attn.accumulate(g_w[:, 0], present_rels)
+        w_msg.accumulate(g_w[:, 1], present_rels)
+        g_src = ad.block_products(gs, relations.swapaxes(2, 3), rels,
+                                  np.empty((2, e * heads, dh))).reshape(2, e, d)
+        del g_rel, gs
+
+        # the key, query and message projections, one matmul per type for all three
+        g_q = (g_raw * saved.pop("k")).reshape(e, d)
+        del g_raw
+        g_proj = np.stack([index.src_rows.scatter(g_src[0], cache),
+                           index.dst_rows.scatter(g_q, cache),
+                           index.src_rows.scatter(g_src[1], cache)])
+        del g_src, g_q
+        g_w = ad.block_weight_grads(hv, g_proj, types, key.shape[:1] + (3, d, d))
+        for kind, family in enumerate((key, query, msg)):
+            family.accumulate(g_w[:, kind], present_types)
+        if h._needs:
+            g_h = ad.block_products(g_proj, projections.swapaxes(2, 3), types,
+                                    np.empty((3, n, d)))
+            # the residual, then the message, key and query terms, as the tape added them
+            h.accumulate(g + g_h[2] + g_h[0] + g_h[1])
+
+    return Tensor(out, parents=parents, backward_fn=backward), attn
 
 
 def hgt_attention(
@@ -543,8 +653,9 @@ def _forward(
     h = _embed(graphs, embeddings, params, config, index)
     if trace is not None:
         trace.layer_outputs, trace.attention = [h.value[index.node_pos]], []
+    cache = ad.BinCache()  # the layers' scatter bins, kept by their tape ops
     for layer in range(config.num_layers):
-        h, attn = _layer(h, params, layer, config, index)
+        h, attn = _layer(h, params, layer, config, index, cache)
         if trace is not None:
             trace.layer_outputs.append(h.value[index.node_pos])
             trace.attention.append(attn)
@@ -576,7 +687,7 @@ def predict(
 
 #: Most edges that one prediction forward takes at once (``edge_chunks``).
 #: The forward's kernels are bound by memory bytes, not FLOPs, and its peak
-#: memory grows with the edges it holds (about 1.9 KB per edge at hidden size
+#: memory grows with the edges it holds (about 1.8 KB per edge at hidden size
 #: 64), so a larger chunk gains little speed and costs peak memory.
 PREDICT_EDGE_BUDGET = 1024
 

@@ -471,23 +471,21 @@ def test_softmax_cross_entropy_gradient_over_rows(seed):
     )
 
 
-@pytest.mark.parametrize("take", [None, np.array([4, 0, 4, 6, 2])], ids=["all-rows", "take"])
-@pytest.mark.parametrize("lead", [(7,), (7, 3)], ids=["2d", "edges-heads"])
-def test_block_matmul_gradient(lead, take):
-    """Blocks of 3, 1, 0 and 3 rows: matrix 2's block is empty; take repeats row 4."""
+@pytest.mark.parametrize("lead", [(7,), (7, 3)], ids=["2d-all-rows", "edges-heads-all-rows"])
+def test_block_matmul_gradient(lead):
+    """Blocks of 3, 1, 0 and 3 rows: matrix 2's block is empty."""
     r = np.random.default_rng(len(lead))
     bounds = [0, 3, 4, 4, 7]
     ids = np.repeat(np.arange(4), np.diff(bounds))
     shapes = [("x", lead + (4,))] + [(f"w/{j}", (4, 5)) for j in range(4)]
     store = ParamStore(shapes, r.standard_normal(math.prod(lead) * 4 + 4 * 20))
-    rows = np.arange(len(ids)) if take is None else take
-    gather = None if take is None else ad.Gather(take, len(ids))
-    weights = Tensor(r.standard_normal((len(rows),) + lead[1:] + (5,)))
+    weights = Tensor(r.standard_normal((len(ids),) + lead[1:] + (5,)))
 
     def out(p):
-        return ad.block_matmul(p["x"], p.family("w"), bounds, gather)
+        return ad.block_matmul(p["x"], p.family("w"), bounds)
 
-    expected = np.stack([store["x"].value[i] @ store[f"w/{ids[i]}"].value for i in rows])
+    expected = np.stack([store["x"].value[i] @ store[f"w/{ids[i]}"].value
+                         for i in range(len(ids))])
     np.testing.assert_allclose(out(store).value, expected, rtol=0, atol=1e-12)
 
     def f(p):
@@ -597,6 +595,25 @@ def test_scatter_adds_like_add_at_bit_for_bit(seed):
             for order in (None, r.permutation(len(idx))):
                 got = ad.Gather(idx, n_rows, order=order).scatter(g)
                 assert got.tobytes() == scatter_add_reference(g, idx, n_rows, order).tobytes()
+
+
+def test_scatters_through_a_bin_cache_build_each_width_once_and_add_alike(monkeypatch):
+    """A cache keeps the bins of each (gather, width) it has seen: the sums
+    are the same bytes, and the bins are built once, however many scatters
+    share them."""
+    r = np.random.default_rng(5)
+    idx, order = np.array([2, 0, 2, 2, 0, 1]), np.array([3, 0, 2, 5, 4, 1])
+    built = []
+    bins = ad.Gather.bins
+    monkeypatch.setattr(ad.Gather, "bins", lambda self, w: built.append(w) or bins(self, w))
+    cache = ad.BinCache()
+    for gather in (ad.Gather(idx, 3), ad.Gather(idx, 3, order=order)):
+        for shape in ((6, 4), (6, 2, 2), (6, 4), (6,), (6, 4)):
+            g = r.standard_normal(shape) * 10.0 ** r.integers(-8, 8, shape)
+            assert gather.scatter(g, cache).tobytes() == gather.scatter(g).tobytes()
+    # each scatter without the cache builds its bins; with it, each width is built once
+    assert built.count(4) == 2 * (4 + 1) and built.count(1) == 2 * (1 + 1)
+    assert sorted(width for _, width in cache) == [1, 1, 4, 4]
 
 
 def test_rows_rejects_a_gather_from_another_row_count():
