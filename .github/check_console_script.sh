@@ -16,6 +16,13 @@ mkdir -p d0.transcript
 # a graph file cut off inside its node columns, as an interrupted write leaves it
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"graph": "d0.graph.json", "embeddings": "d0.emb"}}' > torn.jsonl
 printf '%s' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "d0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, nu' > d0.graph.json
+# a graph file of the older row form, one object per node and per edge
+printf '%s\n' '{"paper_id": "r0", "split": "train", "label": "accept", "paths": {"graph": "r0.graph.json", "embeddings": "r0.emb"}}' > rows.jsonl
+printf '%s\n' '{"edges": [{"dst": 1, "inverse": false, "relation": "has_aspect", "src": 0}], "graph_id": "r0", "label": "accept", "nodes": [{"id": 0, "text": "A title", "type": "title"}, {"id": 1, "text": "Clarity", "type": "evaluation_dimension"}]}' > r0.graph.json
+# a two-node columnar graph whose embedding cache is of the older JSON-lines form
+printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb"}}' > lines.jsonl
+printf '%s\n' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "l0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, null], "text": ["A title", "Clarity"], "type": ["title", "evaluation_dimension"]}}' > l0.graph.json
+printf '%s\n' '{"dim": 2, "sha256": "0000000000000000000000000000000000000000000000000000000000000000", "vector": [0.5, 0.5]}' > l0.emb
 # a run config and a manifest nested too deeply to parse
 python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
 cp deep.json deep.jsonl
@@ -24,7 +31,8 @@ printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
-            "3 train torn.jsonl" "1 --config deep.json gradcheck" "3 train deep.jsonl" \
+            "3 train torn.jsonl" "3 train rows.jsonl" "3 train lines.jsonl" \
+            "1 --config deep.json gradcheck" "3 train deep.jsonl" \
             "1 --seed -1 gradcheck" "1 --seed 0 gradcheck --eps 0" "1 --config t0.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan"; do
   set -- $case
@@ -35,6 +43,15 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
   cat stderr.txt
   if [ "$code" -ne "$want" ] || grep -q Traceback stderr.txt; then
     echo "reviewgraph $*: exit $code, expected $want without a traceback"
+    exit 1
+  fi
+done
+
+# a graph or cache of an older form also names the stage to rerun
+for manifest in rows.jsonl lines.jsonl; do
+  reviewgraph train "$manifest" 2> stderr.txt || true
+  if ! grep -q -- '--force`$' stderr.txt; then
+    echo "reviewgraph train $manifest: no stage to rerun with --force"
     exit 1
   fi
 done

@@ -519,12 +519,12 @@ def colscale(x: Tensor, w: Tensor) -> Tensor:
     return _op(out, (x, w), backward)
 
 
-def segment_softmax(scores: Tensor, by: Gather) -> Tensor:
+def segment_softmax(scores: Tensor, by: Gather, cache: BinCache | None = None) -> Tensor:
     """Stable softmax along axis 0 within each run of equal ``by.idx``.
 
     Rows with equal indices must be adjacent; each column is normalized
     separately. The normalizers are ``by.scatter`` sums, broadcast back to
-    the rows by ``by.idx``.
+    the rows by ``by.idx``; the scatters share ``cache``'s bins.
     """
     scores = _tensor(scores)
     v = scores.value
@@ -532,10 +532,10 @@ def segment_softmax(scores: Tensor, by: Gather) -> Tensor:
     if len(by.idx) != v.shape[0]:
         raise ShapeMismatch(f"a grouping of {len(by.idx)} rows applied to {scores.shape}")
     e = np.exp(v - np.repeat(np.maximum.reduceat(v, starts, axis=0), lengths, axis=0))
-    out = e / by.scatter(e).take(by.idx, axis=0)
+    out = e / by.scatter(e, cache).take(by.idx, axis=0)
 
     def backward(g: np.ndarray) -> None:
-        dot = by.scatter(g * out).take(by.idx, axis=0)
+        dot = by.scatter(g * out, cache).take(by.idx, axis=0)
         scores.accumulate(out * (g - dot))
 
     return _op(out, (scores,), backward)

@@ -411,23 +411,6 @@ def graph_to_dict(g: DebateGraph) -> dict:
     }
 
 
-def rows_to_columns(d: dict) -> dict:
-    """A row-form document, with one object per node and per edge (the graph
-    files written before the columnar form), as the columnar document of the
-    same graph. A row may leave out ``speaker`` and ``dimension`` (null) and
-    ``inverse`` (false)."""
-    nodes, edges = d["nodes"], d["edges"]
-    # the required fields come first: indexing them rejects a row that is not an object
-    return {**d,
-            "nodes": {"id": [n["id"] for n in nodes], "type": [n["type"] for n in nodes],
-                      "text": [n["text"] for n in nodes],
-                      "speaker": [n.get("speaker") for n in nodes],
-                      "dimension": [n.get("dimension") for n in nodes]},
-            "edges": {"src": [e["src"] for e in edges], "dst": [e["dst"] for e in edges],
-                      "relation": [e["relation"] for e in edges],
-                      "inverse": [e.get("inverse", False) for e in edges]}}
-
-
 _DIMENSIONS = {d.value: d for d in Dimension}
 # a document's names to codes, and codes (without the inverse bit) back to members
 _TYPE_CODES = {t.value: TYPE_CODE[t._name_] for t in NodeType}
@@ -447,11 +430,13 @@ def _table(doc: dict, names: tuple[str, ...]) -> list[list]:
 
 
 def graph_from_dict(d: dict) -> DebateGraph:
-    """Inverse of ``graph_to_dict``: the graph of a columnar document, or of a
-    row-form one (through ``rows_to_columns``), with ``codes`` and ``texts``
-    decoded from the columns and no ``Node`` or ``Edge`` built.
+    """Inverse of ``graph_to_dict``: the graph of a columnar document, with
+    ``codes`` and ``texts`` decoded from the columns and no ``Node`` or
+    ``Edge`` built. A document whose ``nodes`` is a list, one object per node
+    as graph files were written before the columnar form, raises
+    ``ValueError`` saying to rerun ``reviewgraph build-graph --force``.
 
-    A document that does not describe a graph raises ``KeyError``,
+    Any other document that does not describe a graph raises ``KeyError``,
     ``TypeError``, ``ValueError`` or ``OverflowError``: a missing column, a
     column that is not a list, node columns (or edge columns) of different
     lengths, an unknown type, relation or dimension, a node id or edge
@@ -461,7 +446,8 @@ def graph_from_dict(d: dict) -> DebateGraph:
     edges fit the schema is ``validate_graph``'s job.
     """
     if isinstance(d["nodes"], list):
-        d = rows_to_columns(d)
+        raise ValueError("nodes listed as rows: a graph file of the older row form; "
+                         "rerun `reviewgraph build-graph --force`")
     ids, types, texts, speakers, dims = _table(d["nodes"], NODE_COLUMNS)
     src, dst, relations, inverse = _table(d["edges"], EDGE_COLUMNS)
     if not set(map(type, ids + src + dst)) <= {int}:
@@ -517,9 +503,9 @@ def save_graph(g: DebateGraph, path: str | Path, atomic: bool = True) -> None:
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    """Read a graph file, columnar or row form, compact or indented; a file
-    that does not parse into a graph (see ``graph_from_dict``) raises
-    ``CorruptGraph``."""
+    """Read a columnar graph file, compact or indented; a file that does not
+    parse into a graph (see ``graph_from_dict``), such as one of the older row
+    form, raises ``CorruptGraph`` naming ``path``."""
     try:
         return graph_from_dict(json.loads(Path(path).read_text()))
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

@@ -520,7 +520,7 @@ def _layer(
     keep(k=k, q=q, raw=raw)
     del k, q
     mu_e = mu.value.take(index.edge_rel)
-    attn = ad.segment_softmax(Tensor(raw * mu_e[:, None] * cv), index.dst_rows).value
+    attn = ad.segment_softmax(Tensor(raw * mu_e[:, None] * cv), index.dst_rows, cache).value
     del raw
 
     m_src = np.take(projected(2), src, axis=0, out=sources[1], mode="clip")

@@ -8,7 +8,6 @@ the network, so the whole pipeline runs offline and reproducibly.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -34,7 +33,7 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension, compact_json, replacing, require_str
+from .graph import DIMENSION_LABELS, Dimension, compact_json, require_str
 
 
 class OrchestrationError(Exception):
@@ -80,7 +79,8 @@ class IncompleteTranscript(OrchestrationError):
 
 class CorruptCache(OrchestrationError):
     """An embedding-cache file that does not decode; the message starts with its
-    path, and with ``path:line`` for a line of a JSON-lines cache."""
+    path. One that is not a binary cache, such as a cache of the older
+    JSON-lines form, says to rerun ``reviewgraph embed --force``."""
 
 
 class TransportError(OrchestrationError):
@@ -847,14 +847,11 @@ class EmbeddingCache:
     followed by one fixed-size record per text: the 32-byte SHA-256 digest of
     its UTF-8 bytes, then ``dim`` little-endian float64 values, so a vector
     loads back bit-identical. The whole file loads with one read and one
-    ``np.frombuffer``. A file that starts like the magic but has no whole
+    ``np.frombuffer``. An empty file is an empty cache. A file with no whole
     header, or whose body is not a whole number of records (a torn write),
-    raises ``CorruptCache`` naming the path.
-
-    A file without the magic is a cache of the older JSON-lines form, one
-    ``{"sha256", "dim", "f64le"}`` or ``{"sha256", "dim", "vector"}`` record per
-    line; it loads line by line (see ``_decode_cache_line``), and the first
-    ``put`` rewrites it in the binary form, so no file mixes the two.
+    raises ``CorruptCache`` naming the path; one that does not start like the
+    magic, such as a cache of the older JSON-lines form, says so and to rerun
+    ``reviewgraph embed --force``.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -865,15 +862,15 @@ class EmbeddingCache:
         self._added: list[np.ndarray] = []  # rows put since the block was last built
         self._pending: list[bytes] | None = None
         self._has_header = False
-        self._legacy = False  # loaded from a JSON-lines file; the next write rewrites it
         if self.path is not None and self.path.exists():
             data = self.path.read_bytes()
-            if data[:1] == _CACHE_MAGIC[:1]:  # a byte that never starts UTF-8 text
-                self._load_binary(data)
-            elif data:
-                self._load_lines(data)
+            if data:
+                self._load(data)
 
-    def _load_binary(self, data: bytes) -> None:
+    def _load(self, data: bytes) -> None:
+        if data[:1] != _CACHE_MAGIC[:1]:  # a byte that never starts UTF-8 text
+            raise CorruptCache(f"{self.path}: not a binary embedding cache (an older "
+                               "JSON-lines one?); rerun `reviewgraph embed --force`")
         if len(data) < _CACHE_HEADER.size or not data.startswith(_CACHE_MAGIC):
             raise CorruptCache(f"{self.path}: damaged or partial embedding-cache header")
         _magic, self.dim = _CACHE_HEADER.unpack_from(data)
@@ -888,30 +885,6 @@ class EmbeddingCache:
                 ("digest", "V32"), ("vector", "<f8", (self.dim,))])
             self._rows = dict(zip(records["digest"].tolist(), range(n)))
             self._block = records["vector"].astype(np.float64)
-
-    def _load_lines(self, data: bytes) -> None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise CorruptCache(f"{self.path}:{lineno}: not UTF-8 text") from None
-        lines = text.split("\n")
-        store: dict[bytes, np.ndarray] = {}
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                digest, vector = _decode_cache_line(line, self.path, lineno)
-                if self.dim is None:
-                    self.dim = vector.shape[0]
-                elif vector.shape != (self.dim,):
-                    raise CorruptCache(f"{self.path}:{lineno}: 'dim' {vector.shape[0]} differs "
-                                       f"from the first line's {self.dim}")
-                store[digest] = vector
-        if text and not text.endswith("\n"):
-            raise CorruptCache(f"{self.path}:{len(lines)}: last line has no newline "
-                               "(torn write)")
-        self._rows = dict(zip(store, range(len(store))))
-        self._block = np.array(list(store.values())).reshape(len(store), self.dim or 0)
-        self._legacy = True
 
     @staticmethod
     def digest(text: str) -> bytes:
@@ -982,14 +955,6 @@ class EmbeddingCache:
     def _write(self, records: list[bytes]) -> None:
         if not records:
             return
-        if self._legacy:
-            # a JSON-lines file is rewritten whole, so no file mixes the two forms
-            block = self._vectors()[list(self._rows.values())].astype("<f8")
-            with replacing(self.path) as tmp:
-                tmp.write_bytes(_CACHE_HEADER.pack(_CACHE_MAGIC, self.dim) + b"".join(
-                    d + v.tobytes() for d, v in zip(self._rows, block)))
-            self._legacy, self._has_header = False, True
-            return
         head = b"" if self._has_header else _CACHE_HEADER.pack(_CACHE_MAGIC, self.dim)
         with open(self.path, "ab") as fh:
             fh.write(head + b"".join(records))
@@ -997,33 +962,6 @@ class EmbeddingCache:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-
-def _decode_cache_line(line: str, path: Path, lineno: int) -> tuple[bytes, np.ndarray]:
-    """(SHA-256 digest, vector) of one JSON-lines cache line; errors name ``path:lineno``."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorruptCache(f"{path}:{lineno}: not valid JSON ({exc})") from None
-    if not isinstance(rec, dict) or not isinstance(rec.get("sha256"), str):
-        raise CorruptCache(f"{path}:{lineno}: missing 'sha256'")
-    if "f64le" not in rec and "vector" not in rec:
-        raise CorruptCache(f"{path}:{lineno}: missing 'f64le' (and no 'vector')")
-    try:
-        if "f64le" in rec:
-            raw = base64.b64decode(rec["f64le"], validate=True)
-            vector = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        else:
-            vector = np.array(rec["vector"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise CorruptCache(f"{path}:{lineno}: vector does not decode ({exc})") from None
-    if vector.shape != (rec.get("dim"),):
-        raise CorruptCache(
-            f"{path}:{lineno}: decoded {vector.size} values but 'dim' is {rec.get('dim')!r}")
-    # lowercase only, as hexdigest writes it: a line with an uppercase digit named no text
-    if not re.fullmatch("[0-9a-f]{64}", rec["sha256"]):
-        raise CorruptCache(f"{path}:{lineno}: 'sha256' is not 64 hex digits")
-    return bytes.fromhex(rec["sha256"]), vector
 
 
 def embed_texts(

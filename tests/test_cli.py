@@ -332,26 +332,44 @@ def _rewrite_as_json_lines(path):
     path.write_text("".join(lines))
 
 
-def test_evaluate_reads_json_lines_and_binary_caches_alike(tmp_path, capsys):
-    """The same report from binary caches, from their JSON-lines rewrite, and
-    from the caches that ``embed --force`` writes over those."""
-    manifest = _trained_workspace(tmp_path)
-    caches = sorted((tmp_path / "work").glob("*.emb"))
-    reports = []
-    for step in ("binary", "json-lines", "embed --force"):
-        if step == "json-lines":
-            for path in caches:
-                _rewrite_as_json_lines(path)
-            legacy = [path.read_bytes() for path in caches]
-        elif step == "embed --force":
-            assert run(tmp_path, "--force", "embed", str(manifest)) == 0
-            assert all(path.read_bytes().startswith(b"\x89RGEMB1\n") for path in caches)
-        capsys.readouterr()
-        assert run(tmp_path, "evaluate", str(manifest), *_evaluate_args(tmp_path)) == 0
-        reports.append((capsys.readouterr().out, (tmp_path / "ev.json").read_bytes()))
-        if step == "json-lines":
-            assert [path.read_bytes() for path in caches] == legacy  # reading rewrites nothing
-    assert reports[0] == reports[1] == reports[2]
+def _old_form_exits_3_until_rerun(root, capsys, suffix, rewrite, stage):
+    """With every ``suffix`` file rewritten by ``rewrite`` into an older form,
+    train, evaluate and ablate exit 3 naming the first paper they read, its
+    file and the stage to rerun, and leave the files as they are; after
+    ``stage --force`` evaluate gives the report of the files it wrote first."""
+    manifest = _trained_workspace(root)
+    paths = sorted((root / "work").glob(f"*{suffix}"))
+    capsys.readouterr()
+    assert run(root, "evaluate", str(manifest), *_evaluate_args(root)) == 0
+    report = (capsys.readouterr().out, (root / "ev.json").read_bytes())
+    for path in paths:
+        rewrite(path)
+    old = [path.read_bytes() for path in paths]
+    for command, paper, extra in (
+            ("train", "p0", ["--checkpoint", str(root / "c2.rvgc"),
+                             "--history", str(root / "h2.jsonl")]),
+            ("evaluate", "p2", _evaluate_args(root)),
+            ("ablate", "p0", ["--output", str(root / "abl.json")])):
+        assert run(root, command, str(manifest), *extra) == 3
+        err = capsys.readouterr().err
+        assert f"{paper}: {root / 'work' / paper}{suffix}: " in err
+        assert f"; rerun `reviewgraph {stage} --force`" in err and "Traceback" not in err
+    assert [path.read_bytes() for path in paths] == old  # reading rewrites nothing
+    assert run(root, "--force", stage, str(manifest)) == 0
+    capsys.readouterr()
+    assert run(root, "evaluate", str(manifest), *_evaluate_args(root)) == 0
+    assert (capsys.readouterr().out, (root / "ev.json").read_bytes()) == report
+
+
+def test_json_lines_caches_exit_3_until_embed_force_rewrites_them(tmp_path, capsys):
+    _old_form_exits_3_until_rerun(tmp_path, capsys, ".emb", _rewrite_as_json_lines, "embed")
+
+
+def test_row_form_graphs_exit_3_until_build_graph_force_rewrites_them(tmp_path, capsys):
+    def rewrite(path):
+        path.write_text(json.dumps(row_form(json.loads(path.read_text()))))
+
+    _old_form_exits_3_until_rerun(tmp_path, capsys, ".graph.json", rewrite, "build-graph")
 
 
 def test_build_graph_renames_each_graph_once(tmp_path, monkeypatch):
@@ -413,31 +431,27 @@ def test_ablated_examples_get_each_kept_node_text_its_cached_vector(trained_work
                                                                     mode, listed):
     root = tmp_path / "ws"
     shutil.copytree(trained_workspace[0], root)
-    documents = {path: json.loads(path.read_text())
-                 for path in (root / "work").glob("*.graph.json")}
     if listed == "reversed":  # a graph file may list its nodes in any order
-        for doc in documents.values():
+        for path in (root / "work").glob("*.graph.json"):
+            doc = json.loads(path.read_text())
             for column in doc["nodes"].values():
                 column.reverse()
+            path.write_text(json.dumps(doc))
     records = cli.load_manifest(root / "manifest.jsonl")
-    for form in ("columns", "rows"):
-        for path, doc in documents.items():
-            path.write_text(json.dumps(doc if form == "columns" else row_form(doc)))
-        papers = cli._load_papers(records, ("train", "val", "test"), 16)
-        for rec in records:
-            (ex,) = cli._examples(papers, rec.split, mode)
-            cache = orch.EmbeddingCache(rec.path("embeddings"))
-            vector_of = {n.text: cache.get(n.text) for n in load_graph(rec.path("graph")).nodes}
-            want = {n.id: vector_of[n.text] for n in ex.graph.nodes}
-            ablated = graphmod.apply_ablation(load_graph(rec.path("graph")), mode)
-            assert ex.graph.nodes == ablated.nodes
-            rows = np.stack([want[i] for i in range(len(want))])
-            assert ex.embeddings.tobytes() == rows.tobytes()
+    papers = cli._load_papers(records, ("train", "val", "test"), 16)
+    for rec in records:
+        (ex,) = cli._examples(papers, rec.split, mode)
+        cache = orch.EmbeddingCache(rec.path("embeddings"))
+        vector_of = {n.text: cache.get(n.text) for n in load_graph(rec.path("graph")).nodes}
+        want = {n.id: vector_of[n.text] for n in ex.graph.nodes}
+        ablated = graphmod.apply_ablation(load_graph(rec.path("graph")), mode)
+        assert ex.graph.nodes == ablated.nodes
+        rows = np.stack([want[i] for i in range(len(want))])
+        assert ex.embeddings.tobytes() == rows.tobytes()
 
 
 def test_evaluate_path_builds_no_node_or_edge_tuples(trained_workspace, tmp_path):
-    """Loading papers and predicting reads only the decoded columns; a
-    row-form file loads to the graph of its columnar form, codes byte for byte."""
+    """Loading papers and predicting reads only the decoded columns."""
     root = tmp_path / "ws"
     shutil.copytree(trained_workspace[0], root)
     records = cli.load_manifest(root / "manifest.jsonl")
@@ -446,14 +460,6 @@ def test_evaluate_path_builds_no_node_or_edge_tuples(trained_workspace, tmp_path
     checkpoint = training.load_checkpoint(root / "c.rvgc")
     training.predict_label_indices(examples, checkpoint.params, checkpoint.model_config)
     assert all("nodes" not in vars(g) and "edges" not in vars(g) for _rec, g, _v in papers)
-
-    for rec, g, _vectors in papers:
-        path = rec.path("graph")
-        path.write_text(json.dumps(row_form(json.loads(path.read_text()))))
-        from_rows = load_graph(path)
-        assert from_rows == g and from_rows.texts == g.texts
-        for got, want in zip(from_rows.codes, g.codes):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_gradcheck_passes_by_default(tmp_path, capsys):
@@ -646,7 +652,7 @@ def _set(table, column, index, value):
 
 #: Edits of a columnar graph file that leave it valid JSON but no graph;
 #: evaluate trusts graph files, so each used to end in a traceback or a wrong
-#: report. The last three leave no row form to write.
+#: report.
 BROKEN_GRAPHS = {
     "edge-to-node-999": lambda d: _set(d["edges"], "dst", 0, 999),
     "string-node-id": lambda d: _set(d["nodes"], "id", 0, "0"),
@@ -661,7 +667,6 @@ BROKEN_GRAPHS = {
     "ragged-column": lambda d: d["edges"]["src"].pop(),
     "column-not-a-list": lambda d: d["nodes"].update(type="title"),
 }
-COLUMNAR_ONLY = ("ragged-column", "column-not-a-list")
 
 
 @pytest.mark.parametrize("name", BROKEN_GRAPHS)
@@ -671,19 +676,18 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
     path = root / "work" / "p2.graph.json"
     doc = json.loads(files[path])
     BROKEN_GRAPHS[name](doc)
-    for form in [doc] if name in COLUMNAR_ONLY else [doc, row_form(doc)]:
-        path.write_text(json.dumps(form))
-        capsys.readouterr()
-        try:
-            code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
-                       "--split", "test", "--output", str(tmp_path / "ev.json"))
-        finally:
-            path.write_bytes(files[path])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "ev.json").exists()
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    try:
+        code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+                   "--split", "test", "--output", str(tmp_path / "ev.json"))
+    finally:
+        path.write_bytes(files[path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ev.json").exists()
 
 
 

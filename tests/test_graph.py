@@ -29,7 +29,6 @@ from reviewgraph.graph import (
     graph_to_dict,
     legal_meta_relations,
     load_graph,
-    rows_to_columns,
     save_graph,
     skeleton,
     validate_graph,
@@ -242,8 +241,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_graph_dict_shape():
-    """One list per node field and one per edge field; the row form of the
-    same document decodes to the same graph."""
+    """One list per node field and one per edge field."""
     d = graph_to_dict(tiny_graph())
     assert set(d) == {"graph_id", "label", "nodes", "edges"}
     assert list(d["nodes"]) == ["id", "type", "text", "speaker", "dimension"]
@@ -254,10 +252,6 @@ def test_graph_dict_shape():
     assert d["nodes"]["dimension"][5] == "experimental_completeness"
     assert d["edges"]["inverse"][6:] == [True] * 6
     assert graph_from_dict(json.loads(json.dumps(d))) == tiny_graph()
-    rows = row_form(d)
-    assert rows["nodes"][5]["speaker"] == "reviewer_1"
-    assert rows_to_columns(rows) == d
-    assert graph_from_dict(rows) == tiny_graph()
 
 
 @pytest.mark.parametrize("mode", list(AblationMode))
@@ -306,8 +300,7 @@ def _set(table, column, index, value):
     table[column][index] = value
 
 
-#: Edits of a columnar document that keep it valid JSON but make it no graph;
-#: those outside ``COLUMNAR_ONLY`` apply to its row form too.
+#: Edits of a columnar document that keep it valid JSON but make it no graph.
 BROKEN_GRAPH_EDITS = {
     "edge-to-unknown-node": (lambda d: _set(d["edges"], "dst", 0, 999), "not a node id"),
     "negative-edge-src": (lambda d: _set(d["edges"], "src", 0, -1), "not a node id"),
@@ -329,11 +322,8 @@ BROKEN_GRAPH_EDITS = {
                            "differ in length"),
     "column-not-a-list": (lambda d: d["nodes"].update(text="A title"), "must be lists"),
     "missing-column": (lambda d: d["edges"].pop("inverse"), "KeyError: 'inverse'"),
+    "row-form": (lambda d: d.update(row_form(d)), "rerun `reviewgraph build-graph --force`"),
 }
-
-#: The edits that leave no row form to write.
-COLUMNAR_ONLY = {"ragged-node-column", "ragged-edge-column", "column-not-a-list",
-                 "missing-column"}
 
 
 @pytest.mark.parametrize("name", BROKEN_GRAPH_EDITS)
@@ -342,11 +332,10 @@ def test_load_graph_rejects_structurally_broken_graph(tmp_path, name):
     doc = graph_to_dict(random_debate_graph(3, "broken"))
     edit(doc)
     path = tmp_path / "g.json"
-    for form in [doc] if name in COLUMNAR_ONLY else [doc, row_form(doc)]:
-        path.write_text(json.dumps(form))
-        with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
-            load_graph(path)
-        assert reason in str(info.value) and str(path) in str(info.value)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+        load_graph(path)
+    assert reason in str(info.value) and str(path) in str(info.value)
 
 
 def test_node_and_edge_are_immutable_value_tuples():
@@ -375,10 +364,9 @@ def _graphs_under_test():
 
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
 def test_loaded_graph_equals_saved_one_and_carries_its_codes(tmp_path, indent):
-    """Files of the older ``indent=2`` form, and of the older row form, still
-    load to an equal graph; the codes and texts decoded at load equal the ones
-    computed from the nodes and edges, also when the file lists the nodes out
-    of id order."""
+    """Files of the older ``indent=2`` form still load to an equal graph; the
+    codes and texts decoded at load equal the ones computed from the nodes and
+    edges, also when the file lists the nodes out of id order."""
     path = tmp_path / "g.json"
     for g in _graphs_under_test():
         for reverse in (False, True):
@@ -386,16 +374,15 @@ def test_loaded_graph_equals_saved_one_and_carries_its_codes(tmp_path, indent):
             if reverse:
                 for column in doc["nodes"].values():
                     column.reverse()
-            for form in (doc, row_form(doc)):
-                path.write_text(json.dumps(form, indent=indent, sort_keys=True) + "\n")
-                loaded = load_graph(path)
-                assert loaded.nodes == (g.nodes[::-1] if reverse else g.nodes)
-                assert loaded == g or reverse
-                assert loaded.texts == DebateGraph.texts.func(g)
-                computed = DebateGraph.codes.func(loaded)
-                for got, expected in zip(loaded.codes, computed):
-                    assert got.dtype == expected.dtype and got.shape == expected.shape
-                    assert (got == expected).all() and not got.flags.writeable
+            path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+            loaded = load_graph(path)
+            assert loaded.nodes == (g.nodes[::-1] if reverse else g.nodes)
+            assert loaded == g or reverse
+            assert loaded.texts == DebateGraph.texts.func(g)
+            computed = DebateGraph.codes.func(loaded)
+            for got, expected in zip(loaded.codes, computed):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert (got == expected).all() and not got.flags.writeable
 
 
 def test_interrupted_graph_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -455,8 +442,7 @@ def _sample_graphs():
 
 
 # sha256 of the graph_to_dict documents: same-seed graphs, and so graph files,
-# must keep their node and edge order byte for byte. The columnar documents
-# equal the row documents of the earlier digests passed through rows_to_columns.
+# must keep their node and edge order byte for byte.
 @pytest.mark.parametrize("make, digest", [
     (lambda: [random_debate_graph(s, f"g{s}") for s in range(5)]
      + [random_debate_graph(s, "small", (2, 3), (1, 2), add_inverse_edges=False,

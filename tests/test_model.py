@@ -493,6 +493,20 @@ def test_tape_ops_per_step_do_not_depend_on_batch_size():
     assert len(counts) == 1, counts
 
 
+def test_a_recorded_step_builds_each_scatters_bins_once(monkeypatch):
+    """A recorded forward and its backward build ``Gather.bins`` once per
+    (gather, width) they scatter through: the attention's softmax shares the
+    bins of the layers' other scatters by target."""
+    batch = generate_rule_dataset(32, seed=4, input_dim=SMALL.input_dim)
+    params, built = init_params(SMALL, 0), []
+    bins = ad.Gather.bins
+    monkeypatch.setattr(ad.Gather, "bins",
+                        lambda self, width: built.append((self, width)) or bins(self, width))
+    forward_loss([ex.graph for ex in batch], [ex.embeddings for ex in batch],
+                 params, SMALL, [ex.label_index for ex in batch]).backward()
+    assert len(built) == len(set(built)) == 4
+
+
 def taped_layer(h, params, layer, config, index, cache):
     """One HGT layer as a chain of tape ops, one per step, as ``model._layer``
     was before it became one op: the reference for the fused layer's bytes."""

@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import io
 import itertools
@@ -252,7 +251,7 @@ def test_concurrency_never_exceeds_limit():
 
 def test_embedding_cache_round_trip(tmp_path):
     client = MockClient(seed=4)
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     texts = ["alpha", "beta", "alpha"]
     vecs = embed_texts(texts, client, EmbeddingCache(path))
     assert client.embed_requests == 1
@@ -268,7 +267,7 @@ def test_embedding_cache_round_trip(tmp_path):
 def test_embedding_cache_file_format(tmp_path):
     """Header: magic and little-endian uint32 dim; then per text its raw
     SHA-256 digest and its vector's little-endian float64 bytes."""
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     texts = ["one text", "two"]
     vecs = embed_texts(texts, MockClient(seed=0), EmbeddingCache(path))
     data = path.read_bytes()
@@ -282,43 +281,10 @@ def test_embedding_cache_file_format(tmp_path):
         assert record[32:] == vec.astype("<f8").tobytes()
 
 
-def _parent_line(text, vector):
-    """A cache line in the older decimal ``vector`` form, as it used to be written."""
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return json.dumps({"sha256": digest, "dim": int(vector.shape[0]),
-                       "vector": [float(x) for x in vector]}) + "\n"
-
-
-def test_embedding_cache_reads_decimal_vector_lines(tmp_path):
-    vecs = MockClient(seed=2).embed(["old one", "old two"])
-    path = tmp_path / "emb.jsonl"
-    path.write_text(_parent_line("old one", vecs[0]) + _parent_line("old two", vecs[1]))
-    cache = EmbeddingCache(path)
-    assert len(cache) == 2
-    for text, v in zip(["old one", "old two"], vecs):
-        assert cache.get(text).tobytes() == v.tobytes()
-
-
-def test_embedding_cache_reads_mixed_old_and_new_lines(tmp_path):
-    """The first put to a JSON-lines cache rewrites it whole in the binary
-    form, so a file never mixes the two; old and new vectors both load."""
-    client = MockClient(seed=3)
-    old, new = client.embed(["old text", "new text"])
-    path = tmp_path / "emb.jsonl"
-    path.write_text(_parent_line("old text", old))
-    EmbeddingCache(path).put("new text", new)
-    data = path.read_bytes()
-    assert data.startswith(b"\x89RGEMB1\n") and len(data) == 12 + 2 * (32 + 8 * old.size)
-    assert [p.name for p in tmp_path.iterdir()] == ["emb.jsonl"]
-    cache = EmbeddingCache(path)
-    assert cache.get("old text").tobytes() == old.tobytes()
-    assert cache.get("new text").tobytes() == new.tobytes()
-
-
 def test_embedding_cache_round_trip_is_bit_exact(tmp_path):
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
                         1.0 / 3.0, -1.7976931348623157e308])
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     EmbeddingCache(path).put("special", special)
     loaded = EmbeddingCache(path).get("special")
     assert loaded.dtype == np.float64 and loaded.flags.writeable
@@ -333,7 +299,7 @@ def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
 
     client = RecordingClient(seed=1)
     client.seen = []
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     embed_texts(["a", "b"], client, EmbeddingCache(path))
 
     opens = []
@@ -348,179 +314,11 @@ def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
     assert (path.stat().st_size - 12) / (32 + 8 * 64) == 5
 
 
-def _valid_line(text="t", vector=np.arange(4, dtype=np.float64)):
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return json.dumps({"sha256": digest, "dim": int(vector.shape[0]),
-                       "f64le": base64.b64encode(vector.astype("<f8").tobytes()).decode()})
-
-
-@pytest.mark.parametrize("body, lineno", [
-    (_valid_line("a") + "\n" + _valid_line("b")[:40], 2),
-    (_valid_line("a")[:-1] + "\n" + _valid_line("b") + "\n", 1),
-    (_valid_line("a") + "\n" + _valid_line("b"), 2),
-    ("[1, 2]\n", 1),
-    (json.dumps({"dim": 4, "f64le": "AAAAAAAAAAA="}) + "\n", 1),
-    (json.dumps({"sha256": "ab", "dim": 4}) + "\n", 1),
-    (_valid_line("a") + "\n" + json.dumps({"sha256": "ab", "dim": 1, "f64le": "!!!!"}) + "\n",
-     2),
-    (json.dumps({"sha256": "ab", "dim": 1, "f64le": "AAAA"}) + "\n", 1),
-    (json.dumps({"sha256": "ab", "dim": 3,
-                 "f64le": base64.b64encode(bytes(32)).decode()}) + "\n", 1),
-    (json.dumps({"sha256": "ab", "dim": 2, "vector": [1.0, 2.0, 3.0]}) + "\n", 1),
-    (json.dumps({"sha256": "ab", "dim": 1, "vector": ["x"]}) + "\n", 1),
-    ((_valid_line("a") + "\n").encode() + b'{"sha256": "\xff"}\n', 2),
-], ids=["torn-tail", "torn-middle", "no-final-newline", "not-object", "no-sha256",
-        "no-vector", "bad-base64", "partial-float", "dim-mismatch", "decimal-dim-mismatch",
-        "decimal-not-numbers", "not-utf8"])
-def test_corrupt_cache_line_names_path_and_line(tmp_path, body, lineno):
-    path = tmp_path / "emb.jsonl"
-    path.write_bytes(body if isinstance(body, bytes) else body.encode())
-    with pytest.raises(CorruptCache, match=f"{path}:{lineno}: "):
-        EmbeddingCache(path)
-
-
-def _store_or_error(path):
-    """What a cache file loads as: each (hex digest, dtype, shape, bytes) of
-    the store, or the ``CorruptCache`` message."""
-    try:
-        cache = EmbeddingCache(path)
-    except CorruptCache as exc:
-        return str(exc)
-    assert cache._vectors().flags.writeable
-    digests = list(cache._rows)
-    return [(d.hex(), v.dtype.str, v.shape, v.tobytes())
-            for d, v in zip(digests, cache.vectors(digests))]
-
-
-def _reference_reader(path):
-    """Reference: what a JSON-lines cache loaded as before the binary form,
-    read line by line: {hex key: vector}, or the number of the line refused."""
-    data = path.read_bytes()
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    store = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or not isinstance(rec.get("sha256"), str):
-                return lineno
-            if "f64le" in rec:
-                vector = np.frombuffer(base64.b64decode(rec["f64le"], validate=True), "<f8")
-            else:
-                vector = np.array(rec["vector"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError):
-            return lineno
-        if vector.shape != (rec.get("dim"),):
-            return lineno
-        store[rec["sha256"]] = vector
-    return len(lines) if lines[-1] else store
-
-
-def _split(lines, i, at):
-    line = lines[i]
-    lines[i:i + 1] = [line[:at], line[at:]]
-
-
-def _join(lines, i, sep):
-    lines[i:i + 2] = [sep.join(lines[i:i + 2])]
-
-
-def _replace_char(lines, i, at, char):
-    line = lines[i]
-    lines[i] = line[:at] + char + line[at + 1:]
-
-
-def _set_dim(lines, i, dim):
-    """Give the record a new ``dim`` and keep the old one under another key."""
-    lines[i] = lines[i].replace('"dim": ', f'"dim": {dim}, "was": ', 1)
-
-
-#: Text mutations of a cache file, by name: each edits the list of lines at a
-#: line index, a position in that line and one more drawn number.
-CACHE_MUTATIONS = {
-    "blank-line": lambda lines, i, at, x: lines.insert(i, ["", " ", "\t", "\x0c"][x % 4]),
-    "split": lambda lines, i, at, x: _split(lines, i, at),
-    "join": lambda lines, i, at, x: _join(lines, i, ["", " ", ","][x % 3]),
-    "bad-base64": lambda lines, i, at, x: _replace_char(lines, i, lines[i].rfind('"') - 1 - at,
-                                                        "!=A*"[x % 4]),
-    "structural-char": lambda lines, i, at, x: _replace_char(lines, i, at, '{}[],:" '[x % 8]),
-    "wrong-dim": lambda lines, i, at, x: _set_dim(lines, i, [x % 7, "true", "4.0", '"4"'][x % 4]),
-}
-
-
-@st.composite
-def cache_texts(draw):
-    """A JSON-lines cache file of new and old (decimal ``vector``) lines, then
-    mutated, maybe torn; with the vectors its clean form must load as."""
-    dim = draw(st.integers(0, 4))
-    records = draw(st.lists(st.tuples(st.sampled_from("abcdef"),
-                                      st.lists(st.floats(width=64), min_size=dim, max_size=dim),
-                                      st.booleans()), max_size=6))
-    lines, expected = [], {}
-    for text, values, old in records:
-        vector = np.array(values, dtype=np.float64)
-        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        line = (_parent_line(text, vector) if old else _valid_line(text, vector)).rstrip()
-        # a decimal line keeps a NaN but not its sign or payload
-        expected[key] = np.array(json.loads(line)["vector"]) if old else vector
-        lines.append(line)
-    clean = "".join(line + "\n" for line in lines)
-    for name in draw(st.lists(st.sampled_from(sorted(CACHE_MUTATIONS)), max_size=3)):
-        if lines:
-            i = draw(st.integers(0, len(lines) - 1))
-            at = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
-            CACHE_MUTATIONS[name](lines, min(i, len(lines) - 2) if name == "join" else i, at,
-                                  draw(st.integers(0, 20)))
-    text = "".join(line + "\n" for line in lines)
-    if draw(st.booleans()):
-        text = text[:draw(st.integers(0, len(text)))]
-    return clean, text, expected
-
-
-#: What the JSON-lines reader refuses that the reference reader loads: a key
-#: that is no SHA-256 digest, which no text could match, and lines of two
-#: dimensions, which no binary file can hold.
-STRICTER = ("'sha256' is not 64 hex digits", "differs from the first line's")
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=cache_texts())
-def test_legacy_cache_files_load_as_before(tmp_path, case):
-    clean, text, expected = case
-    path = tmp_path / "emb.jsonl"
-    path.write_text(clean)
-    assert _store_or_error(path) == [(k, "<f8", v.shape, v.tobytes())
-                                     for k, v in expected.items()]
-
-    path.write_text(text)
-    want, got = _reference_reader(path), _store_or_error(path)
-    if isinstance(want, int):
-        assert isinstance(got, str)
-        assert got.startswith(f"{path}:{want}: ") or any(m in got for m in STRICTER)
-    elif (all(re.fullmatch("[0-9a-f]{64}", k) for k in want)
-          and len({v.shape for v in want.values()}) <= 1):
-        assert got == [(k, "<f8", v.shape, v.tobytes()) for k, v in want.items()]
-    else:
-        assert isinstance(got, str) and any(m in got for m in STRICTER)
-
-
-def test_legacy_cache_lines_of_two_dimensions_are_refused(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text(_valid_line("a", np.zeros(2)) + "\n" + _valid_line("b", np.zeros(3)) + "\n")
-    with pytest.raises(CorruptCache, match=f"{path}:2: 'dim' 3 differs from the first line's 2"):
-        EmbeddingCache(path)
-
-
 def test_a_digest_ending_in_a_nul_byte_round_trips(tmp_path):
     """A NumPy ``S32`` field would drop the digest's trailing NUL and miss it."""
     text = next(str(i) for i in itertools.count() if EmbeddingCache.digest(str(i))[-1] == 0)
     vector = np.array([1.5, -2.0, 0.25])
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     EmbeddingCache(path).put(text, vector)
     cache = EmbeddingCache(path)
     assert len(cache) == 1
@@ -528,7 +326,7 @@ def test_a_digest_ending_in_a_nul_byte_round_trips(tmp_path):
 
 
 def test_put_of_another_dimension_raises_and_writes_nothing(tmp_path):
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     EmbeddingCache(path).put("a", np.zeros(4))
     before = path.read_bytes()
     cache = EmbeddingCache(path)
@@ -544,7 +342,7 @@ def test_put_of_another_dimension_raises_and_writes_nothing(tmp_path):
 
 
 def test_puts_write_the_header_once(tmp_path):
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     path.touch()
     cache = EmbeddingCache(path)
     for text in "abc":
@@ -560,7 +358,7 @@ def test_puts_write_the_header_once(tmp_path):
 def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, data):
     """A binary cache cut anywhere, or with a header byte changed, either
     raises ``CorruptCache`` naming its path or loads whole records only."""
-    path = tmp_path / "emb.jsonl"
+    path = tmp_path / "emb"
     path.unlink(missing_ok=True)
     vectors = np.arange(n * dim, dtype=np.float64).reshape(n, dim) - 0.5
     EmbeddingCache(path).put_many((str(i), v, EmbeddingCache.digest(str(i)))
