@@ -1,11 +1,14 @@
 #!/bin/sh
-# Checks the installed `reviewgraph` console script: it starts, passes its
-# gradient check, and keeps the exit-code contract for bad inputs, each case
-# ending in an error line and no traceback. Run it from any directory after
-# `pip install .`; it writes its inputs to a fresh temporary directory.
+# Checks the installed `reviewgraph` console script: it starts, its CLI
+# module imports no HTTP stack, it passes its gradient check, and it keeps
+# the exit-code contract for bad inputs, each case ending in an error line
+# and no traceback. Run it from any directory after `pip install .`; it
+# writes its inputs to a fresh temporary directory.
 set -eu
 
 reviewgraph --help
+# the HTTP stack is imported only when a request goes to an HTTP endpoint
+python3 -c 'import sys, reviewgraph.cli; sys.exit(sorted({"requests", "urllib3"} & set(sys.modules)) or 0)'
 reviewgraph --seed 0 gradcheck
 
 cd "$(mktemp -d)"

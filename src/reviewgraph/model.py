@@ -504,10 +504,13 @@ def _layer(
 
     def by_relation(x: np.ndarray, kind: int) -> np.ndarray:
         """Relation-major (E, d) rows times their relation's ``w_attn`` (0) or
-        ``w_msg`` (1), in target order."""
+        ``w_msg`` (1), in target order. Without a tape the result is written
+        over x, which is free once the product is made; under one, x is
+        kept for the backward."""
         out = ad.block_products(x.reshape(-1, dh), relations[:, kind], rels,
                                 np.empty((e * heads, dh)))
-        return out.reshape(e, heads, dh).take(to_target, axis=0)
+        return np.take(out.reshape(e, heads, dh), to_target, axis=0,
+                       out=None if recording else x.reshape(e, heads, dh), mode="clip")
 
     # under a tape, the sources' key and message rows share one array, so
     # that the backward multiplies both relation blocks at once
@@ -687,7 +690,7 @@ def predict(
 
 #: Most edges that one prediction forward takes at once (``edge_chunks``).
 #: The forward's kernels are bound by memory bytes, not FLOPs, and its peak
-#: memory grows with the edges it holds (about 1.8 KB per edge at hidden size
+#: memory grows with the edges it holds (about 1.5 KB per edge at hidden size
 #: 64), so a larger chunk gains little speed and costs peak memory.
 PREDICT_EDGE_BUDGET = 1024
 

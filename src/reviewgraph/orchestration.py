@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import requests
 
 from .extraction import (
     DimensionAssignment,
@@ -324,6 +323,10 @@ class HttpChatClient(BaseClient):
         """``pick`` of the JSON body that POSTing ``payload`` to ``route`` returns.
         A 5xx status or a failed connection raises ``TransportError`` (retried);
         another status but 200, or a body ``pick`` cannot read, ``EndpointError``."""
+        # imported here, not at the top: only a request to an HTTP endpoint
+        # needs the HTTP stack, which adds about 10 MB to a process
+        import requests
+
         try:
             resp = requests.post(
                 f"{self.config.base_url.rstrip('/')}/{route}",

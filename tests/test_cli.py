@@ -8,6 +8,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1165,3 +1167,45 @@ def test_directory_at_a_stage_output_path_exits_3_naming_paper_and_path(tmp_path
     assert captured.err.startswith(f"data error: p1: cannot write transcript file {out}: ")
     assert "Traceback" not in captured.err and "skipped" not in captured.out
     assert out.is_dir() and (tmp_path / "work" / "p0.transcript.json").is_file()
+
+
+#: Runs the five stages on a mock endpoint, then train and evaluate, in a
+#: workspace under argv[1] of the papers in argv[2]; prints the HTTP-stack
+#: modules loaded by then, then the reply of one HTTP completion through a
+#: fake ``requests.post``.
+NO_HTTP_STACK = """
+import json, sys, types
+from pathlib import Path
+import reviewgraph, reviewgraph.cli
+from pipeline_utils import make_workspace, run, run_stage_pipeline
+root = Path(sys.argv[1])
+manifest = make_workspace(root, json.loads(sys.argv[2]))
+run_stage_pipeline(root, manifest)
+assert run(root, "train", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+           "--history", str(root / "h.jsonl")) == 0
+assert run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+           "--split", "test", "--output", str(root / "ev.json")) == 0
+print(json.dumps(sorted({"requests", "urllib3", "charset_normalizer", "idna", "ssl"}
+                        & set(sys.modules))))
+import requests
+from reviewgraph.orchestration import EndpointConfig, HttpChatClient
+body = {"choices": [{"message": {"content": "pong"}}]}
+requests.post = lambda url, **kwargs: types.SimpleNamespace(
+    status_code=200, text=json.dumps(body), json=lambda: body)
+client = HttpChatClient(EndpointConfig(base_url="https://example.invalid/v1", model="m"))
+print(client.complete([{"role": "user", "content": "ping"}]))
+"""
+
+
+def test_commands_without_an_http_endpoint_never_load_the_http_stack(tmp_path):
+    """The HTTP stack is about 10 MB of a process's resident memory; only a
+    request to an HTTP endpoint imports it, and then finds a patched ``post``."""
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    args = [sys.executable, "-c", NO_HTTP_STACK, str(tmp_path), json.dumps(TRAINABLE)]
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300,
+                          check=True)
+    *_, loaded, reply = done.stdout.splitlines()
+    assert json.loads(loaded) == []
+    assert reply == "pong"
