@@ -26,6 +26,12 @@ printf '%s\n' '{"edges": [{"dst": 1, "inverse": false, "relation": "has_aspect",
 printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb"}}' > lines.jsonl
 printf '%s\n' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "l0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, null], "text": ["A title", "Clarity"], "type": ["title", "evaluation_dimension"]}}' > l0.graph.json
 printf '%s\n' '{"dim": 2, "sha256": "0000000000000000000000000000000000000000000000000000000000000000", "vector": [0.5, 0.5]}' > l0.emb
+# train and val papers over one two-node columnar graph whose graph_id is a number,
+# with a binary embedding cache of its two texts
+printf '%s\n' '{"paper_id": "g0", "split": "train", "label": "accept", "paths": {"graph": "g0.graph.json", "embeddings": "g0.emb"}}' \
+  '{"paper_id": "g1", "split": "val", "label": "reject", "paths": {"graph": "g0.graph.json", "embeddings": "g0.emb"}}' > gid.jsonl
+printf '%s\n' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": 5, "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, null], "text": ["A title", "Clarity"], "type": ["title", "evaluation_dimension"]}}' > g0.graph.json
+python3 -c 'from reviewgraph.orchestration import EmbeddingCache as C; c = C("g0.emb"); c.put("A title", [0.5] * 64); c.put("Clarity", [0.25] * 64)'
 # a run config and a manifest nested too deeply to parse
 python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
 cp deep.json deep.jsonl
@@ -34,9 +40,10 @@ printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
-            "3 train torn.jsonl" "3 train rows.jsonl" "3 train lines.jsonl" \
+            "3 train torn.jsonl" "3 train rows.jsonl" "3 train lines.jsonl" "3 train gid.jsonl" \
             "1 --config deep.json gradcheck" "3 train deep.jsonl" \
-            "1 --seed -1 gradcheck" "1 --seed 0 gradcheck --eps 0" "1 --config t0.json gradcheck" \
+            "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
+            "1 --config t0.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan"; do
   set -- $case
   want=$1

@@ -307,9 +307,10 @@ class Gather:
     ``segment_sum``. Every sum runs in one order: each output row starts
     from zero and adds its rows in row order, as ``np.add.at`` does, or in
     ``order`` when one is given, a permutation of the rows listing them in
-    the order they are summed. Indices that are all distinct, such as a
-    permutation, scatter with one assignment. Whether they are, and where
-    each run of equal adjacent indices starts, are found on first use and
+    the order they are summed. Every scatter is one ``np.bincount``, also
+    of indices that are all distinct, such as a permutation, so that a row
+    of ``-0.0`` lands as ``np.add.at`` lands it, as ``0.0``. Where each run
+    of equal adjacent indices starts is found on the first ``runs`` and
     kept, so indices that many ops share, such as a graph index's edge
     targets, are looked at once.
     """
@@ -321,24 +322,18 @@ class Gather:
         self.idx = np.asarray(idx, dtype=np.intp)
         self.n_rows = n_rows
         self._order = order
-        self._runs: tuple[np.ndarray, bool] | None = None
-
-    def _grouping(self) -> tuple[np.ndarray, bool]:
-        """Where each run of equal adjacent indices starts, and whether equal
-        indices are all adjacent, so that each index has at most one run."""
-        if self._runs is None:
-            starts = _run_starts(self.idx)
-            distinct = np.count_nonzero(np.bincount(self.idx, minlength=self.n_rows))
-            self._runs = (starts, len(starts) == distinct)
-        return self._runs
+        self._runs: tuple[np.ndarray, np.ndarray] | None = None
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The first row and the length of each run of equal indices, in row
         order; equal indices must be adjacent, with no given order."""
-        starts, adjacent = self._grouping()
-        if not adjacent or self._order is not None:
-            raise ShapeMismatch("equal indices of a segment gather must be adjacent")
-        return starts, np.diff(starts, append=len(self.idx))
+        if self._runs is None:
+            starts = _run_starts(self.idx)
+            distinct = np.count_nonzero(np.bincount(self.idx, minlength=self.n_rows))
+            if self._order is not None or len(starts) != distinct:
+                raise ShapeMismatch("equal indices of a segment gather must be adjacent")
+            self._runs = (starts, np.diff(starts, append=len(self.idx)))
+        return self._runs
 
     def bins(self, width: int) -> np.ndarray:
         """The flat (row, column) bin of each entry of rows ``width`` wide, in
@@ -350,12 +345,7 @@ class Gather:
         """An (n_rows, ...) zero array with row g[i] added at idx[i]; repeated
         indices sum. ``cache`` keeps the bins it builds for the next scatter
         of rows as wide through this gather."""
-        starts, adjacent = self._grouping()
         shape = (self.n_rows,) + g.shape[1:]
-        if adjacent and len(starts) == len(self.idx):
-            out = np.zeros(shape)
-            out[self.idx] = g
-            return out
         if self._order is not None:
             g = g.take(self._order, axis=0)
         # one bin per (row, column): bincount adds each bin's weights in input order

@@ -13,7 +13,6 @@ import json
 import logging
 import math
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -131,7 +130,10 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
 
     for section, cls in (("endpoint", orch.EndpointConfig), ("model", modelmod.ModelConfig),
                          ("train", training.TrainConfig)):
-        _check_field_types(path, section, cls, raw.get(section, {}))
+        try:
+            graphmod.require_field_types(section, cls, raw.get(section, {}))
+        except TypeError as exc:
+            raise UsageFailure(f"bad configuration in {path}: {exc}") from exc
     endpoint_raw = dict(raw.get("endpoint", {}))
     if "mock" not in endpoint_raw and not endpoint_raw.get("base_url"):
         endpoint_raw["mock"] = True
@@ -165,29 +167,6 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         raise UsageFailure(f"bad configuration in {path}: the {mode.value} ablation sets the "
                            f"model's 'homogeneous' to {config.model.homogeneous}")
     return config
-
-
-#: What each annotated field type is called and the JSON values it takes: a
-#: float field also takes an integer that a float can hold, and no number
-#: field takes true or false.
-_FIELD_VALUES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
-                 float: ("a float64 number", (int, float)), str: ("a string", (str,))}
-
-
-def _check_field_types(path: str | Path | None, section: str, cls: type, values: dict) -> None:
-    """Raise ``UsageFailure`` naming the first field of ``values`` whose
-    value is not of its ``cls`` field's annotated type; unknown fields are
-    left to the constructor."""
-    hints = typing.get_type_hints(cls)
-    for name, value in values.items():
-        kind = hints.get(name)
-        if kind not in _FIELD_VALUES:
-            continue
-        wanted, types = _FIELD_VALUES[kind]
-        if not isinstance(value, types) or kind is not bool and isinstance(value, bool) \
-                or kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
-            raise UsageFailure(f"bad configuration in {path}: {section}.{name} must be "
-                               f"{wanted}, not {json.dumps(value)}")
 
 
 def _ablation_model(model: modelmod.ModelConfig,
@@ -261,12 +240,14 @@ _STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.IncompleteTranscript, orch.Extractio
 
 
 def _run_stage(obj: dict, manifest: str, name: str, kind: str,
-               write: Callable[[ManifestRecord, Path], None],
-               client: orch.BaseClient | None = None) -> None:
-    """Call ``write(rec, tmp)`` for every paper whose ``kind`` output is not a
-    regular file (every paper under ``--force``). ``tmp`` replaces the output
-    only when ``write`` returns, so an output that a rerun skips is never a
-    partial one, and an output that cannot be replaced exits 3."""
+               write: Callable[[ManifestRecord, Path, orch.BaseClient], None]) -> None:
+    """Call ``write(rec, tmp, client)`` for every paper whose ``kind`` output
+    is not a regular file (every paper under ``--force``), with the one
+    client of the run config's endpoint, whose requests the summary line
+    counts. ``tmp`` replaces the output only when ``write`` returns, so an
+    output that a rerun skips is never a partial one, and an output that
+    cannot be replaced exits 3."""
+    client = orch.make_client(obj["config"].endpoint)
     n_done = n_skipped = 0
     for rec in load_manifest(manifest):
         out = rec.path(kind)
@@ -276,14 +257,14 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
         try:
             out.parent.mkdir(parents=True, exist_ok=True)
             with graphmod.replacing(out) as tmp:
-                write(rec, tmp)
+                write(rec, tmp, client)
         except _STAGE_DATA_ERRORS as exc:
             raise DataFailure(f"{rec.paper_id}: {exc}") from exc
         except OSError as exc:
             raise DataFailure(f"{rec.paper_id}: cannot write {kind} file {out}: "
                               f"{type(exc).__name__}: {exc}") from exc
         n_done += 1
-    requests = client.chat_requests + client.embed_requests if client else 0
+    requests = client.chat_requests + client.embed_requests
     click.echo(f"{name}: {n_done} written, {n_skipped} skipped ({requests} requests)")
 
 
@@ -291,7 +272,7 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Run configuration JSON.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override all seeds.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Fan-out for per-item requests.")
 @click.option("--force", is_flag=True, help="Rewrite existing outputs.")
 @click.option("--ablation", type=click.Choice([m.value for m in graphmod.AblationMode]),
@@ -302,8 +283,6 @@ def cli(ctx: click.Context, config_path, seed, jobs, force, ablation, verbose) -
     """Debate-graph pipeline: simulate, extract, classify, embed, build, train."""
     logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    if jobs < 1:
-        raise UsageFailure("--jobs must be >= 1")
     ctx.obj = {
         "config": load_run_config(config_path, seed, ablation),
         "jobs": jobs,
@@ -317,13 +296,11 @@ def cli(ctx: click.Context, config_path, seed, jobs, force, ablation, verbose) -
 @click.pass_obj
 def simulate(obj, manifest) -> None:
     """Run the reviewer-author debate for each paper in MANIFEST."""
-    client = orch.make_client(obj["config"].endpoint)
-
-    def write(rec: ManifestRecord, tmp: Path) -> None:
+    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
         paper = _read(rec, "paper", orch.load_paper)
         orch.save_transcript(orch.simulate_debate(paper, client), tmp)
 
-    _run_stage(obj, manifest, "simulate", "transcript", write, client)
+    _run_stage(obj, manifest, "simulate", "transcript", write)
 
 
 @cli.command()
@@ -331,14 +308,12 @@ def simulate(obj, manifest) -> None:
 @click.pass_obj
 def extract(obj, manifest) -> None:
     """Extract opinion triples from each transcript."""
-    client = orch.make_client(obj["config"].endpoint)
-
-    def write(rec: ManifestRecord, tmp: Path) -> None:
+    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
         batch = orch.extract_triples(_read(rec, "transcript", orch.load_transcript), client)
         tmp.write_text(graphmod.compact_json(
             {"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}))
 
-    _run_stage(obj, manifest, "extract", "triples", write, client)
+    _run_stage(obj, manifest, "extract", "triples", write)
 
 
 @cli.command()
@@ -346,16 +321,14 @@ def extract(obj, manifest) -> None:
 @click.pass_obj
 def classify(obj, manifest) -> None:
     """Assign an evaluation dimension to every distinct reviewer opinion."""
-    client = orch.make_client(obj["config"].endpoint)
-
-    def write(rec: ManifestRecord, tmp: Path) -> None:
+    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
         dims = orch.classify_dimensions(_read_triples(rec), client, jobs=obj["jobs"])
         tmp.write_text(graphmod.compact_json([
             {"speaker": d.speaker, "text": d.text, "dimension": d.dimension.value}
             for d in dims
         ]))
 
-    _run_stage(obj, manifest, "classify", "dims", write, client)
+    _run_stage(obj, manifest, "classify", "dims", write)
 
 
 @cli.command()
@@ -363,16 +336,14 @@ def classify(obj, manifest) -> None:
 @click.pass_obj
 def embed(obj, manifest) -> None:
     """Embed every node text into the per-paper embedding cache."""
-    client = orch.make_client(obj["config"].endpoint)
-
-    def write(rec: ManifestRecord, tmp: Path) -> None:
+    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
         # the texts of every node a graph built from this paper will carry
         title = _read(rec, "transcript", orch.load_transcript).title
         texts = [extraction.normalize_text(title), *graphmod.DIMENSION_LABELS.values()]
         texts += [text for t in _read_triples(rec).triplets for text in (t.text_a, t.text_b)]
         orch.embed_texts(list(dict.fromkeys(texts)), client, orch.EmbeddingCache(tmp))
 
-    _run_stage(obj, manifest, "embed", "embeddings", write, client)
+    _run_stage(obj, manifest, "embed", "embeddings", write)
 
 
 @cli.command("build-graph")
@@ -382,7 +353,7 @@ def build_graph_cmd(obj, manifest) -> None:
     """Instantiate, ablate, validate, and write the debate graphs."""
     cfg: RunConfig = obj["config"]
 
-    def write(rec: ManifestRecord, tmp: Path) -> None:
+    def write(rec: ManifestRecord, tmp: Path, _client: orch.BaseClient) -> None:
         full = extraction.build_graph(  # validates the full graph
             _read(rec, "transcript", orch.load_transcript).title,
             _read_triples(rec), _read(rec, "dims", _parse_dims),
@@ -395,7 +366,7 @@ def build_graph_cmd(obj, manifest) -> None:
             if not report.ok:
                 raise graphmod.GraphError(
                     f"graph validation failed: {'; '.join(report.violations)}")
-        graphmod.save_graph(g, tmp, atomic=False)  # the runner renames tmp
+        tmp.write_text(graphmod.compact_json(graphmod.graph_to_dict(g)))
 
     _run_stage(obj, manifest, "build-graph", "graph", write)
 
@@ -481,8 +452,9 @@ def _read_compare(path: str) -> list[float]:
         raw = json.loads(Path(path).read_text(), parse_int=float)  # a huge integer reads as inf
         if not isinstance(raw, list):
             raise TypeError(f"expected a JSON list, found {type(raw).__name__}")
+        # every JSON number parses to a float; true and false are no numbers
         bad = next((i for i, x in enumerate(raw)
-                    if not (isinstance(x, (int, float)) and math.isfinite(x))), None)
+                    if not (isinstance(x, float) and math.isfinite(x))), None)
         if bad is not None:
             raise ValueError(f"entry {bad} is {json.dumps(raw[bad])}, not a finite number")
         return [float(x) for x in raw]

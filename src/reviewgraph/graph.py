@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import os
-from contextlib import contextmanager, nullcontext
+import sys
+import typing
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from pathlib import Path
@@ -442,8 +444,9 @@ def graph_from_dict(d: dict) -> DebateGraph:
     lengths, an unknown type, relation or dimension, a node id or edge
     endpoint that is not an int (bools included) or is too large for an
     index, ids that are not 0..N-1 each once, an edge endpoint that is not a
-    node id, a non-bool ``inverse`` or a non-string ``text``. Whether the
-    edges fit the schema is ``validate_graph``'s job.
+    node id, a non-bool ``inverse``, or a ``text`` or ``graph_id`` that is
+    not a string. Whether the edges fit the schema is ``validate_graph``'s
+    job.
     """
     if isinstance(d["nodes"], list):
         raise ValueError("nodes listed as rows: a graph file of the older row form; "
@@ -453,6 +456,7 @@ def graph_from_dict(d: dict) -> DebateGraph:
     if not set(map(type, ids + src + dst)) <= {int}:
         raise TypeError("node ids and edge endpoints must be integers")
     require_str("node text", *texts)
+    require_str("graph_id", d["graph_id"])
     if not set(map(type, inverse)) <= {bool}:
         raise TypeError("edge 'inverse' must be true or false")
     if unknown := {dim for dim in dims if dim} - _DIMENSIONS.keys():
@@ -472,6 +476,31 @@ def require_str(what: str, *values: object) -> None:
     makes of a document's text fields before anything uses them."""
     if not set(map(type, values)) <= {str}:
         raise TypeError(f"{what} must be a string")
+
+
+#: What each annotated field type is called and the JSON values it takes: a
+#: float field also takes an integer that a float can hold, and no number
+#: field takes true or false.
+_FIELD_VALUES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
+                 float: ("a float64 number", (int, float)), str: ("a string", (str,))}
+
+
+def require_field_types(section: str, cls: type, values: object) -> None:
+    """Raise ``TypeError`` naming ``section`` and the first field of the JSON
+    object ``values`` whose value is not of its ``cls`` field's annotated
+    type: the check made of a run config's sections and of a checkpoint's
+    configs before they are built. Unknown fields are left to ``cls``."""
+    if not isinstance(values, dict):
+        raise TypeError(f"{section} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        kind = hints.get(name)
+        if kind not in _FIELD_VALUES:
+            continue
+        wanted, types = _FIELD_VALUES[kind]
+        if not isinstance(value, types) or kind is not bool and isinstance(value, bool) \
+                or kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise TypeError(f"{section}.{name} must be {wanted}, not {json.dumps(value)}")
 
 
 @contextmanager
@@ -494,11 +523,11 @@ def compact_json(obj: dict | list) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def save_graph(g: DebateGraph, path: str | Path, atomic: bool = True) -> None:
-    """Write ``g`` as compact JSON; through ``replacing`` unless ``atomic`` is
-    False, for a ``path`` that is itself a temporary file its caller renames."""
+def save_graph(g: DebateGraph, path: str | Path) -> None:
+    """Write ``g`` as compact JSON through ``replacing``, so that ``path`` is
+    never a partial graph."""
     text = compact_json(graph_to_dict(g))
-    with replacing(path) if atomic else nullcontext(path) as out, open(out, "w") as fh:
+    with replacing(path) as out, open(out, "w") as fh:
         fh.write(text)
 
 

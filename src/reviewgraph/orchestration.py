@@ -664,16 +664,11 @@ Your task is to classify the given comment into one of the following categories 
 Return your answer as JSON in the format: {"category": "category_name"}"""
 
 
-def simulate_debate(
-    paper: PaperInput,
-    client: BaseClient,
-    *,
-    include_meta_review: bool = True,
-) -> Transcript:
+def simulate_debate(paper: PaperInput, client: BaseClient) -> Transcript:
     """Run the staged reviewer-author conversation and record it verbatim.
 
-    Stages: three initial reviews, one author rebuttal, three re-evaluations,
-    and (optionally) a senior-reviewer meta-review; 8 chat requests total.
+    Stages: three initial reviews, one author rebuttal, three re-evaluations
+    and a senior-reviewer meta-review; 8 chat requests total.
     """
     if not paper.body.strip():
         raise EmptyPaper("paper body is empty")
@@ -704,20 +699,16 @@ def simulate_debate(
     rebuttal = turn(AUTHOR_PROMPT.format(guidelines=DEFAULT_AUTHOR_GUIDELINES))
     reeval = [AgentMessage(role=role, content=turn(REEVALUATION_PROMPT.format(k=k)))
               for k, role in enumerate(REVIEWER_ROLES, start=1)]
+    meta = turn(SENIOR_PROMPT.format(guidelines=DEFAULT_CHAIR_GUIDELINES))
 
-    stages = [
+    stages = (
         StageRecord(DebateStage.INITIAL_REVIEW, tuple(initial)),
         StageRecord(DebateStage.AUTHOR_REBUTTAL,
                     (AgentMessage(AgentRole.AUTHOR, rebuttal),)),
         StageRecord(DebateStage.RE_EVALUATION, tuple(reeval)),
-    ]
-    if include_meta_review:
-        meta = turn(SENIOR_PROMPT.format(guidelines=DEFAULT_CHAIR_GUIDELINES))
-        stages.append(
-            StageRecord(DebateStage.META_REVIEW,
-                        (AgentMessage(AgentRole.SENIOR_REVIEWER, meta),))
-        )
-    return Transcript(paper_id=paper.paper_id, title=paper.title, stages=tuple(stages))
+        StageRecord(DebateStage.META_REVIEW, (AgentMessage(AgentRole.SENIOR_REVIEWER, meta),)),
+    )
+    return Transcript(paper_id=paper.paper_id, title=paper.title, stages=stages)
 
 
 def render_review_file(transcript: Transcript) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
-from .graph import DECISION_LABELS, DebateGraph, replacing
+from .graph import DECISION_LABELS, DebateGraph, replacing, require_field_types
 from .model import (
     ModelConfig,
     build_graph_index,
@@ -441,6 +441,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise VersionMismatch(f"unsupported checkpoint version {manifest.get('version')}")
 
     try:
+        for section, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
+            require_field_types(section, cls, manifest[section])
         model_config = ModelConfig(**manifest["model_config"])
         return Checkpoint(
             version=manifest["version"],

@@ -597,6 +597,14 @@ def test_scatter_adds_like_add_at_bit_for_bit(seed):
                 assert got.tobytes() == scatter_add_reference(g, idx, n_rows, order).tobytes()
 
 
+def test_scatter_of_signed_zeros_lands_like_add_at():
+    """Distinct indices too add each row to a zero: -0.0 lands as 0.0."""
+    g = np.array([[-0.0, 1.0], [2.0, -0.0], [-0.0, -0.0]])
+    for order in (None, np.array([2, 0, 1])):
+        got = ad.Gather([1, 2, 0], 3, order=order).scatter(g)
+        assert got.tobytes() == scatter_add_reference(g, np.array([1, 2, 0]), 3, order).tobytes()
+
+
 def test_scatters_through_a_bin_cache_build_each_width_once_and_add_alike(monkeypatch):
     """A cache keeps the bins of each (gather, width) it has seen: the sums
     are the same bytes, and the bins are built once, however many scatters

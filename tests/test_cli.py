@@ -530,6 +530,7 @@ BAD_COMPARE = {
     "first-of-two-bad": ("[1, -Infinity, NaN]", "entry 1 is -Infinity, not a finite number"),
     "overflowing-entry": ("[1, 1e999]", "entry 1 is Infinity, not a finite number"),
     "nested-too-deeply": ("[" * 200_000, "RecursionError: "),
+    "bool-entry": ("[1, true]", "entry 1 is true, not a finite number"),
 }
 
 
@@ -668,6 +669,7 @@ BROKEN_GRAPHS = {
     "unknown-dimension": lambda d: _set(d["nodes"], "dimension", 0, "clarity"),
     "ragged-column": lambda d: d["edges"]["src"].pop(),
     "column-not-a-list": lambda d: d["nodes"].update(type="title"),
+    "numeric-graph-id": lambda d: d.update(graph_id=5),
 }
 
 
@@ -693,30 +695,33 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
 
 
 
-def _edit_entry(tensors, **fields):
-    next(t for t in tensors if t["name"] == "layer0/query/title").update(fields)
+def _title_query(doc):
+    return next(t for t in doc["tensors"] if t["name"] == "layer0/query/title")
 
 
-#: Malformed checkpoint-manifest edits, each to the entry of ``layer0/query/title``.
+#: Malformed checkpoint-manifest edits, and the start of the error line: it
+#: names the entry of ``layer0/query/title``, or a wrongly typed config field.
+TITLE_QUERY = "data error: tensor 'layer0/query/title'"
 BAD_CHECKPOINTS = {
-    "negative-offset": lambda tensors: _edit_entry(tensors, offset=-4),
-    "negative-shape": lambda tensors: _edit_entry(tensors, shape=[-8, -8]),
-    "string-shape": lambda tensors: _edit_entry(tensors, shape="88"),
-    "duplicate-name": lambda tensors: tensors.append(
-        next(dict(t) for t in tensors if t["name"] == "layer0/query/title")),
-    "missing-tensor": lambda tensors: tensors.remove(
-        next(t for t in tensors if t["name"] == "layer0/query/title")),
+    "negative-offset": (lambda doc: _title_query(doc).update(offset=-4), TITLE_QUERY),
+    "negative-shape": (lambda doc: _title_query(doc).update(shape=[-8, -8]), TITLE_QUERY),
+    "string-shape": (lambda doc: _title_query(doc).update(shape="88"), TITLE_QUERY),
+    "duplicate-name": (lambda doc: doc["tensors"].append(dict(_title_query(doc))), TITLE_QUERY),
+    "missing-tensor": (lambda doc: doc["tensors"].remove(_title_query(doc)), TITLE_QUERY),
+    "float-hidden-dim": (lambda doc: doc["model_config"].update(hidden_dim=8.0),
+                         "data error: malformed manifest: TypeError: model_config.hidden_dim "
+                         "must be an integer, not 8.0"),
 }
 
 
-@pytest.mark.parametrize("edit", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
+@pytest.mark.parametrize("edit, message", BAD_CHECKPOINTS.values(), ids=BAD_CHECKPOINTS.keys())
 def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
-        trained_workspace, tmp_path, capsys, edit):
+        trained_workspace, tmp_path, capsys, edit, message):
     root, manifest, files = trained_workspace
     blob = files[root / "c.rvgc"]
     (mlen,) = struct.unpack("<I", blob[4:8])
     doc = json.loads(blob[8:8 + mlen])
-    edit(doc["tensors"])
+    edit(doc)
     mbytes = json.dumps(doc).encode()
     bad = tmp_path / "bad.rvgc"
     bad.write_bytes(blob[:4] + struct.pack("<I", len(mbytes)) + mbytes + blob[8 + mlen:])
@@ -725,7 +730,7 @@ def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
                "--output", str(tmp_path / "ev.json"))
     err = capsys.readouterr().err
     assert code == 3
-    assert "data error: tensor 'layer0/query/title'" in err
+    assert message in err, err
     assert "Traceback" not in err
 
 
@@ -967,6 +972,7 @@ OUT_OF_DOMAIN = {
     "seed-option-train": (["--seed", "-1"], {}, ["train", "{manifest}"], "'--seed'"),
     "seed-option-ablate": (["--seed", "-1"], {}, ["ablate", "{manifest}"], "'--seed'"),
     "seed-option-gradcheck": (["--seed", "-1"], {}, ["gradcheck"], "'--seed'"),
+    "zero-jobs": (["--jobs", "0"], {}, ["gradcheck"], "'--jobs'"),
     "model-seed": ([], {"model": {"seed": -1}}, ["train", "{manifest}"], "model: seed"),
     "train-seed": ([], {"train": {"seed": -1}}, ["ablate", "{manifest}"], "train: seed"),
     "zero-timeout": ([], {"endpoint": {"timeout": 0}}, ["simulate", "{manifest}"],

@@ -75,13 +75,6 @@ def test_simulate_stage_structure_and_request_count():
     assert client.chat_requests == 8
 
 
-def test_simulate_without_meta_review():
-    client = MockClient(seed=1)
-    t = simulate_debate(PAPER, client, include_meta_review=False)
-    assert t.stage(DebateStage.META_REVIEW) is None
-    assert client.chat_requests == 7
-
-
 def test_simulate_rejects_empty_paper():
     with pytest.raises(OrchestrationError):
         simulate_debate(PaperInput("x", "T", "   "), MockClient())

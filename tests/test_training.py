@@ -435,7 +435,16 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     lambda m: m.pop("tensors"),
     lambda m: m.pop("model_config"),
     lambda m: m["model_config"].update(unknown_field=1),
-], ids=["no-epoch", "no-tensors", "no-model-config", "unknown-model-config-key"])
+    # the field types a run config must have
+    lambda m: m["model_config"].update(hidden_dim=float(m["model_config"]["hidden_dim"])),
+    lambda m: m["model_config"].update(seed=0.5),
+    lambda m: m["train_config"].update(seed=0.5),
+    lambda m: m["train_config"].update(batch_size=2.5),
+    lambda m: m["train_config"].update(shuffle="yes"),
+    lambda m: m.update(train_config=[]),
+], ids=["no-epoch", "no-tensors", "no-model-config", "unknown-model-config-key",
+        "float-hidden-dim", "fractional-model-seed", "fractional-train-seed",
+        "fractional-batch-size", "string-shuffle", "train-config-not-an-object"])
 def test_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     path = tmp_path / "m.rvgc"
     save_checkpoint(make_checkpoint(), path)
