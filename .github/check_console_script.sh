@@ -37,6 +37,8 @@ python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
 cp deep.json deep.jsonl
 # a run config whose endpoint timeout is outside its domain
 printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
+# a checkpoint file with no checkpoint header
+printf 'XXXX' > bad.rvgc
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
@@ -44,7 +46,8 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
             "1 --config deep.json gradcheck" "3 train deep.jsonl" \
             "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
             "1 --config t0.json gradcheck" \
-            "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan"; do
+            "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
+            "3 evaluate m.jsonl --checkpoint bad.rvgc"; do
   set -- $case
   want=$1
   shift
@@ -65,3 +68,10 @@ for manifest in rows.jsonl lines.jsonl; do
     exit 1
   fi
 done
+
+# a broken checkpoint's error names its file
+reviewgraph evaluate m.jsonl --checkpoint bad.rvgc 2> stderr.txt || true
+if ! grep -q 'bad\.rvgc' stderr.txt; then
+  echo "reviewgraph evaluate --checkpoint bad.rvgc: the error does not name the file"
+  exit 1
+fi

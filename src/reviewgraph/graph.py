@@ -488,8 +488,9 @@ _FIELD_VALUES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
 def require_field_types(section: str, cls: type, values: object) -> None:
     """Raise ``TypeError`` naming ``section`` and the first field of the JSON
     object ``values`` whose value is not of its ``cls`` field's annotated
-    type: the check made of a run config's sections and of a checkpoint's
-    configs before they are built. Unknown fields are left to ``cls``."""
+    type: the check made of a run config's sections, and of a checkpoint's
+    manifest and configs, before they are built. Unknown fields are left to
+    ``cls``."""
     if not isinstance(values, dict):
         raise TypeError(f"{section} must be a JSON object")
     hints = typing.get_type_hints(cls)

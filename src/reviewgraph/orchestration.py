@@ -359,22 +359,14 @@ class HttpChatClient(BaseClient):
 # keyword the mock classifier maps back to its dimension, and none contains
 # characters that would break the triple format
 _MOCK_OPINIONS = [
-    ("The proposed method offers limited methodological novelty over established approaches.",
-     Dimension.METHODOLOGICAL_NOVELTY),
-    ("The core idea is novel and clearly differentiated from prior techniques.",
-     Dimension.METHODOLOGICAL_NOVELTY),
-    ("The experimental evaluation covers too few datasets to support the claims.",
-     Dimension.EXPERIMENTAL_COMPLETENESS),
-    ("The experiments are thorough and include convincing baseline comparisons.",
-     Dimension.EXPERIMENTAL_COMPLETENESS),
-    ("The motivation for the central design choice is not clearly articulated.",
-     Dimension.MOTIVATION_CLARITY),
-    ("The problem motivation is compelling and well grounded in practice.",
-     Dimension.MOTIVATION_CLARITY),
-    ("The writing is dense and several passages are hard to follow.",
-     Dimension.WRITING_FLUENCY),
-    ("The paper is well written with a clear and readable structure.",
-     Dimension.WRITING_FLUENCY),
+    "The proposed method offers limited methodological novelty over established approaches.",
+    "The core idea is novel and clearly differentiated from prior techniques.",
+    "The experimental evaluation covers too few datasets to support the claims.",
+    "The experiments are thorough and include convincing baseline comparisons.",
+    "The motivation for the central design choice is not clearly articulated.",
+    "The problem motivation is compelling and well grounded in practice.",
+    "The writing is dense and several passages are hard to follow.",
+    "The paper is well written with a clear and readable structure.",
 ]
 
 _MOCK_RA_LABELS = ("Accept", "Clarify", "Compromise", "Extend", "Reject", "Neutral")
@@ -445,7 +437,7 @@ class MockClient(BaseClient):
         base = _stable_hash(self.seed, title, k)
         first = base % len(_MOCK_OPINIONS)
         second = (first + 1 + (base // 7) % (len(_MOCK_OPINIONS) - 1)) % len(_MOCK_OPINIONS)
-        return [_MOCK_OPINIONS[first][0], _MOCK_OPINIONS[second][0]]
+        return [_MOCK_OPINIONS[first], _MOCK_OPINIONS[second]]
 
     def _review_reply(self, messages: list[dict[str, str]], prompt: str) -> str:
         k = self._reviewer_number(prompt)
@@ -964,7 +956,9 @@ def embed_texts(
     cache: EmbeddingCache | None = None,
 ) -> list[np.ndarray]:
     """One vector per input text; cached texts are not re-requested. The new
-    vectors are cached only if every text's vector has the same dimension."""
+    vectors go into the cache in one ``put_many``, so a vector whose length
+    is not the cache's (or its batch's) raises ``InconsistentDimension`` and
+    leaves the cache as it was."""
     if cache is None:
         cache = EmbeddingCache()
     digests = [cache.digest(t) for t in texts]
@@ -972,8 +966,5 @@ def embed_texts(
     fetched = dict(zip(missing, client.embed(list(missing.values())))) if missing else {}
     hits = iter(cache.vectors([d for d in digests if d not in fetched]))
     out = [fetched[d] if d in fetched else next(hits) for d in digests]
-    dims = {v.shape[0] for v in out}
-    if len(dims) > 1:
-        raise InconsistentDimension(f"embedding dimensions differ: {sorted(dims)}")
     cache.put_many((missing[d], v, d) for d, v in fetched.items())
     return out

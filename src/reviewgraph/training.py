@@ -18,6 +18,7 @@ from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wrap
 from .graph import DECISION_LABELS, DebateGraph, replacing, require_field_types
 from .model import (
     ModelConfig,
+    ModelError,
     build_graph_index,
     edge_chunks,
     forward_loss,
@@ -92,8 +93,6 @@ class TrainConfig:
         ):
             if not ok:
                 raise TrainingError(f"{name} must be {domain}, not {getattr(self, name)}")
-        if self.early_stop_patience > self.max_epochs:
-            raise TrainingError("patience must not exceed max_epochs")
 
 
 @dataclass(frozen=True)
@@ -109,11 +108,12 @@ class GraphExample:
 
 @dataclass
 class EvalReport:
+    """Accuracy and macro-averaged precision, recall and F1 over n predictions."""
+
     accuracy: float
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    per_class: dict[str, dict[str, int]]
     n: int
 
 
@@ -126,13 +126,11 @@ def evaluate(preds: Sequence[int], golds: Sequence[int]) -> EvalReport:
     n = len(preds)
     correct = sum(1 for p, y in zip(preds, golds) if p == y)
 
-    per_class: dict[str, dict[str, int]] = {}
     precisions, recalls, f1s = [], [], []
-    for c, name in enumerate(DECISION_LABELS):
+    for c in range(len(DECISION_LABELS)):
         tp = sum(1 for p, y in zip(preds, golds) if p == c and y == c)
         fp = sum(1 for p, y in zip(preds, golds) if p == c and y != c)
         fn = sum(1 for p, y in zip(preds, golds) if p != c and y == c)
-        per_class[name] = {"tp": tp, "fp": fp, "fn": fn}
         prec = tp / (tp + fp) if tp + fp else 0.0
         rec = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
@@ -145,7 +143,6 @@ def evaluate(preds: Sequence[int], golds: Sequence[int]) -> EvalReport:
         macro_precision=sum(precisions) / len(precisions),
         macro_recall=sum(recalls) / len(recalls),
         macro_f1=sum(f1s) / len(f1s),
-        per_class=per_class,
         n=n,
     )
 
@@ -422,10 +419,24 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """The checkpoint that ``save_checkpoint`` wrote to ``path``. Every error
+    raised starts with ``path``: ``IoError`` for a file that cannot be read,
+    ``VersionMismatch`` for another format version, and ``CorruptPayload``
+    for anything malformed, a config value outside its domain included."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
-        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
+        raise IoError(f"{path}: cannot read checkpoint: {exc}") from exc
+    try:
+        return _checkpoint_from(blob)
+    except CheckpointError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ModelError, TrainingError) as exc:
+        raise CorruptPayload(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
+
+
+def _checkpoint_from(blob: bytes) -> Checkpoint:
+    """The checkpoint in a file's bytes; ``load_checkpoint`` names the file in its errors."""
     if len(blob) < 8 or blob[:4] != _MAGIC:
         raise CorruptPayload("bad magic header")
     (mlen,) = struct.unpack("<I", blob[4:8])
@@ -437,24 +448,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CorruptPayload(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorruptPayload("manifest is not a JSON object")
+    # the types of version, epoch and best_val_macro_f1, before the version
+    # test, which true would pass (true == 1)
+    require_field_types("manifest", Checkpoint, manifest)
     if manifest.get("version") != _CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {manifest.get('version')}")
 
-    try:
-        for section, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
-            require_field_types(section, cls, manifest[section])
-        model_config = ModelConfig(**manifest["model_config"])
-        return Checkpoint(
-            version=manifest["version"],
-            model_config=model_config,
-            train_config=TrainConfig(**manifest["train_config"]),
-            epoch=manifest["epoch"],
-            best_val_macro_f1=manifest["best_val_macro_f1"],
-            params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:],
-                                model_config),
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorruptPayload(f"malformed manifest: {type(exc).__name__}: {exc}") from exc
+    for section, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
+        require_field_types(section, cls, manifest[section])
+    model_config = ModelConfig(**manifest["model_config"])
+    return Checkpoint(
+        version=manifest["version"],
+        model_config=model_config,
+        train_config=TrainConfig(**manifest["train_config"]),
+        epoch=manifest["epoch"],
+        best_val_macro_f1=manifest["best_val_macro_f1"],
+        params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:], model_config),
+    )
 
 
 def _tensor_table(config: ModelConfig) -> list[dict]:

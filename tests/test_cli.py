@@ -136,13 +136,27 @@ def test_transcript_without_rebuttal_exits_3_naming_the_paper(tmp_path, capsys):
     assert not (tmp_path / "work" / "p1.triples.json").exists()
 
 
-def test_train_requires_val_split(tmp_path):
+def test_train_requires_val_split(tmp_path, capsys):
     manifest = make_workspace(tmp_path, [("a", "train", "accept"), ("b", "train", "reject")])
     run_stage_pipeline(tmp_path, manifest)
+    capsys.readouterr()
     code = run(tmp_path, "train", str(manifest),
                "--checkpoint", str(tmp_path / "c.rvgc"),
                "--history", str(tmp_path / "h.jsonl"))
     assert code == 1
+    assert "empty validation split" in capsys.readouterr().err
+
+
+def test_train_accepts_patience_above_max_epochs(tmp_path):
+    """The workspace's patience of 2 exceeds one epoch: early stopping never fires."""
+    manifest = make_workspace(tmp_path, TRAINABLE, config_extra={"train": {"max_epochs": 1}})
+    run_stage_pipeline(tmp_path, manifest)
+    code = run(tmp_path, "train", str(manifest),
+               "--checkpoint", str(tmp_path / "c.rvgc"),
+               "--history", str(tmp_path / "h.jsonl"))
+    assert code == 0
+    assert [json.loads(line)["epoch"] for line in
+            (tmp_path / "h.jsonl").read_text().splitlines()] == [1]
 
 
 def test_train_twice_same_seed_identical_history(tmp_path):
@@ -699,9 +713,10 @@ def _title_query(doc):
     return next(t for t in doc["tensors"] if t["name"] == "layer0/query/title")
 
 
-#: Malformed checkpoint-manifest edits, and the start of the error line: it
-#: names the entry of ``layer0/query/title``, or a wrongly typed config field.
-TITLE_QUERY = "data error: tensor 'layer0/query/title'"
+#: Malformed checkpoint-manifest edits, and the error line's text after the
+#: file's name: it names the entry of ``layer0/query/title``, or a config
+#: field of the wrong type or outside its domain.
+TITLE_QUERY = "tensor 'layer0/query/title'"
 BAD_CHECKPOINTS = {
     "negative-offset": (lambda doc: _title_query(doc).update(offset=-4), TITLE_QUERY),
     "negative-shape": (lambda doc: _title_query(doc).update(shape=[-8, -8]), TITLE_QUERY),
@@ -709,8 +724,14 @@ BAD_CHECKPOINTS = {
     "duplicate-name": (lambda doc: doc["tensors"].append(dict(_title_query(doc))), TITLE_QUERY),
     "missing-tensor": (lambda doc: doc["tensors"].remove(_title_query(doc)), TITLE_QUERY),
     "float-hidden-dim": (lambda doc: doc["model_config"].update(hidden_dim=8.0),
-                         "data error: malformed manifest: TypeError: model_config.hidden_dim "
+                         "malformed manifest: TypeError: model_config.hidden_dim "
                          "must be an integer, not 8.0"),
+    "hidden-dim-zero": (lambda doc: doc["model_config"].update(hidden_dim=0),
+                        "malformed manifest: ModelError: num_heads, hidden_dim and ffn_hidden "
+                        "must be positive"),
+    "negative-learning-rate": (lambda doc: doc["train_config"].update(learning_rate=-1),
+                               "malformed manifest: TrainingError: learning_rate must be "
+                               "finite and above 0, not -1"),
 }
 
 
@@ -730,7 +751,7 @@ def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
                "--output", str(tmp_path / "ev.json"))
     err = capsys.readouterr().err
     assert code == 3
-    assert message in err, err
+    assert err.startswith(f"data error: {bad}: {message}"), err
     assert "Traceback" not in err
 
 
@@ -1100,7 +1121,7 @@ def test_evaluate_broken_checkpoint_exits_3_with_its_fault(trained_workspace, tm
                "--output", str(tmp_path / "ev.json"))
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith(f"data error: {message}") and "Traceback" not in err
+    assert err.startswith(f"data error: {bad}: {message}") and "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
 
 

@@ -458,3 +458,22 @@ def _sample_graphs():
 ], ids=["random_debate_graph", "rule_labeled_graph", "skeleton", "build_graph"])
 def test_graph_builders_keep_node_and_edge_order(make, digest):
     assert _digest(make()) == digest
+
+
+def _graphs_to_ablate():
+    graphs = _sample_graphs()
+    for s in range(20):
+        for inverse in (True, False):
+            graphs += [random_debate_graph(s, f"g{s}", add_inverse_edges=inverse),
+                       rule_labeled_graph(s, f"r{s}", add_inverse_edges=inverse)]
+    return graphs
+
+
+@pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
+def test_ablation_of_a_valid_graph_is_valid_under_its_mode(mode):
+    """build-graph validates only the full graph and writes its ablation
+    unchecked: that is sound only while this holds."""
+    for g in _graphs_to_ablate():
+        assert validate_graph(g).ok, (g.graph_id, validate_graph(g).violations)
+        report = validate_graph(apply_ablation(g, mode), mode)
+        assert report.ok, (g.graph_id, report.violations)

@@ -392,13 +392,23 @@ def test_embeddings_are_unit_norm_and_deterministic():
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_inconsistent_embedding_dimension_detected():
+def test_inconsistent_embedding_dimension_detected(tmp_path):
     class WonkyClient(MockClient):
         def _embed_once(self, texts):
             return [[0.0] * (32 if i % 2 else 64) for i, _t in enumerate(texts)]
 
     with pytest.raises(InconsistentDimension):
         embed_texts(["a", "b"], WonkyClient())
+    # the cache refuses the batch whole: nothing of it is kept or written
+    path = tmp_path / "emb"
+    embed_texts(["z"], MockClient(config=EndpointConfig(mock=True, embedding_dim=64)),
+                EmbeddingCache(path))
+    before = path.read_bytes()
+    cache = EmbeddingCache(path)
+    with pytest.raises(InconsistentDimension):
+        embed_texts(["a", "b", "z"], WonkyClient(), cache)
+    assert path.read_bytes() == before
+    assert len(cache) == 1 and cache.get("a") is None
 
 
 def test_make_client_dispatch():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -259,8 +260,20 @@ def test_train_history_shape_and_early_stop():
 def test_train_config_validation():
     with pytest.raises(TrainingError):
         TrainConfig(learning_rate=-1.0)
-    with pytest.raises(TrainingError):
-        TrainConfig(max_epochs=5, early_stop_patience=9)
+
+
+def test_patience_of_max_epochs_or_more_behaves_like_max_epochs_minus_one():
+    """Epoch 1 always improves on the starting best, so early stopping cannot
+    fire once patience reaches max_epochs - 1; a larger patience is accepted."""
+    data = small_dataset()
+    runs = [train(data, data, MC, TrainConfig(learning_rate=1e-3, max_epochs=4,
+                                              early_stop_patience=patience, seed=2))
+            for patience in (3, 4, 9)]
+    (cp, hist), others = runs[0], runs[1:]
+    assert len(hist) == 4
+    for other_cp, other_hist in others:
+        assert other_hist == hist and other_cp.epoch == cp.epoch
+        np.testing.assert_array_equal(other_cp.params.flat, cp.params.flat)
 
 
 # -- welch t-test ----------------------------------------------------------
@@ -379,13 +392,18 @@ def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, homog
     assert all(np.shares_memory(t.value, loaded.params.flat) for _, t in loaded.params.items())
 
 
-def rewrite_manifest(path, edit):
+def edit_manifest(path, edit):
+    """Rewrite the checkpoint at path with ``edit`` applied to its manifest."""
     blob = path.read_bytes()
     (mlen,) = struct.unpack("<I", blob[4:8])
     manifest = json.loads(blob[8:8 + mlen])
-    edit({t["name"]: t for t in manifest["tensors"]}, manifest["tensors"])
+    edit(manifest)
     mbytes = json.dumps(manifest).encode()
     path.write_bytes(blob[:4] + struct.pack("<I", len(mbytes)) + mbytes + blob[8 + mlen:])
+
+
+def rewrite_manifest(path, edit):
+    edit_manifest(path, lambda m: edit({t["name"]: t for t in m["tensors"]}, m["tensors"]))
 
 
 #: Manifest edits, each making one tensor entry malformed; the error names it.
@@ -442,20 +460,38 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     lambda m: m["train_config"].update(batch_size=2.5),
     lambda m: m["train_config"].update(shuffle="yes"),
     lambda m: m.update(train_config=[]),
+    # the types of the manifest's own scalars, as ``Checkpoint`` annotates them
+    lambda m: m.update(epoch="3"),
+    lambda m: m.update(best_val_macro_f1="x"),
+    lambda m: m.update(version=True),
+    # config values outside their domain
+    lambda m: m["model_config"].update(hidden_dim=0),
+    lambda m: m["train_config"].update(learning_rate=-1.0),
 ], ids=["no-epoch", "no-tensors", "no-model-config", "unknown-model-config-key",
         "float-hidden-dim", "fractional-model-seed", "fractional-train-seed",
-        "fractional-batch-size", "string-shuffle", "train-config-not-an-object"])
+        "fractional-batch-size", "string-shuffle", "train-config-not-an-object",
+        "string-epoch", "string-best-val-macro-f1", "boolean-version",
+        "zero-hidden-dim", "negative-learning-rate"])
 def test_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     path = tmp_path / "m.rvgc"
     save_checkpoint(make_checkpoint(), path)
-    blob = path.read_bytes()
-    (mlen,) = struct.unpack("<I", blob[4:8])
-    manifest = json.loads(blob[8:8 + mlen])
-    edit(manifest)
-    mbytes = json.dumps(manifest).encode()
-    path.write_bytes(blob[:4] + struct.pack("<I", len(mbytes)) + mbytes + blob[8 + mlen:])
-    with pytest.raises(CorruptPayload):
+    edit_manifest(path, edit)
+    with pytest.raises(CorruptPayload, match=f"^{re.escape(str(path))}: "):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value, wanted", [
+    ("epoch", "3", "an integer"), ("best_val_macro_f1", "x", "a float64 number"),
+    ("version", True, "an integer"),
+])
+def test_checkpoint_names_a_wrongly_typed_manifest_scalar(tmp_path, field, value, wanted):
+    path = tmp_path / "m.rvgc"
+    save_checkpoint(make_checkpoint(), path)
+    edit_manifest(path, lambda m: m.update({field: value}))
+    with pytest.raises(CorruptPayload) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"{path}: malformed manifest: TypeError: manifest.{field} "
+                              f"must be {wanted}, not {json.dumps(value)}")
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):
@@ -502,7 +538,7 @@ def test_interrupted_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch):
 
 
 def test_checkpoint_missing_file():
-    with pytest.raises(IoError):
+    with pytest.raises(IoError, match="^/nonexistent/path/model.rvgc: "):
         load_checkpoint("/nonexistent/path/model.rvgc")
 
 
