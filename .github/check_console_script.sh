@@ -39,6 +39,9 @@ cp deep.json deep.jsonl
 printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
 # a checkpoint file with no checkpoint header
 printf 'XXXX' > bad.rvgc
+# a checkpoint whose manifest is nested too deeply to parse: the magic, its
+# length as a little-endian uint32, then the manifest
+python3 -c 'import struct, sys; sys.stdout.buffer.write(b"RVGC" + struct.pack("<I", 200000) + b"[" * 200000)' > deep.rvgc
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
@@ -47,7 +50,7 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
             "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
             "1 --config t0.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
-            "3 evaluate m.jsonl --checkpoint bad.rvgc"; do
+            "3 evaluate m.jsonl --checkpoint bad.rvgc" "3 evaluate m.jsonl --checkpoint deep.rvgc"; do
   set -- $case
   want=$1
   shift

@@ -61,7 +61,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     to the manifest file's directory."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFailure(f"cannot read manifest {path}: {type(exc).__name__}: {exc}") from exc
     base = path.parent
@@ -71,8 +71,8 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
         if not line.strip():
             continue
         try:
-            raw = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to parse
+            raw = graphmod.parse_json(line)
+        except ValueError as exc:
             raise DataFailure(f"{path}:{lineno}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataFailure(f"{path}:{lineno}: not a JSON object")
@@ -119,9 +119,8 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
     if path is not None:
         p = Path(path)
         try:
-            raw = json.loads(p.read_text())
-        except (OSError, ValueError, RecursionError) as exc:
-            # ValueError covers JSON and UTF-8 decoding; RecursionError JSON nested too deeply
+            raw = graphmod.parse_json(p.read_bytes())
+        except (OSError, ValueError) as exc:
             raise UsageFailure(f"bad configuration in {p}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict) or not all(isinstance(raw.get(section, {}), dict)
                                             for section in ("endpoint", "model", "train")):
@@ -210,24 +209,22 @@ def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
         return parse(path)
     except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
         raise DataFailure(f"{rec.paper_id}: {exc}") from exc
-    except (KeyError, OSError, TypeError, ValueError, RecursionError,
-            extraction.ExtractionError) as exc:
-        # OSError covers a directory; ValueError JSONDecodeError and UnicodeDecodeError;
-        # RecursionError JSON nested too deeply to parse
+    except (KeyError, OSError, TypeError, ValueError, extraction.ExtractionError) as exc:
+        # OSError covers a directory; ValueError every graphmod.parse_json failure
         raise DataFailure(f"{rec.paper_id}: corrupt {kind} file {path}: "
                           f"{type(exc).__name__}: {exc}") from exc
 
 
 def _read_triples(rec: ManifestRecord) -> extraction.TripleBatch:
     return _read(rec, "triples",
-                 lambda path: extraction.parse_triple_batch(path.read_text(), rec.paper_id))
+                 lambda path: extraction.parse_triple_batch(path.read_bytes(), rec.paper_id))
 
 
 def _parse_dims(path: Path) -> list[extraction.DimensionAssignment]:
     dims = [
         extraction.DimensionAssignment(entry["speaker"], entry["text"],
                                        graphmod.Dimension(entry["dimension"]))
-        for entry in json.loads(path.read_text())
+        for entry in graphmod.parse_json(path.read_bytes())
     ]
     graphmod.require_str("each speaker and text", *(v for d in dims for v in (d.speaker, d.text)))
     return dims
@@ -444,7 +441,8 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
 def _read_compare(path: str) -> list[float]:
     """Another run's per-paper correctness indicators: a JSON list of finite numbers."""
     try:
-        raw = json.loads(Path(path).read_text(), parse_int=float)  # a huge integer reads as inf
+        # a huge integer reads as inf
+        raw = graphmod.parse_json(Path(path).read_bytes(), parse_int=float)
         if not isinstance(raw, list):
             raise TypeError(f"expected a JSON list, found {type(raw).__name__}")
         # every JSON number parses to a float; true and false are no numbers
@@ -453,7 +451,7 @@ def _read_compare(path: str) -> list[float]:
         if bad is not None:
             raise ValueError(f"entry {bad} is {json.dumps(raw[bad])}, not a finite number")
         return [float(x) for x in raw]
-    except (OSError, TypeError, ValueError, RecursionError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise DataFailure(f"--compare file {path}: {type(exc).__name__}: {exc}") from exc
 
 

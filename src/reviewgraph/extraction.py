@@ -10,7 +10,6 @@ commas and apostrophes inside the quoted sentences, so parsing anchors on the
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +28,7 @@ from .graph import (
     NodeType,
     RelationType,
     assemble,
+    parse_json,
     skeleton,
     validate_graph,
 )
@@ -200,15 +200,15 @@ def canonical_relation(label: str, group: RelationGroup) -> RelationType:
     return rel
 
 
-def parse_triple_batch(data: str, graph_id: str) -> TripleBatch:
+def parse_triple_batch(data: str | bytes, graph_id: str) -> TripleBatch:
     """Parse the extractor's two-array JSON object.
 
     Malformed elements are skipped and reported in ``batch.malformed``; the
     batch fails hard only if more than half of all elements are malformed.
     """
     try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to parse
+        obj = parse_json(data)
+    except ValueError as exc:
         raise NotJson(f"triple batch is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise NotJson("triple batch JSON must be an object")
@@ -260,8 +260,8 @@ def batch_to_dict(batch: TripleBatch) -> dict:
 def parse_dimension_reply(data: str) -> Dimension:
     """Parse a ``{"category": "..."}`` classification reply."""
     try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply to parse
+        obj = parse_json(data)
+    except ValueError as exc:
         raise NotJson(f"classification reply is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "category" not in obj:
         raise NotJson("classification reply must be an object with a 'category' key")

@@ -524,6 +524,16 @@ def compact_json(obj: dict | list) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def parse_json(data: str | bytes, **options) -> object:
+    """The value of the JSON document ``data``, bytes decoded as strict UTF-8
+    whatever the locale (RFC 8259 §8.1); ``options`` go to ``json.loads``.
+    Every failure, nesting too deep to parse included, is a ``ValueError``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data, **options)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def save_graph(g: DebateGraph, path: str | Path) -> None:
     """Write ``g`` as compact JSON through ``replacing``, so that ``path`` is
     never a partial graph."""
@@ -537,10 +547,9 @@ def load_graph(path: str | Path) -> DebateGraph:
     parse into a graph (see ``graph_from_dict``), such as one of the older row
     form, raises ``CorruptGraph`` naming ``path``."""
     try:
-        return graph_from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError; OverflowError an id beyond the index range;
-        # RecursionError JSON nested too deeply to parse
+        return graph_from_dict(parse_json(Path(path).read_bytes()))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers every parse_json failure; OverflowError an id beyond the index range
         raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
 
 

@@ -32,7 +32,7 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension, compact_json, require_str
+from .graph import DIMENSION_LABELS, Dimension, compact_json, parse_json, require_str
 
 
 class OrchestrationError(Exception):
@@ -180,7 +180,7 @@ def save_transcript(t: Transcript, path: str | Path) -> None:
 
 
 def load_transcript(path: str | Path) -> Transcript:
-    return transcript_from_dict(json.loads(Path(path).read_text()))
+    return transcript_from_dict(parse_json(Path(path).read_bytes()))
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ class PaperInput:
 
 
 def load_paper(path: str | Path) -> PaperInput:
-    d = json.loads(Path(path).read_text())
+    d = parse_json(Path(path).read_bytes())
     require_str("each of paper_id, title and body", d["paper_id"], d["title"], d["body"])
     return PaperInput(d["paper_id"], d["title"], d["body"], _attachments(d))
 
@@ -807,11 +807,8 @@ def classify_dimensions(
         except ExtractionFailed as exc:
             return key, exc.errors[-1]
 
-    if jobs > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(classify, keys))
-    else:
-        results = [classify(k) for k in keys]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(classify, keys))
 
     failures = [(speaker, text, outcome) for (speaker, text), outcome in results
                 if not isinstance(outcome, Dimension)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
-from .graph import DECISION_LABELS, DebateGraph, replacing, require_field_types
+from .graph import DECISION_LABELS, DebateGraph, parse_json, replacing, require_field_types
 from .model import (
     ModelConfig,
     ModelError,
@@ -443,8 +443,8 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
     if len(blob) < 8 + mlen:
         raise CorruptPayload("truncated manifest")
     try:
-        manifest = json.loads(blob[8:8 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = parse_json(blob[8:8 + mlen])
+    except ValueError as exc:
         raise CorruptPayload(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorruptPayload("manifest is not a JSON object")

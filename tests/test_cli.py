@@ -46,6 +46,25 @@ def test_simulate_writes_deterministic_transcripts(tmp_path):
         assert b1 == b2
 
 
+def test_simulate_reads_a_utf8_paper_whatever_the_locale(tmp_path):
+    """JSON documents are UTF-8 (RFC 8259 §8.1): a paper with a non-ASCII title
+    simulates under the C locale with UTF-8 mode off, whose text encoding is ASCII."""
+    manifest = make_workspace(tmp_path, THREE_PAPERS[:1])
+    paper_path = tmp_path / "papers" / "p0.json"
+    paper = json.loads(paper_path.read_bytes())
+    paper["title"] = "Débats évalués : un graphe typé"
+    paper_path.write_bytes(json.dumps(paper, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-c", "import sys; from reviewgraph.cli import main; sys.exit(main())",
+            "--config", str(tmp_path / "run.json"), "--seed", "7", "simulate", str(manifest)]
+    done = subprocess.run(args, env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    transcript = json.loads((tmp_path / "work" / "p0.transcript.json").read_bytes())
+    assert transcript["title"] == paper["title"]
+
+
 def test_rerun_without_force_skips_everything(tmp_path, capsys):
     manifest = make_workspace(tmp_path, THREE_PAPERS)
     run(tmp_path, "simulate", str(manifest))
@@ -543,7 +562,7 @@ BAD_COMPARE = {
     "nan-text-entry": ('[1, 0, "nan", 1]', 'entry 2 is "nan", not a finite number'),
     "first-of-two-bad": ("[1, -Infinity, NaN]", "entry 1 is -Infinity, not a finite number"),
     "overflowing-entry": ("[1, 1e999]", "entry 1 is Infinity, not a finite number"),
-    "nested-too-deeply": ("[" * 200_000, "RecursionError: "),
+    "nested-too-deeply": ("[" * 200_000, "ValueError: JSON nested too deeply to parse"),
     "bool-entry": ("[1, true]", "entry 1 is true, not a finite number"),
 }
 
@@ -861,16 +880,19 @@ def test_malformed_document_exits_with_its_code_naming_the_file(trained_workspac
 #: the message). Each nested too deeply to parse used to end in a
 #: RecursionError traceback.
 DEEP_DOCUMENTS = {
-    "config": ("run.json", "simulate", 1, "error: bad configuration in {path}: RecursionError: "),
+    "config": ("run.json", "simulate", 1, "error: bad configuration in {path}: "
+               "ValueError: JSON nested too deeply to parse"),
     "manifest": ("manifest.jsonl", "train", 3, "data error: {path}:1: not valid JSON: "),
     "paper": ("papers/p0.json", "simulate", 3, "data error: p0: corrupt paper file {path}: "
-              "RecursionError: "),
+              "ValueError: JSON nested too deeply to parse"),
     "transcript": ("work/p0.transcript.json", "extract", 3,
-                   "data error: p0: corrupt transcript file {path}: RecursionError: "),
+                   "data error: p0: corrupt transcript file {path}: "
+                   "ValueError: JSON nested too deeply to parse"),
     "triples": ("work/p0.triples.json", "classify", 3,
                 "data error: p0: corrupt triples file {path}: NotJson: "),
     "dims": ("work/p0.dims.json", "build-graph", 3,
-             "data error: p0: corrupt dims file {path}: RecursionError: "),
+             "data error: p0: corrupt dims file {path}: "
+             "ValueError: JSON nested too deeply to parse"),
 }
 
 
@@ -1098,6 +1120,7 @@ BROKEN_CHECKPOINT_FILES = {
     "truncated-manifest": (_cut_manifest, "truncated manifest"),
     "unreadable-manifest": (_with_manifest(b"\xff{not json"), "unreadable manifest"),
     "list-manifest": (_with_manifest(b"[1, 2]"), "manifest is not a JSON object"),
+    "deep-manifest": (_with_manifest(b"[" * 200_000), "unreadable manifest"),
     "wrong-version": (_with_doc(lambda d: d.update(version=99)),
                       "unsupported checkpoint version 99"),
     "tensors-object": (_with_doc(lambda d: d.update(tensors={})),

@@ -256,6 +256,17 @@ def test_embedding_cache_round_trip(tmp_path):
     for a, b in zip(vecs, again):
         np.testing.assert_array_equal(a, b)
 
+    # rows put into a loaded cache join its loaded ones: both read back
+    # bit-identical, from the cache and from the file reloaded
+    cache = EmbeddingCache(path)
+    new_texts = ["gamma", "delta"]
+    new = client.embed(new_texts)
+    cache.put_many((t, v, cache.digest(t)) for t, v in zip(new_texts, new))
+    every, expected = ["alpha", "beta", *new_texts], np.stack([vecs[0], vecs[1], *new])
+    for reader in (cache, EmbeddingCache(path)):
+        assert [reader.get(t).tobytes() for t in every] == [row.tobytes() for row in expected]
+        assert reader.vectors([reader.digest(t) for t in every]).tobytes() == expected.tobytes()
+
 
 def test_embedding_cache_file_format(tmp_path):
     """Header: magic and little-endian uint32 dim; then per text its raw
