@@ -78,3 +78,12 @@ if ! grep -q 'bad\.rvgc' stderr.txt; then
   echo "reviewgraph evaluate --checkpoint bad.rvgc: the error does not name the file"
   exit 1
 fi
+
+# a paper_id that holds U+2028 unescaped, as JSON written with ensure_ascii=False
+# has it, is one record: JSON Lines ends a record at a newline only
+python3 -c 'import json, sys; sys.stdout.buffer.write(json.dumps({"paper_id": "u\u2028x", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "u0.transcript.json"}}, ensure_ascii=False).encode() + b"\n")' > u2028.jsonl
+reviewgraph --jobs 4 simulate u2028.jsonl
+if [ ! -s u0.transcript.json ]; then
+  echo "reviewgraph --jobs 4 simulate u2028.jsonl: no transcript written"
+  exit 1
+fi

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +68,10 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
     base = path.parent
     records: list[ManifestRecord] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # JSON Lines ends a record at "\n" only; str.splitlines would also break
+    # at U+2028, U+2029 and U+0085, which JSON allows unescaped in a string
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         try:
@@ -237,20 +241,32 @@ _STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.IncompleteTranscript, orch.Extractio
 
 
 def _run_stage(obj: dict, manifest: str, name: str, kind: str,
-               write: Callable[[ManifestRecord, Path, orch.BaseClient], None]) -> None:
+               write: Callable[[ManifestRecord, Path, orch.BaseClient], None],
+               fan_out: bool = True) -> None:
     """Call ``write(rec, tmp, client)`` for every paper whose ``kind`` output
     is not a regular file (every paper under ``--force``), with the one
     client of the run config's endpoint, whose requests the summary line
     counts. ``tmp`` replaces the output only when ``write`` returns, so an
     output that a rerun skips is never a partial one, and an output that
-    cannot be replaced exits 3."""
+    cannot be replaced exits 3.
+
+    The papers go through ``client.map``, so an HTTP endpoint gets up to
+    ``--jobs`` of them in flight, or one unless ``fan_out``. The first
+    failing paper in manifest order gives the exit, and the papers written
+    before it stay written. Two papers with one output path exit 3 before
+    any write, as their writes would share one ``tmp``."""
     client = orch.make_client(obj["config"].endpoint)
-    n_done = n_skipped = 0
-    for rec in load_manifest(manifest):
-        out = rec.path(kind)
-        if out.is_file() and not obj["force"]:
-            n_skipped += 1
-            continue
+    records = [(rec, rec.path(kind)) for rec in load_manifest(manifest)]
+    writer: dict[str, ManifestRecord] = {}
+    for rec, out in records:
+        first = writer.setdefault(os.path.abspath(out), rec)
+        if first is not rec:
+            raise DataFailure(f"{first.paper_id} and {rec.paper_id}: both write the "
+                              f"{kind} file {out}")
+    todo = [(rec, out) for rec, out in records if obj["force"] or not out.is_file()]
+
+    def run(item: tuple[ManifestRecord, Path]) -> None:
+        rec, out = item
         try:
             out.parent.mkdir(parents=True, exist_ok=True)
             with graphmod.replacing(out) as tmp:
@@ -260,9 +276,11 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
         except OSError as exc:
             raise DataFailure(f"{rec.paper_id}: cannot write {kind} file {out}: "
                               f"{type(exc).__name__}: {exc}") from exc
-        n_done += 1
+
+    client.map(run, todo, obj["jobs"] if fan_out else 1)
     requests = client.chat_requests + client.embed_requests
-    click.echo(f"{name}: {n_done} written, {n_skipped} skipped ({requests} requests)")
+    click.echo(f"{name}: {len(todo)} written, {len(records) - len(todo)} skipped "
+               f"({requests} requests)")
 
 
 @click.group()
@@ -270,7 +288,7 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
               help="Run configuration JSON.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override all seeds.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Fan-out for per-item requests.")
+              help="Papers of a stage in flight at once against an HTTP endpoint.")
 @click.option("--force", is_flag=True, help="Rewrite existing outputs.")
 @click.option("--ablation", type=click.Choice([m.value for m in graphmod.AblationMode]),
               default=None, help="Ablation mode override.")
@@ -319,7 +337,7 @@ def extract(obj, manifest) -> None:
 def classify(obj, manifest) -> None:
     """Assign an evaluation dimension to every distinct reviewer opinion."""
     def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
-        dims = orch.classify_dimensions(_read_triples(rec), client, jobs=obj["jobs"])
+        dims = orch.classify_dimensions(_read_triples(rec), client)
         tmp.write_text(graphmod.compact_json([
             {"speaker": d.speaker, "text": d.text, "dimension": d.dimension.value}
             for d in dims
@@ -362,7 +380,8 @@ def build_graph_cmd(obj, manifest) -> None:
         g = graphmod.apply_ablation(full, cfg.ablation)
         tmp.write_text(graphmod.compact_json(graphmod.graph_to_dict(g)))
 
-    _run_stage(obj, manifest, "build-graph", "graph", write)
+    # it sends no requests, so threads would only wait for the GIL
+    _run_stage(obj, manifest, "build-graph", "graph", write, fan_out=False)
 
 
 def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_dim: int

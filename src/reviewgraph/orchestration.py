@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -230,6 +230,10 @@ class EndpointConfig:
                 f"backoff_base must be finite and at least 0, not {self.backoff_base}")
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
 class BaseClient:
     """Shared retry/backoff and concurrency bookkeeping for all clients, and
     the reply contract every client's completions and embeddings must meet."""
@@ -302,6 +306,12 @@ class BaseClient:
                                 f"of text {bad}")
         return vectors
 
+    def map(self, fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
+        """``[fn(item) for item in items]``, run one item after another in the
+        calling thread whatever ``jobs`` says: a client that answers inside
+        the interpreter holds the GIL, so threads would only wait for it."""
+        return [fn(item) for item in items]
+
     def _complete_once(self, messages: list[dict[str, str]]) -> str:
         raise NotImplementedError
 
@@ -311,6 +321,17 @@ class BaseClient:
 
 class HttpChatClient(BaseClient):
     """Chat-completion-style JSON-over-HTTPS client."""
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
+        """``[fn(item) for item in items]`` with up to ``jobs`` items in flight,
+        since each waits on requests that leave the process. The first item
+        to fail, in ``items`` order, raises once the items already started
+        end; the items not started yet are cancelled."""
+        if jobs == 1:
+            return super().map(fn, items, jobs)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            # Executor.map cancels the pending items when a result raises
+            return list(pool.map(fn, items))
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -789,10 +810,9 @@ def extract_triples(transcript: Transcript, client: BaseClient) -> TripleBatch:
                                          "Return only the JSON object.")
 
 
-def classify_dimensions(
-    batch: TripleBatch, client: BaseClient, jobs: int = 1
-) -> list[DimensionAssignment]:
-    """One classification request per distinct reviewer opinion, with one retry."""
+def classify_dimensions(batch: TripleBatch, client: BaseClient) -> list[DimensionAssignment]:
+    """One classification request per distinct reviewer opinion, one at a
+    time, each asked once more if its reply does not parse."""
     keys = reviewer_opinion_keys(batch)
 
     def classify(key: tuple[str, str]) -> tuple[tuple[str, str], Dimension | str]:
@@ -807,9 +827,7 @@ def classify_dimensions(
         except ExtractionFailed as exc:
             return key, exc.errors[-1]
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(classify, keys))
-
+    results = [classify(key) for key in keys]
     failures = [(speaker, text, outcome) for (speaker, text), outcome in results
                 if not isinstance(outcome, Dimension)]
     if failures:

@@ -549,6 +549,21 @@ def test_duplicate_paper_id_is_data_error(tmp_path):
     assert run(tmp_path, "simulate", str(manifest)) == 3
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_manifest_records_end_at_newlines_only(tmp_path, newline):
+    """JSON Lines ends a record at a newline only: a paper_id that holds
+    U+2028, U+2029 or U+0085 unescaped stays one record, and CRLF ends read too."""
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    ids = ["p\u2028x", "p\u2029y", "p\x85z"]
+    records = [{**json.loads(line), "paper_id": pid}
+               for line, pid in zip(manifest.read_text().splitlines(), ids)]
+    manifest.write_bytes("".join(json.dumps(r, ensure_ascii=False) + newline
+                                 for r in records).encode("utf-8"))
+    assert [rec.paper_id for rec in cli.load_manifest(manifest)] == ids
+    assert run(tmp_path, "simulate", str(manifest)) == 0
+    assert all((tmp_path / "work" / f"{p}.transcript.json").is_file() for p, _, _ in THREE_PAPERS)
+
+
 #: Compare files that exit 3, and what the message says of a bad entry.
 BAD_COMPARE = {
     "missing": (None, ""),

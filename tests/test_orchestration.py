@@ -4,7 +4,9 @@ import itertools
 import json
 import re
 import struct
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -169,15 +171,6 @@ def test_classify_dimensions_keyword_rules():
             assert dim == "experimental_completeness", text
         elif "motivat" in low:
             assert dim == "motivation_clarity", text
-
-
-def test_classify_dimensions_parallel_matches_serial():
-    client = MockClient(seed=2)
-    t = simulate_debate(PAPER, client)
-    batch = extract_triples(t, client)
-    serial = classify_dimensions(batch, MockClient(seed=2), jobs=1)
-    parallel = classify_dimensions(batch, MockClient(seed=2), jobs=4)
-    assert serial == parallel
 
 
 def test_classify_failure_collects_offenders():
@@ -577,6 +570,191 @@ def test_cli_stage_exits_2_on_blank_completion(tmp_path, monkeypatch, capsys):
     assert run(tmp_path, "simulate", str(manifest)) == 2
     assert capsys.readouterr().err == "endpoint error: endpoint returned an empty completion\n"
     assert not list((tmp_path / "work").iterdir())
+
+
+def mock_backed_endpoint(monkeypatch, seed=7, delay=0.02, refuse=lambda _blob: None):
+    """A fake HTTP endpoint that answers each request as ``MockClient(seed)``
+    does, after ``delay`` seconds. A chat request whose text makes
+    ``refuse(text)`` return ``(delay, body)`` gets a 404 with ``body`` after
+    that delay instead. The returned dict holds the most requests it saw at once."""
+    mock = MockClient(seed=seed)
+    lock = threading.Lock()
+    seen = {"in_flight": 0, "max_in_flight": 0}
+
+    def reply(payload):
+        with lock:
+            seen["in_flight"] += 1
+            seen["max_in_flight"] = max(seen["max_in_flight"], seen["in_flight"])
+        try:
+            if "input" in payload:
+                time.sleep(delay)
+                return 200, {"data": [{"embedding": v} for v in mock._embed_once(payload["input"])]}
+            refused = refuse("\n".join(m["content"] for m in payload["messages"]))
+            if refused is not None:
+                time.sleep(refused[0])
+                return 404, refused[1]
+            time.sleep(delay)
+            return 200, {"choices": [{"message": {"content":
+                                                  mock._complete_once(payload["messages"])}}]}
+        finally:
+            with lock:
+                seen["in_flight"] -= 1
+
+    fake_endpoint(monkeypatch, reply)
+    return seen
+
+
+FOUR_PAPERS = [("p0", "train", "accept"), ("p1", "train", "reject"),
+               ("p2", "val", "accept"), ("p3", "test", "reject")]
+REQUEST_STAGES = ("simulate", "extract", "classify", "embed")
+
+
+def http_workspace(root, papers=FOUR_PAPERS):
+    """A workspace over ``papers`` whose run config names an HTTP endpoint."""
+    return make_workspace(root, papers, config_extra={"endpoint": {
+        "mock": False, "base_url": "https://example.invalid/v1", "model": "m",
+        "retry_limit": 0}})
+
+
+def work_files(root):
+    return {p.name: p.read_bytes() for p in sorted((root / "work").iterdir())}
+
+
+def test_papers_in_flight_write_what_one_at_a_time_writes(tmp_path, monkeypatch, capsys):
+    """Every stage at --jobs 4 against an HTTP endpoint has several papers'
+    requests in flight, and writes the files and prints the summary line of
+    --jobs 1, which has one request in flight."""
+    files, summaries = {}, {}
+    for jobs in ("1", "4"):
+        root = tmp_path / jobs
+        manifest = http_workspace(root)
+        summaries[jobs] = []
+        for stage in REQUEST_STAGES:
+            seen = mock_backed_endpoint(monkeypatch)
+            capsys.readouterr()
+            assert run(root, "--jobs", jobs, stage, str(manifest)) == 0, stage
+            summaries[jobs].append(capsys.readouterr().out)
+            files[jobs, stage] = work_files(root)
+            assert (seen["max_in_flight"] >= 2) == (jobs == "4"), (stage, seen)
+    assert summaries["1"] == summaries["4"]
+    assert summaries["1"][0] == "simulate: 4 written, 0 skipped (32 requests)\n"
+    for stage in REQUEST_STAGES:
+        assert files["1", stage] == files["4", stage], stage
+
+
+def test_papers_in_flight_fail_as_the_first_failing_paper_and_keep_progress(
+        tmp_path, monkeypatch, capsys):
+    """Of two failing papers, the first in manifest order gives the exit code
+    and the message, though the other fails first; the papers written before
+    the failure stay, and a rerun skips them."""
+    papers = [(f"p{i}", "train", "accept") for i in range(8)]
+    reference = tmp_path / "reference"
+    mock_backed_endpoint(monkeypatch)
+    assert run(reference, "simulate", str(http_workspace(reference, papers))) == 0
+
+    root = tmp_path / "failing"
+    manifest = http_workspace(root, papers)
+    body = (root / "papers" / "p3.json").read_text()
+    (root / "papers" / "p3.json").write_text(json.dumps({**json.loads(body), "body": " "}))
+    # p1's first request is refused after p3 has already failed
+    mock_backed_endpoint(monkeypatch, refuse=lambda text: (0.1, "refused p1")
+                         if "Paper p1 on" in text else None)
+    capsys.readouterr()
+    assert run(root, "--jobs", "4", "simulate", str(manifest)) == 2
+    assert capsys.readouterr().err == "endpoint error: endpoint returned 404: refused p1\n"
+    written = {p.name for p in (root / "work").iterdir()}
+    assert "p0.transcript.json" in written and "p1.transcript.json" not in written
+    assert not any(name.endswith(".tmp") for name in written)
+
+    (root / "papers" / "p3.json").write_text(body)
+    mock_backed_endpoint(monkeypatch)
+    assert run(root, "--jobs", "4", "simulate", str(manifest)) == 0
+    n_written = 8 - len(written)
+    assert capsys.readouterr().out == (f"simulate: {n_written} written, {len(written)} "
+                                       f"skipped ({8 * n_written} requests)\n")
+    assert work_files(root) == work_files(reference)
+
+
+def test_two_papers_with_one_output_path_exit_3_before_any_request(tmp_path, monkeypatch,
+                                                                  capsys):
+    manifest = http_workspace(tmp_path)
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    records[3]["paths"]["transcript"] = records[1]["paths"]["transcript"]
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    posted = fake_endpoint(monkeypatch, lambda _payload: (500, "unexpected"))
+    assert run(tmp_path, "--jobs", "4", "simulate", str(manifest)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: p1 and p3: both write the transcript file ")
+    assert err.rstrip().endswith("p1.transcript.json")
+    assert posted == [] and not list((tmp_path / "work").iterdir())
+
+
+def test_mock_endpoint_runs_papers_in_the_calling_thread(tmp_path, monkeypatch):
+    """The mock answers inside the interpreter: --jobs 4 starts no thread and
+    writes what --jobs 1 writes."""
+    files = {}
+    for jobs in ("1", "4"):
+        root = tmp_path / jobs
+        manifest = make_workspace(root, FOUR_PAPERS)
+        started = []
+        start = threading.Thread.start
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start",
+                          lambda thread: started.append(thread) or start(thread))
+            for stage in REQUEST_STAGES:
+                assert run(root, "--jobs", jobs, stage, str(manifest)) == 0, stage
+        assert started == []
+        files[jobs] = work_files(root)
+    assert files["1"] == files["4"]
+
+
+def test_http_map_keeps_order_raises_the_first_failure_and_cancels_the_rest():
+    client = http_client()
+    assert client.map(lambda x: x * x, list(range(10)), 4) == [x * x for x in range(10)]
+
+    ran = []
+
+    def item(i):
+        ran.append(i)
+        if i == 0:
+            time.sleep(0.05)
+            raise ValueError("item 0")
+        if i == 1:
+            raise ValueError("item 1")  # fails first, but is later in order
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(ValueError, match="item 0"):
+        client.map(item, list(range(20)), 2)
+    assert 0 in ran and 1 in ran and len(ran) < 20  # the items not started are cancelled
+
+
+def test_http_map_counts_every_request_and_retry_under_contention(monkeypatch):
+    """More items in flight than cores, each refused once with a 503 and then
+    answered: no request or retry is lost from the client's counters."""
+    lock = threading.Lock()
+    refused = set()
+
+    def reply(payload):
+        text = payload["messages"][0]["content"]
+        with lock:
+            if text not in refused:
+                refused.add(text)
+                return 503, "busy"
+        return 200, {"choices": [{"message": {"content": f"re {text}"}}]}
+
+    fake_endpoint(monkeypatch, reply)
+    client = http_client()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        replies = client.map(lambda i: client.complete([{"role": "user", "content": str(i)}]),
+                             list(range(300)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [f"re {i}" for i in range(300)]
+    assert client.chat_requests == 300 and client.retry_delays == [0.5] * 300
+    assert client.max_in_flight <= client.config.max_concurrent
 
 
 def test_api_key_comes_from_environment(monkeypatch):
