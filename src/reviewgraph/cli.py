@@ -253,13 +253,14 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
     The papers go through ``client.map``, so an HTTP endpoint gets up to
     ``--jobs`` of them in flight, or one unless ``fan_out``. The first
     failing paper in manifest order gives the exit, and the papers written
-    before it stay written. Two papers with one output path exit 3 before
-    any write, as their writes would share one ``tmp``."""
+    before it stay written. Two papers with one output path (after symlinks
+    are followed) exit 3 before any write, as their writes would share one
+    ``tmp``."""
     client = orch.make_client(obj["config"].endpoint)
     records = [(rec, rec.path(kind)) for rec in load_manifest(manifest)]
     writer: dict[str, ManifestRecord] = {}
     for rec, out in records:
-        first = writer.setdefault(os.path.abspath(out), rec)
+        first = writer.setdefault(os.path.realpath(out), rec)
         if first is not rec:
             raise DataFailure(f"{first.paper_id} and {rec.paper_id}: both write the "
                               f"{kind} file {out}")

@@ -675,11 +675,14 @@ def test_papers_in_flight_fail_as_the_first_failing_paper_and_keep_progress(
     assert work_files(root) == work_files(reference)
 
 
+@pytest.mark.parametrize("work_dir", ["work", "alias"])
 def test_two_papers_with_one_output_path_exit_3_before_any_request(tmp_path, monkeypatch,
-                                                                  capsys):
+                                                                  capsys, work_dir):
+    """Also when one path reaches the file through a symlinked directory."""
     manifest = http_workspace(tmp_path)
+    (tmp_path / "alias").symlink_to(tmp_path / "work", target_is_directory=True)
     records = [json.loads(line) for line in manifest.read_text().splitlines()]
-    records[3]["paths"]["transcript"] = records[1]["paths"]["transcript"]
+    records[3]["paths"]["transcript"] = f"{work_dir}/p1.transcript.json"
     manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
     posted = fake_endpoint(monkeypatch, lambda _payload: (500, "unexpected"))
     assert run(tmp_path, "--jobs", "4", "simulate", str(manifest)) == 3
@@ -706,6 +709,21 @@ def test_mock_endpoint_runs_papers_in_the_calling_thread(tmp_path, monkeypatch):
         assert started == []
         files[jobs] = work_files(root)
     assert files["1"] == files["4"]
+
+
+def test_build_graph_runs_papers_in_the_calling_thread(tmp_path, monkeypatch):
+    """build-graph sends no requests, so against an HTTP endpoint at --jobs 4
+    it starts no thread."""
+    manifest = http_workspace(tmp_path)
+    mock_backed_endpoint(monkeypatch, delay=0)
+    for stage in REQUEST_STAGES:
+        assert run(tmp_path, stage, str(manifest)) == 0, stage
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    assert run(tmp_path, "--jobs", "4", "build-graph", str(manifest)) == 0
+    assert started == [] and len(list((tmp_path / "work").glob("*.graph.json"))) == 4
 
 
 def test_http_map_keeps_order_raises_the_first_failure_and_cancels_the_rest():
