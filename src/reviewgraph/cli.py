@@ -379,7 +379,7 @@ def build_graph_cmd(obj, manifest) -> None:
             label=rec.label, graph_id=rec.paper_id,
         )
         g = graphmod.apply_ablation(full, cfg.ablation)
-        tmp.write_text(graphmod.compact_json(graphmod.graph_to_dict(g)))
+        tmp.write_bytes(graphmod.graph_to_bytes(g))
 
     # it sends no requests, so threads would only wait for the GIL
     _run_stage(obj, manifest, "build-graph", "graph", write, fan_out=False)
@@ -399,7 +399,7 @@ def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_d
         if cache.dim not in (None, input_dim):
             raise DataFailure(f"{rec.paper_id}: embedding cache {cache.path} holds vectors of "
                               f"dim {cache.dim}, but the model's input_dim is {input_dim}")
-        texts = g.texts  # in node-id order, whatever order the file lists them in
+        texts = g.texts  # in node-id order
         try:
             vectors = cache.vectors([cache.digest(text) for text in texts])
         except KeyError as exc:

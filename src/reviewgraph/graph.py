@@ -184,12 +184,11 @@ class DebateGraph:
     """Immutable typed debate graph.
 
     A graph built from ``Node`` and ``Edge`` tuples keeps them as given. A
-    graph read from a document (``graph_from_dict``) holds the ``codes`` and
-    ``texts`` decoded from its columns, with the listed ids, speakers and
-    dimensions, and builds its ``nodes`` and ``edges`` from those on first
-    use: the model and the embedding lookup read only ``codes`` and
-    ``texts``. Either way, two graphs are equal when their ids, nodes, edges
-    and labels are.
+    graph read from a file (``load_graph``) holds the file's ``codes``,
+    ``texts`` and node codes, and builds its ``nodes`` (in id order) and
+    ``edges`` from those on first use: the model and the embedding lookup
+    read only ``codes`` and ``texts``. Either way, two graphs are equal when
+    their ids, nodes, edges and labels are.
     """
 
     graph_id: str
@@ -222,17 +221,15 @@ class DebateGraph:
 
     @functools.cached_property
     def nodes(self) -> tuple[Node, ...]:
-        """The nodes in listed order; a decoded graph builds them on first use."""
-        ids, speakers, dims = self._listed
-        type_code, texts = self.codes[0].tolist(), self.texts
-        types = [_NODE_TYPE_OF_CODE[type_code[i]] for i in ids]
-        dimensions = [_DIMENSIONS[d] if d else None for d in dims]
-        return tuple(map(Node._make, zip(ids, types, [texts[i] for i in ids], speakers,
-                                         dimensions)))
+        """The nodes in listed order; a loaded graph builds them, in id order, on first use."""
+        types, speakers, dims = self.node_codes.tolist()
+        return tuple(map(Node._make, zip(
+            range(len(types)), [_NODE_TYPE_OF_CODE[t] for t in types], self.texts,
+            [_SPEAKER_OF_CODE[s] for s in speakers], [_DIMENSION_OF_CODE[d] for d in dims])))
 
     @functools.cached_property
     def edges(self) -> tuple[Edge, ...]:
-        """The edges in listed order; a decoded graph builds them on first use."""
+        """The edges in listed order; a loaded graph builds them on first use."""
         dst, src, code = self.codes[1].T.tolist()
         return tuple(map(Edge._make, zip(src, dst, [_RELATION_OF_CODE[c >> 1] for c in code],
                                          [bool(c & 1) for c in code])))
@@ -246,38 +243,39 @@ class DebateGraph:
 
     @functools.cached_property
     def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_encode``'s codes of this graph, computed once per graph
-        (``graph_from_dict`` fills them at load)."""
-        ids, node_types = list(zip(*self.nodes))[:2] or ((), ())
+        """``(type_code, edge_rows)``, read-only and computed once per graph
+        (``load_graph`` fills them at load): each node's ``TYPE_CODE`` in
+        node-id order, and one ``(dst, src, REL_CODE + inverse)`` row per edge
+        in edge order. An edge endpoint that is not a node id raises ``ValueError``."""
+        type_code = self.node_codes[0].astype(np.intp)
         src, dst, relations, inverse = list(zip(*self.edges)) or ((), (), (), ())
-        return _encode(ids, [TYPE_CODE[t._name_] for t in node_types], src, dst,
-                       [REL_CODE[r._name_] + i for r, i in zip(relations, inverse)])
+        edge_rows = np.array([dst, src, [REL_CODE[r._name_] + i
+                                         for r, i in zip(relations, inverse)]], dtype=np.intp).T
+        if len(edge_rows) and (edge_rows[:, :2].min() < 0
+                               or edge_rows[:, :2].max() >= len(type_code)):
+            raise ValueError("edge endpoint is not a node id")
+        type_code.flags.writeable = edge_rows.flags.writeable = False
+        return type_code, edge_rows
 
     @functools.cached_property
     def texts(self) -> tuple[str, ...]:
-        """Each node's text in node-id order (``graph_from_dict`` fills them at load)."""
+        """Each node's text in node-id order (``load_graph`` fills them at load)."""
         return tuple(n.text for n in sorted(self.nodes, key=lambda n: n.id))
 
-
-def _encode(ids, type_codes: list[int], src: list[int], dst: list[int], rel_codes: list[int]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """``(type_code, edge_rows)`` of the node and edge columns, read-only: each
-    node's ``TYPE_CODE`` in node-id order, and one ``(dst, src, REL_CODE +
-    inverse)`` row per edge in edge order. Ids that are not 0..N-1 each once,
-    or an edge endpoint that is not one of them, raise ``ValueError``."""
-    n = len(ids)
-    id_arr = np.asarray(ids, dtype=np.intp)
-    if n and (id_arr.min() != 0 or id_arr.max() != n - 1):
-        raise ValueError("node ids are not dense 0..N-1")
-    type_code = np.full(n, -1, dtype=np.intp)
-    type_code[id_arr] = type_codes
-    if n and type_code.min() < 0:  # n ids in 0..n-1 leave a slot empty only if one repeats
-        raise ValueError("duplicate node id")
-    edge_rows = np.array([dst, src, rel_codes], dtype=np.intp).T
-    if len(edge_rows) and (edge_rows[:, :2].min() < 0 or edge_rows[:, :2].max() >= n):
-        raise ValueError("edge endpoint is not a node id")
-    type_code.flags.writeable = edge_rows.flags.writeable = False
-    return type_code, edge_rows
+    @functools.cached_property
+    def node_codes(self) -> np.ndarray:
+        """Each node's type, speaker and dimension code in node-id order, as a
+        ``(3, N)`` uint8 array: ``TYPE_CODE``, then 0 for no speaker (no
+        dimension) or 1 + its position in ``ALL_SPEAKERS`` (in ``Dimension``);
+        ``load_graph`` fills it at load. Ids that are not 0..N-1, each once,
+        raise ``ValueError``."""
+        by_id = sorted(self.nodes, key=lambda n: n.id)
+        if [n.id for n in by_id] != list(range(len(by_id))):
+            raise ValueError("node ids are not 0..N-1, each once")
+        return np.array([[TYPE_CODE[n.node_type._name_] for n in by_id],
+                         [_SPEAKER_OF_CODE.index(n.speaker) for n in by_id],
+                         [_DIMENSION_OF_CODE.index(n.dimension) for n in by_id]],
+                        dtype=np.uint8).reshape(3, len(by_id))
 
 
 def validate_graph(g: DebateGraph, mode: AblationMode = AblationMode.FULL) -> ValidationReport:
@@ -393,82 +391,10 @@ def apply_ablation(g: DebateGraph, mode: AblationMode) -> DebateGraph:
     return DebateGraph(graph_id=g.graph_id, nodes=nodes, edges=edges, label=g.label)
 
 
-#: The columns of a graph document's ``nodes`` and ``edges``, in field order.
-NODE_COLUMNS = ("id", "type", "text", "speaker", "dimension")
-EDGE_COLUMNS = ("src", "dst", "relation", "inverse")
-
-
-def graph_to_dict(g: DebateGraph) -> dict:
-    """``g`` as a columnar document: one list per node field and one per edge
-    field, each in the order ``g`` lists its nodes and edges."""
-    ids, types, texts, speakers, dims = list(zip(*g.nodes)) or ((),) * 5
-    src, dst, relations, inverse = list(zip(*g.edges)) or ((),) * 4
-    return {
-        "graph_id": g.graph_id,
-        "label": g.label,
-        "nodes": {"id": list(ids), "type": [t.value for t in types], "text": list(texts),
-                  "speaker": list(speakers), "dimension": [d.value if d else None for d in dims]},
-        "edges": {"src": list(src), "dst": list(dst), "relation": [r.value for r in relations],
-                  "inverse": list(inverse)},
-    }
-
-
-_DIMENSIONS = {d.value: d for d in Dimension}
-# a document's names to codes, and codes (without the inverse bit) back to members
-_TYPE_CODES = {t.value: TYPE_CODE[t._name_] for t in NodeType}
-_REL_CODES = {r.value: REL_CODE[r._name_] for r in RelationType}
 _NODE_TYPE_OF_CODE = tuple(NodeType)
 _RELATION_OF_CODE = tuple(RelationType)
-
-
-def _table(doc: dict, names: tuple[str, ...]) -> list[list]:
-    """The named columns of one table of a document: lists of one length."""
-    columns = [doc[name] for name in names]
-    if not all(type(c) is list for c in columns):
-        raise TypeError(f"columns {'/'.join(names)} must be lists")
-    if len(set(map(len, columns))) > 1:
-        raise ValueError(f"columns {'/'.join(names)} differ in length")
-    return columns
-
-
-def graph_from_dict(d: dict) -> DebateGraph:
-    """Inverse of ``graph_to_dict``: the graph of a columnar document, with
-    ``codes`` and ``texts`` decoded from the columns and no ``Node`` or
-    ``Edge`` built. A document whose ``nodes`` is a list, one object per node
-    as graph files were written before the columnar form, raises
-    ``ValueError`` saying to rerun ``reviewgraph build-graph --force``.
-
-    Any other document that does not describe a graph raises ``KeyError``,
-    ``TypeError``, ``ValueError`` or ``OverflowError``: a missing column, a
-    column that is not a list, node columns (or edge columns) of different
-    lengths, an unknown type, relation or dimension, a node id or edge
-    endpoint that is not an int (bools included) or is too large for an
-    index, ids that are not 0..N-1 each once, an edge endpoint that is not a
-    node id, a non-bool ``inverse``, or a ``text`` or ``graph_id`` that is
-    not a string. Whether the edges fit the schema is ``validate_graph``'s
-    job.
-    """
-    if isinstance(d["nodes"], list):
-        raise ValueError("nodes listed as rows: a graph file of the older row form; "
-                         "rerun `reviewgraph build-graph --force`")
-    ids, types, texts, speakers, dims = _table(d["nodes"], NODE_COLUMNS)
-    src, dst, relations, inverse = _table(d["edges"], EDGE_COLUMNS)
-    if not set(map(type, ids + src + dst)) <= {int}:
-        raise TypeError("node ids and edge endpoints must be integers")
-    require_str("node text", *texts)
-    require_str("graph_id", d["graph_id"])
-    if not set(map(type, inverse)) <= {bool}:
-        raise TypeError("edge 'inverse' must be true or false")
-    if unknown := {dim for dim in dims if dim} - _DIMENSIONS.keys():
-        raise ValueError(f"unknown dimension {unknown.pop()!r}")
-    id_arr = np.array(ids, dtype=np.intp)
-    codes = _encode(id_arr, list(map(_TYPE_CODES.__getitem__, types)), src, dst,
-                    [_REL_CODES[r] + i for r, i in zip(relations, inverse)])
-    g = DebateGraph.__new__(DebateGraph)
-    vars(g).update(graph_id=d["graph_id"], label=d.get("label"), codes=codes,
-                   texts=tuple(map(texts.__getitem__, np.argsort(id_arr).tolist())),
-                   _listed=(ids, speakers, dims))
-    return g
+_SPEAKER_OF_CODE = (None,) + ALL_SPEAKERS
+_DIMENSION_OF_CODE = (None,) + tuple(Dimension)
 
 
 def require_str(what: str, *values: object) -> None:
@@ -485,6 +411,10 @@ _FIELD_VALUES = {bool: ("true or false", (bool,)), int: ("an integer", (int,)),
                  float: ("a float64 number", (int, float)), str: ("a string", (str,))}
 
 
+#: Each config class's resolved annotations; resolving evaluates their strings.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def require_field_types(section: str, cls: type, values: object) -> None:
     """Raise ``TypeError`` naming ``section`` and the first field of the JSON
     object ``values`` whose value is not of its ``cls`` field's annotated
@@ -493,7 +423,7 @@ def require_field_types(section: str, cls: type, values: object) -> None:
     ``cls``."""
     if not isinstance(values, dict):
         raise TypeError(f"{section} must be a JSON object")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for name, value in values.items():
         kind = hints.get(name)
         if kind not in _FIELD_VALUES:
@@ -534,22 +464,90 @@ def parse_json(data: str | bytes, **options) -> object:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
+#: A graph file starts with this versioned magic, whose first byte never
+#: starts UTF-8 text, so no JSON graph of an older form passes for one.
+_GRAPH_MAGIC = b"\x89RGGRF1\n"
+_HEADER_AT = len(_GRAPH_MAGIC) + 4  # after the magic and the header length
+#: One past the largest legal code of each row of ``DebateGraph.node_codes``.
+_NODE_CODE_LIMITS = {"type": len(NodeType), "speaker": len(_SPEAKER_OF_CODE),
+                     "dimension": len(_DIMENSION_OF_CODE)}
+
+
+def graph_to_bytes(g: DebateGraph) -> bytes:
+    """``g`` as a graph file: the magic, a little-endian uint32 header length,
+    a compact sorted-key JSON header (``graph_id``, ``label``, ``num_nodes``,
+    ``num_edges``, and ``texts`` in node-id order), then the array block:
+    ``node_codes`` by row, then ``codes``' edge rows in listed order."""
+    type_code, edge_rows = g.codes
+    header = compact_json({"graph_id": g.graph_id, "label": g.label, "texts": list(g.texts),
+                           "num_nodes": len(type_code), "num_edges": len(edge_rows)}).encode()
+    return b"".join((_GRAPH_MAGIC, len(header).to_bytes(4, "little"), header,
+                     g.node_codes.tobytes(), edge_rows.astype("<u4").tobytes()))
+
+
 def save_graph(g: DebateGraph, path: str | Path) -> None:
-    """Write ``g`` as compact JSON through ``replacing``, so that ``path`` is
-    never a partial graph."""
-    text = compact_json(graph_to_dict(g))
-    with replacing(path) as out, open(out, "w") as fh:
-        fh.write(text)
+    """Write ``g`` as a graph file (``graph_to_bytes``) through ``replacing``,
+    so that ``path`` is never a partial graph."""
+    data = graph_to_bytes(g)
+    with replacing(path) as out, open(out, "wb") as fh:
+        fh.write(data)
+
+
+def _graph_from_bytes(data: bytes) -> DebateGraph:
+    """The graph of a graph file's bytes, with ``codes``, ``texts`` and
+    ``node_codes`` filled and no ``Node`` or ``Edge`` built. Bytes that are
+    not such a file, with its header's fields of their types, an array block
+    of the size its counts give, and every code and edge endpoint in range,
+    raise ``KeyError``, ``TypeError`` or ``ValueError``. Whether the edges
+    fit the schema is ``validate_graph``'s job."""
+    if not data.startswith(_GRAPH_MAGIC):
+        raise ValueError("not a binary graph file of this version (a JSON one of an older "
+                         "form?); rerun `reviewgraph build-graph --force`")
+    start = _HEADER_AT + int.from_bytes(data[len(_GRAPH_MAGIC):_HEADER_AT], "little")
+    if len(data) < start:
+        raise ValueError(f"header cut short: {len(data)} bytes, the header ends at byte {start}")
+    header = parse_json(data[_HEADER_AT:start])
+    if not isinstance(header, dict):
+        raise TypeError("header is not a JSON object")
+    n, m, texts = header["num_nodes"], header["num_edges"], header["texts"]
+    if not {type(n), type(m)} <= {int} or min(n, m) < 0:
+        raise TypeError("num_nodes and num_edges must be non-negative integers")
+    require_str("graph_id", header["graph_id"])
+    if header["label"] is not None:
+        require_str("label", header["label"])
+    if type(texts) is not list or len(texts) != n:
+        raise ValueError(f"texts must be a list of num_nodes ({n}) strings")
+    require_str("node text", *texts)
+    if len(data) - start != 3 * n + 12 * m:  # three uint8 per node, three uint32 per edge
+        raise ValueError(f"array block of {len(data) - start} bytes, not the "
+                         f"{3 * n + 12 * m} of {n} nodes and {m} edges")
+    node_codes = np.frombuffer(data, np.uint8, 3 * n, start).reshape(3, n)
+    codes = node_codes[0].astype(np.intp), np.frombuffer(
+        data, "<u4", 3 * m, start + 3 * n).reshape(m, 3).astype(np.intp)
+    if n:
+        for (what, limit), top in zip(_NODE_CODE_LIMITS.items(), node_codes.max(axis=1).tolist()):
+            if top >= limit:
+                raise ValueError(f"{what} code {top} out of range")
+    if m:
+        dst_top, src_top, rel_top = codes[1].max(axis=0).tolist()
+        if max(dst_top, src_top) >= n:
+            raise ValueError("edge endpoint is not a node id")
+        if rel_top >= 2 * len(RelationType):
+            raise ValueError(f"relation code {rel_top} out of range")
+    codes[0].flags.writeable = codes[1].flags.writeable = False
+    g = DebateGraph.__new__(DebateGraph)
+    vars(g).update(graph_id=header["graph_id"], label=header["label"], codes=codes,
+                   texts=tuple(texts), node_codes=node_codes)
+    return g
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    """Read a columnar graph file, compact or indented; a file that does not
-    parse into a graph (see ``graph_from_dict``), such as one of the older row
-    form, raises ``CorruptGraph`` naming ``path``."""
+    """Read a graph file that ``save_graph`` wrote; a file that is not one
+    (see ``_graph_from_bytes``), such as a JSON graph of an older form, raises
+    ``CorruptGraph`` naming ``path``."""
     try:
-        return graph_from_dict(parse_json(Path(path).read_bytes()))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers every parse_json failure; OverflowError an id beyond the index range
+        return _graph_from_bytes(Path(path).read_bytes())
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers parse_json's failures
         raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
 
 

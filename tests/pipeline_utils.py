@@ -4,8 +4,9 @@ pipeline commands in-process."""
 import json
 from pathlib import Path
 
+import numpy as np
+
 from reviewgraph.cli import main
-from reviewgraph.graph import EDGE_COLUMNS, NODE_COLUMNS
 
 
 def make_workspace(root: Path, splits, config_extra=None) -> Path:
@@ -69,11 +70,68 @@ def run_stage_pipeline(root: Path, manifest: Path, seed=7) -> None:
         assert code == 0, f"{cmd} exited {code}"
 
 
+def graph_file_parts(data: bytes) -> tuple[object, bytes]:
+    """A graph file's decoded JSON header and its array block."""
+    end = 12 + int.from_bytes(data[8:12], "little")
+    return json.loads(data[12:end]), data[end:]
+
+
+def graph_file(header, block: bytes) -> bytes:
+    """A graph file of ``header`` (a value to encode as JSON, or the bytes to
+    put there) and ``block``, with a header length that fits the header."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return b"\x89RGGRF1\n" + len(text).to_bytes(4, "little") + text + block
+
+
+def header_edit(change):
+    """An edit that calls ``change`` on a graph file's decoded header, which
+    it edits in place; the header length follows."""
+    def edit(data):
+        header, block = graph_file_parts(data)
+        change(header)
+        return graph_file(header, block)
+    return edit
+
+
+def header_swap(header):
+    """An edit that puts ``header`` (a value, or bytes) in place of a graph
+    file's header."""
+    return lambda data: graph_file(header, graph_file_parts(data)[1])
+
+
+def set_code(table, row, column, value):
+    """An edit that sets one node code (``table`` "nodes": a type, speaker
+    or dimension row) or one entry of an edge row (``table`` "edges") of a
+    graph file's array block."""
+    def edit(data):
+        header, block = graph_file_parts(data)
+        n = header["num_nodes"]
+        arrays = {"nodes": np.frombuffer(block[:3 * n], np.uint8).reshape(3, n).copy(),
+                  "edges": np.frombuffer(block[3 * n:], "<u4").reshape(-1, 3).astype(np.int64)}
+        arrays[table][row, column] = value
+        return graph_file(header, arrays["nodes"].tobytes()
+                          + arrays["edges"].astype("<i4").tobytes())
+    return edit
+
+
+def columnar_form(g) -> dict:
+    """``g`` as the columnar JSON document of older graph files: one list per
+    node field and one per edge field, in the order ``g`` lists them."""
+    ids, types, texts, speakers, dims = list(zip(*g.nodes)) or ((),) * 5
+    src, dst, relations, inverse = list(zip(*g.edges)) or ((),) * 4
+    return {
+        "graph_id": g.graph_id,
+        "label": g.label,
+        "nodes": {"id": list(ids), "type": [t.value for t in types], "text": list(texts),
+                  "speaker": list(speakers), "dimension": [d.value if d else None for d in dims]},
+        "edges": {"src": list(src), "dst": list(dst), "relation": [r.value for r in relations],
+                  "inverse": list(inverse)},
+    }
+
+
 def row_form(doc: dict) -> dict:
-    """A columnar graph document in the row form of older graph files: one
-    object per node and per edge."""
+    """A columnar graph document in the row form of the oldest graph files:
+    one object per node and per edge."""
     return {**doc,
-            "nodes": [dict(zip(NODE_COLUMNS, row))
-                      for row in zip(*(doc["nodes"][c] for c in NODE_COLUMNS))],
-            "edges": [dict(zip(EDGE_COLUMNS, row))
-                      for row in zip(*(doc["edges"][c] for c in EDGE_COLUMNS))]}
+            "nodes": [dict(zip(doc["nodes"], row)) for row in zip(*doc["nodes"].values())],
+            "edges": [dict(zip(doc["edges"], row)) for row in zip(*doc["edges"].values())]}

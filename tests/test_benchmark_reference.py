@@ -2,8 +2,11 @@
 final loss and validation macro-F1 recorded in perfbench/reference.json,
 within the tolerance stated there. Running seeds 0-2 of that check with the
 tests catches a kernel rewrite that changes training's results before any
-benchmark run. perfbench/run.py is loaded as the tracer test loads the
-tracer: read-only, as a module of its own."""
+benchmark run. The file workloads, evaluate-large and pipeline-mock, run one
+checked operation each at small sizes, so that a change to what they write
+or read fails here before it fails a benchmark run. perfbench/run.py is
+loaded as the tracer test loads the tracer: read-only, as a module of its
+own."""
 
 import importlib.util
 import sys
@@ -38,3 +41,16 @@ def test_train_rule_seed_reproduces_its_recorded_reference(bench, seed):
     workload.setup()
     _checkpoint, history = workload.op()
     assert workload.reference_problems(history[-1]) == []
+
+
+#: The workloads that write and read the pipeline's files, at small sizes.
+FILE_WORKLOAD_SIZES = {"evaluate-large": {"test": 4}, "pipeline-mock": {"papers": 3}}
+
+
+@pytest.mark.parametrize("name", FILE_WORKLOAD_SIZES)
+def test_file_workload_runs_one_checked_operation(bench, tmp_path, name):
+    workload = bench.WORKLOADS[name](3, FILE_WORKLOAD_SIZES[name], tmp_path)
+    workload.setup()
+    workload.prepare()
+    outputs = {step_name: step() for step_name, step in workload.steps(None).items()}
+    assert workload.check(outputs) == []

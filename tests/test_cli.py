@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipeline_utils import make_workspace, row_form, run, run_stage_pipeline
+from pipeline_utils import (columnar_form, header_edit, header_swap, make_workspace, row_form,
+                            run, run_stage_pipeline, set_code)
 from reviewgraph import autodiff as ad
 from reviewgraph import cli
 from reviewgraph import graph as graphmod
@@ -104,9 +105,10 @@ def test_full_stage_pipeline_and_graph_contents(tmp_path):
     assert g.label == "accept"
     assert len(g.nodes_of_type(NodeType.TITLE)) == 1
     assert len(g.nodes_of_type(NodeType.EVALUATION_DIMENSION)) == 4
-    for kind in ("transcript", "triples", "dims", "graph"):  # one line of compact sorted JSON
+    for kind in ("transcript", "triples", "dims"):  # one line of compact sorted JSON
         text = (tmp_path / "work" / f"p0.{kind}.json").read_text()
         assert text == graphmod.compact_json(json.loads(text))
+    assert (tmp_path / "work" / "p0.graph.json").read_bytes() == graphmod.graph_to_bytes(g)
 
 
 def test_build_graph_with_no_title_ablation(tmp_path):
@@ -402,7 +404,7 @@ def test_json_lines_caches_exit_3_until_embed_force_rewrites_them(tmp_path, caps
 
 def test_row_form_graphs_exit_3_until_build_graph_force_rewrites_them(tmp_path, capsys):
     def rewrite(path):
-        path.write_text(json.dumps(row_form(json.loads(path.read_text()))))
+        path.write_text(json.dumps(row_form(columnar_form(load_graph(path)))))
 
     _old_form_exits_3_until_rerun(tmp_path, capsys, ".graph.json", rewrite, "build-graph")
 
@@ -466,12 +468,12 @@ def test_ablated_examples_get_each_kept_node_text_its_cached_vector(trained_work
                                                                     mode, listed):
     root = tmp_path / "ws"
     shutil.copytree(trained_workspace[0], root)
-    if listed == "reversed":  # a graph file may list its nodes in any order
-        for path in (root / "work").glob("*.graph.json"):
-            doc = json.loads(path.read_text())
-            for column in doc["nodes"].values():
-                column.reverse()
-            path.write_text(json.dumps(doc))
+    if listed == "reversed":  # a cache may list its records in any order
+        for path in (root / "work").glob("*.emb"):
+            data = path.read_bytes()
+            size = 32 + 8 * int.from_bytes(data[8:12], "little")
+            records = [data[i:i + size] for i in range(12, len(data), size)]
+            path.write_bytes(data[:12] + b"".join(reversed(records)))
     records = cli.load_manifest(root / "manifest.jsonl")
     papers = cli._load_papers(records, ("train", "val", "test"), 16)
     for rec in records:
@@ -483,6 +485,19 @@ def test_ablated_examples_get_each_kept_node_text_its_cached_vector(trained_work
         assert ex.graph.nodes == ablated.nodes
         rows = np.stack([want[i] for i in range(len(want))])
         assert ex.embeddings.tobytes() == rows.tobytes()
+
+
+def test_pipeline_graph_files_round_trip(trained_workspace):
+    """Every graph file build-graph wrote loads to the graph that its own
+    nodes and edges build, and that graph saves to the same bytes."""
+    root, _manifest, files = trained_workspace
+    paths = sorted((root / "work").glob("*.graph.json"))
+    assert len(paths) == len(THREE_PAPERS)
+    for path in paths:
+        g = load_graph(path)
+        rebuilt = graphmod.DebateGraph(g.graph_id, g.nodes, g.edges, g.label)
+        assert g == rebuilt and graphmod.graph_to_bytes(rebuilt) == files[path]
+        assert graphmod.validate_graph(g).ok
 
 
 def test_evaluate_path_builds_no_node_or_edge_tuples(trained_workspace, tmp_path):
@@ -697,27 +712,26 @@ def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact,
     assert "Traceback" not in err.getvalue()
 
 
-def _set(table, column, index, value):
-    table[column][index] = value
-
-
-#: Edits of a columnar graph file that leave it valid JSON but no graph;
-#: evaluate trusts graph files, so each used to end in a traceback or a wrong
-#: report.
+#: Graph files that are no graph, each from an edit of the file's bytes;
+#: evaluate reads every graph file it is given, so each must exit 3.
 BROKEN_GRAPHS = {
-    "edge-to-node-999": lambda d: _set(d["edges"], "dst", 0, 999),
-    "string-node-id": lambda d: _set(d["nodes"], "id", 0, "0"),
-    "float-node-id": lambda d: _set(d["nodes"], "id", 0, 0.0),
-    "bool-node-id": lambda d: _set(d["nodes"], "id", 1, True),
-    "ids-not-dense": lambda d: _set(d["nodes"], "id", -1, 500),
-    "null-text": lambda d: _set(d["nodes"], "text", 0, None),
-    "duplicate-node-id": lambda d: _set(d["nodes"], "id", 1, 2),
-    "negative-edge-src": lambda d: _set(d["edges"], "src", 0, -1),
-    "string-inverse": lambda d: _set(d["edges"], "inverse", 0, "no"),
-    "unknown-dimension": lambda d: _set(d["nodes"], "dimension", 0, "clarity"),
-    "ragged-column": lambda d: d["edges"]["src"].pop(),
-    "column-not-a-list": lambda d: d["nodes"].update(type="title"),
-    "numeric-graph-id": lambda d: d.update(graph_id=5),
+    "bad-magic": lambda data: data[:6] + b"9" + data[7:],
+    "columnar-json": lambda data: json.dumps(
+        columnar_form(graphmod._graph_from_bytes(data))).encode(),
+    "truncated-header": lambda data: data[:30],
+    "header-not-object": header_swap([1, 2, 3]),
+    "header-missing-field": header_edit(lambda h: h.pop("texts")),
+    "numeric-graph-id": header_edit(lambda h: h.update(graph_id=5)),
+    "ragged-column": header_edit(lambda h: h["texts"].pop()),
+    "null-text": header_edit(lambda h: h["texts"].__setitem__(0, None)),
+    "column-not-a-list": header_edit(lambda h: h.update(texts="x" * h["num_nodes"])),
+    "short-array-block": lambda data: data[:-5],
+    "unknown-type": set_code("nodes", 0, 0, 4),
+    "unknown-speaker": set_code("nodes", 1, 0, 5),
+    "unknown-dimension": set_code("nodes", 2, 0, 5),
+    "unknown-relation": set_code("edges", 0, 2, 28),
+    "edge-to-node-999": set_code("edges", 0, 0, 999),
+    "negative-edge-src": set_code("edges", 0, 1, -1),
 }
 
 
@@ -726,9 +740,7 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
         trained_workspace, tmp_path, capsys, name):
     root, manifest, files = trained_workspace
     path = root / "work" / "p2.graph.json"
-    doc = json.loads(files[path])
-    BROKEN_GRAPHS[name](doc)
-    path.write_text(json.dumps(doc))
+    path.write_bytes(BROKEN_GRAPHS[name](files[path]))
     capsys.readouterr()
     try:
         code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
@@ -740,7 +752,8 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
     assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
-
+    if name == "columnar-json":
+        assert "rerun `reviewgraph build-graph --force`" in err
 
 
 def _title_query(doc):

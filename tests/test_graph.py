@@ -3,9 +3,10 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pipeline_utils import row_form
+from pipeline_utils import columnar_form, header_edit, header_swap, row_form, set_code
 from reviewgraph import graph as graphmod
 from reviewgraph.extraction import (
     DimensionAssignment,
@@ -25,8 +26,7 @@ from reviewgraph.graph import (
     apply_ablation,
     assemble,
     edge_counts_by_group,
-    graph_from_dict,
-    graph_to_dict,
+    graph_to_bytes,
     legal_meta_relations,
     load_graph,
     save_graph,
@@ -227,112 +227,149 @@ def test_full_ablation_is_identity():
     assert apply_ablation(g, AblationMode.FULL) is g
 
 
-def test_json_round_trip(tmp_path):
-    g = random_debate_graph(11, "rt", label="reject")
-    path = tmp_path / "g.json"
-    save_graph(g, path)
-    assert path.read_text() == json.dumps(graph_to_dict(g), sort_keys=True,
-                                          separators=(",", ":")) + "\n"
-    g2 = load_graph(path)
-    assert g2 == g
-    # and the on-disk form is stable
-    save_graph(g2, tmp_path / "g2.json")
-    assert (tmp_path / "g.json").read_bytes() == (tmp_path / "g2.json").read_bytes()
+def test_graph_file_layout():
+    """Magic, header length, compact sorted-key JSON header, then the node
+    codes by row and one (dst, src, relation code) row per edge."""
+    data = graph_to_bytes(tiny_graph())
+    assert data[:8] == b"\x89RGGRF1\n"
+    header = (b'{"graph_id":"tiny","label":"accept","num_edges":12,"num_nodes":7,'
+              b'"texts":["A Paper","Methodological Novelty","Experimental Completeness",'
+              b'"Motivation Clarity","Writing Fluency","Needs more experiments.",'
+              b'"We will add them."]}\n')
+    assert data[8:12] == len(header).to_bytes(4, "little") and data[12:12 + len(header)] == header
+    block = data[12 + len(header):]
+    assert block[:21] == bytes([0, 1, 1, 1, 1, 2, 3,  # type
+                                0, 0, 0, 0, 0, 1, 4,  # speaker: none, reviewer_1, author
+                                0, 0, 0, 0, 0, 2, 0])  # dimension: none, the second
+    forward = [[1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0], [2, 5, 2], [6, 5, 14]]
+    inverse = [[src, dst, code + 1] for dst, src, code in forward]
+    assert block[21:] == np.array(forward + inverse, dtype="<u4").tobytes()
 
 
-def test_graph_dict_shape():
-    """One list per node field and one per edge field."""
-    d = graph_to_dict(tiny_graph())
-    assert set(d) == {"graph_id", "label", "nodes", "edges"}
-    assert list(d["nodes"]) == ["id", "type", "text", "speaker", "dimension"]
-    assert list(d["edges"]) == ["src", "dst", "relation", "inverse"]
-    assert {len(column) for column in d["nodes"].values()} == {7}
-    assert {len(column) for column in d["edges"].values()} == {12}
-    assert d["nodes"]["speaker"][5] == "reviewer_1"
-    assert d["nodes"]["dimension"][5] == "experimental_completeness"
-    assert d["edges"]["inverse"][6:] == [True] * 6
-    assert graph_from_dict(json.loads(json.dumps(d))) == tiny_graph()
+def _non_ascii_graph():
+    nodes, edges = skeleton("Débats évalués : un graphe typé — ∑ 𝔾 \ud800")
+    nodes += [Node(5, NodeType.REVIEWER_OPINION, "Überzeugend, aber unvollständig.",
+                   "reviewer_2", Dimension.WRITING_FLUENCY),
+              Node(6, NodeType.AUTHOR_OPINION, "Nous ajouterons des expériences ✓", "author")]
+    edges += [Edge(5, 4, RelationType.REVIEWED_BY), Edge(5, 6, RelationType.CLARIFY)]
+    return assemble("débat-1", nodes, edges, label="reject")
 
 
-@pytest.mark.parametrize("mode", list(AblationMode))
-def test_dict_round_trip_under_every_ablation(mode):
-    g = apply_ablation(random_debate_graph(5, "rt", label="accept"), mode)
-    assert graph_from_dict(graph_to_dict(g)) == g
-
-
-_NO_NODES = '"nodes": {"id": [], "type": [], "text": [], "speaker": [], "dimension": []}'
-
-
-#: Files that are no graph document, each as (row form, columnar form).
-CORRUPT_FILES = {
-    "empty": ("", ""),
-    "torn": ('{"graph_id": "g", "label": null, "nodes": [{"id": 0, "type": "tit',
-             '{"graph_id": "g", "label": null, "nodes": {"id": [0], "type": ["tit'),
-    "unknown-relation": (
-        '{"graph_id": "g", "nodes": [], "edges": [{"src": 0, "dst": 1, "relation": "nope"}]}',
-        '{"graph_id": "g", ' + _NO_NODES + ', "edges": '
-        '{"src": [0], "dst": [1], "relation": ["nope"], "inverse": [false]}}'),
-    "missing-text": (
-        '{"graph_id": "g", "nodes": [{"id": 0, "type": "title"}], "edges": []}',
-        '{"graph_id": "g", "nodes": {"id": [0], "type": ["title"], "speaker": [null], '
-        '"dimension": [null]}, "edges": {"src": [], "dst": [], "relation": [], "inverse": []}}'),
-    "nodes-not-list": ('{"graph_id": "g", "nodes": [0], "edges": []}',
-                       '{"graph_id": "g", "nodes": {"id": 0}, "edges": []}'),
-    "not-object": ("[1, 2, 3]", '{"graph_id": "g", ' + _NO_NODES + ', "edges": [1, 2, 3]}'),
-    "nested-too-deeply": ('{"graph_id": "g", "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}",
-                          '{"graph_id": "g", "nodes": {"id": ' + "[" * 100_000 + "]" * 100_000
-                          + "}}"),
+#: Graphs that must survive a save and load, each by the name of its test.
+ROUND_TRIP_GRAPHS = {
+    "random": lambda: random_debate_graph(11, "rt", label="reject"),
+    "rule": lambda: rule_labeled_graph(1, "r"),
+    "rule-forward-only": lambda: rule_labeled_graph(1, "r", (2, 5), add_inverse_edges=False),
+    "skeleton": lambda: assemble("m", *skeleton("T")),
+    "no-edges": lambda: DebateGraph("bare", tuple(skeleton("T")[0]), ()),
+    "no-nodes": lambda: DebateGraph("empty", (), ()),
+    "non-ascii": _non_ascii_graph,
+    **{mode.value: lambda mode=mode: apply_ablation(random_debate_graph(5, "rt", label="accept"),
+                                                    mode)
+       for mode in AblationMode},
 }
 
 
-@pytest.mark.parametrize("texts", CORRUPT_FILES.values(), ids=CORRUPT_FILES.keys())
-def test_load_graph_rejects_corrupt_file(tmp_path, texts):
+@pytest.mark.parametrize("name", ROUND_TRIP_GRAPHS)
+def test_graph_file_round_trip(tmp_path, name):
+    """A saved graph loads back equal, with equal codes and texts and no node
+    or edge built until asked; saving either graph again writes the same bytes."""
+    g = ROUND_TRIP_GRAPHS[name]()
+    path = tmp_path / "g.graph.json"
+    save_graph(g, path)
+    loaded = load_graph(path)
+    assert "nodes" not in vars(loaded) and "edges" not in vars(loaded)
+    assert loaded.texts == DebateGraph.texts.func(g)
+    for got, expected in zip((*loaded.codes, loaded.node_codes),
+                             (*DebateGraph.codes.func(g), DebateGraph.node_codes.func(g))):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert (got == expected).all() and not got.flags.writeable
+    assert loaded == g and loaded.label == g.label
+    save_graph(loaded, tmp_path / "again")
+    save_graph(g, tmp_path / "twice")
+    assert path.read_bytes() == (tmp_path / "again").read_bytes() \
+        == (tmp_path / "twice").read_bytes() == graph_to_bytes(g)
+
+
+@pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
+def test_ablation_of_a_loaded_graph_equals_the_in_memory_one(tmp_path, mode):
+    path = tmp_path / "g.graph.json"
+    for g in _sample_graphs() + [random_debate_graph(s, f"g{s}") for s in range(3)]:
+        save_graph(g, path)
+        assert apply_ablation(load_graph(path), mode) == apply_ablation(g, mode)
+
+
+def _json_form(form):
+    return lambda data: json.dumps(form(columnar_form(graphmod._graph_from_bytes(data)))).encode()
+
+
+#: Files that are no graph file.
+CORRUPT_FILES = {
+    "empty": lambda data: b"",
+    "torn": lambda data: data[:40],
+    "unknown-relation": set_code("edges", 0, 2, 28),
+    "missing-text": header_edit(lambda h: h.pop("texts")),
+    "nodes-not-list": header_edit(lambda h: h.update(texts=dict(enumerate(h["texts"])))),
+    "not-object": header_swap([1, 2, 3]),
+    "nested-too-deeply": header_swap(b"[" * 100_000 + b"]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("edit", CORRUPT_FILES.values(), ids=CORRUPT_FILES.keys())
+def test_load_graph_rejects_corrupt_file(tmp_path, edit):
     path = tmp_path / "g.json"
-    for text in texts:
-        path.write_text(text)
-        with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
-            load_graph(path)
-        assert info.value.path == path
-        assert str(path) in str(info.value)
+    path.write_bytes(edit(graph_to_bytes(random_debate_graph(3, "corrupt"))))
+    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+        load_graph(path)
+    assert info.value.path == path
+    assert str(path) in str(info.value)
 
 
-def _set(table, column, index, value):
-    table[column][index] = value
+def _set_header(key, value):
+    return header_edit(lambda h: h.update({key: value}))
 
 
-#: Edits of a columnar document that keep it valid JSON but make it no graph.
+#: Files that are no graph file, each with a part of its message.
 BROKEN_GRAPH_EDITS = {
-    "edge-to-unknown-node": (lambda d: _set(d["edges"], "dst", 0, 999), "not a node id"),
-    "negative-edge-src": (lambda d: _set(d["edges"], "src", 0, -1), "not a node id"),
-    "string-edge-src": (lambda d: _set(d["edges"], "src", 0, "0"), "must be integers"),
-    "string-node-id": (lambda d: _set(d["nodes"], "id", 0, "0"), "must be integers"),
-    "float-node-id": (lambda d: _set(d["nodes"], "id", 0, 0.0), "must be integers"),
-    "bool-node-id": (lambda d: _set(d["nodes"], "id", 1, True), "must be integers"),
-    "huge-node-id": (lambda d: _set(d["nodes"], "id", -1, 2 ** 80), "OverflowError"),
-    "ids-not-dense": (lambda d: _set(d["nodes"], "id", -1, 500), "not dense"),
-    "negative-node-id": (lambda d: _set(d["nodes"], "id", 0, -1), "not dense"),
-    "duplicate-node-id": (lambda d: _set(d["nodes"], "id", 1, 2), "duplicate node id"),
-    "null-text": (lambda d: _set(d["nodes"], "text", 0, None), "text must be a string"),
-    "string-inverse": (lambda d: _set(d["edges"], "inverse", 0, "no"), "'inverse'"),
-    "integer-inverse": (lambda d: _set(d["edges"], "inverse", 0, 1), "'inverse'"),
-    "unknown-dimension": (lambda d: _set(d["nodes"], "dimension", 0, "clarity"),
-                          "unknown dimension 'clarity'"),
-    "ragged-node-column": (lambda d: d["nodes"]["speaker"].pop(), "differ in length"),
-    "ragged-edge-column": (lambda d: d["edges"]["relation"].append("accept"),
-                           "differ in length"),
-    "column-not-a-list": (lambda d: d["nodes"].update(text="A title"), "must be lists"),
-    "missing-column": (lambda d: d["edges"].pop("inverse"), "KeyError: 'inverse'"),
-    "row-form": (lambda d: d.update(row_form(d)), "rerun `reviewgraph build-graph --force`"),
+    "row-form": (_json_form(row_form), "rerun `reviewgraph build-graph --force`"),
+    "columnar-form": (_json_form(lambda doc: doc), "rerun `reviewgraph build-graph --force`"),
+    "bad-magic": (lambda data: data[:6] + b"9" + data[7:],
+                  "rerun `reviewgraph build-graph --force`"),
+    "header-past-the-end": (lambda data: data[:8] + len(data).to_bytes(4, "little")
+                            + data[12:], "header cut short"),
+    "header-not-utf8": (header_swap(b'{"graph_id": "\xff"}'), "UnicodeDecodeError"),
+    "missing-column": (header_edit(lambda h: h.pop("num_edges")),
+                       "KeyError: 'num_edges'"),
+    "numeric-graph-id": (_set_header("graph_id", 5), "graph_id must be a string"),
+    "numeric-label": (_set_header("label", 1), "label must be a string"),
+    "bool-node-count": (_set_header("num_nodes", True), "must be non-negative integers"),
+    "float-edge-count": (_set_header("num_edges", 12.0), "must be non-negative integers"),
+    "negative-edge-count": (_set_header("num_edges", -1), "must be non-negative integers"),
+    "huge-node-count": (_set_header("num_nodes", 2 ** 80), "texts must be a list of num_nodes"),
+    "null-text": (header_edit(lambda h: h["texts"].__setitem__(0, None)),
+                  "node text must be a string"),
+    "ragged-node-column": (header_edit(lambda h: h["texts"].pop()),
+                           "texts must be a list of num_nodes"),
+    "column-not-a-list": (header_edit(lambda h: h.update(texts="x" * h["num_nodes"])),
+                          "texts must be a list of num_nodes"),
+    "ragged-edge-column": (header_edit(lambda h: h.update(num_edges=h["num_edges"] + 1)),
+                           "array block of"),
+    "block-cut-short": (lambda data: data[:-1], "array block of"),
+    "block-too-long": (lambda data: data + b"\0", "array block of"),
+    "unknown-type": (set_code("nodes", 0, 0, 4), "type code 4 out of range"),
+    "unknown-speaker": (set_code("nodes", 1, 5, 5), "speaker code 5 out of range"),
+    "unknown-dimension": (set_code("nodes", 2, 0, 5), "dimension code 5 out of range"),
+    "unknown-relation": (set_code("edges", 0, 2, 28), "relation code 28 out of range"),
+    "edge-to-unknown-node": (set_code("edges", 0, 0, 999), "edge endpoint is not a node id"),
+    "negative-edge-src": (set_code("edges", 0, 1, -1), "edge endpoint is not a node id"),
 }
 
 
 @pytest.mark.parametrize("name", BROKEN_GRAPH_EDITS)
 def test_load_graph_rejects_structurally_broken_graph(tmp_path, name):
     edit, reason = BROKEN_GRAPH_EDITS[name]
-    doc = graph_to_dict(random_debate_graph(3, "broken"))
-    edit(doc)
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(edit(graph_to_bytes(random_debate_graph(3, "broken"))))
     with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
         load_graph(path)
     assert reason in str(info.value) and str(path) in str(info.value)
@@ -353,36 +390,6 @@ def test_node_and_edge_are_immutable_value_tuples():
     for obj, name in ((n, "text"), (e, "dst")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
-
-
-def _graphs_under_test():
-    graphs = [random_debate_graph(s, f"g{s}", label="accept") for s in range(3)]
-    graphs += [rule_labeled_graph(1, "r", (2, 5), add_inverse_edges=False),
-               assemble("m", *skeleton("T"))]
-    return graphs + [apply_ablation(graphs[0], mode) for mode in AblationMode]
-
-
-@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
-def test_loaded_graph_equals_saved_one_and_carries_its_codes(tmp_path, indent):
-    """Files of the older ``indent=2`` form still load to an equal graph; the
-    codes and texts decoded at load equal the ones computed from the nodes and
-    edges, also when the file lists the nodes out of id order."""
-    path = tmp_path / "g.json"
-    for g in _graphs_under_test():
-        for reverse in (False, True):
-            doc = graph_to_dict(g)
-            if reverse:
-                for column in doc["nodes"].values():
-                    column.reverse()
-            path.write_text(json.dumps(doc, indent=indent, sort_keys=True) + "\n")
-            loaded = load_graph(path)
-            assert loaded.nodes == (g.nodes[::-1] if reverse else g.nodes)
-            assert loaded == g or reverse
-            assert loaded.texts == DebateGraph.texts.func(g)
-            computed = DebateGraph.codes.func(loaded)
-            for got, expected in zip(loaded.codes, computed):
-                assert got.dtype == expected.dtype and got.shape == expected.shape
-                assert (got == expected).all() and not got.flags.writeable
 
 
 def test_interrupted_graph_write_keeps_the_old_file(tmp_path, monkeypatch):
@@ -426,7 +433,7 @@ def test_random_graphs_validate():
 
 
 def _digest(graphs):
-    docs = [graph_to_dict(g) for g in graphs]
+    docs = [columnar_form(g) for g in graphs]
     return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
 
@@ -441,7 +448,7 @@ def _sample_graphs():
     return graphs
 
 
-# sha256 of the graph_to_dict documents: same-seed graphs, and so graph files,
+# sha256 of the columnar documents: same-seed graphs, and so graph files,
 # must keep their node and edge order byte for byte.
 @pytest.mark.parametrize("make, digest", [
     (lambda: [random_debate_graph(s, f"g{s}") for s in range(5)]

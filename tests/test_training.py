@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import confusion_metrics
-from reviewgraph import autodiff, training
+from reviewgraph import autodiff, graph as graphmod, training
 from reviewgraph.autodiff import ParamStore
 from reviewgraph.graph import RelationType
 from reviewgraph.model import ModelConfig, forward_loss, init_params, meta_key
@@ -492,6 +492,16 @@ def test_checkpoint_names_a_wrongly_typed_manifest_scalar(tmp_path, field, value
         load_checkpoint(path)
     assert str(err.value) == (f"{path}: malformed manifest: TypeError: manifest.{field} "
                               f"must be {wanted}, not {json.dumps(value)}")
+
+
+def test_checkpoint_loads_resolve_each_config_class_hints_once(tmp_path):
+    path = tmp_path / "m.rvgc"
+    save_checkpoint(make_checkpoint(), path)
+    graphmod._type_hints.cache_clear()
+    for _ in range(3):
+        load_checkpoint(path)
+    info = graphmod._type_hints.cache_info()
+    assert (info.misses, info.hits) == (3, 6)  # Checkpoint, ModelConfig and TrainConfig
 
 
 def test_checkpoint_rejects_truncated_payload(tmp_path):
