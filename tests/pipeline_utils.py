@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from reviewgraph.cli import main
+from reviewgraph.graph import _graph_from_bytes
 
 
 def make_workspace(root: Path, splits, config_extra=None) -> Path:
@@ -135,3 +136,18 @@ def row_form(doc: dict) -> dict:
     return {**doc,
             "nodes": [dict(zip(doc["nodes"], row)) for row in zip(*doc["nodes"].values())],
             "edges": [dict(zip(doc["edges"], row)) for row in zip(*doc["edges"].values())]}
+
+
+def columnar_file(edit=lambda doc: None):
+    """An edit that rewrites a graph file as the columnar JSON document of
+    older graph files, which ``edit`` changes in place first."""
+    def rewrite(data):
+        doc = columnar_form(_graph_from_bytes(data))
+        edit(doc)
+        return json.dumps(doc).encode()
+    return rewrite
+
+
+def set_column(table, column, index, value):
+    """A ``columnar_file`` edit that sets one entry of one column."""
+    return lambda doc: doc[table][column].__setitem__(index, value)

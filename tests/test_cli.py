@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipeline_utils import (columnar_form, header_edit, header_swap, make_workspace, row_form,
-                            run, run_stage_pipeline, set_code)
+from pipeline_utils import (columnar_file, columnar_form, header_edit, header_swap,
+                            make_workspace, row_form, run, run_stage_pipeline, set_code,
+                            set_column)
 from reviewgraph import autodiff as ad
 from reviewgraph import cli
 from reviewgraph import graph as graphmod
@@ -732,6 +733,13 @@ BROKEN_GRAPHS = {
     "unknown-relation": set_code("edges", 0, 2, 28),
     "edge-to-node-999": set_code("edges", 0, 0, 999),
     "negative-edge-src": set_code("edges", 0, 1, -1),
+    # Damaged columnar files, which older versions read past their first byte.
+    "string-node-id": columnar_file(set_column("nodes", "id", 0, "0")),
+    "float-node-id": columnar_file(set_column("nodes", "id", 0, 0.0)),
+    "bool-node-id": columnar_file(set_column("nodes", "id", 1, True)),
+    "ids-not-dense": columnar_file(set_column("nodes", "id", -1, 500)),
+    "duplicate-node-id": columnar_file(set_column("nodes", "id", 1, 2)),
+    "string-inverse": columnar_file(set_column("edges", "inverse", 0, "no")),
 }
 
 
@@ -740,7 +748,8 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
         trained_workspace, tmp_path, capsys, name):
     root, manifest, files = trained_workspace
     path = root / "work" / "p2.graph.json"
-    path.write_bytes(BROKEN_GRAPHS[name](files[path]))
+    broken = BROKEN_GRAPHS[name](files[path])
+    path.write_bytes(broken)
     capsys.readouterr()
     try:
         code = run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
@@ -752,7 +761,7 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
     assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
-    if name == "columnar-json":
+    if broken.startswith(b"{"):
         assert "rerun `reviewgraph build-graph --force`" in err
 
 

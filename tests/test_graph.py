@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeline_utils import columnar_form, header_edit, header_swap, row_form, set_code
+from pipeline_utils import (columnar_file, columnar_form, header_edit, header_swap, row_form,
+                            set_code, set_column)
 from reviewgraph import graph as graphmod
 from reviewgraph.extraction import (
     DimensionAssignment,
@@ -362,6 +363,20 @@ BROKEN_GRAPH_EDITS = {
     "unknown-relation": (set_code("edges", 0, 2, 28), "relation code 28 out of range"),
     "edge-to-unknown-node": (set_code("edges", 0, 0, 999), "edge endpoint is not a node id"),
     "negative-edge-src": (set_code("edges", 0, 1, -1), "edge endpoint is not a node id"),
+    # A damaged columnar file is refused at its first byte like an intact one.
+    **{name: (columnar_file(set_column(*edit)), "rerun `reviewgraph build-graph --force`")
+       for name, edit in {
+           "string-edge-src": ("edges", "src", 0, "0"),
+           "string-node-id": ("nodes", "id", 0, "0"),
+           "float-node-id": ("nodes", "id", 0, 0.0),
+           "bool-node-id": ("nodes", "id", 1, True),
+           "huge-node-id": ("nodes", "id", -1, 2 ** 80),
+           "ids-not-dense": ("nodes", "id", -1, 500),
+           "negative-node-id": ("nodes", "id", 0, -1),
+           "duplicate-node-id": ("nodes", "id", 1, 2),
+           "string-inverse": ("edges", "inverse", 0, "no"),
+           "integer-inverse": ("edges", "inverse", 0, 1),
+       }.items()},
 }
 
 
