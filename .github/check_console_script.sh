@@ -16,22 +16,32 @@ cd "$(mktemp -d)"
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "d0.transcript"}}' > m.jsonl
 printf '%s\n' '{"paper_id": "d0", "title": "A title", "body": "A body."}' > d0.json
 mkdir -p d0.transcript
-# a graph file cut off inside its node columns, as an interrupted write leaves it
+# binary graph files of the five-node skeleton: d0 cut off inside its array
+# block, as an interrupted write leaves it; l0 whole; g0 with a header whose
+# graph_id is a number
+python3 -c '
+import json
+from reviewgraph.graph import assemble, graph_to_bytes, skeleton
+data = graph_to_bytes(assemble("x", *skeleton("A title"), "accept"))
+end = 12 + int.from_bytes(data[8:12], "little")
+header = json.loads(data[12:end])
+numbered = json.dumps({**header, "graph_id": 5}).encode()
+for name, blob in (("d0", data[:-5]), ("l0", data),
+                   ("g0", data[:8] + len(numbered).to_bytes(4, "little") + numbered + data[end:])):
+    open(name + ".graph.json", "wb").write(blob)
+'
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"graph": "d0.graph.json", "embeddings": "d0.emb"}}' > torn.jsonl
-printf '%s' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "d0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, nu' > d0.graph.json
 # a graph file of the older row form, one object per node and per edge
 printf '%s\n' '{"paper_id": "r0", "split": "train", "label": "accept", "paths": {"graph": "r0.graph.json", "embeddings": "r0.emb"}}' > rows.jsonl
 printf '%s\n' '{"edges": [{"dst": 1, "inverse": false, "relation": "has_aspect", "src": 0}], "graph_id": "r0", "label": "accept", "nodes": [{"id": 0, "text": "A title", "type": "title"}, {"id": 1, "text": "Clarity", "type": "evaluation_dimension"}]}' > r0.graph.json
-# a two-node columnar graph whose embedding cache is of the older JSON-lines form
+# the whole graph l0 beside an embedding cache of the older JSON-lines form
 printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb"}}' > lines.jsonl
-printf '%s\n' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": "l0", "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, null], "text": ["A title", "Clarity"], "type": ["title", "evaluation_dimension"]}}' > l0.graph.json
 printf '%s\n' '{"dim": 2, "sha256": "0000000000000000000000000000000000000000000000000000000000000000", "vector": [0.5, 0.5]}' > l0.emb
-# train and val papers over one two-node columnar graph whose graph_id is a number,
-# with a binary embedding cache of its two texts
+# train and val papers over the graph g0, whose graph_id is a number, with a
+# binary embedding cache of its five texts
 printf '%s\n' '{"paper_id": "g0", "split": "train", "label": "accept", "paths": {"graph": "g0.graph.json", "embeddings": "g0.emb"}}' \
   '{"paper_id": "g1", "split": "val", "label": "reject", "paths": {"graph": "g0.graph.json", "embeddings": "g0.emb"}}' > gid.jsonl
-printf '%s\n' '{"edges": {"dst": [1], "inverse": [false], "relation": ["has_aspect"], "src": [0]}, "graph_id": 5, "label": "accept", "nodes": {"dimension": [null, null], "id": [0, 1], "speaker": [null, null], "text": ["A title", "Clarity"], "type": ["title", "evaluation_dimension"]}}' > g0.graph.json
-python3 -c 'from reviewgraph.orchestration import EmbeddingCache as C; c = C("g0.emb"); c.put("A title", [0.5] * 64); c.put("Clarity", [0.25] * 64)'
+python3 -c 'from reviewgraph.graph import skeleton; from reviewgraph.orchestration import EmbeddingCache as C; c = C("g0.emb"); [c.put(n.text, [0.5] * 64) for n in skeleton("A title")[0]]'
 # a run config and a manifest nested too deeply to parse
 python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
 cp deep.json deep.jsonl
@@ -42,6 +52,21 @@ printf 'XXXX' > bad.rvgc
 # a checkpoint whose manifest is nested too deeply to parse: the magic, its
 # length as a little-endian uint32, then the manifest
 python3 -c 'import struct, sys; sys.stdout.buffer.write(b"RVGC" + struct.pack("<I", 200000) + b"[" * 200000)' > deep.rvgc
+# a checkpoint whose manifest has no ablation, as one written before the
+# ablation was recorded: it must be retrained
+python3 -c '
+import json, struct
+from reviewgraph.model import ModelConfig, init_params
+from reviewgraph.training import Checkpoint, TrainConfig, save_checkpoint
+config = ModelConfig(input_dim=64, hidden_dim=8, num_heads=2, num_layers=1, ffn_hidden=8)
+save_checkpoint(Checkpoint(1, config, TrainConfig(), 1, 0.5, init_params(config, 0)), "old.rvgc")
+blob = open("old.rvgc", "rb").read()
+(length,) = struct.unpack("<I", blob[4:8])
+manifest = json.loads(blob[8:8 + length])
+del manifest["ablation"]
+text = json.dumps(manifest).encode()
+open("old.rvgc", "wb").write(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + length:])
+'
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
@@ -50,7 +75,8 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
             "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
             "1 --config t0.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
-            "3 evaluate m.jsonl --checkpoint bad.rvgc" "3 evaluate m.jsonl --checkpoint deep.rvgc"; do
+            "3 evaluate m.jsonl --checkpoint bad.rvgc" "3 evaluate m.jsonl --checkpoint deep.rvgc" \
+            "3 evaluate m.jsonl --checkpoint old.rvgc"; do
   set -- $case
   want=$1
   shift
@@ -64,20 +90,23 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
 done
 
 # a graph or cache of an older form also names the stage to rerun
-for manifest in rows.jsonl lines.jsonl; do
-  reviewgraph train "$manifest" 2> stderr.txt || true
-  if ! grep -q -- '--force`$' stderr.txt; then
-    echo "reviewgraph train $manifest: no stage to rerun with --force"
+for case in "rows.jsonl build-graph" "lines.jsonl embed"; do
+  set -- $case
+  reviewgraph train "$1" 2> stderr.txt || true
+  if ! grep -q -- "rerun \`reviewgraph $2 --force\`\$" stderr.txt; then
+    echo "reviewgraph train $1: does not name $2 as the stage to rerun with --force"
     exit 1
   fi
 done
 
 # a broken checkpoint's error names its file
-reviewgraph evaluate m.jsonl --checkpoint bad.rvgc 2> stderr.txt || true
-if ! grep -q 'bad\.rvgc' stderr.txt; then
-  echo "reviewgraph evaluate --checkpoint bad.rvgc: the error does not name the file"
-  exit 1
-fi
+for checkpoint in bad old; do
+  reviewgraph evaluate m.jsonl --checkpoint "$checkpoint.rvgc" 2> stderr.txt || true
+  if ! grep -q "$checkpoint\.rvgc" stderr.txt; then
+    echo "reviewgraph evaluate --checkpoint $checkpoint.rvgc: the error does not name the file"
+    exit 1
+  fi
+done
 
 # a paper_id that holds U+2028 unescaped, as JSON written with ensure_ascii=False
 # has it, is one record: JSON Lines ends a record at a newline only

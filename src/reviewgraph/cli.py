@@ -292,7 +292,7 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
               help="Papers of a stage in flight at once against an HTTP endpoint.")
 @click.option("--force", is_flag=True, help="Rewrite existing outputs.")
 @click.option("--ablation", type=click.Choice([m.value for m in graphmod.AblationMode]),
-              default=None, help="Ablation mode override.")
+              default=None, help="Ablation mode of train; overrides the config's.")
 @click.option("-v", "--verbose", is_flag=True)
 @click.pass_context
 def cli(ctx: click.Context, config_path, seed, jobs, force, ablation, verbose) -> None:
@@ -366,19 +366,13 @@ def embed(obj, manifest) -> None:
 @click.argument("manifest", type=click.Path())
 @click.pass_obj
 def build_graph_cmd(obj, manifest) -> None:
-    """Instantiate, validate, ablate, and write the debate graphs."""
-    cfg: RunConfig = obj["config"]
-
+    """Instantiate, validate, and write each paper's full debate graph."""
     def write(rec: ManifestRecord, tmp: Path, _client: orch.BaseClient) -> None:
-        # build_graph validates the full graph; an ablation of a valid graph
-        # is valid under its mode
-        full = extraction.build_graph(
+        g = extraction.build_graph(
             _read(rec, "transcript", orch.load_transcript).title,
             _read_triples(rec), _read(rec, "dims", _parse_dims),
-            add_inverse_edges=cfg.model.use_inverse_edges,
             label=rec.label, graph_id=rec.paper_id,
         )
-        g = graphmod.apply_ablation(full, cfg.ablation)
         tmp.write_bytes(graphmod.graph_to_bytes(g))
 
     # it sends no requests, so threads would only wait for the GIL
@@ -415,12 +409,12 @@ def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_d
 
 
 def _examples(papers: list[tuple], split: str,
-              ablation: graphmod.AblationMode | None = None) -> list[training.GraphExample]:
-    """The ``split``'s papers as examples, each graph ablated in memory if ``ablation`` is set."""
+              ablation: graphmod.AblationMode) -> list[training.GraphExample]:
+    """The ``split``'s papers as examples, each graph reduced in memory by ``ablation``."""
     examples = []
     for rec, g, vectors in papers:
         if rec.split == split:
-            kept = g if ablation is None else graphmod.apply_ablation(g, ablation)
+            kept = graphmod.apply_ablation(g, ablation)  # FULL returns g itself
             if kept is not g:  # text keys the cache: equal texts, equal rows
                 row_of = {text: i for i, text in enumerate(g.texts)}
                 vectors = vectors[[row_of[text] for text in kept.texts]]
@@ -441,10 +435,11 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
     for path in (checkpoint_path, history_path):  # before hours of training, not after
         _make_parent(Path(path))
     papers = _load_papers(load_manifest(manifest), ("train", "val"), cfg.model.input_dim)
-    train_set = _examples(papers, "train")
-    val_set = _examples(papers, "val")
+    train_set = _examples(papers, "train", cfg.ablation)
+    val_set = _examples(papers, "val", cfg.ablation)
     # an empty split raises EmptySplit (exit 1) before any step runs
     checkpoint, history = training.train(train_set, val_set, cfg.model, cfg.train)
+    checkpoint.ablation = cfg.ablation  # evaluate reduces its graphs alike
     training.save_checkpoint(checkpoint, checkpoint_path)
     _write_output(Path(history_path),
                   "".join(json.dumps(row, sort_keys=True) + "\n" for row in history), "history")
@@ -495,11 +490,11 @@ def _table2_row(report: training.EvalReport) -> dict[str, float]:
               help="JSON list of per-paper correctness indicators to test against.")
 @click.pass_obj
 def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> None:
-    """Evaluate a checkpoint on one split and write the report."""
+    """Evaluate a checkpoint, under its own ablation, on one split and write the report."""
     theirs = _read_compare(compare_path) if compare_path is not None else None
     checkpoint = training.load_checkpoint(checkpoint_path)
-    examples = _examples(_load_papers(load_manifest(manifest), (split,),
-                                      checkpoint.model_config.input_dim), split)
+    papers = _load_papers(load_manifest(manifest), (split,), checkpoint.model_config.input_dim)
+    examples = _examples(papers, split, checkpoint.ablation)
     if not examples:
         raise DataFailure(f"no graphs in split {split!r}")
 

@@ -290,7 +290,6 @@ def build_graph(
     batch: TripleBatch,
     dims: list[DimensionAssignment],
     *,
-    add_inverse_edges: bool = True,
     label: str | None = None,
     graph_id: str | None = None,
 ) -> DebateGraph:
@@ -337,7 +336,7 @@ def build_graph(
             edges.append(Edge(node_id, DIMENSION_NODE_IDS[node.dimension],
                               RelationType.REVIEWED_BY))
 
-    g = assemble(graph_id or batch.graph_id, nodes, edges, label, add_inverse_edges)
+    g = assemble(graph_id or batch.graph_id, nodes, edges, label)
     report = validate_graph(g)
     if not report.ok:
         raise ExtractionError(f"built graph failed validation: {report.violations}")

@@ -584,11 +584,9 @@ def skeleton(title: str) -> tuple[list[Node], list[Edge]]:
 
 
 def assemble(graph_id: str, nodes: Iterable[Node], edges: Iterable[Edge],
-             label: str | None = None, add_inverse_edges: bool = True) -> DebateGraph:
+             label: str | None = None) -> DebateGraph:
     """The graph over ``nodes`` and the forward ``edges`` in order, a repeated
-    edge kept once; with ``add_inverse_edges`` the inverse of every kept edge
-    follows them, in the same order."""
+    edge kept once, then the inverse of every kept edge in the same order."""
     edges = tuple(dict.fromkeys(edges))
-    if add_inverse_edges:
-        edges += tuple(Edge(e.dst, e.src, e.relation, inverse=True) for e in edges)
+    edges += tuple(Edge(e.dst, e.src, e.relation, inverse=True) for e in edges)
     return DebateGraph(graph_id=graph_id, nodes=tuple(nodes), edges=edges, label=label)

@@ -51,7 +51,6 @@ def random_debate_graph(
     graph_id: str = "synthetic",
     n_reviewer_opinions: tuple[int, int] = (2, 6),
     n_author_opinions: tuple[int, int] = (1, 4),
-    add_inverse_edges: bool = True,
     label: str | None = None,
 ) -> DebateGraph:
     """A random schema-valid graph exercising all relation groups."""
@@ -99,14 +98,13 @@ def random_debate_graph(
         rel = INTER_REVIEWER_RELATIONS[int(rng.integers(0, len(INTER_REVIEWER_RELATIONS)))]
         edges.append(Edge(rev_ids[int(a)], rev_ids[int(b)], rel))
 
-    return assemble(graph_id, nodes, edges, label, add_inverse_edges)
+    return assemble(graph_id, nodes, edges, label)
 
 
 def rule_labeled_graph(
     seed: int,
     graph_id: str,
     n_opinions: tuple[int, int] = (4, 12),
-    add_inverse_edges: bool = True,
 ) -> DebateGraph:
     """Graph whose label is the majority of accept vs reject reviewer-author edges.
 
@@ -148,7 +146,7 @@ def rule_labeled_graph(
         edges.append(Edge(rev_ids[i - 1], rev_ids[i], rel))
 
     label = LABEL_ACCEPT if n_accept * 2 > n_ops else LABEL_REJECT
-    return assemble(graph_id, nodes, edges, label, add_inverse_edges)
+    return assemble(graph_id, nodes, edges, label)
 
 
 def generate_rule_dataset(
@@ -156,12 +154,10 @@ def generate_rule_dataset(
     seed: int,
     input_dim: int,
     n_opinions: tuple[int, int] = (4, 12),
-    add_inverse_edges: bool = True,
 ) -> list[GraphExample]:
     examples = []
     for i in range(n):
-        g = rule_labeled_graph(seed * 100003 + i, f"rule-{seed}-{i}", n_opinions,
-                               add_inverse_edges)
+        g = rule_labeled_graph(seed * 100003 + i, f"rule-{seed}-{i}", n_opinions)
         examples.append(GraphExample(graph=g, embeddings=embeddings_for(g, input_dim, seed),
                                      label=g.label))
     return examples

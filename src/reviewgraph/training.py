@@ -15,7 +15,8 @@ import numpy as np
 
 from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
-from .graph import DECISION_LABELS, DebateGraph, parse_json, replacing, require_field_types
+from .graph import (DECISION_LABELS, AblationMode, DebateGraph, parse_json, replacing,
+                    require_field_types)
 from .model import (
     ModelConfig,
     ModelError,
@@ -186,6 +187,8 @@ class Checkpoint:
     epoch: int
     best_val_macro_f1: float
     params: ParamStore
+    #: The ablation the model was trained under; ``evaluate`` reduces its graphs alike.
+    ablation: AblationMode = AblationMode.FULL
 
 
 def predict_label_index(example: GraphExample, params: ParamStore,
@@ -403,6 +406,7 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
         "train_config": asdict(cp.train_config),
         "epoch": cp.epoch,
         "best_val_macro_f1": cp.best_val_macro_f1,
+        "ablation": cp.ablation.value,
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -431,7 +435,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         return _checkpoint_from(blob)
     except CheckpointError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ModelError, TrainingError) as exc:
+    except (KeyError, TypeError, ValueError, ModelError, TrainingError) as exc:
         raise CorruptPayload(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
 
 
@@ -457,6 +461,10 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
     for section, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
         require_field_types(section, cls, manifest[section])
     model_config = ModelConfig(**manifest["model_config"])
+    ablation = AblationMode(manifest["ablation"])  # a checkpoint older than the key has none
+    if (ablation is AblationMode.HOMOGENEOUS) != model_config.homogeneous:
+        raise CorruptPayload(f"the {ablation.value} ablation does not fit model_config."
+                             f"homogeneous {json.dumps(model_config.homogeneous)}")
     return Checkpoint(
         version=manifest["version"],
         model_config=model_config,
@@ -464,6 +472,7 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
         epoch=manifest["epoch"],
         best_val_macro_f1=manifest["best_val_macro_f1"],
         params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:], model_config),
+        ablation=ablation,
     )
 
 

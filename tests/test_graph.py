@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeline_utils import (columnar_file, columnar_form, header_edit, header_swap, row_form,
-                            set_code, set_column)
+from pipeline_utils import (columnar_file, columnar_form, forward_only, header_edit, header_swap,
+                            row_form, set_code, set_column)
 from reviewgraph import graph as graphmod
 from reviewgraph.extraction import (
     DimensionAssignment,
@@ -260,7 +260,7 @@ def _non_ascii_graph():
 ROUND_TRIP_GRAPHS = {
     "random": lambda: random_debate_graph(11, "rt", label="reject"),
     "rule": lambda: rule_labeled_graph(1, "r"),
-    "rule-forward-only": lambda: rule_labeled_graph(1, "r", (2, 5), add_inverse_edges=False),
+    "rule-forward-only": lambda: forward_only(rule_labeled_graph(1, "r", (2, 5))),
     "skeleton": lambda: assemble("m", *skeleton("T")),
     "no-edges": lambda: DebateGraph("bare", tuple(skeleton("T")[0]), ()),
     "no-nodes": lambda: DebateGraph("empty", (), ()),
@@ -459,7 +459,7 @@ def _sample_graphs():
         dims = [DimensionAssignment(s, t, list(Dimension)[i % 4])
                 for i, (s, t) in enumerate(reviewer_opinion_keys(batch))]
         graphs += [build_graph("  A  title ", batch, dims, label=name),
-                   build_graph("T", batch, dims, add_inverse_edges=False)]
+                   forward_only(build_graph("T", batch, dims))]
     return graphs
 
 
@@ -467,14 +467,14 @@ def _sample_graphs():
 # must keep their node and edge order byte for byte.
 @pytest.mark.parametrize("make, digest", [
     (lambda: [random_debate_graph(s, f"g{s}") for s in range(5)]
-     + [random_debate_graph(s, "small", (2, 3), (1, 2), add_inverse_edges=False,
-                            label="accept") for s in range(5)],
+     + [forward_only(random_debate_graph(s, "small", (2, 3), (1, 2), label="accept"))
+        for s in range(5)],
      "a5bc157fd5ac74ceaa1664229f9c64c50d1a12917fc1eea713b05222e7e77a46"),
     (lambda: [rule_labeled_graph(s, f"r{s}") for s in range(5)]
-     + [rule_labeled_graph(s, "r", (2, 5), add_inverse_edges=False) for s in range(5)],
+     + [forward_only(rule_labeled_graph(s, "r", (2, 5))) for s in range(5)],
      "7b17f7a50c81427a3a54671499ea2eb484d07261b94c7ef4ded7680234ec9f5e"),
     (lambda: [assemble("m", *skeleton("Title")),
-              assemble("m", *skeleton("T"), "reject", False)],
+              forward_only(assemble("m", *skeleton("T"), "reject"))],
      "e13f8848a4a8244c2394022b2845ce0269c1fbd5a52bded9d851bc1786d08575"),
     (_sample_graphs, "8a69e6d9db1f69c94d5bcce76a818f1271942162728204bb5c2cabb1168bedb5"),
 ], ids=["random_debate_graph", "rule_labeled_graph", "skeleton", "build_graph"])
@@ -485,16 +485,15 @@ def test_graph_builders_keep_node_and_edge_order(make, digest):
 def _graphs_to_ablate():
     graphs = _sample_graphs()
     for s in range(20):
-        for inverse in (True, False):
-            graphs += [random_debate_graph(s, f"g{s}", add_inverse_edges=inverse),
-                       rule_labeled_graph(s, f"r{s}", add_inverse_edges=inverse)]
+        for g in (random_debate_graph(s, f"g{s}"), rule_labeled_graph(s, f"r{s}")):
+            graphs += [g, forward_only(g)]
     return graphs
 
 
 @pytest.mark.parametrize("mode", list(AblationMode), ids=lambda m: m.value)
 def test_ablation_of_a_valid_graph_is_valid_under_its_mode(mode):
-    """build-graph validates only the full graph and writes its ablation
-    unchecked: that is sound only while this holds."""
+    """build-graph validates only the full graph, and train, evaluate and
+    ablate reduce it unchecked: that is sound only while this holds."""
     for g in _graphs_to_ablate():
         assert validate_graph(g).ok, (g.graph_id, validate_graph(g).violations)
         report = validate_graph(apply_ablation(g, mode), mode)

@@ -370,6 +370,7 @@ def reference_checkpoint_bytes(cp):
         "train_config": dataclasses.asdict(cp.train_config),
         "epoch": cp.epoch,
         "best_val_macro_f1": cp.best_val_macro_f1,
+        "ablation": cp.ablation.value,
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -380,6 +381,7 @@ def reference_checkpoint_bytes(cp):
 def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, homogeneous):
     cp = make_checkpoint(seed=4)
     cp.model_config = dataclasses.replace(MC, homogeneous=homogeneous)
+    cp.ablation = graphmod.AblationMode("homogeneous" if homogeneous else "full")
     cp.params = init_params(cp.model_config, 4)
     cp.params.flat[:] += np.random.default_rng(4).standard_normal(cp.params.flat.size) * 1e-3
     path = tmp_path / "m.rvgc"
@@ -467,11 +469,18 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     # config values outside their domain
     lambda m: m["model_config"].update(hidden_dim=0),
     lambda m: m["train_config"].update(learning_rate=-1.0),
+    # the ablation the model was trained under: missing (written before the key
+    # existed), unknown, not a string, or not the one its model config fits
+    lambda m: m.pop("ablation"),
+    lambda m: m.update(ablation="no_author"),
+    lambda m: m.update(ablation=1),
+    lambda m: m.update(ablation="homogeneous"),
 ], ids=["no-epoch", "no-tensors", "no-model-config", "unknown-model-config-key",
         "float-hidden-dim", "fractional-model-seed", "fractional-train-seed",
         "fractional-batch-size", "string-shuffle", "train-config-not-an-object",
         "string-epoch", "string-best-val-macro-f1", "boolean-version",
-        "zero-hidden-dim", "negative-learning-rate"])
+        "zero-hidden-dim", "negative-learning-rate", "no-ablation", "unknown-ablation",
+        "numeric-ablation", "homogeneous-ablation-of-a-typed-model"])
 def test_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     path = tmp_path / "m.rvgc"
     save_checkpoint(make_checkpoint(), path)
