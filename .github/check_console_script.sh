@@ -16,24 +16,29 @@ cd "$(mktemp -d)"
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "d0.transcript"}}' > m.jsonl
 printf '%s\n' '{"paper_id": "d0", "title": "A title", "body": "A body."}' > d0.json
 mkdir -p d0.transcript
-# binary graph files of the five-node skeleton: d0 cut off inside its array
-# block, as an interrupted write leaves it; l0 whole; g0 with a header whose
-# graph_id is a number
+# binary graph files of the five-node skeleton: d0 cut off inside its edge
+# rows, before its block of 32-byte node keys, as an interrupted write leaves
+# it; l0 whole; g0 with a header whose graph_id is a number; v0 in the layout
+# of version 1, which had no key block
 python3 -c '
 import json
 from reviewgraph.graph import assemble, graph_to_bytes, skeleton
 data = graph_to_bytes(assemble("x", *skeleton("A title"), "accept"))
 end = 12 + int.from_bytes(data[8:12], "little")
 header = json.loads(data[12:end])
+keys_at = len(data) - 32 * header["num_nodes"]
 numbered = json.dumps({**header, "graph_id": 5}).encode()
-for name, blob in (("d0", data[:-5]), ("l0", data),
-                   ("g0", data[:8] + len(numbered).to_bytes(4, "little") + numbered + data[end:])):
+for name, blob in (("d0", data[:keys_at - 5]), ("l0", data),
+                   ("g0", data[:8] + len(numbered).to_bytes(4, "little") + numbered + data[end:]),
+                   ("v0", data[:6] + b"1" + data[7:keys_at])):
     open(name + ".graph.json", "wb").write(blob)
 '
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"graph": "d0.graph.json", "embeddings": "d0.emb"}}' > torn.jsonl
 # a graph file of the older row form, one object per node and per edge
 printf '%s\n' '{"paper_id": "r0", "split": "train", "label": "accept", "paths": {"graph": "r0.graph.json", "embeddings": "r0.emb"}}' > rows.jsonl
 printf '%s\n' '{"edges": [{"dst": 1, "inverse": false, "relation": "has_aspect", "src": 0}], "graph_id": "r0", "label": "accept", "nodes": [{"id": 0, "text": "A title", "type": "title"}, {"id": 1, "text": "Clarity", "type": "evaluation_dimension"}]}' > r0.graph.json
+# the graph file v0 of version 1
+printf '%s\n' '{"paper_id": "v0", "split": "train", "label": "accept", "paths": {"graph": "v0.graph.json", "embeddings": "v0.emb"}}' > v1.jsonl
 # the whole graph l0 beside an embedding cache of the older JSON-lines form
 printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb"}}' > lines.jsonl
 printf '%s\n' '{"dim": 2, "sha256": "0000000000000000000000000000000000000000000000000000000000000000", "vector": [0.5, 0.5]}' > l0.emb
@@ -70,7 +75,8 @@ open("old.rvgc", "wb").write(blob[:4] + struct.pack("<I", len(text)) + text + bl
 
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
-            "3 train torn.jsonl" "3 train rows.jsonl" "3 train lines.jsonl" "3 train gid.jsonl" \
+            "3 train torn.jsonl" "3 train rows.jsonl" "3 train v1.jsonl" "3 train lines.jsonl" \
+            "3 train gid.jsonl" \
             "1 --config deep.json gradcheck" "3 train deep.jsonl" \
             "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
             "1 --config t0.json gradcheck" \
@@ -89,8 +95,8 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
   fi
 done
 
-# a graph or cache of an older form also names the stage to rerun
-for case in "rows.jsonl build-graph" "lines.jsonl embed"; do
+# a graph or cache of an older form or version also names the stage to rerun
+for case in "rows.jsonl build-graph" "v1.jsonl build-graph" "lines.jsonl embed"; do
   set -- $case
   reviewgraph train "$1" 2> stderr.txt || true
   if ! grep -q -- "rerun \`reviewgraph $2 --force\`\$" stderr.txt; then

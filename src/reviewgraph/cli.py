@@ -48,18 +48,18 @@ class ManifestRecord:
     paper_id: str
     split: str
     label: str
-    paths: dict[str, str]
+    paths: dict[str, Path]
 
     def path(self, kind: str) -> Path:
         try:
-            return Path(self.paths[kind])
+            return self.paths[kind]
         except KeyError:
             raise DataFailure(f"{self.paper_id}: manifest record has no {kind!r} path") from None
 
 
 def load_manifest(path: str | Path) -> list[ManifestRecord]:
     """JSON-lines manifest, one record per paper; paths resolved relative
-    to the manifest file's directory."""
+    to the manifest file's directory, once per record."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
@@ -97,7 +97,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             raise DataFailure(f"{path}:{lineno}: unknown label {raw['label']!r}")
         records.append(
             ManifestRecord(paper_id=raw["paper_id"], split=raw["split"], label=raw["label"],
-                           paths={k: str(base / v) for k, v in paths.items()})
+                           paths={k: base / v for k, v in paths.items()})
         )
     if not records:
         raise DataFailure(f"manifest is empty: {path}")
@@ -204,13 +204,14 @@ T = TypeVar("T")
 
 
 def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
-    """``parse`` the paper's ``kind`` file; a missing file or one that does not
-    parse is a ``DataFailure`` naming the paper and the file."""
+    """``parse`` the paper's ``kind`` file, which opens it once; a missing file
+    (also one under a regular file) or one that does not parse is a
+    ``DataFailure`` naming the paper and the file."""
     path = rec.path(kind)
-    if not path.exists():
-        raise DataFailure(f"{rec.paper_id}: {kind} file missing: {path}")
     try:
         return parse(path)
+    except (FileNotFoundError, NotADirectoryError):
+        raise DataFailure(f"{rec.paper_id}: {kind} file missing: {path}") from None
     except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
         raise DataFailure(f"{rec.paper_id}: {exc}") from exc
     except (KeyError, OSError, TypeError, ValueError, extraction.ExtractionError) as exc:
@@ -255,12 +256,18 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
     failing paper in manifest order gives the exit, and the papers written
     before it stay written. Two papers with one output path (after symlinks
     are followed) exit 3 before any write, as their writes would share one
-    ``tmp``."""
+    ``tmp``. Symlinks are followed once per output directory, and once more
+    for an output file that is a symlink itself."""
     client = orch.make_client(obj["config"].endpoint)
     records = [(rec, rec.path(kind)) for rec in load_manifest(manifest)]
+    real_dirs: dict[Path, str] = {}
     writer: dict[str, ManifestRecord] = {}
     for rec, out in records:
-        first = writer.setdefault(os.path.realpath(out), rec)
+        real_dir = real_dirs.get(out.parent)
+        if real_dir is None:
+            real_dir = real_dirs[out.parent] = os.path.realpath(out.parent)
+        real = os.path.join(real_dir, out.name)
+        first = writer.setdefault(os.path.realpath(real) if os.path.islink(real) else real, rec)
         if first is not rec:
             raise DataFailure(f"{first.paper_id} and {rec.paper_id}: both write the "
                               f"{kind} file {out}")
@@ -382,20 +389,21 @@ def build_graph_cmd(obj, manifest) -> None:
 def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_dim: int
                  ) -> list[tuple[ManifestRecord, graphmod.DebateGraph, np.ndarray]]:
     """Each ``splits`` paper's graph and its nodes' embeddings, of the model's
-    ``input_dim``, as one matrix in node-id order; every file is read once,
-    and every node text hashed once."""
+    ``input_dim``, as one matrix in node-id order. Each paper's two files are
+    opened once each, and no text is hashed: the rows are looked up by the
+    node keys that ``build-graph`` wrote into the graph file."""
     papers = []
     for rec in records:
         if rec.split not in splits:
             continue
         g = _read(rec, "graph", graphmod.load_graph)
-        cache = _read(rec, "embeddings", orch.EmbeddingCache)
+        cache = _read(rec, "embeddings", lambda path: orch.EmbeddingCache(path, missing_ok=False))
         if cache.dim not in (None, input_dim):
             raise DataFailure(f"{rec.paper_id}: embedding cache {cache.path} holds vectors of "
                               f"dim {cache.dim}, but the model's input_dim is {input_dim}")
         texts = g.texts  # in node-id order
         try:
-            vectors = cache.vectors([cache.digest(text) for text in texts])
+            vectors = cache.vectors(g.text_keys.tolist())
         except KeyError as exc:
             i = exc.args[0]
             raise DataFailure(f"{rec.paper_id}: no cached embedding for node {i} "

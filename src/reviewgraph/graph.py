@@ -10,6 +10,7 @@ explicitly with an ``inverse`` flag so that every node can receive messages.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -185,10 +186,10 @@ class DebateGraph:
 
     A graph built from ``Node`` and ``Edge`` tuples keeps them as given. A
     graph read from a file (``load_graph``) holds the file's ``codes``,
-    ``texts`` and node codes, and builds its ``nodes`` (in id order) and
-    ``edges`` from those on first use: the model and the embedding lookup
-    read only ``codes`` and ``texts``. Either way, two graphs are equal when
-    their ids, nodes, edges and labels are.
+    ``texts``, ``text_keys`` and node codes, and builds its ``nodes`` (in id
+    order) and ``edges`` from those on first use: the model reads only
+    ``codes``, and the embedding lookup only ``text_keys``. Either way, two
+    graphs are equal when their ids, nodes, edges and labels are.
     """
 
     graph_id: str
@@ -261,6 +262,13 @@ class DebateGraph:
     def texts(self) -> tuple[str, ...]:
         """Each node's text in node-id order (``load_graph`` fills them at load)."""
         return tuple(n.text for n in sorted(self.nodes, key=lambda n: n.id))
+
+    @functools.cached_property
+    def text_keys(self) -> np.ndarray:
+        """Each node's ``text_key`` in node-id order, as an ``(N,)`` ``V32``
+        array: the keys of its rows in an embedding cache (``load_graph``
+        takes them from the file, as a read-only view of its bytes)."""
+        return np.array([text_key(t) for t in self.texts], dtype="V32")
 
     @functools.cached_property
     def node_codes(self) -> np.ndarray:
@@ -397,6 +405,14 @@ _SPEAKER_OF_CODE = (None,) + ALL_SPEAKERS
 _DIMENSION_OF_CODE = (None,) + tuple(Dimension)
 
 
+def text_key(text: str) -> bytes:
+    """The SHA-256 digest of ``text`` as UTF-8, a lone surrogate passed as its
+    three bytes: the key of a text's embedding, in a cache and in a graph
+    file, and the seed of every hash the program derives from a text. For
+    text without lone surrogates these are its plain UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+
+
 def require_str(what: str, *values: object) -> None:
     """Raise ``TypeError`` unless every value is a ``str``: the check a decoder
     makes of a document's text fields before anything uses them."""
@@ -466,7 +482,7 @@ def parse_json(data: str | bytes, **options) -> object:
 
 #: A graph file starts with this versioned magic, whose first byte never
 #: starts UTF-8 text, so no JSON graph of an older form passes for one.
-_GRAPH_MAGIC = b"\x89RGGRF1\n"
+_GRAPH_MAGIC = b"\x89RGGRF2\n"
 _HEADER_AT = len(_GRAPH_MAGIC) + 4  # after the magic and the header length
 #: One past the largest legal code of each row of ``DebateGraph.node_codes``.
 _NODE_CODE_LIMITS = {"type": len(NodeType), "speaker": len(_SPEAKER_OF_CODE),
@@ -477,12 +493,13 @@ def graph_to_bytes(g: DebateGraph) -> bytes:
     """``g`` as a graph file: the magic, a little-endian uint32 header length,
     a compact sorted-key JSON header (``graph_id``, ``label``, ``num_nodes``,
     ``num_edges``, and ``texts`` in node-id order), then the array block:
-    ``node_codes`` by row, then ``codes``' edge rows in listed order."""
+    ``node_codes`` by row, ``codes``' edge rows in listed order, and the
+    32-byte ``text_keys`` in node-id order."""
     type_code, edge_rows = g.codes
     header = compact_json({"graph_id": g.graph_id, "label": g.label, "texts": list(g.texts),
                            "num_nodes": len(type_code), "num_edges": len(edge_rows)}).encode()
     return b"".join((_GRAPH_MAGIC, len(header).to_bytes(4, "little"), header,
-                     g.node_codes.tobytes(), edge_rows.astype("<u4").tobytes()))
+                     g.node_codes.tobytes(), edge_rows.astype("<u4").tobytes(), g.text_keys.tobytes()))
 
 
 def save_graph(g: DebateGraph, path: str | Path) -> None:
@@ -494,15 +511,16 @@ def save_graph(g: DebateGraph, path: str | Path) -> None:
 
 
 def _graph_from_bytes(data: bytes) -> DebateGraph:
-    """The graph of a graph file's bytes, with ``codes``, ``texts`` and
-    ``node_codes`` filled and no ``Node`` or ``Edge`` built. Bytes that are
-    not such a file, with its header's fields of their types, an array block
-    of the size its counts give, and every code and edge endpoint in range,
-    raise ``KeyError``, ``TypeError`` or ``ValueError``. Whether the edges
-    fit the schema is ``validate_graph``'s job."""
+    """The graph of a graph file's bytes, with ``codes``, ``texts``,
+    ``text_keys`` and ``node_codes`` filled and no ``Node`` or ``Edge``
+    built; the keys are read, not recomputed. Bytes that are not such a
+    file, with its header's fields of their types, an array block of the
+    size its counts give, and every code and edge endpoint in range, raise
+    ``KeyError``, ``TypeError`` or ``ValueError``. Whether the edges fit the
+    schema is ``validate_graph``'s job."""
     if not data.startswith(_GRAPH_MAGIC):
-        raise ValueError("not a binary graph file of this version (a JSON one of an older "
-                         "form?); rerun `reviewgraph build-graph --force`")
+        raise ValueError("not a binary graph file of this version (one of an older version, "
+                         "or a JSON one?); rerun `reviewgraph build-graph --force`")
     start = _HEADER_AT + int.from_bytes(data[len(_GRAPH_MAGIC):_HEADER_AT], "little")
     if len(data) < start:
         raise ValueError(f"header cut short: {len(data)} bytes, the header ends at byte {start}")
@@ -518,9 +536,10 @@ def _graph_from_bytes(data: bytes) -> DebateGraph:
     if type(texts) is not list or len(texts) != n:
         raise ValueError(f"texts must be a list of num_nodes ({n}) strings")
     require_str("node text", *texts)
-    if len(data) - start != 3 * n + 12 * m:  # three uint8 per node, three uint32 per edge
+    # three uint8 codes and a 32-byte key per node, three uint32 per edge
+    if len(data) - start != 35 * n + 12 * m:
         raise ValueError(f"array block of {len(data) - start} bytes, not the "
-                         f"{3 * n + 12 * m} of {n} nodes and {m} edges")
+                         f"{35 * n + 12 * m} of {n} nodes and {m} edges")
     node_codes = np.frombuffer(data, np.uint8, 3 * n, start).reshape(3, n)
     codes = node_codes[0].astype(np.intp), np.frombuffer(
         data, "<u4", 3 * m, start + 3 * n).reshape(m, 3).astype(np.intp)
@@ -536,17 +555,22 @@ def _graph_from_bytes(data: bytes) -> DebateGraph:
             raise ValueError(f"relation code {rel_top} out of range")
     codes[0].flags.writeable = codes[1].flags.writeable = False
     g = DebateGraph.__new__(DebateGraph)
+    # "V32", not "S32": a bytes item would drop a key's trailing NUL bytes
     vars(g).update(graph_id=header["graph_id"], label=header["label"], codes=codes,
-                   texts=tuple(texts), node_codes=node_codes)
+                   texts=tuple(texts), node_codes=node_codes,
+                   text_keys=np.frombuffer(data, "V32", n, start + 3 * n + 12 * m))
     return g
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    """Read a graph file that ``save_graph`` wrote; a file that is not one
-    (see ``_graph_from_bytes``), such as a JSON graph of an older form, raises
-    ``CorruptGraph`` naming ``path``."""
+    """Read a graph file that ``save_graph`` wrote, with one ``open``; a file
+    that is not one (see ``_graph_from_bytes``), such as a JSON graph of an
+    older form or one of an older version, raises ``CorruptGraph`` naming
+    ``path``. A file that cannot be opened raises its ``OSError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return _graph_from_bytes(Path(path).read_bytes())
+        return _graph_from_bytes(data)
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers parse_json's failures
         raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
 

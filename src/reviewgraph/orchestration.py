@@ -8,7 +8,6 @@ the network, so the whole pipeline runs offline and reproducibly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension, compact_json, parse_json, require_str
+from .graph import DIMENSION_LABELS, Dimension, compact_json, parse_json, require_str, text_key
 
 
 class OrchestrationError(Exception):
@@ -395,8 +394,7 @@ _MOCK_IR_LABELS = ("Agree", "Complement", "Independent", "Disagree", "Progressiv
 
 
 def _stable_hash(*parts: object) -> int:
-    digest = hashlib.sha256("\x00".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    return int.from_bytes(text_key("\x00".join(map(str, parts)))[:8], "little")
 
 
 class MockClient(BaseClient):
@@ -845,28 +843,38 @@ class EmbeddingCache:
     """Content-hash-keyed store of text embeddings; reruns issue no duplicate requests.
 
     A cache file is an 8-byte magic and a little-endian uint32 ``dim``,
-    followed by one fixed-size record per text: the 32-byte SHA-256 digest of
-    its UTF-8 bytes, then ``dim`` little-endian float64 values, so a vector
-    loads back bit-identical. The whole file loads with one read and one
-    ``np.frombuffer``. An empty file is an empty cache. A file with no whole
+    followed by one fixed-size record per text: its 32-byte ``text_key``,
+    then ``dim`` little-endian float64 values, so a vector loads back
+    bit-identical. The whole file loads with one read and one
+    ``np.frombuffer``, and the vectors stay a read-only view of the bytes
+    read. A missing file is an empty cache that ``put`` creates, unless
+    ``missing_ok`` is false: then the ``open`` raises
+    ``FileNotFoundError``. An empty file is an empty cache. A file with no whole
     header, or whose body is not a whole number of records (a torn write),
     raises ``CorruptCache`` naming the path; one that does not start like the
     magic, such as a cache of the older JSON-lines form, says so and to rerun
     ``reviewgraph embed --force``.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path | None = None, missing_ok: bool = True) -> None:
+        self.path = path
         self.dim: int | None = None  # every vector's length, fixed by the first one
         self._rows: dict[bytes, int] = {}  # digest -> row of the vector block
         self._block = np.empty((0, 0))
         self._added: list[np.ndarray] = []  # rows put since the block was last built
         self._pending: list[bytes] | None = None
         self._has_header = False
-        if self.path is not None and self.path.exists():
-            data = self.path.read_bytes()
-            if data:
-                self._load(data)
+        if path is None:
+            return
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            if missing_ok:
+                return
+            raise
+        if data:
+            self._load(data)
 
     def _load(self, data: bytes) -> None:
         if data[:1] != _CACHE_MAGIC[:1]:  # a byte that never starts UTF-8 text
@@ -885,11 +893,7 @@ class EmbeddingCache:
             records = np.frombuffer(data, offset=_CACHE_HEADER.size, dtype=[
                 ("digest", "V32"), ("vector", "<f8", (self.dim,))])
             self._rows = dict(zip(records["digest"].tolist(), range(n)))
-            self._block = records["vector"].astype(np.float64)
-
-    @staticmethod
-    def digest(text: str) -> bytes:
-        return hashlib.sha256(text.encode("utf-8")).digest()
+            self._block = records["vector"]
 
     def __contains__(self, digest: bytes) -> bool:
         return digest in self._rows
@@ -911,15 +915,16 @@ class EmbeddingCache:
             raise KeyError(list(digests).index(exc.args[0])) from None
 
     def get(self, text: str) -> np.ndarray | None:
-        row = self._rows.get(self.digest(text))
-        return None if row is None else self._vectors()[row]
+        """A copy of ``text``'s vector, or None if it is not cached."""
+        row = self._rows.get(text_key(text))
+        return None if row is None else self._vectors()[row].copy()
 
     def put(self, text: str, vector: np.ndarray, key: bytes | None = None) -> None:
         """Store a vector unless its text is cached; its record is appended now,
         or at the end of the enclosing ``put_many``. A caller that has hashed
         the text already passes its digest as ``key``. A vector whose length is
         not the cache's ``dim`` raises ``InconsistentDimension``."""
-        d = self.digest(text) if key is None else key
+        d = text_key(text) if key is None else key
         if d in self._rows:
             return
         v = np.asarray(vector, dtype=np.float64)
@@ -976,7 +981,7 @@ def embed_texts(
     leaves the cache as it was."""
     if cache is None:
         cache = EmbeddingCache()
-    digests = [cache.digest(t) for t in texts]
+    digests = list(map(text_key, texts))
     missing = {d: t for d, t in zip(digests, texts) if d not in cache}
     fetched = dict(zip(missing, client.embed(list(missing.values())))) if missing else {}
     hits = iter(cache.vectors([d for d in digests if d not in fetched]))

@@ -8,8 +8,6 @@ signal into those edges.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .graph import (
@@ -28,14 +26,14 @@ from .graph import (
     RelationType,
     assemble,
     skeleton,
+    text_key,
 )
 from .training import GraphExample
 
 
 def unit_embedding(text: str, dim: int, seed: int = 0) -> np.ndarray:
     """Deterministic unit vector derived from the text content hash."""
-    digest = hashlib.sha256(f"{seed}\x00{text}".encode("utf-8")).digest()
-    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    rng = np.random.default_rng(int.from_bytes(text_key(f"{seed}\x00{text}")[:8], "little"))
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 

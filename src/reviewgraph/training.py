@@ -394,12 +394,16 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
     The payload is the parameter vector as fp32, so each tensor's bytes sit at
     its ``_tensor_table`` offset. The bytes go to ``<path>.tmp`` first, which
     then replaces ``path``, so a crash mid-write leaves any earlier checkpoint
-    at ``path`` intact.
+    at ``path`` intact. Parameters off the model config's layout, or an
+    ablation that does not fit ``model_config.homogeneous``, raise
+    ``CheckpointError`` before anything is written: ``load_checkpoint`` would
+    refuse the file.
     """
     tensors = _tensor_table(cp.model_config)
     if [(t["name"], t["shape"]) for t in tensors] != \
             [(name, list(t.value.shape)) for name, t in cp.params.items()]:
         raise CheckpointError("the parameters do not follow the model config's layout")
+    _check_ablation(cp.ablation, cp.model_config)
     manifest = {
         "version": cp.version,
         "model_config": asdict(cp.model_config),
@@ -462,9 +466,10 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
         require_field_types(section, cls, manifest[section])
     model_config = ModelConfig(**manifest["model_config"])
     ablation = AblationMode(manifest["ablation"])  # a checkpoint older than the key has none
-    if (ablation is AblationMode.HOMOGENEOUS) != model_config.homogeneous:
-        raise CorruptPayload(f"the {ablation.value} ablation does not fit model_config."
-                             f"homogeneous {json.dumps(model_config.homogeneous)}")
+    try:
+        _check_ablation(ablation, model_config)
+    except CheckpointError as exc:
+        raise CorruptPayload(str(exc)) from None
     return Checkpoint(
         version=manifest["version"],
         model_config=model_config,
@@ -474,6 +479,14 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
         params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:], model_config),
         ablation=ablation,
     )
+
+
+def _check_ablation(ablation: AblationMode, model_config: ModelConfig) -> None:
+    """Raise ``CheckpointError`` unless the model is homogeneous exactly when
+    the ablation is: the pair a checkpoint may hold."""
+    if (ablation is AblationMode.HOMOGENEOUS) != model_config.homogeneous:
+        raise CheckpointError(f"the {ablation.value} ablation does not fit model_config."
+                              f"homogeneous {json.dumps(model_config.homogeneous)}")
 
 
 def _tensor_table(config: ModelConfig) -> list[dict]:

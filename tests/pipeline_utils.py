@@ -72,7 +72,8 @@ def run_stage_pipeline(root: Path, manifest: Path, seed=7) -> None:
 
 
 def graph_file_parts(data: bytes) -> tuple[object, bytes]:
-    """A graph file's decoded JSON header and its array block."""
+    """A graph file's decoded JSON header and its array block (node codes,
+    edge rows, then node keys)."""
     end = 12 + int.from_bytes(data[8:12], "little")
     return json.loads(data[12:end]), data[end:]
 
@@ -81,7 +82,7 @@ def graph_file(header, block: bytes) -> bytes:
     """A graph file of ``header`` (a value to encode as JSON, or the bytes to
     put there) and ``block``, with a header length that fits the header."""
     text = header if isinstance(header, bytes) else json.dumps(header).encode()
-    return b"\x89RGGRF1\n" + len(text).to_bytes(4, "little") + text + block
+    return b"\x89RGGRF2\n" + len(text).to_bytes(4, "little") + text + block
 
 
 def header_edit(change):
@@ -100,18 +101,33 @@ def header_swap(header):
     return lambda data: graph_file(header, graph_file_parts(data)[1])
 
 
+def cut_in_edge_rows(data: bytes) -> bytes:
+    """A graph file cut 5 bytes before the end of its edge rows, as an
+    interrupted write leaves it: the key block after them is gone too."""
+    header, _block = graph_file_parts(data)
+    return data[:len(data) - 32 * header["num_nodes"] - 5]
+
+
+def version_1_file(data: bytes) -> bytes:
+    """A graph file in the layout of version 1: the version byte of its magic
+    set to 1, and no key block."""
+    header, _block = graph_file_parts(data)
+    return data[:6] + b"1" + data[7:len(data) - 32 * header["num_nodes"]]
+
+
 def set_code(table, row, column, value):
     """An edit that sets one node code (``table`` "nodes": a type, speaker
     or dimension row) or one entry of an edge row (``table`` "edges") of a
-    graph file's array block."""
+    graph file's array block; the node keys after them stay as they were."""
     def edit(data):
         header, block = graph_file_parts(data)
-        n = header["num_nodes"]
+        n, keys_at = header["num_nodes"], 3 * header["num_nodes"] + 12 * header["num_edges"]
         arrays = {"nodes": np.frombuffer(block[:3 * n], np.uint8).reshape(3, n).copy(),
-                  "edges": np.frombuffer(block[3 * n:], "<u4").reshape(-1, 3).astype(np.int64)}
+                  "edges": np.frombuffer(block[3 * n:keys_at], "<u4").reshape(-1, 3)
+                  .astype(np.int64)}
         arrays[table][row, column] = value
         return graph_file(header, arrays["nodes"].tobytes()
-                          + arrays["edges"].astype("<i4").tobytes())
+                          + arrays["edges"].astype("<i4").tobytes() + block[keys_at:])
     return edit
 
 

@@ -1,6 +1,7 @@
 import base64
 import builtins
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pipeline_utils import (columnar_file, columnar_form, header_edit, header_swap,
-                            make_workspace, row_form, run, run_stage_pipeline, set_code,
-                            set_column)
+from pipeline_utils import (columnar_file, columnar_form, cut_in_edge_rows, header_edit,
+                            header_swap, make_workspace, row_form, run, run_stage_pipeline,
+                            set_code, set_column, version_1_file)
 from reviewgraph import autodiff as ad
 from reviewgraph import cli
 from reviewgraph import graph as graphmod
@@ -531,9 +532,9 @@ def test_ablate_loads_each_paper_once(tmp_path, monkeypatch):
         loads["graph"] += 1
         return real_load_graph(path)
 
-    def cache_counted(path):
+    def cache_counted(path, **options):
         loads["cache"] += 1
-        return real_cache(path)
+        return real_cache(path, **options)
 
     monkeypatch.setattr(graphmod, "load_graph", load_graph_counted)
     monkeypatch.setattr(orch, "EmbeddingCache", cache_counted)
@@ -805,7 +806,9 @@ BROKEN_GRAPHS = {
     "ragged-column": header_edit(lambda h: h["texts"].pop()),
     "null-text": header_edit(lambda h: h["texts"].__setitem__(0, None)),
     "column-not-a-list": header_edit(lambda h: h.update(texts="x" * h["num_nodes"])),
-    "short-array-block": lambda data: data[:-5],
+    "short-array-block": cut_in_edge_rows,
+    "short-key-block": lambda data: data[:-5],
+    "version-1": version_1_file,
     "unknown-type": set_code("nodes", 0, 0, 4),
     "unknown-speaker": set_code("nodes", 1, 0, 5),
     "unknown-dimension": set_code("nodes", 2, 0, 5),
@@ -840,7 +843,7 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
     assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
-    if broken.startswith(b"{"):
+    if not broken.startswith(b"\x89RGGRF2\n"):  # an older form or version, or no graph file
         assert "rerun `reviewgraph build-graph --force`" in err
 
 
@@ -927,6 +930,80 @@ def test_unreadable_input_exits_with_its_code_naming_it(trained_workspace, tmp_p
     assert got == code
     assert err.startswith(message.format(path=path)) and str(path) in err
     assert "Traceback" not in err
+
+
+#: How a paper's graph or cache path fails to open: an edit of the file at
+#: the manifest's path, returning the path the manifest should name instead
+#: (None keeps it), and the message after "data error: p2: ".
+UNOPENABLE = {
+    "missing": (lambda path: path.unlink(), "{kind} file missing: {path}"),
+    "directory": (lambda path: path.unlink() or path.mkdir(),
+                  "corrupt {kind} file {path}: IsADirectoryError: "),
+    "under-a-file": (lambda path: path / "inner", "{kind} file missing: {path}"),
+}
+
+
+@pytest.mark.parametrize("kind, file", [("graph", "p2.graph.json"), ("embeddings", "p2.emb")])
+@pytest.mark.parametrize("case", UNOPENABLE)
+def test_unopenable_graph_or_cache_exits_3_with_its_message(trained_workspace, tmp_path,
+                                                            capsys, kind, file, case):
+    """Each file is opened once, with no look before: a missing path, also one
+    under a regular file, still says so, and a directory is a corrupt file."""
+    root = tmp_path / "ws"
+    shutil.copytree(trained_workspace[0], root)
+    edit, message = UNOPENABLE[case]
+    path = edit(root / "work" / file) or root / "work" / file
+    manifest = root / "manifest.jsonl"
+    records = [json.loads(line) for line in manifest.read_text().splitlines()]
+    records[2]["paths"][kind] = str(path.relative_to(root))
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert run(root, "evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"),
+               "--output", str(root / "ev.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: p2: " + message.format(kind=kind, path=path)), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_evaluate_hashes_no_text(trained_workspace, tmp_path, monkeypatch):
+    """The embedding rows are looked up by the keys the graph files carry:
+    with the key function made to raise, evaluate writes the same report."""
+    root, manifest, _files = trained_workspace
+    args = ["evaluate", str(manifest), "--checkpoint", str(root / "c.rvgc"), "--split", "test"]
+    assert run(root, *args, "--output", str(tmp_path / "before.json")) == 0
+
+    class Hashed(Exception):
+        pass
+
+    def refuse(text):
+        raise Hashed(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reviewgraph") and hasattr(module, "text_key"):
+            monkeypatch.setattr(module, "text_key", refuse)
+    with pytest.raises(Hashed):  # the patch bites where a text is hashed
+        graphmod.graph_to_bytes(graphmod.assemble("x", *graphmod.skeleton("A title")))
+    assert run(root, *args, "--output", str(tmp_path / "after.json")) == 0
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+def test_lone_surrogate_title_goes_through_every_stage(tmp_path, capsys):
+    """A title holding a lone surrogate (JSON allows the escape "\\ud800") is
+    hashed by its surrogate-passing UTF-8 bytes, so the mock stages, train
+    and evaluate all run, and the title node's key is that of its text."""
+    manifest = make_workspace(tmp_path, TRAINABLE)
+    paper_path = tmp_path / "papers" / "t0.json"
+    paper = json.loads(paper_path.read_text())
+    paper_path.write_text(json.dumps({**paper, "title": "Lone \ud800 title"}))
+    run_stage_pipeline(tmp_path, manifest)
+    g = load_graph(tmp_path / "work" / "t0.graph.json")
+    assert g.texts[0] == "Lone \ud800 title"
+    assert g.text_keys.tolist()[0] == hashlib.sha256(b"Lone \xed\xa0\x80 title").digest()
+    assert run(tmp_path, "train", str(manifest), "--checkpoint", str(tmp_path / "c.rvgc"),
+               "--history", str(tmp_path / "h.jsonl")) == 0
+    assert run(tmp_path, "evaluate", str(manifest), "--checkpoint", str(tmp_path / "c.rvgc"),
+               "--split", "train", "--output", str(tmp_path / "ev.json")) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 #: Documents that parse as JSON but hold a value of the wrong type: (file,

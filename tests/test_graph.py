@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipeline_utils import (columnar_file, columnar_form, forward_only, header_edit, header_swap,
-                            row_form, set_code, set_column)
+from pipeline_utils import (columnar_file, columnar_form, cut_in_edge_rows, forward_only,
+                            header_edit, header_swap, row_form, set_code, set_column,
+                            version_1_file)
 from reviewgraph import graph as graphmod
 from reviewgraph.extraction import (
     DimensionAssignment,
@@ -230,9 +231,11 @@ def test_full_ablation_is_identity():
 
 def test_graph_file_layout():
     """Magic, header length, compact sorted-key JSON header, then the node
-    codes by row and one (dst, src, relation code) row per edge."""
-    data = graph_to_bytes(tiny_graph())
-    assert data[:8] == b"\x89RGGRF1\n"
+    codes by row, one (dst, src, relation code) row per edge, and the
+    SHA-256 of each node's text in id order."""
+    g = tiny_graph()
+    data = graph_to_bytes(g)
+    assert data[:8] == b"\x89RGGRF2\n"
     header = (b'{"graph_id":"tiny","label":"accept","num_edges":12,"num_nodes":7,'
               b'"texts":["A Paper","Methodological Novelty","Experimental Completeness",'
               b'"Motivation Clarity","Writing Fluency","Needs more experiments.",'
@@ -244,7 +247,9 @@ def test_graph_file_layout():
                                 0, 0, 0, 0, 0, 2, 0])  # dimension: none, the second
     forward = [[1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0], [2, 5, 2], [6, 5, 14]]
     inverse = [[src, dst, code + 1] for dst, src, code in forward]
-    assert block[21:] == np.array(forward + inverse, dtype="<u4").tobytes()
+    assert block[21:21 + 144] == np.array(forward + inverse, dtype="<u4").tobytes()
+    assert block[21 + 144:] == b"".join(hashlib.sha256(n.text.encode()).digest()
+                                        for n in g.nodes)
 
 
 def _non_ascii_graph():
@@ -274,13 +279,19 @@ ROUND_TRIP_GRAPHS = {
 @pytest.mark.parametrize("name", ROUND_TRIP_GRAPHS)
 def test_graph_file_round_trip(tmp_path, name):
     """A saved graph loads back equal, with equal codes and texts and no node
-    or edge built until asked; saving either graph again writes the same bytes."""
+    or edge built until asked; the file ends in the SHA-256 of each node's
+    text as UTF-8 (a lone surrogate as its three bytes), in id order, which
+    the loaded graph holds as read; saving either graph again writes the
+    same bytes."""
     g = ROUND_TRIP_GRAPHS[name]()
     path = tmp_path / "g.graph.json"
     save_graph(g, path)
     loaded = load_graph(path)
     assert "nodes" not in vars(loaded) and "edges" not in vars(loaded)
     assert loaded.texts == DebateGraph.texts.func(g)
+    keys = [hashlib.sha256(t.encode("utf-8", "surrogatepass")).digest() for t in loaded.texts]
+    assert vars(loaded)["text_keys"].tolist() == keys == g.text_keys.tolist()
+    assert path.read_bytes()[len(path.read_bytes()) - 32 * len(keys):] == b"".join(keys)
     for got, expected in zip((*loaded.codes, loaded.node_codes),
                              (*DebateGraph.codes.func(g), DebateGraph.node_codes.func(g))):
         assert got.dtype == expected.dtype and got.shape == expected.shape
@@ -356,6 +367,8 @@ BROKEN_GRAPH_EDITS = {
     "ragged-edge-column": (header_edit(lambda h: h.update(num_edges=h["num_edges"] + 1)),
                            "array block of"),
     "block-cut-short": (lambda data: data[:-1], "array block of"),
+    "edge-rows-cut-short": (cut_in_edge_rows, "array block of"),
+    "version-1": (version_1_file, "rerun `reviewgraph build-graph --force`"),
     "block-too-long": (lambda data: data + b"\0", "array block of"),
     "unknown-type": (set_code("nodes", 0, 0, 4), "type code 4 out of range"),
     "unknown-speaker": (set_code("nodes", 1, 5, 5), "speaker code 5 out of range"),

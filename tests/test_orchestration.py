@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pipeline_utils import make_workspace, run
 from reviewgraph.extraction import build_graph
 from reviewgraph import orchestration
-from reviewgraph.graph import validate_graph
+from reviewgraph.graph import text_key, validate_graph
 from reviewgraph.orchestration import (
     AgentRole,
     ClassificationFailed,
@@ -254,11 +254,11 @@ def test_embedding_cache_round_trip(tmp_path):
     cache = EmbeddingCache(path)
     new_texts = ["gamma", "delta"]
     new = client.embed(new_texts)
-    cache.put_many((t, v, cache.digest(t)) for t, v in zip(new_texts, new))
+    cache.put_many((t, v, text_key(t)) for t, v in zip(new_texts, new))
     every, expected = ["alpha", "beta", *new_texts], np.stack([vecs[0], vecs[1], *new])
     for reader in (cache, EmbeddingCache(path)):
         assert [reader.get(t).tobytes() for t in every] == [row.tobytes() for row in expected]
-        assert reader.vectors([reader.digest(t) for t in every]).tobytes() == expected.tobytes()
+        assert reader.vectors([text_key(t) for t in every]).tobytes() == expected.tobytes()
 
 
 def test_embedding_cache_file_format(tmp_path):
@@ -307,13 +307,13 @@ def test_embed_texts_appends_one_batch(tmp_path, monkeypatch):
     embed_texts(["a", "c", "b", "d", "e", "c"], client, EmbeddingCache(path))
     monkeypatch.undo()
     assert client.seen == [["a", "b"], ["c", "d", "e"]]
-    assert opens == ["ab"]
+    assert opens == ["rb", "ab"]  # the cache's one read, then one append
     assert (path.stat().st_size - 12) / (32 + 8 * 64) == 5
 
 
 def test_a_digest_ending_in_a_nul_byte_round_trips(tmp_path):
     """A NumPy ``S32`` field would drop the digest's trailing NUL and miss it."""
-    text = next(str(i) for i in itertools.count() if EmbeddingCache.digest(str(i))[-1] == 0)
+    text = next(str(i) for i in itertools.count() if text_key(str(i))[-1] == 0)
     vector = np.array([1.5, -2.0, 0.25])
     path = tmp_path / "emb"
     EmbeddingCache(path).put(text, vector)
@@ -330,8 +330,8 @@ def test_put_of_another_dimension_raises_and_writes_nothing(tmp_path):
     with pytest.raises(InconsistentDimension):
         cache.put("b", np.zeros(3))
     with pytest.raises(InconsistentDimension):
-        cache.put_many([("c", np.zeros(4), EmbeddingCache.digest("c")),
-                        ("d", np.zeros(5), EmbeddingCache.digest("d"))])
+        cache.put_many([("c", np.zeros(4), text_key("c")),
+                        ("d", np.zeros(5), text_key("d"))])
     assert path.read_bytes() == before
     assert len(cache) == 1 and cache.get("c") is None  # the failed batch left no trace
     cache.put("c", np.ones(4))
@@ -358,7 +358,7 @@ def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, da
     path = tmp_path / "emb"
     path.unlink(missing_ok=True)
     vectors = np.arange(n * dim, dtype=np.float64).reshape(n, dim) - 0.5
-    EmbeddingCache(path).put_many((str(i), v, EmbeddingCache.digest(str(i)))
+    EmbeddingCache(path).put_many((str(i), v, text_key(str(i)))
                                   for i, v in enumerate(vectors))
     whole = path.read_bytes()
     size, body = 32 + 8 * dim, len(whole) - 12
@@ -690,6 +690,20 @@ def test_two_papers_with_one_output_path_exit_3_before_any_request(tmp_path, mon
     assert err.startswith("data error: p1 and p3: both write the transcript file ")
     assert err.rstrip().endswith("p1.transcript.json")
     assert posted == [] and not list((tmp_path / "work").iterdir())
+
+
+def test_an_output_file_symlinked_to_another_papers_output_exits_3_before_any_request(
+        tmp_path, monkeypatch, capsys):
+    """Symlinks are followed once per output directory, and once more for an
+    output that is itself a symlink: p3's transcript links to p1's."""
+    manifest = http_workspace(tmp_path)
+    link = tmp_path / "work" / "p3.transcript.json"
+    link.symlink_to(tmp_path / "work" / "p1.transcript.json")
+    posted = fake_endpoint(monkeypatch, lambda _payload: (500, "unexpected"))
+    assert run(tmp_path, "--jobs", "4", "simulate", str(manifest)) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: p1 and p3: both write the transcript file {link}\n"
+    assert posted == [] and list((tmp_path / "work").iterdir()) == [link]
 
 
 def test_mock_endpoint_runs_papers_in_the_calling_thread(tmp_path, monkeypatch):

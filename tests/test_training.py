@@ -394,6 +394,21 @@ def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, homog
     assert all(np.shares_memory(t.value, loaded.params.flat) for _, t in loaded.params.items())
 
 
+@pytest.mark.parametrize("homogeneous, mode", [(True, "full"), (False, "homogeneous")])
+def test_save_checkpoint_refuses_an_ablation_the_model_does_not_fit(tmp_path, homogeneous, mode):
+    """The pair ``load_checkpoint`` would refuse raises its message before
+    anything is written: no file and no ``.tmp``."""
+    cp = make_checkpoint(seed=4)
+    cp.model_config = dataclasses.replace(MC, homogeneous=homogeneous)
+    cp.ablation = graphmod.AblationMode(mode)
+    cp.params = init_params(cp.model_config, 4)
+    with pytest.raises(training.CheckpointError) as info:
+        save_checkpoint(cp, tmp_path / "m.rvgc")
+    assert str(info.value) == (f"the {mode} ablation does not fit model_config.homogeneous "
+                               f"{json.dumps(homogeneous)}")
+    assert list(tmp_path.iterdir()) == []
+
+
 def edit_manifest(path, edit):
     """Rewrite the checkpoint at path with ``edit`` applied to its manifest."""
     blob = path.read_bytes()
