@@ -52,13 +52,17 @@ python3 -c 'import sys; sys.stdout.write("[" * 200000)' > deep.json
 cp deep.json deep.jsonl
 # a run config whose endpoint timeout is outside its domain
 printf '%s\n' '{"endpoint": {"timeout": 0}}' > t0.json
+# a run config with a misspelled section, and one of an HTTP endpoint with no URL
+printf '%s\n' '{"modle": {"hidden_dim": 8}}' > modle.json
+printf '%s\n' '{"endpoint": {"mock": false}}' > nourl.json
 # a checkpoint file with no checkpoint header
 printf 'XXXX' > bad.rvgc
 # a checkpoint whose manifest is nested too deeply to parse: the magic, its
 # length as a little-endian uint32, then the manifest
 python3 -c 'import struct, sys; sys.stdout.buffer.write(b"RVGC" + struct.pack("<I", 200000) + b"[" * 200000)' > deep.rvgc
-# a checkpoint whose manifest has no ablation, as one written before the
-# ablation was recorded: it must be retrained
+# a checkpoint in the form written before the model config held the
+# ablation: the ablation beside the model config, whose homogeneous and
+# num_classes stood in its place; it must be retrained
 python3 -c '
 import json, struct
 from reviewgraph.model import ModelConfig, init_params
@@ -68,8 +72,9 @@ save_checkpoint(Checkpoint(1, config, TrainConfig(), 1, 0.5, init_params(config,
 blob = open("old.rvgc", "rb").read()
 (length,) = struct.unpack("<I", blob[4:8])
 manifest = json.loads(blob[8:8 + length])
-del manifest["ablation"]
-text = json.dumps(manifest).encode()
+manifest["ablation"] = manifest["model_config"].pop("ablation")
+manifest["model_config"].update(homogeneous=False, num_classes=2)
+text = json.dumps(manifest, sort_keys=True).encode()
 open("old.rvgc", "wb").write(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + length:])
 '
 
@@ -79,7 +84,8 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
             "3 train gid.jsonl" \
             "1 --config deep.json gradcheck" "3 train deep.jsonl" \
             "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
-            "1 --config t0.json gradcheck" \
+            "1 --config t0.json gradcheck" "1 --config modle.json gradcheck" \
+            "1 --config nourl.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
             "3 evaluate m.jsonl --checkpoint bad.rvgc" "3 evaluate m.jsonl --checkpoint deep.rvgc" \
             "3 evaluate m.jsonl --checkpoint old.rvgc"; do

@@ -109,15 +109,17 @@ class RunConfig:
     model: modelmod.ModelConfig
     train: training.TrainConfig
     endpoint: orch.EndpointConfig
-    ablation: graphmod.AblationMode = graphmod.AblationMode.FULL
+
+
+_SECTIONS = ("endpoint", "model", "train")  # a run config's only top-level keys
 
 
 def load_run_config(path: str | Path | None, seed: int | None = None,
                     ablation: str | None = None) -> RunConfig:
-    """One JSON object with optional model/train/endpoint object sections and
-    an ablation mode, which decides ``model.homogeneous`` (``_ablation_model``).
+    """One JSON object with optional endpoint, model and train object
+    sections and no other key. The ablation mode is ``model.ablation``.
 
-    --seed overrides every seed field; --ablation overrides the mode.
+    --seed overrides every seed field; --ablation overrides ``model.ablation``.
     """
     raw: dict = {}
     if path is not None:
@@ -127,9 +129,13 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         except (OSError, ValueError) as exc:
             raise UsageFailure(f"bad configuration in {p}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, dict) or not all(isinstance(raw.get(section, {}), dict)
-                                            for section in ("endpoint", "model", "train")):
+                                            for section in _SECTIONS):
         raise UsageFailure(f"bad configuration in {path}: the document and its endpoint, "
                            "model and train sections must be JSON objects")
+    unknown = next((key for key in raw if key not in _SECTIONS), None)
+    if unknown is not None:
+        raise UsageFailure(f"bad configuration in {path}: unknown key {unknown!r}; a run "
+                           "config has only endpoint, model and train sections")
 
     for section, cls in (("endpoint", orch.EndpointConfig), ("model", modelmod.ModelConfig),
                          ("train", training.TrainConfig)):
@@ -147,11 +153,8 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         model_raw["seed"] = seed
         train_raw["seed"] = seed
         endpoint_raw["mock_seed"] = seed
-    mode_name = ablation or raw.get("ablation", "full")
-    try:
-        mode = graphmod.AblationMode(mode_name)
-    except ValueError:
-        raise UsageFailure(f"unknown ablation mode {mode_name!r}") from None
+    if ablation is not None:
+        model_raw["ablation"] = ablation
 
     def build(section: str, cls: type[T], values: dict) -> T:
         try:
@@ -160,23 +163,11 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
                 orch.OrchestrationError) as exc:
             raise UsageFailure(f"bad configuration in {path}: {section}: {exc}") from exc
 
-    config = RunConfig(
-        model=_ablation_model(build("model", modelmod.ModelConfig, model_raw), mode),
+    return RunConfig(
+        model=build("model", modelmod.ModelConfig, model_raw),
         train=build("train", training.TrainConfig, train_raw),
         endpoint=build("endpoint", orch.EndpointConfig, endpoint_raw),
-        ablation=mode,
     )
-    if model_raw.get("homogeneous", config.model.homogeneous) != config.model.homogeneous:
-        raise UsageFailure(f"bad configuration in {path}: the {mode.value} ablation sets the "
-                           f"model's 'homogeneous' to {config.model.homogeneous}")
-    return config
-
-
-def _ablation_model(model: modelmod.ModelConfig,
-                   mode: graphmod.AblationMode) -> modelmod.ModelConfig:
-    """The model an ablation trains: the homogeneous ablation needs the
-    homogeneous model, which reads its ``connected`` relation; the others the typed one."""
-    return dataclasses.replace(model, homogeneous=mode == graphmod.AblationMode.HOMOGENEOUS)
 
 
 def _make_parent(path: Path) -> None:
@@ -299,7 +290,7 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
               help="Papers of a stage in flight at once against an HTTP endpoint.")
 @click.option("--force", is_flag=True, help="Rewrite existing outputs.")
 @click.option("--ablation", type=click.Choice([m.value for m in graphmod.AblationMode]),
-              default=None, help="Ablation mode of train; overrides the config's.")
+              default=None, help="Ablation mode of train; overrides model.ablation.")
 @click.option("-v", "--verbose", is_flag=True)
 @click.pass_context
 def cli(ctx: click.Context, config_path, seed, jobs, force, ablation, verbose) -> None:
@@ -417,12 +408,13 @@ def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_d
 
 
 def _examples(papers: list[tuple], split: str,
-              ablation: graphmod.AblationMode) -> list[training.GraphExample]:
+              ablation: graphmod.AblationMode | str) -> list[training.GraphExample]:
     """The ``split``'s papers as examples, each graph reduced in memory by ``ablation``."""
+    mode = graphmod.AblationMode(ablation)
     examples = []
     for rec, g, vectors in papers:
         if rec.split == split:
-            kept = graphmod.apply_ablation(g, ablation)  # FULL returns g itself
+            kept = graphmod.apply_ablation(g, mode)  # FULL returns g itself
             if kept is not g:  # text keys the cache: equal texts, equal rows
                 row_of = {text: i for i, text in enumerate(g.texts)}
                 vectors = vectors[[row_of[text] for text in kept.texts]]
@@ -443,11 +435,10 @@ def train(obj, manifest, checkpoint_path, history_path) -> None:
     for path in (checkpoint_path, history_path):  # before hours of training, not after
         _make_parent(Path(path))
     papers = _load_papers(load_manifest(manifest), ("train", "val"), cfg.model.input_dim)
-    train_set = _examples(papers, "train", cfg.ablation)
-    val_set = _examples(papers, "val", cfg.ablation)
+    train_set = _examples(papers, "train", cfg.model.ablation)
+    val_set = _examples(papers, "val", cfg.model.ablation)
     # an empty split raises EmptySplit (exit 1) before any step runs
     checkpoint, history = training.train(train_set, val_set, cfg.model, cfg.train)
-    checkpoint.ablation = cfg.ablation  # evaluate reduces its graphs alike
     training.save_checkpoint(checkpoint, checkpoint_path)
     _write_output(Path(history_path),
                   "".join(json.dumps(row, sort_keys=True) + "\n" for row in history), "history")
@@ -502,7 +493,7 @@ def evaluate(obj, manifest, checkpoint_path, split, output, compare_path) -> Non
     theirs = _read_compare(compare_path) if compare_path is not None else None
     checkpoint = training.load_checkpoint(checkpoint_path)
     papers = _load_papers(load_manifest(manifest), (split,), checkpoint.model_config.input_dim)
-    examples = _examples(papers, split, checkpoint.ablation)
+    examples = _examples(papers, split, checkpoint.model_config.ablation)
     if not examples:
         raise DataFailure(f"no graphs in split {split!r}")
 
@@ -530,7 +521,7 @@ def ablate(obj, manifest, output) -> None:
     papers = _load_papers(load_manifest(manifest), ("train", "val", "test"), cfg.model.input_dim)
     rows: list[dict] = []
     for mode in graphmod.AblationMode:
-        model_config = _ablation_model(cfg.model, mode)
+        model_config = dataclasses.replace(cfg.model, ablation=mode.value)
         train_set = _examples(papers, "train", ablation=mode)
         val_set = _examples(papers, "val", ablation=mode)
         test_set = _examples(papers, "test", ablation=mode)

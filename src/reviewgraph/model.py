@@ -7,8 +7,9 @@ matrices per relation key; a learnable prior ``mu`` per meta-relation.
 ``param_layout`` lists them as named tensors of the store's one vector,
 each kind of a layer at equal spacing, so the forward reads the kind as one
 family (``ParamStore.family("layer0/key")``), one tape leaf with a row per
-node type or relation. The homogeneous configuration collapses everything
-to one node type and the single ``connected`` relation.
+node type or relation. The config's ``ablation`` picks the model: the
+homogeneous ablation's has one node type and the single ``connected``
+relation, and every other mode's is typed. The head has a column per label.
 
 The forward pass runs on a batch of graphs as their disjoint union, indexed
 by ``build_graph_index`` in one pass over the integer codes each graph
@@ -67,6 +68,7 @@ from .autodiff import ParamStore, Tensor
 from .graph import (
     DECISION_LABELS,
     FORWARD_RELATIONS,
+    AblationMode,
     DebateGraph,
     Edge,
     NodeType,
@@ -99,18 +101,15 @@ class ModelConfig:
     num_heads: int = 4
     num_layers: int = 2
     ffn_hidden: int = 128
-    num_classes: int = 2
     use_inverse_edges: bool = True
     attention_scale: str = "sqrt_d"  # or "sqrt_dh"
-    homogeneous: bool = False
+    #: The ``AblationMode`` value the model is trained and evaluated under.
+    ablation: str = AblationMode.FULL.value
     seed: int = 0
 
     def __post_init__(self) -> None:
         if min(self.num_heads, self.hidden_dim, self.ffn_hidden) < 1:
             raise ModelError("num_heads, hidden_dim and ffn_hidden must be positive")
-        if self.num_classes < len(DECISION_LABELS):
-            raise ModelError(f"num_classes {self.num_classes} is fewer than the "
-                             f"{len(DECISION_LABELS)} decision labels")
         if self.hidden_dim % self.num_heads != 0:
             raise ModelError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -121,6 +120,14 @@ class ModelConfig:
             raise ModelError(f"unknown attention_scale {self.attention_scale!r}")
         if self.seed < 0:
             raise ModelError(f"seed must be at least 0, not {self.seed}")
+        modes = [m.value for m in AblationMode]
+        if self.ablation not in modes:
+            raise ModelError(f"unknown ablation {self.ablation!r}, not one of {', '.join(modes)}")
+
+    @property
+    def homogeneous(self) -> bool:
+        """The homogeneous ablation's model: one node type and the ``connected`` relation."""
+        return self.ablation == AblationMode.HOMOGENEOUS.value
 
     @property
     def head_dim(self) -> int:
@@ -366,8 +373,8 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return layout + [
         ("head/w1", (config.pool_width, config.ffn_hidden), "xavier"),
         ("head/b1", (config.ffn_hidden,), "zeros"),
-        ("head/w2", (config.ffn_hidden, config.num_classes), "xavier"),
-        ("head/b2", (config.num_classes,), "zeros"),
+        ("head/w2", (config.ffn_hidden, len(DECISION_LABELS)), "xavier"),
+        ("head/b2", (len(DECISION_LABELS),), "zeros"),
     ]
 
 

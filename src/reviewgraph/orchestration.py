@@ -15,6 +15,7 @@ import re
 import struct
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -227,6 +228,14 @@ class EndpointConfig:
         if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
             raise OrchestrationError(
                 f"backoff_base must be finite and at least 0, not {self.backoff_base}")
+        if not self.mock:
+            try:
+                url = urllib.parse.urlsplit(self.base_url)
+            except ValueError:  # such as an unclosed IPv6 bracket
+                url = None
+            if url is None or url.scheme not in ("http", "https") or not url.hostname:
+                raise OrchestrationError("base_url must be an http:// or https:// URL with a "
+                                         f"host unless mock is true, not {self.base_url!r}")
 
 
 T = TypeVar("T")

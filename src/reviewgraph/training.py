@@ -15,8 +15,7 @@ import numpy as np
 
 from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
-from .graph import (DECISION_LABELS, AblationMode, DebateGraph, parse_json, replacing,
-                    require_field_types)
+from .graph import DECISION_LABELS, DebateGraph, parse_json, replacing, require_field_types
 from .model import (
     ModelConfig,
     ModelError,
@@ -187,8 +186,6 @@ class Checkpoint:
     epoch: int
     best_val_macro_f1: float
     params: ParamStore
-    #: The ablation the model was trained under; ``evaluate`` reduces its graphs alike.
-    ablation: AblationMode = AblationMode.FULL
 
 
 def predict_label_index(example: GraphExample, params: ParamStore,
@@ -394,25 +391,26 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
     The payload is the parameter vector as fp32, so each tensor's bytes sit at
     its ``_tensor_table`` offset. The bytes go to ``<path>.tmp`` first, which
     then replaces ``path``, so a crash mid-write leaves any earlier checkpoint
-    at ``path`` intact. Parameters off the model config's layout, or an
-    ablation that does not fit ``model_config.homogeneous``, raise
-    ``CheckpointError`` before anything is written: ``load_checkpoint`` would
-    refuse the file.
+    at ``path`` intact. Parameters off the model config's layout, or a
+    manifest that ``load_checkpoint`` would refuse (``_check_manifest``), raise
+    ``CheckpointError`` before anything is written.
     """
     tensors = _tensor_table(cp.model_config)
     if [(t["name"], t["shape"]) for t in tensors] != \
             [(name, list(t.value.shape)) for name, t in cp.params.items()]:
         raise CheckpointError("the parameters do not follow the model config's layout")
-    _check_ablation(cp.ablation, cp.model_config)
     manifest = {
         "version": cp.version,
         "model_config": asdict(cp.model_config),
         "train_config": asdict(cp.train_config),
         "epoch": cp.epoch,
         "best_val_macro_f1": cp.best_val_macro_f1,
-        "ablation": cp.ablation.value,
         "tensors": tensors,
     }
+    try:
+        _check_manifest(manifest)
+    except (TypeError, VersionMismatch) as exc:
+        raise CheckpointError(f"cannot save checkpoint to {path}: {exc}") from None
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     try:
         with replacing(path) as tmp, open(tmp, "wb") as fh:
@@ -456,20 +454,8 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
         raise CorruptPayload(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorruptPayload("manifest is not a JSON object")
-    # the types of version, epoch and best_val_macro_f1, before the version
-    # test, which true would pass (true == 1)
-    require_field_types("manifest", Checkpoint, manifest)
-    if manifest.get("version") != _CHECKPOINT_VERSION:
-        raise VersionMismatch(f"unsupported checkpoint version {manifest.get('version')}")
-
-    for section, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
-        require_field_types(section, cls, manifest[section])
+    _check_manifest(manifest)
     model_config = ModelConfig(**manifest["model_config"])
-    ablation = AblationMode(manifest["ablation"])  # a checkpoint older than the key has none
-    try:
-        _check_ablation(ablation, model_config)
-    except CheckpointError as exc:
-        raise CorruptPayload(str(exc)) from None
     return Checkpoint(
         version=manifest["version"],
         model_config=model_config,
@@ -477,16 +463,19 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
         epoch=manifest["epoch"],
         best_val_macro_f1=manifest["best_val_macro_f1"],
         params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:], model_config),
-        ablation=ablation,
     )
 
 
-def _check_ablation(ablation: AblationMode, model_config: ModelConfig) -> None:
-    """Raise ``CheckpointError`` unless the model is homogeneous exactly when
-    the ablation is: the pair a checkpoint may hold."""
-    if (ablation is AblationMode.HOMOGENEOUS) != model_config.homogeneous:
-        raise CheckpointError(f"the {ablation.value} ablation does not fit model_config."
-                              f"homogeneous {json.dumps(model_config.homogeneous)}")
+def _check_manifest(manifest: dict) -> None:
+    """The field checks that ``save_checkpoint`` makes before writing and
+    ``load_checkpoint`` after reading: ``TypeError`` or ``VersionMismatch``."""
+    # the types of version, epoch and best_val_macro_f1, before the version
+    # test, which true would pass (true == 1)
+    require_field_types("manifest", Checkpoint, manifest)
+    if manifest.get("version") != _CHECKPOINT_VERSION:
+        raise VersionMismatch(f"unsupported checkpoint version {manifest.get('version')}")
+    for section, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
+        require_field_types(section, cls, manifest[section])
 
 
 def _tensor_table(config: ModelConfig) -> list[dict]:

@@ -115,6 +115,15 @@ def version_1_file(data: bytes) -> bytes:
     return data[:6] + b"1" + data[7:len(data) - 32 * header["num_nodes"]]
 
 
+def older_model_config(manifest: dict) -> dict:
+    """A checkpoint manifest given the model config of the format before the
+    config held the ablation: ``homogeneous`` and ``num_classes`` in its place."""
+    config = manifest["model_config"]
+    config["homogeneous"] = config.pop("ablation") == "homogeneous"
+    config["num_classes"] = 2
+    return manifest
+
+
 def set_code(table, row, column, value):
     """An edit that sets one node code (``table`` "nodes": a type, speaker
     or dimension row) or one entry of an edge row (``table`` "edges") of a

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipeline_utils import (columnar_file, columnar_form, cut_in_edge_rows, header_edit,
-                            header_swap, make_workspace, row_form, run, run_stage_pipeline,
-                            set_code, set_column, version_1_file)
+                            header_swap, make_workspace, older_model_config, row_form, run,
+                            run_stage_pipeline, set_code, set_column, version_1_file)
 from reviewgraph import autodiff as ad
 from reviewgraph import cli
 from reviewgraph import graph as graphmod
@@ -468,13 +468,14 @@ NON_FULL_MODES = [m for m in graphmod.AblationMode if m is not graphmod.Ablation
 @pytest.mark.parametrize("mode", NON_FULL_MODES, ids=lambda m: m.value)
 def test_train_ablation_reduces_the_graphs_it_reads(built_workspace, tmp_path, mode):
     """On full graph files, ``--ablation M train`` trains on the graphs that
-    ``apply_ablation`` reduces by M and records M in the checkpoint, and
+    ``apply_ablation`` reduces by M and records M in the checkpoint's model config, and
     ``evaluate`` with no flag applies it as if the files held reduced graphs."""
     root, manifest = built_workspace
     full, _ = _train_checkpoint(root, manifest, tmp_path / "full")
     checkpoint, history = _train_checkpoint(root, manifest, tmp_path / "m",
                                             "--ablation", mode.value)
-    assert checkpoint.ablation is mode and full.ablation is graphmod.AblationMode.FULL
+    assert checkpoint.model_config.ablation == mode.value
+    assert full.model_config.ablation == "full"
     assert checkpoint.params.flat.tobytes() != full.params.flat.tobytes()
 
     cfg = cli.load_run_config(root / "run.json", seed=7, ablation=mode.value)
@@ -505,6 +506,31 @@ def test_train_ablation_reduces_the_graphs_it_reads(built_workspace, tmp_path, m
                    str(tmp_path / "m.rvgc"), "--split", "train", "--output", str(out)) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_config_ablation_trains_as_the_flag_does_and_the_flag_overrides_it(built_workspace,
+                                                                           tmp_path):
+    """``model.ablation`` in the run config and ``--ablation`` give the same
+    checkpoint and history bytes, and the flag wins over the config's key."""
+    root, manifest = built_workspace
+    config = json.loads((root / "run.json").read_text())
+    config["model"]["ablation"] = "no_title"
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps(config))
+
+    def outputs(name, config_path, *options):
+        checkpoint, history = tmp_path / f"{name}.rvgc", tmp_path / f"{name}.jsonl"
+        assert main(["--config", str(config_path), "--seed", "7", *options, "train",
+                     str(manifest), "--checkpoint", str(checkpoint),
+                     "--history", str(history)]) == 0
+        return checkpoint.read_bytes(), history.read_bytes()
+
+    keyed_no_title = outputs("keyed", keyed)
+    assert keyed_no_title == outputs("flag", root / "run.json", "--ablation", "no_title")
+    overridden = outputs("overridden", keyed, "--ablation", "no_rar")
+    assert overridden == outputs("no_rar", root / "run.json", "--ablation", "no_rar")
+    assert overridden != keyed_no_title
+    assert training.load_checkpoint(tmp_path / "overridden.rvgc").model_config.ablation == "no_rar"
 
 
 def test_ablate_ignores_how_the_graphs_were_built(built_workspace, tmp_path):
@@ -853,7 +879,7 @@ def _title_query(doc):
 
 #: Malformed checkpoint-manifest edits, and the error line's text after the
 #: file's name: it names the entry of ``layer0/query/title``, or a config
-#: field of the wrong type or outside its domain, or an ablation the model does not fit.
+#: field of the wrong type or outside its domain.
 TITLE_QUERY = "tensor 'layer0/query/title'"
 BAD_CHECKPOINTS = {
     "negative-offset": (lambda doc: _title_query(doc).update(offset=-4), TITLE_QUERY),
@@ -870,9 +896,6 @@ BAD_CHECKPOINTS = {
     "negative-learning-rate": (lambda doc: doc["train_config"].update(learning_rate=-1),
                                "malformed manifest: TrainingError: learning_rate must be "
                                "finite and above 0, not -1"),
-    "homogeneous-ablation": (lambda doc: doc.update(ablation="homogeneous"),
-                             "the homogeneous ablation does not fit model_config.homogeneous "
-                             "false"),
 }
 
 
@@ -1125,8 +1148,8 @@ def test_homogeneous_ablation_trains_and_evaluates_the_homogeneous_model(tmp_pat
                "--checkpoint", str(tmp_path / "h.rvgc"),
                "--history", str(tmp_path / "h.jsonl")) == 0
     checkpoint = training.load_checkpoint(tmp_path / "h.rvgc")
+    assert checkpoint.model_config.ablation == "homogeneous"
     assert checkpoint.model_config.homogeneous
-    assert checkpoint.ablation is graphmod.AblationMode.HOMOGENEOUS
     assert run(tmp_path, "evaluate", str(manifest), "--checkpoint", str(tmp_path / "h.rvgc"),
                "--output", str(tmp_path / "ev.json")) == 0
 
@@ -1142,13 +1165,6 @@ def test_typed_model_on_homogenized_graphs_exits_3_naming_the_paper(tmp_path, ca
     assert re.fullmatch(r"data error: p[012]: the connected relation of a homogenized graph "
                         r"needs the homogeneous model \(the homogeneous ablation\)\n", err)
     assert command == "train" or err.startswith("data error: p2: ")
-
-
-def test_config_homogeneous_that_contradicts_the_ablation_is_a_usage_error(tmp_path, capsys):
-    manifest = make_workspace(tmp_path, THREE_PAPERS, {"model": {"homogeneous": True}})
-    assert run(tmp_path, "simulate", str(manifest)) == 1
-    assert "the full ablation sets the model's 'homogeneous' to False" in capsys.readouterr().err
-    assert run(tmp_path, "--ablation", "homogeneous", "simulate", str(manifest)) == 0
 
 
 #: Config values whose JSON type is not the field's: each exits 1 naming the field.
@@ -1207,8 +1223,9 @@ def test_config_size_out_of_range_exits_1(tmp_path, capsys, config, command):
     assert not (tmp_path / "work" / "p0.transcript.json").exists()
 
 
-#: Values outside their domain, with the command that reads them and the
-#: option or field the error must name: each exits 1 before any stage runs.
+#: Values outside their domain, and keys that are no part of a run config,
+#: with the command that reads them and the option, field or key the error
+#: must name: each exits 1 before any stage runs.
 OUT_OF_DOMAIN = {
     "seed-option-train": (["--seed", "-1"], {}, ["train", "{manifest}"], "'--seed'"),
     "seed-option-ablate": (["--seed", "-1"], {}, ["ablate", "{manifest}"], "'--seed'"),
@@ -1248,6 +1265,27 @@ OUT_OF_DOMAIN = {
     "nan-threshold": (["--seed", "0"], {}, ["gradcheck", "--threshold", "nan"], "--threshold"),
     "infinite-threshold": (["--seed", "0"], {}, ["gradcheck", "--threshold", "inf"],
                            "--threshold"),
+    "unknown-model-ablation": ([], {"model": {"ablation": "no_author"}}, ["train", "{manifest}"],
+                               "model: unknown ablation 'no_author'"),
+    # the model's mode is its ablation: the fields it replaced are unknown ones
+    "model-homogeneous": ([], {"model": {"homogeneous": True}}, ["simulate", "{manifest}"],
+                          "'homogeneous'"),
+    "model-num-classes": ([], {"model": {"num_classes": 2}}, ["train", "{manifest}"],
+                          "'num_classes'"),
+    # a run config has its three sections and no other key
+    "top-level-ablation": ([], {"ablation": "no_title"}, ["train", "{manifest}"],
+                           "unknown key 'ablation'"),
+    "misspelled-section": ([], {"modle": {"hidden_dim": 8}}, ["train", "{manifest}"],
+                           "unknown key 'modle'"),
+    # an HTTP endpoint needs an http(s) URL with a host
+    "mock-false-without-url": ([], {"endpoint": {"mock": False}}, ["simulate", "{manifest}"],
+                               "endpoint: base_url must be an http:// or https:// URL"),
+    "ftp-url": ([], {"endpoint": {"mock": False, "base_url": "ftp://example.invalid"}},
+                ["simulate", "{manifest}"], "endpoint: base_url"),
+    "url-without-host": ([], {"endpoint": {"mock": False, "base_url": "https:///v1"}},
+                         ["simulate", "{manifest}"], "endpoint: base_url"),
+    "unclosed-ipv6-url": ([], {"endpoint": {"mock": False, "base_url": "http://[::1/v1"}},
+                          ["simulate", "{manifest}"], "endpoint: base_url"),
 }
 
 
@@ -1312,6 +1350,9 @@ def _with_doc(change):
     return edit
 
 
+_OLDER_MODEL_CONFIG = ("malformed manifest: TypeError: ModelConfig.__init__() got an "
+                       "unexpected keyword argument 'homogeneous'")
+
 #: Checkpoint faults that ``load_checkpoint`` reports by name: (edit of the
 #: file's bytes and its manifest length, message).
 BROKEN_CHECKPOINT_FILES = {
@@ -1325,9 +1366,12 @@ BROKEN_CHECKPOINT_FILES = {
                        "manifest 'tensors' is not a list"),
     "last-tensor-missing": (_with_doc(lambda d: d["tensors"].pop()),
                             "tensor 'head/b2' is missing from the manifest"),
-    # a checkpoint written before the ablation was recorded must be retrained
-    "no-ablation": (_with_doc(lambda d: d.pop("ablation")),
-                    "malformed manifest: KeyError: 'ablation'"),
+    # a checkpoint written before the model config held the ablation must be
+    # retrained: one written before the ablation was recorded, and one that
+    # recorded it beside the model config
+    "no-ablation": (_with_doc(older_model_config), _OLDER_MODEL_CONFIG),
+    "top-level-ablation": (_with_doc(lambda d: older_model_config(d).update(ablation="full")),
+                           _OLDER_MODEL_CONFIG),
 }
 
 

@@ -8,7 +8,8 @@ import pytest
 from oracles import dense_forward, dense_trace, permute_graph, reference_graph_index
 from reviewgraph import autodiff as ad
 from reviewgraph import model as modelmod
-from reviewgraph.graph import AblationMode, DebateGraph, apply_ablation, assemble, skeleton
+from reviewgraph.graph import (DECISION_LABELS, AblationMode, DebateGraph, apply_ablation,
+                               assemble, skeleton)
 from reviewgraph.model import (
     PREDICT_EDGE_BUDGET,
     DimMismatch,
@@ -53,6 +54,25 @@ def test_config_rejects_bad_head_split():
         ModelConfig(input_dim=4, hidden_dim=10, num_heads=4)
 
 
+@pytest.mark.parametrize("ablation", ["no_author", AblationMode.FULL, ""])
+def test_config_rejects_an_unknown_ablation(ablation):
+    with pytest.raises(ModelError, match="unknown ablation"):
+        ModelConfig(input_dim=4, ablation=ablation)
+
+
+def test_config_homogeneous_follows_the_ablation_and_cannot_be_set():
+    assert [ModelConfig(input_dim=4, ablation=m.value).homogeneous for m in AblationMode] == \
+        [m is AblationMode.HOMOGENEOUS for m in AblationMode]
+    for field in ("homogeneous", "num_classes"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            ModelConfig(input_dim=4, **{field: 2})
+    with pytest.raises(AttributeError):
+        SMALL.homogeneous = True
+    # the head has one column per decision label
+    assert dict((name, shape) for name, shape, _init in param_layout(SMALL))["head/b2"] == \
+        (len(DECISION_LABELS),)
+
+
 def test_config_scale_divisor():
     assert SMALL.scale_divisor == np.sqrt(8)
     alt = dataclasses.replace(SMALL, attention_scale="sqrt_dh")
@@ -63,7 +83,7 @@ def test_relation_keys_counts():
     assert len(relation_keys(SMALL)) == 26
     no_inv = dataclasses.replace(SMALL, use_inverse_edges=False)
     assert len(relation_keys(no_inv)) == 13
-    homog = dataclasses.replace(SMALL, homogeneous=True)
+    homog = dataclasses.replace(SMALL, ablation="homogeneous")
     assert relation_keys(homog) == ["connected"]
     assert node_type_keys(homog) == ["node"]
 
@@ -75,7 +95,7 @@ def test_meta_key_orients_inverse_relations():
 
 def test_param_count_homogeneous_vs_heterogeneous():
     het = init_params(SMALL, 0)
-    homog = init_params(dataclasses.replace(SMALL, homogeneous=True), 0)
+    homog = init_params(dataclasses.replace(SMALL, ablation="homogeneous"), 0)
     assert len(homog) < len(het)
     # per layer: 3 projections + agg + rescale per type, 2 matrices + mu per relation
     per_layer_het = 5 * 4 + 3 * 26
@@ -110,14 +130,14 @@ def reference_init_params(config, seed):
             out[f"layer{layer}/rescale/{t}"] = np.asarray(1.0)
     out["head/w1"] = xavier(config.pool_width, config.ffn_hidden)
     out["head/b1"] = np.zeros(config.ffn_hidden)
-    out["head/w2"] = xavier(config.ffn_hidden, config.num_classes)
-    out["head/b2"] = np.zeros(config.num_classes)
+    out["head/w2"] = xavier(config.ffn_hidden, len(DECISION_LABELS))
+    out["head/b2"] = np.zeros(len(DECISION_LABELS))
     return out
 
 
-@pytest.mark.parametrize("homogeneous", [False, True], ids=["typed", "homogeneous"])
-def test_init_params_fills_one_vector_in_layout_order(homogeneous):
-    config = dataclasses.replace(SMALL, homogeneous=homogeneous)
+@pytest.mark.parametrize("ablation", ["full", "homogeneous"], ids=["typed", "homogeneous"])
+def test_init_params_fills_one_vector_in_layout_order(ablation):
+    config = dataclasses.replace(SMALL, ablation=ablation)
     params = init_params(config, 7)
     layout = param_layout(config)
     assert [(name, t.value.shape) for name, t in params.items()] == \
@@ -233,7 +253,7 @@ def test_predict_matches_dense_oracle():
 
 
 def test_predict_matches_dense_oracle_homogeneous():
-    config = dataclasses.replace(SMALL, homogeneous=True)
+    config = dataclasses.replace(SMALL, ablation="homogeneous")
     for seed in range(5):
         g = apply_ablation(random_debate_graph(seed, f"h-{seed}"),
                            AblationMode.HOMOGENEOUS)
@@ -375,7 +395,7 @@ def tape_ops(loss):
     return ops
 
 
-HOMOGENEOUS = dataclasses.replace(SMALL, homogeneous=True)
+HOMOGENEOUS = dataclasses.replace(SMALL, ablation="homogeneous")
 NO_INVERSE = dataclasses.replace(SMALL, use_inverse_edges=False)
 
 

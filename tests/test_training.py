@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import confusion_metrics
+from pipeline_utils import older_model_config
 from reviewgraph import autodiff, graph as graphmod, training
 from reviewgraph.autodiff import ParamStore
 from reviewgraph.graph import RelationType
@@ -370,43 +371,52 @@ def reference_checkpoint_bytes(cp):
         "train_config": dataclasses.asdict(cp.train_config),
         "epoch": cp.epoch,
         "best_val_macro_f1": cp.best_val_macro_f1,
-        "ablation": cp.ablation.value,
         "tensors": tensors,
     }
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     return b"RVGC" + struct.pack("<I", len(mbytes)) + mbytes + bytes(payload)
 
 
-@pytest.mark.parametrize("homogeneous", [False, True], ids=["typed", "homogeneous"])
-def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, homogeneous):
+@pytest.mark.parametrize("ablation", [m.value for m in graphmod.AblationMode],
+                         ids=["typed", "no_title", "no_eval", "no_rar", "no_irr", "homogeneous"])
+def test_checkpoint_bytes_match_per_tensor_writer_and_round_trip(tmp_path, ablation):
+    """Each mode's model, which the model config alone records."""
     cp = make_checkpoint(seed=4)
-    cp.model_config = dataclasses.replace(MC, homogeneous=homogeneous)
-    cp.ablation = graphmod.AblationMode("homogeneous" if homogeneous else "full")
+    cp.model_config = dataclasses.replace(MC, ablation=ablation)
     cp.params = init_params(cp.model_config, 4)
     cp.params.flat[:] += np.random.default_rng(4).standard_normal(cp.params.flat.size) * 1e-3
     path = tmp_path / "m.rvgc"
     save_checkpoint(cp, path)
     assert path.read_bytes() == reference_checkpoint_bytes(cp)
     loaded = load_checkpoint(path)
+    assert loaded.model_config == cp.model_config
+    assert loaded.model_config.homogeneous == (ablation == "homogeneous")
     assert [name for name, _ in loaded.params.items()] == [name for name, _ in cp.params.items()]
     np.testing.assert_array_equal(loaded.params.flat,
                                   cp.params.flat.astype("<f4").astype(np.float64))
     assert all(np.shares_memory(t.value, loaded.params.flat) for _, t in loaded.params.items())
 
 
-@pytest.mark.parametrize("homogeneous, mode", [(True, "full"), (False, "homogeneous")])
-def test_save_checkpoint_refuses_an_ablation_the_model_does_not_fit(tmp_path, homogeneous, mode):
-    """The pair ``load_checkpoint`` would refuse raises its message before
-    anything is written: no file and no ``.tmp``."""
-    cp = make_checkpoint(seed=4)
-    cp.model_config = dataclasses.replace(MC, homogeneous=homogeneous)
-    cp.ablation = graphmod.AblationMode(mode)
-    cp.params = init_params(cp.model_config, 4)
-    with pytest.raises(training.CheckpointError) as info:
-        save_checkpoint(cp, tmp_path / "m.rvgc")
-    assert str(info.value) == (f"the {mode} ablation does not fit model_config.homogeneous "
-                               f"{json.dumps(homogeneous)}")
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("field, value, message", [
+    ("version", 2, "unsupported checkpoint version 2"),
+    ("version", 0, "unsupported checkpoint version 0"),
+    ("version", True, "manifest.version must be an integer, not true"),
+    ("epoch", "3", 'manifest.epoch must be an integer, not "3"'),
+    ("best_val_macro_f1", "x", 'manifest.best_val_macro_f1 must be a float64 number, not "x"'),
+], ids=["version-2", "version-0", "boolean-version", "string-epoch", "string-best-val-macro-f1"])
+def test_save_checkpoint_refuses_a_manifest_that_load_checkpoint_would(tmp_path, field, value,
+                                                                       message):
+    """It raises before anything is written: a new path gets no file, an
+    existing checkpoint stays as it was, and no ``.tmp`` is left."""
+    bad = dataclasses.replace(make_checkpoint(), **{field: value})
+    old = tmp_path / "old.rvgc"
+    save_checkpoint(make_checkpoint(), old)
+    before = old.read_bytes()
+    for path in (tmp_path / "new.rvgc", old):
+        with pytest.raises(training.CheckpointError) as info:
+            save_checkpoint(bad, path)
+        assert str(info.value) == f"cannot save checkpoint to {path}: {message}"
+    assert list(tmp_path.iterdir()) == [old] and old.read_bytes() == before
 
 
 def edit_manifest(path, edit):
@@ -484,18 +494,19 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     # config values outside their domain
     lambda m: m["model_config"].update(hidden_dim=0),
     lambda m: m["train_config"].update(learning_rate=-1.0),
-    # the ablation the model was trained under: missing (written before the key
-    # existed), unknown, not a string, or not the one its model config fits
-    lambda m: m.pop("ablation"),
-    lambda m: m.update(ablation="no_author"),
-    lambda m: m.update(ablation=1),
-    lambda m: m.update(ablation="homogeneous"),
+    # the model config of a checkpoint written before it held the ablation,
+    # without and with the top-level ablation of the versions that recorded it
+    lambda m: older_model_config(m),
+    lambda m: older_model_config(m).update(ablation="full"),
+    # the ablation the model was trained under: unknown, or not a string
+    lambda m: m["model_config"].update(ablation="no_author"),
+    lambda m: m["model_config"].update(ablation=1),
 ], ids=["no-epoch", "no-tensors", "no-model-config", "unknown-model-config-key",
         "float-hidden-dim", "fractional-model-seed", "fractional-train-seed",
         "fractional-batch-size", "string-shuffle", "train-config-not-an-object",
         "string-epoch", "string-best-val-macro-f1", "boolean-version",
-        "zero-hidden-dim", "negative-learning-rate", "no-ablation", "unknown-ablation",
-        "numeric-ablation", "homogeneous-ablation-of-a-typed-model"])
+        "zero-hidden-dim", "negative-learning-rate", "no-ablation", "top-level-ablation",
+        "unknown-ablation", "numeric-ablation"])
 def test_checkpoint_rejects_malformed_manifest(tmp_path, edit):
     path = tmp_path / "m.rvgc"
     save_checkpoint(make_checkpoint(), path)
