@@ -16,6 +16,19 @@ cd "$(mktemp -d)"
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "d0.transcript"}}' > m.jsonl
 printf '%s\n' '{"paper_id": "d0", "title": "A title", "body": "A body."}' > d0.json
 mkdir -p d0.transcript
+# a paper w0 through the five stages on the mock endpoint
+printf '%s\n' '{"paper_id": "w0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "w0.transcript.json", "triples": "w0.triples.json", "dims": "w0.dims.json", "embeddings": "w0.emb", "graph": "w0.graph.json"}}' > w.jsonl
+for stage in simulate extract classify embed build-graph; do
+  reviewgraph "$stage" w.jsonl
+done
+# w0's triples with one element damaged, as no model reply is ever written
+python3 -c '
+import json
+doc = json.load(open("w0.triples.json"))
+doc["Reviewer_Author_Relations"][0] = "garbage"
+json.dump(doc, open("x0.triples.json", "w"))
+'
+printf '%s\n' '{"paper_id": "x0", "split": "train", "label": "accept", "paths": {"transcript": "w0.transcript.json", "triples": "x0.triples.json", "dims": "w0.dims.json", "graph": "x0.graph.json"}}' > x.jsonl
 # binary graph files of the five-node skeleton: d0 cut off inside its edge
 # rows, before its block of 32-byte node keys, as an interrupted write leaves
 # it; l0 whole; g0 with a header whose graph_id is a number; v0 in the layout
@@ -34,13 +47,14 @@ for name, blob in (("d0", data[:keys_at - 5]), ("l0", data),
     open(name + ".graph.json", "wb").write(blob)
 '
 printf '%s\n' '{"paper_id": "d0", "split": "train", "label": "accept", "paths": {"graph": "d0.graph.json", "embeddings": "d0.emb"}}' > torn.jsonl
-# a graph file of the older row form, one object per node and per edge
-printf '%s\n' '{"paper_id": "r0", "split": "train", "label": "accept", "paths": {"graph": "r0.graph.json", "embeddings": "r0.emb"}}' > rows.jsonl
+# a graph file of the older row form, one object per node and per edge; this
+# manifest and the next two also name w0's inputs of the stage to rerun
+printf '%s\n' '{"paper_id": "r0", "split": "train", "label": "accept", "paths": {"graph": "r0.graph.json", "embeddings": "r0.emb", "transcript": "w0.transcript.json", "triples": "w0.triples.json", "dims": "w0.dims.json"}}' > rows.jsonl
 printf '%s\n' '{"edges": [{"dst": 1, "inverse": false, "relation": "has_aspect", "src": 0}], "graph_id": "r0", "label": "accept", "nodes": [{"id": 0, "text": "A title", "type": "title"}, {"id": 1, "text": "Clarity", "type": "evaluation_dimension"}]}' > r0.graph.json
 # the graph file v0 of version 1
-printf '%s\n' '{"paper_id": "v0", "split": "train", "label": "accept", "paths": {"graph": "v0.graph.json", "embeddings": "v0.emb"}}' > v1.jsonl
+printf '%s\n' '{"paper_id": "v0", "split": "train", "label": "accept", "paths": {"graph": "v0.graph.json", "embeddings": "v0.emb", "transcript": "w0.transcript.json", "triples": "w0.triples.json", "dims": "w0.dims.json"}}' > v1.jsonl
 # the whole graph l0 beside an embedding cache of the older JSON-lines form
-printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb"}}' > lines.jsonl
+printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb", "transcript": "w0.transcript.json", "triples": "w0.triples.json"}}' > lines.jsonl
 printf '%s\n' '{"dim": 2, "sha256": "0000000000000000000000000000000000000000000000000000000000000000", "vector": [0.5, 0.5]}' > l0.emb
 # train and val papers over the graph g0, whose graph_id is a number, with a
 # binary embedding cache of its five texts
@@ -88,7 +102,10 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
             "1 --config nourl.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
             "3 evaluate m.jsonl --checkpoint bad.rvgc" "3 evaluate m.jsonl --checkpoint deep.rvgc" \
-            "3 evaluate m.jsonl --checkpoint old.rvgc"; do
+            "3 evaluate m.jsonl --checkpoint old.rvgc" "3 build-graph x.jsonl" \
+            "1 --ablation no_rar evaluate m.jsonl --checkpoint bad.rvgc" \
+            "1 evaluate m.jsonl --checkpoint bad.rvgc --ablation no_rar" \
+            "1 --force train w.jsonl" "1 train w.jsonl --force"; do
   set -- $case
   want=$1
   shift
@@ -101,12 +118,19 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
   fi
 done
 
-# a graph or cache of an older form or version also names the stage to rerun
+# a graph or cache of an older form or version also names the stage to
+# rerun, and that rerun rewrites it
 for case in "rows.jsonl build-graph" "v1.jsonl build-graph" "lines.jsonl embed"; do
   set -- $case
   reviewgraph train "$1" 2> stderr.txt || true
   if ! grep -q -- "rerun \`reviewgraph $2 --force\`\$" stderr.txt; then
     echo "reviewgraph train $1: does not name $2 as the stage to rerun with --force"
+    exit 1
+  fi
+  code=0
+  reviewgraph "$2" --force "$1" || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "reviewgraph $2 --force $1: exit $code, expected 0"
     exit 1
   fi
 done

@@ -114,12 +114,12 @@ class RunConfig:
 _SECTIONS = ("endpoint", "model", "train")  # a run config's only top-level keys
 
 
-def load_run_config(path: str | Path | None, seed: int | None = None,
-                    ablation: str | None = None) -> RunConfig:
+def load_run_config(path: str | Path | None, seed: int | None = None) -> RunConfig:
     """One JSON object with optional endpoint, model and train object
-    sections and no other key. The ablation mode is ``model.ablation``.
+    sections and no other key. The ablation mode is ``model.ablation``,
+    which ``train --ablation`` overrides.
 
-    --seed overrides every seed field; --ablation overrides ``model.ablation``.
+    --seed overrides every seed field.
     """
     raw: dict = {}
     if path is not None:
@@ -153,8 +153,6 @@ def load_run_config(path: str | Path | None, seed: int | None = None,
         model_raw["seed"] = seed
         train_raw["seed"] = seed
         endpoint_raw["mock_seed"] = seed
-    if ablation is not None:
-        model_raw["ablation"] = ablation
 
     def build(section: str, cls: type[T], values: dict) -> T:
         try:
@@ -212,8 +210,10 @@ def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
 
 
 def _read_triples(rec: ManifestRecord) -> extraction.TripleBatch:
-    return _read(rec, "triples",
-                 lambda path: extraction.parse_triple_batch(path.read_bytes(), rec.paper_id))
+    """The triples file ``extract`` wrote, read strictly: one malformed element
+    is a ``DataFailure`` naming the paper, the file and the element."""
+    return _read(rec, "triples", lambda path: extraction.parse_triple_batch(
+        path.read_bytes(), rec.paper_id, strict=True))
 
 
 def _parse_dims(path: Path) -> list[extraction.DimensionAssignment]:
@@ -234,9 +234,9 @@ _STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.IncompleteTranscript, orch.Extractio
 
 def _run_stage(obj: dict, manifest: str, name: str, kind: str,
                write: Callable[[ManifestRecord, Path, orch.BaseClient], None],
-               fan_out: bool = True) -> None:
+               force: bool, fan_out: bool) -> None:
     """Call ``write(rec, tmp, client)`` for every paper whose ``kind`` output
-    is not a regular file (every paper under ``--force``), with the one
+    is not a regular file (every paper if ``force``), with the one
     client of the run config's endpoint, whose requests the summary line
     counts. ``tmp`` replaces the output only when ``write`` returns, so an
     output that a rerun skips is never a partial one, and an output that
@@ -262,7 +262,7 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
         if first is not rec:
             raise DataFailure(f"{first.paper_id} and {rec.paper_id}: both write the "
                               f"{kind} file {out}")
-    todo = [(rec, out) for rec, out in records if obj["force"] or not out.is_file()]
+    todo = [(rec, out) for rec, out in records if force or not out.is_file()]
 
     def run(item: tuple[ManifestRecord, Path]) -> None:
         rec, out = item
@@ -287,94 +287,77 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
               help="Run configuration JSON.")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override all seeds.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Papers of a stage in flight at once against an HTTP endpoint.")
-@click.option("--force", is_flag=True, help="Rewrite existing outputs.")
-@click.option("--ablation", type=click.Choice([m.value for m in graphmod.AblationMode]),
-              default=None, help="Ablation mode of train; overrides model.ablation.")
+              help="Papers of a stage in flight at once against an HTTP endpoint; "
+                   "only the five stage commands read it.")
 @click.option("-v", "--verbose", is_flag=True)
 @click.pass_context
-def cli(ctx: click.Context, config_path, seed, jobs, force, ablation, verbose) -> None:
+def cli(ctx: click.Context, config_path, seed, jobs, verbose) -> None:
     """Debate-graph pipeline: simulate, extract, classify, embed, build, train."""
     logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    ctx.obj = {
-        "config": load_run_config(config_path, seed, ablation),
-        "jobs": jobs,
-        "force": force,
-        "seed": seed,
-    }
+    ctx.obj = {"config": load_run_config(config_path, seed), "jobs": jobs, "seed": seed}
 
 
-@cli.command()
-@click.argument("manifest", type=click.Path())
-@click.pass_obj
-def simulate(obj, manifest) -> None:
+def _stage(name: str, kind: str, fan_out: bool = True):
+    """Register ``write(rec, tmp, client)`` as the stage command ``name``: it
+    takes MANIFEST and --force, its help is ``write``'s docstring, and it
+    runs ``_run_stage`` over the papers' ``kind`` outputs."""
+    def register(write):
+        @cli.command(name, help=write.__doc__)
+        @click.argument("manifest", type=click.Path())
+        @click.option("--force", is_flag=True, help="Rewrite existing outputs.")
+        @click.pass_obj
+        def command(obj, manifest, force) -> None:
+            _run_stage(obj, manifest, name, kind, write, force, fan_out)
+        return write
+    return register
+
+
+@_stage("simulate", "transcript")
+def simulate(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
     """Run the reviewer-author debate for each paper in MANIFEST."""
-    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
-        paper = _read(rec, "paper", orch.load_paper)
-        orch.save_transcript(orch.simulate_debate(paper, client), tmp)
-
-    _run_stage(obj, manifest, "simulate", "transcript", write)
+    paper = _read(rec, "paper", orch.load_paper)
+    orch.save_transcript(orch.simulate_debate(paper, client), tmp)
 
 
-@cli.command()
-@click.argument("manifest", type=click.Path())
-@click.pass_obj
-def extract(obj, manifest) -> None:
+@_stage("extract", "triples")
+def extract(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
     """Extract opinion triples from each transcript."""
-    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
-        batch = orch.extract_triples(_read(rec, "transcript", orch.load_transcript), client)
-        tmp.write_text(graphmod.compact_json(
-            {"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}))
-
-    _run_stage(obj, manifest, "extract", "triples", write)
+    batch = orch.extract_triples(_read(rec, "transcript", orch.load_transcript), client)
+    tmp.write_text(graphmod.compact_json(
+        {"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}))
 
 
-@cli.command()
-@click.argument("manifest", type=click.Path())
-@click.pass_obj
-def classify(obj, manifest) -> None:
+@_stage("classify", "dims")
+def classify(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
     """Assign an evaluation dimension to every distinct reviewer opinion."""
-    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
-        dims = orch.classify_dimensions(_read_triples(rec), client)
-        tmp.write_text(graphmod.compact_json([
-            {"speaker": d.speaker, "text": d.text, "dimension": d.dimension.value}
-            for d in dims
-        ]))
-
-    _run_stage(obj, manifest, "classify", "dims", write)
+    dims = orch.classify_dimensions(_read_triples(rec), client)
+    tmp.write_text(graphmod.compact_json([
+        {"speaker": d.speaker, "text": d.text, "dimension": d.dimension.value}
+        for d in dims
+    ]))
 
 
-@cli.command()
-@click.argument("manifest", type=click.Path())
-@click.pass_obj
-def embed(obj, manifest) -> None:
+@_stage("embed", "embeddings")
+def embed(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
     """Embed every node text into the per-paper embedding cache."""
-    def write(rec: ManifestRecord, tmp: Path, client: orch.BaseClient) -> None:
-        # the texts of every node a graph built from this paper will carry
-        title = _read(rec, "transcript", orch.load_transcript).title
-        texts = [extraction.normalize_text(title), *graphmod.DIMENSION_LABELS.values()]
-        texts += [text for t in _read_triples(rec).triplets for text in (t.text_a, t.text_b)]
-        orch.embed_texts(list(dict.fromkeys(texts)), client, orch.EmbeddingCache(tmp))
-
-    _run_stage(obj, manifest, "embed", "embeddings", write)
+    # the texts of every node a graph built from this paper will carry
+    title = _read(rec, "transcript", orch.load_transcript).title
+    texts = [extraction.normalize_text(title), *graphmod.DIMENSION_LABELS.values()]
+    texts += [text for t in _read_triples(rec).triplets for text in (t.text_a, t.text_b)]
+    orch.embed_texts(list(dict.fromkeys(texts)), client, orch.EmbeddingCache(tmp))
 
 
-@cli.command("build-graph")
-@click.argument("manifest", type=click.Path())
-@click.pass_obj
-def build_graph_cmd(obj, manifest) -> None:
+# it sends no requests, so threads would only wait for the GIL
+@_stage("build-graph", "graph", fan_out=False)
+def build_graph(rec: ManifestRecord, tmp: Path, _client: orch.BaseClient) -> None:
     """Instantiate, validate, and write each paper's full debate graph."""
-    def write(rec: ManifestRecord, tmp: Path, _client: orch.BaseClient) -> None:
-        g = extraction.build_graph(
-            _read(rec, "transcript", orch.load_transcript).title,
-            _read_triples(rec), _read(rec, "dims", _parse_dims),
-            label=rec.label, graph_id=rec.paper_id,
-        )
-        tmp.write_bytes(graphmod.graph_to_bytes(g))
-
-    # it sends no requests, so threads would only wait for the GIL
-    _run_stage(obj, manifest, "build-graph", "graph", write, fan_out=False)
+    g = extraction.build_graph(
+        _read(rec, "transcript", orch.load_transcript).title,
+        _read_triples(rec), _read(rec, "dims", _parse_dims),
+        label=rec.label, graph_id=rec.paper_id,
+    )
+    tmp.write_bytes(graphmod.graph_to_bytes(g))
 
 
 def _load_papers(records: list[ManifestRecord], splits: tuple[str, ...], input_dim: int
@@ -428,22 +411,25 @@ def _examples(papers: list[tuple], split: str,
               default="checkpoint.rvgc", show_default=True)
 @click.option("--history", "history_path", type=click.Path(),
               default="history.jsonl", show_default=True)
+@click.option("--ablation", type=click.Choice([m.value for m in graphmod.AblationMode]),
+              default=None, help="Ablation mode; overrides model.ablation.")
 @click.pass_obj
-def train(obj, manifest, checkpoint_path, history_path) -> None:
+def train(obj, manifest, checkpoint_path, history_path, ablation) -> None:
     """Train the classifier on the manifest's train/val splits."""
     cfg: RunConfig = obj["config"]
+    model_config = dataclasses.replace(cfg.model, ablation=ablation or cfg.model.ablation)
     for path in (checkpoint_path, history_path):  # before hours of training, not after
         _make_parent(Path(path))
-    papers = _load_papers(load_manifest(manifest), ("train", "val"), cfg.model.input_dim)
-    train_set = _examples(papers, "train", cfg.model.ablation)
-    val_set = _examples(papers, "val", cfg.model.ablation)
+    papers = _load_papers(load_manifest(manifest), ("train", "val"), model_config.input_dim)
+    train_set = _examples(papers, "train", model_config.ablation)
+    val_set = _examples(papers, "val", model_config.ablation)
     # an empty split raises EmptySplit (exit 1) before any step runs
-    checkpoint, history = training.train(train_set, val_set, cfg.model, cfg.train)
+    checkpoint, history = training.train(train_set, val_set, model_config, cfg.train)
     training.save_checkpoint(checkpoint, checkpoint_path)
     _write_output(Path(history_path),
                   "".join(json.dumps(row, sort_keys=True) + "\n" for row in history), "history")
 
-    train_preds = training.predict_label_indices(train_set, checkpoint.params, cfg.model)
+    train_preds = training.predict_label_indices(train_set, checkpoint.params, model_config)
     train_report = training.evaluate(train_preds, [ex.label_index for ex in train_set])
     click.echo(
         f"train: best epoch {checkpoint.epoch}, "

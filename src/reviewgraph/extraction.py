@@ -131,7 +131,10 @@ def normalize_text(s: str) -> str:
 
 
 def _strip_quoted(s: str) -> str:
-    return s.strip().strip(_QUOTE_CHARS + " \t").strip()
+    """``s`` without the whitespace and quote characters at either end."""
+    while (stripped := s.strip().strip(_QUOTE_CHARS)) != s:
+        s = stripped
+    return s
 
 
 def _canonical_speaker(tag: str) -> str:
@@ -200,11 +203,13 @@ def canonical_relation(label: str, group: RelationGroup) -> RelationType:
     return rel
 
 
-def parse_triple_batch(data: str | bytes, graph_id: str) -> TripleBatch:
+def parse_triple_batch(data: str | bytes, graph_id: str, strict: bool = False) -> TripleBatch:
     """Parse the extractor's two-array JSON object.
 
     Malformed elements are skipped and reported in ``batch.malformed``; the
     batch fails hard only if more than half of all elements are malformed.
+    With ``strict``, as for a triples file ``batch_to_dict`` wrote, the first
+    malformed element raises ``MalformedTriple`` naming its array and index.
     """
     try:
         obj = parse_json(data)
@@ -228,6 +233,8 @@ def parse_triple_batch(data: str | bytes, graph_id: str) -> TripleBatch:
                     raise MalformedTriple(f"array element is not a string: {element!r}")
                 out.append(parse_triple_string(element, group))
             except ExtractionError as exc:
+                if strict:
+                    raise MalformedTriple(f"{key}[{i}]: {exc}") from exc
                 malformed.append((group.value, i, str(exc)))
         parsed[key] = out
 

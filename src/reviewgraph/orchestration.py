@@ -865,7 +865,7 @@ class EmbeddingCache:
     ``reviewgraph embed --force``.
     """
 
-    def __init__(self, path: str | Path | None = None, missing_ok: bool = True) -> None:
+    def __init__(self, path: str | Path, missing_ok: bool = True) -> None:
         self.path = path
         self.dim: int | None = None  # every vector's length, fixed by the first one
         self._rows: dict[bytes, int] = {}  # digest -> row of the vector block
@@ -873,8 +873,6 @@ class EmbeddingCache:
         self._added: list[np.ndarray] = []  # rows put since the block was last built
         self._pending: list[bytes] | None = None
         self._has_header = False
-        if path is None:
-            return
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -942,8 +940,6 @@ class EmbeddingCache:
         self.dim = v.shape[0]
         self._rows[d] = len(self._block) + len(self._added)
         self._added.append(v)
-        if self.path is None:
-            return
         record = d + v.astype("<f8").tobytes()
         if self._pending is not None:
             self._pending.append(record)
@@ -979,17 +975,12 @@ class EmbeddingCache:
         return len(self._rows)
 
 
-def embed_texts(
-    texts: Sequence[str],
-    client: BaseClient,
-    cache: EmbeddingCache | None = None,
-) -> list[np.ndarray]:
+def embed_texts(texts: Sequence[str], client: BaseClient, cache: EmbeddingCache
+                ) -> list[np.ndarray]:
     """One vector per input text; cached texts are not re-requested. The new
     vectors go into the cache in one ``put_many``, so a vector whose length
     is not the cache's (or its batch's) raises ``InconsistentDimension`` and
     leaves the cache as it was."""
-    if cache is None:
-        cache = EmbeddingCache()
     digests = list(map(text_key, texts))
     missing = {d: t for d, t in zip(digests, texts) if d not in cache}
     fetched = dict(zip(missing, client.embed(list(missing.values())))) if missing else {}

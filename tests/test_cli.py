@@ -1,6 +1,7 @@
 import base64
 import builtins
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from pipeline_utils import (columnar_file, columnar_form, cut_in_edge_rows, head
                             header_swap, make_workspace, older_model_config, row_form, run,
                             run_stage_pipeline, set_code, set_column, version_1_file)
 from reviewgraph import autodiff as ad
-from reviewgraph import cli
+from reviewgraph import cli, extraction
 from reviewgraph import graph as graphmod
 from reviewgraph import orchestration as orch
 from reviewgraph import training
@@ -81,8 +82,8 @@ def test_force_rewrites(tmp_path, capsys):
     manifest = make_workspace(tmp_path, THREE_PAPERS)
     run(tmp_path, "simulate", str(manifest))
     capsys.readouterr()
-    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7", "--force",
-                 "simulate", str(manifest)])
+    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7",
+                 "simulate", "--force", str(manifest)])
     assert code == 0
     assert "3 written" in capsys.readouterr().out
 
@@ -114,14 +115,14 @@ def test_full_stage_pipeline_and_graph_contents(tmp_path):
 
 
 def test_build_graph_with_no_title_ablation(tmp_path):
-    """A graph file holds the whole debate: build-graph ignores --ablation,
-    which train applies to the graphs it reads."""
+    """A graph file holds the whole debate: build-graph ignores the run
+    config's model.ablation, which train applies to the graphs it reads."""
     manifest = make_workspace(tmp_path, THREE_PAPERS)
     run_stage_pipeline(tmp_path, manifest)
     files = {p: p.read_bytes() for p in (tmp_path / "work").glob("*.graph.json")}
-    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7", "--force",
-                 "--ablation", "no_title", "build-graph", str(manifest)])
-    assert code == 0
+    # the same papers and manifest, and a run config with model.ablation
+    make_workspace(tmp_path, THREE_PAPERS, {"model": {"ablation": "no_title"}})
+    assert run(tmp_path, "build-graph", "--force", str(manifest)) == 0
     assert files == {p: p.read_bytes() for p in files}
     assert load_graph(tmp_path / "work" / "p1.graph.json").nodes_of_type(NodeType.TITLE)
 
@@ -296,8 +297,8 @@ def test_failed_embed_keeps_the_old_cache(tmp_path, monkeypatch):
         raise orch.EndpointError("endpoint went away")
 
     monkeypatch.setattr(orch, "embed_texts", embed_then_fail)
-    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7", "--force",
-                 "embed", str(manifest)])
+    code = main(["--config", str(tmp_path / "run.json"), "--seed", "7",
+                 "embed", "--force", str(manifest)])
     assert code == 2
     after = {p.name: p.read_bytes() for p in (tmp_path / "work").glob("*.emb*")}
     assert after == before
@@ -377,7 +378,8 @@ def _old_form_exits_3_until_rerun(root, capsys, suffix, rewrite, stage):
     """With every ``suffix`` file rewritten by ``rewrite`` into an older form,
     train, evaluate and ablate exit 3 naming the first paper they read, its
     file and the stage to rerun, and leave the files as they are; after
-    ``stage --force`` evaluate gives the report of the files it wrote first."""
+    the command the message names to rerun evaluate gives the report of the
+    files it wrote first."""
     manifest = _trained_workspace(root)
     paths = sorted((root / "work").glob(f"*{suffix}"))
     capsys.readouterr()
@@ -386,6 +388,7 @@ def _old_form_exits_3_until_rerun(root, capsys, suffix, rewrite, stage):
     for path in paths:
         rewrite(path)
     old = [path.read_bytes() for path in paths]
+    hints = set()
     for command, paper, extra in (
             ("train", "p0", ["--checkpoint", str(root / "c2.rvgc"),
                              "--history", str(root / "h2.jsonl")]),
@@ -394,9 +397,11 @@ def _old_form_exits_3_until_rerun(root, capsys, suffix, rewrite, stage):
         assert run(root, command, str(manifest), *extra) == 3
         err = capsys.readouterr().err
         assert f"{paper}: {root / 'work' / paper}{suffix}: " in err
-        assert f"; rerun `reviewgraph {stage} --force`" in err and "Traceback" not in err
+        assert "Traceback" not in err
+        hints.add(re.search(r"; rerun `reviewgraph ([^`]*)`$", err).group(1))
     assert [path.read_bytes() for path in paths] == old  # reading rewrites nothing
-    assert run(root, "--force", stage, str(manifest)) == 0
+    assert hints == {f"{stage} --force"}
+    assert run(root, *hints.pop().split(), str(manifest)) == 0
     capsys.readouterr()
     assert run(root, "evaluate", str(manifest), *_evaluate_args(root)) == 0
     assert (capsys.readouterr().out, (root / "ev.json").read_bytes()) == report
@@ -409,6 +414,13 @@ def test_json_lines_caches_exit_3_until_embed_force_rewrites_them(tmp_path, caps
 def test_row_form_graphs_exit_3_until_build_graph_force_rewrites_them(tmp_path, capsys):
     def rewrite(path):
         path.write_text(json.dumps(row_form(columnar_form(load_graph(path)))))
+
+    _old_form_exits_3_until_rerun(tmp_path, capsys, ".graph.json", rewrite, "build-graph")
+
+
+def test_version_1_graphs_exit_3_until_build_graph_force_rewrites_them(tmp_path, capsys):
+    def rewrite(path):
+        path.write_bytes(version_1_file(path.read_bytes()))
 
     _old_form_exits_3_until_rerun(tmp_path, capsys, ".graph.json", rewrite, "build-graph")
 
@@ -457,7 +469,7 @@ def built_workspace(tmp_path_factory):
 def _train_checkpoint(root, manifest, stem, *options):
     """Train on the workspace at ``root``; the checkpoint and the history's bytes."""
     checkpoint, history = stem.with_suffix(".rvgc"), stem.with_suffix(".jsonl")
-    assert run(root, *options, "train", str(manifest), "--checkpoint", str(checkpoint),
+    assert run(root, "train", str(manifest), *options, "--checkpoint", str(checkpoint),
                "--history", str(history)) == 0
     return training.load_checkpoint(checkpoint), history.read_bytes()
 
@@ -467,7 +479,7 @@ NON_FULL_MODES = [m for m in graphmod.AblationMode if m is not graphmod.Ablation
 
 @pytest.mark.parametrize("mode", NON_FULL_MODES, ids=lambda m: m.value)
 def test_train_ablation_reduces_the_graphs_it_reads(built_workspace, tmp_path, mode):
-    """On full graph files, ``--ablation M train`` trains on the graphs that
+    """On full graph files, ``train --ablation M`` trains on the graphs that
     ``apply_ablation`` reduces by M and records M in the checkpoint's model config, and
     ``evaluate`` with no flag applies it as if the files held reduced graphs."""
     root, manifest = built_workspace
@@ -478,7 +490,8 @@ def test_train_ablation_reduces_the_graphs_it_reads(built_workspace, tmp_path, m
     assert full.model_config.ablation == "full"
     assert checkpoint.params.flat.tobytes() != full.params.flat.tobytes()
 
-    cfg = cli.load_run_config(root / "run.json", seed=7, ablation=mode.value)
+    cfg = cli.load_run_config(root / "run.json", seed=7)
+    model_config = dataclasses.replace(cfg.model, ablation=mode.value)
 
     def reduced(split):
         examples = []
@@ -490,7 +503,8 @@ def test_train_ablation_reduces_the_graphs_it_reads(built_workspace, tmp_path, m
                 examples.append(training.GraphExample(g, rows, rec.label))
         return examples
 
-    want, want_history = training.train(reduced("train"), reduced("val"), cfg.model, cfg.train)
+    want, want_history = training.train(reduced("train"), reduced("val"), model_config,
+                                        cfg.train)
     fp32 = want.params.flat.astype("<f4").astype(np.float64)
     assert checkpoint.params.flat.tobytes() == fp32.tobytes()
     assert history == "".join(json.dumps(row, sort_keys=True) + "\n"
@@ -520,7 +534,7 @@ def test_config_ablation_trains_as_the_flag_does_and_the_flag_overrides_it(built
 
     def outputs(name, config_path, *options):
         checkpoint, history = tmp_path / f"{name}.rvgc", tmp_path / f"{name}.jsonl"
-        assert main(["--config", str(config_path), "--seed", "7", *options, "train",
+        assert main(["--config", str(config_path), "--seed", "7", "train", *options,
                      str(manifest), "--checkpoint", str(checkpoint),
                      "--history", str(history)]) == 0
         return checkpoint.read_bytes(), history.read_bytes()
@@ -534,14 +548,16 @@ def test_config_ablation_trains_as_the_flag_does_and_the_flag_overrides_it(built
 
 
 def test_ablate_ignores_how_the_graphs_were_built(built_workspace, tmp_path):
-    """Every row of ``ablate`` reads the full graphs, whatever --ablation
-    build-graph was given."""
+    """Every row of ``ablate`` reads the full graphs, whatever model.ablation
+    the run config gave build-graph and ablate."""
     shutil.copytree(built_workspace[0], tmp_path / "ws")
     root = tmp_path / "ws"
     manifest = root / "manifest.jsonl"
     reports = []
     for mode in graphmod.AblationMode:
-        assert run(root, "--force", "--ablation", mode.value, "build-graph", str(manifest)) == 0
+        # the same papers and manifest, and a run config with model.ablation
+        make_workspace(root, TRAINABLE, {"model": {"ablation": mode.value}})
+        assert run(root, "build-graph", "--force", str(manifest)) == 0
         assert run(root, "ablate", str(manifest), "--output", str(tmp_path / "abl.json")) == 0
         reports.append((tmp_path / "abl.json").read_bytes())
     assert reports == reports[:1] * len(reports)
@@ -651,7 +667,7 @@ def test_unknown_command_is_usage_error():
 
 def test_unknown_ablation_mode_is_usage_error(tmp_path):
     manifest = make_workspace(tmp_path, THREE_PAPERS)
-    assert main(["--ablation", "bogus", "simulate", str(manifest)]) == 1
+    assert main(["train", str(manifest), "--ablation", "bogus"]) == 1
 
 
 def test_missing_config_is_usage_error(tmp_path):
@@ -722,6 +738,76 @@ def test_evaluate_bad_compare_file_exits_3_naming_it(tmp_path, capsys, content, 
 STAGE_OUTPUTS = {"simulate": "transcript.json", "extract": "triples.json",
                  "classify": "dims.json", "build-graph": "graph.json"}
 STAGE_ORDER = ("simulate", "extract", "classify", "embed", "build-graph")
+
+#: Options given to a command that does not read them, or before the command
+#: name, where only --config, --seed, --jobs and -v go: (the arguments before
+#: the command, the command, the arguments after it).
+FOREIGN_OPTIONS = {
+    **{f"ablation-{command}": ([], command, ["--ablation", "no_rar"])
+       for command in (*STAGE_ORDER, "evaluate", "ablate", "gradcheck")},
+    **{f"force-{command}": ([], command, ["--force"])
+       for command in ("train", "evaluate", "ablate", "gradcheck")},
+    "ablation-before-evaluate": (["--ablation", "no_rar"], "evaluate", []),
+    "ablation-before-train": (["--ablation", "no_rar"], "train", []),
+    "force-before-build-graph": (["--force"], "build-graph", []),
+}
+
+
+@pytest.mark.parametrize("before, command, after", FOREIGN_OPTIONS.values(), ids=FOREIGN_OPTIONS)
+def test_option_a_command_does_not_take_exits_1_naming_it(tmp_path, capsys, before, command,
+                                                          after):
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    args = {"gradcheck": [],
+            "evaluate": [str(manifest), "--checkpoint", str(tmp_path / "c.rvgc")]}
+    capsys.readouterr()
+    assert run(tmp_path, *before, command, *args.get(command, [str(manifest)]), *after) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: No such option '{(before or after)[0]}'")
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def test_triples_files_extract_wrote_read_back_strictly(trained_workspace):
+    """``extract`` writes no malformed element: each triples file parses
+    strictly, and the triples it parses to write the same bytes again."""
+    _root, manifest, files = trained_workspace
+    for rec in cli.load_manifest(manifest):
+        data = files[rec.path("triples")]
+        assert not extraction.parse_triple_batch(data, rec.paper_id).malformed
+        batch = extraction.parse_triple_batch(data, rec.paper_id, strict=True)
+        assert graphmod.compact_json(
+            {"paper_id": rec.paper_id, **extraction.batch_to_dict(batch)}).encode() == data
+
+
+#: Damaged elements of a triples file: (array, index, element, what the error says of it).
+DAMAGED_TRIPLES = {
+    "garbage": ("Reviewer_Author_Relations", 1, "garbage", "not parenthesized: 'garbage'"),
+    "number": ("Inter_Reviewer_Relations", 0, 5, "array element is not a string: 5"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_TRIPLES)
+@pytest.mark.parametrize("stage, output", [("classify", "dims.json"), ("embed", "emb"),
+                                           ("build-graph", "graph.json")])
+def test_damaged_triples_element_exits_3_naming_paper_file_and_element(
+        trained_workspace, tmp_path, capsys, stage, output, damage):
+    """A triples file is the program's own, so a malformed element in it is
+    damage, not a model's slip to skip: each stage that reads the file exits
+    3 and writes nothing for the paper."""
+    root = tmp_path / "ws"
+    shutil.copytree(trained_workspace[0], root)
+    array, index, element, message = DAMAGED_TRIPLES[damage]
+    path = root / "work" / "p1.triples.json"
+    doc = json.loads(path.read_text())
+    doc[array][index] = element
+    path.write_text(json.dumps(doc))
+    out = root / "work" / f"p1.{output}"
+    out.unlink()
+    capsys.readouterr()
+    assert run(root, stage, str(root / "manifest.jsonl")) == 3
+    assert capsys.readouterr().err == (f"data error: p1: corrupt triples file {path}: "
+                                       f"MalformedTriple: {array}[{index}]: {message}\n")
+    assert not out.exists() and not list((root / "work").glob("*.tmp"))
 
 
 @pytest.mark.parametrize("stage", list(STAGE_OUTPUTS))
@@ -806,7 +892,8 @@ def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact,
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run(root, "--force", command, str(manifest), *extra)
+            code = run(root, command, *(["--force"] if command != "evaluate" else []),
+                       str(manifest), *extra)
     finally:
         for p in root.rglob("*"):
             if p.is_file() and (p not in files or p.read_bytes() != files[p]):
@@ -1076,7 +1163,7 @@ def test_malformed_document_exits_with_its_code_naming_the_file(trained_workspac
     path.write_text(text)
     capsys.readouterr()
     try:
-        got = run(root, "--force", command, str(manifest))
+        got = run(root, command, "--force", str(manifest))
     finally:
         for p in root.rglob("*"):
             if p.is_file() and (p not in files or p.read_bytes() != files[p]):
@@ -1124,7 +1211,7 @@ def test_document_nested_too_deeply_exits_with_its_code_naming_the_file(trained_
     path.write_text("[" * 200_000)
     capsys.readouterr()
     try:
-        got = run(root, "--force", command, str(manifest))
+        got = run(root, command, *(["--force"] if command != "train" else []), str(manifest))
     finally:
         path.write_bytes(files[path])
     err = capsys.readouterr().err
@@ -1144,7 +1231,7 @@ def _homogeneous_workspace(root):
 
 def test_homogeneous_ablation_trains_and_evaluates_the_homogeneous_model(tmp_path, capsys):
     manifest = _trained_workspace(tmp_path)
-    assert run(tmp_path, "--ablation", "homogeneous", "train", str(manifest),
+    assert run(tmp_path, "train", str(manifest), "--ablation", "homogeneous",
                "--checkpoint", str(tmp_path / "h.rvgc"),
                "--history", str(tmp_path / "h.jsonl")) == 0
     checkpoint = training.load_checkpoint(tmp_path / "h.rvgc")
@@ -1457,7 +1544,7 @@ def test_directory_at_a_stage_output_path_exits_3_naming_paper_and_path(tmp_path
     out = tmp_path / "work" / "p1.transcript.json"
     out.mkdir()
     capsys.readouterr()
-    assert run(tmp_path, *(["--force"] if force else []), "simulate", str(manifest)) == 3
+    assert run(tmp_path, "simulate", *(["--force"] if force else []), str(manifest)) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith(f"data error: p1: cannot write transcript file {out}: ")
     assert "Traceback" not in captured.err and "skipped" not in captured.out

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pipeline_utils import forward_only
 from reviewgraph.extraction import (
@@ -169,6 +169,45 @@ def test_batch_round_trip_through_dict():
     again = parse_triple_batch(json.dumps(batch_to_dict(batch)), "rejected")
     assert again.reviewer_author == batch.reviewer_author
     assert again.inter_reviewer == batch.inter_reviewer
+
+
+def test_strict_parse_names_the_first_malformed_element():
+    doc = json.loads(load_sample("accepted"))
+    doc["Inter_Reviewer_Relations"][2] = 5
+    doc["Inter_Reviewer_Relations"][4] = "garbage"
+    data = json.dumps(doc)
+    assert len(parse_triple_batch(data, "x").malformed) == 2
+    with pytest.raises(MalformedTriple, match=r"^Inter_Reviewer_Relations\[2\]: array element "
+                                              r"is not a string: 5$"):
+        parse_triple_batch(data, "x", strict=True)
+
+
+_QUOTES = "'\"`\u2018\u2019\u201c\u201d"
+#: Opinion texts of what a parser that anchors on speaker tags can trip on:
+#: tags, quotes, commas, brackets and whitespace of several kinds.
+_TEXTS = st.lists(st.sampled_from(["Reviewer 1:", "Author:", "Reviewer", "1", ":", ",", " ",
+                                   "\t", "\n", "\u3000", "it's", "a", "(", ")", *_QUOTES]),
+                  max_size=8).map("".join) | st.text(max_size=12)
+_ELEMENTS = st.builds(
+    lambda a, b, qa, qb, ta, tb, label: f"({a}: {qa}{ta}{qa}, {b}: {qb}{tb}{qb}, {label})",
+    *[st.sampled_from(["Reviewer 1", "Reviewer 2", "Reviewer3", "Author"])] * 2,
+    *[st.sampled_from(["", *_QUOTES])] * 2, _TEXTS, _TEXTS,
+    st.sampled_from(["Agree", "disagree", "x1"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ELEMENTS, max_size=4), st.lists(_ELEMENTS, max_size=4))
+@example(["(Reviewer 1: '\n'x', Author: 'y \u3000'', Agree)"], [])  # quotes within whitespace
+def test_a_written_batch_reads_back_strictly_as_it_was_parsed(ra, ir):
+    """Whatever a reply parses to, ``batch_to_dict`` writes it so that it
+    parses strictly, no element malformed, to the same triples."""
+    try:
+        batch = parse_triple_batch(json.dumps({"Reviewer_Author_Relations": ra,
+                                               "Inter_Reviewer_Relations": ir}), "x")
+    except TooManyMalformed:
+        return
+    again = parse_triple_batch(json.dumps(batch_to_dict(batch)), "x", strict=True)
+    assert again.triplets == batch.triplets
 
 
 # -- dimension classification replies -------------------------------------

@@ -389,9 +389,9 @@ def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, da
             assert cache.get(str(i)).tobytes() == vectors[i].tobytes()
 
 
-def test_embeddings_are_unit_norm_and_deterministic():
-    v1 = embed_texts(["stable text"], MockClient(seed=5))[0]
-    v2 = embed_texts(["stable text"], MockClient(seed=5))[0]
+def test_embeddings_are_unit_norm_and_deterministic(tmp_path):
+    v1 = embed_texts(["stable text"], MockClient(seed=5), EmbeddingCache(tmp_path / "1"))[0]
+    v2 = embed_texts(["stable text"], MockClient(seed=5), EmbeddingCache(tmp_path / "2"))[0]
     np.testing.assert_array_equal(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
 
@@ -402,7 +402,7 @@ def test_inconsistent_embedding_dimension_detected(tmp_path):
             return [[0.0] * (32 if i % 2 else 64) for i, _t in enumerate(texts)]
 
     with pytest.raises(InconsistentDimension):
-        embed_texts(["a", "b"], WonkyClient())
+        embed_texts(["a", "b"], WonkyClient(), EmbeddingCache(tmp_path / "new"))
     # the cache refuses the batch whole: nothing of it is kept or written
     path = tmp_path / "emb"
     embed_texts(["z"], MockClient(config=EndpointConfig(mock=True, embedding_dim=64)),
@@ -553,7 +553,7 @@ def test_cli_stage_exits_2_on_malformed_reply(tmp_path, monkeypatch, capsys, sta
     body = BAD_REPLIES[defect][1]
     fake_endpoint(monkeypatch, lambda payload: (200, body(payload)))
     capsys.readouterr()
-    assert run(tmp_path, "--force", stage, str(manifest)) == 2
+    assert run(tmp_path, stage, "--force", str(manifest)) == 2
     err = capsys.readouterr().err
     assert err.startswith("endpoint error: ") and "Traceback" not in err
     assert not list((tmp_path / "work").glob("*.emb*"))  # nothing is cached
