@@ -56,6 +56,22 @@ printf '%s\n' '{"paper_id": "v0", "split": "train", "label": "accept", "paths": 
 # the whole graph l0 beside an embedding cache of the older JSON-lines form
 printf '%s\n' '{"paper_id": "l0", "split": "train", "label": "accept", "paths": {"graph": "l0.graph.json", "embeddings": "l0.emb", "transcript": "w0.transcript.json", "triples": "w0.triples.json"}}' > lines.jsonl
 printf '%s\n' '{"dim": 2, "sha256": "0000000000000000000000000000000000000000000000000000000000000000", "vector": [0.5, 0.5]}' > l0.emb
+# a transcript of the older form, a list of debate stages, made of w0's
+printf '%s\n' '{"paper_id": "s0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "s0.transcript.json", "triples": "s0.triples.json"}}' > stages.jsonl
+python3 -c '
+import json
+doc = json.load(open("w0.transcript.json"))
+def stage(name, roles, turns):
+    return {"stage": name, "messages": [{"role": r, "content": t, "attachments": []}
+                                        for r, t in zip(roles, turns)]}
+reviewers = ("reviewer_1", "reviewer_2", "reviewer_3")
+stages = [stage("initial_review", reviewers, doc["reviews"]),
+          stage("author_rebuttal", ["author"], [doc["rebuttal"]]),
+          stage("re_evaluation", reviewers, doc["re_evaluations"]),
+          stage("meta_review", ["senior_reviewer"], [doc["meta_review"]])]
+json.dump({"paper_id": "s0", "title": doc["title"], "stages": stages},
+          open("s0.transcript.json", "w"))
+'
 # train and val papers over the graph g0, whose graph_id is a number, with a
 # binary embedding cache of its five texts
 printf '%s\n' '{"paper_id": "g0", "split": "train", "label": "accept", "paths": {"graph": "g0.graph.json", "embeddings": "g0.emb"}}' \
@@ -95,9 +111,10 @@ open("old.rvgc", "wb").write(blob[:4] + struct.pack("<I", len(text)) + text + bl
 # each case: the exit code it must give, then the arguments
 for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.jsonl" \
             "3 train torn.jsonl" "3 train rows.jsonl" "3 train v1.jsonl" "3 train lines.jsonl" \
-            "3 train gid.jsonl" \
+            "3 train gid.jsonl" "3 extract stages.jsonl" \
             "1 --config deep.json gradcheck" "3 train deep.jsonl" \
             "1 --seed -1 gradcheck" "1 --jobs 0 gradcheck" "1 --seed 0 gradcheck --eps 0" \
+            "1 --jobs 3 gradcheck" "1 --jobs 2 evaluate m.jsonl --checkpoint bad.rvgc" \
             "1 --config t0.json gradcheck" "1 --config modle.json gradcheck" \
             "1 --config nourl.json gradcheck" \
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
@@ -118,22 +135,26 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
   fi
 done
 
-# a graph or cache of an older form or version also names the stage to
-# rerun, and that rerun rewrites it
-for case in "rows.jsonl build-graph" "v1.jsonl build-graph" "lines.jsonl embed"; do
+# a graph, cache or transcript of an older form or version also names the
+# whole command to rerun, and that command, run as printed, rewrites it
+for case in "rows.jsonl train build-graph" "v1.jsonl train build-graph" \
+            "lines.jsonl train embed" "stages.jsonl extract simulate"; do
   set -- $case
-  reviewgraph train "$1" 2> stderr.txt || true
-  if ! grep -q -- "rerun \`reviewgraph $2 --force\`\$" stderr.txt; then
-    echo "reviewgraph train $1: does not name $2 as the stage to rerun with --force"
+  reviewgraph "$2" "$1" 2> stderr.txt || true
+  hint=$(sed -n 's/.*; rerun `\(.*\)`$/\1/p' stderr.txt)
+  if [ "$hint" != "reviewgraph $3 --force $1" ]; then
+    echo "reviewgraph $2 $1: names \"$hint\", not reviewgraph $3 --force $1, to rerun"
     exit 1
   fi
   code=0
-  reviewgraph "$2" --force "$1" || code=$?
+  eval "$hint" || code=$?
   if [ "$code" -ne 0 ]; then
-    echo "reviewgraph $2 --force $1: exit $code, expected 0"
+    echo "$hint: exit $code, expected 0"
     exit 1
   fi
 done
+# the rewritten transcript extracts
+reviewgraph extract stages.jsonl
 
 # a broken checkpoint's error names its file
 for checkpoint in bad old; do

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from typing import Callable, TypeVar
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import autodiff, extraction, graph as graphmod, model as modelmod
 from . import orchestration as orch
@@ -49,6 +51,7 @@ class ManifestRecord:
     split: str
     label: str
     paths: dict[str, Path]
+    manifest: Path  # the manifest file the record is read from
 
     def path(self, kind: str) -> Path:
         try:
@@ -97,7 +100,7 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
             raise DataFailure(f"{path}:{lineno}: unknown label {raw['label']!r}")
         records.append(
             ManifestRecord(paper_id=raw["paper_id"], split=raw["split"], label=raw["label"],
-                           paths={k: base / v for k, v in paths.items()})
+                           paths={k: base / v for k, v in paths.items()}, manifest=path)
         )
     if not records:
         raise DataFailure(f"manifest is empty: {path}")
@@ -192,15 +195,22 @@ def _write_output(path: Path, text: str, what: str = "report") -> None:
 T = TypeVar("T")
 
 
+class OlderFile(DataFailure):
+    """A paper's file of an older on-disk form. Its ``args`` are the message,
+    the stage that rewrites the file and the manifest, for ``main``."""
+
+
 def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
     """``parse`` the paper's ``kind`` file, which opens it once; a missing file
     (also one under a regular file) or one that does not parse is a
-    ``DataFailure`` naming the paper and the file."""
+    ``DataFailure`` naming the paper and the file; one of an older form is an ``OlderFile``."""
     path = rec.path(kind)
     try:
         return parse(path)
     except (FileNotFoundError, NotADirectoryError):
         raise DataFailure(f"{rec.paper_id}: {kind} file missing: {path}") from None
+    except graphmod.OlderForm as exc:
+        raise OlderFile(f"{rec.paper_id}: {path}: {exc}", _WRITER_OF[kind], rec.manifest) from exc
     except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
         raise DataFailure(f"{rec.paper_id}: {exc}") from exc
     except (KeyError, OSError, TypeError, ValueError, extraction.ExtractionError) as exc:
@@ -227,9 +237,8 @@ def _parse_dims(path: Path) -> list[extraction.DimensionAssignment]:
 
 
 #: What a stage's own work raises on bad input; it exits 3 naming the paper.
-_STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.IncompleteTranscript, orch.ExtractionFailed,
-                      orch.ClassificationFailed, orch.InconsistentDimension,
-                      extraction.ExtractionError, graphmod.GraphError)
+_STAGE_DATA_ERRORS = (orch.EmptyPaper, orch.ExtractionFailed, orch.ClassificationFailed,
+                      orch.InconsistentDimension, extraction.ExtractionError, graphmod.GraphError)
 
 
 def _run_stage(obj: dict, manifest: str, name: str, kind: str,
@@ -288,20 +297,33 @@ def _run_stage(obj: dict, manifest: str, name: str, kind: str,
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override all seeds.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Papers of a stage in flight at once against an HTTP endpoint; "
-                   "only the five stage commands read it.")
+                   "only the five stage commands take it.")
 @click.option("-v", "--verbose", is_flag=True)
 @click.pass_context
 def cli(ctx: click.Context, config_path, seed, jobs, verbose) -> None:
     """Debate-graph pipeline: simulate, extract, classify, embed, build, train."""
+    if ctx.invoked_subcommand not in _WRITER_OF.values() \
+            and ctx.get_parameter_source("jobs") is not ParameterSource.DEFAULT:
+        raise click.UsageError(f"No such option '--jobs' for {ctx.invoked_subcommand}: "
+                               "only the five stage commands take it")
     logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    ctx.obj = {"config": load_run_config(config_path, seed), "jobs": jobs, "seed": seed}
+    rerun = [*(["--config", config_path] if config_path is not None else []),  # for a hint
+             *(["--seed", str(seed)] if seed is not None else [])]
+    ctx.ensure_object(dict).update(config=load_run_config(config_path, seed), jobs=jobs,
+                                   seed=seed, rerun=rerun)
+
+
+#: Each stage output kind and the stage command that writes it.
+_WRITER_OF: dict[str, str] = {}
 
 
 def _stage(name: str, kind: str, fan_out: bool = True):
     """Register ``write(rec, tmp, client)`` as the stage command ``name``: it
     takes MANIFEST and --force, its help is ``write``'s docstring, and it
     runs ``_run_stage`` over the papers' ``kind`` outputs."""
+    _WRITER_OF[kind] = name
+
     def register(write):
         @cli.command(name, help=write.__doc__)
         @click.argument("manifest", type=click.Path())
@@ -567,9 +589,11 @@ def gradcheck(obj, eps, threshold, samples) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with the stable exit-code mapping."""
+    """Entry point with the stable exit-code mapping; a file of an older form
+    exits 3 naming the whole command that rewrites it."""
+    obj: dict = {}  # the group callback fills it
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
+        rv = cli.main(args=argv, standalone_mode=False, obj=obj)
         return int(rv) if isinstance(rv, int) else EXIT_OK
     except (UsageFailure, training.EmptySplit) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -585,7 +609,12 @@ def main(argv: list[str] | None = None) -> int:
     except (training.NonFiniteGradient, autodiff.NumericsError) as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return EXIT_NUMERIC
-    except (DataFailure, graphmod.GraphError, extraction.ExtractionError,
+    except OlderFile as exc:
+        message, stage, manifest = exc.args
+        rerun = shlex.join(["reviewgraph", *obj["rerun"], stage, "--force", str(manifest)])
+        click.echo(f"data error: {message}; rerun `{rerun}`", err=True)
+        return EXIT_DATA
+    except (DataFailure, graphmod.GraphError, graphmod.OlderForm, extraction.ExtractionError,
             orch.OrchestrationError, training.TrainingError,
             modelmod.ModelError) as exc:
         click.echo(f"data error: {exc}", err=True)

@@ -40,6 +40,11 @@ class CorruptGraph(GraphError):
         self.path = Path(path)
 
 
+class OlderForm(Exception):
+    """A file of an older on-disk form, which the stage that writes it rewrites;
+    the message names neither the file nor the stage, which the caller knows."""
+
+
 class NodeType(Enum):
     TITLE = "title"
     EVALUATION_DIMENSION = "evaluation_dimension"
@@ -516,11 +521,15 @@ def _graph_from_bytes(data: bytes) -> DebateGraph:
     built; the keys are read, not recomputed. Bytes that are not such a
     file, with its header's fields of their types, an array block of the
     size its counts give, and every code and edge endpoint in range, raise
-    ``KeyError``, ``TypeError`` or ``ValueError``. Whether the edges fit the
-    schema is ``validate_graph``'s job."""
+    ``KeyError``, ``TypeError`` or ``ValueError``; a graph file of an older
+    form or version raises ``OlderForm``. Whether the edges fit the schema is
+    ``validate_graph``'s job."""
     if not data.startswith(_GRAPH_MAGIC):
-        raise ValueError("not a binary graph file of this version (one of an older version, "
-                         "or a JSON one?); rerun `reviewgraph build-graph --force`")
+        # JSON never starts with the magic's first byte; another version's magic differs in byte 6
+        older = data[:1] not in (b"", _GRAPH_MAGIC[:1]) \
+            or len(data) >= len(_GRAPH_MAGIC) and data[:6] == _GRAPH_MAGIC[:6]
+        raise (OlderForm if older else ValueError)(
+            "not a binary graph file of this version (one of an older version, or a JSON one?)")
     start = _HEADER_AT + int.from_bytes(data[len(_GRAPH_MAGIC):_HEADER_AT], "little")
     if len(data) < start:
         raise ValueError(f"header cut short: {len(data)} bytes, the header ends at byte {start}")
@@ -563,10 +572,9 @@ def _graph_from_bytes(data: bytes) -> DebateGraph:
 
 
 def load_graph(path: str | Path) -> DebateGraph:
-    """Read a graph file that ``save_graph`` wrote, with one ``open``; a file
-    that is not one (see ``_graph_from_bytes``), such as a JSON graph of an
-    older form or one of an older version, raises ``CorruptGraph`` naming
-    ``path``. A file that cannot be opened raises its ``OSError``."""
+    """Read a graph file that ``save_graph`` wrote, with one ``open``; a file that
+    is not one raises ``CorruptGraph`` naming ``path``, or ``OlderForm`` (see
+    ``_graph_from_bytes``). A file that cannot be opened raises its ``OSError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

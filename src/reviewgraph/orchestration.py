@@ -18,7 +18,6 @@ import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -32,7 +31,8 @@ from .extraction import (
     parse_triple_batch,
     reviewer_opinion_keys,
 )
-from .graph import DIMENSION_LABELS, Dimension, compact_json, parse_json, require_str, text_key
+from .graph import (DIMENSION_LABELS, Dimension, OlderForm, compact_json, parse_json, require_str,
+                    text_key)
 
 
 class OrchestrationError(Exception):
@@ -72,111 +72,48 @@ class EmptyPaper(OrchestrationError):
     """A paper whose body is blank, so there is nothing to debate."""
 
 
-class IncompleteTranscript(OrchestrationError):
-    """A transcript that lacks one of the debate stages extraction reads."""
-
-
 class CorruptCache(OrchestrationError):
-    """An embedding-cache file that does not decode; the message starts with its
-    path. One that is not a binary cache, such as a cache of the older
-    JSON-lines form, says to rerun ``reviewgraph embed --force``."""
+    """An embedding-cache file that does not decode; the message starts with its path."""
 
 
 class TransportError(OrchestrationError):
     """Transient endpoint failure; retried up to the configured limit."""
 
 
-class AgentRole(Enum):
-    REVIEWER_1 = "reviewer_1"
-    REVIEWER_2 = "reviewer_2"
-    REVIEWER_3 = "reviewer_3"
-    AUTHOR = "author"
-    SENIOR_REVIEWER = "senior_reviewer"
-
-
-REVIEWER_ROLES = (AgentRole.REVIEWER_1, AgentRole.REVIEWER_2, AgentRole.REVIEWER_3)
-
-
-class DebateStage(Enum):
-    INITIAL_REVIEW = "initial_review"
-    AUTHOR_REBUTTAL = "author_rebuttal"
-    RE_EVALUATION = "re_evaluation"
-    META_REVIEW = "meta_review"
-
-
-@dataclass(frozen=True)
-class AgentMessage:
-    role: AgentRole
-    content: str
-    attachments: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    stage: DebateStage
-    messages: tuple[AgentMessage, ...]
-
-
 @dataclass(frozen=True)
 class Transcript:
+    """The debate ``simulate_debate`` records: three initial reviews, the author's rebuttal, the
+    three re-evaluations and the area chair's meta-review, and the paper's attachments."""
+
     paper_id: str
     title: str
-    stages: tuple[StageRecord, ...]
-
-    def stage(self, stage: DebateStage) -> StageRecord | None:
-        for s in self.stages:
-            if s.stage == stage:
-                return s
-        return None
+    reviews: tuple[str, str, str]
+    rebuttal: str
+    re_evaluations: tuple[str, str, str]
+    meta_review: str
+    attachments: tuple[str, ...]
 
 
-def transcript_to_dict(t: Transcript) -> dict:
-    return {
-        "paper_id": t.paper_id,
-        "title": t.title,
-        "stages": [
-            {
-                "stage": s.stage.value,
-                "messages": [
-                    {
-                        "role": m.role.value,
-                        "content": m.content,
-                        "attachments": list(m.attachments),
-                    }
-                    for m in s.messages
-                ],
-            }
-            for s in t.stages
-        ],
-    }
-
-
-def transcript_from_dict(d: dict) -> Transcript:
-    t = Transcript(
-        paper_id=d["paper_id"],
-        title=d["title"],
-        stages=tuple(
-            StageRecord(
-                stage=DebateStage(s["stage"]),
-                messages=tuple(
-                    AgentMessage(
-                        role=AgentRole(m["role"]),
-                        content=m["content"],
-                        attachments=_attachments(m),
-                    )
-                    for m in s["messages"]
-                ),
-            )
-            for s in d["stages"]
-        ),
-    )
-    require_str("each of paper_id, title and message content", t.paper_id, t.title,
-                *(m.content for s in t.stages for m in s.messages))
+def transcript_from_dict(d: object) -> Transcript:
+    """The transcript of a decoded transcript file. A field that is missing,
+    unknown or of the wrong type raises ``TypeError``; a file of the older
+    form, whose debate is a list of stages, raises ``OlderForm``."""
+    if not isinstance(d, dict):
+        raise TypeError("a transcript must be a JSON object")
+    if "stages" in d:
+        raise OlderForm("a transcript of the older form, a list of debate stages")
+    t = Transcript(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    if not (type(t.reviews) is type(t.re_evaluations) is type(t.attachments) is tuple
+            and len(t.reviews) == len(t.re_evaluations) == 3):
+        raise TypeError("reviews and re_evaluations must be lists of three strings, and "
+                        "attachments a list of strings")
+    require_str("each of paper_id, title, the turns and the attachments", t.paper_id, t.title,
+                *t.reviews, t.rebuttal, *t.re_evaluations, t.meta_review, *t.attachments)
     return t
 
 
 def save_transcript(t: Transcript, path: str | Path) -> None:
-    Path(path).write_text(compact_json(transcript_to_dict(t)))
+    Path(path).write_text(compact_json(vars(t)))
 
 
 def load_transcript(path: str | Path) -> Transcript:
@@ -192,17 +129,14 @@ class PaperInput:
 
 
 def load_paper(path: str | Path) -> PaperInput:
+    """The paper of a paper file, whose ``attachments`` are a list of strings, none if absent."""
     d = parse_json(Path(path).read_bytes())
-    require_str("each of paper_id, title and body", d["paper_id"], d["title"], d["body"])
-    return PaperInput(d["paper_id"], d["title"], d["body"], _attachments(d))
-
-
-def _attachments(d: dict) -> tuple[str, ...]:
-    """A paper's or message's ``attachments``: a list of strings, none if absent."""
     attachments = d.get("attachments", [])
-    if not isinstance(attachments, list) or not set(map(type, attachments)) <= {str}:
+    if not isinstance(attachments, list):
         raise TypeError(f"attachments must be a list of strings, not {json.dumps(attachments)}")
-    return tuple(attachments)
+    require_str("each of paper_id, title, body and attachment", d["paper_id"], d["title"],
+                d["body"], *attachments)
+    return PaperInput(d["paper_id"], d["title"], d["body"], tuple(attachments))
 
 
 @dataclass(frozen=True)
@@ -685,11 +619,9 @@ Return your answer as JSON in the format: {"category": "category_name"}"""
 
 
 def simulate_debate(paper: PaperInput, client: BaseClient) -> Transcript:
-    """Run the staged reviewer-author conversation and record it verbatim.
-
-    Stages: three initial reviews, one author rebuttal, three re-evaluations
-    and a senior-reviewer meta-review; 8 chat requests total.
-    """
+    """Run the reviewer-author conversation and record it verbatim: the paper and its
+    attachments, then three initial reviews, one author rebuttal, three re-evaluations and an
+    area chair's meta-review; 8 chat requests total."""
     if not paper.body.strip():
         raise EmptyPaper("paper body is empty")
 
@@ -712,23 +644,13 @@ def simulate_debate(paper: PaperInput, client: BaseClient) -> Transcript:
         history.append({"role": "assistant", "content": reply})
         return reply
 
-    initial = []
-    for k, role in enumerate(REVIEWER_ROLES, start=1):
-        review = turn(REVIEWER_PROMPT.format(guidelines=DEFAULT_REVIEW_GUIDELINES, k=k))
-        initial.append(AgentMessage(role, review, paper.attachments if k == 1 else ()))
+    reviews = tuple(turn(REVIEWER_PROMPT.format(guidelines=DEFAULT_REVIEW_GUIDELINES, k=k))
+                    for k in (1, 2, 3))
     rebuttal = turn(AUTHOR_PROMPT.format(guidelines=DEFAULT_AUTHOR_GUIDELINES))
-    reeval = [AgentMessage(role=role, content=turn(REEVALUATION_PROMPT.format(k=k)))
-              for k, role in enumerate(REVIEWER_ROLES, start=1)]
-    meta = turn(SENIOR_PROMPT.format(guidelines=DEFAULT_CHAIR_GUIDELINES))
-
-    stages = (
-        StageRecord(DebateStage.INITIAL_REVIEW, tuple(initial)),
-        StageRecord(DebateStage.AUTHOR_REBUTTAL,
-                    (AgentMessage(AgentRole.AUTHOR, rebuttal),)),
-        StageRecord(DebateStage.RE_EVALUATION, tuple(reeval)),
-        StageRecord(DebateStage.META_REVIEW, (AgentMessage(AgentRole.SENIOR_REVIEWER, meta),)),
-    )
-    return Transcript(paper_id=paper.paper_id, title=paper.title, stages=stages)
+    re_evaluations = tuple(turn(REEVALUATION_PROMPT.format(k=k)) for k in (1, 2, 3))
+    meta_review = turn(SENIOR_PROMPT.format(guidelines=DEFAULT_CHAIR_GUIDELINES))
+    return Transcript(paper.paper_id, paper.title, reviews, rebuttal, re_evaluations,
+                      meta_review, paper.attachments)
 
 
 def render_review_file(transcript: Transcript) -> str:
@@ -736,21 +658,13 @@ def render_review_file(transcript: Transcript) -> str:
 
     The meta-review has no slot and is never shown to the extractor.
     """
-    initial = transcript.stage(DebateStage.INITIAL_REVIEW)
-    rebuttal = transcript.stage(DebateStage.AUTHOR_REBUTTAL)
-    reeval = transcript.stage(DebateStage.RE_EVALUATION)
-    if initial is None or rebuttal is None or reeval is None:
-        raise IncompleteTranscript("transcript is missing a mandatory stage")
-
     parts = ["### Initial Review Comments:", ""]
-    for k, m in enumerate(initial.messages, start=1):
-        parts += [f"## Reviewer {k}:", m.content, ""]
-    parts += ["### Author's Responses:", ""]
-    for m in rebuttal.messages:
-        parts += ["## Author:", m.content, ""]
+    for k, review in enumerate(transcript.reviews, start=1):
+        parts += [f"## Reviewer {k}:", review, ""]
+    parts += ["### Author's Responses:", "", "## Author:", transcript.rebuttal, ""]
     parts += ["### Reviewers' Responses:", ""]
-    for k, m in enumerate(reeval.messages, start=1):
-        parts += [f"## Reviewer {k}:", m.content, ""]
+    for k, re_evaluation in enumerate(transcript.re_evaluations, start=1):
+        parts += [f"## Reviewer {k}:", re_evaluation, ""]
     return "\n".join(parts)
 
 
@@ -861,8 +775,7 @@ class EmbeddingCache:
     ``FileNotFoundError``. An empty file is an empty cache. A file with no whole
     header, or whose body is not a whole number of records (a torn write),
     raises ``CorruptCache`` naming the path; one that does not start like the
-    magic, such as a cache of the older JSON-lines form, says so and to rerun
-    ``reviewgraph embed --force``.
+    magic, such as a cache of the older JSON-lines form, raises ``OlderForm``.
     """
 
     def __init__(self, path: str | Path, missing_ok: bool = True) -> None:
@@ -885,8 +798,7 @@ class EmbeddingCache:
 
     def _load(self, data: bytes) -> None:
         if data[:1] != _CACHE_MAGIC[:1]:  # a byte that never starts UTF-8 text
-            raise CorruptCache(f"{self.path}: not a binary embedding cache (an older "
-                               "JSON-lines one?); rerun `reviewgraph embed --force`")
+            raise OlderForm("not a binary embedding cache (an older JSON-lines one?)")
         if len(data) < _CACHE_HEADER.size or not data.startswith(_CACHE_MAGIC):
             raise CorruptCache(f"{self.path}: damaged or partial embedding-cache header")
         _magic, self.dim = _CACHE_HEADER.unpack_from(data)

@@ -161,6 +161,23 @@ def columnar_form(g) -> dict:
     }
 
 
+def stages_form(doc: dict) -> dict:
+    """A transcript document in the older form of a list of debate stages,
+    each a list of role-tagged messages; the paper's attachments rode on
+    the first review."""
+    def stage(name, roles, turns):
+        return {"stage": name, "messages": [{"role": role, "content": turn, "attachments": []}
+                                            for role, turn in zip(roles, turns)]}
+
+    reviewers = ("reviewer_1", "reviewer_2", "reviewer_3")
+    stages = [stage("initial_review", reviewers, doc["reviews"]),
+              stage("author_rebuttal", ["author"], [doc["rebuttal"]]),
+              stage("re_evaluation", reviewers, doc["re_evaluations"]),
+              stage("meta_review", ["senior_reviewer"], [doc["meta_review"]])]
+    stages[0]["messages"][0]["attachments"] = doc["attachments"]
+    return {"paper_id": doc["paper_id"], "title": doc["title"], "stages": stages}
+
+
 def row_form(doc: dict) -> dict:
     """A columnar graph document in the row form of the oldest graph files:
     one object per node and per edge."""

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from pipeline_utils import (columnar_file, columnar_form, cut_in_edge_rows, header_edit,
                             header_swap, make_workspace, older_model_config, row_form, run,
-                            run_stage_pipeline, set_code, set_column, version_1_file)
+                            run_stage_pipeline, set_code, set_column, stages_form,
+                            version_1_file)
 from reviewgraph import autodiff as ad
 from reviewgraph import cli, extraction
 from reviewgraph import graph as graphmod
@@ -153,12 +155,13 @@ def test_transcript_without_rebuttal_exits_3_naming_the_paper(tmp_path, capsys):
     assert run(tmp_path, "simulate", str(manifest)) == 0
     path = tmp_path / "work" / "p1.transcript.json"
     doc = json.loads(path.read_text())
-    doc["stages"] = [s for s in doc["stages"] if s["stage"] != "author_rebuttal"]
+    del doc["rebuttal"]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(tmp_path, "extract", str(manifest)) == 3
     err = capsys.readouterr().err
-    assert "p1: transcript is missing a mandatory stage" in err
+    assert err.startswith(f"data error: p1: corrupt transcript file {path}: TypeError: ")
+    assert "'rebuttal'" in err
     assert not (tmp_path / "work" / "p1.triples.json").exists()
 
 
@@ -374,11 +377,23 @@ def _rewrite_as_json_lines(path):
     path.write_text("".join(lines))
 
 
+def _rerun_hint(err):
+    """The command that an error line says to rerun."""
+    return re.search(r"; rerun `([^`]*)`$", err).group(1)
+
+
+def _run_as_printed(command):
+    """Run a printed ``reviewgraph`` command exactly as a shell would."""
+    program, *argv = shlex.split(command)
+    assert program == "reviewgraph"
+    return main(argv)
+
+
 def _old_form_exits_3_until_rerun(root, capsys, suffix, rewrite, stage):
     """With every ``suffix`` file rewritten by ``rewrite`` into an older form,
     train, evaluate and ablate exit 3 naming the first paper they read, its
-    file and the stage to rerun, and leave the files as they are; after
-    the command the message names to rerun evaluate gives the report of the
+    file and the whole command to rerun, and leave the files as they are;
+    after that command, run as printed, evaluate gives the report of the
     files it wrote first."""
     manifest = _trained_workspace(root)
     paths = sorted((root / "work").glob(f"*{suffix}"))
@@ -398,10 +413,11 @@ def _old_form_exits_3_until_rerun(root, capsys, suffix, rewrite, stage):
         err = capsys.readouterr().err
         assert f"{paper}: {root / 'work' / paper}{suffix}: " in err
         assert "Traceback" not in err
-        hints.add(re.search(r"; rerun `reviewgraph ([^`]*)`$", err).group(1))
+        hints.add(_rerun_hint(err))
     assert [path.read_bytes() for path in paths] == old  # reading rewrites nothing
-    assert hints == {f"{stage} --force"}
-    assert run(root, *hints.pop().split(), str(manifest)) == 0
+    assert hints == {shlex.join(["reviewgraph", "--config", str(root / "run.json"),
+                                 "--seed", "7", stage, "--force", str(manifest)])}
+    assert _run_as_printed(hints.pop()) == 0
     capsys.readouterr()
     assert run(root, "evaluate", str(manifest), *_evaluate_args(root)) == 0
     assert (capsys.readouterr().out, (root / "ev.json").read_bytes()) == report
@@ -423,6 +439,51 @@ def test_version_1_graphs_exit_3_until_build_graph_force_rewrites_them(tmp_path,
         path.write_bytes(version_1_file(path.read_bytes()))
 
     _old_form_exits_3_until_rerun(tmp_path, capsys, ".graph.json", rewrite, "build-graph")
+
+
+def test_stages_form_transcripts_exit_3_until_simulate_force_rewrites_them(tmp_path, capsys):
+    """A transcript of the older form, a list of debate stages, makes each
+    stage that reads transcripts exit 3 naming the paper, the file and the
+    whole simulate command to rerun; run as printed, that command rewrites
+    the transcripts as they were, and the stages then run."""
+    manifest = make_workspace(tmp_path, THREE_PAPERS)
+    run_stage_pipeline(tmp_path, manifest)
+    paths = sorted((tmp_path / "work").glob("*.transcript.json"))
+    files = {p: p.read_bytes() for p in (tmp_path / "work").iterdir()}
+    for path in paths:
+        path.write_text(json.dumps(stages_form(json.loads(path.read_bytes()))))
+    old = {p: p.read_bytes() for p in (tmp_path / "work").iterdir()}
+    hints = set()
+    for command in ("extract", "embed", "build-graph"):
+        capsys.readouterr()
+        assert run(tmp_path, command, "--force", str(manifest)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: p0: {tmp_path / 'work' / 'p0.transcript.json'}: ")
+        assert "Traceback" not in err
+        hints.add(_rerun_hint(err))
+    assert {p: p.read_bytes() for p in (tmp_path / "work").iterdir()} == old
+    assert hints == {shlex.join(["reviewgraph", "--config", str(tmp_path / "run.json"),
+                                 "--seed", "7", "simulate", "--force", str(manifest)])}
+    assert _run_as_printed(hints.pop()) == 0
+    for command in ("extract", "embed", "build-graph"):
+        assert run(tmp_path, command, "--force", str(manifest)) == 0
+    assert {p: p.read_bytes() for p in (tmp_path / "work").iterdir()} == files
+
+
+def test_rerun_hint_repeats_only_the_group_options_given(tmp_path, capsys):
+    """Without --config and --seed the hint has neither; a manifest path with
+    a space is quoted, so the hint still runs as printed."""
+    manifest = make_workspace(tmp_path / "a b", THREE_PAPERS[:1])
+    assert main(["simulate", str(manifest)]) == 0
+    path = tmp_path / "a b" / "work" / "p0.transcript.json"
+    path.write_text(json.dumps(stages_form(json.loads(path.read_bytes()))))
+    capsys.readouterr()
+    assert main(["extract", str(manifest)]) == 3
+    hint = _rerun_hint(capsys.readouterr().err)
+    assert hint == shlex.join(["reviewgraph", "simulate", "--force", str(manifest)])
+    assert f"'{manifest}'" in hint
+    assert _run_as_printed(hint) == 0
+    assert main(["extract", str(manifest)]) == 0
 
 
 def test_build_graph_renames_each_graph_once(tmp_path, monkeypatch):
@@ -750,6 +811,8 @@ FOREIGN_OPTIONS = {
     "ablation-before-evaluate": (["--ablation", "no_rar"], "evaluate", []),
     "ablation-before-train": (["--ablation", "no_rar"], "train", []),
     "force-before-build-graph": (["--force"], "build-graph", []),
+    **{f"jobs-before-{command}": (["--jobs", "2"], command, [])
+       for command in ("train", "evaluate", "ablate", "gradcheck")},
 }
 
 
@@ -906,6 +969,9 @@ def test_any_torn_artifact_exits_3_naming_the_paper(trained_workspace, artifact,
     assert "Traceback" not in err.getvalue()
 
 
+#: What the error line says of a graph file of an older form or version.
+OLDER_GRAPH = "not a binary graph file of this version (one of an older version, or a JSON one?)"
+
 #: Graph files that are no graph, each from an edit of the file's bytes;
 #: evaluate reads every graph file it is given, so each must exit 3.
 BROKEN_GRAPHS = {
@@ -953,11 +1019,15 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
         path.write_bytes(files[path])
     err = capsys.readouterr().err
     assert code == 3
-    assert "p2: " in err and "p2.graph.json: corrupt graph file" in err
+    assert "p2: " in err
     assert "Traceback" not in err
     assert not (tmp_path / "ev.json").exists()
-    if not broken.startswith(b"\x89RGGRF2\n"):  # an older form or version, or no graph file
-        assert "rerun `reviewgraph build-graph --force`" in err
+    if name in ("bad-magic", "version-1") or not broken.startswith(b"\x89"):
+        # an older form or version
+        assert f"p2.graph.json: {OLDER_GRAPH}; rerun `" in err
+        assert _rerun_hint(err).endswith(f" build-graph --force {manifest}")
+    else:
+        assert "p2.graph.json: corrupt graph file" in err
 
 
 def _title_query(doc):
@@ -1004,11 +1074,6 @@ def test_evaluate_malformed_checkpoint_entry_exits_3_naming_the_tensor(
     assert code == 3
     assert err.startswith(f"data error: {bad}: {message}"), err
     assert "Traceback" not in err
-
-
-def _first_message(doc, value, key="content"):
-    doc["stages"][0]["messages"][0][key] = value
-    return doc
 
 
 #: Files that cannot be read as text: (file, exit code, start of the message).
@@ -1136,10 +1201,17 @@ MALFORMED_DOCUMENTS = {
                                  lambda d: {**d, "attachments": "fig1"}, 3),
     "paper-attachment-number": ("papers/p0.json", "simulate",
                                 lambda d: {**d, "attachments": ["fig1", 5]}, 3),
+    # a turn of the debate, as a review, that is a number
     "message-content-number": ("work/p0.transcript.json", "extract",
-                               lambda d: _first_message(d, 5), 3),
+                               lambda d: {**d, "reviews": [5, *d["reviews"][1:]]}, 3),
     "message-attachments-string": ("work/p0.transcript.json", "extract",
-                                   lambda d: _first_message(d, "fig1", "attachments"), 3),
+                                   lambda d: {**d, "attachments": "fig1"}, 3),
+    "transcript-rebuttal-missing": ("work/p0.transcript.json", "extract",
+                                    lambda d: {k: v for k, v in d.items() if k != "rebuttal"}, 3),
+    "transcript-reviews-string": ("work/p0.transcript.json", "extract",
+                                  lambda d: {**d, "reviews": "\n".join(d["reviews"])}, 3),
+    "transcript-two-reviews": ("work/p0.transcript.json", "extract",
+                               lambda d: {**d, "reviews": d["reviews"][:2]}, 3),
     "transcript-title-number-embed": ("work/p0.transcript.json", "embed",
                                       lambda d: {**d, "title": 5}, 3),
     "transcript-title-number-build-graph": ("work/p0.transcript.json", "build-graph",

@@ -24,6 +24,7 @@ from reviewgraph.graph import (
     Edge,
     Node,
     NodeType,
+    OlderForm,
     RelationType,
     apply_ablation,
     assemble,
@@ -341,12 +342,15 @@ def _set_header(key, value):
     return header_edit(lambda h: h.update({key: value}))
 
 
-#: Files that are no graph file, each with a part of its message.
+#: The message of a graph file of an older form or version.
+OLDER = "not a binary graph file of this version (one of an older version, or a JSON one?)"
+
+#: Files that are no graph file, each with a part of its message; those of
+#: an older form or version raise ``OlderForm``.
 BROKEN_GRAPH_EDITS = {
-    "row-form": (_json_form(row_form), "rerun `reviewgraph build-graph --force`"),
-    "columnar-form": (_json_form(lambda doc: doc), "rerun `reviewgraph build-graph --force`"),
-    "bad-magic": (lambda data: data[:6] + b"9" + data[7:],
-                  "rerun `reviewgraph build-graph --force`"),
+    "row-form": (_json_form(row_form), OLDER),
+    "columnar-form": (_json_form(lambda doc: doc), OLDER),
+    "bad-magic": (lambda data: data[:6] + b"9" + data[7:], OLDER),
     "header-past-the-end": (lambda data: data[:8] + len(data).to_bytes(4, "little")
                             + data[12:], "header cut short"),
     "header-not-utf8": (header_swap(b'{"graph_id": "\xff"}'), "UnicodeDecodeError"),
@@ -368,7 +372,7 @@ BROKEN_GRAPH_EDITS = {
                            "array block of"),
     "block-cut-short": (lambda data: data[:-1], "array block of"),
     "edge-rows-cut-short": (cut_in_edge_rows, "array block of"),
-    "version-1": (version_1_file, "rerun `reviewgraph build-graph --force`"),
+    "version-1": (version_1_file, OLDER),
     "block-too-long": (lambda data: data + b"\0", "array block of"),
     "unknown-type": (set_code("nodes", 0, 0, 4), "type code 4 out of range"),
     "unknown-speaker": (set_code("nodes", 1, 5, 5), "speaker code 5 out of range"),
@@ -377,7 +381,7 @@ BROKEN_GRAPH_EDITS = {
     "edge-to-unknown-node": (set_code("edges", 0, 0, 999), "edge endpoint is not a node id"),
     "negative-edge-src": (set_code("edges", 0, 1, -1), "edge endpoint is not a node id"),
     # A damaged columnar file is refused at its first byte like an intact one.
-    **{name: (columnar_file(set_column(*edit)), "rerun `reviewgraph build-graph --force`")
+    **{name: (columnar_file(set_column(*edit)), OLDER)
        for name, edit in {
            "string-edge-src": ("edges", "src", 0, "0"),
            "string-node-id": ("nodes", "id", 0, "0"),
@@ -398,6 +402,11 @@ def test_load_graph_rejects_structurally_broken_graph(tmp_path, name):
     edit, reason = BROKEN_GRAPH_EDITS[name]
     path = tmp_path / "g.json"
     path.write_bytes(edit(graph_to_bytes(random_debate_graph(3, "broken"))))
+    if reason == OLDER:
+        with pytest.raises(OlderForm) as info:
+            load_graph(path)
+        assert str(info.value) == OLDER
+        return
     with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
         load_graph(path)
     assert reason in str(info.value) and str(path) in str(info.value)

@@ -15,12 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pipeline_utils import make_workspace, run
 from reviewgraph.extraction import build_graph
 from reviewgraph import orchestration
-from reviewgraph.graph import text_key, validate_graph
+from reviewgraph.graph import OlderForm, text_key, validate_graph
 from reviewgraph.orchestration import (
-    AgentRole,
     ClassificationFailed,
     CorruptCache,
-    DebateStage,
     EmbeddingCache,
     EndpointConfig,
     EndpointError,
@@ -30,6 +28,7 @@ from reviewgraph.orchestration import (
     MockClient,
     OrchestrationError,
     PaperInput,
+    Transcript,
     TransportError,
     classify_dimensions,
     embed_texts,
@@ -41,7 +40,6 @@ from reviewgraph.orchestration import (
     save_transcript,
     simulate_debate,
     transcript_from_dict,
-    transcript_to_dict,
 )
 
 PAPER = PaperInput(
@@ -55,24 +53,26 @@ PAPER = PaperInput(
 def test_mock_clients_with_equal_seeds_are_identical():
     t1 = simulate_debate(PAPER, MockClient(seed=7))
     t2 = simulate_debate(PAPER, MockClient(seed=7))
-    assert transcript_to_dict(t1) == transcript_to_dict(t2)
+    assert t1 == t2
 
 
 def test_mock_clients_with_different_seeds_differ():
     t1 = simulate_debate(PAPER, MockClient(seed=7))
     t2 = simulate_debate(PAPER, MockClient(seed=8))
-    assert transcript_to_dict(t1) != transcript_to_dict(t2)
+    assert t1 != t2
 
 
 def test_simulate_stage_structure_and_request_count():
     client = MockClient(seed=1)
     t = simulate_debate(PAPER, client)
-    stages = [s.stage for s in t.stages]
-    assert stages == [DebateStage.INITIAL_REVIEW, DebateStage.AUTHOR_REBUTTAL,
-                      DebateStage.RE_EVALUATION, DebateStage.META_REVIEW]
-    assert len(t.stage(DebateStage.INITIAL_REVIEW).messages) == 3
-    assert len(t.stage(DebateStage.AUTHOR_REBUTTAL).messages) == 1
-    assert len(t.stage(DebateStage.RE_EVALUATION).messages) == 3
+    assert (t.paper_id, t.title, t.attachments) == (PAPER.paper_id, PAPER.title,
+                                                     PAPER.attachments)
+    assert len(t.reviews) == len(t.re_evaluations) == 3
+    assert all(r.startswith("Overall rating: ") for r in t.reviews)
+    assert t.rebuttal.startswith("Rebuttal:\n")
+    assert [r.splitlines()[0] for r in t.re_evaluations] == [
+        f"Re-evaluation by Reviewer {k}:" for k in (1, 2, 3)]
+    assert t.meta_review.startswith("Score: ")
     # 3 reviews + 1 rebuttal + 3 re-evaluations + 1 meta-review
     assert client.chat_requests == 8
 
@@ -87,18 +87,152 @@ def test_transcript_json_round_trip(tmp_path):
     path = tmp_path / "t.json"
     save_transcript(t, path)
     assert load_transcript(path) == t
-    d = transcript_to_dict(t)
-    assert transcript_from_dict(json.loads(json.dumps(d))) == t
+    assert transcript_from_dict(json.loads(path.read_text())) == t
+    assert path.read_text() == json.dumps(
+        {**vars(t), "reviews": list(t.reviews), "re_evaluations": list(t.re_evaluations),
+         "attachments": list(t.attachments)}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+#: Any text, lone surrogates included: JSON escapes them, and they read back.
+TEXT = st.text(st.characters(blacklist_categories=()))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(t=st.builds(Transcript, TEXT, TEXT, st.tuples(TEXT, TEXT, TEXT), TEXT,
+                   st.tuples(TEXT, TEXT, TEXT), TEXT, st.lists(TEXT).map(tuple)))
+def test_any_transcript_reads_back_equal(tmp_path, t):
+    save_transcript(t, tmp_path / "t.json")
+    assert load_transcript(tmp_path / "t.json") == t
 
 
 def test_render_review_file_excludes_meta_review():
     t = simulate_debate(PAPER, MockClient(seed=3))
     rendered = render_review_file(t)
-    meta = t.stage(DebateStage.META_REVIEW).messages[0].content
+    meta = t.meta_review
     assert meta not in rendered
     assert "### Initial Review Comments:" in rendered
     assert "### Author's Responses:" in rendered
     assert "### Reviewers' Responses:" in rendered
+
+
+#: The review file that ``render_review_file`` makes of ``simulate_debate(PAPER,
+#: MockClient(seed=3))``; the extraction prompt holds every byte of it.
+REVIEW_FILE = (
+    "### Initial Review Comments:\n"
+    "\n"
+    "## Reviewer 1:\n"
+    "Overall rating: 7\n"
+    "\n"
+    "Comments:\n"
+    "- The proposed method offers limited methodological novelty over established "
+    "approaches.\n"
+    "- The paper is well written with a clear and readable structure.\n"
+    "\n"
+    "## Reviewer 2:\n"
+    "Overall rating: 7\n"
+    "\n"
+    "Comments:\n"
+    "- The proposed method offers limited methodological novelty over established "
+    "approaches.\n"
+    "- The experiments are thorough and include convincing baseline comparisons.\n"
+    "\n"
+    "## Reviewer 3:\n"
+    "Overall rating: 7\n"
+    "\n"
+    "Comments:\n"
+    "- The writing is dense and several passages are hard to follow.\n"
+    "- The motivation for the central design choice is not clearly articulated.\n"
+    "\n"
+    "### Author's Responses:\n"
+    "\n"
+    "## Author:\n"
+    "Rebuttal:\n"
+    "Response to Reviewer 1: We will address the point that the proposed method offers "
+    "limited methodological novelty over established approaches.\n"
+    "Response to Reviewer 1: We will address the point that the paper is well written "
+    "with a clear and readable structure.\n"
+    "Response to Reviewer 2: We will address the point that the proposed method offers "
+    "limited methodological novelty over established approaches.\n"
+    "Response to Reviewer 2: We will address the point that the experiments are thorough "
+    "and include convincing baseline comparisons.\n"
+    "Response to Reviewer 3: We will address the point that the writing is dense and "
+    "several passages are hard to follow.\n"
+    "Response to Reviewer 3: We will address the point that the motivation for the "
+    "central design choice is not clearly articulated.\n"
+    "\n"
+    "### Reviewers' Responses:\n"
+    "\n"
+    "## Reviewer 1:\n"
+    "Re-evaluation by Reviewer 1:\n"
+    "- After the rebuttal, I maintain that the proposed method offers limited "
+    "methodological novelty over established approaches.\n"
+    "- After the rebuttal, I maintain that the paper is well written with a clear and "
+    "readable structure.\n"
+    "\n"
+    "## Reviewer 2:\n"
+    "Re-evaluation by Reviewer 2:\n"
+    "- After the rebuttal, I maintain that the proposed method offers limited "
+    "methodological novelty over established approaches.\n"
+    "- After the rebuttal, I maintain that the experiments are thorough and include "
+    "convincing baseline comparisons.\n"
+    "\n"
+    "## Reviewer 3:\n"
+    "Re-evaluation by Reviewer 3:\n"
+    "- After the rebuttal, I maintain that the writing is dense and several passages are "
+    "hard to follow.\n"
+    "- After the rebuttal, I maintain that the motivation for the central design choice "
+    "is not clearly articulated.\n"
+)
+
+
+def test_render_review_file_gives_the_pinned_text():
+    assert render_review_file(simulate_debate(PAPER, MockClient(seed=3))) == REVIEW_FILE
+
+
+class RecordingClient(MockClient):
+    """A mock client that keeps a copy of each message list it is sent."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.sent: list[list[dict[str, str]]] = []
+
+    def _complete_once(self, messages):
+        self.sent.append([dict(m) for m in messages])
+        return super()._complete_once(messages)
+
+
+def _digest(requests) -> str:
+    return hashlib.sha256(json.dumps(requests, sort_keys=True).encode()).hexdigest()
+
+
+def test_simulate_and_extract_send_the_pinned_messages():
+    """The debate is one conversation: the paper and its attachment, then
+    eight prompts, each sent after the whole conversation so far. Extraction
+    sends the review file in one request. The digests pin every byte."""
+    client = RecordingClient(seed=3)
+    transcript = simulate_debate(PAPER, client)
+    debate, client.sent = client.sent, []
+    extract_triples(transcript, client)
+    prompts = [orchestration.REVIEWER_PROMPT.format(
+                   guidelines=orchestration.DEFAULT_REVIEW_GUIDELINES, k=k) for k in (1, 2, 3)]
+    prompts.append(orchestration.AUTHOR_PROMPT.format(
+        guidelines=orchestration.DEFAULT_AUTHOR_GUIDELINES))
+    prompts += [orchestration.REEVALUATION_PROMPT.format(k=k) for k in (1, 2, 3)]
+    prompts.append(orchestration.SENIOR_PROMPT.format(
+        guidelines=orchestration.DEFAULT_CHAIR_GUIDELINES))
+    assert [request[-1] for request in debate] == [{"role": "user", "content": p}
+                                                   for p in prompts]
+    assert [m["content"] for m in debate[0][3:7]] == [
+        f"Title: {PAPER.title}\n\n{PAPER.body}", "Received the text content of the research paper.",
+        "figure-1.png", "Received the figure or table."]
+    for before, request in zip(debate, debate[1:]):
+        assert request[:-2] == before and request[-2]["role"] == "assistant"
+    assert _digest(debate) == "58aa394b56b55d08ba4ff0c4c38fc41d21c2a5bb0df8a4d8c925a34ee5be057e"
+    assert [[m["role"] for m in request] for request in client.sent] == [
+        ["system", "user", "assistant", "user"]]
+    assert client.sent[0][1]["content"] == REVIEW_FILE
+    assert _digest(client.sent) == "4b2de91e060103e0fb83be71ebe8cf87ad3a40d10e0885bbc4094d9cf63ae00d"
 
 
 def test_find_json_object_picks_longest_balanced_span():
@@ -354,7 +488,9 @@ def test_puts_write_the_header_once(tmp_path):
 @given(dim=st.integers(0, 3), n=st.integers(1, 4), data=st.data())
 def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, data):
     """A binary cache cut anywhere, or with a header byte changed, either
-    raises ``CorruptCache`` naming its path or loads whole records only."""
+    raises ``CorruptCache`` naming its path or loads whole records only; one
+    whose first byte is not the magic's raises ``OlderForm``, as a cache of
+    the older JSON-lines form does."""
     path = tmp_path / "emb"
     path.unlink(missing_ok=True)
     vectors = np.arange(n * dim, dtype=np.float64).reshape(n, dim) - 0.5
@@ -362,6 +498,7 @@ def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, da
                                   for i, v in enumerate(vectors))
     whole = path.read_bytes()
     size, body = 32 + 8 * dim, len(whole) - 12
+    older = False
     if data.draw(st.booleans(), label="cut"):
         cut = data.draw(st.integers(0, len(whole) - 1), label="length")
         path.write_bytes(whole[:cut])
@@ -378,6 +515,11 @@ def test_damaged_binary_cache_raises_or_loads_whole_records(tmp_path, dim, n, da
         new_size = 32 + 8 * struct.unpack_from("<I", path.read_bytes(), 8)[0]
         loads = at >= 8 and body % new_size == 0
         n_loaded = body // new_size
+        older = at == 0
+    if older:
+        with pytest.raises(OlderForm, match="older JSON-lines"):
+            EmbeddingCache(path)
+        return
     if not loads:
         with pytest.raises(CorruptCache, match=f"^{re.escape(str(path))}"):
             EmbeddingCache(path)
@@ -797,9 +939,3 @@ def test_api_key_comes_from_environment(monkeypatch):
     assert "Authorization" not in client._headers()
     monkeypatch.setenv("RVG_TEST_KEY", "sekrit")
     assert client._headers()["Authorization"] == "Bearer sekrit"
-
-
-def test_agent_roles_cover_all_participants():
-    assert {r.value for r in AgentRole} == {
-        "reviewer_1", "reviewer_2", "reviewer_3", "author", "senior_reviewer"
-    }
