@@ -90,6 +90,11 @@ printf 'XXXX' > bad.rvgc
 # a checkpoint whose manifest is nested too deeply to parse: the magic, its
 # length as a little-endian uint32, then the manifest
 python3 -c 'import struct, sys; sys.stdout.buffer.write(b"RVGC" + struct.pack("<I", 200000) + b"[" * 200000)' > deep.rvgc
+# a paper file that is a JSON list, and a manifest whose transcript path holds
+# a NUL character, which no file system takes
+printf '%s\n' '{"paper_id": "n0", "split": "train", "label": "accept", "paths": {"paper": "n0.json", "transcript": "n0.transcript.json"}}' > list.jsonl
+printf '%s\n' '[{"paper_id": "n0", "title": "A title", "body": "A body."}]' > n0.json
+printf '%s\n' '{"paper_id": "n0", "split": "train", "label": "accept", "paths": {"paper": "d0.json", "transcript": "n0\u0000.json"}}' > nul.jsonl
 # a checkpoint in the form written before the model config held the
 # ablation: the ablation beside the model config, whose homogeneous and
 # num_classes stood in its place; it must be retrained
@@ -106,6 +111,8 @@ manifest["ablation"] = manifest["model_config"].pop("ablation")
 manifest["model_config"].update(homogeneous=False, num_classes=2)
 text = json.dumps(manifest, sort_keys=True).encode()
 open("old.rvgc", "wb").write(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + length:])
+# a whole checkpoint cut inside its manifest, as an interrupted copy leaves it
+open("cut.rvgc", "wb").write(blob[:8 + length // 2])
 '
 
 # each case: the exit code it must give, then the arguments
@@ -120,6 +127,8 @@ for case in "3 simulate missing.jsonl" "1 --config . gradcheck" "3 simulate m.js
             "1 --seed 0 gradcheck --samples -1" "1 --seed 0 gradcheck --threshold nan" \
             "3 evaluate m.jsonl --checkpoint bad.rvgc" "3 evaluate m.jsonl --checkpoint deep.rvgc" \
             "3 evaluate m.jsonl --checkpoint old.rvgc" "3 build-graph x.jsonl" \
+            "3 evaluate m.jsonl --checkpoint cut.rvgc" "3 simulate list.jsonl" \
+            "3 simulate nul.jsonl" \
             "1 --ablation no_rar evaluate m.jsonl --checkpoint bad.rvgc" \
             "1 evaluate m.jsonl --checkpoint bad.rvgc --ablation no_rar" \
             "1 --force train w.jsonl" "1 train w.jsonl --force"; do
@@ -157,7 +166,7 @@ done
 reviewgraph extract stages.jsonl
 
 # a broken checkpoint's error names its file
-for checkpoint in bad old; do
+for checkpoint in bad old cut; do
   reviewgraph evaluate m.jsonl --checkpoint "$checkpoint.rvgc" 2> stderr.txt || true
   if ! grep -q "$checkpoint\.rvgc" stderr.txt; then
     echo "reviewgraph evaluate --checkpoint $checkpoint.rvgc: the error does not name the file"

@@ -91,6 +91,11 @@ def load_manifest(path: str | Path) -> list[ManifestRecord]:
                 or not set(map(type, paths.values())) <= {str}:
             raise DataFailure(f"{path}:{lineno}: 'paper_id' must be a string and 'paths' "
                               "an object of strings")
+        try:  # a NUL, or a lone surrogate that does not encode
+            if any(b"\0" in os.fsencode(p) for p in paths.values()):
+                raise ValueError("NUL character (\\u0000)")
+        except ValueError as exc:  # UnicodeEncodeError too
+            raise DataFailure(f"{path}:{lineno}: a path no file system takes: {exc}") from None
         if raw["paper_id"] in seen:
             raise DataFailure(f"{path}:{lineno}: duplicate paper_id {raw['paper_id']!r}")
         seen.add(raw["paper_id"])
@@ -201,9 +206,9 @@ class OlderFile(DataFailure):
 
 
 def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
-    """``parse`` the paper's ``kind`` file, which opens it once; a missing file
-    (also one under a regular file) or one that does not parse is a
-    ``DataFailure`` naming the paper and the file; one of an older form is an ``OlderFile``."""
+    """``parse`` the paper's ``kind`` file, which opens it once and names no file; a missing
+    file (also one under a regular file) or one that does not parse is a ``DataFailure``
+    naming the paper and the file; one of an older form is an ``OlderFile``."""
     path = rec.path(kind)
     try:
         return parse(path)
@@ -211,8 +216,6 @@ def _read(rec: ManifestRecord, kind: str, parse: Callable[[Path], T]) -> T:
         raise DataFailure(f"{rec.paper_id}: {kind} file missing: {path}") from None
     except graphmod.OlderForm as exc:
         raise OlderFile(f"{rec.paper_id}: {path}: {exc}", _WRITER_OF[kind], rec.manifest) from exc
-    except (graphmod.CorruptGraph, orch.CorruptCache) as exc:  # these name the file
-        raise DataFailure(f"{rec.paper_id}: {exc}") from exc
     except (KeyError, OSError, TypeError, ValueError, extraction.ExtractionError) as exc:
         # OSError covers a directory; ValueError every graphmod.parse_json failure
         raise DataFailure(f"{rec.paper_id}: corrupt {kind} file {path}: "

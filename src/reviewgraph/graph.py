@@ -32,14 +32,6 @@ class EmptyAblationResult(GraphError):
     pass
 
 
-class CorruptGraph(GraphError):
-    """A graph file that does not parse into a graph."""
-
-    def __init__(self, path: str | Path, reason: str) -> None:
-        super().__init__(f"{path}: corrupt graph file: {reason}")
-        self.path = Path(path)
-
-
 class OlderForm(Exception):
     """A file of an older on-disk form, which the stage that writes it rewrites;
     the message names neither the file nor the stage, which the caller knows."""
@@ -485,26 +477,48 @@ def parse_json(data: str | bytes, **options) -> object:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
+def pack(magic: bytes, header: bytes, *blocks) -> bytes:
+    """The framing of graph files and checkpoints: ``magic``, the length of
+    ``header`` (an encoded JSON object) as a little-endian uint32, ``header``,
+    then each of ``blocks`` (bytes-like) in order."""
+    return b"".join((magic, len(header).to_bytes(4, "little"), header, *blocks))
+
+
+def unpack(data: bytes, magic: bytes) -> tuple[dict, int]:
+    """The header of ``pack``'s bytes ``data`` and the offset where its blocks start. Bytes
+    that do not start with ``magic`` or end inside the header raise ``ValueError``, as does a
+    header that is not JSON (``parse_json``); one not a JSON object raises ``TypeError``."""
+    if not data.startswith(magic):
+        raise ValueError("bad magic header")
+    at = len(magic) + 4  # after the magic and the header length
+    start = at + int.from_bytes(data[len(magic):at], "little")
+    if len(data) < start:
+        raise ValueError(f"header cut short: {len(data)} bytes, the header ends at byte {start}")
+    header = parse_json(data[at:start])
+    if not isinstance(header, dict):
+        raise TypeError("header is not a JSON object")
+    return header, start
+
+
 #: A graph file starts with this versioned magic, whose first byte never
 #: starts UTF-8 text, so no JSON graph of an older form passes for one.
 _GRAPH_MAGIC = b"\x89RGGRF2\n"
-_HEADER_AT = len(_GRAPH_MAGIC) + 4  # after the magic and the header length
 #: One past the largest legal code of each row of ``DebateGraph.node_codes``.
 _NODE_CODE_LIMITS = {"type": len(NodeType), "speaker": len(_SPEAKER_OF_CODE),
                      "dimension": len(_DIMENSION_OF_CODE)}
 
 
 def graph_to_bytes(g: DebateGraph) -> bytes:
-    """``g`` as a graph file: the magic, a little-endian uint32 header length,
-    a compact sorted-key JSON header (``graph_id``, ``label``, ``num_nodes``,
-    ``num_edges``, and ``texts`` in node-id order), then the array block:
-    ``node_codes`` by row, ``codes``' edge rows in listed order, and the
-    32-byte ``text_keys`` in node-id order."""
+    """``g`` as a graph file, ``pack``ed: the magic, a compact sorted-key JSON
+    header (``graph_id``, ``label``, ``num_nodes``, ``num_edges``, and
+    ``texts`` in node-id order), then the array block: ``node_codes`` by row,
+    ``codes``' edge rows in listed order, and the 32-byte ``text_keys`` in
+    node-id order."""
     type_code, edge_rows = g.codes
     header = compact_json({"graph_id": g.graph_id, "label": g.label, "texts": list(g.texts),
                            "num_nodes": len(type_code), "num_edges": len(edge_rows)}).encode()
-    return b"".join((_GRAPH_MAGIC, len(header).to_bytes(4, "little"), header,
-                     g.node_codes.tobytes(), edge_rows.astype("<u4").tobytes(), g.text_keys.tobytes()))
+    return pack(_GRAPH_MAGIC, header, g.node_codes.tobytes(), edge_rows.astype("<u4").tobytes(),
+                g.text_keys.tobytes())
 
 
 def save_graph(g: DebateGraph, path: str | Path) -> None:
@@ -524,18 +538,13 @@ def _graph_from_bytes(data: bytes) -> DebateGraph:
     ``KeyError``, ``TypeError`` or ``ValueError``; a graph file of an older
     form or version raises ``OlderForm``. Whether the edges fit the schema is
     ``validate_graph``'s job."""
-    if not data.startswith(_GRAPH_MAGIC):
-        # JSON never starts with the magic's first byte; another version's magic differs in byte 6
-        older = data[:1] not in (b"", _GRAPH_MAGIC[:1]) \
-            or len(data) >= len(_GRAPH_MAGIC) and data[:6] == _GRAPH_MAGIC[:6]
-        raise (OlderForm if older else ValueError)(
+    # JSON never starts with the magic's first byte; another version's magic differs in byte 6
+    if not data.startswith(_GRAPH_MAGIC) and (
+            data[:1] not in (b"", _GRAPH_MAGIC[:1])
+            or len(data) >= len(_GRAPH_MAGIC) and data[:6] == _GRAPH_MAGIC[:6]):
+        raise OlderForm(
             "not a binary graph file of this version (one of an older version, or a JSON one?)")
-    start = _HEADER_AT + int.from_bytes(data[len(_GRAPH_MAGIC):_HEADER_AT], "little")
-    if len(data) < start:
-        raise ValueError(f"header cut short: {len(data)} bytes, the header ends at byte {start}")
-    header = parse_json(data[_HEADER_AT:start])
-    if not isinstance(header, dict):
-        raise TypeError("header is not a JSON object")
+    header, start = unpack(data, _GRAPH_MAGIC)
     n, m, texts = header["num_nodes"], header["num_edges"], header["texts"]
     if not {type(n), type(m)} <= {int} or min(n, m) < 0:
         raise TypeError("num_nodes and num_edges must be non-negative integers")
@@ -573,14 +582,10 @@ def _graph_from_bytes(data: bytes) -> DebateGraph:
 
 def load_graph(path: str | Path) -> DebateGraph:
     """Read a graph file that ``save_graph`` wrote, with one ``open``; a file that
-    is not one raises ``CorruptGraph`` naming ``path``, or ``OlderForm`` (see
-    ``_graph_from_bytes``). A file that cannot be opened raises its ``OSError``."""
+    is not one raises what ``_graph_from_bytes`` raises, naming no file. A
+    file that cannot be opened raises its ``OSError``."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return _graph_from_bytes(data)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers parse_json's failures
-        raise CorruptGraph(path, f"{type(exc).__name__}: {exc}") from exc
+        return _graph_from_bytes(fh.read())
 
 
 def edge_counts_by_group(g: DebateGraph) -> dict[str, int]:

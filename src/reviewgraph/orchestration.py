@@ -72,10 +72,6 @@ class EmptyPaper(OrchestrationError):
     """A paper whose body is blank, so there is nothing to debate."""
 
 
-class CorruptCache(OrchestrationError):
-    """An embedding-cache file that does not decode; the message starts with its path."""
-
-
 class TransportError(OrchestrationError):
     """Transient endpoint failure; retried up to the configured limit."""
 
@@ -129,8 +125,11 @@ class PaperInput:
 
 
 def load_paper(path: str | Path) -> PaperInput:
-    """The paper of a paper file, whose ``attachments`` are a list of strings, none if absent."""
+    """The paper of a paper file, whose ``attachments`` are a list of strings, none if absent;
+    a document that is not a JSON object raises ``TypeError``."""
     d = parse_json(Path(path).read_bytes())
+    if not isinstance(d, dict):
+        raise TypeError("a paper must be a JSON object")
     attachments = d.get("attachments", [])
     if not isinstance(attachments, list):
         raise TypeError(f"attachments must be a list of strings, not {json.dumps(attachments)}")
@@ -763,7 +762,10 @@ _CACHE_HEADER = struct.Struct("<8sI")
 
 
 class EmbeddingCache:
-    """Content-hash-keyed store of text embeddings; reruns issue no duplicate requests.
+    """Content-hash-keyed store of text embeddings: ``embed_texts`` requests
+    only the texts that the cache does not hold. The ``embed`` command starts
+    each paper's cache afresh at ``<path>.tmp``, so ``embed --force`` asks for
+    every text again; a rerun without it skips the papers whose cache exists.
 
     A cache file is an 8-byte magic and a little-endian uint32 ``dim``,
     followed by one fixed-size record per text: its 32-byte ``text_key``,
@@ -774,7 +776,7 @@ class EmbeddingCache:
     ``missing_ok`` is false: then the ``open`` raises
     ``FileNotFoundError``. An empty file is an empty cache. A file with no whole
     header, or whose body is not a whole number of records (a torn write),
-    raises ``CorruptCache`` naming the path; one that does not start like the
+    raises ``ValueError``, naming no file; one that does not start like the
     magic, such as a cache of the older JSON-lines form, raises ``OlderForm``.
     """
 
@@ -800,12 +802,12 @@ class EmbeddingCache:
         if data[:1] != _CACHE_MAGIC[:1]:  # a byte that never starts UTF-8 text
             raise OlderForm("not a binary embedding cache (an older JSON-lines one?)")
         if len(data) < _CACHE_HEADER.size or not data.startswith(_CACHE_MAGIC):
-            raise CorruptCache(f"{self.path}: damaged or partial embedding-cache header")
+            raise ValueError("damaged or partial embedding-cache header")
         _magic, self.dim = _CACHE_HEADER.unpack_from(data)
         n, torn = divmod(len(data) - _CACHE_HEADER.size, 32 + 8 * self.dim)
         if torn:
-            raise CorruptCache(f"{self.path}: {torn} bytes after {n} whole records of dim "
-                               f"{self.dim} (torn write)")
+            raise ValueError(f"{torn} bytes after {n} whole records of dim {self.dim} "
+                             "(torn write)")
         self._has_header = True
         if n:
             # "V32", not "S32": a bytes field would drop a digest's trailing NUL bytes

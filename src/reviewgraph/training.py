@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -15,7 +14,7 @@ import numpy as np
 
 from .autodiff import NonFiniteLoss, ParamStore
 from .autodiff import scale as ad_scale  # noqa: F401  (perfbench/tracer.py wraps it by name)
-from .graph import DECISION_LABELS, DebateGraph, parse_json, replacing, require_field_types
+from .graph import DECISION_LABELS, DebateGraph, pack, replacing, require_field_types, unpack
 from .model import (
     ModelConfig,
     ModelError,
@@ -386,7 +385,8 @@ _CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
-    """Binary format: magic, u32 manifest length, JSON manifest, fp32 LE payload.
+    """Binary format: the magic and the JSON manifest, ``graph.pack``ed, then
+    the fp32 LE payload.
 
     The payload is the parameter vector as fp32, so each tensor's bytes sit at
     its ``_tensor_table`` offset. The bytes go to ``<path>.tmp`` first, which
@@ -414,9 +414,7 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
     mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     try:
         with replacing(path) as tmp, open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(mbytes)))
-            fh.write(mbytes)
+            fh.write(pack(_MAGIC, mbytes))
             fh.write(cp.params.flat.astype("<f4"))
             fh.flush()
             os.fsync(fh.fileno())
@@ -425,10 +423,10 @@ def save_checkpoint(cp: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """The checkpoint that ``save_checkpoint`` wrote to ``path``. Every error
-    raised starts with ``path``: ``IoError`` for a file that cannot be read,
-    ``VersionMismatch`` for another format version, and ``CorruptPayload``
-    for anything malformed, a config value outside its domain included."""
+    """The checkpoint that ``save_checkpoint`` wrote to ``path``. Every error raised
+    starts with ``path``, as no manifest names a checkpoint: ``IoError`` for a file
+    that cannot be read, ``VersionMismatch`` for another format version, and
+    ``CorruptPayload`` for anything malformed, the framing included."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -438,22 +436,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except CheckpointError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, ModelError, TrainingError) as exc:
-        raise CorruptPayload(f"{path}: malformed manifest: {type(exc).__name__}: {exc}") from exc
+        raise CorruptPayload(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _checkpoint_from(blob: bytes) -> Checkpoint:
     """The checkpoint in a file's bytes; ``load_checkpoint`` names the file in its errors."""
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise CorruptPayload("bad magic header")
-    (mlen,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + mlen:
-        raise CorruptPayload("truncated manifest")
-    try:
-        manifest = parse_json(blob[8:8 + mlen])
-    except ValueError as exc:
-        raise CorruptPayload(f"unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CorruptPayload("manifest is not a JSON object")
+    manifest, start = unpack(blob, _MAGIC)
     _check_manifest(manifest)
     model_config = ModelConfig(**manifest["model_config"])
     return Checkpoint(
@@ -462,7 +450,7 @@ def _checkpoint_from(blob: bytes) -> Checkpoint:
         train_config=TrainConfig(**manifest["train_config"]),
         epoch=manifest["epoch"],
         best_val_macro_f1=manifest["best_val_macro_f1"],
-        params=_read_params(manifest["tensors"], memoryview(blob)[8 + mlen:], model_config),
+        params=_read_params(manifest["tensors"], memoryview(blob)[start:], model_config),
     )
 
 

@@ -10,6 +10,7 @@ import os
 import re
 import shlex
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -253,7 +254,8 @@ def test_evaluate_malformed_checkpoint_manifest_exits_3(tmp_path, capsys):
     code = run(tmp_path, "evaluate", str(manifest),
                "--checkpoint", str(tmp_path / "c.rvgc"), "--split", "test")
     assert code == 3
-    assert "malformed manifest" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'c.rvgc'}: KeyError: 'model_config'\n")
 
 
 def _trained_workspace(root):
@@ -1026,8 +1028,8 @@ def test_evaluate_structurally_broken_graph_exits_3_naming_the_paper(
         # an older form or version
         assert f"p2.graph.json: {OLDER_GRAPH}; rerun `" in err
         assert _rerun_hint(err).endswith(f" build-graph --force {manifest}")
-    else:
-        assert "p2.graph.json: corrupt graph file" in err
+    else:  # the paper and the file, then what is wrong
+        assert err.startswith(f"data error: p2: corrupt graph file {path}: ")
 
 
 def _title_query(doc):
@@ -1045,13 +1047,13 @@ BAD_CHECKPOINTS = {
     "duplicate-name": (lambda doc: doc["tensors"].append(dict(_title_query(doc))), TITLE_QUERY),
     "missing-tensor": (lambda doc: doc["tensors"].remove(_title_query(doc)), TITLE_QUERY),
     "float-hidden-dim": (lambda doc: doc["model_config"].update(hidden_dim=8.0),
-                         "malformed manifest: TypeError: model_config.hidden_dim "
+                         "TypeError: model_config.hidden_dim "
                          "must be an integer, not 8.0"),
     "hidden-dim-zero": (lambda doc: doc["model_config"].update(hidden_dim=0),
-                        "malformed manifest: ModelError: num_heads, hidden_dim and ffn_hidden "
+                        "ModelError: num_heads, hidden_dim and ffn_hidden "
                         "must be positive"),
     "negative-learning-rate": (lambda doc: doc["train_config"].update(learning_rate=-1),
-                               "malformed manifest: TrainingError: learning_rate must be "
+                               "TrainingError: learning_rate must be "
                                "finite and above 0, not -1"),
 }
 
@@ -1192,10 +1194,20 @@ MALFORMED_DOCUMENTS = {
                              lambda d: {**d, "paths": {"paper": 5}}, 3),
     "manifest-paper-id-list": ("manifest.jsonl", "simulate",
                                lambda d: {**d, "paper_id": [1]}, 3),
+    # no file system takes a path with a NUL character, or a lone surrogate
+    # that does not encode
+    "manifest-path-nul": ("manifest.jsonl", "simulate",
+                          lambda d: {**d, "paths": {**d["paths"], "transcript": "p0\u0000.json"}},
+                          3),
+    "manifest-path-surrogate": ("manifest.jsonl", "simulate",
+                                lambda d: {**d, "paths": {**d["paths"],
+                                                          "transcript": "p0\ud800.json"}}, 3),
     "config-list": ("run.json", "simulate", lambda d: [1], 1),
     "config-endpoint-number": ("run.json", "simulate", lambda d: {**d, "endpoint": 5}, 1),
     "config-model-list": ("run.json", "simulate", lambda d: {**d, "model": [1]}, 1),
     "paper-body-number": ("papers/p0.json", "simulate", lambda d: {**d, "body": 5}, 3),
+    "paper-list": ("papers/p0.json", "simulate", lambda d: [d], 3),
+    "paper-null": ("papers/p0.json", "simulate", lambda d: None, 3),
     # a string of attachments would be sent one character at a time
     "paper-attachments-string": ("papers/p0.json", "simulate",
                                  lambda d: {**d, "attachments": "fig1"}, 3),
@@ -1509,16 +1521,17 @@ def _with_doc(change):
     return edit
 
 
-_OLDER_MODEL_CONFIG = ("malformed manifest: TypeError: ModelConfig.__init__() got an "
-                       "unexpected keyword argument 'homogeneous'")
+_OLDER_MODEL_CONFIG = ("TypeError: ModelConfig.__init__() got an unexpected keyword argument "
+                       "'homogeneous'")
 
 #: Checkpoint faults that ``load_checkpoint`` reports by name: (edit of the
 #: file's bytes and its manifest length, message).
 BROKEN_CHECKPOINT_FILES = {
-    "truncated-manifest": (_cut_manifest, "truncated manifest"),
-    "unreadable-manifest": (_with_manifest(b"\xff{not json"), "unreadable manifest"),
-    "list-manifest": (_with_manifest(b"[1, 2]"), "manifest is not a JSON object"),
-    "deep-manifest": (_with_manifest(b"[" * 200_000), "unreadable manifest"),
+    "truncated-manifest": (_cut_manifest, "ValueError: header cut short"),
+    "unreadable-manifest": (_with_manifest(b"\xff{not json"), "UnicodeDecodeError: "),
+    "list-manifest": (_with_manifest(b"[1, 2]"), "TypeError: header is not a JSON object"),
+    "deep-manifest": (_with_manifest(b"[" * 200_000),
+                      "ValueError: JSON nested too deeply to parse"),
     "wrong-version": (_with_doc(lambda d: d.update(version=99)),
                       "unsupported checkpoint version 99"),
     "tensors-object": (_with_doc(lambda d: d.update(tensors={})),
@@ -1663,3 +1676,58 @@ def test_commands_without_an_http_endpoint_never_load_the_http_stack(tmp_path):
     *_, loaded, reply = done.stdout.splitlines()
     assert json.loads(loaded) == []
     assert reply == "pong"
+
+
+#: Runs the stage argv[2] over the workspace under argv[1] and kills its own
+#: process with SIGKILL while the argv[3]-th paper's output is being written:
+#: that output goes to ``<output>.tmp`` through ``graph.replacing``, wrapped
+#: here to cut the file to half its bytes before the kill.
+KILLED_STAGE = """
+import os, signal, sys
+from contextlib import contextmanager
+from pathlib import Path
+from reviewgraph import graph
+from pipeline_utils import run
+root, stage, k = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+replacing, outputs = graph.replacing, []
+
+@contextmanager
+def killed_in_kth(path):
+    with replacing(path) as tmp:
+        yield tmp
+        outputs.append(path)
+        if len(outputs) == k:
+            tmp.write_bytes(tmp.read_bytes()[:tmp.stat().st_size // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+graph.replacing = killed_in_kth
+run(root, stage, str(root / "manifest.jsonl"))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+def test_stage_killed_mid_write_resumes_to_the_uninterrupted_outputs(tmp_path, capsys):
+    """A rerun without --force skips the papers written before the kill,
+    never trusts the half-written output, and leaves no ``.tmp``."""
+    whole, killed = tmp_path / "whole", tmp_path / "killed"
+    for root in (whole, killed):
+        make_workspace(root, THREE_PAPERS)
+        for stage in ("simulate", "extract", "classify"):
+            assert run(root, stage, str(root / "manifest.jsonl")) == 0
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for stage, output in (("embed", "p1.emb"), ("build-graph", "p1.graph.json")):
+        assert run(whole, stage, str(whole / "manifest.jsonl")) == 0
+        done = subprocess.run([sys.executable, "-c", KILLED_STAGE, str(killed), stage, "2"],
+                              env=env, capture_output=True, timeout=300)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        out = killed / "work" / output
+        assert not out.exists() and Path(f"{out}.tmp").stat().st_size > 0
+        capsys.readouterr()
+        assert run(killed, stage, str(killed / "manifest.jsonl")) == 0
+        assert capsys.readouterr().out.startswith(f"{stage}: 2 written, 1 skipped")
+    files = {p.relative_to(whole): p.read_bytes() for p in whole.rglob("*") if p.is_file()}
+    assert {p.relative_to(killed): p.read_bytes() for p in killed.rglob("*")
+            if p.is_file()} == files
+    assert not list(killed.rglob("*.tmp"))

@@ -18,7 +18,6 @@ from reviewgraph.extraction import (
 )
 from reviewgraph.graph import (
     AblationMode,
-    CorruptGraph,
     DebateGraph,
     Dimension,
     Edge,
@@ -330,12 +329,12 @@ CORRUPT_FILES = {
 
 @pytest.mark.parametrize("edit", CORRUPT_FILES.values(), ids=CORRUPT_FILES.keys())
 def test_load_graph_rejects_corrupt_file(tmp_path, edit):
+    """The error says what is wrong; the command that reads the file names it."""
     path = tmp_path / "g.json"
     path.write_bytes(edit(graph_to_bytes(random_debate_graph(3, "corrupt"))))
-    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+    with pytest.raises((KeyError, TypeError, ValueError)) as info:
         load_graph(path)
-    assert info.value.path == path
-    assert str(path) in str(info.value)
+    assert str(path) not in str(info.value)
 
 
 def _set_header(key, value):
@@ -407,9 +406,9 @@ def test_load_graph_rejects_structurally_broken_graph(tmp_path, name):
             load_graph(path)
         assert str(info.value) == OLDER
         return
-    with pytest.raises(CorruptGraph, match="corrupt graph file") as info:
+    with pytest.raises((KeyError, TypeError, ValueError)) as info:
         load_graph(path)
-    assert reason in str(info.value) and str(path) in str(info.value)
+    assert reason in f"{type(info.value).__name__}: {info.value}"
 
 
 def test_node_and_edge_are_immutable_value_tuples():

@@ -525,7 +525,7 @@ def test_checkpoint_names_a_wrongly_typed_manifest_scalar(tmp_path, field, value
     edit_manifest(path, lambda m: m.update({field: value}))
     with pytest.raises(CorruptPayload) as err:
         load_checkpoint(path)
-    assert str(err.value) == (f"{path}: malformed manifest: TypeError: manifest.{field} "
+    assert str(err.value) == (f"{path}: TypeError: manifest.{field} "
                               f"must be {wanted}, not {json.dumps(value)}")
 
 
